@@ -38,10 +38,9 @@
 //! [`ReplayRequest::stream`] to simulate and predict concurrently without
 //! ever materialising the trace — see [`stream`]), describe the cells
 //! ([`ReplayRequest::plan`] / [`ReplayRequest::single`]), and [`run`]
-//! it. The four pre-builder entry points (`replay_predictor`,
-//! `replay_predictor_attributed`, `replay_matrix`,
-//! `replay_matrix_attributed`) survive as thin deprecated wrappers; see
-//! DESIGN.md for the migration table.
+//! it. Either source runs the same fused kernel (with or without
+//! attribution) and the same per-shard merge, so the four combinations
+//! of source × attribution share one code path.
 //!
 //! [`run`]: ReplayRequest::run
 
@@ -50,6 +49,7 @@ use std::io;
 use std::time::Instant;
 
 use vp_isa::{Directive, InstrAddr, Program};
+use vp_predictor::config::shard_key;
 use vp_predictor::{AttributionTable, PredictorConfig, PredictorStats, ValuePredictor};
 use vp_sim::{RunLimits, Trace};
 
@@ -170,47 +170,22 @@ impl SweepPlan {
     }
 }
 
-/// Greatest common divisor (Euclid); used for the joint shard modulus.
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a.max(1)
-}
-
-/// The coarsest state partition compatible with *every* cell of the plan:
-/// the gcd of the finite cells' [`PredictorConfig::shard_modulus`] values.
-///
-/// `g` divides each finite cell's modulus `m`, so two addresses sharing
-/// state in that cell (`a ≡ b mod m`) also share a shard (`a ≡ b mod g`);
-/// infinite cells keep purely per-address state, which any function of the
-/// address respects. `None` (an all-infinite plan) shards by raw address.
-pub(crate) fn joint_shard_modulus(cells: &[MatrixCell]) -> Option<u64> {
-    let mut joint: Option<u64> = None;
-    for cell in cells {
-        if let Some(m) = cell.config.shard_modulus() {
-            joint = Some(match joint {
-                Some(g) => gcd(g, m),
-                None => m,
-            });
-        }
-    }
-    joint
-}
-
-/// Dedupes the plan's cells: returns the distinct cells (the predictor
-/// bank's slots) and, per request cell, the slot it maps to.
-pub(crate) fn dedupe_cells(cells: &[MatrixCell]) -> (Vec<MatrixCell>, Vec<usize>) {
+/// Dedupes the plan's cells into the predictor bank's slots and counts
+/// the fused pass: returns the distinct cells and, per request cell, the
+/// slot it maps to.
+fn fuse_cells(plan: &SweepPlan) -> (Vec<MatrixCell>, Vec<usize>) {
     let mut slots = Vec::new();
-    let mut slot_of = Vec::with_capacity(cells.len());
+    let mut slot_of = Vec::with_capacity(plan.cells.len());
     let mut index: HashMap<MatrixCell, usize> = HashMap::new();
-    for &cell in cells {
+    for &cell in &plan.cells {
         let slot = *index.entry(cell).or_insert_with(|| {
             slots.push(cell);
             slots.len() - 1
         });
         slot_of.push(slot);
     }
+    vp_obs::counter("replay.matrix_passes").add(1);
+    vp_obs::counter("replay.fused_cells").add(slots.len() as u64);
     (slots, slot_of)
 }
 
@@ -222,19 +197,32 @@ fn used_tables(slots: &[MatrixCell]) -> Vec<usize> {
     used
 }
 
+/// One slot's result from one shard: stats, occupied table entries and,
+/// for an attributed replay, the slot's per-PC [`AttributionTable`].
+type SlotResult = (PredictorStats, usize, Option<AttributionTable>);
+
 /// The push-based fused kernel: accumulates one shard's value events into
 /// [`MATRIX_BLOCK`]-sized scratch columns, resolves each full block's
 /// directive row once per distinct annotation and feeds the block to
 /// every predictor in the bank via [`ValuePredictor::access_batch`] (one
 /// virtual call per block per cell, statically dispatched inside).
 ///
+/// An attributed scanner also owns one [`AttributionTable`] per slot and
+/// walks each block cell by cell instead, observing every
+/// [`ValuePredictor::access`] outcome. Cells have independent state, so
+/// visiting all of one cell's events before the next gives the same
+/// results as an event-major loop. The choice is made once per block, so
+/// the plain kernel's per-event loop is exactly the unattributed one.
+///
 /// Both the batch scan (an iterator drained into `push`) and the
 /// streaming consumers ([`stream`]) drive this same kernel, so their
 /// per-event instruction streams — and therefore their results — cannot
 /// drift apart: the block boundaries a consumer happens to deliver never
 /// matter, only the accumulated [`MATRIX_BLOCK`] chunking here does.
-pub(crate) struct MatrixScanner<'p> {
+struct MatrixScanner<'p> {
     banks: Vec<Box<dyn ValuePredictor>>,
+    /// One table per slot when the replay is attributed.
+    attributions: Option<Vec<AttributionTable>>,
     tables: &'p [Vec<Directive>],
     slots: &'p [MatrixCell],
     used: Vec<usize>,
@@ -244,9 +232,11 @@ pub(crate) struct MatrixScanner<'p> {
 }
 
 impl<'p> MatrixScanner<'p> {
-    pub(crate) fn new(tables: &'p [Vec<Directive>], slots: &'p [MatrixCell]) -> Self {
+    fn new(tables: &'p [Vec<Directive>], slots: &'p [MatrixCell], attribution: bool) -> Self {
         MatrixScanner {
             banks: slots.iter().map(|c| c.config.build()).collect(),
+            attributions: attribution
+                .then(|| slots.iter().map(|_| AttributionTable::new()).collect()),
             tables,
             slots,
             used: used_tables(slots),
@@ -259,7 +249,7 @@ impl<'p> MatrixScanner<'p> {
         }
     }
 
-    pub(crate) fn push(&mut self, addr: InstrAddr, value: u64) -> io::Result<()> {
+    fn push(&mut self, addr: InstrAddr, value: u64) -> io::Result<()> {
         self.addrs.push(addr);
         self.values.push(value);
         if self.addrs.len() == MATRIX_BLOCK {
@@ -284,74 +274,40 @@ impl<'p> MatrixScanner<'p> {
                 );
             }
         }
-        for (bank, cell) in self.banks.iter_mut().zip(self.slots) {
-            bank.access_batch(&self.addrs, &self.rows[cell.directives], &self.values);
+        match &mut self.attributions {
+            None => {
+                for (bank, cell) in self.banks.iter_mut().zip(self.slots) {
+                    bank.access_batch(&self.addrs, &self.rows[cell.directives], &self.values);
+                }
+            }
+            Some(attributions) => {
+                for ((bank, cell), table) in self.banks.iter_mut().zip(self.slots).zip(attributions)
+                {
+                    let row = &self.rows[cell.directives];
+                    for ((&addr, &directive), &value) in
+                        self.addrs.iter().zip(row).zip(&self.values)
+                    {
+                        let access = bank.access(addr, directive, value);
+                        table.observe(addr, directive, &access, value);
+                    }
+                }
+            }
         }
         self.addrs.clear();
         self.values.clear();
         Ok(())
     }
 
-    pub(crate) fn finish(mut self) -> io::Result<Vec<(PredictorStats, usize)>> {
+    fn finish(mut self) -> io::Result<Vec<SlotResult>> {
         self.flush()?;
+        let mut tables = self.attributions.map(Vec::into_iter);
         Ok(self
             .banks
             .iter()
-            .map(|b| (*b.stats(), b.occupancy()))
-            .collect())
-    }
-}
-
-/// [`MatrixScanner`] with per-access attribution observation. Attribution
-/// consumes each access outcome, so this variant runs event-at-a-time —
-/// it exists to keep `--attribution` runs on the fused path (one trace
-/// scan) without perturbing the plain kernel.
-pub(crate) struct MatrixScannerAttributed<'p> {
-    banks: Vec<Box<dyn ValuePredictor>>,
-    attributions: Vec<AttributionTable>,
-    tables: &'p [Vec<Directive>],
-    slots: &'p [MatrixCell],
-    used: Vec<usize>,
-    dirs: Vec<Directive>,
-}
-
-impl<'p> MatrixScannerAttributed<'p> {
-    pub(crate) fn new(tables: &'p [Vec<Directive>], slots: &'p [MatrixCell]) -> Self {
-        MatrixScannerAttributed {
-            banks: slots.iter().map(|c| c.config.build()).collect(),
-            attributions: slots.iter().map(|_| AttributionTable::new()).collect(),
-            tables,
-            slots,
-            used: used_tables(slots),
-            dirs: vec![Directive::None; tables.len()],
-        }
-    }
-
-    pub(crate) fn push(&mut self, addr: InstrAddr, value: u64) -> io::Result<()> {
-        for &t in &self.used {
-            self.dirs[t] = *self.tables[t]
-                .get(addr.index() as usize)
-                .ok_or_else(|| outside_text(addr))?;
-        }
-        for ((bank, cell), table) in self
-            .banks
-            .iter_mut()
-            .zip(self.slots)
-            .zip(self.attributions.iter_mut())
-        {
-            let directive = self.dirs[cell.directives];
-            let access = bank.access(addr, directive, value);
-            table.observe(addr, directive, &access, value);
-        }
-        Ok(())
-    }
-
-    pub(crate) fn finish(self) -> io::Result<Vec<(PredictorStats, usize, AttributionTable)>> {
-        Ok(self
-            .banks
-            .iter()
-            .zip(self.attributions)
-            .map(|(b, t)| (*b.stats(), b.occupancy(), t))
+            .map(|b| {
+                let table = tables.as_mut().and_then(Iterator::next);
+                (*b.stats(), b.occupancy(), table)
+            })
             .collect())
     }
 }
@@ -361,180 +317,93 @@ fn matrix_scan<I>(
     events: I,
     tables: &[Vec<Directive>],
     slots: &[MatrixCell],
-) -> io::Result<Vec<(PredictorStats, usize)>>
+    attribution: bool,
+) -> io::Result<Vec<SlotResult>>
 where
     I: Iterator<Item = (InstrAddr, u64)>,
 {
-    let mut scanner = MatrixScanner::new(tables, slots);
+    let mut scanner = MatrixScanner::new(tables, slots, attribution);
     for (addr, value) in events {
         scanner.push(addr, value)?;
     }
     scanner.finish()
 }
 
-/// Drains `events` through a [`MatrixScannerAttributed`].
-fn matrix_scan_attributed<I>(
-    events: I,
-    tables: &[Vec<Directive>],
-    slots: &[MatrixCell],
-) -> io::Result<Vec<(PredictorStats, usize, AttributionTable)>>
-where
-    I: Iterator<Item = (InstrAddr, u64)>,
-{
-    let mut scanner = MatrixScannerAttributed::new(tables, slots);
-    for (addr, value) in events {
-        scanner.push(addr, value)?;
-    }
-    scanner.finish()
-}
-
-/// Publishes the per-replay shard counters shared by the batch engines.
-fn publish_shard_skew(shards: usize, fastest: u64, slowest: u64) {
-    let skew_us = slowest.saturating_sub(fastest);
-    vp_obs::counter("replay.shards").add(shards as u64);
-    vp_obs::gauge("replay.shard_skew_ms").set_max(skew_us.div_ceil(1000));
-    vp_obs::events::instant("replay.shard_skew", skew_us);
-}
-
-/// The batch fused engine behind [`ReplayRequest::run`] (plain variant).
-fn batch_matrix(
-    trace: &Trace,
-    plan: &SweepPlan,
+/// Merges per-shard slot results (shard state partitions are disjoint,
+/// so stats, occupancy and attribution tables merge by addition) and fans
+/// the slots back out to plan order through `slot_of`. Duplicate cells
+/// receive copies of their shared slot's result.
+fn merge_shards(
+    parts: Vec<Vec<SlotResult>>,
+    slot_of: &[usize],
     shards: usize,
-    jobs: usize,
-) -> io::Result<Vec<ReplayOutcome>> {
-    let _span = vp_obs::span("matrix");
-    let (slots, slot_of) = dedupe_cells(&plan.cells);
-    vp_obs::counter("replay.matrix_passes").add(1);
-    vp_obs::counter("replay.fused_cells").add(slots.len() as u64);
-    let shards = shards.max(1);
-    let cols = trace.columns();
-
-    if shards == 1 {
-        let per_slot = matrix_scan(cols.value_events(), &plan.tables, &slots)?;
-        vp_obs::counter("replay.shards").add(1);
-        return Ok(slot_of
-            .iter()
-            .map(|&s| ReplayOutcome {
-                stats: per_slot[s].0,
-                occupancy: per_slot[s].1,
-                shards: 1,
-            })
-            .collect());
-    }
-
-    let modulus = joint_shard_modulus(&slots);
-    let views = cols.shard_by_pc(shards, move |addr| match modulus {
-        Some(g) => u64::from(addr.index()) % g,
-        None => u64::from(addr.index()),
-    });
-    let parts = parallel_map(jobs.max(1), &views, |shard| -> io::Result<_> {
-        let started = Instant::now();
-        let per_slot = matrix_scan(shard.values(), &plan.tables, &slots)?;
-        Ok((per_slot, started.elapsed().as_micros() as u64))
-    });
-
-    let mut merged = vec![(PredictorStats::new(), 0usize); slots.len()];
-    let (mut fastest, mut slowest) = (u64::MAX, 0u64);
+) -> Vec<ReplayCellOutcome> {
+    let mut parts = parts.into_iter();
+    let mut merged = parts.next().unwrap_or_default();
     for part in parts {
-        let (per_slot, micros) = part?;
-        for (acc, part) in merged.iter_mut().zip(per_slot) {
-            acc.0.merge(&part.0);
-            acc.1 += part.1;
-        }
-        fastest = fastest.min(micros);
-        slowest = slowest.max(micros);
-    }
-    publish_shard_skew(shards, fastest, slowest);
-    Ok(slot_of
-        .iter()
-        .map(|&s| ReplayOutcome {
-            stats: merged[s].0,
-            occupancy: merged[s].1,
-            shards,
-        })
-        .collect())
-}
-
-/// The batch fused engine behind [`ReplayRequest::run`] (attributed).
-fn batch_matrix_attributed(
-    trace: &Trace,
-    plan: &SweepPlan,
-    shards: usize,
-    jobs: usize,
-) -> io::Result<Vec<(ReplayOutcome, AttributionTable)>> {
-    let _span = vp_obs::span("matrix");
-    let (slots, slot_of) = dedupe_cells(&plan.cells);
-    vp_obs::counter("replay.matrix_passes").add(1);
-    vp_obs::counter("replay.fused_cells").add(slots.len() as u64);
-    let shards = shards.max(1);
-    let cols = trace.columns();
-
-    if shards == 1 {
-        let per_slot = matrix_scan_attributed(cols.value_events(), &plan.tables, &slots)?;
-        vp_obs::counter("replay.shards").add(1);
-        return Ok(slot_of
-            .iter()
-            .map(|&s| {
-                let (stats, occupancy, ref table) = per_slot[s];
-                (
-                    ReplayOutcome {
-                        stats,
-                        occupancy,
-                        shards: 1,
-                    },
-                    table.clone(),
-                )
-            })
-            .collect());
-    }
-
-    let modulus = joint_shard_modulus(&slots);
-    let views = cols.shard_by_pc(shards, move |addr| match modulus {
-        Some(g) => u64::from(addr.index()) % g,
-        None => u64::from(addr.index()),
-    });
-    let parts = parallel_map(jobs.max(1), &views, |shard| -> io::Result<_> {
-        let started = Instant::now();
-        let per_slot = matrix_scan_attributed(shard.values(), &plan.tables, &slots)?;
-        Ok((per_slot, started.elapsed().as_micros() as u64))
-    });
-
-    let mut merged: Vec<(PredictorStats, usize, AttributionTable)> = slots
-        .iter()
-        .map(|_| (PredictorStats::new(), 0usize, AttributionTable::new()))
-        .collect();
-    let (mut fastest, mut slowest) = (u64::MAX, 0u64);
-    for part in parts {
-        let (per_slot, micros) = part?;
-        for (acc, (stats, occupancy, table)) in merged.iter_mut().zip(per_slot) {
+        for (acc, (stats, occupancy, table)) in merged.iter_mut().zip(part) {
             acc.0.merge(&stats);
             acc.1 += occupancy;
-            acc.2.merge(&table);
+            if let (Some(acc), Some(table)) = (&mut acc.2, table) {
+                acc.merge(&table);
+            }
         }
-        fastest = fastest.min(micros);
-        slowest = slowest.max(micros);
     }
-    publish_shard_skew(shards, fastest, slowest);
-    Ok(slot_of
+    slot_of
         .iter()
         .map(|&s| {
             let (stats, occupancy, ref table) = merged[s];
-            (
-                ReplayOutcome {
+            ReplayCellOutcome {
+                outcome: ReplayOutcome {
                     stats,
                     occupancy,
                     shards,
                 },
-                table.clone(),
-            )
+                attribution: table.clone(),
+            }
         })
-        .collect())
+        .collect()
+}
+
+/// The batch fused engine behind [`ReplayRequest::run`]: one pass over
+/// the resident `trace`, PC-sharded over up to `jobs` workers.
+fn batch_matrix(trace: &Trace, req: &ReplayRequest<'_>) -> io::Result<Vec<ReplayCellOutcome>> {
+    let _span = vp_obs::span("matrix");
+    let (slots, slot_of) = fuse_cells(&req.plan);
+    let (tables, attribution) = (req.plan.tables(), req.attribution);
+    let cols = trace.columns();
+
+    if req.shards == 1 {
+        let per_slot = matrix_scan(cols.value_events(), tables, &slots, attribution)?;
+        vp_obs::counter("replay.shards").add(1);
+        return Ok(merge_shards(vec![per_slot], &slot_of, 1));
+    }
+
+    let modulus = PredictorConfig::joint_shard_modulus(slots.iter().map(|c| &c.config));
+    let views = cols.shard_by_pc(req.shards, move |addr| shard_key(modulus, addr));
+    let timed = parallel_map(req.jobs, &views, |shard| -> io::Result<_> {
+        let started = Instant::now();
+        let per_slot = matrix_scan(shard.values(), tables, &slots, attribution)?;
+        Ok((per_slot, started.elapsed().as_micros() as u64))
+    });
+    let mut parts = Vec::with_capacity(req.shards);
+    let (mut fastest, mut slowest) = (u64::MAX, 0u64);
+    for part in timed {
+        let (per_slot, micros) = part?;
+        parts.push(per_slot);
+        fastest = fastest.min(micros);
+        slowest = slowest.max(micros);
+    }
+    let skew_us = slowest.saturating_sub(fastest);
+    vp_obs::counter("replay.shards").add(req.shards as u64);
+    vp_obs::gauge("replay.shard_skew_ms").set_max(skew_us.div_ceil(1000));
+    vp_obs::events::instant("replay.shard_skew", skew_us);
+    Ok(merge_shards(parts, &slot_of, req.shards))
 }
 
 /// Where a [`ReplayRequest`] reads its value events from.
 #[derive(Debug, Clone, Copy)]
-pub enum ReplaySource<'a> {
+enum ReplaySource<'a> {
     /// Replay a fully materialised in-memory [`Trace`] (the classic
     /// path: capture once via [`crate::TraceStore`], replay many times).
     Batch(&'a Trace),
@@ -597,11 +466,10 @@ impl ReplayResponse {
 
 /// A builder describing one replay: which cells to evaluate
 /// ([`SweepPlan`]), whether to attribute mispredictions, how to shard and
-/// fan out, and where the value events come from ([`ReplaySource`]).
+/// fan out, and where the value events come from (a resident trace or a
+/// live simulation).
 ///
-/// This is the single entry point subsuming the four older functions
-/// (`replay_predictor[_attributed]`, `replay_matrix[_attributed]`, all
-/// now thin deprecated wrappers):
+/// It is the only replay entry point:
 ///
 /// ```
 /// use provp_core::replay::ReplayRequest;
@@ -640,8 +508,7 @@ pub struct ReplayRequest<'a> {
 
 impl<'a> ReplayRequest<'a> {
     /// A request reading value events from `source`.
-    #[must_use]
-    pub fn new(source: ReplaySource<'a>) -> Self {
+    fn new(source: ReplaySource<'a>) -> Self {
         ReplayRequest {
             plan: SweepPlan::new(),
             source,
@@ -736,149 +603,14 @@ impl<'a> ReplayRequest<'a> {
         if self.plan.is_empty() {
             return Ok(ReplayResponse::default());
         }
-        let cells = match (self.source, self.attribution) {
-            (ReplaySource::Batch(trace), false) => {
-                batch_matrix(trace, &self.plan, self.shards, self.jobs)?
-                    .into_iter()
-                    .map(|outcome| ReplayCellOutcome {
-                        outcome,
-                        attribution: None,
-                    })
-                    .collect()
+        let cells = match self.source {
+            ReplaySource::Batch(trace) => batch_matrix(trace, &self)?,
+            ReplaySource::Stream { program, limits } => {
+                stream::stream_matrix(program, limits, &self)?
             }
-            (ReplaySource::Batch(trace), true) => {
-                batch_matrix_attributed(trace, &self.plan, self.shards, self.jobs)?
-                    .into_iter()
-                    .map(|(outcome, table)| ReplayCellOutcome {
-                        outcome,
-                        attribution: Some(table),
-                    })
-                    .collect()
-            }
-            (ReplaySource::Stream { program, limits }, false) => {
-                stream::stream_matrix(program, limits, &self.plan, self.shards, self.block_pool)?
-                    .into_iter()
-                    .map(|outcome| ReplayCellOutcome {
-                        outcome,
-                        attribution: None,
-                    })
-                    .collect()
-            }
-            (ReplaySource::Stream { program, limits }, true) => stream::stream_matrix_attributed(
-                program,
-                limits,
-                &self.plan,
-                self.shards,
-                self.block_pool,
-            )?
-            .into_iter()
-            .map(|(outcome, table)| ReplayCellOutcome {
-                outcome,
-                attribution: Some(table),
-            })
-            .collect(),
         };
         Ok(ReplayResponse { cells })
     }
-}
-
-/// Replays `trace`'s value events through `config`'s predictor.
-///
-/// # Errors
-///
-/// [`io::Error`] of kind `InvalidData` for foreign traces.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ReplayRequest::batch(trace).single(program, *config) instead"
-)]
-pub fn replay_predictor(
-    trace: &Trace,
-    program: &Program,
-    config: &PredictorConfig,
-    shards: usize,
-    jobs: usize,
-) -> io::Result<ReplayOutcome> {
-    Ok(ReplayRequest::batch(trace)
-        .single(program, *config)
-        .shards(shards)
-        .jobs(jobs)
-        .run()?
-        .into_single()
-        .outcome)
-}
-
-/// Like `replay_predictor`, additionally observing every access into a
-/// per-PC [`AttributionTable`].
-///
-/// # Errors
-///
-/// [`io::Error`] of kind `InvalidData` for foreign traces.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ReplayRequest::batch(trace).single(program, *config).attribution(true) instead"
-)]
-pub fn replay_predictor_attributed(
-    trace: &Trace,
-    program: &Program,
-    config: &PredictorConfig,
-    shards: usize,
-    jobs: usize,
-) -> io::Result<(ReplayOutcome, AttributionTable)> {
-    let cell = ReplayRequest::batch(trace)
-        .single(program, *config)
-        .attribution(true)
-        .shards(shards)
-        .jobs(jobs)
-        .run()?
-        .into_single();
-    Ok((
-        cell.outcome,
-        cell.attribution.expect("attribution requested"),
-    ))
-}
-
-/// Replays `trace`'s value events through *every* cell of `plan` in a
-/// single fused pass.
-///
-/// # Errors
-///
-/// [`io::Error`] of kind `InvalidData` for foreign traces.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ReplayRequest::batch(trace).plan(plan.clone()) instead"
-)]
-pub fn replay_matrix(
-    trace: &Trace,
-    plan: &SweepPlan,
-    shards: usize,
-    jobs: usize,
-) -> io::Result<Vec<ReplayOutcome>> {
-    if plan.is_empty() {
-        return Ok(Vec::new());
-    }
-    batch_matrix(trace, plan, shards, jobs)
-}
-
-/// Like `replay_matrix`, additionally producing a per-PC
-/// [`AttributionTable`] per cell.
-///
-/// # Errors
-///
-/// [`io::Error`] of kind `InvalidData` for foreign traces.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ReplayRequest::batch(trace).plan(plan.clone()).attribution(true) instead"
-)]
-pub fn replay_matrix_attributed(
-    trace: &Trace,
-    plan: &SweepPlan,
-    shards: usize,
-    jobs: usize,
-) -> io::Result<Vec<(ReplayOutcome, AttributionTable)>> {
-    if plan.is_empty() {
-        return Ok(Vec::new());
-    }
-    batch_matrix_attributed(trace, plan, shards, jobs)
 }
 
 pub(crate) fn outside_text(addr: vp_isa::InstrAddr) -> io::Error {
@@ -1032,39 +764,5 @@ mod tests {
         let (_, trace) = sample();
         let response = ReplayRequest::batch(&trace).run().unwrap();
         assert!(response.cells.is_empty());
-    }
-
-    /// The deprecated wrappers must stay bit-identical to the builder.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_builder() {
-        let (p, trace) = sample();
-        let cfg = PredictorConfig::spec_table_stride_profile();
-        let via_builder = single_outcome(&trace, &p, &cfg, 3, 2);
-        let via_wrapper = replay_predictor(&trace, &p, &cfg, 3, 2).unwrap();
-        assert_eq!(via_wrapper.stats, via_builder.stats);
-        assert_eq!(via_wrapper.occupancy, via_builder.occupancy);
-
-        let mut plan = SweepPlan::new();
-        let t = plan.add_directives(&p);
-        plan.add_cell(cfg, t);
-        plan.add_cell(PredictorConfig::spec_table_stride_fsm(), t);
-        let grid = replay_matrix(&trace, &plan, 2, 2).unwrap();
-        let response = ReplayRequest::batch(&trace)
-            .plan(plan.clone())
-            .shards(2)
-            .jobs(2)
-            .run()
-            .unwrap();
-        assert_eq!(grid.len(), response.cells.len());
-        for (w, b) in grid.iter().zip(&response.cells) {
-            assert_eq!(w.stats, b.outcome.stats);
-            assert_eq!(w.occupancy, b.outcome.occupancy);
-        }
-
-        let (out, table) = replay_predictor_attributed(&trace, &p, &cfg, 2, 2).unwrap();
-        let attributed = replay_matrix_attributed(&trace, &plan, 2, 2).unwrap();
-        assert_eq!(attributed[0].0.stats, out.stats);
-        assert_eq!(attributed[0].1, table);
     }
 }

@@ -8,7 +8,8 @@
 //! a [`ValueBlockTracer`] that packs destination writes into
 //! [`vp_sim::VALUE_BLOCK`]-event columnar blocks, and `shards`
 //! **consumer** threads replay those blocks through the same push-based
-//! fused kernel the batch path uses ([`super::MatrixScanner`]).
+//! fused kernel (`MatrixScanner`) and per-shard merge the batch path
+//! uses.
 //!
 //! ## Bounded channel, fixed block pool
 //!
@@ -61,13 +62,11 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use vp_isa::{InstrAddr, Program};
-use vp_predictor::{AttributionTable, PredictorStats};
+use vp_predictor::config::shard_key;
+use vp_predictor::PredictorConfig;
 use vp_sim::{RunLimits, ValueBlockSink, ValueBlockTracer};
 
-use super::{
-    dedupe_cells, joint_shard_modulus, matrix_scan, matrix_scan_attributed, ReplayOutcome,
-    SweepPlan,
-};
+use super::{fuse_cells, matrix_scan, merge_shards, ReplayCellOutcome, ReplayRequest};
 
 /// Default number of block-buffer pairs circulating between the producer
 /// and the consumers. Eight blocks absorb ordinary consumer jitter
@@ -292,11 +291,7 @@ impl Iterator for ShardEvents<'_> {
                     let addr = msg.addrs[*pos];
                     let value = msg.values[*pos];
                     *pos += 1;
-                    let key = match self.modulus {
-                        Some(g) => u64::from(addr.index()) % g,
-                        None => u64::from(addr.index()),
-                    };
-                    if key % self.shards == self.index as u64 {
+                    if shard_key(self.modulus, addr) % self.shards == self.index as u64 {
                         return Some((addr, value));
                     }
                 }
@@ -396,90 +391,26 @@ where
     consumers.into_iter().collect()
 }
 
-/// The streaming fused engine behind [`super::ReplayRequest::run`]
-/// (plain variant): simulate `program` once, replay every plan cell
-/// concurrently, never materialise the trace.
+/// The streaming fused engine behind [`ReplayRequest::run`]: simulate
+/// `program` once, replay every plan cell concurrently, never
+/// materialise the trace.
 pub(crate) fn stream_matrix(
     program: &Program,
     limits: RunLimits,
-    plan: &SweepPlan,
-    shards: usize,
-    pool: usize,
-) -> io::Result<Vec<ReplayOutcome>> {
+    req: &ReplayRequest<'_>,
+) -> io::Result<Vec<ReplayCellOutcome>> {
     let _span = vp_obs::span("stream");
-    let (slots, slot_of) = dedupe_cells(plan.cells());
-    vp_obs::counter("replay.matrix_passes").add(1);
-    vp_obs::counter("replay.fused_cells").add(slots.len() as u64);
-    let shards = shards.max(1);
-    let modulus = joint_shard_modulus(&slots);
-    let tables = plan.tables();
-
-    let parts = run_streamed(program, limits, shards, pool, modulus, |events| {
-        matrix_scan(events, tables, &slots)
-    })?;
-
-    let mut merged = vec![(PredictorStats::new(), 0usize); slots.len()];
-    for per_slot in parts {
-        for (acc, part) in merged.iter_mut().zip(per_slot) {
-            acc.0.merge(&part.0);
-            acc.1 += part.1;
-        }
-    }
-    Ok(slot_of
-        .iter()
-        .map(|&s| ReplayOutcome {
-            stats: merged[s].0,
-            occupancy: merged[s].1,
-            shards,
-        })
-        .collect())
-}
-
-/// The streaming fused engine (attributed variant).
-pub(crate) fn stream_matrix_attributed(
-    program: &Program,
-    limits: RunLimits,
-    plan: &SweepPlan,
-    shards: usize,
-    pool: usize,
-) -> io::Result<Vec<(ReplayOutcome, AttributionTable)>> {
-    let _span = vp_obs::span("stream");
-    let (slots, slot_of) = dedupe_cells(plan.cells());
-    vp_obs::counter("replay.matrix_passes").add(1);
-    vp_obs::counter("replay.fused_cells").add(slots.len() as u64);
-    let shards = shards.max(1);
-    let modulus = joint_shard_modulus(&slots);
-    let tables = plan.tables();
-
-    let parts = run_streamed(program, limits, shards, pool, modulus, |events| {
-        matrix_scan_attributed(events, tables, &slots)
-    })?;
-
-    let mut merged: Vec<(PredictorStats, usize, AttributionTable)> = slots
-        .iter()
-        .map(|_| (PredictorStats::new(), 0usize, AttributionTable::new()))
-        .collect();
-    for per_slot in parts {
-        for (acc, (stats, occupancy, table)) in merged.iter_mut().zip(per_slot) {
-            acc.0.merge(&stats);
-            acc.1 += occupancy;
-            acc.2.merge(&table);
-        }
-    }
-    Ok(slot_of
-        .iter()
-        .map(|&s| {
-            let (stats, occupancy, ref table) = merged[s];
-            (
-                ReplayOutcome {
-                    stats,
-                    occupancy,
-                    shards,
-                },
-                table.clone(),
-            )
-        })
-        .collect())
+    let (slots, slot_of) = fuse_cells(&req.plan);
+    let modulus = PredictorConfig::joint_shard_modulus(slots.iter().map(|c| &c.config));
+    let parts = run_streamed(
+        program,
+        limits,
+        req.shards,
+        req.block_pool,
+        modulus,
+        |events| matrix_scan(events, req.plan.tables(), &slots, req.attribution),
+    )?;
+    Ok(merge_shards(parts, &slot_of, req.shards))
 }
 
 #[cfg(test)]

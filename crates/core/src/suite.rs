@@ -15,7 +15,7 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use vp_compiler::{annotate, AnnotationSummary, ThresholdPolicy};
 use vp_ilp::{IlpAnalyzer, IlpConfig, IlpResult};
@@ -48,60 +48,9 @@ struct CellResult {
     attribution: Option<Arc<AttributionTable>>,
 }
 
-/// The per-trace sweep memo: like [`Memo`], but claims are made in
-/// *batches* so one fused [`ReplayRequest`] pass computes every missing
-/// cell of a request at once.
-struct SweepMemo {
-    state: Mutex<SweepState>,
-    available: Condvar,
-}
-
-struct SweepState {
-    done: HashMap<CellKey, CellResult>,
-    running: HashSet<CellKey>,
-    /// Kinds whose reference trace has been matrix-replayed at least
-    /// once (drives the `replay.matrix_traces` counter, the denominator
-    /// of the CI `matrix_passes per trace` gate).
-    swept: HashSet<WorkloadKind>,
-}
-
-impl SweepMemo {
-    fn new() -> Self {
-        SweepMemo {
-            state: Mutex::new(SweepState {
-                done: HashMap::new(),
-                running: HashSet::new(),
-                swept: HashSet::new(),
-            }),
-            available: Condvar::new(),
-        }
-    }
-}
-
-/// Clears a batch of running marks even if the compute panicked, so
-/// waiters retry (re-claim) instead of deadlocking.
-struct SweepRunningGuard<'a> {
-    memo: &'a SweepMemo,
-    keys: Vec<CellKey>,
-}
-
-impl Drop for SweepRunningGuard<'_> {
-    fn drop(&mut self) {
-        let mut state = match self.memo.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        for key in &self.keys {
-            state.running.remove(key);
-        }
-        drop(state);
-        self.memo.available.notify_all();
-    }
-}
-
-/// A thread-safe get-or-compute cache with in-flight deduplication: when
-/// two threads request the same missing key, one computes while the other
-/// waits, and the value is computed without holding the lock.
+/// A thread-safe get-or-compute cache with in-flight deduplication:
+/// when two threads request the same missing key, one computes while the
+/// other waits, and values are computed without holding the lock.
 struct Memo<K, V> {
     state: Mutex<MemoState<K, V>>,
     available: Condvar,
@@ -123,43 +72,90 @@ impl<K: Eq + Hash + Copy, V: Clone> Memo<K, V> {
         }
     }
 
+    /// Locks the state. No code panics while holding the lock, but a
+    /// poisoned lock is recovered anyway so one failed compute can never
+    /// wedge the cache.
+    fn lock(&self) -> MutexGuard<'_, MemoState<K, V>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        {
-            let mut state = self.state.lock().expect("memo poisoned");
-            loop {
-                if let Some(v) = state.done.get(&key) {
-                    return v.clone();
+        let mut compute = Some(compute);
+        self.get_or_compute_many(&[key], |_| {
+            let compute = compute.take().expect("one key is computed at most once");
+            vec![compute()]
+        })
+        .pop()
+        .expect("one value per key")
+    }
+
+    /// The values of `keys`, in order. Under the lock it harvests
+    /// finished keys and claims every key that nobody has computed or
+    /// claimed; `compute_missing(claimed)` then computes the claimed keys
+    /// together (one value per key, in order) and the loop waits for keys
+    /// other threads claimed. Panic-safe: a compute that unwinds releases
+    /// its claims, and waiters re-claim them.
+    fn get_or_compute_many(
+        &self,
+        keys: &[K],
+        mut compute_missing: impl FnMut(&[K]) -> Vec<V>,
+    ) -> Vec<V> {
+        let mut results: Vec<Option<V>> = vec![None; keys.len()];
+        loop {
+            let claimed = {
+                let mut state = self.lock();
+                loop {
+                    let mut claimed = Vec::new();
+                    let mut missing = false;
+                    for (slot, key) in results.iter_mut().zip(keys) {
+                        if slot.is_some() {
+                            continue;
+                        }
+                        if let Some(v) = state.done.get(key) {
+                            *slot = Some(v.clone());
+                            continue;
+                        }
+                        missing = true;
+                        if state.running.insert(*key) {
+                            claimed.push(*key);
+                        }
+                    }
+                    if !missing {
+                        return results.into_iter().flatten().collect();
+                    }
+                    if !claimed.is_empty() {
+                        break claimed;
+                    }
+                    state = self
+                        .available
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
-                if state.running.insert(key) {
-                    break;
-                }
-                state = self.available.wait(state).expect("memo poisoned");
-            }
+            };
+            let guard = ClaimGuard {
+                memo: self,
+                keys: &claimed,
+            };
+            let values = compute_missing(&claimed);
+            self.lock().done.extend(claimed.iter().copied().zip(values));
+            drop(guard);
         }
-        let guard = RunningGuard { memo: self, key };
-        let value = compute();
-        let mut state = self.state.lock().expect("memo poisoned");
-        state.done.insert(key, value.clone());
-        drop(state);
-        drop(guard);
-        value
     }
 }
 
-/// Clears the running mark even if `compute` panicked, so waiters retry
-/// instead of deadlocking.
-struct RunningGuard<'a, K: Eq + Hash + Copy, V: Clone> {
+/// Releases a batch of claims on drop — after the values are stored, or
+/// while unwinding from a panicked compute — and wakes every waiter.
+struct ClaimGuard<'a, K: Eq + Hash + Copy, V: Clone> {
     memo: &'a Memo<K, V>,
-    key: K,
+    keys: &'a [K],
 }
 
-impl<K: Eq + Hash + Copy, V: Clone> Drop for RunningGuard<'_, K, V> {
+impl<K: Eq + Hash + Copy, V: Clone> Drop for ClaimGuard<'_, K, V> {
     fn drop(&mut self) {
-        let mut state = match self.memo.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        state.running.remove(&self.key);
+        let mut state = self.memo.lock();
+        for key in self.keys {
+            state.running.remove(key);
+        }
         drop(state);
         self.memo.available.notify_all();
     }
@@ -183,7 +179,11 @@ pub struct Suite {
     reference_images: Memo<WorkloadKind, ProfileImage>,
     phase_images: Memo<WorkloadKind, (ProfileImage, ProfileImage)>,
     annotated: Memo<(WorkloadKind, u32), (Program, AnnotationSummary)>,
-    sweep: SweepMemo,
+    sweep: Memo<CellKey, CellResult>,
+    /// Kinds whose reference trace has been matrix-replayed at least
+    /// once (drives the `replay.matrix_traces` counter, the denominator
+    /// of the CI `matrix_passes per trace` gate).
+    swept: Mutex<HashSet<WorkloadKind>>,
 }
 
 impl Suite {
@@ -208,7 +208,8 @@ impl Suite {
             reference_images: Memo::new(),
             phase_images: Memo::new(),
             annotated: Memo::new(),
-            sweep: SweepMemo::new(),
+            sweep: Memo::new(),
+            swept: Mutex::new(HashSet::new()),
         }
     }
 
@@ -489,11 +490,9 @@ impl Suite {
         });
     }
 
-    /// Batch get-or-compute over the sweep memo: claims every cell of the
-    /// request that nobody has computed or claimed, computes the claimed
-    /// set with one fused matrix pass, and waits for cells claimed by
-    /// other threads. Panic-safe: a claimer that dies releases its claims
-    /// and waiters re-claim.
+    /// Batch get-or-compute over the sweep memo: the cells nobody has
+    /// computed or claimed are computed together by one fused matrix
+    /// pass; cells claimed by other threads are waited for.
     fn sweep_cells(
         &self,
         kind: WorkloadKind,
@@ -503,63 +502,17 @@ impl Suite {
             .iter()
             .map(|&(config, th)| (kind, config, th.map(th_key)))
             .collect();
-        let mut results: Vec<Option<CellResult>> = vec![None; cells.len()];
-        loop {
-            // Under the lock: harvest finished cells, then claim every
-            // remaining cell that is neither done nor running. Wait only
-            // when something is missing and there is nothing to claim.
-            let mut claimed: Vec<usize> = Vec::new();
-            {
-                let mut state = self.sweep.state.lock().expect("sweep memo poisoned");
-                loop {
-                    claimed.clear();
-                    let mut all_done = true;
-                    let mut claiming: HashSet<CellKey> = HashSet::new();
-                    for (i, key) in keys.iter().enumerate() {
-                        if results[i].is_some() {
-                            continue;
-                        }
-                        if let Some(v) = state.done.get(key) {
-                            results[i] = Some(v.clone());
-                            continue;
-                        }
-                        all_done = false;
-                        if claiming.contains(key) {
-                            continue;
-                        }
-                        if state.running.insert(*key) {
-                            claiming.insert(*key);
-                            claimed.push(i);
-                        }
-                    }
-                    if all_done {
-                        return results.into_iter().map(|r| r.expect("filled")).collect();
-                    }
-                    if !claimed.is_empty() {
-                        break;
-                    }
-                    state = self
-                        .sweep
-                        .available
-                        .wait(state)
-                        .expect("sweep memo poisoned");
-                }
-            }
-            let guard = SweepRunningGuard {
-                memo: &self.sweep,
-                keys: claimed.iter().map(|&i| keys[i]).collect(),
-            };
-            let plan_cells: Vec<(PredictorConfig, Option<f64>)> =
-                claimed.iter().map(|&i| cells[i]).collect();
-            let computed = self.compute_matrix(kind, &plan_cells);
-            let mut state = self.sweep.state.lock().expect("sweep memo poisoned");
-            for (&i, result) in claimed.iter().zip(&computed) {
-                state.done.insert(keys[i], result.clone());
-                results[i] = Some(result.clone());
-            }
-            drop(state);
-            drop(guard);
-        }
+        // Reversed so a key's first request cell wins, as it would claim.
+        let cell_of: HashMap<CellKey, (PredictorConfig, Option<f64>)> = keys
+            .iter()
+            .copied()
+            .zip(cells.iter().copied())
+            .rev()
+            .collect();
+        self.sweep.get_or_compute_many(&keys, |claimed| {
+            let plan_cells: Vec<_> = claimed.iter().map(|key| cell_of[key]).collect();
+            self.compute_matrix(kind, &plan_cells)
+        })
     }
 
     /// One fused matrix pass over `kind`'s reference trace for `cells`
@@ -592,11 +545,13 @@ impl Suite {
         for (&(config, _), &table) in cells.iter().zip(&plan_tables) {
             plan.add_cell(config, table);
         }
+        if self
+            .swept
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(kind)
         {
-            let mut state = self.sweep.state.lock().expect("sweep memo poisoned");
-            if state.swept.insert(kind) {
-                vp_obs::counter("replay.matrix_traces").add(1);
-            }
+            vp_obs::counter("replay.matrix_traces").add(1);
         }
         let replay_panic = |source| -> ! {
             panic!(
@@ -607,10 +562,10 @@ impl Suite {
                 }
             )
         };
-        // The attributed kernel is a separate code path inside the
-        // request so that with attribution off the hot loop runs the
-        // exact batched instruction stream (observation-only contract:
-        // byte-identical stdout, negligible wall-clock delta).
+        // Attribution is observation-only: the fused kernel decides once
+        // per block whether to observe, so with it off the hot loop runs
+        // the plain batched instruction stream (byte-identical stdout,
+        // negligible wall-clock delta).
         let attribution = crate::attribution::enabled();
         let response = if let Some(pool) = self.streaming {
             // Streaming: simulate the bare reference program (directive
@@ -704,6 +659,60 @@ impl Default for Suite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::Duration;
+
+    #[test]
+    fn memo_computes_each_key_once_in_request_order() {
+        let memo: Memo<u32, u32> = Memo::new();
+        let mut calls = Vec::new();
+        let got = memo.get_or_compute_many(&[3, 1, 3], |keys| {
+            calls.push(keys.to_vec());
+            keys.iter().map(|k| k * 10).collect()
+        });
+        assert_eq!(got, [30, 10, 30]);
+        assert_eq!(calls, [vec![3, 1]], "duplicates claim once, one batch");
+        assert_eq!(memo.get_or_compute(1, || unreachable!("memoised")), 10);
+    }
+
+    /// A compute that panics must release its claims; a thread waiting
+    /// on those keys re-claims them and finishes instead of hanging.
+    #[test]
+    fn panicking_compute_releases_claims_to_waiters() {
+        let memo: Arc<Memo<u32, u32>> = Arc::new(Memo::new());
+        let (claimed_tx, claimed_rx) = mpsc::channel();
+        let (fail_tx, fail_rx) = mpsc::channel::<()>();
+        let first = {
+            let memo = Arc::clone(&memo);
+            thread::spawn(move || {
+                memo.get_or_compute_many(&[1, 2], |_| {
+                    claimed_tx.send(()).unwrap();
+                    fail_rx.recv().unwrap();
+                    panic!("compute failed");
+                })
+            })
+        };
+        claimed_rx.recv().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        {
+            let memo = Arc::clone(&memo);
+            thread::spawn(move || {
+                let got =
+                    memo.get_or_compute_many(&[2, 1], |keys| keys.iter().map(|k| k * 10).collect());
+                done_tx.send(got).unwrap();
+            });
+        }
+        // Give the waiter time to block on the claimed keys, then fail.
+        thread::sleep(Duration::from_millis(50));
+        fail_tx.send(()).unwrap();
+        assert!(first.join().is_err(), "the first compute panicked");
+        let got = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("waiter re-claimed the released keys instead of hanging");
+        assert_eq!(got, [20, 10]);
+        assert!(memo.lock().running.is_empty());
+    }
 
     #[test]
     fn train_images_are_memoised() {

@@ -520,9 +520,10 @@ impl TraceStore {
         let bytes = fs::read(&path).ok()?;
         match Trace::read_from(bytes.as_slice()) {
             Ok(trace) => Some(trace),
-            Err(_) => {
-                // Corrupt or truncated spill file: drop it and re-simulate.
-                vp_obs::obs_warn!("dropping corrupt trace spill file {path:?}");
+            Err(e) => {
+                // Corrupt, truncated or retired-format spill file: drop it
+                // and re-simulate.
+                vp_obs::obs_warn!("dropping unreadable trace spill file {path:?}: {e}");
                 let _ = fs::remove_file(&path);
                 None
             }

@@ -7,84 +7,23 @@
 //! *exactly* with the stats — every access accounted, every raw miss
 //! charged to exactly one cause.
 //!
-//! The generators mirror `sharded_replay.rs`: value streams mixing
-//! repeats, constant strides and noise across all six predictor
-//! configuration families, with directives varying per static
-//! instruction so the directive-routed causes (`class-mismatch`,
-//! `uncovered`) are exercised too.
+//! The generators (shared in `common/mod.rs`) mix repeats, constant
+//! strides and noise across all six predictor configuration families,
+//! with directives varying per static instruction so the
+//! directive-routed causes (`class-mismatch`, `uncovered`) are exercised
+//! too.
 
-// These suites deliberately pin the deprecated pre-ReplayRequest entry
-// points: they are kept as thin wrappers and must stay bit-identical to
-// the builder until removal (see DESIGN.md deprecation policy).
-#![allow(deprecated)]
+mod common;
 
-use provp_core::{replay_predictor, replay_predictor_attributed};
-use vp_isa::asm::assemble;
-use vp_isa::{InstrAddr, Program, Reg, RegClass};
-use vp_predictor::{ClassifierKind, PredictorConfig, TableGeometry};
+use common::{arb_classifier, arb_events, arb_geometry, program_with, replay_cell};
+use vp_predictor::PredictorConfig;
 use vp_rng::{prop, Rng};
-use vp_sim::{Trace, TraceEvent};
-
-/// A program of `n` value producers whose directives cycle
-/// none → stride → last-value per static instruction, plus a `halt`.
-fn program_with(n: u32) -> Program {
-    let mut src = String::new();
-    for i in 0..n {
-        let suffix = match i % 3 {
-            0 => "",
-            1 => ".st",
-            _ => ".lv",
-        };
-        src.push_str(&format!("addi{suffix} r1, r1, 1\n"));
-    }
-    src.push_str("halt\n");
-    assemble(&src).expect("synthetic program assembles")
-}
-
-/// `len` destination-writing events over `n_static` static addresses,
-/// each value a repeat, a constant-stride step or fresh noise.
-fn arb_events(rng: &mut Rng, n_static: u32, len: usize) -> Vec<TraceEvent> {
-    let mut last = vec![0u64; n_static as usize];
-    (0..len)
-        .map(|_| {
-            let a = rng.gen_range(0..n_static);
-            let value = match rng.gen_range(0..4u32) {
-                0 => last[a as usize],
-                1 | 2 => last[a as usize].wrapping_add(8),
-                _ => rng.gen_u64(),
-            };
-            last[a as usize] = value;
-            TraceEvent {
-                addr: InstrAddr::new(a),
-                dest: Some((RegClass::Int, Reg::new(rng.gen_range(0..32u8)), value)),
-                mem: None,
-                stored: None,
-                taken: None,
-                next_pc: InstrAddr::new((a + 1) % n_static.max(1)),
-            }
-        })
-        .collect()
-}
-
-fn arb_geometry(rng: &mut Rng) -> TableGeometry {
-    let ways = 1usize << rng.gen_range(0..3u32);
-    let sets = rng.gen_range(2..33usize);
-    TableGeometry::new(sets * ways, ways)
-}
+use vp_sim::Trace;
 
 /// One configuration from each of the six families, with an arbitrary
 /// classifier and geometry.
 fn config_families(rng: &mut Rng) -> Vec<PredictorConfig> {
-    let mut classifier = || match rng.gen_range(0..3u32) {
-        0 => ClassifierKind::two_bit_counter(),
-        1 => ClassifierKind::Directive,
-        _ => ClassifierKind::Always,
-    };
-    let c0 = classifier();
-    let c1 = classifier();
-    let c2 = classifier();
-    let c3 = classifier();
-    let c4 = classifier();
+    let [c0, c1, c2, c3, c4] = std::array::from_fn(|_| arb_classifier(rng));
     vec![
         PredictorConfig::InfiniteStride { classifier: c0 },
         PredictorConfig::InfiniteLastValue { classifier: c1 },
@@ -122,10 +61,10 @@ fn prop_attribution_is_job_count_invariant_and_reconciles() {
         let trace = Trace::from_events(events.clone());
         for config in configs {
             // Baseline: unattributed sequential replay.
-            let plain = replay_predictor(&trace, &program, config, 1, 1).expect("plain replay");
+            let plain = replay_cell(&trace, &program, *config, 1, 1, false).outcome;
             // jobs=1: one shard, one worker.
-            let (seq, seq_table) = replay_predictor_attributed(&trace, &program, config, 1, 1)
-                .expect("sequential attributed replay");
+            let cell = replay_cell(&trace, &program, *config, 1, 1, true);
+            let (seq, seq_table) = (cell.outcome, cell.attribution.expect("attributed"));
             assert_eq!(
                 seq.stats,
                 plain.stats,
@@ -137,9 +76,8 @@ fn prop_attribution_is_job_count_invariant_and_reconciles() {
                 .unwrap_or_else(|e| panic!("{}: {e}", config.label()));
             // jobs=8 over every shard refinement: bit-identical tables.
             for shards in [2usize, 3, 5, 8] {
-                let (par, par_table) =
-                    replay_predictor_attributed(&trace, &program, config, shards, 8)
-                        .expect("sharded attributed replay");
+                let cell = replay_cell(&trace, &program, *config, shards, 8, true);
+                let (par, par_table) = (cell.outcome, cell.attribution.expect("attributed"));
                 assert_eq!(par.stats, seq.stats, "{}", config.label());
                 assert_eq!(
                     par_table,
@@ -169,8 +107,9 @@ fn prop_per_pc_causes_partition_the_misses() {
         let program = program_with(*n_static);
         let trace = Trace::from_events(events.clone());
         for config in configs {
-            let (_, table) = replay_predictor_attributed(&trace, &program, config, 1, 1)
-                .expect("attributed replay");
+            let table = replay_cell(&trace, &program, *config, 1, 1, true)
+                .attribution
+                .expect("attributed");
             for (addr, pc) in table.entries() {
                 let misses = pc.accesses - pc.raw_correct;
                 let charged: u64 = pc.causes.iter().sum();

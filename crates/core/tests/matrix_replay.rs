@@ -1,103 +1,39 @@
 //! Property tests for the fused sweep-matrix replay: for arbitrary
-//! traces, cell sets, shard counts and job counts, every cell of
-//! [`provp_core::replay_matrix`]'s grid must be **bit-identical** to an
-//! independent per-cell [`provp_core::replay_predictor`] run — including
-//! plans with duplicate cells and multiple directive-annotation tables.
+//! traces, cell sets, shard counts and job counts, every cell of a
+//! multi-cell [`provp_core::ReplayRequest`] plan must be
+//! **bit-identical** to an independent per-cell replay — including plans
+//! with duplicate cells and multiple directive-annotation tables.
 //!
-//! The generators mirror `sharded_replay.rs`: value streams mixing
-//! repeats, constant strides and noise so every classifier gets driven
-//! through its transition graph, and programs whose directives vary per
-//! static instruction so directive-routed cells do not degenerate.
+//! "Per-cell replay" is a single-cell request at one shard, which
+//! `singleton_plan_matches_the_reference` pins to the event-at-a-time
+//! [`common::reference_replay`]. Generators live in `common/mod.rs`.
 
-// These suites deliberately pin the deprecated pre-ReplayRequest entry
-// points: they are kept as thin wrappers and must stay bit-identical to
-// the builder until removal (see DESIGN.md deprecation policy).
-#![allow(deprecated)]
+mod common;
 
-use provp_core::{
-    replay_matrix, replay_matrix_attributed, replay_predictor, replay_predictor_attributed, Suite,
-    SweepPlan,
-};
-use vp_isa::asm::assemble;
-use vp_isa::{InstrAddr, Program, Reg, RegClass};
+use common::{arb_config, arb_events, program_with, reference_replay, replay_cell};
+use provp_core::{ReplayCellOutcome, ReplayRequest, Suite, SweepPlan};
+use vp_isa::Program;
 use vp_predictor::{ClassifierKind, PredictorConfig, TableGeometry};
 use vp_rng::{prop, Rng};
-use vp_sim::{Trace, TraceEvent};
+use vp_sim::Trace;
 use vp_workloads::WorkloadKind;
 
-/// A program of `n` value producers whose directives cycle
-/// none → stride → last-value per static instruction, plus a `halt`.
-fn program_with(n: u32) -> Program {
-    let mut src = String::new();
-    for i in 0..n {
-        let suffix = match i % 3 {
-            0 => "",
-            1 => ".st",
-            _ => ".lv",
-        };
-        src.push_str(&format!("addi{suffix} r1, r1, 1\n"));
-    }
-    src.push_str("halt\n");
-    assemble(&src).expect("synthetic program assembles")
-}
-
-/// `len` destination-writing events over `n_static` static addresses,
-/// each value a repeat, a constant-stride step or fresh noise.
-fn arb_events(rng: &mut Rng, n_static: u32, len: usize) -> Vec<TraceEvent> {
-    let mut last = vec![0u64; n_static as usize];
-    (0..len)
-        .map(|_| {
-            let a = rng.gen_range(0..n_static);
-            let value = match rng.gen_range(0..4u32) {
-                0 => last[a as usize],
-                1 | 2 => last[a as usize].wrapping_add(8),
-                _ => rng.gen_u64(),
-            };
-            last[a as usize] = value;
-            TraceEvent {
-                addr: InstrAddr::new(a),
-                dest: Some((RegClass::Int, Reg::new(rng.gen_range(0..32u8)), value)),
-                mem: None,
-                stored: None,
-                taken: None,
-                next_pc: InstrAddr::new((a + 1) % n_static.max(1)),
-            }
-        })
-        .collect()
-}
-
-fn arb_geometry(rng: &mut Rng) -> TableGeometry {
-    let ways = 1usize << rng.gen_range(0..3u32); // 1, 2 or 4 ways
-    let sets = rng.gen_range(2..33usize); // incl. non-power-of-two set counts
-    TableGeometry::new(sets * ways, ways)
-}
-
-fn arb_config(rng: &mut Rng) -> PredictorConfig {
-    let classifier = match rng.gen_range(0..3u32) {
-        0 => ClassifierKind::two_bit_counter(),
-        1 => ClassifierKind::Directive,
-        _ => ClassifierKind::Always,
-    };
-    match rng.gen_range(0..6u32) {
-        0 => PredictorConfig::InfiniteStride { classifier },
-        1 => PredictorConfig::InfiniteLastValue { classifier },
-        2 => PredictorConfig::TableStride {
-            geometry: arb_geometry(rng),
-            classifier,
-        },
-        3 => PredictorConfig::TableLastValue {
-            geometry: arb_geometry(rng),
-            classifier,
-        },
-        4 => PredictorConfig::TableTwoDelta {
-            geometry: arb_geometry(rng),
-            classifier,
-        },
-        _ => PredictorConfig::Hybrid {
-            stride: arb_geometry(rng),
-            last_value: arb_geometry(rng),
-        },
-    }
+/// The fused replay of a whole plan.
+fn replay_plan(
+    trace: &Trace,
+    plan: &SweepPlan,
+    shards: usize,
+    jobs: usize,
+    attribution: bool,
+) -> Vec<ReplayCellOutcome> {
+    ReplayRequest::batch(trace)
+        .plan(plan.clone())
+        .attribution(attribution)
+        .shards(shards)
+        .jobs(jobs)
+        .run()
+        .expect("matrix")
+        .cells
 }
 
 /// A fixed panel spanning every configuration shape (for the
@@ -137,24 +73,20 @@ fn empty_plan_yields_an_empty_grid() {
     let mut plan = SweepPlan::new();
     plan.add_directives(&program);
     assert!(plan.is_empty());
-    let grid = replay_matrix(&trace, &plan, 4, 2).expect("matrix");
-    assert!(grid.is_empty());
-    let grid = replay_matrix_attributed(&trace, &plan, 4, 2).expect("matrix");
-    assert!(grid.is_empty());
+    for attribution in [false, true] {
+        assert!(replay_plan(&trace, &plan, 4, 2, attribution).is_empty());
+    }
 }
 
 #[test]
-fn singleton_plan_matches_replay_predictor() {
+fn singleton_plan_matches_the_reference() {
     let (trace, program, _) = fixture();
     for config in panel() {
-        let mut plan = SweepPlan::new();
-        let table = plan.add_directives(&program);
-        plan.add_cell(config, table);
-        let fused = replay_matrix(&trace, &plan, 1, 1).expect("matrix");
-        let cell = replay_predictor(&trace, &program, &config, 1, 1).expect("replay");
-        assert_eq!(fused.len(), 1);
-        assert_eq!(fused[0].stats, cell.stats, "{}", config.label());
-        assert_eq!(fused[0].occupancy, cell.occupancy, "{}", config.label());
+        let cell = replay_cell(&trace, &program, config, 1, 1, true);
+        let (stats, occupancy, table) = reference_replay(&trace, &program, config);
+        assert_eq!(cell.outcome.stats, stats, "{}", config.label());
+        assert_eq!(cell.outcome.occupancy, occupancy, "{}", config.label());
+        assert_eq!(cell.attribution, Some(table), "{}", config.label());
     }
 }
 
@@ -172,12 +104,13 @@ fn duplicate_cells_all_receive_the_shared_outcome() {
     let again = plan.add_directives(&program);
     assert_eq!(again, table, "identical annotation tables must collapse");
     plan.add_cell(config, again);
-    let expected = replay_predictor(&trace, &program, &config, 1, 1).expect("replay");
-    let fused = replay_matrix(&trace, &plan, 2, 2).expect("matrix");
+    let expected = replay_cell(&trace, &program, config, 1, 1, true);
+    let fused = replay_plan(&trace, &plan, 2, 2, true);
     assert_eq!(fused.len(), 4, "every requested cell gets an outcome");
-    for out in &fused {
-        assert_eq!(out.stats, expected.stats);
-        assert_eq!(out.occupancy, expected.occupancy);
+    for cell in &fused {
+        assert_eq!(cell.outcome.stats, expected.outcome.stats);
+        assert_eq!(cell.outcome.occupancy, expected.outcome.occupancy);
+        assert_eq!(cell.attribution, expected.attribution);
     }
 }
 
@@ -199,13 +132,14 @@ fn mixed_plan_is_shard_and_job_invariant() {
     }
     let expected: Vec<_> = cells
         .iter()
-        .map(|(config, _, p)| replay_predictor(&trace, p, config, 1, 1).expect("replay"))
+        .map(|&(config, _, p)| replay_cell(&trace, p, config, 1, 1, false).outcome)
         .collect();
     for shards in [1usize, 2, 4, 8] {
         for jobs in [1usize, 4] {
-            let fused = replay_matrix(&trace, &plan, shards, jobs).expect("matrix");
+            let fused = replay_plan(&trace, &plan, shards, jobs, false);
             assert_eq!(fused.len(), cells.len());
-            for (i, (out, exp)) in fused.iter().zip(&expected).enumerate() {
+            for (i, (cell, exp)) in fused.iter().zip(&expected).enumerate() {
+                let out = &cell.outcome;
                 assert_eq!(
                     out.stats,
                     exp.stats,
@@ -241,14 +175,20 @@ fn attributed_matrix_matches_attributed_per_cell_replay() {
         plan.add_cell(config, table);
     }
     for shards in [1usize, 3] {
-        let fused = replay_matrix_attributed(&trace, &plan, shards, 2).expect("matrix");
+        let fused = replay_plan(&trace, &plan, shards, 2, true);
         assert_eq!(fused.len(), cells.len());
-        for (i, ((out, table), (config, _, p))) in fused.iter().zip(&cells).enumerate() {
-            let (exp_out, exp_table) =
-                replay_predictor_attributed(&trace, p, config, 1, 1).expect("replay");
-            assert_eq!(out.stats, exp_out.stats, "cell {i} at {shards} shards");
-            assert_eq!(out.occupancy, exp_out.occupancy, "cell {i}");
-            assert_eq!(*table, exp_table, "cell {i} attribution table");
+        for (i, (cell, &(config, _, p))) in fused.iter().zip(&cells).enumerate() {
+            let exp = replay_cell(&trace, p, config, 1, 1, true);
+            let (out, table) = (
+                &cell.outcome,
+                cell.attribution.as_ref().expect("attributed"),
+            );
+            assert_eq!(out.stats, exp.outcome.stats, "cell {i} at {shards} shards");
+            assert_eq!(out.occupancy, exp.outcome.occupancy, "cell {i}");
+            assert_eq!(
+                cell.attribution, exp.attribution,
+                "cell {i} attribution table"
+            );
             table
                 .reconcile(&out.stats)
                 .expect("attribution totals reconcile with the fused stats");
@@ -296,10 +236,13 @@ fn prop_fused_matrix_is_bit_identical_to_per_cell_replay() {
         for &(config, table, _) in &cells {
             plan.add_cell(config, table);
         }
-        let fused = replay_matrix(&trace, &plan, *shards, *jobs).expect("matrix");
+        let fused = replay_plan(&trace, &plan, *shards, *jobs, false);
         assert_eq!(fused.len(), cells.len());
-        for (i, (out, (config, _, p))) in fused.iter().zip(&cells).enumerate() {
-            let exp = replay_predictor(&trace, p, config, 1, 1).expect("replay");
+        for (i, (cell, &(config, _, p))) in fused.iter().zip(&cells).enumerate() {
+            let (out, exp) = (
+                &cell.outcome,
+                replay_cell(&trace, p, config, 1, 1, false).outcome,
+            );
             assert_eq!(
                 out.stats,
                 exp.stats,

@@ -124,6 +124,44 @@ fn disk_spill_round_trips_across_stores() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Spill files are a cache: one in a retired format (`provptr2`, the
+/// checksum-less predecessor of `provptr3`) is dropped and re-captured,
+/// and the fresh capture is bit-identical and re-spilled as `provptr3`.
+#[test]
+fn retired_spill_format_is_dropped_and_recaptured() {
+    let dir = std::env::temp_dir().join(format!("provp-trace-legacy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let kind = WorkloadKind::Compress;
+    let input = InputSet::reference();
+    let limits = RunLimits::default();
+
+    let first = TraceStore::new().with_spill_dir(&dir);
+    let captured = first.get(kind, input, limits).unwrap();
+    let spilled = dir.join(provp_core::TraceKey::new(kind, input, limits).file_name());
+    let current = std::fs::read(&spilled).unwrap();
+    assert_eq!(&current[..8], b"provptr3");
+
+    // A `provptr2` file is the same columnar body without the trailer.
+    let mut legacy = b"provptr2".to_vec();
+    legacy.extend_from_slice(&current[8..current.len() - 8]);
+    std::fs::write(&spilled, &legacy).unwrap();
+
+    let second = TraceStore::new().with_spill_dir(&dir);
+    let recaptured = second.get(kind, input, limits).unwrap();
+    assert_eq!(*captured, *recaptured, "re-capture must be bit-identical");
+    let stats = second.stats();
+    assert_eq!(stats.captures, 1, "the retired file is not read");
+    assert_eq!(stats.disk_hits, 0);
+    assert_eq!(
+        std::fs::read(&spilled).unwrap(),
+        current,
+        "re-spilled as provptr3"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn concurrent_requests_simulate_once() {
     let store = Arc::new(TraceStore::new());

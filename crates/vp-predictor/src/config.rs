@@ -108,46 +108,23 @@ impl PredictorConfig {
         }
     }
 
-    /// The state-partition key of `addr` for this configuration: two
-    /// static addresses can share predictor state (table set, LRU stamps,
-    /// classifier cells) **only if** their keys are equal, so a replay
-    /// sharded by `shard_key(addr) % n` is bit-identical to a sequential
-    /// one for any shard count `n` (see `PredictorStats::merge`).
+    /// The modulus of this configuration's state partition, or `None`
+    /// when every static address has fully independent state. Two static
+    /// addresses can share predictor state (table set, LRU stamps,
+    /// classifier cells) **only if** they are congruent modulo this
+    /// value, so a replay sharded by [`shard_key`]`(modulus, addr) % n`
+    /// is bit-identical to a sequential one for any shard count `n` (see
+    /// `PredictorStats::merge`).
     ///
     /// - Infinite predictors keep fully independent per-address state:
-    ///   the key is the address itself.
+    ///   `None`, the key is the address itself.
     /// - Finite tables interact exactly within a set (tags, LRU stamps
-    ///   and conflicts are all per-set): the key is the set index.
+    ///   and conflicts are all per-set): the set count, the key is the
+    ///   set index.
     /// - The hybrid's two tables may have different set counts; addresses
     ///   interact when they share a set in *either* table, and the
     ///   transitive closure of "equal mod `sets_stride`" and "equal mod
-    ///   `sets_lv`" is "equal mod gcd" — the key is
-    ///   `addr % gcd(sets_stride, sets_lv)`.
-    #[must_use]
-    pub fn shard_key(&self, addr: InstrAddr) -> u64 {
-        let a = u64::from(addr.index());
-        match *self {
-            PredictorConfig::InfiniteStride { .. } | PredictorConfig::InfiniteLastValue { .. } => a,
-            PredictorConfig::TableStride { geometry, .. }
-            | PredictorConfig::TableLastValue { geometry, .. }
-            | PredictorConfig::TableTwoDelta { geometry, .. } => geometry.set_of(a) as u64,
-            PredictorConfig::Hybrid { stride, last_value } => {
-                a % gcd(stride.sets() as u64, last_value.sets() as u64)
-            }
-        }
-    }
-
-    /// The modulus of this configuration's state partition, or `None`
-    /// when every static address has fully independent state (infinite
-    /// predictors).
-    ///
-    /// Two addresses can share state only if they are congruent modulo
-    /// this value; [`PredictorConfig::shard_key`] is `addr % modulus`
-    /// (or the raw address for `None`). A fused multi-config replay can
-    /// therefore shard by `addr % g` where `g` is the gcd of every
-    /// cell's modulus: `g` divides each modulus `m`, so congruence mod
-    /// `g` is implied by congruence mod `m` and each cell's state
-    /// partition lands wholly inside one shard.
+    ///   `sets_lv`" is "equal mod gcd": `gcd(sets_stride, sets_lv)`.
     #[must_use]
     pub fn shard_modulus(&self) -> Option<u64> {
         match *self {
@@ -196,6 +173,35 @@ impl PredictorConfig {
             }
         }
     }
+
+    /// The coarsest state partition compatible with *every* one of
+    /// `configs`: the gcd of the finite configurations' shard moduli.
+    ///
+    /// `g` divides each finite configuration's modulus `m`, so two
+    /// addresses sharing state there (`a ≡ b mod m`) also share a shard
+    /// (`a ≡ b mod g`); infinite configurations keep purely per-address
+    /// state, which any function of the address respects. `None` (all
+    /// infinite) shards by raw address.
+    #[must_use]
+    pub fn joint_shard_modulus<'a>(
+        configs: impl IntoIterator<Item = &'a PredictorConfig>,
+    ) -> Option<u64> {
+        configs
+            .into_iter()
+            .filter_map(PredictorConfig::shard_modulus)
+            .reduce(gcd)
+    }
+}
+
+/// The state-partition key of `addr` under a shard modulus (from
+/// [`PredictorConfig::shard_modulus`] or
+/// [`PredictorConfig::joint_shard_modulus`]): `addr % modulus`, or the
+/// raw address for `None`. Sharded replays route an event to shard
+/// `shard_key(modulus, addr) % shards`.
+#[must_use]
+pub fn shard_key(modulus: Option<u64>, addr: InstrAddr) -> u64 {
+    let a = u64::from(addr.index());
+    modulus.map_or(a, |m| a % m)
 }
 
 /// Greatest common divisor (Euclid); both table set counts are positive.
@@ -251,16 +257,17 @@ mod tests {
 
     #[test]
     fn shard_keys_respect_state_partitions() {
+        let key = |c: &PredictorConfig, a: u32| shard_key(c.shard_modulus(), InstrAddr::new(a));
         // Infinite: per-address state, key is the address.
         let inf = PredictorConfig::InfiniteStride {
             classifier: ClassifierKind::two_bit_counter(),
         };
-        assert_eq!(inf.shard_key(InstrAddr::new(1234)), 1234);
+        assert_eq!(key(&inf, 1234), 1234);
 
         // Finite table: key is the set index (modulo sets).
         let table = PredictorConfig::spec_table_stride_fsm();
-        assert_eq!(table.shard_key(InstrAddr::new(3)), 3);
-        assert_eq!(table.shard_key(InstrAddr::new(256 + 3)), 3);
+        assert_eq!(key(&table, 3), 3);
+        assert_eq!(key(&table, 256 + 3), 3);
 
         // Hybrid: key is addr mod gcd of the two set counts.
         let hybrid = PredictorConfig::Hybrid {
@@ -268,19 +275,21 @@ mod tests {
             last_value: TableGeometry::new(96, 2), // 48 sets
         };
         // gcd(32, 48) = 16: addresses equal mod 16 share a key.
-        assert_eq!(
-            hybrid.shard_key(InstrAddr::new(5)),
-            hybrid.shard_key(InstrAddr::new(5 + 16))
-        );
-        assert_ne!(
-            hybrid.shard_key(InstrAddr::new(5)),
-            hybrid.shard_key(InstrAddr::new(6))
-        );
+        assert_eq!(key(&hybrid, 5), key(&hybrid, 5 + 16));
+        assert_ne!(key(&hybrid, 5), key(&hybrid, 6));
         // Soundness: equal key is implied by sharing a set in either table.
         for (a, b) in [(7u32, 7 + 32), (9, 9 + 48), (11, 11 + 96)] {
-            let (a, b) = (InstrAddr::new(a), InstrAddr::new(b));
-            assert_eq!(hybrid.shard_key(a), hybrid.shard_key(b));
+            assert_eq!(key(&hybrid, a), key(&hybrid, b));
         }
+
+        // Joint modulus: gcd over the finite configurations only.
+        assert_eq!(
+            PredictorConfig::joint_shard_modulus(&[table, inf, hybrid]),
+            Some(16)
+        );
+        assert_eq!(PredictorConfig::joint_shard_modulus(&[inf]), None);
+        assert_eq!(shard_key(Some(16), InstrAddr::new(37)), 5);
+        assert_eq!(shard_key(None, InstrAddr::new(37)), 37);
     }
 
     #[test]

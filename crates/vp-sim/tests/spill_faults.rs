@@ -3,13 +3,12 @@
 //! surface as a typed [`TraceError`], never a panic and never silently
 //! wrong data.
 //!
-//! The current `provptr3` format carries an FNV-1a-64 checksum over its
-//! body precisely so this holds: without it, a bit flip in a delta-encoded
-//! value column decodes to plausible-but-wrong values. The legacy
-//! unchecksummed formats only guarantee "no panic".
+//! The `provptr3` format carries an FNV-1a-64 checksum over its body
+//! precisely so this holds: without it, a bit flip in a delta-encoded
+//! value column decodes to plausible-but-wrong values.
 
 use vp_rng::prop;
-use vp_sim::record::{read_columns, write_columns, write_columns_legacy_v2};
+use vp_sim::record::{read_columns, write_columns};
 use vp_sim::{RunLimits, TraceColumns};
 use vp_sim::{Trace, TraceError};
 
@@ -113,27 +112,5 @@ fn prop_random_scribbles_never_panic_or_lie() {
             bytes[i] ^= xor;
         }
         assert_err_or_identical(&bytes, &cols, "random scribbles");
-    });
-}
-
-/// The legacy unchecksummed `provptr2` reader keeps its weaker guarantee:
-/// corrupted streams may decode to different data, but never panic.
-#[test]
-fn prop_legacy_v2_corruption_never_panics() {
-    let cols = sample_columns();
-    let mut pristine = Vec::new();
-    write_columns_legacy_v2(&mut pristine, &cols).unwrap();
-    prop::forall("legacy v2 scribbles never panic", |rng| {
-        (0..rng.gen_range(1..16usize))
-            .map(|_| (rng.gen_u64(), rng.gen_range(1..=u8::MAX)))
-            .collect::<Vec<(u64, u8)>>()
-    })
-    .check(|scribbles| {
-        let mut bytes = pristine.clone();
-        for &(pos, xor) in scribbles {
-            let i = (pos % bytes.len() as u64) as usize;
-            bytes[i] ^= xor;
-        }
-        let _ = read_columns(bytes.as_slice()); // Ok or Err, both fine.
     });
 }

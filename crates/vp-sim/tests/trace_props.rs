@@ -4,7 +4,7 @@
 
 use vp_isa::{InstrAddr, Reg, RegClass};
 use vp_rng::{prop, Rng};
-use vp_sim::record::{read_trace, write_trace, write_trace_legacy_v1, TraceEvent};
+use vp_sim::record::{read_trace, write_trace, TraceEvent};
 use vp_sim::{MemAccess, Trace, TraceError};
 
 fn arb_event(rng: &mut Rng) -> TraceEvent {
@@ -70,23 +70,6 @@ fn prop_truncation_is_detected() {
             bytes.truncate(cut);
             assert!(read_trace(bytes.as_slice()).is_err());
         }
-    });
-}
-
-/// Files written in the legacy fixed-width v1 format (`provptr1`) must
-/// keep reading back event-for-event through the current reader — on-disk
-/// trace caches written before the columnar format survive an upgrade.
-#[test]
-fn prop_legacy_v1_spill_files_read_back() {
-    prop::forall("legacy v1 spill files read back", |rng| {
-        arb_events(rng, 0, 120)
-    })
-    .check(|events| {
-        let mut bytes = Vec::new();
-        write_trace_legacy_v1(&mut bytes, events).unwrap();
-        assert_eq!(&bytes[..8], b"provptr1");
-        let back = read_trace(bytes.as_slice()).unwrap();
-        assert_eq!(&back, events);
     });
 }
 
