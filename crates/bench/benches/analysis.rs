@@ -4,7 +4,7 @@
 
 use provp_bench::micro::Group;
 use vp_profile::{merge, ProfileCollector};
-use vp_sim::record::{read_trace, write_trace, TraceRecorder};
+use vp_sim::record::{read_columns, write_columns, TraceRecorder};
 use vp_sim::{run, RunLimits};
 use vp_stats::metrics::{average_distance, max_distance};
 use vp_stats::DecileHistogram;
@@ -55,9 +55,9 @@ fn bench_trace_io() {
     let instructions = run(&program, &mut rec, RunLimits::default())
         .unwrap()
         .instructions();
-    let events = rec.into_events();
+    let columns = rec.into_columns();
     let mut bytes = Vec::new();
-    write_trace(&mut bytes, &events).unwrap();
+    write_columns(&mut bytes, &columns).unwrap();
     println!(
         "trace-io: {instructions} events, {} bytes on disk",
         bytes.len()
@@ -66,10 +66,10 @@ fn bench_trace_io() {
     let mut group = Group::new("trace-io").samples(10);
     group.bench("write", || {
         let mut out = Vec::with_capacity(bytes.len());
-        write_trace(&mut out, &events).unwrap();
+        write_columns(&mut out, &columns).unwrap();
         out.len()
     });
-    group.bench("read", || read_trace(bytes.as_slice()).unwrap().len());
+    group.bench("read", || read_columns(bytes.as_slice()).unwrap().len());
 }
 
 fn main() {

@@ -1,5 +1,4 @@
-//! Renders the `attribution` array of a `provp-run-manifest/v3`
-//! document: the hottest mispredicting PCs per attributed run, their
+//! Renders the `attribution` array of a run manifest: the hottest mispredicting PCs per attributed run, their
 //! misprediction-cause breakdown and their profile drift (promised
 //! training-profile accuracy minus observed replay accuracy).
 //!

@@ -16,13 +16,11 @@
 //! - `--top=N` limits table/markdown output to the N biggest movers per
 //!   section (default 15; 0 means unlimited; JSON is never truncated).
 //!
-//! Accepts every manifest schema version and both flag forms
-//! (`--flag=V` and `--flag V`). When both manifests carry `attribution`
-//! arrays (schema v3) the report includes a per-PC accuracy-blame
-//! section; when both carry a `profile` section (schema v4) it includes
-//! a sample-share blame section ("phase X went from 12% to 31% of
-//! samples"). Comparing across schema versions downgrades gracefully: a
-//! warning notes the skew and sections present on only one side are
+//! Accepts both flag forms (`--flag=V` and `--flag V`). When both
+//! manifests carry `attribution` arrays the report includes a per-PC
+//! accuracy-blame section; when both carry a `profile` section it
+//! includes a sample-share blame section ("phase X went from 12% to 31%
+//! of samples"). An optional section present on only one side is
 //! skipped rather than reported as deltas. This is a reporting tool,
 //! not experiment instrumentation: it prints its result to stdout.
 //!
@@ -32,7 +30,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use vp_obs::{obs_error, obs_warn, ManifestDiff, RunManifest};
+use vp_obs::{obs_error, ManifestDiff, RunManifest};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -107,12 +105,6 @@ fn main() -> ExitCode {
         }
     };
     let diff = ManifestDiff::compute(&baseline, &current);
-    if let Some((base_schema, cur_schema)) = &diff.schema_skew {
-        obs_warn!(
-            "comparing across manifest schema versions ({base_schema} vs {cur_schema}); \
-             sections absent from either side are skipped, not reported as deltas"
-        );
-    }
     match args.format {
         Format::Table => print!("{}", diff.render_table(args.top)),
         Format::Markdown => print!("{}", diff.render_markdown(args.top)),

@@ -1,6 +1,5 @@
 //! CI gate: compares a fresh run manifest against a checked-in baseline
-//! and fails when simulator throughput regressed beyond the allowed
-//! fraction.
+//! and fails when any gated quantity regressed beyond its limit.
 //!
 //! ```text
 //! metrics-check --manifest=/tmp/manifest.json --baseline=BENCH_baseline.json \
@@ -13,208 +12,259 @@
 //!               [--max-peak-rss-regression=0.25]
 //! ```
 //!
-//! Accepts every manifest schema version (v1 aggregates-only, v2 with
-//! the `samples` series, v3 with the `attribution` array, v4 with the
-//! `profile` section) and both flag forms (`--flag=V` and `--flag V`).
+//! Both flag forms (`--flag=V` and `--flag V`) are accepted. Every gate
+//! is one row of [`GATES`]: its limit flag, the quantity it reads from
+//! each manifest, which direction is worse and how the limit turns the
+//! baseline value into a bound:
 //!
-//! Besides the simulator-throughput gate, `--phase=` (repeatable) gates
-//! the wall time of individual span paths: the current manifest's
-//! `total_ms` for each named phase must not exceed the baseline's by more
-//! than `--max-phase-regression` (default 0.25). A phase absent from the
-//! *baseline* is skipped with a warning (new phases have no reference);
-//! a phase absent from the *current* manifest is a usage error (exit 2)
-//! because the gate was asked to check something the run never measured.
+//! | flag | quantity | bound |
+//! |---|---|---|
+//! | `--max-regression` (default 0.30) | simulator instr/s | floor: baseline × (1 − F) |
+//! | `--max-phase-regression` (default 0.25, per `--phase=`) | the phase's `total_ms` | ceiling: baseline × (1 + F) |
+//! | `--max-accuracy-drop` | effective prediction accuracy | floor: baseline − F |
+//! | `--max-peak-rss-regression` | peak RSS | ceiling: baseline × (1 + F) |
+//! | `--max-matrix-passes-per-trace` | fused-sweep passes per swept trace | ceiling: N (no baseline read) |
+//! | `--max-phase-share-regression` (per profiled phase) | the phase's share of profile samples | ceiling: baseline + F |
 //!
-//! `--max-phase-share-regression=F` gates the *profile* section (v4
-//! manifests, runs invoked with `--profile-hz=`): no profiled phase's
-//! share of wall-time samples (`total_share`) may grow by more than `F`
-//! (an absolute fraction, e.g. `0.15` = 15 percentage points) over the
-//! baseline's. A phase absent from the baseline profile counts as share
-//! 0 — brand-new hot phases are exactly what the gate exists to catch.
-//! When the gate fails it names the guilty phase and the hottest sampled
-//! stack beneath it. A baseline without a `profile` section skips the
-//! gate with a warning (refresh it to re-arm); a *current* manifest
-//! without one is a usage error (exit 2) because the gate was asked to
-//! check a run that never profiled.
+//! One missing-data policy covers every gate: data the *baseline* lacks
+//! skips that check with a warning (refresh the baseline to re-arm it);
+//! data the *current* manifest lacks is a usage error (exit 2), because
+//! the gate was asked to check something the run never measured. The
+//! per-gate readings decide what "lacks" means: a phase absent from the
+//! baseline profile reads as share 0 (brand-new hot phases are what the
+//! share gate exists to catch), a zero baseline never bounds a relative
+//! gate, and a run that simulated nothing reads as 0 instr/s (a 100%
+//! throughput regression, not missing data). Peak RSS prefers the
+//! `rss.sampled_peak_bytes` max-gauge (sampled on every profile tick, so
+//! it sees transient peaks) over the end-of-run `peak_rss_bytes`.
 //!
-//! `--max-matrix-passes-per-trace=N` gates sweep *fusion*: the current
-//! manifest's `replay.matrix_passes` counter may not exceed `N` times
-//! its `replay.matrix_traces` counter (distinct reference traces swept
-//! by the fused sweep). CI runs with `N=1` — every trace fused into
-//! exactly one matrix pass — so a regression that silently falls back
-//! to per-cell replays (or primes the memo twice) fails even when the
-//! extra passes happen to stay inside the wall-time ceiling. A current
-//! manifest without the two counters, or one that swept no traces at
-//! all, is a usage error (exit 2): the gate was asked to check a run
-//! that never exercised the fused sweep.
-//!
-//! `--max-peak-rss-regression=F` gates peak memory: the current run's
-//! peak resident set size may not exceed the baseline's by more than `F`
-//! (a fraction of the baseline, e.g. `0.25` = 25%). The reading prefers
-//! the `rss.sampled_peak_bytes` max-gauge (populated on every profiler
-//! tick under `--profile-hz=`, so it sees transient peaks freed before
-//! exit) and falls back to the end-of-run `peak_rss_bytes` (`VmHWM`)
-//! when the run was not profiled. This is the gate that keeps the
-//! bounded-memory streaming pipeline honest: a change that quietly
-//! re-materialises the trace shows up as an RSS step no wall-time gate
-//! notices. A baseline recording no RSS skips the gate with a warning
-//! (refresh it to re-arm); a *current* manifest recording none is a
-//! usage error (exit 2).
-//!
-//! `--max-accuracy-drop=F` gates aggregate *prediction* accuracy: the
-//! run-wide effective accuracy (`predictor.speculated_correct /
-//! predictor.speculated`) must not fall more than `F` (an absolute
-//! fraction, e.g. `0.005` = half a percentage point) below the
-//! baseline's. When the gate fails and the current manifest carries an
-//! `attribution` array, the report names the guiltiest PCs (hottest
-//! mispredictors with their dominant cause and profile drift) so the
-//! regression arrives pre-blamed. A baseline without the predictor
-//! counters skips the gate with a warning (refresh it to re-arm).
+//! A failing accuracy gate names the guiltiest PCs from the current
+//! manifest's `attribution` array; a failing phase-share gate names the
+//! hottest sampled stack under the phase.
 //!
 //! Exit status:
 //!
 //! | code | meaning |
 //! |---|---|
-//! | 0 | throughput and every gated phase within bounds |
-//! | 1 | regression beyond `--max-regression` / `--max-phase-regression` |
-//! | 2 | usage error, or the *current* manifest is missing/unparsable, or a `--phase=` is absent from it |
+//! | 0 | every gate within its limit (or skipped for lack of baseline data) |
+//! | 1 | a gate failed |
+//! | 2 | usage error, the *current* manifest is missing/unparsable, or it lacks data a gate reads |
 //! | 3 | the *baseline* manifest is missing (unreadable) |
 //! | 4 | the *baseline* manifest is unparsable |
 //!
 //! Codes 3 and 4 let CI distinguish "the gate could not run" (fix the
-//! baseline, e.g. after a schema change) from "the gate ran and failed"
-//! (a real regression); both print a `PROVP_LOG`-visible warning on
-//! stderr.
+//! baseline) from "the gate ran and failed" (a real regression); both
+//! print a `PROVP_LOG`-visible warning on stderr.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use vp_obs::{obs_error, obs_warn, RunManifest};
 
-struct Args {
-    manifest: PathBuf,
-    baseline: PathBuf,
-    max_regression: f64,
-    phases: Vec<String>,
-    max_phase_regression: f64,
-    max_accuracy_drop: Option<f64>,
-    max_phase_share_regression: Option<f64>,
-    max_matrix_passes_per_trace: Option<u64>,
-    max_peak_rss_regression: Option<f64>,
+/// Reads one gated quantity for one subject (a phase path, or `""` for
+/// run-wide gates) from a manifest; `None` when the manifest lacks it.
+type Read = fn(&RunManifest, &str) -> Option<f64>;
+
+/// How a gate's limit turns the baseline value into a bound.
+enum Bound {
+    /// The limit is a fraction of the baseline value (read by the fn;
+    /// a zero baseline counts as missing).
+    Relative(Read),
+    /// The limit is an absolute distance from the baseline value.
+    Absolute(Read),
+    /// The limit itself is the bound; the baseline is never read.
+    Fixed,
 }
 
-fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
-    let (mut manifest, mut baseline, mut max_regression) = (None, None, 0.30_f64);
-    let (mut phases, mut max_phase_regression) = (Vec::new(), 0.25_f64);
-    let mut max_accuracy_drop = None;
-    let mut max_phase_share_regression = None;
-    let mut max_matrix_passes_per_trace = None;
-    let mut max_peak_rss_regression = None;
-    for arg in provp_bench::args::normalize(args, &[])? {
-        if let Some(p) = arg.strip_prefix("--manifest=") {
-            manifest = Some(PathBuf::from(p));
-        } else if let Some(p) = arg.strip_prefix("--baseline=") {
-            baseline = Some(PathBuf::from(p));
-        } else if let Some(v) = arg.strip_prefix("--max-regression=") {
-            max_regression = v
-                .parse()
-                .ok()
-                .filter(|r| (0.0..1.0).contains(r))
-                .ok_or_else(|| format!("bad --max-regression value `{v}` (want 0.0..1.0)"))?;
-        } else if let Some(p) = arg.strip_prefix("--phase=") {
-            if p.is_empty() {
-                return Err("empty --phase path".to_owned());
+/// Which direction of the gated quantity is a regression.
+#[derive(Clone, Copy)]
+enum Worse {
+    Lower,
+    Higher,
+}
+
+/// One row of the gate table.
+struct Gate {
+    /// The limit flag.
+    flag: &'static str,
+    /// The limit when the flag is absent (`None`: the gate is off).
+    default: Option<f64>,
+    /// Accepted limits, and their description for the usage error.
+    valid: fn(f64) -> bool,
+    want: &'static str,
+    /// Short name in skip warnings ("skipping the accuracy gate").
+    name: &'static str,
+    /// Report-line label; a non-empty subject is appended in backticks.
+    title: &'static str,
+    /// What a manifest lacking the data lacks, per subject.
+    needs: fn(&str) -> String,
+    /// The subjects checked, from the parsed flags and current manifest.
+    subjects: fn(&Args, &RunManifest) -> Vec<String>,
+    current: Read,
+    bound: Bound,
+    worse: Worse,
+    /// Formats a value of the quantity.
+    show: fn(f64) -> String,
+    /// Extra report lines when the gate fails for a subject.
+    blame: Option<fn(&RunManifest, &str)>,
+}
+
+const MIB: f64 = 1024.0 * 1024.0;
+
+/// Every gate, in evaluation order.
+const GATES: [Gate; 6] = [
+    Gate {
+        flag: "--max-regression",
+        default: Some(0.30),
+        valid: |r| (0.0..1.0).contains(&r),
+        want: "0.0..1.0",
+        name: "throughput",
+        title: "simulator throughput",
+        needs: |_| "simulator throughput".to_owned(),
+        subjects: run_wide,
+        current: |m, _| Some(m.sim_instr_per_sec()),
+        bound: Bound::Relative(|m, _| Some(m.sim_instr_per_sec())),
+        worse: Worse::Lower,
+        show: |v| format!("{v:.0} instr/s"),
+        blame: None,
+    },
+    Gate {
+        flag: "--max-accuracy-drop",
+        default: None,
+        valid: |r| (0.0..=1.0).contains(&r),
+        want: "0.0..=1.0",
+        name: "accuracy",
+        title: "effective accuracy",
+        needs: |_| "predictor.speculated* counters".to_owned(),
+        subjects: run_wide,
+        current: effective_accuracy,
+        bound: Bound::Absolute(effective_accuracy),
+        worse: Worse::Lower,
+        show: |v| format!("{:.2}%", 100.0 * v),
+        blame: Some(blame_accuracy),
+    },
+    Gate {
+        flag: "--max-peak-rss-regression",
+        default: None,
+        valid: |r| r >= 0.0,
+        want: ">= 0.0",
+        name: "peak-RSS",
+        title: "peak RSS",
+        needs: |_| "peak RSS (neither rss.sampled_peak_bytes nor peak_rss_bytes)".to_owned(),
+        subjects: run_wide,
+        current: peak_rss,
+        bound: Bound::Relative(peak_rss),
+        worse: Worse::Higher,
+        show: |v| format!("{:.1} MiB", v / MIB),
+        blame: None,
+    },
+    Gate {
+        flag: "--max-matrix-passes-per-trace",
+        default: None,
+        valid: |n| n >= 1.0 && n.fract() == 0.0,
+        want: ">= 1",
+        name: "matrix-pass",
+        title: "matrix passes per swept trace",
+        needs: |_| {
+            "replay.matrix_passes / replay.matrix_traces counters (or swept no traces)".to_owned()
+        },
+        subjects: run_wide,
+        current: matrix_passes_per_trace,
+        bound: Bound::Fixed,
+        worse: Worse::Higher,
+        show: |v| format!("{v:.2}"),
+        blame: None,
+    },
+    Gate {
+        flag: "--max-phase-share-regression",
+        default: None,
+        valid: |r| (0.0..=1.0).contains(&r),
+        want: "0.0..=1.0",
+        name: "phase-share",
+        title: "phase-share of",
+        needs: |_| "profile section".to_owned(),
+        // Every profiled phase; a run without a profile gets one
+        // subject, which reads as missing.
+        subjects: |_, m| {
+            m.profile.as_ref().map_or_else(
+                || vec![String::new()],
+                |p| p.phases.iter().map(|ph| ph.path.clone()).collect(),
+            )
+        },
+        current: |m, path| {
+            let profile = m.profile.as_ref()?;
+            let phase = profile.phases.iter().find(|p| p.path == path)?;
+            Some(phase.total_share)
+        },
+        bound: Bound::Absolute(|m, path| {
+            let profile = m.profile.as_ref()?;
+            let phase = profile.phases.iter().find(|p| p.path == path);
+            Some(phase.map_or(0.0, |p| p.total_share))
+        }),
+        worse: Worse::Higher,
+        show: |v| format!("{:.1}%", 100.0 * v),
+        blame: Some(|m, path| {
+            if let Some(stack) = hottest_stack_under(m, path) {
+                println!("metrics-check: blame hottest stack `{stack}`");
             }
-            phases.push(p.to_owned());
-        } else if let Some(v) = arg.strip_prefix("--max-phase-regression=") {
-            max_phase_regression =
-                v.parse().ok().filter(|r| *r >= 0.0).ok_or_else(|| {
-                    format!("bad --max-phase-regression value `{v}` (want >= 0.0)")
-                })?;
-        } else if let Some(v) = arg.strip_prefix("--max-accuracy-drop=") {
-            max_accuracy_drop = Some(
-                v.parse()
-                    .ok()
-                    .filter(|r| (0.0..=1.0).contains(r))
-                    .ok_or_else(|| {
-                        format!("bad --max-accuracy-drop value `{v}` (want 0.0..=1.0)")
-                    })?,
-            );
-        } else if let Some(v) = arg.strip_prefix("--max-phase-share-regression=") {
-            max_phase_share_regression = Some(
-                v.parse()
-                    .ok()
-                    .filter(|r| (0.0..=1.0).contains(r))
-                    .ok_or_else(|| {
-                        format!("bad --max-phase-share-regression value `{v}` (want 0.0..=1.0)")
-                    })?,
-            );
-        } else if let Some(v) = arg.strip_prefix("--max-matrix-passes-per-trace=") {
-            max_matrix_passes_per_trace =
-                Some(v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                    format!("bad --max-matrix-passes-per-trace value `{v}` (want >= 1)")
-                })?);
-        } else if let Some(v) = arg.strip_prefix("--max-peak-rss-regression=") {
-            max_peak_rss_regression =
-                Some(v.parse().ok().filter(|r| *r >= 0.0).ok_or_else(|| {
-                    format!("bad --max-peak-rss-regression value `{v}` (want >= 0.0)")
-                })?);
-        } else {
-            return Err(format!(
-                "unknown argument `{arg}` (try --manifest=, --baseline=, --max-regression=, \
-                 --phase=, --max-phase-regression=, --max-accuracy-drop=, \
-                 --max-phase-share-regression=, --max-matrix-passes-per-trace=, \
-                 --max-peak-rss-regression=)"
-            ));
-        }
-    }
-    Ok(Args {
-        manifest: manifest.ok_or("missing --manifest=FILE")?,
-        baseline: baseline.ok_or("missing --baseline=FILE")?,
-        max_regression,
-        phases,
-        max_phase_regression,
-        max_accuracy_drop,
-        max_phase_share_regression,
-        max_matrix_passes_per_trace,
-        max_peak_rss_regression,
-    })
+        }),
+    },
+    Gate {
+        flag: "--max-phase-regression",
+        default: Some(0.25),
+        valid: |r| r >= 0.0,
+        want: ">= 0.0",
+        name: "phase",
+        title: "phase",
+        needs: |path| format!("phase `{path}`"),
+        subjects: |args, _| args.phases.clone(),
+        current: phase_ms,
+        bound: Bound::Relative(phase_ms),
+        worse: Worse::Higher,
+        show: |v| format!("{v:.2} ms"),
+        blame: None,
+    },
+];
+
+fn run_wide(_: &Args, _: &RunManifest) -> Vec<String> {
+    vec![String::new()]
 }
 
-/// The fused-sweep pass accounting from a manifest's counters: `(matrix
-/// passes, distinct traces swept)`. `None` when the counters are absent
-/// or the run swept no traces — the gate cannot judge a run that never
-/// exercised the fused sweep.
-fn matrix_pass_rate(m: &RunManifest) -> Option<(u64, u64)> {
-    let passes = *m.counters.get("replay.matrix_passes")?;
-    let traces = *m.counters.get("replay.matrix_traces")?;
-    (traces > 0).then_some((passes, traces))
+fn phase_ms(m: &RunManifest, path: &str) -> Option<f64> {
+    m.phases.iter().find(|p| p.path == path).map(|p| p.total_ms)
 }
 
-/// The best available peak-RSS reading from a manifest: the
-/// `rss.sampled_peak_bytes` max-gauge when the run was profiled (it sees
-/// transient peaks freed before exit), else the end-of-run `VmHWM`
-/// snapshot. `None` when the run recorded neither (e.g. no procfs).
-fn peak_rss(m: &RunManifest) -> Option<u64> {
-    m.gauges
-        .get("rss.sampled_peak_bytes")
-        .copied()
-        .filter(|&b| b > 0)
-        .or_else(|| (m.peak_rss_bytes > 0).then_some(m.peak_rss_bytes))
-}
-
-/// Run-wide effective prediction accuracy from a manifest's counters
-/// (`None` when the run recorded no speculated predictions — e.g. a
-/// pre-v3 baseline whose counters predate the accuracy gate).
-fn effective_accuracy(m: &RunManifest) -> Option<f64> {
+/// Run-wide effective prediction accuracy (`None` when the run recorded
+/// no speculated predictions).
+fn effective_accuracy(m: &RunManifest, _: &str) -> Option<f64> {
     let speculated = *m.counters.get("predictor.speculated")?;
     let correct = *m.counters.get("predictor.speculated_correct")?;
     (speculated > 0).then(|| correct as f64 / speculated as f64)
 }
 
+/// The best available peak-RSS reading: the sampled max-gauge when the
+/// run was profiled, else the end-of-run `VmHWM` snapshot.
+fn peak_rss(m: &RunManifest, _: &str) -> Option<f64> {
+    m.gauges
+        .get("rss.sampled_peak_bytes")
+        .copied()
+        .filter(|&b| b > 0)
+        .or_else(|| (m.peak_rss_bytes > 0).then_some(m.peak_rss_bytes))
+        .map(|b| b as f64)
+}
+
+/// Fused-sweep passes per distinct swept trace (`None` when the counters
+/// are absent or the run swept no traces).
+fn matrix_passes_per_trace(m: &RunManifest, _: &str) -> Option<f64> {
+    let passes = *m.counters.get("replay.matrix_passes")?;
+    let traces = *m.counters.get("replay.matrix_traces")?;
+    (traces > 0).then(|| passes as f64 / traces as f64)
+}
+
 /// Prints per-PC blame lines for an accuracy regression from the current
-/// manifest's attribution array (a no-op when the run was not attributed).
-fn blame_accuracy(current: &RunManifest) {
+/// manifest's attribution array.
+fn blame_accuracy(current: &RunManifest, _: &str) {
     if current.attribution.is_empty() {
         println!(
             "metrics-check: no attribution in the manifest; rerun with --attribution \
@@ -247,57 +297,12 @@ fn blame_accuracy(current: &RunManifest) {
     }
 }
 
-/// One profiled phase whose sample share grew past the allowed increase.
-#[derive(Debug, PartialEq)]
-struct ShareRegression {
-    path: String,
-    base_share: f64,
-    cur_share: f64,
-    /// The hottest sampled stack at or below the guilty phase, so the
-    /// failure message points at concrete code, not just a span path.
-    hottest_stack: Option<String>,
-}
-
-/// Compares profiled phase shares: every phase in `cur` whose
-/// `total_share` exceeds the baseline's (0 when absent — new hot phases
-/// are regressions too) by more than `max_increase` is returned, largest
-/// growth first.
-fn phase_share_regressions(
-    baseline: &vp_obs::ProfileSection,
-    current: &vp_obs::ProfileSection,
-    max_increase: f64,
-) -> Vec<ShareRegression> {
-    let mut guilty: Vec<ShareRegression> = current
-        .phases
-        .iter()
-        .filter_map(|cur| {
-            let base_share = baseline
-                .phases
-                .iter()
-                .find(|b| b.path == cur.path)
-                .map_or(0.0, |b| b.total_share);
-            (cur.total_share - base_share > max_increase).then(|| ShareRegression {
-                path: cur.path.clone(),
-                base_share,
-                cur_share: cur.total_share,
-                hottest_stack: hottest_stack_under(current, &cur.path),
-            })
-        })
-        .collect();
-    guilty.sort_by(|a, b| {
-        let (da, db) = (a.cur_share - a.base_share, b.cur_share - b.base_share);
-        db.partial_cmp(&da)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.path.cmp(&b.path))
-    });
-    guilty
-}
-
 /// The highest-count hot stack whose frames start with the phase path
 /// (stacks are `;`-joined, phase paths `/`-joined).
-fn hottest_stack_under(profile: &vp_obs::ProfileSection, phase_path: &str) -> Option<String> {
+fn hottest_stack_under(m: &RunManifest, phase_path: &str) -> Option<String> {
     let prefix: Vec<&str> = phase_path.split('/').collect();
-    profile
+    m.profile
+        .as_ref()?
         .hot_stacks
         .iter()
         .filter(|h| {
@@ -308,26 +313,156 @@ fn hottest_stack_under(profile: &vp_obs::ProfileSection, phase_path: &str) -> Op
         .map(|h| h.stack.clone())
 }
 
-fn load(path: &std::path::Path) -> Result<RunManifest, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    RunManifest::parse(text.trim_end()).map_err(|e| format!("cannot parse {path:?}: {e}"))
+struct Args {
+    manifest: PathBuf,
+    baseline: PathBuf,
+    phases: Vec<String>,
+    /// One limit per [`GATES`] row (`None`: the gate is off).
+    limits: Vec<Option<f64>>,
 }
 
-/// Why the baseline could not be used (each maps to a distinct exit
-/// code, so CI can tell "fix the baseline" from "fix the regression").
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let (mut manifest, mut baseline, mut phases) = (None, None, Vec::new());
+    let mut limits: Vec<Option<f64>> = GATES.iter().map(|g| g.default).collect();
+    for arg in provp_bench::args::normalize(args, &[])? {
+        let (flag, value) = arg.split_once('=').unwrap_or((&arg, ""));
+        match flag {
+            "--manifest" => manifest = Some(PathBuf::from(value)),
+            "--baseline" => baseline = Some(PathBuf::from(value)),
+            "--phase" if value.is_empty() => return Err("empty --phase path".to_owned()),
+            "--phase" => phases.push(value.to_owned()),
+            _ => {
+                let Some(i) = GATES.iter().position(|g| g.flag == flag) else {
+                    let flags: Vec<String> = GATES.iter().map(|g| format!("{}=", g.flag)).collect();
+                    return Err(format!(
+                        "unknown argument `{arg}` (try --manifest=, --baseline=, --phase=, {})",
+                        flags.join(", ")
+                    ));
+                };
+                let gate = &GATES[i];
+                limits[i] = Some(
+                    value
+                        .parse()
+                        .ok()
+                        .filter(|&l| (gate.valid)(l))
+                        .ok_or_else(|| {
+                            format!("bad {flag} value `{value}` (want {})", gate.want)
+                        })?,
+                );
+            }
+        }
+    }
+    Ok(Args {
+        manifest: manifest.ok_or("missing --manifest=FILE")?,
+        baseline: baseline.ok_or("missing --baseline=FILE")?,
+        phases,
+        limits,
+    })
+}
+
+/// Evaluates every enabled gate; the exit code (0 pass, 1 regression,
+/// 2 current manifest lacks gated data).
+fn run_gates(args: &Args, baseline: &RunManifest, current: &RunManifest) -> u8 {
+    let mut failed = false;
+    let mut warned = BTreeSet::new();
+    for (gate, limit) in GATES.iter().zip(&args.limits) {
+        let Some(limit) = *limit else { continue };
+        for subject in (gate.subjects)(args, current) {
+            let label = if subject.is_empty() {
+                gate.title.to_owned()
+            } else {
+                format!("{} `{subject}`", gate.title)
+            };
+            let Some(cur) = (gate.current)(current, &subject) else {
+                obs_error!(
+                    "{} given but the current manifest {:?} records no {}",
+                    gate.flag,
+                    args.manifest,
+                    (gate.needs)(&subject)
+                );
+                return 2;
+            };
+            let base = match gate.bound {
+                Bound::Fixed => None,
+                Bound::Relative(read) => read(baseline, &subject).filter(|&b| b > 0.0),
+                Bound::Absolute(read) => read(baseline, &subject),
+            };
+            let sign = match gate.worse {
+                Worse::Lower => -1.0,
+                Worse::Higher => 1.0,
+            };
+            let (bound, moved, limit_text) = match (&gate.bound, base) {
+                (Bound::Fixed, _) => (
+                    limit,
+                    format!("to {}", (gate.show)(cur)),
+                    format!("{limit}"),
+                ),
+                (Bound::Relative(_), Some(b)) => (
+                    b * (1.0 + sign * limit),
+                    format!("{:.1}%", 100.0 * (cur / b - 1.0).abs()),
+                    format!("{:.0}%", 100.0 * limit),
+                ),
+                (Bound::Absolute(_), Some(b)) => (
+                    b + sign * limit,
+                    format!("{:.2}pp", 100.0 * (cur - b).abs()),
+                    format!("{:.2}pp", 100.0 * limit),
+                ),
+                (_, None) => {
+                    let msg = format!(
+                        "baseline records no {}; skipping the {} gate (refresh \
+                         BENCH_baseline.json to re-arm it)",
+                        (gate.needs)(&subject),
+                        gate.name
+                    );
+                    if warned.insert(msg.clone()) {
+                        obs_warn!("{msg}");
+                    }
+                    continue;
+                }
+            };
+            let side = match gate.worse {
+                Worse::Lower => "floor",
+                Worse::Higher => "ceiling",
+            };
+            match base {
+                Some(b) => println!(
+                    "metrics-check: {label} {} vs baseline {} ({side} {}, limit {limit_text})",
+                    (gate.show)(cur),
+                    (gate.show)(b),
+                    (gate.show)(bound)
+                ),
+                None => println!(
+                    "metrics-check: {label} {} (limit {limit_text})",
+                    (gate.show)(cur)
+                ),
+            }
+            if sign * (cur - bound) > 0.0 {
+                obs_error!("{label} regressed {moved} (limit {limit_text})");
+                if let Some(blame) = gate.blame {
+                    blame(current, &subject);
+                }
+                failed = true;
+            }
+        }
+    }
+    u8::from(failed)
+}
+
+/// Why a manifest could not be used (each maps to a distinct exit code,
+/// so CI can tell "fix the baseline" from "fix the regression").
 #[derive(Debug, PartialEq)]
-enum BaselineError {
-    /// The file could not be read (missing, unreadable): exit 3.
+enum LoadError {
+    /// The file could not be read (missing, unreadable).
     Missing(String),
-    /// The file was read but is not a valid manifest: exit 4.
+    /// The file was read but is not a valid manifest.
     Unparsable(String),
 }
 
-fn load_baseline(path: &std::path::Path) -> Result<RunManifest, BaselineError> {
+fn load(path: &std::path::Path, what: &str) -> Result<RunManifest, LoadError> {
     let text = std::fs::read_to_string(path)
-        .map_err(|e| BaselineError::Missing(format!("cannot read baseline {path:?}: {e}")))?;
+        .map_err(|e| LoadError::Missing(format!("cannot read {what}{path:?}: {e}")))?;
     RunManifest::parse(text.trim_end())
-        .map_err(|e| BaselineError::Unparsable(format!("cannot parse baseline {path:?}: {e}")))
+        .map_err(|e| LoadError::Unparsable(format!("cannot parse {what}{path:?}: {e}")))
 }
 
 fn main() -> ExitCode {
@@ -338,244 +473,48 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let current = match load(&args.manifest) {
+    let current = match load(&args.manifest, "") {
         Ok(c) => c,
-        Err(e) => {
-            obs_error!("{e}");
+        Err(LoadError::Missing(msg) | LoadError::Unparsable(msg)) => {
+            obs_error!("{msg}");
             return ExitCode::from(2);
         }
     };
-    let baseline = match load_baseline(&args.baseline) {
+    let baseline = match load(&args.baseline, "baseline ") {
         Ok(b) => b,
-        Err(BaselineError::Missing(msg)) => {
-            obs_warn!("{msg}; the throughput gate cannot run (exit 3)");
+        Err(LoadError::Missing(msg)) => {
+            obs_warn!("{msg}; the gates cannot run (exit 3)");
             return ExitCode::from(3);
         }
-        Err(BaselineError::Unparsable(msg)) => {
+        Err(LoadError::Unparsable(msg)) => {
             obs_warn!("{msg}; refresh BENCH_baseline.json (exit 4)");
             return ExitCode::from(4);
         }
     };
-
-    let mut failed = false;
-
-    let base_rate = baseline.sim_instr_per_sec();
-    let cur_rate = current.sim_instr_per_sec();
-    if base_rate <= 0.0 {
-        println!("metrics-check: baseline records no simulator throughput; skipping gate");
-    } else {
-        let floor = base_rate * (1.0 - args.max_regression);
-        println!(
-            "metrics-check: sim throughput {cur_rate:.0} instr/s vs baseline {base_rate:.0} \
-             (floor {floor:.0}, max regression {:.0}%)",
-            100.0 * args.max_regression
-        );
-        if cur_rate < floor {
-            obs_error!(
-                "simulator throughput regressed {:.1}% (limit {:.0}%)",
-                100.0 * (1.0 - cur_rate / base_rate),
-                100.0 * args.max_regression
-            );
-            failed = true;
-        }
-    }
-
-    // Aggregate prediction-accuracy gate (opt-in via --max-accuracy-drop):
-    // catches correctness drift that throughput gates cannot see.
-    if let Some(max_drop) = args.max_accuracy_drop {
-        match (effective_accuracy(&baseline), effective_accuracy(&current)) {
-            (Some(base_acc), Some(cur_acc)) => {
-                let floor = base_acc - max_drop;
-                println!(
-                    "metrics-check: effective accuracy {:.2}% vs baseline {:.2}% \
-                     (floor {:.2}%, max drop {:.2}pp)",
-                    100.0 * cur_acc,
-                    100.0 * base_acc,
-                    100.0 * floor,
-                    100.0 * max_drop
-                );
-                if cur_acc < floor {
-                    obs_error!(
-                        "effective accuracy dropped {:.2}pp (limit {:.2}pp)",
-                        100.0 * (base_acc - cur_acc),
-                        100.0 * max_drop
-                    );
-                    blame_accuracy(&current);
-                    failed = true;
-                }
-            }
-            (None, _) => obs_warn!(
-                "baseline records no predictor.speculated* counters; skipping the \
-                 accuracy gate (refresh BENCH_baseline.json to re-arm it)"
-            ),
-            (_, None) => {
-                obs_error!(
-                    "--max-accuracy-drop given but the current manifest records no \
-                     predictor.speculated* counters (was the run a predictor experiment?)"
-                );
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    // Peak-memory gate (opt-in via --max-peak-rss-regression): keeps the
-    // bounded-memory streaming pipeline honest — re-materialising the
-    // trace shows up here even when wall time stays flat.
-    if let Some(max_growth) = args.max_peak_rss_regression {
-        match (peak_rss(&baseline), peak_rss(&current)) {
-            (Some(base_rss), Some(cur_rss)) => {
-                let ceiling = base_rss as f64 * (1.0 + max_growth);
-                println!(
-                    "metrics-check: peak RSS {:.1} MiB vs baseline {:.1} MiB \
-                     (ceiling {:.1} MiB, max regression {:.0}%)",
-                    cur_rss as f64 / (1024.0 * 1024.0),
-                    base_rss as f64 / (1024.0 * 1024.0),
-                    ceiling / (1024.0 * 1024.0),
-                    100.0 * max_growth
-                );
-                if cur_rss as f64 > ceiling {
-                    obs_error!(
-                        "peak RSS regressed {:.1}% (limit {:.0}%) — did something \
-                         re-materialise a trace the streaming path used to bound?",
-                        100.0 * (cur_rss as f64 / base_rss as f64 - 1.0),
-                        100.0 * max_growth
-                    );
-                    failed = true;
-                }
-            }
-            (None, _) => obs_warn!(
-                "baseline records no peak RSS (neither rss.sampled_peak_bytes nor \
-                 peak_rss_bytes); skipping the peak-RSS gate (refresh \
-                 BENCH_baseline.json to re-arm it)"
-            ),
-            (_, None) => {
-                obs_error!(
-                    "--max-peak-rss-regression given but the current manifest records \
-                     no peak RSS (no procfs? rerun with --profile-hz= to sample it)"
-                );
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    // Sweep-fusion gate (opt-in via --max-matrix-passes-per-trace):
-    // catches a fallback to per-cell replays even when the extra passes
-    // stay inside the wall-time ceilings.
-    if let Some(max_per_trace) = args.max_matrix_passes_per_trace {
-        match matrix_pass_rate(&current) {
-            Some((passes, traces)) => {
-                println!(
-                    "metrics-check: {passes} matrix passes over {traces} swept traces \
-                     (limit {max_per_trace} per trace)"
-                );
-                if passes > max_per_trace.saturating_mul(traces) {
-                    obs_error!(
-                        "the fused sweep scanned traces {passes} times for {traces} distinct \
-                         traces (limit {max_per_trace} per trace) — is something replaying \
-                         per cell again?"
-                    );
-                    failed = true;
-                }
-            }
-            None => {
-                obs_error!(
-                    "--max-matrix-passes-per-trace given but the current manifest records \
-                     no replay.matrix_passes / replay.matrix_traces counters (or swept no \
-                     traces) — was the run a fused-sweep experiment?"
-                );
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    // Profile sample-share gate (opt-in via --max-phase-share-regression):
-    // catches a phase quietly eating a bigger slice of the run even when
-    // absolute wall time stays within its own gate.
-    if let Some(max_increase) = args.max_phase_share_regression {
-        match (&baseline.profile, &current.profile) {
-            (Some(base_prof), Some(cur_prof)) => {
-                println!(
-                    "metrics-check: phase-share gate over {} profiled phases \
-                     (max increase {:.0}pp)",
-                    cur_prof.phases.len(),
-                    100.0 * max_increase
-                );
-                for g in phase_share_regressions(base_prof, cur_prof, max_increase) {
-                    obs_error!(
-                        "phase `{}` grew from {:.1}% to {:.1}% of samples \
-                         (+{:.1}pp, limit {:.0}pp)",
-                        g.path,
-                        100.0 * g.base_share,
-                        100.0 * g.cur_share,
-                        100.0 * (g.cur_share - g.base_share),
-                        100.0 * max_increase
-                    );
-                    if let Some(stack) = &g.hottest_stack {
-                        println!("metrics-check: blame hottest stack `{stack}`");
-                    }
-                    failed = true;
-                }
-            }
-            (None, Some(_)) => obs_warn!(
-                "baseline manifest has no profile section; skipping the phase-share \
-                 gate (refresh BENCH_baseline.json with --profile-hz= to re-arm it)"
-            ),
-            (_, None) => {
-                obs_error!(
-                    "--max-phase-share-regression given but the current manifest has no \
-                     profile section (was the run invoked with --profile-hz=?)"
-                );
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    // Per-phase wall-time gates: every --phase= must stay within
-    // --max-phase-regression of the baseline's total_ms.
-    for path in &args.phases {
-        let Some(cur) = current.phases.iter().find(|p| p.path == *path) else {
-            obs_error!(
-                "--phase={path} is absent from the current manifest {:?} \
-                 (was the run invoked with the right binary and flags?)",
-                args.manifest
-            );
-            return ExitCode::from(2);
-        };
-        let Some(base) = baseline.phases.iter().find(|p| p.path == *path) else {
-            obs_warn!("phase `{path}` is absent from the baseline; skipping its gate");
-            continue;
-        };
-        if base.total_ms <= 0.0 {
-            obs_warn!("phase `{path}` has a zero baseline; skipping its gate");
-            continue;
-        }
-        let ceiling = base.total_ms * (1.0 + args.max_phase_regression);
-        println!(
-            "metrics-check: phase {path} {:.2} ms vs baseline {:.2} ms \
-             (ceiling {ceiling:.2}, max regression {:.0}%)",
-            cur.total_ms,
-            base.total_ms,
-            100.0 * args.max_phase_regression
-        );
-        if cur.total_ms > ceiling {
-            obs_error!(
-                "phase `{path}` regressed {:.1}% (limit {:.0}%)",
-                100.0 * (cur.total_ms / base.total_ms - 1.0),
-                100.0 * args.max_phase_regression
-            );
-            failed = true;
-        }
-    }
-
-    if failed {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    ExitCode::from(run_gates(&args, &baseline, &current))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(extra: &[&str]) -> Result<Args, String> {
+        let mut all = vec!["--manifest=m".to_owned(), "--baseline=b".to_owned()];
+        all.extend(extra.iter().map(|s| (*s).to_owned()));
+        parse_args(all)
+    }
+
+    fn limit(a: &Args, flag: &str) -> Option<f64> {
+        let i = GATES.iter().position(|g| g.flag == flag).unwrap();
+        a.limits[i]
+    }
+
+    fn manifest() -> RunManifest {
+        RunManifest {
+            bin: "x".to_owned(),
+            ..RunManifest::default()
+        }
+    }
 
     #[test]
     fn parses_and_validates_flags() {
@@ -586,16 +525,15 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(a.manifest, PathBuf::from("/tmp/m.json"));
-        assert!((a.max_regression - 0.5).abs() < 1e-12);
+        assert_eq!(limit(&a, "--max-regression"), Some(0.5));
         assert!(a.phases.is_empty());
-        assert!((a.max_phase_regression - 0.25).abs() < 1e-12);
+        assert_eq!(limit(&a, "--max-phase-regression"), Some(0.25));
         assert!(parse_args(["--manifest=m".to_owned()]).is_err());
-        assert!(parse_args([
-            "--manifest=m".to_owned(),
-            "--baseline=b".to_owned(),
-            "--max-regression=2".to_owned()
-        ])
-        .is_err());
+        assert!(args(&["--max-regression=2"]).is_err());
+        assert!(args(&["--frobnicate=1"]).is_err());
+        // Every gate flag is spelled exactly once.
+        let flags: BTreeSet<&str> = GATES.iter().map(|g| g.flag).collect();
+        assert_eq!(flags.len(), GATES.len());
     }
 
     #[test]
@@ -604,59 +542,42 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
 
         // Missing file -> Missing (exit 3 path).
-        let err = load_baseline(&dir.join("nope.json")).unwrap_err();
-        assert!(matches!(err, BaselineError::Missing(_)), "{err:?}");
+        let err = load(&dir.join("nope.json"), "baseline ").unwrap_err();
+        assert!(matches!(err, LoadError::Missing(_)), "{err:?}");
 
         // Present but garbage -> Unparsable (exit 4 path).
         let bad = dir.join("bad.json");
         std::fs::write(&bad, "{ not a manifest").unwrap();
-        let err = load_baseline(&bad).unwrap_err();
-        assert!(matches!(err, BaselineError::Unparsable(_)), "{err:?}");
+        let err = load(&bad, "baseline ").unwrap_err();
+        assert!(matches!(err, LoadError::Unparsable(_)), "{err:?}");
 
         // A valid manifest loads fine through the same path.
         let good = dir.join("good.json");
-        let manifest = RunManifest {
-            bin: "x".to_owned(),
-            ..RunManifest::default()
-        };
-        std::fs::write(&good, manifest.to_json()).unwrap();
-        assert_eq!(load_baseline(&good).unwrap(), manifest);
+        std::fs::write(&good, manifest().to_json()).unwrap();
+        assert_eq!(load(&good, "baseline ").unwrap(), manifest());
 
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn accuracy_gate_flag_and_counters() {
-        let a = parse_args([
-            "--manifest=m".to_owned(),
-            "--baseline=b".to_owned(),
-            "--max-accuracy-drop".to_owned(), // space-separated form
-            "0.01".to_owned(),
-        ])
-        .unwrap();
-        assert_eq!(a.max_accuracy_drop, Some(0.01));
-        let a = parse_args(["--manifest=m".to_owned(), "--baseline=b".to_owned()]).unwrap();
-        assert_eq!(a.max_accuracy_drop, None);
-        assert!(parse_args([
-            "--manifest=m".to_owned(),
-            "--baseline=b".to_owned(),
-            "--max-accuracy-drop=2".to_owned(),
-        ])
-        .is_err());
+        // Space-separated form.
+        let a = args(&["--max-accuracy-drop", "0.01"]).unwrap();
+        assert_eq!(limit(&a, "--max-accuracy-drop"), Some(0.01));
+        assert_eq!(limit(&args(&[]).unwrap(), "--max-accuracy-drop"), None);
+        assert!(args(&["--max-accuracy-drop=2"]).is_err());
 
-        let mut m = RunManifest {
-            bin: "x".to_owned(),
-            ..RunManifest::default()
-        };
-        assert_eq!(effective_accuracy(&m), None);
+        let mut m = manifest();
+        assert_eq!(effective_accuracy(&m, ""), None);
         m.counters.insert("predictor.speculated".to_owned(), 200);
         m.counters
             .insert("predictor.speculated_correct".to_owned(), 150);
-        assert_eq!(effective_accuracy(&m), Some(0.75));
+        assert_eq!(effective_accuracy(&m, ""), Some(0.75));
     }
 
-    fn profile(phases: &[(&str, f64)], stacks: &[(&str, u64)]) -> vp_obs::ProfileSection {
-        vp_obs::ProfileSection {
+    fn profiled(phases: &[(&str, f64)], stacks: &[(&str, u64)]) -> RunManifest {
+        let mut m = manifest();
+        m.profile = Some(vp_obs::ProfileSection {
             hz: 99,
             samples: stacks.iter().map(|(_, c)| c).sum(),
             dropped: 0,
@@ -677,15 +598,16 @@ mod tests {
                     total_share: *share,
                 })
                 .collect(),
-        }
+        });
+        m
     }
 
     #[test]
     fn phase_share_gate_blames_the_phase_that_grew() {
-        // The doctored scenario from the issue: `run/profile` went from
-        // 12% to 31% of samples while everything else shrank.
-        let base = profile(&[("run", 1.0), ("run/profile", 0.12)], &[]);
-        let cur = profile(
+        // `run/profile` went from 12% to 31% of samples while everything
+        // else shrank.
+        let base = profiled(&[("run", 1.0), ("run/profile", 0.12)], &[]);
+        let cur = profiled(
             &[("run", 1.0), ("run/profile", 0.31)],
             &[
                 ("run;predict", 40),
@@ -693,139 +615,105 @@ mod tests {
                 ("run;profile", 6),
             ],
         );
-        let guilty = phase_share_regressions(&base, &cur, 0.15);
-        assert_eq!(guilty.len(), 1);
-        assert_eq!(guilty[0].path, "run/profile");
-        assert!((guilty[0].base_share - 0.12).abs() < 1e-12);
-        assert!((guilty[0].cur_share - 0.31).abs() < 1e-12);
+        let gate = |limit: &str| {
+            run_gates(
+                &args(&[&format!("--max-phase-share-regression={limit}")]).unwrap(),
+                &base,
+                &cur,
+            )
+        };
+        assert_eq!(gate("0.15"), 1);
+        assert_eq!(gate("0.25"), 0, "within bounds");
         assert_eq!(
-            guilty[0].hottest_stack.as_deref(),
+            hottest_stack_under(&cur, "run/profile").as_deref(),
             Some("run;profile;merge"),
             "the hottest stack *under* the guilty phase must be named"
         );
-
-        // Within bounds -> nothing reported.
-        assert!(phase_share_regressions(&base, &cur, 0.25).is_empty());
     }
 
     #[test]
     fn phase_share_gate_counts_new_phases_from_zero() {
-        let base = profile(&[("run", 1.0)], &[]);
-        let cur = profile(&[("run", 1.0), ("run/surprise", 0.2)], &[("other", 1)]);
-        let guilty = phase_share_regressions(&base, &cur, 0.1);
-        assert_eq!(guilty.len(), 1);
-        assert_eq!(guilty[0].path, "run/surprise");
-        assert_eq!(guilty[0].base_share, 0.0);
+        let base = profiled(&[("run", 1.0)], &[]);
+        let cur = profiled(&[("run", 1.0), ("run/surprise", 0.2)], &[("other", 1)]);
+        let a = args(&["--max-phase-share-regression=0.1"]).unwrap();
+        assert_eq!(run_gates(&a, &base, &cur), 1);
         // No sampled stack lives under the new phase: blame stays honest.
-        assert_eq!(guilty[0].hottest_stack, None);
+        assert_eq!(hottest_stack_under(&cur, "run/surprise"), None);
+        // A baseline without any profile skips the gate instead.
+        assert_eq!(run_gates(&a, &manifest(), &cur), 0);
+        // A current manifest without one is a usage error.
+        assert_eq!(run_gates(&a, &base, &manifest()), 2);
     }
 
     #[test]
     fn parses_phase_share_flag() {
-        let a = parse_args([
-            "--manifest=m".to_owned(),
-            "--baseline=b".to_owned(),
-            "--max-phase-share-regression=0.15".to_owned(),
-        ])
-        .unwrap();
-        assert_eq!(a.max_phase_share_regression, Some(0.15));
-        let a = parse_args(["--manifest=m".to_owned(), "--baseline=b".to_owned()]).unwrap();
-        assert_eq!(a.max_phase_share_regression, None);
-        assert!(parse_args([
-            "--manifest=m".to_owned(),
-            "--baseline=b".to_owned(),
-            "--max-phase-share-regression=1.5".to_owned(),
-        ])
-        .is_err());
+        let a = args(&["--max-phase-share-regression=0.15"]).unwrap();
+        assert_eq!(limit(&a, "--max-phase-share-regression"), Some(0.15));
+        assert_eq!(
+            limit(&args(&[]).unwrap(), "--max-phase-share-regression"),
+            None
+        );
+        assert!(args(&["--max-phase-share-regression=1.5"]).is_err());
     }
 
     #[test]
     fn matrix_pass_gate_flag_and_counters() {
-        let a = parse_args([
-            "--manifest=m".to_owned(),
-            "--baseline=b".to_owned(),
-            "--max-matrix-passes-per-trace".to_owned(), // space-separated form
-            "1".to_owned(),
-        ])
-        .unwrap();
-        assert_eq!(a.max_matrix_passes_per_trace, Some(1));
-        let a = parse_args(["--manifest=m".to_owned(), "--baseline=b".to_owned()]).unwrap();
-        assert_eq!(a.max_matrix_passes_per_trace, None);
-        assert!(parse_args([
-            "--manifest=m".to_owned(),
-            "--baseline=b".to_owned(),
-            "--max-matrix-passes-per-trace=0".to_owned(),
-        ])
-        .is_err());
-        assert!(parse_args([
-            "--manifest=m".to_owned(),
-            "--baseline=b".to_owned(),
-            "--max-matrix-passes-per-trace=lots".to_owned(),
-        ])
-        .is_err());
+        // Space-separated form.
+        let a = args(&["--max-matrix-passes-per-trace", "1"]).unwrap();
+        assert_eq!(limit(&a, "--max-matrix-passes-per-trace"), Some(1.0));
+        assert_eq!(
+            limit(&args(&[]).unwrap(), "--max-matrix-passes-per-trace"),
+            None
+        );
+        assert!(args(&["--max-matrix-passes-per-trace=0"]).is_err());
+        assert!(args(&["--max-matrix-passes-per-trace=1.5"]).is_err());
+        assert!(args(&["--max-matrix-passes-per-trace=lots"]).is_err());
 
-        let mut m = RunManifest {
-            bin: "x".to_owned(),
-            ..RunManifest::default()
-        };
+        let mut m = manifest();
         // Counters absent -> the gate cannot judge the run.
-        assert_eq!(matrix_pass_rate(&m), None);
-        m.counters.insert("replay.matrix_passes".to_owned(), 9);
-        assert_eq!(matrix_pass_rate(&m), None);
+        assert_eq!(matrix_passes_per_trace(&m, ""), None);
+        m.counters.insert("replay.matrix_passes".to_owned(), 18);
+        assert_eq!(matrix_passes_per_trace(&m, ""), None);
         // Counters present but no trace swept -> still unjudgeable.
         m.counters.insert("replay.matrix_traces".to_owned(), 0);
-        assert_eq!(matrix_pass_rate(&m), None);
+        assert_eq!(matrix_passes_per_trace(&m, ""), None);
         m.counters.insert("replay.matrix_traces".to_owned(), 9);
-        assert_eq!(matrix_pass_rate(&m), Some((9, 9)));
+        assert_eq!(matrix_passes_per_trace(&m, ""), Some(2.0));
     }
 
     #[test]
     fn peak_rss_gate_flag_and_readings() {
-        let a = parse_args([
-            "--manifest=m".to_owned(),
-            "--baseline=b".to_owned(),
-            "--max-peak-rss-regression".to_owned(), // space-separated form
-            "0.25".to_owned(),
-        ])
-        .unwrap();
-        assert_eq!(a.max_peak_rss_regression, Some(0.25));
-        let a = parse_args(["--manifest=m".to_owned(), "--baseline=b".to_owned()]).unwrap();
-        assert_eq!(a.max_peak_rss_regression, None);
-        assert!(parse_args([
-            "--manifest=m".to_owned(),
-            "--baseline=b".to_owned(),
-            "--max-peak-rss-regression=-0.1".to_owned(),
-        ])
-        .is_err());
+        // Space-separated form.
+        let a = args(&["--max-peak-rss-regression", "0.25"]).unwrap();
+        assert_eq!(limit(&a, "--max-peak-rss-regression"), Some(0.25));
+        assert_eq!(
+            limit(&args(&[]).unwrap(), "--max-peak-rss-regression"),
+            None
+        );
+        assert!(args(&["--max-peak-rss-regression=-0.1"]).is_err());
 
-        let mut m = RunManifest {
-            bin: "x".to_owned(),
-            peak_rss_bytes: 0,
-            ..RunManifest::default()
-        };
+        let mut m = manifest();
         // Neither reading recorded -> the gate cannot judge the run.
-        assert_eq!(peak_rss(&m), None);
+        assert_eq!(peak_rss(&m, ""), None);
         // End-of-run VmHWM alone is enough...
         m.peak_rss_bytes = 64 << 20;
-        assert_eq!(peak_rss(&m), Some(64 << 20));
+        assert_eq!(peak_rss(&m, ""), Some(f64::from(64u32 << 20)));
         // ...but the sampled max-gauge wins when present (it sees
         // transient peaks the exit snapshot can miss across processes).
         m.gauges
             .insert("rss.sampled_peak_bytes".to_owned(), 48 << 20);
-        assert_eq!(peak_rss(&m), Some(48 << 20));
-        // A zero gauge (sampler never ticked) falls back again.
+        assert_eq!(peak_rss(&m, ""), Some(f64::from(48u32 << 20)));
+        // A zero gauge (never sampled) falls back again.
         m.gauges.insert("rss.sampled_peak_bytes".to_owned(), 0);
-        assert_eq!(peak_rss(&m), Some(64 << 20));
+        assert_eq!(peak_rss(&m, ""), Some(f64::from(64u32 << 20)));
     }
 
     #[test]
     fn parses_phase_gates() {
-        let a = parse_args([
-            "--manifest=m".to_owned(),
-            "--baseline=b".to_owned(),
-            "--phase=repro-all/classification/predict".to_owned(),
-            "--phase=repro-all/finite_table/predict".to_owned(),
-            "--max-phase-regression=0.4".to_owned(),
+        let a = args(&[
+            "--phase=repro-all/classification/predict",
+            "--phase=repro-all/finite_table/predict",
+            "--max-phase-regression=0.4",
         ])
         .unwrap();
         assert_eq!(
@@ -835,19 +723,8 @@ mod tests {
                 "repro-all/finite_table/predict".to_owned()
             ]
         );
-        assert!((a.max_phase_regression - 0.4).abs() < 1e-12);
-
-        assert!(parse_args([
-            "--manifest=m".to_owned(),
-            "--baseline=b".to_owned(),
-            "--phase=".to_owned(),
-        ])
-        .is_err());
-        assert!(parse_args([
-            "--manifest=m".to_owned(),
-            "--baseline=b".to_owned(),
-            "--max-phase-regression=-1".to_owned(),
-        ])
-        .is_err());
+        assert_eq!(limit(&a, "--max-phase-regression"), Some(0.4));
+        assert!(args(&["--phase="]).is_err());
+        assert!(args(&["--max-phase-regression=-1"]).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! Micro-benchmarks for the predictor replay path: AoS event replay vs
+//! Micro-benchmarks for the predictor replay path: retirement replay vs
 //! the columnar value-event scan, the 1/2/4/8-shard parallel merge, and
 //! the fused sweep matrix vs a per-cell replay loop.
 //!
@@ -9,12 +9,11 @@
 //!
 //! Captures one reference-input trace (reusing `--trace-cache=DIR`
 //! across runs when given), then replays it repeatedly through the §5.2
-//! hardware-baseline predictor four ways:
+//! hardware-baseline predictor three ways:
 //!
-//! - `aos`: materialised `Vec<TraceEvent>` through the full retirement
-//!   tracer glue (the pre-columnar path),
-//! - `columnar-replay`: the columnar trace through the same tracer glue
-//!   (reconstruction cost without the `Vec<TraceEvent>` materialisation),
+//! - `columnar-replay`: the columnar trace through the full retirement
+//!   tracer glue ([`vp_sim::Trace::replay`] into a
+//!   [`provp_core::PredictorTracer`]),
 //! - `columnar-1shard`: the sequential value-event scan of a
 //!   [`provp_core::ReplayRequest`],
 //! - `columnar-Nshard`: the PC-sharded parallel scan at 2/4/8 shards.
@@ -28,8 +27,8 @@
 //!
 //! Every variant's [`vp_predictor::PredictorStats`] are asserted equal
 //! before timing starts — the bench doubles as an end-to-end check that
-//! sharding and matrix fusion are bit-identical to a sequential
-//! per-cell replay.
+//! sharding and matrix fusion are bit-identical to the retirement
+//! replay and to a sequential per-cell replay.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -39,7 +38,7 @@ use provp_bench::micro::{black_box, Group};
 use provp_core::{PredictorTracer, ReplayRequest, SweepPlan, TraceStore};
 use vp_obs::obs_error;
 use vp_predictor::{ClassifierKind, PredictorConfig, TableGeometry};
-use vp_sim::{replay, RunLimits, Trace, TraceEvent};
+use vp_sim::{RunLimits, Trace};
 use vp_workloads::{InputSet, Workload, WorkloadKind};
 
 /// The sweep-matrix cells of the comparison group: the §5.2 baseline
@@ -127,7 +126,6 @@ fn main() {
             .expect("capture"),
         None => Arc::new(Trace::capture(&program, RunLimits::default()).expect("capture")),
     };
-    let events: Vec<TraceEvent> = trace.iter().collect();
     let config = PredictorConfig::spec_table_stride_fsm();
     println!(
         "micro-replay: {kind}, {} events ({} with a destination value), {jobs} jobs",
@@ -146,31 +144,26 @@ fn main() {
             .outcome
     };
 
-    // Cross-check first: every variant must produce identical statistics.
-    let mut aos = PredictorTracer::new(config.build());
-    replay(&program, &events, &mut aos).expect("aos replay");
-    let baseline = *aos.stats();
-    for shards in [1usize, 2, 4, 8] {
-        let out = single(shards, jobs);
-        assert_eq!(
-            out.stats, baseline,
-            "{shards}-shard replay diverged from the AoS baseline"
-        );
-    }
-
-    let mut group = Group::new("replay").samples(10);
-    group.bench("aos", || {
-        let mut tracer = PredictorTracer::new(config.build());
-        replay(&program, &events, &mut tracer).expect("aos replay");
-        black_box(tracer.stats().hits)
-    });
-    group.bench("columnar-replay", || {
+    let retirement_replay = || {
         let mut tracer = PredictorTracer::new(config.build());
         trace
             .replay(&program, &mut tracer)
             .expect("columnar replay");
-        black_box(tracer.stats().hits)
-    });
+        *tracer.stats()
+    };
+
+    // Cross-check first: every variant must produce identical statistics.
+    let baseline = retirement_replay();
+    for shards in [1usize, 2, 4, 8] {
+        let out = single(shards, jobs);
+        assert_eq!(
+            out.stats, baseline,
+            "{shards}-shard replay diverged from the retirement replay"
+        );
+    }
+
+    let mut group = Group::new("replay").samples(10);
+    group.bench("columnar-replay", || black_box(retirement_replay().hits));
     group.bench("columnar-1shard", || black_box(single(1, 1).stats.hits));
     for shards in [2usize, 4, 8] {
         group.bench(&format!("columnar-{shards}shard"), || {

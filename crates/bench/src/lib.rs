@@ -42,21 +42,18 @@
 //!                            Chrome `trace_event` JSON file (open in
 //!                            Perfetto or chrome://tracing) after the run
 //! --sample-ms=N              snapshot every counter/gauge every N ms on
-//!                            a background thread and embed the series as
-//!                            the `samples` array of a
-//!                            `provp-run-manifest/v2` manifest
+//!                            the background ticker thread and embed the
+//!                            series as the manifest's `samples` array
 //! --attribution              classify every predictor misprediction by
 //!                            per-PC cause and embed the result as the
-//!                            `attribution` array of a
-//!                            `provp-run-manifest/v3` manifest (see
+//!                            manifest's `attribution` array (see
 //!                            OBSERVABILITY.md)
 //! --attribution-top=N        PCs exported per attributed run, hottest
 //!                            mispredictors first (default 20; 0 = all)
 //! --profile-hz=N             sample every thread's open-span stack N
-//!                            times per second on a background profiler
+//!                            times per second on the background ticker
 //!                            thread and embed the folded result as the
-//!                            `profile` section of a
-//!                            `provp-run-manifest/v4` manifest
+//!                            manifest's `profile` section
 //! --profile-out=FILE         write the collapsed-stack samples to FILE
 //!                            (`a;b;c <count>` lines) plus a rendered
 //!                            flamegraph SVG next to it (FILE with a
@@ -68,7 +65,7 @@
 //!
 //! With none of the observability flags set, the layer stays passive
 //! and stdout is byte-identical to an uninstrumented run — the event
-//! ring, sampler and exporters only write to the requested files and to
+//! ring, ticker and exporters only write to the requested files and to
 //! stderr, never stdout. Diagnostics on stderr are level-filtered via
 //! `PROVP_LOG=error|warn|info|debug` (default `warn`).
 
@@ -105,17 +102,15 @@ pub struct Options {
     /// anywhere (also enables the in-memory event ring).
     pub trace_out: Option<PathBuf>,
     /// Mid-run registry sampling cadence in milliseconds, if sampling
-    /// was requested (promotes the manifest to schema v2).
+    /// was requested.
     pub sample_ms: Option<u64>,
-    /// Whether to collect per-PC misprediction attribution (promotes the
-    /// manifest to schema v3). Observation-only: stdout stays
-    /// byte-identical either way.
+    /// Whether to collect per-PC misprediction attribution.
+    /// Observation-only: stdout stays byte-identical either way.
     pub attribution: bool,
     /// PCs exported per attributed run (0 = all).
     pub attribution_top: usize,
-    /// Span-stack sampling cadence in Hz, if profiling was requested
-    /// (promotes the manifest to schema v4). Observation-only: stdout
-    /// stays byte-identical either way.
+    /// Span-stack sampling cadence in Hz, if profiling was requested.
+    /// Observation-only: stdout stays byte-identical either way.
     pub profile_hz: Option<u32>,
     /// Where to write the collapsed-stack profile (and, next to it, the
     /// flamegraph SVG), if anywhere. Requires `profile_hz`.
@@ -278,8 +273,8 @@ impl Options {
 /// builds the suite, executes `body` under a root span named after the
 /// binary, and — when the observability flags ask for it — folds the
 /// suite's trace-store statistics into the metric registry, records the
-/// event stream, samples the registry mid-run and emits the run
-/// manifest and Chrome trace.
+/// event stream, samples the registry and span stacks mid-run and emits
+/// the run manifest and Chrome trace.
 ///
 /// With no observability flags set this adds nothing observable: no
 /// files, no stderr, and stdout exactly as `body` printed it.
@@ -299,35 +294,37 @@ pub fn run_experiment_with(bin: &'static str, opts: &Options, body: impl FnOnce(
         provp_core::attribution::enable(opts.attribution_top);
     }
     let suite = opts.suite();
-    // The sampler hook republishes the trace store's lock-consistent
-    // counter block right before every snapshot (on the sampler thread),
-    // so invariants like `memory_hits + misses == requests` hold in
-    // every sample, not just at end of run. Publishing is idempotent
-    // (`record_absolute`), so the hook and the end-of-run publish never
-    // double count.
-    let sampler = opts.sample_ms.map(|ms| {
-        let store = suite.trace_store();
-        vp_obs::Sampler::start_with_hook(
-            std::time::Duration::from_millis(ms),
-            vp_obs::global(),
-            move || publish_trace_store_stats(&store.stats()),
-        )
-    });
-    // The profiler must arm before the root span opens: span-stack
+    // The ticker must start before the root span opens: span-stack
     // mirroring only covers spans pushed after arming, so starting it
-    // here makes every sample a full `bin/...` path.
-    let profiler = opts.profile_hz.map(vp_obs::Profiler::start);
+    // here makes every stack sample a full `bin/...` path. Its hook
+    // republishes the trace store's lock-consistent counter block right
+    // before every registry snapshot, so invariants like `memory_hits +
+    // misses == requests` hold in every sample, not just at end of run.
+    // Publishing is idempotent (`record_absolute`), so the hook and the
+    // end-of-run publish never double count.
+    let ticker = (opts.sample_ms.is_some() || opts.profile_hz.is_some()).then(|| {
+        let schedule = vp_obs::Schedule {
+            sample_every: opts.sample_ms.map(std::time::Duration::from_millis),
+            profile_hz: opts.profile_hz,
+            ..vp_obs::Schedule::default()
+        };
+        let store = suite.trace_store();
+        let hook = move || publish_trace_store_stats(&store.stats());
+        vp_obs::Ticker::start(schedule, vp_obs::global(), hook).unwrap_or_else(|e| {
+            obs_error!("failed to start the sampling thread: {e}");
+            std::process::exit(1);
+        })
+    });
     vp_obs::events::instant("experiment.start", 0);
     {
         let _root = vp_obs::span(bin);
         body(opts, &suite);
     }
     vp_obs::events::instant("experiment.finish", 0);
-    let profile = profiler.map(vp_obs::Profiler::stop);
-    let samples = sampler.map_or_else(Vec::new, vp_obs::Sampler::stop);
+    let vp_obs::Harvest { samples, profile } = ticker.map(vp_obs::Ticker::stop).unwrap_or_default();
     // Drain + export the event stream *before* the manifest snapshot so
     // `trace.dropped_events` lands in the manifest's counters (the
-    // profiler's stop already published `profiler.samples` /
+    // ticker's stop already published `profiler.samples` /
     // `profiler.dropped_samples` the same way).
     emit_trace(opts);
     emit_profile(opts, profile.as_ref());

@@ -14,7 +14,7 @@ use std::path::Path;
 use std::process::Command;
 
 use vp_obs::json::Json;
-use vp_obs::{RunManifest, SCHEMA_V2, SCHEMA_V3, SCHEMA_V4};
+use vp_obs::{RunManifest, SCHEMA_V4};
 
 const ARGS: &[&str] = &["--workloads=compress,ijpeg", "--train-runs=2", "--jobs=2"];
 
@@ -106,21 +106,24 @@ fn metrics_out_leaves_stdout_byte_identical() {
         manifest.gauges.get("predictor.occupancy.max").copied() > Some(0),
         "table occupancy observed"
     );
-    // Without --attribution the manifest carries no attribution array
-    // (and therefore stays at a pre-v3 schema).
+    // Without --attribution the manifest carries no attribution array.
     assert!(manifest.attribution.is_empty(), "attribution is opt-in");
-    assert_ne!(manifest.schema(), SCHEMA_V3);
 }
 
 fn parse_manifest(path: &Path) -> RunManifest {
     let text = std::fs::read_to_string(path).expect("manifest written");
     assert!(text.ends_with('\n'), "manifest ends with newline");
+    // Every manifest is written under the one schema, flags or not.
+    assert!(
+        text.contains(&format!(r#""schema":"{SCHEMA_V4}""#)),
+        "manifest is written as {SCHEMA_V4}"
+    );
     RunManifest::parse(text.trim_end()).expect("manifest parses")
 }
 
 /// Full observability run: `--trace-out` + `--sample-ms` + `--metrics-out`
 /// together must still leave experiment stdout byte-identical, while
-/// producing a v2 manifest whose time series is internally consistent and
+/// producing a manifest whose time series is internally consistent and
 /// a Chrome trace that satisfies the `trace_event` validity contract
 /// (every `B` matched by an `E` on its thread, timestamps monotone per
 /// thread).
@@ -146,10 +149,9 @@ fn trace_and_samples_leave_stdout_byte_identical() {
         "--trace-out/--sample-ms must not change experiment stdout"
     );
 
-    // -- v2 manifest with an internally consistent time series --
+    // -- manifest with an internally consistent time series --
     let manifest = parse_manifest(&manifest_path);
     std::fs::remove_file(&manifest_path).unwrap();
-    assert_eq!(manifest.schema(), SCHEMA_V2, "samples promote to v2");
     assert!(
         manifest.samples.len() >= 2,
         "immediate + final samples guarantee >= 2 points, got {}",
@@ -238,8 +240,8 @@ fn assert_chrome_trace_valid(doc: &str) -> Vec<String> {
 }
 
 /// The per-PC attribution layer end to end: `--attribution` must leave
-/// experiment stdout byte-identical, promote the manifest to schema v3,
-/// produce attribution tables that are byte-identical between `--jobs=1`
+/// experiment stdout byte-identical, add the manifest's `attribution`
+/// array, produce attribution tables that are byte-identical between `--jobs=1`
 /// and `--jobs=2` (shard-merge determinism), reconcile exactly with the
 /// aggregate predictor counters, and render through `attribution-report`
 /// in all three formats.
@@ -277,7 +279,6 @@ fn attribution_is_deterministic_and_reconciles() {
     let m1 = parse_manifest(&path_j1);
     std::fs::remove_file(&path_j1).unwrap();
 
-    assert_eq!(m2.schema(), SCHEMA_V3, "attribution promotes to v3");
     assert!(!m2.attribution.is_empty(), "attribution collected");
 
     // Shard-merge determinism: the attribution arrays at jobs=1 and
@@ -370,8 +371,8 @@ fn attribution_is_deterministic_and_reconciles() {
 }
 
 /// The sampling profiler end to end: `--profile-hz`/`--profile-out` must
-/// leave experiment stdout byte-identical, promote the manifest to
-/// schema v4 with an internally consistent `profile` section, write a
+/// leave experiment stdout byte-identical, add an internally consistent
+/// `profile` section to the manifest, write a
 /// collapsed-stack file that round-trips through the flamegraph renderer
 /// deterministically (the re-rendered SVG is byte-identical to the one
 /// the binary wrote), and publish the `profiler.*` loss counters.
@@ -399,10 +400,9 @@ fn profiler_leaves_stdout_byte_identical() {
         "--profile-hz/--profile-out must not change experiment stdout"
     );
 
-    // -- v4 manifest with a consistent profile section --
+    // -- manifest with a consistent profile section --
     let manifest = parse_manifest(&manifest_path);
     std::fs::remove_file(&manifest_path).unwrap();
-    assert_eq!(manifest.schema(), SCHEMA_V4, "profile promotes to v4");
     let profile = manifest.profile.as_ref().expect("profile section present");
     assert_eq!(profile.hz, 199);
     assert!(profile.samples > 0, "a multi-second run must be sampled");

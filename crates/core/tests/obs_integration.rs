@@ -8,7 +8,7 @@ use std::thread;
 use std::time::Duration;
 
 use provp_core::{parallel_map, TraceStore};
-use vp_obs::{Registry, Sampler};
+use vp_obs::{Registry, Schedule, Ticker};
 use vp_sim::RunLimits;
 use vp_workloads::{InputSet, WorkloadKind};
 
@@ -134,7 +134,7 @@ fn concurrent_stats_snapshots_never_lose_requests() {
     assert_eq!(end.memory_hits + end.misses, end.requests);
 }
 
-/// The real [`Sampler`] + pre-sample-hook pipeline preserves the trace
+/// The real [`Ticker`] + pre-sample-hook pipeline preserves the trace
 /// store's balance invariant in *every* emitted sample: the hook
 /// publishes an internally-consistent `TraceStore::stats` block (one
 /// lock, one snapshot) into the sampled registry right before each
@@ -151,7 +151,11 @@ fn sampler_hook_keeps_trace_store_invariant_in_every_sample() {
         let requests = registry.counter_cell("trace_store.requests");
         let hits = registry.counter_cell("trace_store.memory_hits");
         let misses = registry.counter_cell("trace_store.misses");
-        Sampler::start_with_hook(Duration::from_millis(1), registry, move || {
+        let schedule = Schedule {
+            sample_every: Some(Duration::from_millis(1)),
+            ..Schedule::default()
+        };
+        Ticker::start(schedule, registry, move || {
             // One consistent snapshot, published idempotently: stats are
             // monotone, so fetch_max republishes without double counting.
             let s = store.stats();
@@ -159,6 +163,7 @@ fn sampler_hook_keeps_trace_store_invariant_in_every_sample() {
             hits.fetch_max(s.memory_hits, Ordering::Relaxed);
             misses.fetch_max(s.misses, Ordering::Relaxed);
         })
+        .expect("ticker thread starts")
     };
 
     thread::scope(|scope| {
@@ -182,7 +187,7 @@ fn sampler_hook_keeps_trace_store_invariant_in_every_sample() {
         }
     });
 
-    let samples = sampler.stop();
+    let samples = sampler.stop().samples;
     assert!(samples.len() >= 2, "series must hold >= 2 points");
     let counter = |s: &vp_obs::Sample, k: &str| s.counters.get(k).copied().unwrap_or(0);
     for s in &samples {

@@ -31,23 +31,22 @@
 //!   `trace_event` JSON document ([`chrome`]) loadable in Perfetto.
 //!   Disabled by default; when the ring overflows it drops the *oldest*
 //!   events and reports the loss (`trace.dropped_events`).
-//! - **Sampling** ([`sampler`]) — a background thread snapshotting the
-//!   counter/gauge registry mid-run, embedded as the `samples` series of
-//!   a `provp-run-manifest/v2` document (v1 documents stay valid and
-//!   byte-identical on round-trip).
-//! - **Profiling** ([`profiler`], [`flame`]) — a background thread
-//!   sampling every worker's open-span stack at `--profile-hz`, folded
-//!   on shutdown into collapsed stacks (`a;b;c <count>`), a
-//!   zero-dependency flamegraph SVG and the `profile` section of a
-//!   `provp-run-manifest/v4` document that `manifest-diff` can blame
-//!   and `metrics-check` can gate.
+//! - **Sampling** ([`sampler`]) — one background [`Ticker`] thread that
+//!   snapshots the counter/gauge registry mid-run (the manifest's
+//!   `samples` series) and samples every worker's open-span stack at
+//!   `--profile-hz` ([`profiler`]).
+//! - **Profiling** ([`profiler`], [`flame`]) — the span-stack samples,
+//!   folded on shutdown into collapsed stacks (`a;b;c <count>`), a
+//!   zero-dependency flamegraph SVG and the manifest's `profile`
+//!   section that `manifest-diff` can blame and `metrics-check` can
+//!   gate.
 //! - **Diffing** ([`diff`]) — attribution of wall-clock and counter
 //!   deltas between two manifests, powering the `manifest-diff` binary
 //!   and CI regression blame tables.
 //! - **Prediction attribution** ([`attribution`]) — passive per-PC
 //!   misprediction-cause and profile-drift results, embedded as the
-//!   `attribution` array of a `provp-run-manifest/v3` document and
-//!   rendered by the `attribution-report` binary.
+//!   manifest's `attribution` array and rendered by the
+//!   `attribution-report` binary.
 //!
 //! Instrumentation is observation-only by design: nothing in this crate
 //! writes to stdout, and nothing feeds back into simulation results, so
@@ -90,11 +89,9 @@ pub use diff::ManifestDiff;
 pub use export::{print_table, render_table, write_manifest};
 pub use flame::flamegraph_svg;
 pub use log::Level;
-pub use manifest::{
-    HotStack, PhaseShare, ProfileSection, RunManifest, SCHEMA_V1, SCHEMA_V2, SCHEMA_V3, SCHEMA_V4,
-};
+pub use manifest::{HotStack, PhaseShare, ProfileSection, RunManifest, SCHEMA_V4};
 pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram};
-pub use profiler::{Profile, Profiler};
+pub use profiler::Profile;
 pub use registry::{global, Registry, Snapshot, SpanStat};
-pub use sampler::{Sample, Sampler};
+pub use sampler::{Harvest, Sample, Schedule, Ticker};
 pub use span::{span, SpanGuard};

@@ -4,11 +4,11 @@
 //! profiler says **where wall time concentrates** while costing nothing
 //! when it is off. Every thread that opens a [`crate::span`] maintains a
 //! lock-free, seqlock-published mirror of its open-span stack
-//! ([`ThreadStack`]); a background [`Profiler`] thread periodically
-//! snapshots every registered thread's stack into bounded per-thread
-//! ring buffers (drop-oldest, accounted by the
+//! ([`ThreadStack`]); the background [`crate::Ticker`] thread
+//! periodically snapshots every registered thread's stack into bounded
+//! per-thread ring buffers (drop-oldest, accounted by the
 //! `profiler.dropped_samples` counter — the same loss discipline as the
-//! event ring) and, on [`Profiler::stop`], folds the samples into
+//! event ring) and, on [`crate::Ticker::stop`], folds the samples into
 //! collapsed-stack form (`a;b;c <count>`), ready for the flamegraph
 //! renderer ([`crate::flame`]) and the manifest's `profile` section.
 //!
@@ -16,12 +16,12 @@
 //!
 //! - **Off (the default):** span guards pay one relaxed atomic load and
 //!   a branch per push/pop — stack publishing only arms when the first
-//!   [`Profiler`] starts, and stays armed for the process lifetime so a
-//!   mid-run stop/start can never tear stack prefixes.
+//!   profiling [`crate::Ticker`] starts, and stays armed for the process
+//!   lifetime so a mid-run stop/start can never tear stack prefixes.
 //! - **On:** push/pop additionally write the thread-owned seqlock'd
 //!   frame array (a handful of relaxed stores on the thread's own cache
 //!   line) and intern the (static) span name once per push. Nothing in
-//!   the hot path blocks on the profiler thread.
+//!   the hot path blocks on the ticker thread.
 //! - **Snapshots are observation-only:** a reader that races a writer
 //!   retries a few times and then *skips* the sample (counted by
 //!   `profiler.torn_snapshots`), so a published stack is always a
@@ -32,19 +32,15 @@
 //! mirror too, so worker samples fold under the same hierarchical stack
 //! a serial run would produce.
 //!
-//! Arm the profiler (*start it*) before opening the spans it should
-//! see: spans already open when the first profiler starts are invisible
-//! to the mirror (their pops are ignored by saturation, so later
-//! samples stay prefix-valid, merely shallower). The bench harness
-//! starts the profiler before its root span, which satisfies this.
+//! Arm the profiler (*start a profiling ticker*) before opening the spans
+//! it should see: spans already open when the first one starts are
+//! invisible to the mirror (their pops are ignored by saturation, so
+//! later samples stay prefix-valid, merely shallower). The bench harness
+//! starts its ticker before its root span, which satisfies this.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-use crate::sampler::StopSignal;
 
 /// Maximum stack depth mirrored per thread; deeper nesting is recorded
 /// truncated (the true depth keeps counting, so pops stay balanced and
@@ -103,7 +99,7 @@ fn resolve(id: u32) -> Option<&'static str> {
 // ---------------------------------------------------------------------------
 
 /// One thread's published span stack. Written only by the owning thread
-/// (push/pop/adopt), read by profiler threads through the seqlock.
+/// (push/pop/adopt), read by the ticker thread through the seqlock.
 pub(crate) struct ThreadStack {
     /// Event-stream thread id (shared with Chrome-trace `tid`s).
     tid: u64,
@@ -115,7 +111,7 @@ pub(crate) struct ThreadStack {
     frames: [AtomicU32; MAX_FRAMES],
     /// Adopted base path (slash-separated), for `parallel_map` workers.
     base: Mutex<Option<String>>,
-    /// Set when the owning thread exits; the profiler prunes dead stacks.
+    /// Set when the owning thread exits; the ticker prunes dead stacks.
     dead: AtomicBool,
 }
 
@@ -208,9 +204,14 @@ impl ThreadStack {
 // Registry of live thread stacks + span-guard hooks
 // ---------------------------------------------------------------------------
 
-/// Armed once the first [`Profiler`] starts; never disarmed (see the
-/// module docs for why stickiness matters).
+/// Armed once the first profiling ticker starts; never disarmed (see
+/// the module docs for why stickiness matters).
 static ACTIVE: AtomicBool = AtomicBool::new(false);
+
+/// Arms span-stack mirroring process-wide (sticky).
+pub(crate) fn arm() {
+    ACTIVE.store(true, Ordering::Release);
+}
 
 fn threads() -> &'static Mutex<Vec<Arc<ThreadStack>>> {
     static THREADS: OnceLock<Mutex<Vec<Arc<ThreadStack>>>> = OnceLock::new();
@@ -278,7 +279,7 @@ pub(crate) fn stack_set_base(base: Option<&str>) {
 }
 
 // ---------------------------------------------------------------------------
-// The profiler thread
+// Stack samples and their folding
 // ---------------------------------------------------------------------------
 
 /// One recorded stack sample (interned base + frame ids).
@@ -286,11 +287,6 @@ struct SampleRec {
     /// Id into the run-local base-path interner.
     base: Option<u32>,
     frames: Vec<u32>,
-}
-
-/// A bounded drop-oldest ring of one thread's samples.
-struct Ring {
-    buf: VecDeque<SampleRec>,
 }
 
 /// The folded result of one profiling run.
@@ -409,188 +405,125 @@ impl Profile {
     }
 }
 
-/// A background span-stack sampler; collect the folded profile with
-/// [`Profiler::stop`].
-pub struct Profiler {
-    shared: Arc<StopSignal>,
-    handle: Option<JoinHandle<Profile>>,
+/// The span-stack half of a [`crate::Ticker`]: bounded drop-oldest
+/// rings of stack samples, one per thread, folded into a [`Profile`]
+/// when the ticker stops.
+pub(crate) struct StackRings {
+    hz: u32,
+    capacity: usize,
+    rings: BTreeMap<u64, VecDeque<SampleRec>>,
+    /// Run-local interner of adopted base paths.
+    bases: Vec<String>,
+    base_ids: HashMap<String, u32>,
+    dropped: u64,
 }
 
-impl Profiler {
-    /// Default per-thread ring capacity (samples, not bytes): ~11
-    /// minutes of samples per thread at 99 Hz before drop-oldest.
-    pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
-
-    /// Starts sampling every registered thread's span stack at `hz`
-    /// (clamped to ≥ 1). Arms stack mirroring process-wide; start the
-    /// profiler *before* opening the spans it should attribute.
-    #[must_use]
-    pub fn start(hz: u32) -> Profiler {
-        Profiler::start_with_capacity(hz, Profiler::DEFAULT_RING_CAPACITY)
-    }
-
-    /// Like [`Profiler::start`] with an explicit per-thread ring
-    /// capacity (tests use tiny rings to exercise drop-oldest).
-    #[must_use]
-    pub fn start_with_capacity(hz: u32, ring_capacity: usize) -> Profiler {
-        let hz = hz.max(1);
-        let ring_capacity = ring_capacity.max(1);
-        ACTIVE.store(true, Ordering::Release);
-        let shared = StopSignal::new();
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("vp-obs-profiler".to_owned())
-            .spawn(move || run(&thread_shared, hz, ring_capacity))
-            .expect("spawn profiler thread");
-        Profiler {
-            shared,
-            handle: Some(handle),
+impl StackRings {
+    pub(crate) fn new(hz: u32, capacity: usize) -> StackRings {
+        StackRings {
+            hz,
+            capacity: capacity.max(1),
+            rings: BTreeMap::new(),
+            bases: Vec::new(),
+            base_ids: HashMap::new(),
+            dropped: 0,
         }
     }
 
-    /// Stops the profiler and folds the retained samples.
-    #[must_use]
-    pub fn stop(mut self) -> Profile {
-        self.shared.signal();
-        match self.handle.take() {
-            Some(handle) => handle.join().unwrap_or_default(),
-            None => Profile::default(),
-        }
-    }
-}
-
-impl Drop for Profiler {
-    fn drop(&mut self) {
-        // A dropped (not `stop`ped) profiler must not leave its thread
-        // running; the samples are discarded.
-        self.shared.signal();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn run(shared: &StopSignal, hz: u32, ring_capacity: usize) -> Profile {
-    let interval = Duration::from_secs_f64(1.0 / f64::from(hz));
-    let mut rings: BTreeMap<u64, Ring> = BTreeMap::new();
-    let mut bases: Vec<String> = Vec::new();
-    let mut base_ids: HashMap<String, u32> = HashMap::new();
-    let mut dropped = 0u64;
-    loop {
-        tick(
-            &mut rings,
-            &mut bases,
-            &mut base_ids,
-            ring_capacity,
-            &mut dropped,
-        );
-        if shared.wait(interval) {
-            break;
-        }
-    }
-    fold(hz, rings, &bases, dropped)
-}
-
-/// One profiler tick: snapshot every live stack, record non-empty
-/// samples, track the loss counters and the sampled-RSS max gauge.
-fn tick(
-    rings: &mut BTreeMap<u64, Ring>,
-    bases: &mut Vec<String>,
-    base_ids: &mut HashMap<String, u32>,
-    ring_capacity: usize,
-    dropped: &mut u64,
-) {
-    let stacks: Vec<Arc<ThreadStack>> = {
-        let mut list = threads().lock().expect("thread-stack registry poisoned");
-        // Dead threads can never publish again; their retained samples
-        // already live in this profiler's rings.
-        list.retain(|s| !s.dead.load(Ordering::Acquire));
-        list.clone()
-    };
-    for stack in stacks {
-        let Some((base, frames)) = stack.sample() else {
-            continue;
+    /// One profile tick: snapshot every live stack, record non-empty
+    /// samples, track the loss counters and the sampled-RSS max gauge.
+    pub(crate) fn tick(&mut self) {
+        let stacks: Vec<Arc<ThreadStack>> = {
+            let mut list = threads().lock().expect("thread-stack registry poisoned");
+            // Dead threads can never publish again; their retained
+            // samples already live in these rings.
+            list.retain(|s| !s.dead.load(Ordering::Acquire));
+            list.clone()
         };
-        if base.is_none() && frames.is_empty() {
-            continue; // outside all spans: nothing to attribute
-        }
-        let base = base.map(|b| match base_ids.get(&b) {
-            Some(&id) => id,
-            None => {
-                let id = u32::try_from(bases.len()).expect("base count fits u32");
-                base_ids.insert(b.clone(), id);
-                bases.push(b);
-                id
+        for stack in stacks {
+            let Some((base, frames)) = stack.sample() else {
+                continue;
+            };
+            if base.is_none() && frames.is_empty() {
+                continue; // outside all spans: nothing to attribute
             }
-        });
-        let ring = rings.entry(stack.tid).or_insert_with(|| Ring {
-            buf: VecDeque::new(),
-        });
-        if ring.buf.len() >= ring_capacity {
-            ring.buf.pop_front();
-            *dropped += 1;
-            crate::counter("profiler.dropped_samples").inc();
+            let base = base.map(|b| match self.base_ids.get(&b) {
+                Some(&id) => id,
+                None => {
+                    let id = u32::try_from(self.bases.len()).expect("base count fits u32");
+                    self.base_ids.insert(b.clone(), id);
+                    self.bases.push(b);
+                    id
+                }
+            });
+            let ring = self.rings.entry(stack.tid).or_default();
+            if ring.len() >= self.capacity {
+                ring.pop_front();
+                self.dropped += 1;
+                crate::counter("profiler.dropped_samples").inc();
+            }
+            ring.push_back(SampleRec { base, frames });
         }
-        ring.buf.push_back(SampleRec { base, frames });
+        crate::counter("profiler.ticks").inc();
+        // Satellite of the same tick: the true transient RSS peak, not
+        // just the end-of-run procfs high-water mark.
+        let rss = crate::rss::current_rss_bytes();
+        if rss > 0 {
+            crate::gauge("rss.sampled_peak_bytes").set_max(rss);
+        }
     }
-    crate::counter("profiler.ticks").inc();
-    // Satellite of the same tick: the true transient RSS peak, not just
-    // the end-of-run procfs high-water mark.
-    let rss = crate::rss::current_rss_bytes();
-    if rss > 0 {
-        crate::gauge("rss.sampled_peak_bytes").set_max(rss);
-    }
-}
 
-fn fold(hz: u32, rings: BTreeMap<u64, Ring>, bases: &[String], dropped: u64) -> Profile {
-    let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-    let mut samples = 0u64;
-    let mut threads_seen = 0u64;
-    for ring in rings.values() {
-        let mut contributed = false;
-        'rec: for rec in &ring.buf {
-            let mut key = String::new();
-            if let Some(b) = rec.base {
-                // Base paths are slash-separated span hierarchies;
-                // re-split so folded frames stay one span per frame.
-                for frame in bases[b as usize].split('/') {
+    /// Folds the retained samples into collapsed stacks.
+    pub(crate) fn fold(self) -> Profile {
+        let mut folded: BTreeMap<String, u64> = BTreeMap::new();
+        let mut samples = 0u64;
+        let mut threads_seen = 0u64;
+        for ring in self.rings.values() {
+            let mut contributed = false;
+            'rec: for rec in ring {
+                let mut key = String::new();
+                if let Some(b) = rec.base {
+                    // Base paths are slash-separated span hierarchies;
+                    // re-split so folded frames stay one span per frame.
+                    for frame in self.bases[b as usize].split('/') {
+                        if !key.is_empty() {
+                            key.push(';');
+                        }
+                        key.push_str(frame);
+                    }
+                }
+                for &id in &rec.frames {
+                    let Some(name) = resolve(id) else {
+                        continue 'rec; // torn id: skip, never mis-attribute
+                    };
                     if !key.is_empty() {
                         key.push(';');
                     }
-                    key.push_str(frame);
+                    key.push_str(name);
                 }
-            }
-            for &id in &rec.frames {
-                let Some(name) = resolve(id) else {
-                    continue 'rec; // torn id: skip, never mis-attribute
-                };
-                if !key.is_empty() {
-                    key.push(';');
+                if key.is_empty() {
+                    continue;
                 }
-                key.push_str(name);
+                *folded.entry(key).or_insert(0) += 1;
+                samples += 1;
+                contributed = true;
             }
-            if key.is_empty() {
-                continue;
+            if contributed {
+                threads_seen += 1;
             }
-            *folded.entry(key).or_insert(0) += 1;
-            samples += 1;
-            contributed = true;
         }
-        if contributed {
-            threads_seen += 1;
+        // Publish the retained/dropped totals so the manifest and the
+        // --metrics-table footer can report the loss channel even when
+        // the folded output goes unexported.
+        crate::counter("profiler.samples").record_absolute(samples);
+        crate::counter("profiler.dropped_samples").record_absolute(self.dropped);
+        Profile {
+            hz: self.hz,
+            samples,
+            dropped: self.dropped,
+            threads: threads_seen,
+            folded,
         }
-    }
-    // Publish the retained/dropped totals so the manifest and the
-    // --metrics-table footer can report the loss channel even when the
-    // folded output goes unexported.
-    crate::counter("profiler.samples").record_absolute(samples);
-    crate::counter("profiler.dropped_samples").record_absolute(dropped);
-    Profile {
-        hz,
-        samples,
-        dropped,
-        threads: threads_seen,
-        folded,
     }
 }
 
@@ -713,14 +646,23 @@ mod tests {
         assert!(s.phases.is_empty());
     }
 
+    fn profile_with(hz: u32, ring_capacity: Option<usize>, body: impl FnOnce()) -> Profile {
+        let schedule = crate::sampler::Schedule {
+            profile_hz: Some(hz),
+            ring_capacity,
+            ..crate::sampler::Schedule::default()
+        };
+        let ticker = crate::Ticker::start(schedule, crate::global(), || {}).unwrap();
+        body();
+        ticker.stop().profile.expect("profiling was scheduled")
+    }
+
     #[test]
     fn profiler_samples_spans_end_to_end() {
-        let profiler = Profiler::start(500);
-        {
+        let profile = profile_with(500, None, || {
             let _g = crate::span("profiler-e2e-root");
-            std::thread::sleep(Duration::from_millis(40));
-        }
-        let profile = profiler.stop();
+            std::thread::sleep(std::time::Duration::from_millis(40));
+        });
         assert!(profile.samples > 0, "a 40 ms span at 500 Hz must be seen");
         assert!(
             profile
@@ -734,12 +676,10 @@ mod tests {
 
     #[test]
     fn tiny_rings_drop_oldest_and_count() {
-        let profiler = Profiler::start_with_capacity(1000, 2);
-        {
+        let profile = profile_with(1000, Some(2), || {
             let _g = crate::span("profiler-drop-test");
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        let profile = profiler.stop();
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        });
         assert!(
             profile.dropped > 0,
             "a 2-slot ring at 1 kHz over 50 ms must drop"

@@ -1,18 +1,24 @@
-//! Mid-run time-series sampling of the metric registry.
+//! The one background observation thread: mid-run registry snapshots
+//! and span-stack samples.
 //!
 //! End-of-run aggregates say *that* throughput regressed; a time series
-//! says *when*. The [`Sampler`] runs one background thread that
-//! periodically copies every counter and gauge out of a [`Registry`]
-//! into a [`Sample`], producing the `samples` array embedded in a
-//! `provp-run-manifest/v2` document.
+//! says *when*, and a profile says *where*. A [`Ticker`] owns one
+//! background thread that, on its [`Schedule`], copies every counter and
+//! gauge out of a [`Registry`] into a [`Sample`] (the manifest's
+//! `samples` array) and snapshots every thread's open-span stack (the
+//! manifest's `profile` section, see [`crate::profiler`]). Either half
+//! may be off; the harness starts a ticker when `--sample-ms` or
+//! `--profile-hz` asks for one.
 //!
 //! Sampling follows the same rules as the rest of the layer: it never
 //! writes to stdout, never feeds back into experiment results, and is
-//! bounded — at most [`Sampler::MAX_SAMPLES`] snapshots are retained
-//! (the sampler stops recording and warns once beyond that, rather than
-//! growing without limit).
+//! bounded — at most [`Ticker::MAX_SAMPLES`] registry snapshots are
+//! retained (later ones are discarded, counted by
+//! `sampler.discarded_samples` and warned about once), and stack samples
+//! live in drop-oldest per-thread rings of
+//! [`Schedule::ring_capacity`] samples.
 //!
-//! A *pre-sample hook* runs before every snapshot on the sampler
+//! A *pre-sample hook* runs before every registry snapshot on the ticker
 //! thread. The bench harness uses it to publish the trace store's
 //! internally-consistent counter block (`TraceStore::stats` snapshots
 //! all fields under one lock) into the registry right before the copy,
@@ -22,10 +28,12 @@
 //! `t_ms` lines up with the Chrome trace at the same instant.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::io;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use crate::profiler::{Profile, StackRings};
 use crate::registry::Registry;
 
 /// One point-in-time copy of the counter/gauge registry.
@@ -40,152 +48,185 @@ pub struct Sample {
     pub gauges: BTreeMap<String, u64>,
 }
 
-/// Stop/wake plumbing shared by every background observation thread
-/// (the [`Sampler`] here and the [`crate::profiler::Profiler`]): a
-/// mutex-guarded stop flag plus a condvar so `stop()` interrupts the
-/// inter-tick sleep immediately instead of waiting out the interval.
-pub(crate) struct StopSignal {
-    stop: Mutex<bool>,
-    wake: Condvar,
+/// What a [`Ticker`] samples, and how often.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Schedule {
+    /// Registry snapshot interval (clamped to >= 1 ms); `None` takes no
+    /// time series.
+    pub sample_every: Option<Duration>,
+    /// Span-stack samples per second (clamped to >= 1); `None` takes no
+    /// profile.
+    pub profile_hz: Option<u32>,
+    /// Per-thread ring capacity for stack samples; `None` is
+    /// [`Ticker::DEFAULT_RING_CAPACITY`] (tests use tiny rings to
+    /// exercise drop-oldest).
+    pub ring_capacity: Option<usize>,
 }
 
-impl StopSignal {
-    pub(crate) fn new() -> Arc<StopSignal> {
-        Arc::new(StopSignal {
-            stop: Mutex::new(false),
-            wake: Condvar::new(),
+/// What a stopped [`Ticker`] collected.
+#[derive(Debug, Default)]
+pub struct Harvest {
+    /// The registry time series (empty when not scheduled).
+    pub samples: Vec<Sample>,
+    /// The folded span-stack profile (`None` when not scheduled).
+    pub profile: Option<Profile>,
+}
+
+/// The background sampling thread; collect what it gathered with
+/// [`Ticker::stop`].
+pub struct Ticker {
+    /// Dropping the sender wakes the thread from its inter-tick sleep
+    /// and stops it.
+    stop: Option<mpsc::Sender<()>>,
+    handle: Option<JoinHandle<Harvest>>,
+}
+
+impl Ticker {
+    /// Upper bound on retained registry samples (~2 hours at 1 s
+    /// cadence); later samples are discarded so manifests stay bounded.
+    pub const MAX_SAMPLES: usize = 7_200;
+
+    /// Default per-thread ring capacity (samples, not bytes): ~11 minutes
+    /// of stack samples per thread at 99 Hz before drop-oldest.
+    pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+
+    /// Starts the thread. A registry sample and a stack sample are taken
+    /// immediately, and one more registry sample at [`Ticker::stop`], so
+    /// a series always holds at least two points. `hook` runs on the
+    /// ticker thread right before every registry snapshot.
+    ///
+    /// Profiling arms span-stack mirroring process-wide before the
+    /// thread starts: start the ticker *before* opening the spans it
+    /// should attribute.
+    ///
+    /// # Errors
+    ///
+    /// The OS refused to spawn the thread.
+    pub fn start(
+        schedule: Schedule,
+        registry: &'static Registry,
+        hook: impl Fn() + Send + 'static,
+    ) -> io::Result<Ticker> {
+        if schedule.profile_hz.is_some() {
+            crate::profiler::arm();
+        }
+        let (stop, stopped) = mpsc::channel();
+        let handle = std::thread::Builder::new()
+            .name("vp-obs-ticker".to_owned())
+            .spawn(move || run(&stopped, schedule, registry, &hook))?;
+        Ok(Ticker {
+            stop: Some(stop),
+            handle: Some(handle),
         })
     }
 
-    /// Requests shutdown and wakes any thread sleeping in [`wait`].
-    ///
-    /// [`wait`]: StopSignal::wait
-    pub(crate) fn signal(&self) {
-        if let Ok(mut stop) = self.stop.lock() {
-            *stop = true;
-        }
-        self.wake.notify_all();
+    /// Stops the thread, takes the final registry sample and returns
+    /// everything collected.
+    #[must_use]
+    pub fn stop(mut self) -> Harvest {
+        self.join().unwrap_or_default()
     }
 
-    /// Sleeps for up to `interval` (woken early by [`signal`]); returns
-    /// `true` once shutdown has been requested.
-    ///
-    /// [`signal`]: StopSignal::signal
-    pub(crate) fn wait(&self, interval: Duration) -> bool {
-        let stop = self.stop.lock().expect("stop flag poisoned");
-        if *stop {
-            return true;
-        }
-        let (stop, _) = self
-            .wake
-            .wait_timeout(stop, interval)
-            .expect("stop flag poisoned");
-        *stop
+    fn join(&mut self) -> Option<Harvest> {
+        self.stop = None;
+        self.handle.take()?.join().ok()
     }
 }
 
-/// A background registry sampler; collect the series with
-/// [`Sampler::stop`].
-pub struct Sampler {
-    shared: Arc<StopSignal>,
-    handle: Option<JoinHandle<Vec<Sample>>>,
-}
-
-impl Sampler {
-    /// Upper bound on retained samples (~2 hours at 1 s cadence); the
-    /// sampler stops recording beyond it so manifests stay bounded.
-    pub const MAX_SAMPLES: usize = 7_200;
-
-    /// Starts sampling `registry` every `interval`. One sample is taken
-    /// immediately and one more at [`Sampler::stop`], so a series always
-    /// holds at least two points.
-    #[must_use]
-    pub fn start(interval: Duration, registry: &'static Registry) -> Sampler {
-        Sampler::start_with_hook(interval, registry, || {})
-    }
-
-    /// Like [`Sampler::start`], with `hook` invoked on the sampler
-    /// thread immediately before every snapshot (see the module docs).
-    #[must_use]
-    pub fn start_with_hook(
-        interval: Duration,
-        registry: &'static Registry,
-        hook: impl Fn() + Send + 'static,
-    ) -> Sampler {
-        let interval = interval.max(Duration::from_millis(1));
-        let shared = StopSignal::new();
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("vp-obs-sampler".to_owned())
-            .spawn(move || run(&thread_shared, interval, registry, &hook))
-            .expect("spawn sampler thread");
-        Sampler {
-            shared,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stops the sampler, takes one final sample and returns the series.
-    #[must_use]
-    pub fn stop(mut self) -> Vec<Sample> {
-        self.shared.signal();
-        match self.handle.take() {
-            Some(handle) => handle.join().unwrap_or_default(),
-            None => Vec::new(),
-        }
-    }
-}
-
-impl Drop for Sampler {
+impl Drop for Ticker {
     fn drop(&mut self) {
-        // A dropped (not `stop`ped) sampler must not leave a thread
-        // spinning; the series is discarded.
-        self.shared.signal();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        // A dropped (not `stop`ped) ticker must not leave its thread
+        // running; what it collected is discarded.
+        self.join();
+    }
+}
+
+/// One periodic duty of the ticker thread.
+struct Cadence {
+    every: Duration,
+    next: Instant,
+}
+
+impl Cadence {
+    /// Whether the duty is due at `now`; if so, schedules the next one.
+    fn due(&mut self, now: Instant) -> bool {
+        let due = now >= self.next;
+        if due {
+            self.next = now + self.every;
         }
+        due
     }
 }
 
 fn run(
-    shared: &StopSignal,
-    interval: Duration,
+    stopped: &mpsc::Receiver<()>,
+    schedule: Schedule,
     registry: &Registry,
-    hook: &(impl Fn() + ?Sized),
-) -> Vec<Sample> {
+    hook: &dyn Fn(),
+) -> Harvest {
+    let start = Instant::now();
+    let cadence = |every| Cadence { every, next: start };
+    let mut sampling = schedule
+        .sample_every
+        .map(|every| cadence(every.max(Duration::from_millis(1))));
+    let mut profiling = schedule.profile_hz.map(|hz| {
+        let hz = hz.max(1);
+        let every = Duration::from_secs_f64(1.0 / f64::from(hz));
+        let capacity = schedule
+            .ring_capacity
+            .unwrap_or(Ticker::DEFAULT_RING_CAPACITY);
+        (cadence(every), StackRings::new(hz, capacity))
+    });
     let mut samples = Vec::new();
     let mut warned = false;
     loop {
-        if samples.len() < Sampler::MAX_SAMPLES {
-            samples.push(take_sample(registry, hook));
-        } else {
-            // Count every discard so the loss is visible in the manifest
-            // and the --metrics-table footer, not only in the log.
-            registry
-                .counter_cell("sampler.discarded_samples")
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if !warned {
-                warned = true;
-                crate::obs_warn!(
-                    "sampler reached {} samples; later samples are discarded \
-                     (raise --sample-ms to cover longer runs)",
-                    Sampler::MAX_SAMPLES
-                );
+        let now = Instant::now();
+        if sampling.as_mut().is_some_and(|c| c.due(now)) {
+            if samples.len() < Ticker::MAX_SAMPLES {
+                samples.push(take_sample(registry, hook));
+            } else {
+                // Count every discard so the loss is visible in the
+                // manifest and the --metrics-table footer, not only in
+                // the log.
+                registry
+                    .counter_cell("sampler.discarded_samples")
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if !warned {
+                    warned = true;
+                    crate::obs_warn!(
+                        "sampler reached {} samples; later samples are discarded \
+                         (raise --sample-ms to cover longer runs)",
+                        Ticker::MAX_SAMPLES
+                    );
+                }
             }
         }
-        if shared.wait(interval) {
+        if let Some((c, rings)) = profiling.as_mut() {
+            if c.due(now) {
+                rings.tick();
+            }
+        }
+        let next = [sampling.as_ref(), profiling.as_ref().map(|(c, _)| c)]
+            .into_iter()
+            .flatten()
+            .map(|c| c.next)
+            .min()
+            .unwrap_or(now + Duration::from_secs(1));
+        let sleep = next.saturating_duration_since(Instant::now());
+        if !matches!(stopped.recv_timeout(sleep), Err(RecvTimeoutError::Timeout)) {
             break;
         }
     }
+    let profile = profiling.map(|(_, rings)| rings.fold());
     // Final sample so the series always covers the end of the run (and
     // a short run still yields >= 2 points).
-    if samples.len() < Sampler::MAX_SAMPLES + 1 {
+    if sampling.is_some() {
         samples.push(take_sample(registry, hook));
     }
-    samples
+    Harvest { samples, profile }
 }
 
-fn take_sample(registry: &Registry, hook: &(impl Fn() + ?Sized)) -> Sample {
+fn take_sample(registry: &Registry, hook: &dyn Fn()) -> Sample {
     hook();
     let snapshot = registry.snapshot();
     Sample {
@@ -199,18 +240,31 @@ fn take_sample(registry: &Registry, hook: &(impl Fn() + ?Sized)) -> Sample {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn leaked_registry() -> &'static Registry {
         Box::leak(Box::new(Registry::new()))
+    }
+
+    fn start(
+        every: Duration,
+        registry: &'static Registry,
+        hook: impl Fn() + Send + 'static,
+    ) -> Ticker {
+        let schedule = Schedule {
+            sample_every: Some(every),
+            ..Schedule::default()
+        };
+        Ticker::start(schedule, registry, hook).unwrap()
     }
 
     #[test]
     fn collects_at_least_first_and_final_samples() {
         let registry = leaked_registry();
         registry.counter_cell("s.work").store(3, Ordering::Relaxed);
-        let sampler = Sampler::start(Duration::from_millis(5), registry);
+        let ticker = start(Duration::from_millis(5), registry, || {});
         std::thread::sleep(Duration::from_millis(20));
-        let samples = sampler.stop();
+        let samples = ticker.stop().samples;
         assert!(samples.len() >= 2, "got {}", samples.len());
         for s in &samples {
             assert_eq!(s.counters.get("s.work"), Some(&3));
@@ -223,8 +277,9 @@ mod tests {
     #[test]
     fn immediate_stop_still_yields_two_points() {
         let registry = leaked_registry();
-        let sampler = Sampler::start(Duration::from_millis(500), registry);
-        let samples = sampler.stop();
+        let samples = start(Duration::from_millis(500), registry, || {})
+            .stop()
+            .samples;
         assert!(samples.len() >= 2);
     }
 
@@ -234,12 +289,12 @@ mod tests {
         let cell = registry.counter_cell("s.hooked");
         let calls = Arc::new(AtomicU64::new(0));
         let hook_calls = Arc::clone(&calls);
-        let sampler = Sampler::start_with_hook(Duration::from_millis(5), registry, move || {
+        let ticker = start(Duration::from_millis(5), registry, move || {
             let n = hook_calls.fetch_add(1, Ordering::Relaxed) + 1;
             cell.store(n, Ordering::Relaxed);
         });
         std::thread::sleep(Duration::from_millis(25));
-        let samples = sampler.stop();
+        let samples = ticker.stop().samples;
         assert_eq!(calls.load(Ordering::Relaxed), samples.len() as u64);
         // Each sample observes the value its own hook published: the
         // hook happens-before the snapshot on the sampler thread.
@@ -251,7 +306,38 @@ mod tests {
     #[test]
     fn dropped_sampler_shuts_down_cleanly() {
         let registry = leaked_registry();
-        let sampler = Sampler::start(Duration::from_millis(1), registry);
-        drop(sampler); // must join, not detach or hang
+        let schedule = Schedule {
+            sample_every: Some(Duration::from_millis(1)),
+            profile_hz: Some(1000),
+            ..Schedule::default()
+        };
+        let ticker = Ticker::start(schedule, registry, || {}).unwrap();
+        drop(ticker); // must join, not detach or hang
+    }
+
+    #[test]
+    fn one_thread_serves_both_schedules() {
+        let registry = leaked_registry();
+        let schedule = Schedule {
+            sample_every: Some(Duration::from_millis(5)),
+            profile_hz: Some(500),
+            ..Schedule::default()
+        };
+        let ticker = Ticker::start(schedule, registry, || {}).unwrap();
+        {
+            let _g = crate::span("ticker-both-root");
+            std::thread::sleep(Duration::from_millis(40));
+        }
+        let harvest = ticker.stop();
+        assert!(harvest.samples.len() >= 2);
+        let profile = harvest.profile.expect("profiling was scheduled");
+        assert!(profile
+            .folded
+            .keys()
+            .any(|k| k.ends_with("ticker-both-root")));
+
+        // Sampling alone yields no profile.
+        let alone = start(Duration::from_millis(5), registry, || {}).stop();
+        assert!(alone.profile.is_none());
     }
 }

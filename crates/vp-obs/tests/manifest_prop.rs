@@ -1,7 +1,7 @@
 //! Property tests for the run-manifest schema: arbitrary manifests must
 //! survive `to_json` → `parse` → `to_json` byte-identically (the format
-//! is canonical and the float formatting shortest-roundtrip), and the
-//! v1/v2/v3/v4 versioning rules must hold for any content.
+//! is canonical and the float formatting shortest-roundtrip), always
+//! under the v4 schema, with empty optional sections left out.
 //!
 //! Generated integers stay below 2^53: JSON numbers are f64 (in the
 //! in-tree parser and in every JavaScript consumer alike), so the
@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use vp_obs::attribution::{AttributionPc, AttributionRun, AttributionTotals, CAUSE_ORDER};
 use vp_obs::manifest::{HotStack, PhaseEntry, PhaseShare, ProfileSection};
 use vp_obs::sampler::Sample;
-use vp_obs::{RunManifest, SCHEMA_V1, SCHEMA_V2, SCHEMA_V3, SCHEMA_V4};
+use vp_obs::{RunManifest, SCHEMA_V4};
 use vp_rng::{prop, Rng};
 
 const KEYS: &[&str] = &[
@@ -174,52 +174,37 @@ fn serialisation_is_canonical_for_arbitrary_manifests() {
     });
 }
 
+/// The schema line is v4 whatever the content; only which optional
+/// sections appear follows the content, and stripping a section yields a
+/// document that parses back with that section empty.
 #[test]
 fn schema_version_is_derived_from_content() {
     prop::forall("manifest versioning", arb_manifest).check(|m| {
         let text = m.to_json();
-        if m.profile.is_some() {
-            assert_eq!(m.schema(), SCHEMA_V4);
-            assert!(text.contains(SCHEMA_V4));
-        } else if !m.attribution.is_empty() {
-            assert_eq!(m.schema(), SCHEMA_V3);
-            assert!(text.contains(SCHEMA_V3));
-            assert!(!text.contains("\"profile\""));
-        } else if m.samples.is_empty() {
-            assert_eq!(m.schema(), SCHEMA_V1);
-            assert!(text.contains(SCHEMA_V1));
-            assert!(!text.contains("\"samples\""));
-            assert!(!text.contains("\"attribution\""));
-            assert!(!text.contains("\"profile\""));
-        } else {
-            assert_eq!(m.schema(), SCHEMA_V2);
-            assert!(text.contains(SCHEMA_V2));
-            assert!(!text.contains("\"attribution\""));
-            assert!(!text.contains("\"profile\""));
-        }
+        assert!(text.contains(&format!(r#""schema":"{SCHEMA_V4}""#)));
+        assert_eq!(text.contains(r#""samples":["#), !m.samples.is_empty());
+        assert_eq!(
+            text.contains(r#""attribution":["#),
+            !m.attribution.is_empty()
+        );
+        assert_eq!(text.contains(r#""profile":{"#), m.profile.is_some());
 
-        // Stripping the newer sections always yields the older document
-        // form, which parses back with those sections empty (backward
-        // compatibility for any content).
-        let v3 = m.clone().with_profile(None);
-        let v3_text = v3.to_json();
-        assert!(!v3_text.contains(SCHEMA_V4));
-        let back = RunManifest::parse(&v3_text).expect("v3 form parses");
+        let no_profile = m.clone().with_profile(None);
+        let back = RunManifest::parse(&no_profile.to_json()).expect("parses");
         assert!(back.profile.is_none());
-        assert_eq!(back, v3);
+        assert_eq!(back, no_profile);
 
-        let v2 = v3.with_attribution(Vec::new());
-        let v2_text = v2.to_json();
-        assert!(!v2_text.contains(SCHEMA_V3));
-        let back = RunManifest::parse(&v2_text).expect("v2 form parses");
+        let no_attribution = no_profile.with_attribution(Vec::new());
+        let back = RunManifest::parse(&no_attribution.to_json()).expect("parses");
         assert!(back.attribution.is_empty());
-        assert_eq!(back, v2);
+        assert_eq!(back, no_attribution);
 
-        let v1 = v2.with_samples(Vec::new());
-        let v1_text = v1.to_json();
-        assert!(v1_text.contains(SCHEMA_V1));
-        let back = RunManifest::parse(&v1_text).expect("v1 form parses");
+        let bare = no_attribution.with_samples(Vec::new());
+        let bare_text = bare.to_json();
+        assert!(bare_text.contains(SCHEMA_V4));
+        assert!(!bare_text.contains("\"samples\""));
+        let back = RunManifest::parse(&bare_text).expect("parses");
         assert!(back.samples.is_empty());
-        assert_eq!(back, v1);
+        assert_eq!(back, bare);
     });
 }

@@ -1,4 +1,4 @@
-//! The profiler tick samples current RSS into a max-gauge, so a
+//! The profile tick samples current RSS into a max-gauge, so a
 //! transient allocation peak — memory allocated and freed entirely
 //! between process start and the final procfs read — is still visible
 //! in the manifest. Own test binary: the assertion depends on this
@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use vp_obs::Profiler;
+use vp_obs::{Schedule, Ticker};
 
 #[test]
 #[cfg_attr(not(target_os = "linux"), ignore = "needs procfs")]
@@ -14,17 +14,20 @@ fn transient_allocation_is_captured_by_sampled_peak() {
     let before = vp_obs::rss::current_rss_bytes();
     assert!(before > 0, "procfs current-RSS must be readable");
 
-    let profiler = Profiler::start(500);
+    let schedule = Schedule {
+        profile_hz: Some(500),
+        ..Schedule::default()
+    };
+    let ticker = Ticker::start(schedule, vp_obs::global(), || {}).unwrap();
     {
         // A deliberate ~64 MiB transient: touched so the pages are
-        // resident, freed before the profiler stops.
+        // resident, freed before the ticker stops.
         let spike: Vec<u8> = (0..64 * 1024 * 1024).map(|i| i as u8).collect();
         std::hint::black_box(&spike);
         std::thread::sleep(Duration::from_millis(120));
     }
     std::thread::sleep(Duration::from_millis(30));
-    let profile = profiler.stop();
-    drop(profile);
+    drop(ticker.stop());
 
     let sampled_peak = vp_obs::gauge("rss.sampled_peak_bytes").get();
     assert!(

@@ -2,7 +2,7 @@
 //!
 //! N workers open and close nested spans in a tight loop (through the
 //! real `span()` guards, under an adopted base path, exactly like
-//! `parallel_map` workers) while the profiler snapshots at high
+//! `parallel_map` workers) while the ticker snapshots at high
 //! frequency. The seqlock contract under test: **every sampled stack is
 //! a prefix of the nesting chain the workers actually execute** — a
 //! torn read (half of one update, half of another) would produce an
@@ -16,11 +16,22 @@
 
 use std::time::{Duration, Instant};
 
-use vp_obs::{flamegraph_svg, Profile, Profiler};
+use vp_obs::{flamegraph_svg, Profile, Schedule, Ticker};
 
 /// The exact nesting chain every worker executes, outermost first. The
 /// base path ("stress") is adopted, the rest are real spans.
 const CHAIN: [&str; 5] = ["stress", "level-a", "level-b", "level-c", "level-d"];
+
+/// Profiles `body` at `hz` on a ticker thread.
+fn profile_at(hz: u32, body: impl FnOnce()) -> Profile {
+    let schedule = Schedule {
+        profile_hz: Some(hz),
+        ..Schedule::default()
+    };
+    let ticker = Ticker::start(schedule, vp_obs::global(), || {}).unwrap();
+    body();
+    ticker.stop().profile.expect("profiling was scheduled")
+}
 
 fn worker(deadline: Instant) {
     let _base = vp_obs::span::adopt(Some(CHAIN[0].to_owned()));
@@ -50,14 +61,14 @@ fn assert_prefix_valid(profile: &Profile) {
 
 #[test]
 fn concurrent_nesting_never_tears_sampled_stacks() {
-    let profiler = Profiler::start(2_000);
-    let deadline = Instant::now() + Duration::from_millis(300);
-    std::thread::scope(|s| {
-        for _ in 0..8 {
-            s.spawn(move || worker(deadline));
-        }
+    let profile = profile_at(2_000, || {
+        let deadline = Instant::now() + Duration::from_millis(300);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(move || worker(deadline));
+            }
+        });
     });
-    let profile = profiler.stop();
 
     assert!(
         profile.samples > 50,
@@ -85,16 +96,16 @@ fn concurrent_nesting_never_tears_sampled_stacks() {
     assert!(svg_a.starts_with("<svg "));
     assert!(svg_a.trim_end().ends_with("</svg>"));
 
-    // A second profiler run over the same span topology still samples
+    // A second profiling run over the same span topology still samples
     // cleanly (arming is sticky; re-registration must not corrupt).
-    let profiler = Profiler::start(2_000);
-    let deadline = Instant::now() + Duration::from_millis(100);
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            s.spawn(move || worker(deadline));
-        }
+    let second = profile_at(2_000, || {
+        let deadline = Instant::now() + Duration::from_millis(100);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(move || worker(deadline));
+            }
+        });
     });
-    let second = profiler.stop();
     assert!(second.samples > 0);
     assert_prefix_valid(&second);
 }
@@ -102,15 +113,15 @@ fn concurrent_nesting_never_tears_sampled_stacks() {
 #[test]
 fn manifest_section_from_concurrent_profile_is_consistent() {
     // Runs in the same process as the stress test (fine: both only open
-    // CHAIN spans), producing a v4 section whose shares must partition.
-    let profiler = Profiler::start(1_000);
-    let deadline = Instant::now() + Duration::from_millis(150);
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            s.spawn(move || worker(deadline));
-        }
+    // CHAIN spans), producing a section whose shares must partition.
+    let profile = profile_at(1_000, || {
+        let deadline = Instant::now() + Duration::from_millis(150);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(move || worker(deadline));
+            }
+        });
     });
-    let profile = profiler.stop();
     let section = profile.to_section(10);
     assert_eq!(section.samples, profile.samples);
     let total: u64 = section.hot_stacks.iter().map(|h| h.count).sum();

@@ -4,7 +4,8 @@
 //! module is that capability for `vp-sim`: capture a retirement trace once
 //! ([`TraceRecorder`]), then replay it into any number of tracers
 //! (profilers, predictors, the ILP machine) without re-simulating, or ship
-//! it through any `std::io` stream with [`write_trace`] / [`read_trace`].
+//! it through any `std::io` stream with [`write_columns`] /
+//! [`read_columns`].
 //!
 //! Traces are held columnar ([`TraceColumns`]) and spilled in a compact
 //! varint + delta encoded format protected by a trailing FNV-1a-64
@@ -193,57 +194,12 @@ impl TraceRecorder {
     pub fn into_columns(self) -> TraceColumns {
         self.columns
     }
-
-    /// Consumes the recorder, returning the trace as owned events
-    /// (materialises the AoS form; prefer [`TraceRecorder::into_columns`]
-    /// on hot paths).
-    #[must_use]
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.columns.iter().collect()
-    }
 }
 
 impl Tracer for TraceRecorder {
     fn retire(&mut self, ev: &Retirement<'_>) {
         self.columns.push_retirement(ev);
     }
-}
-
-/// Replays a recorded AoS event slice into `tracer`, reconstructing full
-/// [`Retirement`] records against `program` (which must be the program the
-/// trace was recorded from, or at least one with the same text length).
-///
-/// Columnar traces replay via [`TraceColumns::replay`] without
-/// materialising events; this slice form remains for callers that already
-/// hold `Vec<TraceEvent>`.
-///
-/// # Errors
-///
-/// [`io::Error`] of kind `InvalidData` when an event's address does not
-/// name an instruction of `program`.
-pub fn replay(
-    program: &Program,
-    events: &[TraceEvent],
-    tracer: &mut impl Tracer,
-) -> io::Result<()> {
-    for ev in events {
-        let instr = program.fetch(ev.addr).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("trace event at {} outside program text", ev.addr),
-            )
-        })?;
-        tracer.retire(&Retirement {
-            addr: ev.addr,
-            instr,
-            dest: ev.dest,
-            mem: ev.mem,
-            stored: ev.stored,
-            taken: ev.taken,
-            next_pc: ev.next_pc,
-        });
-    }
-    Ok(())
 }
 
 /// An owned retirement trace: simulate once, replay into any number of
@@ -527,26 +483,6 @@ impl<R: Read> Read for HashingReader<R> {
         self.hash = fnv1a_fold(self.hash, &buf[..filled]);
         Ok(filled)
     }
-}
-
-/// Serialises a trace (as events) to a writer in the current columnar
-/// format (pass `&mut writer` to keep it).
-///
-/// # Errors
-///
-/// Propagates writer errors.
-pub fn write_trace<W: Write>(w: W, events: &[TraceEvent]) -> io::Result<()> {
-    write_columns(w, &TraceColumns::from_events(events))
-}
-
-/// Deserialises a trace from a reader (pass `&mut reader` to keep it).
-///
-/// # Errors
-///
-/// A typed [`TraceError`]: bad magic, absurd length prefix, truncation,
-/// corruption, or an underlying I/O failure.
-pub fn read_trace<R: Read>(r: R) -> Result<Vec<TraceEvent>, TraceError> {
-    Ok(read_columns(r)?.iter().collect())
 }
 
 /// Serialises a columnar trace in the current (`provptr3`) format: the
@@ -847,11 +783,17 @@ mod tests {
     use crate::{run, InstrMix, RunLimits};
     use vp_isa::asm::assemble;
 
-    fn record(src: &str) -> (Program, Vec<TraceEvent>) {
+    fn record(src: &str) -> (Program, TraceColumns) {
         let p = assemble(src).unwrap();
         let mut rec = TraceRecorder::new();
         run(&p, &mut rec, RunLimits::default()).unwrap();
-        (p, rec.into_events())
+        (p, rec.into_columns())
+    }
+
+    fn encode(cols: &TraceColumns) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_columns(&mut bytes, cols).unwrap();
+        bytes
     }
 
     const SAMPLE: &str = ".f64 1.5\nli r1, 0\nli r2, 20\n\
@@ -859,44 +801,43 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
 
     #[test]
     fn serialisation_round_trips() {
-        let (_, events) = record(SAMPLE);
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &events).unwrap();
-        let back = read_trace(bytes.as_slice()).unwrap();
-        assert_eq!(back, events);
+        let (_, cols) = record(SAMPLE);
+        let back = read_columns(encode(&cols).as_slice()).unwrap();
+        assert_eq!(back, cols);
     }
 
     #[test]
     fn replay_matches_live_tracing() {
-        let (p, events) = record(SAMPLE);
+        let (p, cols) = record(SAMPLE);
         let mut live = InstrMix::new();
         run(&p, &mut live, RunLimits::default()).unwrap();
         let mut replayed = InstrMix::new();
-        replay(&p, &events, &mut replayed).unwrap();
+        Trace::from_columns(cols).replay(&p, &mut replayed).unwrap();
         assert_eq!(live, replayed);
     }
 
     #[test]
     fn replay_rejects_foreign_traces() {
-        let (_, events) = record(SAMPLE);
+        let (_, cols) = record(SAMPLE);
         let other = assemble("halt\n").unwrap();
-        let e = replay(&other, &events, &mut crate::NullTracer).unwrap_err();
+        let e = Trace::from_columns(cols)
+            .replay(&other, &mut crate::NullTracer)
+            .unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn bad_magic_is_rejected() {
-        let e = read_trace(&b"notatrace........"[..]).unwrap_err();
+        let e = read_columns(&b"notatrace........"[..]).unwrap_err();
         assert!(matches!(e, TraceError::BadMagic), "{e}");
     }
 
     #[test]
     fn truncated_stream_is_a_typed_error() {
-        let (_, events) = record(SAMPLE);
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &events).unwrap();
+        let (_, cols) = record(SAMPLE);
+        let mut bytes = encode(&cols);
         bytes.truncate(bytes.len() - 3);
-        let e = read_trace(bytes.as_slice()).unwrap_err();
+        let e = read_columns(bytes.as_slice()).unwrap_err();
         assert!(matches!(e, TraceError::Truncated { .. }), "{e}");
     }
 
@@ -906,7 +847,7 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
         write_varint(&mut bytes, u64::MAX).unwrap();
-        let e = read_trace(bytes.as_slice()).unwrap_err();
+        let e = read_columns(bytes.as_slice()).unwrap_err();
         assert!(matches!(e, TraceError::AbsurdLength { .. }), "{e}");
     }
 
@@ -920,7 +861,7 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
         write_varint(&mut bytes, 0).unwrap(); // n_dest
         write_varint(&mut bytes, 0).unwrap(); // n_mem
         write_varint(&mut bytes, 0).unwrap(); // n_store
-        let e = read_trace(bytes.as_slice()).unwrap_err();
+        let e = read_columns(bytes.as_slice()).unwrap_err();
         assert!(matches!(e, TraceError::Truncated { .. }), "{e}");
     }
 
@@ -935,7 +876,7 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
         write_varint(&mut bytes, 0).unwrap(); // n_mem
         write_varint(&mut bytes, 0).unwrap(); // n_store
         bytes.push(F_DEST);
-        let e = read_trace(bytes.as_slice()).unwrap_err();
+        let e = read_columns(bytes.as_slice()).unwrap_err();
         assert!(matches!(e, TraceError::Corrupt { .. }), "{e}");
     }
 
@@ -948,16 +889,16 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
         write_varint(&mut bytes, 0).unwrap();
         write_varint(&mut bytes, 0).unwrap();
         bytes.push(0x80); // undefined bit
-        let e = read_trace(bytes.as_slice()).unwrap_err();
+        let e = read_columns(bytes.as_slice()).unwrap_err();
         assert!(matches!(e, TraceError::Corrupt { .. }), "{e}");
     }
 
     #[test]
     fn trace_capture_matches_recorder_and_round_trips() {
-        let (p, events) = record(SAMPLE);
+        let (p, cols) = record(SAMPLE);
         let trace = Trace::capture(&p, RunLimits::default()).unwrap();
-        assert_eq!(trace.iter().collect::<Vec<_>>(), events);
-        assert_eq!(trace.len(), events.len());
+        assert_eq!(trace.columns(), &cols);
+        assert_eq!(trace.len(), cols.len());
         assert!(!trace.is_empty());
         assert!(trace.approx_bytes() > 0);
 
@@ -974,7 +915,8 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
 
     #[test]
     fn event_kinds_are_preserved() {
-        let (_, events) = record(SAMPLE);
+        let (_, cols) = record(SAMPLE);
+        let events: Vec<TraceEvent> = cols.iter().collect();
         assert!(events
             .iter()
             .any(|e| matches!(e.dest, Some((RegClass::Fp, _, _)))));
@@ -987,27 +929,25 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
 
     #[test]
     fn retired_formats_are_bad_magic() {
-        let (_, events) = record(SAMPLE);
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &events).unwrap();
+        let (_, cols) = record(SAMPLE);
+        let mut bytes = encode(&cols);
         assert_eq!(&bytes[..8], MAGIC);
         for old in [b"provptr1", b"provptr2"] {
             bytes[..8].copy_from_slice(old);
-            let e = read_trace(bytes.as_slice()).unwrap_err();
+            let e = read_columns(bytes.as_slice()).unwrap_err();
             assert!(matches!(e, TraceError::BadMagic), "{e}");
         }
     }
 
     #[test]
     fn body_bit_flip_fails_the_checksum() {
-        let (_, events) = record(SAMPLE);
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &events).unwrap();
+        let (_, cols) = record(SAMPLE);
+        let mut bytes = encode(&cols);
         // Flip one bit in every body byte position in turn; each corrupted
         // stream must fail with a typed error, never decode silently.
         for i in 8..bytes.len() {
             bytes[i] ^= 0x10;
-            let result = read_trace(bytes.as_slice());
+            let result = read_columns(bytes.as_slice());
             match result {
                 Err(
                     TraceError::AbsurdLength { .. }
@@ -1022,17 +962,17 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
 
     #[test]
     fn missing_checksum_trailer_is_truncation() {
-        let (_, events) = record(SAMPLE);
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, &events).unwrap();
+        let (_, cols) = record(SAMPLE);
+        let mut bytes = encode(&cols);
         bytes.truncate(bytes.len() - 8);
-        let e = read_trace(bytes.as_slice()).unwrap_err();
+        let e = read_columns(bytes.as_slice()).unwrap_err();
         assert!(matches!(e, TraceError::Truncated { .. }), "{e}");
     }
 
     #[test]
     fn divergence_finds_first_difference() {
-        let (_, events) = record(SAMPLE);
+        let (_, cols) = record(SAMPLE);
+        let events: Vec<TraceEvent> = cols.iter().collect();
         assert_eq!(
             first_divergence(events.iter().copied(), events.iter().copied()),
             None

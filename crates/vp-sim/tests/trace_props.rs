@@ -4,8 +4,8 @@
 
 use vp_isa::{InstrAddr, Reg, RegClass};
 use vp_rng::{prop, Rng};
-use vp_sim::record::{read_trace, write_trace, TraceEvent};
-use vp_sim::{MemAccess, Trace, TraceError};
+use vp_sim::record::{read_columns, write_columns, TraceEvent};
+use vp_sim::{MemAccess, Trace, TraceColumns, TraceError};
 
 fn arb_event(rng: &mut Rng) -> TraceEvent {
     let mem = rng.gen_bool(0.5).then(|| MemAccess {
@@ -41,16 +41,21 @@ fn arb_events(rng: &mut Rng, lo: usize, hi: usize) -> Vec<TraceEvent> {
     (0..len).map(|_| arb_event(rng)).collect()
 }
 
+/// The `provptr3` encoding of `events`.
+fn encode(events: &[TraceEvent]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_columns(&mut bytes, &TraceColumns::from_events(events)).unwrap();
+    bytes
+}
+
 #[test]
 fn prop_round_trip() {
     prop::forall("trace serialisation round-trips", |rng| {
         arb_events(rng, 0, 200)
     })
     .check(|events| {
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, events).unwrap();
-        let back = read_trace(bytes.as_slice()).unwrap();
-        assert_eq!(&back, events);
+        let back = read_columns(encode(events).as_slice()).unwrap();
+        assert_eq!(&back.iter().collect::<Vec<_>>(), events);
     });
 }
 
@@ -63,12 +68,11 @@ fn prop_truncation_is_detected() {
         (arb_events(rng, 1, 50), rng.gen_f64())
     })
     .check(|(events, cut_fraction)| {
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, events).unwrap();
+        let mut bytes = encode(events);
         let cut = ((bytes.len() as f64) * cut_fraction) as usize;
         if cut < bytes.len() {
             bytes.truncate(cut);
-            assert!(read_trace(bytes.as_slice()).is_err());
+            assert!(read_columns(bytes.as_slice()).is_err());
         }
     });
 }
@@ -119,12 +123,11 @@ fn prop_corruption_never_panics() {
         (events, flips)
     })
     .check(|(events, flips)| {
-        let mut bytes = Vec::new();
-        write_trace(&mut bytes, events).unwrap();
+        let mut bytes = encode(events);
         for &(idx, value) in flips {
             let i = (idx % bytes.len() as u64) as usize;
             bytes[i] ^= value;
         }
-        let _ = read_trace(bytes.as_slice()); // Ok or Err, both fine.
+        let _ = read_columns(bytes.as_slice()); // Ok or Err, both fine.
     });
 }
