@@ -453,7 +453,6 @@ fn publish_trace_store_stats(stats: &provp_core::TraceStoreStats) {
     c("trace_store.misses", stats.misses);
     c("trace_store.disk_hits", stats.disk_hits);
     c("trace_store.captures", stats.captures);
-    c("trace_store.evictions", stats.evictions);
     c("trace_store.spills", stats.spills);
     c("trace_store.spill_failures", stats.spill_failures);
     c("trace_store.dedup_waits", stats.dedup_waits);

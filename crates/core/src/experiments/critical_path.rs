@@ -39,11 +39,8 @@ pub struct CriticalPath {
 pub fn run_analysis(suite: &Suite, kinds: &[WorkloadKind]) -> CriticalPath {
     let rows = suite.par_map(kinds, |&kind| {
         let program = suite.reference_program(kind, None);
-        let trace = suite.trace(kind, InputSet::reference());
         let mut analyzer = CriticalPathAnalyzer::new(IlpConfig::PAPER_WINDOW);
-        trace
-            .replay(&program, &mut analyzer)
-            .unwrap_or_else(|e| panic!("{kind} replay failed: {e}"));
+        suite.replay_trace(kind, InputSet::reference(), &program, &mut analyzer);
         let report = analyzer.finish();
         let image = suite.reference_image(kind);
         let accuracy_of = |addr| image.get(addr).map_or(0.0, |r| r.stride_accuracy());

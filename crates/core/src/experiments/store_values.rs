@@ -31,11 +31,8 @@ pub struct StoreValues {
 pub fn run_analysis(suite: &Suite, kinds: &[WorkloadKind]) -> StoreValues {
     let rows = suite.par_map(kinds, |&kind| {
         let program = suite.reference_program(kind, None);
-        let trace = suite.trace(kind, InputSet::reference());
         let mut collector = StoreValueCollector::new(kind.name());
-        trace
-            .replay(&program, &mut collector)
-            .unwrap_or_else(|e| panic!("{kind} replay failed: {e}"));
+        suite.replay_trace(kind, InputSet::reference(), &program, &mut collector);
         let image = collector.into_image();
         let (execs, _, _) = image.category_totals(VpCategory::Store);
         Row {

@@ -29,6 +29,7 @@ pub mod attribution;
 pub mod exec;
 pub mod experiments;
 pub mod harness;
+mod memo;
 pub mod pipeline;
 pub mod replay;
 pub mod suite;

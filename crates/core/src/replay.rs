@@ -12,8 +12,9 @@
 //! addition ([`PredictorStats::merge`]) into totals **bit-identical** to
 //! a sequential replay, at any shard count.
 //!
-//! The shard key is supplied by [`PredictorConfig::shard_key`]; the
-//! partition itself is a zero-copy view over the columnar trace
+//! The shard key is supplied by [`shard_key`] over the configuration's
+//! [`PredictorConfig::shard_modulus`]; the partition itself is a
+//! zero-copy view over the columnar trace
 //! ([`vp_sim::TraceColumns::shard_by_pc`]). Shards run on the same
 //! deterministic worker pool as the experiment grids
 //! ([`crate::exec::parallel_map`]), and [`auto_shards`] degrades to a

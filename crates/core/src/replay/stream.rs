@@ -21,7 +21,7 @@
 //! free list is empty the producer blocks inside [`Tracer::retire`] — the
 //! simulation itself stalls until the slowest consumer catches up. There
 //! is no unbounded queueing anywhere: live memory is `pool + 1` blocks
-//! plus each consumer's [`MATRIX_BLOCK`]-event scratch, independent of
+//! plus each consumer's `MATRIX_BLOCK`-event scratch, independent of
 //! trace length.
 //!
 //! ## Bit-identical results
@@ -29,7 +29,7 @@
 //! Each consumer filters the broadcast stream down to its PC shard with
 //! the same joint-modulus key the batch path uses, preserving per-shard
 //! event order; the kernel re-accumulates its own
-//! [`MATRIX_BLOCK`]-aligned chunks, so delivery block boundaries never
+//! `MATRIX_BLOCK`-aligned chunks, so delivery block boundaries never
 //! influence results. Streaming output is therefore bit-identical to
 //! batch replay at any shard / block-pool combination — property-tested
 //! here and in `tests/stream_replay.rs`, and fuzzed continuously by the
@@ -52,7 +52,6 @@
 //! engine feeds.
 //!
 //! [`Tracer::retire`]: vp_sim::Tracer::retire
-//! [`MATRIX_BLOCK`]: super::MATRIX_BLOCK
 
 use std::collections::VecDeque;
 use std::io;

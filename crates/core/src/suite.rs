@@ -12,20 +12,21 @@
 //! order (and therefore rendered experiment output) byte-identical to a
 //! serial run.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
+use std::collections::HashMap;
+use std::convert::Infallible;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use vp_compiler::{annotate, AnnotationSummary, ThresholdPolicy};
 use vp_ilp::{IlpAnalyzer, IlpConfig, IlpResult};
 use vp_isa::Program;
 use vp_predictor::{AttributionTable, PredictorConfig, PredictorStats};
 use vp_profile::{merge, ProfileCollector, ProfileImage};
-use vp_sim::{run, RunLimits, Trace};
+use vp_sim::{run, RunLimits, Trace, Tracer};
 use vp_workloads::{InputSet, Workload, WorkloadKind};
 
 use crate::exec::parallel_map;
+use crate::memo::Memo;
 use crate::replay::{ReplayRequest, SweepPlan};
 use crate::trace_store::{TraceError, TraceKey, TraceStore, TraceStoreStats};
 
@@ -48,119 +49,6 @@ struct CellResult {
     attribution: Option<Arc<AttributionTable>>,
 }
 
-/// A thread-safe get-or-compute cache with in-flight deduplication:
-/// when two threads request the same missing key, one computes while the
-/// other waits, and values are computed without holding the lock.
-struct Memo<K, V> {
-    state: Mutex<MemoState<K, V>>,
-    available: Condvar,
-}
-
-struct MemoState<K, V> {
-    done: HashMap<K, V>,
-    running: HashSet<K>,
-}
-
-impl<K: Eq + Hash + Copy, V: Clone> Memo<K, V> {
-    fn new() -> Self {
-        Memo {
-            state: Mutex::new(MemoState {
-                done: HashMap::new(),
-                running: HashSet::new(),
-            }),
-            available: Condvar::new(),
-        }
-    }
-
-    /// Locks the state. No code panics while holding the lock, but a
-    /// poisoned lock is recovered anyway so one failed compute can never
-    /// wedge the cache.
-    fn lock(&self) -> MutexGuard<'_, MemoState<K, V>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        let mut compute = Some(compute);
-        self.get_or_compute_many(&[key], |_| {
-            let compute = compute.take().expect("one key is computed at most once");
-            vec![compute()]
-        })
-        .pop()
-        .expect("one value per key")
-    }
-
-    /// The values of `keys`, in order. Under the lock it harvests
-    /// finished keys and claims every key that nobody has computed or
-    /// claimed; `compute_missing(claimed)` then computes the claimed keys
-    /// together (one value per key, in order) and the loop waits for keys
-    /// other threads claimed. Panic-safe: a compute that unwinds releases
-    /// its claims, and waiters re-claim them.
-    fn get_or_compute_many(
-        &self,
-        keys: &[K],
-        mut compute_missing: impl FnMut(&[K]) -> Vec<V>,
-    ) -> Vec<V> {
-        let mut results: Vec<Option<V>> = vec![None; keys.len()];
-        loop {
-            let claimed = {
-                let mut state = self.lock();
-                loop {
-                    let mut claimed = Vec::new();
-                    let mut missing = false;
-                    for (slot, key) in results.iter_mut().zip(keys) {
-                        if slot.is_some() {
-                            continue;
-                        }
-                        if let Some(v) = state.done.get(key) {
-                            *slot = Some(v.clone());
-                            continue;
-                        }
-                        missing = true;
-                        if state.running.insert(*key) {
-                            claimed.push(*key);
-                        }
-                    }
-                    if !missing {
-                        return results.into_iter().flatten().collect();
-                    }
-                    if !claimed.is_empty() {
-                        break claimed;
-                    }
-                    state = self
-                        .available
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            let guard = ClaimGuard {
-                memo: self,
-                keys: &claimed,
-            };
-            let values = compute_missing(&claimed);
-            self.lock().done.extend(claimed.iter().copied().zip(values));
-            drop(guard);
-        }
-    }
-}
-
-/// Releases a batch of claims on drop — after the values are stored, or
-/// while unwinding from a panicked compute — and wakes every waiter.
-struct ClaimGuard<'a, K: Eq + Hash + Copy, V: Clone> {
-    memo: &'a Memo<K, V>,
-    keys: &'a [K],
-}
-
-impl<K: Eq + Hash + Copy, V: Clone> Drop for ClaimGuard<'_, K, V> {
-    fn drop(&mut self) {
-        let mut state = self.memo.lock();
-        for key in self.keys {
-            state.running.remove(key);
-        }
-        drop(state);
-        self.memo.available.notify_all();
-    }
-}
-
 /// A memoising context for the whole evaluation.
 ///
 /// All methods take `&self` (caches use interior mutability, so a single
@@ -176,6 +64,7 @@ pub struct Suite {
     streaming: Option<usize>,
     traces: Arc<TraceStore>,
     train_images: Memo<WorkloadKind, Vec<ProfileImage>>,
+    merged_images: Memo<WorkloadKind, ProfileImage>,
     reference_images: Memo<WorkloadKind, ProfileImage>,
     phase_images: Memo<WorkloadKind, (ProfileImage, ProfileImage)>,
     annotated: Memo<(WorkloadKind, u32), (Program, AnnotationSummary)>,
@@ -183,7 +72,7 @@ pub struct Suite {
     /// Kinds whose reference trace has been matrix-replayed at least
     /// once (drives the `replay.matrix_traces` counter, the denominator
     /// of the CI `matrix_passes per trace` gate).
-    swept: Mutex<HashSet<WorkloadKind>>,
+    swept: Memo<WorkloadKind, ()>,
 }
 
 impl Suite {
@@ -205,11 +94,12 @@ impl Suite {
             streaming: None,
             traces: Arc::new(TraceStore::new()),
             train_images: Memo::new(),
+            merged_images: Memo::new(),
             reference_images: Memo::new(),
             phase_images: Memo::new(),
             annotated: Memo::new(),
             sweep: Memo::new(),
-            swept: Mutex::new(HashSet::new()),
+            swept: Memo::new(),
         }
     }
 
@@ -226,14 +116,6 @@ impl Suite {
     #[must_use]
     pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.traces = Arc::new(TraceStore::new().with_spill_dir(dir));
-        self
-    }
-
-    /// Replaces the trace store wholesale (to share one across suites or
-    /// to bound its memory differently).
-    #[must_use]
-    pub fn with_trace_store(mut self, traces: Arc<TraceStore>) -> Self {
-        self.traces = traces;
         self
     }
 
@@ -289,17 +171,32 @@ impl Suite {
         parallel_map(self.jobs, items, f)
     }
 
-    /// The memoised retirement trace of `kind` under `input` (simulating
-    /// at most once per key).
+    /// The memoised reference trace of `kind`, for the batch sweep
+    /// (simulating at most once).
+    fn trace(&self, kind: WorkloadKind) -> Arc<Trace> {
+        expect_trace(self.traces.get(kind, InputSet::reference(), self.limits))
+    }
+
+    /// Replays the memoised trace of `kind` under `input` into `tracer`
+    /// against `program` (simulating at most once per key, feeding the
+    /// first consumer during the capture). Every trace consumer of the
+    /// suite and its experiments goes through here.
     ///
     /// # Panics
     ///
-    /// Panics if the underlying simulation faults or a spilled trace is
-    /// unreadable; the message carries the offending trace key.
-    pub fn trace(&self, kind: WorkloadKind, input: InputSet) -> Arc<Trace> {
-        self.traces
-            .get(kind, input, self.limits)
-            .unwrap_or_else(|e| panic!("{e}"))
+    /// Panics if the simulation faults, or the trace does not replay
+    /// against `program`; the message carries the offending trace key.
+    pub(crate) fn replay_trace(
+        &self,
+        kind: WorkloadKind,
+        input: InputSet,
+        program: &Program,
+        tracer: &mut impl Tracer,
+    ) {
+        expect_trace(
+            self.traces
+                .replay_into(kind, input, self.limits, program, tracer),
+        );
     }
 
     fn profile_once(&self, kind: WorkloadKind, input: &InputSet) -> ProfileImage {
@@ -312,9 +209,7 @@ impl Suite {
             // configurations, ILP models) and training traces become
             // reusable across processes once a spill directory exists —
             // worth memoising either way.
-            self.traces
-                .replay_into(kind, *input, self.limits, &program, &mut collector)
-                .unwrap_or_else(|e| panic!("{e}"));
+            self.replay_trace(kind, *input, &program, &mut collector);
         } else {
             // A training trace is consumed exactly once (its profile image
             // is what gets memoised), so recording it would cost memory
@@ -335,9 +230,11 @@ impl Suite {
 
     /// The intersected-and-summed training profile the compiler consumes.
     pub fn merged_image(&self, kind: WorkloadKind) -> ProfileImage {
-        let images = self.train_images(kind);
-        let _span = vp_obs::span("merge");
-        merge::intersect_and_sum(&images).image
+        self.merged_images.get_or_compute(kind, || {
+            let images = self.train_images(kind);
+            let _span = vp_obs::span("merge");
+            merge::intersect_and_sum(&images).image
+        })
     }
 
     /// A profile image of the held-out reference run (used by the
@@ -361,15 +258,7 @@ impl Suite {
                 .unwrap_or_else(|| panic!("{kind} has no phase split"));
             let program = w.program(&InputSet::reference());
             let mut collector = ProfileCollector::with_phase_split(w.name().to_owned(), split);
-            self.traces
-                .replay_into(
-                    kind,
-                    InputSet::reference(),
-                    self.limits,
-                    &program,
-                    &mut collector,
-                )
-                .unwrap_or_else(|e| panic!("{e}"));
+            self.replay_trace(kind, InputSet::reference(), &program, &mut collector);
             collector.into_phase_images()
         })
     }
@@ -509,10 +398,11 @@ impl Suite {
             .zip(cells.iter().copied())
             .rev()
             .collect();
-        self.sweep.get_or_compute_many(&keys, |claimed| {
+        let Ok(results) = self.sweep.get_or_compute_many(&keys, |claimed| {
             let plan_cells: Vec<_> = claimed.iter().map(|key| cell_of[key]).collect();
-            self.compute_matrix(kind, &plan_cells)
-        })
+            Ok::<_, Infallible>(self.compute_matrix(kind, &plan_cells))
+        });
+        results
     }
 
     /// One fused matrix pass over `kind`'s reference trace for `cells`
@@ -545,29 +435,18 @@ impl Suite {
         for (&(config, _), &table) in cells.iter().zip(&plan_tables) {
             plan.add_cell(config, table);
         }
-        if self
-            .swept
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(kind)
-        {
-            vp_obs::counter("replay.matrix_traces").add(1);
-        }
-        let replay_panic = |source| -> ! {
-            panic!(
-                "{}",
-                TraceError::Replay {
-                    key: TraceKey::new(kind, InputSet::reference(), self.limits),
-                    source,
-                }
-            )
+        self.swept
+            .get_or_compute(kind, || vp_obs::counter("replay.matrix_traces").add(1));
+        let replay_failed = |source| TraceError::Replay {
+            key: TraceKey::new(kind, InputSet::reference(), self.limits),
+            source,
         };
         // Attribution is observation-only: the fused kernel decides once
         // per block whether to observe, so with it off the hot loop runs
         // the plain batched instruction stream (byte-identical stdout,
         // negligible wall-clock delta).
         let attribution = crate::attribution::enabled();
-        let response = if let Some(pool) = self.streaming {
+        let response = expect_trace(if let Some(pool) = self.streaming {
             // Streaming: simulate the bare reference program (directive
             // annotations never influence execution — the plan's tables
             // carry them) and predict concurrently; no resident trace.
@@ -580,12 +459,12 @@ impl Suite {
                 .shards(shards)
                 .block_pool(pool)
                 .run()
-                .unwrap_or_else(|source| replay_panic(source))
+                .map_err(replay_failed)
         } else {
             // Materialise (or fetch) the memoised trace outside the
             // predict phase: capture cost is accounted to its own
             // `capture` span.
-            let trace = self.trace(kind, InputSet::reference());
+            let trace = self.trace(kind);
             let _span = vp_obs::span("predict");
             let shards = crate::replay::auto_shards(self.jobs, trace.len());
             ReplayRequest::batch(&trace)
@@ -594,8 +473,8 @@ impl Suite {
                 .shards(shards)
                 .jobs(self.jobs)
                 .run()
-                .unwrap_or_else(|source| replay_panic(source))
-        };
+                .map_err(replay_failed)
+        });
         response
             .cells
             .into_iter()
@@ -612,17 +491,16 @@ impl Suite {
         let program = self.reference_program(kind, threshold);
         let mut analyzer = IlpAnalyzer::new(config);
         let _span = vp_obs::span("ilp");
-        self.traces
-            .replay_into(
-                kind,
-                InputSet::reference(),
-                self.limits,
-                &program,
-                &mut analyzer,
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
+        self.replay_trace(kind, InputSet::reference(), &program, &mut analyzer);
         analyzer.finish()
     }
+}
+
+/// The suite's one trace fault site: the pipeline has no error path for
+/// a workload that faults or a trace that fails to replay (both are
+/// generator bugs), so it panics with the offending trace key.
+fn expect_trace<T>(result: Result<T, TraceError>) -> T {
+    result.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Folds one run's predictor statistics into the process-wide
@@ -659,60 +537,6 @@ impl Default for Suite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
-    use std::thread;
-    use std::time::Duration;
-
-    #[test]
-    fn memo_computes_each_key_once_in_request_order() {
-        let memo: Memo<u32, u32> = Memo::new();
-        let mut calls = Vec::new();
-        let got = memo.get_or_compute_many(&[3, 1, 3], |keys| {
-            calls.push(keys.to_vec());
-            keys.iter().map(|k| k * 10).collect()
-        });
-        assert_eq!(got, [30, 10, 30]);
-        assert_eq!(calls, [vec![3, 1]], "duplicates claim once, one batch");
-        assert_eq!(memo.get_or_compute(1, || unreachable!("memoised")), 10);
-    }
-
-    /// A compute that panics must release its claims; a thread waiting
-    /// on those keys re-claims them and finishes instead of hanging.
-    #[test]
-    fn panicking_compute_releases_claims_to_waiters() {
-        let memo: Arc<Memo<u32, u32>> = Arc::new(Memo::new());
-        let (claimed_tx, claimed_rx) = mpsc::channel();
-        let (fail_tx, fail_rx) = mpsc::channel::<()>();
-        let first = {
-            let memo = Arc::clone(&memo);
-            thread::spawn(move || {
-                memo.get_or_compute_many(&[1, 2], |_| {
-                    claimed_tx.send(()).unwrap();
-                    fail_rx.recv().unwrap();
-                    panic!("compute failed");
-                })
-            })
-        };
-        claimed_rx.recv().unwrap();
-        let (done_tx, done_rx) = mpsc::channel();
-        {
-            let memo = Arc::clone(&memo);
-            thread::spawn(move || {
-                let got =
-                    memo.get_or_compute_many(&[2, 1], |keys| keys.iter().map(|k| k * 10).collect());
-                done_tx.send(got).unwrap();
-            });
-        }
-        // Give the waiter time to block on the claimed keys, then fail.
-        thread::sleep(Duration::from_millis(50));
-        fail_tx.send(()).unwrap();
-        assert!(first.join().is_err(), "the first compute panicked");
-        let got = done_rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("waiter re-claimed the released keys instead of hanging");
-        assert_eq!(got, [20, 10]);
-        assert!(memo.lock().running.is_empty());
-    }
 
     #[test]
     fn train_images_are_memoised() {
@@ -725,6 +549,25 @@ mod tests {
         // (their single consumer): nothing is recorded without a spill
         // directory asking for cross-process reuse.
         assert_eq!(s.trace_stats().requests, 0);
+    }
+
+    /// The training merge runs once per workload, however many
+    /// thresholds are annotated or attributed cells look it up.
+    #[test]
+    fn merged_image_is_memoised() {
+        let s = Suite::with_train_runs(2);
+        let kind = WorkloadKind::Compress;
+        {
+            let _scope = vp_obs::span("merged_image_memo_test");
+            let first = s.merged_image(kind);
+            for threshold in [0.5, 0.7, 0.9] {
+                let _ = s.annotated(kind, threshold);
+            }
+            assert_eq!(first, s.merged_image(kind));
+        }
+        let snap = vp_obs::global().snapshot();
+        let merges = snap.spans.get("merged_image_memo_test/merge");
+        assert_eq!(merges.map(|phase| phase.count), Some(1));
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! `(workload, input set, limits)` runs — the reference input alone is
 //! consumed by the characterisation tables, every predictor configuration
 //! and every ILP machine. A [`TraceStore`] runs the functional simulation
-//! **once** per key, keeps the retirement trace ([`vp_sim::Trace`]) in an
-//! in-memory LRU keyed by [`TraceKey`], and optionally spills traces to
-//! disk in the compact `vp_sim::record` binary format so later processes
-//! can skip the simulation entirely.
+//! **once** per key, keeps the retirement trace ([`vp_sim::Trace`]) in
+//! memory keyed by [`TraceKey`], and optionally spills traces to disk in
+//! the compact `vp_sim::record` binary format so later processes can skip
+//! the simulation entirely.
 //!
 //! Correctness rests on one ISA property: prediction *directives* never
 //! change architectural semantics. A trace captured from the bare program
@@ -16,36 +16,36 @@
 //! evaluation needs — simulate once, then replay into profilers,
 //! predictors and the ILP machine under any annotation threshold.
 //!
-//! The store is fully thread-safe: concurrent requests for the *same* key
-//! deduplicate in flight (one thread simulates, the rest wait on a
-//! condition variable), and requests for different keys proceed in
-//! parallel because the lock is never held across a simulation.
+//! The store is the crate's claim/wait memo keyed by [`TraceKey`] plus
+//! the spill directory. Concurrent requests for the *same* key
+//! deduplicate in flight (one thread produces, the rest wait), and
+//! requests for different keys proceed in parallel because no lock is
+//! held across a simulation. A failed production memoises nothing.
 //!
 //! ## Observability
 //!
-//! Usage counters live *inside* the store's mutex and are updated under
-//! the same lock acquisitions the request path already takes, so a
-//! [`TraceStore::stats`] snapshot is always internally consistent — at
-//! any instant `requests == memory_hits + misses` holds exactly, even
-//! while worker threads are mid-request. Captures are additionally
-//! wrapped in a `vp_obs` span (`capture`) so manifest phase timings show
-//! where simulation wall-clock goes, and the store emits instant events
-//! (`trace_store.evict` / `trace_store.spill` / `trace_store.disk_hit`,
-//! each carrying the trace's approximate byte size) into the
-//! `vp_obs::events` stream so a Chrome trace shows *when* cache churn
-//! happened. Event emission is lock-free and a no-op unless a
-//! `--trace-out` run enabled the stream.
+//! Request counters live under the memo's lock, so every
+//! [`TraceStore::stats`] snapshot satisfies
+//! `requests == memory_hits + misses` exactly, even while worker threads
+//! are mid-request. Captures are additionally wrapped in a `vp_obs` span
+//! (`capture`) so manifest phase timings show where simulation
+//! wall-clock goes, and the store emits instant events
+//! (`trace_store.spill` / `trace_store.disk_hit`, each carrying the
+//! trace's approximate byte size) into the `vp_obs::events` stream so a
+//! Chrome trace shows *when* spill traffic happened. Event emission is
+//! lock-free and a no-op unless a `--trace-out` run enabled the stream.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use vp_isa::Program;
-use vp_sim::{RunLimits, SimError, Trace, Tracer};
+use vp_sim::{NullTracer, RunLimits, SimError, Trace, Tracer};
 use vp_workloads::{InputSet, Workload, WorkloadKind};
+
+use crate::memo::Memo;
 
 /// Identity of one memoised simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -154,15 +154,15 @@ impl std::error::Error for TraceError {
 
 /// Counters describing how the store has been used.
 ///
-/// Produced only by [`TraceStore::stats`], which snapshots every field
-/// under one lock acquisition: the invariant
+/// Produced only by [`TraceStore::stats`]. The request counters come from
+/// one snapshot of the store's claim table, so the invariant
 /// `requests == memory_hits + misses` holds in every snapshot, no matter
-/// how many threads are mid-`get`.
+/// how many threads are mid-request.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStoreStats {
     /// Total requests presented to the store.
     pub requests: u64,
-    /// Requests served from the in-memory LRU.
+    /// Requests served from memory.
     pub memory_hits: u64,
     /// Requests that missed memory (and went to disk or simulation).
     pub misses: u64,
@@ -170,8 +170,6 @@ pub struct TraceStoreStats {
     pub disk_hits: u64,
     /// Misses that ran the functional simulation.
     pub captures: u64,
-    /// Traces dropped from memory by the LRU byte budget.
-    pub evictions: u64,
     /// Traces written to the spill directory.
     pub spills: u64,
     /// Spill attempts that failed (IO errors; memory-only fallback).
@@ -185,44 +183,8 @@ pub struct TraceStoreStats {
     pub resident_bytes: u64,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct CounterBlock {
-    requests: u64,
-    memory_hits: u64,
-    misses: u64,
-    disk_hits: u64,
-    captures: u64,
-    evictions: u64,
-    spills: u64,
-    spill_failures: u64,
-    dedup_waits: u64,
-}
-
-/// Where a freshly produced trace came from (folded into the counters at
-/// publish time, under the state lock).
-#[derive(Debug, Clone, Copy)]
-enum Provenance {
-    Disk,
-    Captured { spilled: bool, spill_failed: bool },
-}
-
-struct Entry {
-    trace: Arc<Trace>,
-    bytes: usize,
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct State {
-    entries: HashMap<TraceKey, Entry>,
-    in_flight: HashSet<TraceKey>,
-    bytes: usize,
-    tick: u64,
-    counters: CounterBlock,
-}
-
-/// A thread-safe, byte-budgeted LRU of simulation traces with optional
-/// disk spill.
+/// A thread-safe in-memory cache of simulation traces with optional disk
+/// spill.
 ///
 /// # Examples
 ///
@@ -249,39 +211,28 @@ struct State {
 /// # }
 /// ```
 pub struct TraceStore {
-    max_bytes: usize,
     spill_dir: Option<PathBuf>,
-    state: Mutex<State>,
-    available: Condvar,
+    traces: Memo<TraceKey, Arc<Trace>>,
+    /// The production counters (`disk_hits`, `captures`, `spills`,
+    /// `spill_failures`, `resident_bytes`); [`TraceStore::stats`] fills
+    /// in the request counters from the memo.
+    produced: Mutex<TraceStoreStats>,
 }
 
 impl TraceStore {
-    /// Default in-memory budget: 1 GiB of resident trace data.
-    pub const DEFAULT_MAX_BYTES: usize = 1 << 30;
-
-    /// An in-memory store with the default byte budget and no disk spill.
+    /// An in-memory store with no disk spill.
     #[must_use]
     pub fn new() -> Self {
-        TraceStore::with_max_bytes(TraceStore::DEFAULT_MAX_BYTES)
-    }
-
-    /// An in-memory store with an explicit byte budget.
-    ///
-    /// The budget is advisory per entry: a single trace larger than the
-    /// budget is still admitted (and evicted as soon as another arrives).
-    #[must_use]
-    pub fn with_max_bytes(max_bytes: usize) -> Self {
         TraceStore {
-            max_bytes,
             spill_dir: None,
-            state: Mutex::new(State::default()),
-            available: Condvar::new(),
+            traces: Memo::new(),
+            produced: Mutex::new(TraceStoreStats::default()),
         }
     }
 
     /// Enables disk spill under `dir` (created on first write). Spilled
-    /// traces survive eviction and process restarts; `get` checks the
-    /// directory before falling back to simulation.
+    /// traces survive process restarts; a miss checks the directory
+    /// before falling back to simulation.
     #[must_use]
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
@@ -294,42 +245,23 @@ impl TraceStore {
         self.spill_dir.as_deref()
     }
 
-    /// A consistent snapshot of every usage counter, taken under one
-    /// lock acquisition. `requests == memory_hits + misses` holds in
-    /// every snapshot.
+    fn produced(&self) -> MutexGuard<'_, TraceStoreStats> {
+        self.produced.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A snapshot of every usage counter. `requests == memory_hits +
+    /// misses` holds in every snapshot.
     #[must_use]
     pub fn stats(&self) -> TraceStoreStats {
-        let state = self.state.lock().expect("trace store poisoned");
-        let c = state.counters;
+        let memo = self.traces.stats();
         TraceStoreStats {
-            requests: c.requests,
-            memory_hits: c.memory_hits,
-            misses: c.misses,
-            disk_hits: c.disk_hits,
-            captures: c.captures,
-            evictions: c.evictions,
-            spills: c.spills,
-            spill_failures: c.spill_failures,
-            dedup_waits: c.dedup_waits,
-            resident: state.entries.len() as u64,
-            resident_bytes: state.bytes as u64,
+            requests: memo.hits + memo.misses,
+            memory_hits: memo.hits,
+            misses: memo.misses,
+            dedup_waits: memo.waits,
+            resident: memo.resident,
+            ..*self.produced()
         }
-    }
-
-    /// Number of traces currently resident in memory.
-    #[must_use]
-    pub fn resident(&self) -> usize {
-        self.state
-            .lock()
-            .expect("trace store poisoned")
-            .entries
-            .len()
-    }
-
-    /// Approximate bytes currently resident in memory.
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        self.state.lock().expect("trace store poisoned").bytes
     }
 
     /// The retirement trace of `kind` under `input` and `limits`,
@@ -348,16 +280,7 @@ impl TraceStore {
         input: InputSet,
         limits: RunLimits,
     ) -> Result<Arc<Trace>, TraceError> {
-        let key = TraceKey::new(kind, input, limits);
-        match self.lookup_or_claim(&key) {
-            Ok(trace) => Ok(trace),
-            Err(claim) => {
-                let (trace, provenance) = self.load_or_capture(&key)?;
-                let trace = Arc::new(trace);
-                self.publish(claim, Arc::clone(&trace), provenance);
-                Ok(trace)
-            }
-        }
+        self.fetch(TraceKey::new(kind, input, limits), None, &mut NullTracer)
     }
 
     /// Replays the trace for `(kind, input, limits)` into `tracer`,
@@ -384,132 +307,68 @@ impl TraceStore {
         program: &Program,
         tracer: &mut impl Tracer,
     ) -> Result<Arc<Trace>, TraceError> {
-        let key = TraceKey::new(kind, input, limits);
-        match self.lookup_or_claim(&key) {
-            Ok(trace) => {
-                trace
-                    .replay(program, tracer)
-                    .map_err(|source| TraceError::Replay { key, source })?;
-                Ok(trace)
-            }
-            Err(claim) => {
-                // Simulate once, feeding the caller's tracer while
-                // recording (`Trace::capture_with`); a disk hit replays.
-                let (trace, provenance) = self.load_or_capture_with(&key, program, tracer)?;
-                let trace = Arc::new(trace);
-                self.publish(claim, Arc::clone(&trace), provenance);
-                Ok(trace)
-            }
-        }
+        self.fetch(TraceKey::new(kind, input, limits), Some(program), tracer)
     }
 
-    /// Returns the memoised trace, or an in-flight claim obliging the
-    /// caller to produce it (and [`publish`](Self::publish) it).
-    fn lookup_or_claim(&self, key: &TraceKey) -> Result<Arc<Trace>, InFlightGuard<'_>> {
-        let mut state = self.state.lock().expect("trace store poisoned");
-        let mut waited = false;
-        loop {
-            if state.entries.contains_key(key) {
-                state.tick += 1;
-                let tick = state.tick;
-                // Request and hit are counted under the same lock hold,
-                // so snapshots never observe one without the other.
-                state.counters.requests += 1;
-                state.counters.memory_hits += 1;
-                let entry = state.entries.get_mut(key).expect("just checked");
-                entry.last_used = tick;
-                return Ok(Arc::clone(&entry.trace));
-            }
-            if state.in_flight.insert(*key) {
-                // We are the producer for this key; the guard keeps
-                // waiters from deadlocking if production fails.
-                state.counters.requests += 1;
-                state.counters.misses += 1;
-                return Err(InFlightGuard {
-                    store: self,
-                    key: *key,
-                });
-            }
-            if !waited {
-                waited = true;
-                state.counters.dedup_waits += 1;
-            }
-            state = self.available.wait(state).expect("trace store poisoned");
-        }
-    }
-
-    /// Inserts a freshly produced trace and releases the claim.
-    fn publish(&self, claim: InFlightGuard<'_>, trace: Arc<Trace>, provenance: Provenance) {
-        let bytes = trace.approx_bytes();
-        let key = claim.key;
-        let mut state = self.state.lock().expect("trace store poisoned");
-        state.tick += 1;
-        let tick = state.tick;
-        state.bytes += bytes;
-        match provenance {
-            Provenance::Disk => state.counters.disk_hits += 1,
-            Provenance::Captured {
-                spilled,
-                spill_failed,
-            } => {
-                state.counters.captures += 1;
-                state.counters.spills += u64::from(spilled);
-                state.counters.spill_failures += u64::from(spill_failed);
-            }
-        }
-        state.entries.insert(
-            key,
-            Entry {
-                trace,
-                bytes,
-                last_used: tick,
-            },
-        );
-        self.evict_over_budget(&mut state, key);
-        drop(state);
-        drop(claim); // removes the in-flight mark and wakes waiters
-    }
-
-    /// Loads from the spill directory (replaying into `tracer` if given)
-    /// or captures by simulation, feeding `tracer` during the pass.
-    fn load_or_capture_with(
+    /// The memoised trace of `key`. With a consumer `program`, `tracer`
+    /// sees every retirement exactly once: during the capture on a miss,
+    /// by replay otherwise. Without one, nothing is replayed.
+    fn fetch(
         &self,
-        key: &TraceKey,
-        program: &Program,
+        key: TraceKey,
+        program: Option<&Program>,
         tracer: &mut impl Tracer,
-    ) -> Result<(Trace, Provenance), TraceError> {
-        if let Some(trace) = self.try_disk_load(key) {
-            vp_obs::events::instant("trace_store.disk_hit", trace.approx_bytes() as u64);
-            trace
-                .replay(program, tracer)
-                .map_err(|source| TraceError::Replay { key: *key, source })?;
-            return Ok((trace, Provenance::Disk));
+    ) -> Result<Arc<Trace>, TraceError> {
+        let mut fed = false;
+        let trace = self.traces.try_get_or_compute(key, || {
+            fed = true;
+            self.produce(key, program, tracer)
+        })?;
+        if let (false, Some(program)) = (fed, program) {
+            replay(key, &trace, program, tracer)?;
         }
-        let limits = RunLimits::with_max(key.max_instructions);
-        let trace = {
-            let _span = vp_obs::span("capture");
-            Trace::capture_with(program, limits, tracer)
-                .map_err(|source| TraceError::Capture { key: *key, source })?
-        };
-        let provenance = self.try_disk_store(key, &trace);
-        Ok((trace, provenance))
+        Ok(trace)
     }
 
-    /// Loads from the spill directory or captures by simulation.
-    fn load_or_capture(&self, key: &TraceKey) -> Result<(Trace, Provenance), TraceError> {
-        if let Some(trace) = self.try_disk_load(key) {
-            vp_obs::events::instant("trace_store.disk_hit", trace.approx_bytes() as u64);
-            return Ok((trace, Provenance::Disk));
-        }
-        let program = Workload::new(key.kind).program(&key.input);
-        let limits = RunLimits::with_max(key.max_instructions);
-        let trace = {
-            let _span = vp_obs::span("capture");
-            Trace::capture(&program, limits)
-                .map_err(|source| TraceError::Capture { key: *key, source })?
+    /// Loads `key` from the spill directory or captures it by simulation
+    /// (spilling the capture), feeding a consumer `program`'s `tracer`.
+    fn produce(
+        &self,
+        key: TraceKey,
+        program: Option<&Program>,
+        tracer: &mut impl Tracer,
+    ) -> Result<Arc<Trace>, TraceError> {
+        let trace = match self.try_disk_load(&key) {
+            Some(trace) => {
+                vp_obs::events::instant("trace_store.disk_hit", trace.approx_bytes() as u64);
+                if let Some(program) = program {
+                    replay(key, &trace, program, tracer)?;
+                }
+                self.produced().disk_hits += 1;
+                trace
+            }
+            None => {
+                let built;
+                let program = match program {
+                    Some(program) => program,
+                    None => {
+                        built = Workload::new(key.kind).program(&key.input);
+                        &built
+                    }
+                };
+                let limits = RunLimits::with_max(key.max_instructions);
+                let trace = {
+                    let _span = vp_obs::span("capture");
+                    Trace::capture_with(program, limits, tracer)
+                        .map_err(|source| TraceError::Capture { key, source })?
+                };
+                self.produced().captures += 1;
+                self.try_disk_store(&key, &trace);
+                trace
+            }
         };
-        let provenance = self.try_disk_store(key, &trace);
-        Ok((trace, provenance))
+        self.produced().resident_bytes += trace.approx_bytes() as u64;
+        Ok(Arc::new(trace))
     }
 
     fn try_disk_load(&self, key: &TraceKey) -> Option<Trace> {
@@ -530,65 +389,42 @@ impl TraceStore {
         }
     }
 
-    /// Best-effort spill; IO failures silently fall back to memory-only.
-    /// Returns the capture provenance (whether the spill stuck).
-    fn try_disk_store(&self, key: &TraceKey, trace: &Trace) -> Provenance {
+    /// Best-effort spill; IO failures are counted and fall back to
+    /// memory-only.
+    fn try_disk_store(&self, key: &TraceKey, trace: &Trace) {
         let Some(dir) = self.spill_dir.as_ref() else {
-            return Provenance::Captured {
-                spilled: false,
-                spill_failed: false,
-            };
+            return;
         };
-        if fs::create_dir_all(dir).is_err() {
-            return Provenance::Captured {
-                spilled: false,
-                spill_failed: true,
-            };
-        }
         let tmp = dir.join(format!("{}.tmp", key.file_name()));
         let finished = dir.join(key.file_name());
         let write = || -> io::Result<()> {
+            fs::create_dir_all(dir)?;
             let mut out = io::BufWriter::new(fs::File::create(&tmp)?);
             trace.write_to(&mut out)?;
             io::Write::flush(&mut out)?;
             drop(out);
             fs::rename(&tmp, &finished)
         };
-        if write().is_err() {
-            let _ = fs::remove_file(&tmp);
-            Provenance::Captured {
-                spilled: false,
-                spill_failed: true,
-            }
-        } else {
+        if write().is_ok() {
             vp_obs::events::instant("trace_store.spill", trace.approx_bytes() as u64);
-            Provenance::Captured {
-                spilled: true,
-                spill_failed: false,
-            }
+            self.produced().spills += 1;
+        } else {
+            let _ = fs::remove_file(&tmp);
+            self.produced().spill_failures += 1;
         }
     }
+}
 
-    /// Evicts least-recently-used entries (never `just_inserted`) until
-    /// the budget holds.
-    fn evict_over_budget(&self, state: &mut State, just_inserted: TraceKey) {
-        while state.bytes > self.max_bytes && state.entries.len() > 1 {
-            let victim = state
-                .entries
-                .iter()
-                .filter(|(k, _)| **k != just_inserted)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else { break };
-            if let Some(entry) = state.entries.remove(&victim) {
-                state.bytes = state.bytes.saturating_sub(entry.bytes);
-                state.counters.evictions += 1;
-                // Lock-free push into the (possibly disabled) event
-                // stream; cheap enough to emit under the state lock.
-                vp_obs::events::instant("trace_store.evict", entry.bytes as u64);
-            }
-        }
-    }
+/// Replays `trace` into `tracer`, naming `key` on failure.
+fn replay(
+    key: TraceKey,
+    trace: &Trace,
+    program: &Program,
+    tracer: &mut impl Tracer,
+) -> Result<(), TraceError> {
+    trace
+        .replay(program, tracer)
+        .map_err(|source| TraceError::Replay { key, source })
 }
 
 impl Default for TraceStore {
@@ -600,28 +436,8 @@ impl Default for TraceStore {
 impl fmt::Debug for TraceStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceStore")
-            .field("max_bytes", &self.max_bytes)
             .field("spill_dir", &self.spill_dir)
             .field("stats", &self.stats())
             .finish()
-    }
-}
-
-/// Clears the in-flight mark for `key` even if production failed or
-/// panicked, so waiting threads retry instead of deadlocking.
-struct InFlightGuard<'a> {
-    store: &'a TraceStore,
-    key: TraceKey,
-}
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        let mut state = match self.store.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        state.in_flight.remove(&self.key);
-        drop(state);
-        self.store.available.notify_all();
     }
 }

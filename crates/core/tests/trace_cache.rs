@@ -1,8 +1,8 @@
 //! Unit tests for the trace store: cache hits must be indistinguishable
-//! from fresh simulation, the LRU byte budget must evict, and disk spill
-//! must round-trip across store instances.
+//! from fresh simulation, every consumer of `replay_into` must be fed
+//! exactly once, and disk spill must round-trip across store instances.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use provp_core::TraceStore;
@@ -53,32 +53,8 @@ fn cache_hit_replay_equals_fresh_simulation() {
 }
 
 #[test]
-fn lru_evicts_oldest_when_over_budget() {
-    // A budget way below one trace's size: at most one resident entry,
-    // and every insertion beyond the first evicts the previous one.
-    let store = TraceStore::with_max_bytes(1);
-    let limits = RunLimits::default();
-    let a = (WorkloadKind::Compress, InputSet::train(0));
-    let b = (WorkloadKind::Compress, InputSet::train(1));
-
-    store.get(a.0, a.1, limits).unwrap();
-    assert_eq!(store.resident(), 1);
-    store.get(b.0, b.1, limits).unwrap();
-    assert_eq!(store.resident(), 1, "budget of 1 byte keeps a single trace");
-    let stats = store.stats();
-    assert_eq!(stats.captures, 2);
-    assert_eq!(stats.evictions, 1);
-
-    // `a` was evicted: requesting it again re-captures.
-    store.get(a.0, a.1, limits).unwrap();
-    assert_eq!(store.stats().captures, 3);
-    // ... while `b`'s eviction means the LRU held the newest entry.
-    assert_eq!(store.stats().evictions, 2);
-}
-
-#[test]
 fn lru_keeps_recently_used_entries_under_budget() {
-    // Budget large enough for everything: no evictions at all.
+    // Nothing is ever dropped: every captured trace stays resident.
     let store = TraceStore::new();
     let limits = RunLimits::default();
     for i in 0..3 {
@@ -86,9 +62,8 @@ fn lru_keeps_recently_used_entries_under_budget() {
             .get(WorkloadKind::Compress, InputSet::train(i), limits)
             .unwrap();
     }
-    assert_eq!(store.resident(), 3);
-    assert_eq!(store.stats().evictions, 0);
-    assert!(store.resident_bytes() > 0);
+    assert_eq!(store.stats().resident, 3);
+    assert!(store.stats().resident_bytes > 0);
 }
 
 #[test]
@@ -180,4 +155,39 @@ fn concurrent_requests_simulate_once() {
     for t in &traces[1..] {
         assert_eq!(**t, *traces[0]);
     }
+}
+
+/// Four threads replay one key into their own collectors at once. The
+/// capturing thread is fed during the capture (not again by replay) and
+/// every waiter is fed by replay, so each image equals a fresh
+/// simulation's and the key is simulated once.
+#[test]
+fn concurrent_replay_into_feeds_every_consumer_once() {
+    let store = TraceStore::new();
+    let kind = WorkloadKind::Compress;
+    let input = InputSet::reference();
+    let program = Workload::new(kind).program(&input);
+    let start = Barrier::new(4);
+    let images: Vec<_> = thread::scope(|s| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut c = ProfileCollector::new("fresh");
+                    start.wait();
+                    store
+                        .replay_into(kind, input, RunLimits::default(), &program, &mut c)
+                        .unwrap();
+                    c.into_image()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let fresh = fresh_profile(kind, input);
+    for image in &images {
+        assert_eq!(*image, fresh, "every consumer sees the run exactly once");
+    }
+    let stats = store.stats();
+    assert_eq!(stats.captures, 1);
+    assert_eq!((stats.requests, stats.misses), (4, 1));
 }

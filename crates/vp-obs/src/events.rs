@@ -2,11 +2,11 @@
 //!
 //! Where spans and counters answer "how much, in total?", the event
 //! stream answers "*when*, on which thread?": every span begin/end and
-//! every explicitly emitted pipeline event (trace-store captures,
-//! evictions, spills, predictor allocation bursts, experiment
-//! boundaries) is recorded with a monotonic timestamp and a small
-//! per-process thread id, ready for export as a Chrome `trace_event`
-//! document (see [`crate::chrome`]).
+//! every explicitly emitted pipeline event (trace-store disk hits and
+//! spills, predictor allocation bursts, experiment boundaries) is
+//! recorded with a monotonic timestamp and a small per-process thread
+//! id, ready for export as a Chrome `trace_event` document (see
+//! [`crate::chrome`]).
 //!
 //! ## Design constraints
 //!
@@ -261,7 +261,7 @@ pub fn instant(name: &'static str, arg: u64) {
 }
 
 /// Opens a Begin/End event pair around a scope, *without* touching the
-/// span registry (use [`crate::span`] when aggregate timing is also
+/// span registry (use [`crate::span()`] when aggregate timing is also
 /// wanted; spans emit their own Begin/End events when the stream is
 /// enabled).
 #[must_use]

@@ -7,7 +7,7 @@
 //! it. Three layers, all dependency-free (the workspace stays
 //! offline-buildable):
 //!
-//! 1. **Spans** ([`span`]) — hierarchical wall-clock timing on a
+//! 1. **Spans** ([`span`](mod@span)) — hierarchical wall-clock timing on a
 //!    monotonic clock, recorded into a process-global, thread-safe
 //!    [`Registry`]. Worker threads spawned by `parallel_map` adopt their
 //!    parent's span path (see [`span::adopt`]), so per-phase totals

@@ -2,9 +2,9 @@
 //!
 //! Aggregate spans say how long each phase took *in total*; the sampling
 //! profiler says **where wall time concentrates** while costing nothing
-//! when it is off. Every thread that opens a [`crate::span`] maintains a
+//! when it is off. Every thread that opens a [`crate::span()`] maintains a
 //! lock-free, seqlock-published mirror of its open-span stack
-//! ([`ThreadStack`]); the background [`crate::Ticker`] thread
+//! (`ThreadStack`); the background [`crate::Ticker`] thread
 //! periodically snapshots every registered thread's stack into bounded
 //! per-thread ring buffers (drop-oldest, accounted by the
 //! `profiler.dropped_samples` counter — the same loss discipline as the

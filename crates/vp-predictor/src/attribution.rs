@@ -133,8 +133,8 @@ pub struct PcAttribution {
     pub speculated: u64,
     /// Used predictions that were correct.
     pub speculated_correct: u64,
-    /// Raw-incorrect accesses charged per cause, indexed by
-    /// [`AttributionCause::index`]; sums to `accesses - raw_correct`.
+    /// Raw-incorrect accesses charged per cause, in
+    /// [`AttributionCause::ALL`] order; sums to `accesses - raw_correct`.
     pub causes: [u64; 6],
 }
 
@@ -232,7 +232,7 @@ pub struct AttributionTotals {
     pub speculated: u64,
     /// Used-and-correct accesses.
     pub speculated_correct: u64,
-    /// Cause counts, indexed by [`AttributionCause::index`].
+    /// Cause counts, in [`AttributionCause::ALL`] order.
     pub causes: [u64; 6],
 }
 

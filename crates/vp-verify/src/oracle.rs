@@ -5,17 +5,17 @@
 //!
 //! 1. **Simulation differential** — the optimised [`vp_sim`] machine (with
 //!    the columnar [`TraceRecorder`] attached) against the row-oriented
-//!    [`ref_run`](crate::refsim::ref_run) interpreter: identical run
-//!    status, retired-instruction count, retirement event stream, final
-//!    register files and final memory.
+//!    [`ref_run`] interpreter: identical run status, retired-instruction
+//!    count, retirement event stream, final register files and final
+//!    memory.
 //! 2. **Serialisation oracle** — the captured columnar trace must survive
 //!    a `write_to`/`read_from` round trip bit-identically (the `provptr3`
 //!    encoder and its checksum are on this path).
 //! 3. **Predictor differential** — for a panel of predictor
-//!    configurations, the naive [`ref_predict`](crate::refpred::ref_predict)
-//!    models against (a) the real predictor fed directly, (b) a
-//!    sequential [`ReplayRequest`] replay, and (c) a PC-sharded parallel
-//!    one: identical [`PredictorStats`] and occupancy.
+//!    configurations, the naive [`ref_predict`] models against (a) the
+//!    real predictor fed directly, (b) a sequential [`ReplayRequest`]
+//!    replay, and (c) a PC-sharded parallel one: identical
+//!    [`PredictorStats`] and occupancy.
 //! 4. **Attribution oracle** — the attributed replay
 //!    ([`ReplayRequest::attribution`]) must leave the stats untouched
 //!    (observation-only), produce a bit-identical per-PC

@@ -52,13 +52,14 @@ pub use vp_workloads as workloads;
 /// use provp::prelude::*;
 /// ```
 ///
-/// pulls in everything a typical experiment touches: the [`Suite`]
-/// front-end, the [`ReplayRequest`] replay builder (batch over a captured
-/// [`Trace`] or bounded-memory streaming straight off the simulator),
-/// predictor configuration, workload selection and the run-manifest
-/// types. Deliberately excluded: crate internals — reach through the
-/// per-subsystem modules (`provp::sim`, `provp::predictor`, ...) when
-/// you need those.
+/// pulls in everything a typical experiment touches: the
+/// [`Suite`](crate::core::Suite) front-end, the
+/// [`ReplayRequest`](crate::core::ReplayRequest) replay builder (batch over
+/// a captured [`Trace`](crate::sim::Trace) or bounded-memory streaming
+/// straight off the simulator), predictor configuration, workload
+/// selection and the run-manifest types. Deliberately excluded: crate
+/// internals — reach through the per-subsystem modules (`provp::sim`,
+/// `provp::predictor`, ...) when you need those.
 pub mod prelude {
     pub use provp_core::replay::stream::{DEFAULT_BLOCK_POOL, MIN_BLOCK_POOL};
     pub use provp_core::{
