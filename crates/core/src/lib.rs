@@ -3,8 +3,9 @@
 //! # provp-core — end-to-end experiment pipelines
 //!
 //! Ties the workspace together: the three-phase methodology of the paper
-//! ([`pipeline::ProfileGuidedPipeline`]) and one runner per table/figure of
-//! its evaluation ([`experiments`]).
+//! ([`Suite::train_images`], [`Suite::merged_image`] and
+//! [`Suite::annotated`]) and one runner per table/figure of its evaluation
+//! ([`experiments`]).
 //!
 //! | Paper artifact | runner |
 //! |---|---|
@@ -30,14 +31,12 @@ pub mod exec;
 pub mod experiments;
 pub mod harness;
 mod memo;
-pub mod pipeline;
 pub mod replay;
 pub mod suite;
 pub mod trace_store;
 
 pub use exec::parallel_map;
 pub use harness::PredictorTracer;
-pub use pipeline::{PipelineConfig, PipelineError, PipelineOutcome, ProfileGuidedPipeline};
 pub use replay::{
     auto_shards, MatrixCell, ReplayCellOutcome, ReplayOutcome, ReplayRequest, ReplayResponse,
     SweepPlan,

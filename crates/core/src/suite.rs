@@ -3,14 +3,17 @@
 //! The evaluation section re-uses the same expensive artifacts — five
 //! training-run profile images per workload, merged profiles, annotated
 //! binaries — across many tables and figures. A [`Suite`] computes each
-//! artifact once and hands out clones.
+//! artifact once and hands out clones. It is also the paper's three-phase
+//! methodology: [`Suite::train_images`] profiles the phase-1 binary under
+//! each training input, [`Suite::merged_image`] merges those images by
+//! intersection, and [`Suite::annotated`] re-emits the binary with
+//! directives (phase 3).
 //!
-//! Since the trace-cache rework every method takes `&self`: caches live
-//! behind mutexes, the underlying simulations are memoised as retirement
-//! traces in a shared [`TraceStore`], and independent grid points can be
-//! fanned out over threads with [`Suite::par_map`] while keeping output
-//! order (and therefore rendered experiment output) byte-identical to a
-//! serial run.
+//! Every method takes `&self`: caches live behind mutexes, the underlying
+//! simulations are memoised as retirement traces in a shared
+//! [`TraceStore`], and independent grid points can be fanned out over
+//! threads with [`Suite::par_map`] while keeping output order (and
+//! therefore rendered experiment output) byte-identical to a serial run.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -57,6 +60,23 @@ struct CellResult {
 /// next to simulation. Functional simulations run at most once per
 /// `(workload, input, limits)` key — every consumer replays the memoised
 /// retirement trace from the embedded [`TraceStore`].
+///
+/// # Examples
+///
+/// The profile → merge → annotate phases for one workload:
+///
+/// ```
+/// use provp_core::Suite;
+/// use vp_workloads::WorkloadKind;
+///
+/// let suite = Suite::with_train_runs(2); // the paper uses 5
+/// let images = suite.train_images(WorkloadKind::Compress);
+/// let merged = suite.merged_image(WorkloadKind::Compress);
+/// let (_, summary) = suite.annotated(WorkloadKind::Compress, 0.9);
+/// assert_eq!(images.len(), 2);
+/// assert!(!merged.is_empty());
+/// assert!(summary.tagged() > 0);
+/// ```
 pub struct Suite {
     limits: RunLimits,
     train_runs: u32,
@@ -214,8 +234,12 @@ impl Suite {
             // A training trace is consumed exactly once (its profile image
             // is what gets memoised), so recording it would cost memory
             // for nothing: simulate straight into the collector.
-            run(&program, &mut collector, self.limits)
-                .unwrap_or_else(|e| panic!("{} faulted while profiling: {e}", workload.name()));
+            expect_trace(
+                run(&program, &mut collector, self.limits).map_err(|source| TraceError::Capture {
+                    key: TraceKey::new(kind, *input, self.limits),
+                    source,
+                }),
+            );
         }
         collector.into_image()
     }
@@ -496,9 +520,9 @@ impl Suite {
     }
 }
 
-/// The suite's one trace fault site: the pipeline has no error path for
-/// a workload that faults or a trace that fails to replay (both are
-/// generator bugs), so it panics with the offending trace key.
+/// The suite's one simulation fault site: a workload that faults or a
+/// trace that fails to replay is a generator bug the suite does not
+/// recover from, so it panics with the offending trace key.
 fn expect_trace<T>(result: Result<T, TraceError>) -> T {
     result.unwrap_or_else(|e| panic!("{e}"))
 }
@@ -537,6 +561,7 @@ impl Default for Suite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vp_isa::encode::text_delta;
 
     #[test]
     fn train_images_are_memoised() {
@@ -568,6 +593,70 @@ mod tests {
         let snap = vp_obs::global().snapshot();
         let merges = snap.spans.get("merged_image_memo_test/merge");
         assert_eq!(merges.map(|phase| phase.count), Some(1));
+    }
+
+    #[test]
+    fn pipeline_tags_ijpeg_loop_machinery() {
+        let (_, summary) = Suite::with_train_runs(2).annotated(WorkloadKind::Ijpeg, 0.9);
+        assert!(summary.stride_tagged >= 5, "{summary}");
+        assert!(summary.below_threshold > 0, "{summary}");
+        // ijpeg's sample loads and accumulations must not qualify at 90%.
+        assert!(summary.tagged() < summary.producers());
+    }
+
+    #[test]
+    fn pipeline_output_differs_only_in_directive_bits() {
+        let (annotated, _) = Suite::with_train_runs(2).annotated(WorkloadKind::Compress, 0.8);
+        let base = Workload::new(WorkloadKind::Compress).program(&InputSet::train(0));
+        let deltas = text_delta(&base, &annotated).unwrap();
+        assert!(!deltas.is_empty());
+        assert!(deltas.iter().all(|d| d.directive_only));
+    }
+
+    #[test]
+    fn merged_profile_covers_every_run() {
+        let s = Suite::with_train_runs(2);
+        let images = s.train_images(WorkloadKind::M88ksim);
+        let merged = s.merged_image(WorkloadKind::M88ksim);
+        assert_eq!(images.len(), 2);
+        let total: u64 = images.iter().map(ProfileImage::total_execs).sum();
+        // Executions of instructions dropped by intersection.
+        let omitted: u64 = images
+            .iter()
+            .flat_map(|img| img.iter())
+            .filter(|(a, _)| merged.get(*a).is_none())
+            .map(|(_, r)| r.execs)
+            .sum();
+        assert_eq!(merged.total_execs() + omitted, total);
+    }
+
+    /// With a spill directory, training runs are captured and spilled
+    /// instead of simulated straight into the collector; the profiles
+    /// must not change, and a later suite reloads them from disk.
+    #[test]
+    fn spilled_training_traces_match_direct_profiles() {
+        let dir =
+            std::env::temp_dir().join(format!("provp-suite-train-spill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let kind = WorkloadKind::Compress;
+        let direct = Suite::with_train_runs(2);
+
+        let spilled = Suite::with_train_runs(2).with_trace_dir(&dir);
+        assert_eq!(direct.train_images(kind), spilled.train_images(kind));
+        assert_eq!(direct.merged_image(kind), spilled.merged_image(kind));
+        assert_eq!(
+            direct.annotated(kind, 0.9).0.text(),
+            spilled.annotated(kind, 0.9).0.text()
+        );
+        let stats = spilled.trace_stats();
+        assert_eq!((stats.captures, stats.spills), (2, 2), "{stats:?}");
+
+        let reloaded = Suite::with_train_runs(2).with_trace_dir(&dir);
+        assert_eq!(direct.train_images(kind), reloaded.train_images(kind));
+        let stats = reloaded.trace_stats();
+        assert_eq!((stats.disk_hits, stats.captures), (2, 0), "{stats:?}");
+
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,14 +5,20 @@
 //! trace, across worker counts {1, 4} × block pools {2, 8} × all six
 //! predictor configuration families — the delivery block boundaries, the
 //! producer/consumer interleaving and the pool size may change the
-//! schedule, never the result.
+//! schedule, never the result. A simulator fault mid-stream must end the
+//! replay in the same typed error a capture reports, never a hang.
 
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
+
+use provp_core::replay::stream::DEFAULT_BLOCK_POOL;
 use provp_core::{ReplayRequest, SweepPlan};
 use vp_isa::asm::assemble;
 use vp_isa::Program;
 use vp_predictor::{ClassifierKind, PredictorConfig, TableGeometry};
 use vp_rng::{prop, Rng};
-use vp_sim::{RunLimits, Trace};
+use vp_sim::{RunLimits, SimError, Trace};
 
 /// The six predictor configuration families under both paper baselines:
 /// the fixed panel every jobs × pool combination is checked against.
@@ -186,4 +192,49 @@ fn streamed_duplicate_cells_share_one_slot() {
     assert_eq!(streamed.len(), 3);
     assert_eq!(streamed[0].stats, streamed[1].stats);
     assert_eq!(streamed[0].occupancy, streamed[1].occupancy);
+}
+
+/// A simulator fault mid-stream ends the replay in a typed error, never
+/// a hang: the program falls off its text segment (no `halt`) after
+/// about 15k value events — several pool-fulls — at every shard count,
+/// with the smallest pool and the default one. The error carries the
+/// same [`SimError`] a plain capture reports.
+#[test]
+fn simulator_fault_mid_stream_is_a_typed_error() {
+    let program = assemble("li r1, 0\nli r2, 15000\ntop: addi r1, r1, 1\nbne r1, r2, top\n")
+        .expect("kernel assembles");
+    let limits = RunLimits::default();
+    let expected = Trace::capture(&program, limits).expect_err("the kernel faults");
+    assert!(
+        matches!(expected, SimError::PcOutOfRange { .. }),
+        "{expected}"
+    );
+    let mut plan = SweepPlan::new();
+    let table = plan.add_directives(&program);
+    plan.add_cell(PredictorConfig::spec_table_stride_fsm(), table);
+    for shards in [1usize, 2, 4] {
+        for pool in [1, DEFAULT_BLOCK_POOL] {
+            let (tx, rx) = mpsc::channel();
+            let (program, plan) = (program.clone(), plan.clone());
+            thread::spawn(move || {
+                let result = ReplayRequest::stream(&program, limits)
+                    .plan(plan)
+                    .shards(shards)
+                    .block_pool(pool)
+                    .run()
+                    .map(|_| ());
+                let _ = tx.send(result);
+            });
+            let err = rx
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("stream hung at {shards} shards / pool {pool}"))
+                .expect_err("a faulting simulation cannot stream to completion");
+            let fault = err.get_ref().and_then(|e| e.downcast_ref::<SimError>());
+            assert_eq!(
+                fault,
+                Some(&expected),
+                "{shards} shards / pool {pool}: {err}"
+            );
+        }
+    }
 }

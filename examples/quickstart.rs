@@ -9,42 +9,28 @@
 //! with value-prediction directives — then we evaluate on a held-out
 //! reference input and compare ILP with and without value prediction.
 
-use provp::compiler::ThresholdPolicy;
-use provp::core::pipeline::{PipelineConfig, ProfileGuidedPipeline};
-use provp::ilp::{IlpAnalyzer, IlpConfig};
-use provp::sim::{run, RunLimits};
-use provp::workloads::{InputSet, Workload, WorkloadKind};
+use provp::core::Suite;
+use provp::ilp::IlpConfig;
+use provp::workloads::WorkloadKind;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let workload = Workload::new(WorkloadKind::Ijpeg);
+fn main() {
+    let kind = WorkloadKind::Ijpeg;
+    let suite = Suite::new();
 
-    // Phases 1-3: compile, profile (n = 5 training inputs), annotate.
-    let pipeline = ProfileGuidedPipeline::new(PipelineConfig {
-        policy: ThresholdPolicy::new(0.9),
-        ..PipelineConfig::default()
-    });
-    let outcome = pipeline.run(&workload)?;
+    // Phases 1-3: compile, profile (n = 5 training inputs), merge, and
+    // annotate at a 90% accuracy threshold.
+    let (_, summary) = suite.annotated(kind, 0.9);
     println!(
         "profiled {} static value producers over {} runs",
-        outcome.merged.len(),
-        outcome.images.len()
+        suite.merged_image(kind).len(),
+        suite.train_images(kind).len()
     );
-    println!("annotation report: {}", outcome.annotated.summary());
+    println!("annotation report: {summary}");
 
     // Evaluation: a *reference* input the profiler never saw, carrying the
     // training-derived directives.
-    let tagged = outcome.annotated.program();
-    let reference = workload
-        .program(&InputSet::reference())
-        .with_directives(|addr, _| tagged.text()[addr.index() as usize].directive);
-
-    let mut base = IlpAnalyzer::new(IlpConfig::paper_no_vp());
-    run(&reference, &mut base, RunLimits::default())?;
-    let base = base.finish();
-
-    let mut vp = IlpAnalyzer::new(IlpConfig::paper_vp_profile());
-    run(&reference, &mut vp, RunLimits::default())?;
-    let vp = vp.finish();
+    let base = suite.ilp(kind, IlpConfig::paper_no_vp(), None);
+    let vp = suite.ilp(kind, IlpConfig::paper_vp_profile(), Some(0.9));
 
     println!("no value prediction:          {base}");
     println!("profile-guided value pred.:   {vp}");
@@ -52,5 +38,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "ILP increase:                 {:+.1}%",
         vp.ilp_increase_over(&base)
     );
-    Ok(())
 }

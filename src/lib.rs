@@ -22,17 +22,21 @@
 //!
 //! ## Quickstart
 //!
-//! ```
-//! use provp::core::pipeline::{ProfileGuidedPipeline, PipelineConfig};
-//! use provp::workloads::{Workload, WorkloadKind};
+//! The paper's three phases run through a memoising
+//! [`Suite`](crate::core::Suite): profile the phase-1 binary under each
+//! training input, merge the images, annotate at a threshold.
 //!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let workload = Workload::new(WorkloadKind::Ijpeg);
-//! let pipeline = ProfileGuidedPipeline::new(PipelineConfig::default());
-//! let outcome = pipeline.run(&workload)?;
-//! assert!(outcome.annotated.summary().tagged() > 0);
-//! # Ok(())
-//! # }
+//! ```
+//! use provp::core::Suite;
+//! use provp::workloads::WorkloadKind;
+//!
+//! let suite = Suite::new(); // 5 training runs, as in the paper
+//! let images = suite.train_images(WorkloadKind::Ijpeg);
+//! let merged = suite.merged_image(WorkloadKind::Ijpeg);
+//! let (_, summary) = suite.annotated(WorkloadKind::Ijpeg, 0.9);
+//! assert_eq!(images.len(), 5);
+//! assert!(!merged.is_empty());
+//! assert!(summary.tagged() > 0);
 //! ```
 
 pub use provp_core as core;

@@ -1,7 +1,6 @@
 //! End-to-end integration: the three-phase methodology across crates.
 
-use provp::compiler::ThresholdPolicy;
-use provp::core::pipeline::{PipelineConfig, ProfileGuidedPipeline};
+use provp::core::Suite;
 use provp::isa::encode::text_delta;
 use provp::sim::{run, FnTracer, Retirement, RunLimits};
 use provp::workloads::{InputSet, Workload, WorkloadKind};
@@ -35,19 +34,11 @@ fn annotation_preserves_architectural_semantics() {
         WorkloadKind::Go,
         WorkloadKind::Mgrid,
     ] {
-        let workload = Workload::new(kind);
-        let pipeline = ProfileGuidedPipeline::new(PipelineConfig {
-            train_runs: 2,
-            policy: ThresholdPolicy::new(0.7),
-            limits: RunLimits::default(),
-        });
-        let outcome = pipeline.run(&workload).unwrap();
+        let suite = Suite::with_train_runs(2);
 
         // Evaluate on the reference input with and without directives.
-        let bare = workload.program(&InputSet::reference());
-        let tagged = bare.with_directives(|addr, _| {
-            outcome.annotated.program().text()[addr.index() as usize].directive
-        });
+        let bare = suite.reference_program(kind, None);
+        let tagged = suite.reference_program(kind, Some(0.7));
         assert_ne!(bare.directive_counts(), tagged.directive_counts(), "{kind}");
         assert_eq!(
             trace_checksum(&bare),
@@ -60,15 +51,9 @@ fn annotation_preserves_architectural_semantics() {
 /// Phase 3 touches only the two directive bits of the encoded words.
 #[test]
 fn annotation_is_a_directive_bit_patch() {
-    let workload = Workload::new(WorkloadKind::Perl);
-    let pipeline = ProfileGuidedPipeline::new(PipelineConfig {
-        train_runs: 2,
-        policy: ThresholdPolicy::new(0.5),
-        limits: RunLimits::default(),
-    });
-    let outcome = pipeline.run(&workload).unwrap();
-    let base = workload.program(&InputSet::train(0));
-    let deltas = text_delta(&base, outcome.annotated.program()).unwrap();
+    let (annotated, _) = Suite::with_train_runs(2).annotated(WorkloadKind::Perl, 0.5);
+    let base = Workload::new(WorkloadKind::Perl).program(&InputSet::train(0));
+    let deltas = text_delta(&base, &annotated).unwrap();
     assert!(
         !deltas.is_empty(),
         "the pass must tag something at a 50% threshold"
@@ -81,25 +66,13 @@ fn annotation_is_a_directive_bit_patch() {
 /// (the transfer property Section 4 establishes).
 #[test]
 fn training_classification_transfers_to_reference_input() {
-    use provp::core::PredictorTracer;
     use provp::predictor::PredictorConfig;
 
-    let workload = Workload::new(WorkloadKind::Ijpeg);
-    let pipeline = ProfileGuidedPipeline::new(PipelineConfig {
-        train_runs: 3,
-        policy: ThresholdPolicy::new(0.9),
-        limits: RunLimits::default(),
-    });
-    let outcome = pipeline.run(&workload).unwrap();
-    let reference = workload
-        .program(&InputSet::reference())
-        .with_directives(|addr, _| {
-            outcome.annotated.program().text()[addr.index() as usize].directive
-        });
-
-    let mut tracer = PredictorTracer::new(PredictorConfig::spec_table_stride_profile().build());
-    run(&reference, &mut tracer, RunLimits::default()).unwrap();
-    let stats = tracer.into_stats();
+    let stats = Suite::with_train_runs(3).predictor_stats(
+        WorkloadKind::Ijpeg,
+        PredictorConfig::spec_table_stride_profile(),
+        Some(0.9),
+    );
     assert!(
         stats.effective_accuracy() > 0.85,
         "instructions tagged at a 90% training threshold should stay accurate \
