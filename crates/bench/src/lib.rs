@@ -37,10 +37,6 @@
 //!                            peak RSS) to FILE after the run
 //! --metrics-table            print the same report human-readably to
 //!                            stderr
-//! --trace-out=FILE           record span begin/end and pipeline events
-//!                            into a bounded in-memory ring and write a
-//!                            Chrome `trace_event` JSON file (open in
-//!                            Perfetto or chrome://tracing) after the run
 //! --sample-ms=N              snapshot every counter/gauge every N ms on
 //!                            the background ticker thread and embed the
 //!                            series as the manifest's `samples` array
@@ -55,18 +51,18 @@
 //!                            thread and embed the folded result as the
 //!                            manifest's `profile` section
 //! --profile-out=FILE         write the collapsed-stack samples to FILE
-//!                            (`a;b;c <count>` lines) plus a rendered
-//!                            flamegraph SVG next to it (FILE with a
-//!                            `.svg` extension); requires --profile-hz=
+//!                            (`a;b;c <count>` lines, readable by
+//!                            `flamegraph.pl` or speedscope); requires
+//!                            --profile-hz=
 //! ```
 //!
 //! Every flag also accepts the space-separated form (`--jobs 4`); see
 //! [`args::normalize`].
 //!
 //! With none of the observability flags set, the layer stays passive
-//! and stdout is byte-identical to an uninstrumented run — the event
-//! ring, ticker and exporters only write to the requested files and to
-//! stderr, never stdout. Diagnostics on stderr are level-filtered via
+//! and stdout is byte-identical to an uninstrumented run — the ticker
+//! and exporters only write to the requested files and to stderr, never
+//! stdout. Diagnostics on stderr are level-filtered via
 //! `PROVP_LOG=error|warn|info|debug` (default `warn`).
 
 pub mod args;
@@ -98,9 +94,6 @@ pub struct Options {
     pub metrics_out: Option<PathBuf>,
     /// Whether to print the human-readable metrics report to stderr.
     pub metrics_table: bool,
-    /// Where to write the Chrome `trace_event` JSON document, if
-    /// anywhere (also enables the in-memory event ring).
-    pub trace_out: Option<PathBuf>,
     /// Mid-run registry sampling cadence in milliseconds, if sampling
     /// was requested.
     pub sample_ms: Option<u64>,
@@ -112,8 +105,8 @@ pub struct Options {
     /// Span-stack sampling cadence in Hz, if profiling was requested.
     /// Observation-only: stdout stays byte-identical either way.
     pub profile_hz: Option<u32>,
-    /// Where to write the collapsed-stack profile (and, next to it, the
-    /// flamegraph SVG), if anywhere. Requires `profile_hz`.
+    /// Where to write the collapsed-stack profile, if anywhere.
+    /// Requires `profile_hz`.
     pub profile_out: Option<PathBuf>,
 }
 
@@ -128,7 +121,6 @@ impl Default for Options {
             trace_cache: None,
             metrics_out: None,
             metrics_table: false,
-            trace_out: None,
             sample_ms: None,
             attribution: false,
             attribution_top: 20,
@@ -194,11 +186,6 @@ impl Options {
                 opts.metrics_out = Some(PathBuf::from(path));
             } else if arg == "--metrics-table" {
                 opts.metrics_table = true;
-            } else if let Some(path) = arg.strip_prefix("--trace-out=") {
-                if path.is_empty() {
-                    return Err("empty --trace-out path".to_owned());
-                }
-                opts.trace_out = Some(PathBuf::from(path));
             } else if let Some(n) = arg.strip_prefix("--sample-ms=") {
                 opts.sample_ms = Some(
                     n.parse()
@@ -228,9 +215,8 @@ impl Options {
                 return Err(format!(
                     "unknown argument `{arg}` (try --workloads=, --train-runs=, \
                      --jobs=, --stream, --block-pool=, --trace-cache=, \
-                     --metrics-out=, --metrics-table, --trace-out=, --sample-ms=, \
-                     --attribution, --attribution-top=, --profile-hz=, \
-                     --profile-out=)"
+                     --metrics-out=, --metrics-table, --sample-ms=, --attribution, \
+                     --attribution-top=, --profile-hz=, --profile-out=)"
                 ));
             }
         }
@@ -272,9 +258,9 @@ impl Options {
 /// Runs one experiment binary end to end: parses the process arguments,
 /// builds the suite, executes `body` under a root span named after the
 /// binary, and — when the observability flags ask for it — folds the
-/// suite's trace-store statistics into the metric registry, records the
-/// event stream, samples the registry and span stacks mid-run and emits
-/// the run manifest and Chrome trace.
+/// suite's trace-store statistics into the metric registry, samples the
+/// registry and span stacks mid-run and emits the run manifest and the
+/// folded profile.
 ///
 /// With no observability flags set this adds nothing observable: no
 /// files, no stderr, and stdout exactly as `body` printed it.
@@ -287,9 +273,6 @@ pub fn run_experiment(bin: &'static str, body: impl FnOnce(&Options, &Suite)) {
 /// layer extra argument handling on top of [`Options`]).
 pub fn run_experiment_with(bin: &'static str, opts: &Options, body: impl FnOnce(&Options, &Suite)) {
     let started = Instant::now();
-    if opts.trace_out.is_some() {
-        vp_obs::events::enable();
-    }
     if opts.attribution {
         provp_core::attribution::enable(opts.attribution_top);
     }
@@ -315,46 +298,22 @@ pub fn run_experiment_with(bin: &'static str, opts: &Options, body: impl FnOnce(
             std::process::exit(1);
         })
     });
-    vp_obs::events::instant("experiment.start", 0);
     {
         let _root = vp_obs::span(bin);
         body(opts, &suite);
     }
-    vp_obs::events::instant("experiment.finish", 0);
+    // Stopping the ticker publishes `profiler.samples` /
+    // `profiler.dropped_samples`, so they land in the manifest's counters.
     let vp_obs::Harvest { samples, profile } = ticker.map(vp_obs::Ticker::stop).unwrap_or_default();
-    // Drain + export the event stream *before* the manifest snapshot so
-    // `trace.dropped_events` lands in the manifest's counters (the
-    // ticker's stop already published `profiler.samples` /
-    // `profiler.dropped_samples` the same way).
-    emit_trace(opts);
     emit_profile(opts, profile.as_ref());
     emit_metrics(bin, opts, &suite, started, samples, profile);
-}
-
-/// Drains the global event stream and writes the Chrome trace when
-/// `--trace-out=` asked for one. A no-op otherwise.
-fn emit_trace(opts: &Options) {
-    let Some(path) = &opts.trace_out else { return };
-    let (events, dropped) = vp_obs::events::drain_global();
-    vp_obs::counter("trace.dropped_events").record_absolute(dropped);
-    if dropped > 0 {
-        vp_obs::obs_warn!(
-            "event ring dropped {dropped} events (oldest first); the Chrome \
-             trace at {} is truncated",
-            path.display()
-        );
-    }
-    if let Err(e) = vp_obs::write_chrome_trace(&events, dropped, path) {
-        obs_error!("failed to write Chrome trace to {}: {e}", path.display());
-        std::process::exit(1);
-    }
 }
 
 /// Hot stacks exported into the manifest's `profile` section.
 const PROFILE_TOP_K: usize = 20;
 
-/// Writes the collapsed-stack profile and its flamegraph SVG when
-/// `--profile-out=` asked for them. A no-op otherwise.
+/// Writes the collapsed-stack profile when `--profile-out=` asked for
+/// it. A no-op otherwise.
 fn emit_profile(opts: &Options, profile: Option<&vp_obs::Profile>) {
     let Some(path) = &opts.profile_out else {
         return;
@@ -362,21 +321,6 @@ fn emit_profile(opts: &Options, profile: Option<&vp_obs::Profile>) {
     let Some(profile) = profile else { return };
     if let Err(e) = vp_obs::export::write_atomically(path, &profile.folded_text()) {
         obs_error!("failed to write folded profile to {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    let svg_path = path.with_extension("svg");
-    let title = format!(
-        "{} @ {} Hz ({} samples, {} threads)",
-        path.file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "profile".to_owned()),
-        profile.hz,
-        profile.samples,
-        profile.threads,
-    );
-    let svg = vp_obs::flamegraph_svg(&profile.folded, &title);
-    if let Err(e) = vp_obs::export::write_atomically(&svg_path, &svg) {
-        obs_error!("failed to write flamegraph to {}: {e}", svg_path.display());
         std::process::exit(1);
     }
 }
@@ -500,7 +444,7 @@ mod tests {
         assert!(Options::parse(["--jobs=0".into()]).is_err());
         assert!(Options::parse(["--jobs=lots".into()]).is_err());
         assert!(Options::parse(["--trace-cache=".into()]).is_err());
-        assert!(Options::parse(["--trace-out=".into()]).is_err());
+        assert!(Options::parse(["--metrics-out=".into()]).is_err());
         assert!(Options::parse(["--sample-ms=0".into()]).is_err());
         assert!(Options::parse(["--sample-ms=soon".into()]).is_err());
     }
@@ -522,11 +466,11 @@ mod tests {
 
     #[test]
     fn parses_observability_flags() {
-        let o = Options::parse(["--trace-out=t.json".into(), "--sample-ms=50".into()]).unwrap();
-        assert_eq!(o.trace_out.as_deref(), Some("t.json".as_ref()));
+        let o = Options::parse(["--metrics-out=m.json".into(), "--sample-ms=50".into()]).unwrap();
+        assert_eq!(o.metrics_out.as_deref(), Some("m.json".as_ref()));
         assert_eq!(o.sample_ms, Some(50));
         let o = Options::parse([]).unwrap();
-        assert_eq!(o.trace_out, None);
+        assert_eq!(o.metrics_out, None);
         assert_eq!(o.sample_ms, None);
         assert!(!o.attribution);
         assert_eq!(o.attribution_top, 20);

@@ -1,12 +1,12 @@
 //! Guards the observability layer's central contract: requesting a run
 //! manifest must not perturb experiment output. Runs the real `repro-all`
 //! binary with and without observability flags (`--metrics-out`,
-//! `--trace-out`, `--sample-ms`, `--attribution`, `--profile-hz`,
-//! `--profile-out`) and asserts stdout is byte-identical, then
-//! sanity-checks the emitted manifest, the time-series samples, the
-//! Chrome trace, the per-PC attribution layer (deterministic across
-//! `--jobs`, totals reconciling exactly with the predictor counters),
-//! the sampling profiler's folded/flamegraph/manifest exports, and the
+//! `--sample-ms`, `--attribution`, `--profile-hz`, `--profile-out`) and
+//! asserts stdout is byte-identical, then sanity-checks the emitted
+//! manifest, the time-series samples, the per-PC attribution layer
+//! (deterministic across `--jobs`, totals reconciling exactly with the
+//! predictor counters), the sampling profiler's folded/manifest
+//! exports, and the
 //! `manifest-diff` / `attribution-report` reporting tools.
 
 use std::collections::BTreeMap;
@@ -121,24 +121,18 @@ fn parse_manifest(path: &Path) -> RunManifest {
     RunManifest::parse(text.trim_end()).expect("manifest parses")
 }
 
-/// Full observability run: `--trace-out` + `--sample-ms` + `--metrics-out`
-/// together must still leave experiment stdout byte-identical, while
-/// producing a manifest whose time series is internally consistent and
-/// a Chrome trace that satisfies the `trace_event` validity contract
-/// (every `B` matched by an `E` on its thread, timestamps monotone per
-/// thread).
+/// Sampled observability run: `--sample-ms` + `--metrics-out` together
+/// must still leave experiment stdout byte-identical, while producing a
+/// manifest whose time series is internally consistent.
 #[test]
-fn trace_and_samples_leave_stdout_byte_identical() {
+fn samples_leave_stdout_byte_identical() {
     let pid = std::process::id();
-    let manifest_path = std::env::temp_dir().join(format!("provp-trace-golden-{pid}.json"));
-    let trace_path = std::env::temp_dir().join(format!("provp-trace-golden-{pid}.trace.json"));
+    let manifest_path = std::env::temp_dir().join(format!("provp-samples-golden-{pid}.json"));
     let _ = std::fs::remove_file(&manifest_path);
-    let _ = std::fs::remove_file(&trace_path);
 
     let plain = run_repro_all(&[]);
     let instrumented = run_repro_all(&[
         format!("--metrics-out={}", manifest_path.display()),
-        format!("--trace-out={}", trace_path.display()),
         "--sample-ms=25".to_owned(),
     ]);
 
@@ -146,7 +140,7 @@ fn trace_and_samples_leave_stdout_byte_identical() {
     assert!(instrumented.status.success(), "instrumented run failed");
     assert_eq!(
         plain.stdout, instrumented.stdout,
-        "--trace-out/--sample-ms must not change experiment stdout"
+        "--sample-ms must not change experiment stdout"
     );
 
     // -- manifest with an internally consistent time series --
@@ -178,65 +172,6 @@ fn trace_and_samples_leave_stdout_byte_identical() {
             "monotone counters must not go backwards across samples"
         );
     }
-    // The ring-drop counter is always published on traced runs (0 when
-    // nothing was lost), so dashboards can rely on the key.
-    assert!(
-        manifest.counters.contains_key("trace.dropped_events"),
-        "traced runs must report trace.dropped_events (even when 0)"
-    );
-
-    // -- Chrome trace validity --
-    let text = std::fs::read_to_string(&trace_path).expect("trace written");
-    std::fs::remove_file(&trace_path).unwrap();
-    assert!(text.ends_with('\n'), "trace ends with newline");
-    let names = assert_chrome_trace_valid(text.trim_end());
-    for expected in ["experiment.start", "experiment.finish", "repro-all"] {
-        assert!(
-            names.iter().any(|n| n == expected),
-            "trace must record {expected}; saw {names:?}"
-        );
-    }
-}
-
-/// Asserts the Chrome `trace_event` validity contract on a rendered
-/// trace document and returns the event names seen: every record carries
-/// name/ph/ts/pid/tid, every `B` is matched by a later `E` on the same
-/// tid, and timestamps are monotone per tid.
-fn assert_chrome_trace_valid(doc: &str) -> Vec<String> {
-    let parsed = Json::parse(doc).expect("trace is valid JSON");
-    let records = parsed
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .expect("traceEvents array");
-    assert!(!records.is_empty(), "trace must not be empty");
-    let mut depth: BTreeMap<u64, i64> = BTreeMap::new();
-    let mut last: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut names = Vec::new();
-    for r in records {
-        let tid = r.get("tid").and_then(Json::as_u64).expect("tid");
-        let ts = r.get("ts").and_then(Json::as_f64).expect("ts");
-        let ph = r.get("ph").and_then(Json::as_str).expect("ph");
-        let name = r.get("name").and_then(Json::as_str).expect("name");
-        assert!(r.get("pid").and_then(Json::as_u64).is_some(), "pid");
-        names.push(name.to_owned());
-        let prev = last.entry(tid).or_insert(0.0);
-        assert!(ts >= *prev, "timestamps must be monotone per thread");
-        *prev = ts;
-        match ph {
-            "B" => *depth.entry(tid).or_insert(0) += 1,
-            "E" => {
-                let d = depth.entry(tid).or_insert(0);
-                assert!(*d > 0, "E without open B on tid {tid}");
-                *d -= 1;
-            }
-            "i" => {}
-            other => panic!("unexpected phase {other}"),
-        }
-    }
-    for (tid, d) in depth {
-        assert_eq!(d, 0, "unclosed B on tid {tid}");
-    }
-    names
 }
 
 /// The per-PC attribution layer end to end: `--attribution` must leave
@@ -372,10 +307,9 @@ fn attribution_is_deterministic_and_reconciles() {
 
 /// The sampling profiler end to end: `--profile-hz`/`--profile-out` must
 /// leave experiment stdout byte-identical, add an internally consistent
-/// `profile` section to the manifest, write a
-/// collapsed-stack file that round-trips through the flamegraph renderer
-/// deterministically (the re-rendered SVG is byte-identical to the one
-/// the binary wrote), and publish the `profiler.*` loss counters.
+/// `profile` section to the manifest, write a collapsed-stack file that
+/// parses back to the sampled total and nothing next to it, and publish
+/// the `profiler.*` loss counters.
 #[test]
 fn profiler_leaves_stdout_byte_identical() {
     let pid = std::process::id();
@@ -440,7 +374,7 @@ fn profiler_leaves_stdout_byte_identical() {
         "manifest counter must agree with the profile section"
     );
 
-    // -- folded output round-trips through the flamegraph renderer --
+    // -- folded output parses back to the sampled total --
     let folded_text = std::fs::read_to_string(&folded_path).expect("folded file written");
     std::fs::remove_file(&folded_path).unwrap();
     let folded = vp_obs::Profile::parse_folded(&folded_text).expect("folded file parses");
@@ -454,17 +388,9 @@ fn profiler_leaves_stdout_byte_identical() {
         "every stack is rooted at the binary's root span"
     );
 
-    let svg = std::fs::read_to_string(&svg_path).expect("flamegraph written");
-    std::fs::remove_file(&svg_path).unwrap();
-    let stem = folded_path.file_stem().unwrap().to_string_lossy();
-    let title = format!(
-        "{stem} @ {} Hz ({} samples, {} threads)",
-        profile.hz, profile.samples, profile.threads
-    );
-    assert_eq!(
-        svg,
-        vp_obs::flamegraph_svg(&folded, &title),
-        "re-rendering the folded file must reproduce the SVG byte for byte"
+    assert!(
+        !svg_path.exists(),
+        "--profile-out writes the folded file only, no side file"
     );
 }
 

@@ -95,10 +95,6 @@ where
                     // Timing recorded by this worker lands under the
                     // spawning thread's span hierarchy.
                     let _adopted = vp_obs::span::adopt(parent_span);
-                    // Raw begin/end events (not spans: no new manifest
-                    // phase rows) so the Chrome trace shows each worker
-                    // thread's active interval on its own track.
-                    let _worker = vp_obs::events::scope("worker");
                     let mut out = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);

@@ -398,7 +398,6 @@ fn batch_matrix(trace: &Trace, req: &ReplayRequest<'_>) -> io::Result<Vec<Replay
     let skew_us = slowest.saturating_sub(fastest);
     vp_obs::counter("replay.shards").add(req.shards as u64);
     vp_obs::gauge("replay.shard_skew_ms").set_max(skew_us.div_ceil(1000));
-    vp_obs::events::instant("replay.shard_skew", skew_us);
     Ok(merge_shards(parts, &slot_of, req.shards))
 }
 

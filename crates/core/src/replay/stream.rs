@@ -341,7 +341,6 @@ where
                 scope.spawn(move || {
                     crate::exec::mark_worker_thread();
                     let _adopted = vp_obs::span::adopt(parent_span);
-                    let _worker = vp_obs::events::scope("worker");
                     let _detach = DetachGuard { channel, index };
                     scan(ShardEvents {
                         channel,
@@ -356,7 +355,6 @@ where
 
         let producer_handle = scope.spawn(move || {
             let _adopted = vp_obs::span::adopt(parent_span.clone());
-            let _worker = vp_obs::events::scope("producer");
             let _close = CloseGuard { channel };
             let mut tracer = ValueBlockTracer::new(StreamSink::new(Arc::clone(channel)));
             let outcome = vp_sim::run(program, &mut tracer, limits);
@@ -555,6 +553,43 @@ mod tests {
             });
             assert_eq!(producer.join().unwrap(), 64);
         });
+    }
+
+    /// A consumer that panics mid-block must not wedge the stream: its
+    /// detach guard hands the buffers back, the producer runs to the end,
+    /// and the panic resumes on the caller.
+    #[test]
+    fn panicking_consumer_resumes_on_the_caller() {
+        let p = assemble("li r1, 0\nli r2, 50000\ntop: addi r1, r1, 1\nbne r1, r2, top\nhalt\n")
+            .unwrap();
+        for shards in [1usize, 2, 4] {
+            // A 1-block pool is clamped to `MIN_BLOCK_POOL`.
+            for pool in [1, DEFAULT_BLOCK_POOL] {
+                let p = p.clone();
+                let (done, outcome) = std::sync::mpsc::channel();
+                thread::spawn(move || {
+                    let streamed = std::panic::catch_unwind(|| {
+                        run_streamed(&p, RunLimits::default(), shards, pool, None, |events| {
+                            // Event 1500 lies inside the second block.
+                            for (seen, _) in events.enumerate() {
+                                if seen == 1500 {
+                                    panic!("consumer panics mid-block");
+                                }
+                            }
+                            Ok(())
+                        })
+                    });
+                    let _ = done.send(streamed.is_err());
+                });
+                let panicked = outcome
+                    .recv_timeout(Duration::from_secs(30))
+                    .unwrap_or_else(|_| panic!("stream hung at {shards} shards / pool {pool}"));
+                assert!(
+                    panicked,
+                    "the panic must resume on the caller at {shards} shards / pool {pool}"
+                );
+            }
+        }
     }
 
     #[test]

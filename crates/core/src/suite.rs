@@ -528,14 +528,8 @@ fn expect_trace<T>(result: Result<T, TraceError>) -> T {
 }
 
 /// Folds one run's predictor statistics into the process-wide
-/// observability counters (table pressure + per-classification hit rates)
-/// and marks allocation bursts in the event stream (an instant event per
-/// run carrying that run's allocation count, so the Chrome trace shows
-/// *which* predictor runs churned the table).
+/// observability counters (table pressure + per-classification hit rates).
 fn publish_predictor_metrics(stats: &PredictorStats) {
-    if stats.allocations > 0 {
-        vp_obs::events::instant("predictor.alloc_burst", stats.allocations);
-    }
     vp_obs::counter("predictor.accesses").add(stats.accesses);
     vp_obs::counter("predictor.hits").add(stats.hits);
     vp_obs::counter("predictor.raw_correct").add(stats.raw_correct);

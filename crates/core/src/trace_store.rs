@@ -29,11 +29,8 @@
 //! `requests == memory_hits + misses` exactly, even while worker threads
 //! are mid-request. Captures are additionally wrapped in a `vp_obs` span
 //! (`capture`) so manifest phase timings show where simulation
-//! wall-clock goes, and the store emits instant events
-//! (`trace_store.spill` / `trace_store.disk_hit`, each carrying the
-//! trace's approximate byte size) into the `vp_obs::events` stream so a
-//! Chrome trace shows *when* spill traffic happened. Event emission is
-//! lock-free and a no-op unless a `--trace-out` run enabled the stream.
+//! wall-clock goes, and spill traffic is counted in the production block
+//! (`trace_store.spills` / `trace_store.disk_hits`).
 
 use std::fmt;
 use std::fs;
@@ -340,7 +337,6 @@ impl TraceStore {
     ) -> Result<Arc<Trace>, TraceError> {
         let trace = match self.try_disk_load(&key) {
             Some(trace) => {
-                vp_obs::events::instant("trace_store.disk_hit", trace.approx_bytes() as u64);
                 if let Some(program) = program {
                     replay(key, &trace, program, tracer)?;
                 }
@@ -406,7 +402,6 @@ impl TraceStore {
             fs::rename(&tmp, &finished)
         };
         if write().is_ok() {
-            vp_obs::events::instant("trace_store.spill", trace.approx_bytes() as u64);
             self.produced().spills += 1;
         } else {
             let _ = fs::remove_file(&tmp);

@@ -78,25 +78,13 @@ pub fn render_table(manifest: &RunManifest) -> String {
         100.0 * manifest.trace_hit_rate()
     );
 
-    // Data-loss footer: any recorded event/sample loss must be visible
-    // without opening the manifest (a zero is printed too, so "tracing
-    // was on and nothing was lost" is distinguishable from "not traced").
-    let dropped = manifest.counters.get("trace.dropped_events");
+    // Data-loss footer: any recorded sample loss must be visible without
+    // opening the manifest (a zero is printed too, so "sampling was on
+    // and nothing was lost" is distinguishable from "not sampled").
     let discarded = manifest.counters.get("sampler.discarded_samples");
     let prof_dropped = manifest.counters.get("profiler.dropped_samples");
-    if dropped.is_some() || discarded.is_some() || prof_dropped.is_some() {
+    if discarded.is_some() || prof_dropped.is_some() {
         let _ = writeln!(out, "-- data loss --");
-        if let Some(n) = dropped {
-            let _ = writeln!(
-                out,
-                "trace events dropped  {n}{}",
-                if *n > 0 {
-                    " (ring overflowed; oldest events were lost)"
-                } else {
-                    ""
-                }
-            );
-        }
         if let Some(n) = discarded {
             let _ = writeln!(
                 out,
@@ -142,7 +130,7 @@ pub fn write_manifest(manifest: &RunManifest, path: &Path) -> io::Result<()> {
 
 /// Writes `text` to `path` via a sibling `*.json.tmp` file followed by
 /// an atomic rename, so a crash mid-write never leaves a truncated
-/// document behind. Shared by the manifest and Chrome-trace exporters.
+/// document behind. Shared by the manifest and folded-profile exporters.
 ///
 /// # Errors
 ///
@@ -190,20 +178,22 @@ mod tests {
         assert!(table.contains("demo/work"));
         assert!(table.contains("sim.instructions"));
         assert!(table.contains("100 instr/s"));
-        // No event/sampler counters recorded: no data-loss footer.
+        // No sampler/profiler counters recorded: no data-loss footer.
         assert!(!table.contains("-- data loss --"));
     }
 
     #[test]
     fn table_footer_surfaces_event_and_sample_loss() {
         let mut m = manifest();
-        m.counters.insert("trace.dropped_events".to_owned(), 12);
-        m.counters.insert("sampler.discarded_samples".to_owned(), 0);
+        m.counters
+            .insert("sampler.discarded_samples".to_owned(), 12);
         let table = render_table(&m);
         assert!(table.contains("-- data loss --"));
-        assert!(table.contains("trace events dropped  12 (ring overflowed"));
+        assert!(table.contains("samples discarded     12 (sampler at capacity"));
+        let mut m = manifest();
+        m.counters.insert("sampler.discarded_samples".to_owned(), 0);
         // A recorded zero is shown plainly, without the loss hint.
-        assert!(table.contains("samples discarded     0\n"));
+        assert!(render_table(&m).contains("samples discarded     0\n"));
         // No profiler counter recorded: that loss channel is absent.
         assert!(!table.contains("profile samples lost"));
     }

@@ -23,21 +23,16 @@
 //!    predictor table health and peak RSS. The JSON round-trips through
 //!    the in-tree hand-rolled parser in [`json`] — no serde.
 //!
-//! On top of the aggregates sit three time-resolved layers, all opt-in
-//! and all bounded:
+//! On top of the aggregates sit opt-in layers; the two time-resolved
+//! ones are bounded:
 //!
-//! - **Events** ([`events`]) — a lock-free, fixed-capacity ring buffer
-//!   of span begin/end and pipeline instant events, exported as a Chrome
-//!   `trace_event` JSON document ([`chrome`]) loadable in Perfetto.
-//!   Disabled by default; when the ring overflows it drops the *oldest*
-//!   events and reports the loss (`trace.dropped_events`).
 //! - **Sampling** ([`sampler`]) — one background [`Ticker`] thread that
 //!   snapshots the counter/gauge registry mid-run (the manifest's
 //!   `samples` series) and samples every worker's open-span stack at
 //!   `--profile-hz` ([`profiler`]).
-//! - **Profiling** ([`profiler`], [`flame`]) — the span-stack samples,
-//!   folded on shutdown into collapsed stacks (`a;b;c <count>`), a
-//!   zero-dependency flamegraph SVG and the manifest's `profile`
+//! - **Profiling** ([`profiler`]) — the span-stack samples, folded on
+//!   shutdown into collapsed stacks (`a;b;c <count>`, readable by
+//!   `flamegraph.pl` or speedscope) and the manifest's `profile`
 //!   section that `manifest-diff` can blame and `metrics-check` can
 //!   gate.
 //! - **Diffing** ([`diff`]) — attribution of wall-clock and counter
@@ -68,11 +63,8 @@
 //! ```
 
 pub mod attribution;
-pub mod chrome;
 pub mod diff;
-pub mod events;
 pub mod export;
-pub mod flame;
 pub mod json;
 pub mod log;
 pub mod manifest;
@@ -84,10 +76,8 @@ pub mod sampler;
 pub mod span;
 
 pub use attribution::{AttributionPc, AttributionRun, AttributionTotals};
-pub use chrome::{chrome_trace, write_chrome_trace};
 pub use diff::ManifestDiff;
 pub use export::{print_table, render_table, write_manifest};
-pub use flame::flamegraph_svg;
 pub use log::Level;
 pub use manifest::{HotStack, PhaseShare, ProfileSection, RunManifest, SCHEMA_V4};
 pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram};

@@ -7,10 +7,10 @@
 //! (`ThreadStack`); the background [`crate::Ticker`] thread
 //! periodically snapshots every registered thread's stack into bounded
 //! per-thread ring buffers (drop-oldest, accounted by the
-//! `profiler.dropped_samples` counter — the same loss discipline as the
-//! event ring) and, on [`crate::Ticker::stop`], folds the samples into
-//! collapsed-stack form (`a;b;c <count>`), ready for the flamegraph
-//! renderer ([`crate::flame`]) and the manifest's `profile` section.
+//! `profiler.dropped_samples` counter) and, on [`crate::Ticker::stop`],
+//! folds the samples into collapsed-stack form (`a;b;c <count>`), ready
+//! for `flamegraph.pl` or speedscope and the manifest's `profile`
+//! section.
 //!
 //! ## Cost contract
 //!
@@ -101,7 +101,7 @@ fn resolve(id: u32) -> Option<&'static str> {
 /// One thread's published span stack. Written only by the owning thread
 /// (push/pop/adopt), read by the ticker thread through the seqlock.
 pub(crate) struct ThreadStack {
-    /// Event-stream thread id (shared with Chrome-trace `tid`s).
+    /// Dense per-thread id keying this thread's sample ring.
     tid: u64,
     /// Seqlock version: odd while the owner is mid-update.
     version: AtomicU64,
@@ -229,6 +229,9 @@ impl Drop for Registration {
     }
 }
 
+/// Source of the dense per-thread ids that key the sample rings.
+static NEXT_TID: AtomicU64 = AtomicU64::new(0);
+
 thread_local! {
     static MY_STACK: std::cell::RefCell<Option<Registration>> =
         const { std::cell::RefCell::new(None) };
@@ -240,7 +243,8 @@ fn with_stack(f: impl FnOnce(&ThreadStack)) {
     let _ = MY_STACK.try_with(|cell| {
         let mut slot = cell.borrow_mut();
         let reg = slot.get_or_insert_with(|| {
-            let stack = Arc::new(ThreadStack::new(crate::events::thread_id()));
+            let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+            let stack = Arc::new(ThreadStack::new(tid));
             threads()
                 .lock()
                 .expect("thread-stack registry poisoned")

@@ -23,9 +23,8 @@
 //! internally-consistent counter block (`TraceStore::stats` snapshots
 //! all fields under one lock) into the registry right before the copy,
 //! so invariants like `memory_hits + misses == requests` hold in every
-//! sample, not just at end of run. Sample timestamps share the event
-//! stream's monotonic epoch ([`crate::events::now_ns`]), so a sample at
-//! `t_ms` lines up with the Chrome trace at the same instant.
+//! sample, not just at end of run. Sample timestamps are milliseconds
+//! since the ticker started, on the monotonic clock.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -39,8 +38,7 @@ use crate::registry::Registry;
 /// One point-in-time copy of the counter/gauge registry.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Sample {
-    /// Milliseconds since the process event epoch (monotonic; shared
-    /// with Chrome-trace timestamps).
+    /// Milliseconds since the [`Ticker`] started (monotonic).
     pub t_ms: f64,
     /// Every counter at sample time.
     pub counters: BTreeMap<String, u64>,
@@ -183,7 +181,7 @@ fn run(
         let now = Instant::now();
         if sampling.as_mut().is_some_and(|c| c.due(now)) {
             if samples.len() < Ticker::MAX_SAMPLES {
-                samples.push(take_sample(registry, hook));
+                samples.push(take_sample(start, registry, hook));
             } else {
                 // Count every discard so the loss is visible in the
                 // manifest and the --metrics-table footer, not only in
@@ -221,16 +219,16 @@ fn run(
     // Final sample so the series always covers the end of the run (and
     // a short run still yields >= 2 points).
     if sampling.is_some() {
-        samples.push(take_sample(registry, hook));
+        samples.push(take_sample(start, registry, hook));
     }
     Harvest { samples, profile }
 }
 
-fn take_sample(registry: &Registry, hook: &dyn Fn()) -> Sample {
+fn take_sample(start: Instant, registry: &Registry, hook: &dyn Fn()) -> Sample {
     hook();
     let snapshot = registry.snapshot();
     Sample {
-        t_ms: crate::events::now_ns() as f64 / 1e6,
+        t_ms: start.elapsed().as_secs_f64() * 1e3,
         counters: snapshot.counters,
         gauges: snapshot.gauges,
     }

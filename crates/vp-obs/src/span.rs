@@ -37,17 +37,12 @@ pub fn current_path() -> Option<String> {
 }
 
 /// Opens a span named `name` nested under the spans currently open on
-/// this thread. Recorded into the global registry when dropped, and —
-/// when the event stream is enabled — bracketed by Begin/End events
-/// carrying the leaf name (the Chrome trace reconstructs nesting from
-/// per-thread B/E pairing, so the full path is never materialised).
+/// this thread. Recorded into the global registry when dropped.
 #[must_use]
 pub fn span(name: &'static str) -> SpanGuard {
     STACK.with(|s| s.borrow_mut().push(name));
     crate::profiler::stack_push(name);
-    crate::events::emit(crate::events::EventKind::Begin, name, 0);
     SpanGuard {
-        name,
         started: Instant::now(),
     }
 }
@@ -55,15 +50,12 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// An open span; records its wall time on drop.
 #[derive(Debug)]
 pub struct SpanGuard {
-    name: &'static str,
     started: Instant,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let ns = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        // The End event carries the elapsed nanoseconds as its argument.
-        crate::events::emit(crate::events::EventKind::End, self.name, ns);
         let path = current_path().unwrap_or_default();
         STACK.with(|s| {
             s.borrow_mut().pop();

@@ -25,7 +25,6 @@ const KEYS: &[&str] = &[
     "trace_store.misses",
     "predictor.accesses",
     "predictor.hits",
-    "trace.dropped_events",
 ];
 
 fn arb_map(rng: &mut Rng) -> BTreeMap<String, u64> {

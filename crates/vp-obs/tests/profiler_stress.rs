@@ -16,7 +16,7 @@
 
 use std::time::{Duration, Instant};
 
-use vp_obs::{flamegraph_svg, Profile, Schedule, Ticker};
+use vp_obs::{Profile, Schedule, Ticker};
 
 /// The exact nesting chain every worker executes, outermost first. The
 /// base path ("stress") is adopted, the rest are real spans.
@@ -85,16 +85,11 @@ fn concurrent_nesting_never_tears_sampled_stacks() {
         profile.folded.keys().collect::<Vec<_>>()
     );
 
-    // The folded form round-trips and renders deterministically — the
-    // full export pipeline on real concurrent data.
+    // The folded form round-trips — the export path on real concurrent
+    // data.
     let text = profile.folded_text();
     let reparsed = Profile::parse_folded(&text).expect("folded text parses");
     assert_eq!(reparsed, profile.folded, "folded text round-trips");
-    let svg_a = flamegraph_svg(&profile.folded, "stress");
-    let svg_b = flamegraph_svg(&reparsed, "stress");
-    assert_eq!(svg_a, svg_b, "same folded input, same SVG bytes");
-    assert!(svg_a.starts_with("<svg "));
-    assert!(svg_a.trim_end().ends_with("</svg>"));
 
     // A second profiling run over the same span topology still samples
     // cleanly (arming is sticky; re-registration must not corrupt).
