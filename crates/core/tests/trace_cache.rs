@@ -191,3 +191,39 @@ fn concurrent_replay_into_feeds_every_consumer_once() {
     assert_eq!(stats.captures, 1);
     assert_eq!((stats.requests, stats.misses), (4, 1));
 }
+
+/// The resident layout keeps program counters as control-flow exceptions,
+/// not two dense `u32` columns: every reference trace stays under 12.5
+/// bytes per event (the dense columns alone cost 8), and a trace loaded
+/// from a spill file is sized and iterates exactly like the captured one.
+#[test]
+fn reference_traces_stay_under_the_layout_bound() {
+    let dir = std::env::temp_dir().join(format!("provp-trace-layout-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let input = InputSet::reference();
+    let limits = RunLimits::default();
+
+    let first = TraceStore::new().with_spill_dir(&dir);
+    for kind in WorkloadKind::ALL {
+        let trace = first.get(kind, input, limits).unwrap();
+        let per_event = trace.approx_bytes() as f64 / trace.len() as f64;
+        assert!(
+            trace.approx_bytes() * 2 <= trace.len() * 25,
+            "{kind:?}: {per_event:.2} bytes per event exceeds 12.5"
+        );
+    }
+
+    let kind = WorkloadKind::ALL[0];
+    let captured = first.get(kind, input, limits).unwrap();
+    let second = TraceStore::new().with_spill_dir(&dir);
+    let loaded = second.get(kind, input, limits).unwrap();
+    assert_eq!(
+        second.stats().disk_hits,
+        1,
+        "the second store reads the spill"
+    );
+    assert_eq!(loaded.approx_bytes(), captured.approx_bytes());
+    assert!(loaded.iter().eq(captured.iter()), "loaded events differ");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -3,11 +3,17 @@
 //! The AoS `Vec<TraceEvent>` layout spends 56 bytes per retired
 //! instruction and drags every optional field through the cache even for
 //! consumers that only want one column. [`TraceColumns`] stores the same
-//! information as parallel arrays — a one-byte flag word and two
-//! program-counter columns per event, plus *sparse* side arrays that hold
-//! destination / memory / store payloads only for the events that have
-//! them — cutting resident size roughly in half for typical traces and
-//! making the predictor-replay hot path a linear scan over dense memory.
+//! information as one dense flag byte per event plus *sparse* side arrays
+//! that hold payloads only for the events that have them: destination,
+//! memory and store payloads, and the control flow itself.
+//!
+//! Program counters are not stored per event. An event's address is the
+//! previous event's next pc, and its next pc is `addr + 1`, except where
+//! a flag bit says otherwise: `F_SEEK` events carry their address and
+//! `F_JUMP` events (taken branches, jumps) their next pc in a sparse
+//! `u32` column. The pc before the first event is 0, so a capture from
+//! reset never seeks. One private cursor rebuilds both program counters
+//! for every reader, so there is one decoder.
 //!
 //! Two access paths matter:
 //!
@@ -15,7 +21,7 @@
 //!   generic tracers (profilers, the ILP machine, instruction mixes);
 //! - [`TraceColumns::value_events`] yields only `(addr, value)` pairs of
 //!   value-producing instructions — the only thing a value predictor
-//!   consumes — without touching the memory or branch columns at all.
+//!   consumes — without touching the memory columns at all.
 //!
 //! [`TraceColumns::shard_by_pc`] partitions the value events by a
 //! caller-supplied static-address key so per-PC (or per-table-set)
@@ -24,6 +30,7 @@
 
 use std::io;
 use std::mem;
+use std::slice;
 
 use vp_isa::{InstrAddr, Program, Reg, RegClass};
 
@@ -31,8 +38,9 @@ use crate::exec::{MemAccess, Retirement};
 use crate::record::TraceEvent;
 use crate::Tracer;
 
-// Flag bits of the per-event flag byte (shared with the spill format,
-// which stores this column verbatim).
+// Flag bits of the per-event flag byte. The spill format stores the
+// `F_ALL` bits verbatim; `F_JUMP` and `F_SEEK` describe the in-memory
+// control-flow columns and never reach disk.
 pub(crate) const F_DEST: u8 = 1 << 0;
 pub(crate) const F_DEST_FP: u8 = 1 << 1;
 pub(crate) const F_MEM: u8 = 1 << 2;
@@ -40,18 +48,38 @@ pub(crate) const F_MEM_STORE: u8 = 1 << 3;
 pub(crate) const F_BRANCH: u8 = 1 << 4;
 pub(crate) const F_TAKEN: u8 = 1 << 5;
 pub(crate) const F_ALL: u8 = F_DEST | F_DEST_FP | F_MEM | F_MEM_STORE | F_BRANCH | F_TAKEN;
+/// The next pc is not `addr + 1`; it is the event's `jump_pc` entry.
+const F_JUMP: u8 = 1 << 6;
+/// The address is not the previous event's next pc; it is the event's
+/// `seek_addr` entry.
+const F_SEEK: u8 = 1 << 7;
+
+const SHORT: &str = "sparse trace column shorter than its flag population";
+
+// Kept out of line so the replay loop stays as tight as the iterator.
+#[cold]
+fn outside_text(addr: InstrAddr) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("trace event at {addr} outside program text"),
+    )
+}
 
 /// A retirement trace in struct-of-arrays form.
 ///
-/// Dense columns (`flags`, `addr`, `next_pc`) have one element per event;
-/// sparse columns hold payloads only for events whose flag bit is set, in
-/// event order. Iteration reconstitutes events with running cursors into
-/// the sparse columns.
+/// The dense column is a one-byte flag word per event; sparse columns
+/// hold payloads only for events whose flag bit is set, in event order.
+/// Program counters live in the flag byte too: only addresses that do not
+/// follow from the previous event (`F_SEEK`) and next pcs other than the
+/// fall-through (`F_JUMP`) are stored. Iteration reconstitutes events with
+/// running cursors into the sparse columns.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceColumns {
     flags: Vec<u8>,
-    addr: Vec<u32>,
-    next_pc: Vec<u32>,
+    /// Instruction address, one per `F_SEEK` event.
+    seek_addr: Vec<u32>,
+    /// Next pc, one per `F_JUMP` event.
+    jump_pc: Vec<u32>,
     /// Destination register index, one per `F_DEST` event.
     dest_reg: Vec<u8>,
     /// Destination value, one per `F_DEST` event.
@@ -60,6 +88,9 @@ pub struct TraceColumns {
     mem_addr: Vec<u64>,
     /// Stored value, one per `F_MEM_STORE` event.
     stored: Vec<u64>,
+    /// The last event's next pc: where the next pushed event starts
+    /// unless it seeks.
+    tail_pc: u32,
 }
 
 impl TraceColumns {
@@ -104,8 +135,8 @@ impl TraceColumns {
     pub fn approx_bytes(&self) -> usize {
         mem::size_of::<TraceColumns>()
             + self.flags.capacity()
-            + self.addr.capacity() * 4
-            + self.next_pc.capacity() * 4
+            + self.seek_addr.capacity() * 4
+            + self.jump_pc.capacity() * 4
             + self.dest_reg.capacity()
             + self.dest_val.capacity() * 8
             + self.mem_addr.capacity() * 8
@@ -115,8 +146,8 @@ impl TraceColumns {
     /// Releases over-allocated capacity in every column.
     pub fn shrink_to_fit(&mut self) {
         self.flags.shrink_to_fit();
-        self.addr.shrink_to_fit();
-        self.next_pc.shrink_to_fit();
+        self.seek_addr.shrink_to_fit();
+        self.jump_pc.shrink_to_fit();
         self.dest_reg.shrink_to_fit();
         self.dest_val.shrink_to_fit();
         self.mem_addr.shrink_to_fit();
@@ -145,7 +176,7 @@ impl TraceColumns {
         taken: Option<bool>,
         next_pc: InstrAddr,
     ) {
-        let mut flags = 0u8;
+        let mut flags = self.push_control_flow(addr.index(), next_pc.index());
         if let Some((class, reg, value)) = dest {
             flags |= F_DEST;
             if class == RegClass::Fp {
@@ -169,8 +200,22 @@ impl TraceColumns {
             }
         }
         self.flags.push(flags);
-        self.addr.push(addr.index());
-        self.next_pc.push(next_pc.index());
+    }
+
+    /// Records one event's program counters as control-flow exceptions
+    /// and returns the `F_SEEK`/`F_JUMP` bits its flag byte needs.
+    fn push_control_flow(&mut self, addr: u32, next_pc: u32) -> u8 {
+        let mut flags = 0;
+        if addr != self.tail_pc {
+            flags |= F_SEEK;
+            self.seek_addr.push(addr);
+        }
+        if next_pc != addr.wrapping_add(1) {
+            flags |= F_JUMP;
+            self.jump_pc.push(next_pc);
+        }
+        self.tail_pc = next_pc;
+        flags
     }
 
     /// Builds columns from an owned event slice.
@@ -178,8 +223,6 @@ impl TraceColumns {
     pub fn from_events(events: &[TraceEvent]) -> Self {
         let mut cols = TraceColumns {
             flags: Vec::with_capacity(events.len()),
-            addr: Vec::with_capacity(events.len()),
-            next_pc: Vec::with_capacity(events.len()),
             ..TraceColumns::default()
         };
         for ev in events {
@@ -194,23 +237,25 @@ impl TraceColumns {
     #[must_use]
     pub fn iter(&self) -> Events<'_> {
         Events {
-            cols: self,
-            i: 0,
-            d: 0,
-            m: 0,
-            s: 0,
+            flags: self.flags.iter(),
+            pcs: self.pc_cursor(),
+            dest_reg: self.dest_reg.iter(),
+            dest_val: self.dest_val.iter(),
+            mem_addr: self.mem_addr.iter(),
+            stored: self.stored.iter(),
         }
     }
 
     /// Iterates `(addr, value)` pairs of the value-producing events —
-    /// everything a value predictor consumes — touching only the dense
-    /// flag/address columns and the sparse destination column.
+    /// everything a value predictor consumes — touching only the flag
+    /// column, the sparse control-flow columns and the sparse destination
+    /// values.
     #[must_use]
     pub fn value_events(&self) -> ValueEvents<'_> {
         ValueEvents {
-            cols: self,
-            i: 0,
-            d: 0,
+            flags: self.flags.iter(),
+            pcs: self.pc_cursor(),
+            dest_val: self.dest_val.iter(),
         }
     }
 
@@ -253,91 +298,51 @@ impl TraceColumns {
     /// [`io::Error`] of kind `InvalidData` when an event's address does
     /// not name an instruction of `program`.
     pub fn replay(&self, program: &Program, tracer: &mut impl Tracer) -> io::Result<()> {
-        // Dense columns stream through zipped slice iterators (no per-event
-        // bounds checks); sparse side columns advance by slice splitting,
-        // so a malformed column length surfaces as a clean error instead of
-        // a panic.
         let text = program.text();
-        let (mut dr, mut dv) = (&self.dest_reg[..], &self.dest_val[..]);
-        let mut ma = &self.mem_addr[..];
-        let mut st = &self.stored[..];
-        let short = || io::Error::new(io::ErrorKind::InvalidData, "sparse trace column too short");
-        for ((&flags, &raw_addr), &raw_next) in self.flags.iter().zip(&self.addr).zip(&self.next_pc)
-        {
-            let addr = InstrAddr::new(raw_addr);
-            let instr = text.get(raw_addr as usize).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("trace event at {addr} outside program text"),
-                )
-            })?;
-            let dest = if flags & F_DEST != 0 {
-                let class = if flags & F_DEST_FP != 0 {
-                    RegClass::Fp
-                } else {
-                    RegClass::Int
-                };
-                let (&reg, rest_r) = dr.split_first().ok_or_else(short)?;
-                let (&value, rest_v) = dv.split_first().ok_or_else(short)?;
-                (dr, dv) = (rest_r, rest_v);
-                Some((class, Reg::new(reg), value))
-            } else {
-                None
+        for ev in self.iter() {
+            let Some(instr) = text.get(ev.addr.index() as usize) else {
+                return Err(outside_text(ev.addr));
             };
-            let (mem, stored) = if flags & F_MEM != 0 {
-                let store = flags & F_MEM_STORE != 0;
-                let (&mem_addr, rest_m) = ma.split_first().ok_or_else(short)?;
-                ma = rest_m;
-                let stored = if store {
-                    let (&v, rest_s) = st.split_first().ok_or_else(short)?;
-                    st = rest_s;
-                    Some(v)
-                } else {
-                    None
-                };
-                (
-                    Some(MemAccess {
-                        addr: mem_addr,
-                        store,
-                    }),
-                    stored,
-                )
-            } else {
-                (None, None)
-            };
-            let taken = (flags & F_BRANCH != 0).then_some(flags & F_TAKEN != 0);
             tracer.retire(&Retirement {
-                addr,
+                addr: ev.addr,
                 instr,
-                dest,
-                mem,
-                stored,
-                taken,
-                next_pc: InstrAddr::new(raw_next),
+                dest: ev.dest,
+                mem: ev.mem,
+                stored: ev.stored,
+                taken: ev.taken,
+                next_pc: ev.next_pc,
             });
         }
         Ok(())
     }
 
+    fn pc_cursor(&self) -> PcCursor<'_> {
+        PcCursor {
+            seek_addr: self.seek_addr.iter(),
+            jump_pc: self.jump_pc.iter(),
+            pc: 0,
+        }
+    }
+
     // Column accessors for the spill codec (kept crate-private so the
-    // invariants — equal dense lengths, sparse lengths matching flag
-    // population counts, register indices in range — stay local).
+    // invariants — sparse lengths matching flag population counts,
+    // register indices in range — stay local).
     pub(crate) fn raw_parts(&self) -> RawColumns<'_> {
         RawColumns {
             flags: &self.flags,
-            addr: &self.addr,
-            next_pc: &self.next_pc,
             dest_reg: &self.dest_reg,
-            dest_val: &self.dest_val,
             mem_addr: &self.mem_addr,
             stored: &self.stored,
         }
     }
 
+    /// Assembles columns from decoded spill sections: `flags` holds only
+    /// `F_ALL` bits, and `addr`/`next_pc` are dense (one per event). Every
+    /// column is sized exactly, like a captured trace's.
     pub(crate) fn from_raw_parts(
-        flags: Vec<u8>,
-        addr: Vec<u32>,
-        next_pc: Vec<u32>,
+        mut flags: Vec<u8>,
+        addr: &[u32],
+        next_pc: &[u32],
         dest_reg: Vec<u8>,
         dest_val: Vec<u64>,
         mem_addr: Vec<u64>,
@@ -346,92 +351,106 @@ impl TraceColumns {
         debug_assert_eq!(flags.len(), addr.len());
         debug_assert_eq!(flags.len(), next_pc.len());
         debug_assert_eq!(dest_reg.len(), dest_val.len());
-        TraceColumns {
-            flags,
-            addr,
-            next_pc,
+        let mut cols = TraceColumns {
             dest_reg,
             dest_val,
             mem_addr,
             stored,
+            ..TraceColumns::default()
+        };
+        for ((f, &a), &np) in flags.iter_mut().zip(addr).zip(next_pc) {
+            *f |= cols.push_control_flow(a, np);
         }
+        cols.flags = flags;
+        cols.shrink_to_fit();
+        cols
     }
 }
 
-/// Borrowed view of every column, for the spill codec.
+/// Borrowed view of the columns the spill codec writes verbatim or
+/// delta-encodes on their own.
 pub(crate) struct RawColumns<'a> {
     pub flags: &'a [u8],
-    pub addr: &'a [u32],
-    pub next_pc: &'a [u32],
     pub dest_reg: &'a [u8],
-    pub dest_val: &'a [u64],
     pub mem_addr: &'a [u64],
     pub stored: &'a [u64],
+}
+
+/// The one decoder of the control-flow encoding: fed each event's flag
+/// byte in order, it rebuilds the event's address and next pc.
+#[derive(Debug, Clone)]
+struct PcCursor<'a> {
+    seek_addr: slice::Iter<'a, u32>,
+    jump_pc: slice::Iter<'a, u32>,
+    /// The previous event's next pc (0 before the first event).
+    pc: u32,
+}
+
+impl PcCursor<'_> {
+    #[inline(always)]
+    fn step(&mut self, flags: u8) -> (u32, u32) {
+        let addr = if flags & F_SEEK != 0 {
+            *self.seek_addr.next().expect(SHORT)
+        } else {
+            self.pc
+        };
+        self.pc = if flags & F_JUMP != 0 {
+            *self.jump_pc.next().expect(SHORT)
+        } else {
+            addr.wrapping_add(1)
+        };
+        (addr, self.pc)
+    }
 }
 
 /// Iterator over a [`TraceColumns`] as owned [`TraceEvent`]s.
 #[derive(Debug, Clone)]
 pub struct Events<'a> {
-    cols: &'a TraceColumns,
-    i: usize,
-    d: usize,
-    m: usize,
-    s: usize,
+    flags: slice::Iter<'a, u8>,
+    pcs: PcCursor<'a>,
+    dest_reg: slice::Iter<'a, u8>,
+    dest_val: slice::Iter<'a, u64>,
+    mem_addr: slice::Iter<'a, u64>,
+    stored: slice::Iter<'a, u64>,
 }
 
 impl Iterator for Events<'_> {
     type Item = TraceEvent;
 
+    // Forced inline: `replay` runs on this iterator, and an out-of-line
+    // call per event cost it several times the decode itself.
+    #[inline(always)]
     fn next(&mut self) -> Option<TraceEvent> {
-        let c = self.cols;
-        let flags = *c.flags.get(self.i)?;
-        let addr = InstrAddr::new(c.addr[self.i]);
-        let next_pc = InstrAddr::new(c.next_pc[self.i]);
-        self.i += 1;
-        let dest = if flags & F_DEST != 0 {
+        let flags = *self.flags.next()?;
+        let (addr, next_pc) = self.pcs.step(flags);
+        let dest = (flags & F_DEST != 0).then(|| {
             let class = if flags & F_DEST_FP != 0 {
                 RegClass::Fp
             } else {
                 RegClass::Int
             };
-            let entry = (class, Reg::new(c.dest_reg[self.d]), c.dest_val[self.d]);
-            self.d += 1;
-            Some(entry)
-        } else {
-            None
-        };
-        let (mem, stored) = if flags & F_MEM != 0 {
-            let store = flags & F_MEM_STORE != 0;
-            let access = MemAccess {
-                addr: c.mem_addr[self.m],
-                store,
-            };
-            self.m += 1;
-            let stored = if store {
-                let v = c.stored[self.s];
-                self.s += 1;
-                Some(v)
-            } else {
-                None
-            };
-            (Some(access), stored)
-        } else {
-            (None, None)
-        };
+            let reg = *self.dest_reg.next().expect(SHORT);
+            let value = *self.dest_val.next().expect(SHORT);
+            (class, Reg::new(reg), value)
+        });
+        let mem = (flags & F_MEM != 0).then(|| MemAccess {
+            addr: *self.mem_addr.next().expect(SHORT),
+            store: flags & F_MEM_STORE != 0,
+        });
+        let stored = (flags & F_MEM_STORE != 0).then(|| *self.stored.next().expect(SHORT));
         let taken = (flags & F_BRANCH != 0).then_some(flags & F_TAKEN != 0);
         Some(TraceEvent {
-            addr,
+            addr: InstrAddr::new(addr),
             dest,
             mem,
             stored,
             taken,
-            next_pc,
+            next_pc: InstrAddr::new(next_pc),
         })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rest = self.cols.len() - self.i;
-        (rest, Some(rest))
+        self.flags.size_hint()
     }
 }
 
@@ -440,30 +459,28 @@ impl ExactSizeIterator for Events<'_> {}
 /// Iterator over the `(addr, value)` pairs of value-producing events.
 #[derive(Debug, Clone)]
 pub struct ValueEvents<'a> {
-    cols: &'a TraceColumns,
-    i: usize,
-    d: usize,
+    flags: slice::Iter<'a, u8>,
+    pcs: PcCursor<'a>,
+    dest_val: slice::Iter<'a, u64>,
 }
 
 impl Iterator for ValueEvents<'_> {
     type Item = (InstrAddr, u64);
 
+    #[inline]
     fn next(&mut self) -> Option<(InstrAddr, u64)> {
-        let c = self.cols;
-        while self.i < c.flags.len() {
-            let i = self.i;
-            self.i += 1;
-            if c.flags[i] & F_DEST != 0 {
-                let value = c.dest_val[self.d];
-                self.d += 1;
-                return Some((InstrAddr::new(c.addr[i]), value));
+        for &flags in self.flags.by_ref() {
+            let (addr, _) = self.pcs.step(flags);
+            if flags & F_DEST != 0 {
+                let value = *self.dest_val.next().expect(SHORT);
+                return Some((InstrAddr::new(addr), value));
             }
         }
         None
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, Some(self.cols.len() - self.i))
+        (0, self.flags.size_hint().1)
     }
 }
 

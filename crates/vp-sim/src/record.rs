@@ -254,8 +254,8 @@ impl Trace {
 
     /// Captures a trace while simultaneously feeding every retirement to
     /// `tracer` — one simulation pass serves both the recording and the
-    /// first analysis, so a cache miss costs no more than the analysis
-    /// alone did without the cache.
+    /// first analysis, so a cache miss simulates once, not twice (the
+    /// recording still costs its own work on top of the analysis).
     ///
     /// # Errors
     ///
@@ -420,6 +420,11 @@ where
 /// zigzag-varint delta-encoded address/value columns, then an FNV-1a-64
 /// checksum over every body byte, so corruption that would decode as
 /// plausible-but-wrong column data is caught instead of silently accepted.
+///
+/// The address and next-pc sections are dense delta columns whatever the
+/// in-memory layout. The flag bits that mark the in-memory seek and jump
+/// columns never reach disk: the writer masks every flag byte to `F_ALL`
+/// and the reader rejects any other bit.
 const MAGIC: &[u8; 8] = b"provptr3";
 
 // --- FNV-1a-64 streaming checksum --------------------------------------
@@ -502,24 +507,31 @@ pub fn write_columns<W: Write>(mut w: W, cols: &TraceColumns) -> io::Result<()> 
 /// The columnar body (everything between the magic and the checksum).
 fn write_columns_body<W: Write>(mut w: W, cols: &TraceColumns) -> io::Result<()> {
     let c = cols.raw_parts();
-    write_varint(&mut w, c.flags.len() as u64)?;
-    write_varint(&mut w, c.dest_val.len() as u64)?;
-    write_varint(&mut w, c.mem_addr.len() as u64)?;
-    write_varint(&mut w, c.stored.len() as u64)?;
-    // Flag column, verbatim.
-    w.write_all(c.flags)?;
+    write_varint(&mut w, cols.len() as u64)?;
+    write_varint(&mut w, cols.dest_count() as u64)?;
+    write_varint(&mut w, cols.mem_count() as u64)?;
+    write_varint(&mut w, cols.store_count() as u64)?;
+    // Flag column, verbatim but for the in-memory control-flow bits.
+    let mut buf = [0u8; 4096];
+    for chunk in c.flags.chunks(buf.len()) {
+        for (byte, &flags) in buf.iter_mut().zip(chunk) {
+            *byte = flags & F_ALL;
+        }
+        w.write_all(&buf[..chunk.len()])?;
+    }
     // Address column: delta vs the previous event's address (consecutive
     // instructions differ by ±small values almost always).
     let mut prev = 0i64;
-    for &a in c.addr {
-        let v = i64::from(a);
+    for ev in cols.iter() {
+        let v = i64::from(ev.addr.index());
         write_varint(&mut w, zigzag(v - prev))?;
         prev = v;
     }
     // Next-PC column: delta vs the fallthrough (`addr + 1`), which is
     // zero for every non-taken-branch instruction.
-    for (i, &np) in c.next_pc.iter().enumerate() {
-        write_varint(&mut w, zigzag(i64::from(np) - (i64::from(c.addr[i]) + 1)))?;
+    for ev in cols.iter() {
+        let fallthrough = i64::from(ev.addr.index()) + 1;
+        write_varint(&mut w, zigzag(i64::from(ev.next_pc.index()) - fallthrough))?;
     }
     // Destination register column, verbatim.
     w.write_all(c.dest_reg)?;
@@ -527,14 +539,9 @@ fn write_columns_body<W: Write>(mut w: W, cols: &TraceColumns) -> io::Result<()>
     // value (strides and repeated last-values — the very predictability
     // the paper measures — make these deltas tiny).
     let mut last: HashMap<u32, u64> = HashMap::new();
-    let mut d = 0usize;
-    for (i, &flags) in c.flags.iter().enumerate() {
-        if flags & F_DEST != 0 {
-            let value = c.dest_val[d];
-            d += 1;
-            let prev = last.insert(c.addr[i], value).unwrap_or(0);
-            write_varint(&mut w, zigzag(value.wrapping_sub(prev) as i64))?;
-        }
+    for (addr, value) in cols.value_events() {
+        let prev = last.insert(addr.index(), value).unwrap_or(0);
+        write_varint(&mut w, zigzag(value.wrapping_sub(prev) as i64))?;
     }
     // Memory addresses and stored values: delta vs the previous one.
     let mut prev = 0u64;
@@ -718,7 +725,7 @@ fn read_columns_body<R: Read>(mut r: R) -> Result<TraceColumns, TraceError> {
     }
 
     Ok(TraceColumns::from_raw_parts(
-        flags, addr, next_pc, dest_reg, dest_val, mem_addr, stored,
+        flags, &addr, &next_pc, dest_reg, dest_val, mem_addr, stored,
     ))
 }
 

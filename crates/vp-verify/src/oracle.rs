@@ -6,7 +6,8 @@
 //! 1. **Simulation differential** — the optimised [`vp_sim`] machine (with
 //!    the columnar [`TraceRecorder`] attached) against the row-oriented
 //!    [`ref_run`] interpreter: identical run status, retired-instruction
-//!    count, retirement event stream, final register files and final
+//!    count, retirement event stream (both as the columns iterate it and
+//!    as [`Trace::replay`] rebuilds it), final register files and final
 //!    memory.
 //! 2. **Serialisation oracle** — the captured columnar trace must survive
 //!    a `write_to`/`read_from` round trip bit-identically (the `provptr3`
@@ -42,8 +43,8 @@ use std::fmt;
 use provp_core::{ReplayRequest, SweepPlan};
 use vp_isa::{Directive, InstrAddr, Program, Reg, RegClass};
 use vp_predictor::{ClassifierKind, PredictorConfig, PredictorStats, TableGeometry};
-use vp_sim::record::{first_divergence, TraceDivergence, TraceRecorder};
-use vp_sim::{runner, Machine, RunLimits, Trace};
+use vp_sim::record::{first_divergence, TraceDivergence, TraceEvent, TraceRecorder};
+use vp_sim::{runner, FnTracer, Machine, Retirement, RunLimits, Trace};
 
 use crate::refpred::ref_predict;
 use crate::refsim::ref_run;
@@ -269,6 +270,17 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
 
     let cols = recorder.into_columns();
     if let Some(d) = first_divergence(reference.events.iter().cloned(), cols.iter()) {
+        return Err(Divergence::Events(Box::new(d)));
+    }
+    // The replay path is what profiling, ILP and the characterisation
+    // passes consume: every retirement it rebuilds must match too. A
+    // replay error stops the stream short, which the comparison reports.
+    let mut replayed = Vec::with_capacity(cols.len());
+    let _ = cols.replay(
+        program,
+        &mut FnTracer::new(|r: &Retirement<'_>| replayed.push(TraceEvent::from_retirement(r))),
+    );
+    if let Some(d) = first_divergence(reference.events.iter().cloned(), replayed) {
         return Err(Divergence::Events(Box::new(d)));
     }
 
@@ -656,6 +668,9 @@ mod tests {
             "li r1, -5\njalr r0, r1, 0\nhalt\n",
             // Budget exhaustion: both stacks must stop at the same count.
             "top: addi r8, r8, 1\nbeq r0, r0, top\nhalt\n",
+            // Calls and returns, and a write to r0 that retires no dest.
+            "li r1, 0\nli r2, 3\ntop: addi r0, r1, 7\njal r31, sub\naddi r1, r1, 1\n\
+             bne r1, r2, top\nhalt\nsub: addi r4, r4, 2\njalr r0, r31, 0\n",
         ] {
             let p = vp_isa::asm::assemble(src).unwrap();
             if let Err(d) = run_case(&p, 5_000) {
