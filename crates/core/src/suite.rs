@@ -86,7 +86,6 @@ pub struct Suite {
     train_images: Memo<WorkloadKind, Vec<ProfileImage>>,
     merged_images: Memo<WorkloadKind, ProfileImage>,
     reference_images: Memo<WorkloadKind, ProfileImage>,
-    phase_images: Memo<WorkloadKind, (ProfileImage, ProfileImage)>,
     annotated: Memo<(WorkloadKind, u32), (Program, AnnotationSummary)>,
     sweep: Memo<CellKey, CellResult>,
     /// Kinds whose reference trace has been matrix-replayed at least
@@ -116,7 +115,6 @@ impl Suite {
             train_images: Memo::new(),
             merged_images: Memo::new(),
             reference_images: Memo::new(),
-            phase_images: Memo::new(),
             annotated: Memo::new(),
             sweep: Memo::new(),
             swept: Memo::new(),
@@ -269,22 +267,19 @@ impl Suite {
     }
 
     /// For FP workloads: `(init, computation)` phase images of the
-    /// reference run.
+    /// reference run, cut from [`Suite::reference_image`] at the
+    /// workload's phase split.
     ///
     /// # Panics
     ///
-    /// Panics if the workload has no phase split (only `mgrid` does).
+    /// Panics if the workload has no phase split (only the FP workloads
+    /// do).
     pub fn reference_phase_images(&self, kind: WorkloadKind) -> (ProfileImage, ProfileImage) {
-        self.phase_images.get_or_compute(kind, || {
-            let w = Workload::new(kind);
-            let split = w
-                .phase_split()
-                .unwrap_or_else(|| panic!("{kind} has no phase split"));
-            let program = w.program(&InputSet::reference());
-            let mut collector = ProfileCollector::with_phase_split(w.name().to_owned(), split);
-            self.replay_trace(kind, InputSet::reference(), &program, &mut collector);
-            collector.into_phase_images()
-        })
+        let w = Workload::new(kind);
+        let split = w
+            .phase_split()
+            .unwrap_or_else(|| panic!("{kind} has no phase split"));
+        self.reference_image(kind).split_at(split, w.name())
     }
 
     /// The phase-3 annotated binary (trained on the training inputs) plus

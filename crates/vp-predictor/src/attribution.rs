@@ -19,22 +19,14 @@
 //! ([`AttributionTable::reconcile`]), which the differential fuzzer
 //! checks on every case.
 //!
-//! Memory stays bounded by program text size: per-PC slots live in a
-//! dense array indexed by the static address (the same layout as
-//! [`crate::InfinitePredictor`]), with a spill map for implausibly large
-//! addresses.
+//! Memory stays bounded by program text size: per-PC records live in a
+//! [`PcSlots`], like the [`crate::InfinitePredictor`]'s entries.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use vp_isa::{Directive, InstrAddr};
 
-use crate::{Access, PredictorStats};
-
-/// Static addresses below this index live in the dense direct-indexed
-/// array; anything above spills to a hash map (same policy as the
-/// infinite predictor's storage).
-const DENSE_LIMIT: usize = 1 << 20;
+use crate::{Access, PcSlots, PredictorStats};
 
 /// Why one raw-incorrect predictor access missed.
 ///
@@ -249,9 +241,7 @@ impl AttributionTotals {
 /// See the module docs for the merge and reconciliation contracts.
 #[derive(Debug, Clone, Default)]
 pub struct AttributionTable {
-    dense: Vec<Option<(PcAttribution, Shadow)>>,
-    spill: HashMap<InstrAddr, (PcAttribution, Shadow)>,
-    tracked: usize,
+    slots: PcSlots<(PcAttribution, Shadow)>,
 }
 
 impl AttributionTable {
@@ -261,28 +251,8 @@ impl AttributionTable {
         AttributionTable::default()
     }
 
-    /// Static PCs tracked so far.
-    #[must_use]
-    pub fn tracked(&self) -> usize {
-        self.tracked
-    }
-
     fn slot(&mut self, addr: InstrAddr) -> &mut (PcAttribution, Shadow) {
-        let index = addr.index() as usize;
-        let tracked = &mut self.tracked;
-        if index >= DENSE_LIMIT {
-            return self.spill.entry(addr).or_insert_with(|| {
-                *tracked += 1;
-                Default::default()
-            });
-        }
-        if index >= self.dense.len() {
-            self.dense.resize_with(index + 1, || None);
-        }
-        self.dense[index].get_or_insert_with(|| {
-            *tracked += 1;
-            Default::default()
-        })
+        self.slots.get_or_insert_with(addr, Default::default).0
     }
 
     /// Folds one access outcome into the PC's record, charging a cause
@@ -315,14 +285,7 @@ impl AttributionTable {
     /// Iterates every tracked PC in ascending address order (the
     /// deterministic export order).
     pub fn entries(&self) -> impl Iterator<Item = (InstrAddr, &PcAttribution)> + '_ {
-        let dense = self
-            .dense
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| Some((InstrAddr::new(i as u32), &slot.as_ref()?.0)));
-        let mut spilled: Vec<_> = self.spill.iter().map(|(&a, (r, _))| (a, r)).collect();
-        spilled.sort_by_key(|&(a, _)| a);
-        dense.chain(spilled)
+        self.slots.iter().map(|(a, (r, _))| (a, r))
     }
 
     /// Whole-table totals (exact — never affected by top-K selection).
@@ -416,7 +379,7 @@ impl PartialEq for AttributionTable {
     /// records (shadow history is replay scaffolding, not a result, and
     /// is excluded — merged tables carry no meaningful shadow).
     fn eq(&self, other: &AttributionTable) -> bool {
-        self.tracked == other.tracked && self.entries().eq(other.entries())
+        self.entries().eq(other.entries())
     }
 }
 

@@ -6,26 +6,17 @@
 //! mechanism also maintains an infinite set of saturated counters". This
 //! type is that configuration.
 
-use std::collections::HashMap;
-
 use vp_isa::{Directive, InstrAddr};
 
-use crate::{Access, ClassifierKind, PredEntry, PredictorStats, SatCounter, ValuePredictor};
-
-/// Static addresses below this index live in the dense direct-indexed
-/// array; anything above (possible through the public API, never produced
-/// by the workloads, whose static addresses index the program text) spills
-/// to a hash map so a single absurd address cannot balloon the array.
-const DENSE_LIMIT: usize = 1 << 20;
+use crate::{
+    Access, ClassifierKind, PcSlots, PredEntry, PredictorStats, SatCounter, ValuePredictor,
+};
 
 /// An infinite prediction table over entry type `E`, with a pluggable
 /// classification mechanism.
 ///
-/// Since static addresses are indices into a program's text, per-address
-/// state lives in a dense array indexed directly by the address — a hot
-/// replay loop touches it without hashing. (Addresses past an implausibly
-/// large bound fall back to a spill map, so the array tracks the program
-/// size rather than the address space.)
+/// Per-address state lives in a [`PcSlots`], so a hot replay loop reaches
+/// an instruction's entry without hashing.
 ///
 /// # Examples
 ///
@@ -45,9 +36,7 @@ const DENSE_LIMIT: usize = 1 << 20;
 #[derive(Debug, Clone)]
 pub struct InfinitePredictor<E> {
     classifier: ClassifierKind,
-    dense: Vec<Option<(E, SatCounter)>>,
-    spill: HashMap<InstrAddr, (E, SatCounter)>,
-    tracked: usize,
+    slots: PcSlots<(E, SatCounter)>,
     stats: PredictorStats,
 }
 
@@ -57,66 +46,44 @@ impl<E: PredEntry> InfinitePredictor<E> {
     pub fn new(classifier: ClassifierKind) -> Self {
         InfinitePredictor {
             classifier,
-            dense: Vec::new(),
-            spill: HashMap::new(),
-            tracked: 0,
+            slots: PcSlots::new(),
             stats: PredictorStats::new(),
-        }
-    }
-
-    /// Number of static instructions tracked so far.
-    #[must_use]
-    pub fn tracked(&self) -> usize {
-        self.tracked
-    }
-
-    fn counter_template(&self) -> SatCounter {
-        match self.classifier {
-            ClassifierKind::SatCounter { template } => template,
-            _ => SatCounter::two_bit(),
         }
     }
 }
 
 impl<E: PredEntry> ValuePredictor for InfinitePredictor<E> {
     fn access(&mut self, addr: InstrAddr, directive: Directive, actual: u64) -> Access {
-        let index = addr.index() as usize;
-        if index >= DENSE_LIMIT {
-            return self.access_spill(addr, directive, actual);
-        }
         let mut a = Access::default();
-        let template = self.counter_template();
-        if index >= self.dense.len() {
-            self.dense.resize_with(index + 1, || None);
-        }
-        let slot = &mut self.dense[index];
-        match slot {
-            Some((entry, counter)) => {
-                a.hit = true;
-                let predicted = entry.predict();
-                a.predicted = Some(predicted);
-                a.correct = predicted == actual;
-                a.nonzero_stride = entry.nonzero_stride();
-                a.recommended = match self.classifier {
-                    ClassifierKind::SatCounter { .. } => counter.predicts(),
-                    ClassifierKind::Directive => directive.is_predictable(),
-                    ClassifierKind::Always => true,
-                };
-                counter.record(a.correct);
-                entry.train(actual);
-            }
-            None => {
-                // First dynamic occurrence: nothing to predict. The infinite
-                // table tracks *every* producer regardless of classification
-                // so both mechanisms see identical raw predictions.
-                a.recommended = match self.classifier {
-                    ClassifierKind::SatCounter { .. } | ClassifierKind::Always => false,
-                    ClassifierKind::Directive => directive.is_predictable(),
-                };
-                a.allocated = true;
-                *slot = Some((E::allocate(actual), template));
-                self.tracked += 1;
-            }
+        let template = match self.classifier {
+            ClassifierKind::SatCounter { template } => template,
+            _ => SatCounter::two_bit(),
+        };
+        let ((entry, counter), allocated) = self
+            .slots
+            .get_or_insert_with(addr, || (E::allocate(actual), template));
+        if allocated {
+            // First dynamic occurrence: nothing to predict. The infinite
+            // table tracks *every* producer regardless of classification
+            // so both mechanisms see identical raw predictions.
+            a.recommended = match self.classifier {
+                ClassifierKind::SatCounter { .. } | ClassifierKind::Always => false,
+                ClassifierKind::Directive => directive.is_predictable(),
+            };
+            a.allocated = true;
+        } else {
+            a.hit = true;
+            let predicted = entry.predict();
+            a.predicted = Some(predicted);
+            a.correct = predicted == actual;
+            a.nonzero_stride = entry.nonzero_stride();
+            a.recommended = match self.classifier {
+                ClassifierKind::SatCounter { .. } => counter.predicts(),
+                ClassifierKind::Directive => directive.is_predictable(),
+                ClassifierKind::Always => true,
+            };
+            counter.record(a.correct);
+            entry.train(actual);
         }
         self.stats.record_classified(directive, &a);
         a
@@ -127,51 +94,12 @@ impl<E: PredEntry> ValuePredictor for InfinitePredictor<E> {
     }
 
     fn reset(&mut self) {
-        self.dense.clear();
-        self.spill.clear();
-        self.tracked = 0;
+        self.slots.clear();
         self.stats = PredictorStats::new();
     }
 
     fn occupancy(&self) -> usize {
-        self.tracked
-    }
-}
-
-impl<E: PredEntry> InfinitePredictor<E> {
-    /// The (cold) spill-map flavour of [`ValuePredictor::access`], for
-    /// addresses past [`DENSE_LIMIT`]. Behaviourally identical to the
-    /// dense path.
-    fn access_spill(&mut self, addr: InstrAddr, directive: Directive, actual: u64) -> Access {
-        let mut a = Access::default();
-        match self.spill.get_mut(&addr) {
-            Some((entry, counter)) => {
-                a.hit = true;
-                let predicted = entry.predict();
-                a.predicted = Some(predicted);
-                a.correct = predicted == actual;
-                a.nonzero_stride = entry.nonzero_stride();
-                a.recommended = match self.classifier {
-                    ClassifierKind::SatCounter { .. } => counter.predicts(),
-                    ClassifierKind::Directive => directive.is_predictable(),
-                    ClassifierKind::Always => true,
-                };
-                counter.record(a.correct);
-                entry.train(actual);
-            }
-            None => {
-                a.recommended = match self.classifier {
-                    ClassifierKind::SatCounter { .. } | ClassifierKind::Always => false,
-                    ClassifierKind::Directive => directive.is_predictable(),
-                };
-                a.allocated = true;
-                self.spill
-                    .insert(addr, (E::allocate(actual), self.counter_template()));
-                self.tracked += 1;
-            }
-        }
-        self.stats.record_classified(directive, &a);
-        a
+        self.slots.len()
     }
 }
 
@@ -252,7 +180,7 @@ mod tests {
             InfinitePredictor::new(ClassifierKind::Always);
         feed(&mut p, 0, Directive::None, [1, 1]);
         feed(&mut p, 1, Directive::None, [2, 2]);
-        assert_eq!(p.tracked(), 2);
+        assert_eq!(p.occupancy(), 2);
         assert_eq!(p.stats().raw_correct, 2);
     }
 
@@ -261,7 +189,7 @@ mod tests {
         let mut p: InfinitePredictor<StrideEntry> = InfinitePredictor::new(ClassifierKind::Always);
         feed(&mut p, 0, Directive::None, [1, 2, 3]);
         p.reset();
-        assert_eq!(p.tracked(), 0);
+        assert_eq!(p.occupancy(), 0);
         assert_eq!(p.stats().accesses, 0);
     }
 }

@@ -16,7 +16,8 @@
 //!   classification accuracy from table pressure (§5.1);
 //! - [`TablePredictor`] — the finite 512-entry 2-way configuration of §5.2;
 //! - [`HybridPredictor`] — the stride + last-value split table the paper's
-//!   conclusions propose, routed by opcode directive.
+//!   conclusions propose, routed by opcode directive;
+//! - [`PcSlots`] — the dense per-static-instruction state store.
 //!
 //! Every predictor exposes one uniform operation, [`ValuePredictor::access`]:
 //! present the dynamic instance of a value-producing instruction (static
@@ -49,6 +50,7 @@ pub mod entry;
 pub mod geometry;
 pub mod hybrid;
 pub mod infinite;
+pub mod slots;
 pub mod stats;
 pub mod table;
 pub mod table_predictor;
@@ -61,6 +63,7 @@ pub use entry::{LastValueEntry, PredEntry, StrideEntry, TwoDeltaStrideEntry};
 pub use geometry::TableGeometry;
 pub use hybrid::HybridPredictor;
 pub use infinite::InfinitePredictor;
+pub use slots::PcSlots;
 pub use stats::{Access, PredictorStats};
 pub use table::SetAssocTable;
 pub use table_predictor::TablePredictor;

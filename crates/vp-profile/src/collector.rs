@@ -1,17 +1,66 @@
 //! The profiling tracer: emulates both value predictors during a run.
 
-use std::collections::HashMap;
-
 use vp_isa::InstrAddr;
-use vp_predictor::{LastValueEntry, PredEntry, StrideEntry};
+use vp_predictor::{LastValueEntry, PcSlots, PredEntry, StrideEntry};
 use vp_sim::{Retirement, Tracer};
 
-use crate::{ProfileImage, VpCategory};
+use crate::{InstrProfile, ProfileImage, VpCategory};
 
+/// Everything kept about one static instruction.
 #[derive(Debug, Clone)]
-struct PerInstr {
+struct Slot {
     stride: StrideEntry,
     last_value: LastValueEntry,
+    profile: InstrProfile,
+}
+
+/// The per-instruction predictor cells and counts behind
+/// [`ProfileCollector`] and [`crate::StoreValueCollector`].
+#[derive(Debug, Clone)]
+pub(crate) struct Cells {
+    name: String,
+    slots: PcSlots<Slot>,
+}
+
+impl Cells {
+    pub(crate) fn new(name: String) -> Self {
+        Cells {
+            name,
+            slots: PcSlots::new(),
+        }
+    }
+
+    /// Counts one value produced at `addr`, evaluating both predictors
+    /// before training them; the first occurrence allocates and counts as
+    /// an (unavoidably) incorrect prediction.
+    #[inline]
+    pub(crate) fn observe(&mut self, addr: InstrAddr, category: VpCategory, value: u64) {
+        let (slot, fresh) = self.slots.get_or_insert_with(addr, || Slot {
+            stride: StrideEntry::allocate(value),
+            last_value: LastValueEntry::allocate(value),
+            profile: InstrProfile::new(category),
+        });
+        let rec = &mut slot.profile;
+        rec.execs += 1;
+        if !fresh {
+            let stride_ok = slot.stride.predict() == value;
+            let lv_ok = slot.last_value.predict() == value;
+            rec.stride_correct += u64::from(stride_ok);
+            rec.nonzero_stride_correct += u64::from(stride_ok && slot.stride.nonzero_stride());
+            rec.last_value_correct += u64::from(lv_ok);
+            slot.stride.train(value);
+            slot.last_value.train(value);
+        }
+    }
+
+    /// The image, built once in address order.
+    pub(crate) fn into_image(self) -> ProfileImage {
+        let mut image = ProfileImage::new(self.name);
+        for (addr, slot) in self.slots.iter() {
+            image.insert(addr, slot.profile);
+        }
+        image
+    }
 }
 
 /// A `vp-sim` [`Tracer`] that builds a [`ProfileImage`].
@@ -22,114 +71,34 @@ struct PerInstr {
 /// measure for each instruction its prediction accuracy" — emulating both
 /// costs nothing and yields Table 2.1 for free).
 ///
-/// An optional *phase split* divides the image in two at a static address
-/// boundary, reproducing the paper's FP-benchmark split into an
-/// initialization phase and a computation phase.
+/// Both cells and the instruction's counts share one [`PcSlots`] slot, so
+/// a value event costs one direct-indexed lookup; the image is built once,
+/// in address order, by [`ProfileCollector::into_image`]. Phase images
+/// (the paper's FP init/computation split) are cut from the finished
+/// image with [`ProfileImage::split_at`].
 #[derive(Debug, Clone)]
-pub struct ProfileCollector {
-    state: HashMap<InstrAddr, PerInstr>,
-    image: ProfileImage,
-    comp_image: Option<ProfileImage>,
-    split: Option<InstrAddr>,
-}
+pub struct ProfileCollector(Cells);
 
 impl ProfileCollector {
-    /// A collector producing a single image named `name`.
+    /// A collector producing an image named `name`.
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
-        ProfileCollector {
-            state: HashMap::new(),
-            image: ProfileImage::new(name),
-            comp_image: None,
-            split: None,
-        }
+        ProfileCollector(Cells::new(name.into()))
     }
 
-    /// A collector that splits records at `split`: instructions at addresses
-    /// `< split` go to the *init* image, the rest to the *computation*
-    /// image. Predictor state is shared across the phases (the hardware
-    /// does not reset between them).
-    #[must_use]
-    pub fn with_phase_split(name: impl Into<String>, split: InstrAddr) -> Self {
-        let name = name.into();
-        ProfileCollector {
-            state: HashMap::new(),
-            comp_image: Some(ProfileImage::new(format!("{name}/comp"))),
-            image: ProfileImage::new(format!("{name}/init")),
-            split: Some(split),
-        }
-    }
-
-    /// Finishes collection, returning the single image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the collector was built with a phase split — use
-    /// [`ProfileCollector::into_phase_images`] instead.
+    /// Finishes collection, returning the image.
     #[must_use]
     pub fn into_image(self) -> ProfileImage {
-        assert!(
-            self.comp_image.is_none(),
-            "phase-split collector: use into_phase_images"
-        );
-        self.image
-    }
-
-    /// Finishes a phase-split collection, returning `(init, computation)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the collector was not built with a phase split.
-    #[must_use]
-    pub fn into_phase_images(self) -> (ProfileImage, ProfileImage) {
-        let comp = self.comp_image.expect("collector has no phase split");
-        (self.image, comp)
-    }
-
-    fn image_for(&mut self, addr: InstrAddr) -> &mut ProfileImage {
-        match (self.split, &mut self.comp_image) {
-            (Some(split), Some(comp)) if addr >= split => comp,
-            _ => &mut self.image,
-        }
+        self.0.into_image()
     }
 }
 
 impl Tracer for ProfileCollector {
     fn retire(&mut self, ev: &Retirement<'_>) {
         let Some((_, _, value)) = ev.dest else { return };
-        let Some(category) = VpCategory::from_op_category(ev.instr.op.category()) else {
-            return;
-        };
-        let addr = ev.addr;
-
-        // Evaluate both predictors before training; the first occurrence
-        // allocates and counts as an (unavoidably) incorrect prediction.
-        let (stride_ok, nonzero, lv_ok) = match self.state.get_mut(&addr) {
-            Some(per) => {
-                let stride_ok = per.stride.predict() == value;
-                let nonzero = per.stride.nonzero_stride();
-                let lv_ok = per.last_value.predict() == value;
-                per.stride.train(value);
-                per.last_value.train(value);
-                (stride_ok, nonzero, lv_ok)
-            }
-            None => {
-                self.state.insert(
-                    addr,
-                    PerInstr {
-                        stride: StrideEntry::allocate(value),
-                        last_value: LastValueEntry::allocate(value),
-                    },
-                );
-                (false, false, false)
-            }
-        };
-
-        let rec = self.image_for(addr).entry(addr, category);
-        rec.execs += 1;
-        rec.stride_correct += u64::from(stride_ok);
-        rec.nonzero_stride_correct += u64::from(stride_ok && nonzero);
-        rec.last_value_correct += u64::from(lv_ok);
+        if let Some(category) = VpCategory::from_op_category(ev.instr.op.category()) {
+            self.0.observe(ev.addr, category, value);
+        }
     }
 }
 
@@ -203,22 +172,12 @@ mod tests {
     #[test]
     fn phase_split_partitions_by_address() {
         let src = "li r1, 0\nli r2, 30\ninit: addi r1, r1, 1\nbne r1, r2, init\nli r3, 0\ncomp: addi r3, r3, 2\nbne r3, r2, comp\nhalt\n";
-        let p = assemble(src).unwrap();
-        let mut c = ProfileCollector::with_phase_split("t", InstrAddr::new(4));
-        run(&p, &mut c, RunLimits::default()).unwrap();
-        let (init, comp) = c.into_phase_images();
+        let (init, comp) = profile(src).split_at(InstrAddr::new(4), "t");
         assert!(init.get(InstrAddr::new(2)).is_some());
         assert!(init.get(InstrAddr::new(5)).is_none());
         assert!(comp.get(InstrAddr::new(5)).is_some());
         assert!(comp.get(InstrAddr::new(2)).is_none());
-        assert!(init.name().ends_with("/init"));
-        assert!(comp.name().ends_with("/comp"));
-    }
-
-    #[test]
-    #[should_panic(expected = "phase-split")]
-    fn into_image_rejects_split_collector() {
-        let c = ProfileCollector::with_phase_split("t", InstrAddr::new(0));
-        let _ = c.into_image();
+        assert_eq!(init.name(), "t/init");
+        assert_eq!(comp.name(), "t/comp");
     }
 }

@@ -60,6 +60,20 @@ impl ProfileImage {
         self.records.insert(addr, record);
     }
 
+    /// Cuts the image at `addr` into `{base}/init` (the records below it)
+    /// and `{base}/comp` (the rest): the paper's FP initialisation and
+    /// computation phases. Predictor state is per instruction, so each
+    /// half equals what profiling that phase alone would record.
+    #[must_use]
+    pub fn split_at(mut self, addr: InstrAddr, base: &str) -> (ProfileImage, ProfileImage) {
+        let comp = self.records.split_off(&addr);
+        let half = |phase, records| ProfileImage {
+            name: format!("{base}/{phase}"),
+            records,
+        };
+        (half("init", self.records), half("comp", comp))
+    }
+
     /// Number of profiled static instructions.
     #[must_use]
     pub fn len(&self) -> usize {

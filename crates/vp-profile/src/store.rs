@@ -7,19 +7,10 @@
 //! memory* under the same unbounded last-value and stride predictors used
 //! for destination registers.
 
-use std::collections::HashMap;
-
-use vp_isa::InstrAddr;
-use vp_predictor::{LastValueEntry, PredEntry, StrideEntry};
 use vp_sim::{Retirement, Tracer};
 
+use crate::collector::Cells;
 use crate::{ProfileImage, VpCategory};
-
-#[derive(Debug, Clone)]
-struct PerStore {
-    stride: StrideEntry,
-    last_value: LastValueEntry,
-}
 
 /// A tracer profiling the values written by store instructions.
 ///
@@ -47,57 +38,27 @@ struct PerStore {
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct StoreValueCollector {
-    state: HashMap<InstrAddr, PerStore>,
-    image: ProfileImage,
-}
+pub struct StoreValueCollector(Cells);
 
 impl StoreValueCollector {
     /// An empty collector labelled `name`.
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
-        StoreValueCollector {
-            state: HashMap::new(),
-            image: ProfileImage::new(name),
-        }
+        StoreValueCollector(Cells::new(name.into()))
     }
 
     /// Finishes collection, returning the store-value profile image.
     #[must_use]
     pub fn into_image(self) -> ProfileImage {
-        self.image
+        self.0.into_image()
     }
 }
 
 impl Tracer for StoreValueCollector {
     fn retire(&mut self, ev: &Retirement<'_>) {
-        let Some(value) = ev.stored else { return };
-        let addr = ev.addr;
-        let (stride_ok, nonzero, lv_ok) = match self.state.get_mut(&addr) {
-            Some(per) => {
-                let stride_ok = per.stride.predict() == value;
-                let nonzero = per.stride.nonzero_stride();
-                let lv_ok = per.last_value.predict() == value;
-                per.stride.train(value);
-                per.last_value.train(value);
-                (stride_ok, nonzero, lv_ok)
-            }
-            None => {
-                self.state.insert(
-                    addr,
-                    PerStore {
-                        stride: StrideEntry::allocate(value),
-                        last_value: LastValueEntry::allocate(value),
-                    },
-                );
-                (false, false, false)
-            }
-        };
-        let rec = self.image.entry(addr, VpCategory::Store);
-        rec.execs += 1;
-        rec.stride_correct += u64::from(stride_ok);
-        rec.nonzero_stride_correct += u64::from(stride_ok && nonzero);
-        rec.last_value_correct += u64::from(lv_ok);
+        if let Some(value) = ev.stored {
+            self.0.observe(ev.addr, VpCategory::Store, value);
+        }
     }
 }
 

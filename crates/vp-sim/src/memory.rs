@@ -3,12 +3,17 @@
 //! The machine's memory is an array of 64-bit words indexed by `u64` word
 //! addresses. It is backed by lazily allocated fixed-size pages, so workloads
 //! can scatter data across a large address space without cost. Unwritten
-//! words read as zero, like a zero-filled address space.
+//! words read as zero, like a zero-filled address space. The low pages,
+//! where every workload keeps its data, are indexed directly; higher
+//! pages live in a hash map.
 
 use std::collections::HashMap;
 
 /// Words per page. A power of two so address splitting is a shift/mask.
 const PAGE_WORDS: usize = 1 << 12;
+
+/// Pages reached by direct indexing (the low 1 Mi words).
+const DENSE_PAGES: usize = 256;
 
 /// Sparse word-addressed memory with zero-fill semantics.
 ///
@@ -23,7 +28,8 @@ const PAGE_WORDS: usize = 1 << 12;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u64; PAGE_WORDS]>>,
+    low: Vec<Option<Box<[u64; PAGE_WORDS]>>>,
+    high: HashMap<u64, Box<[u64; PAGE_WORDS]>>,
     reads: u64,
     writes: u64,
 }
@@ -53,30 +59,40 @@ impl Memory {
     /// Reads the word at `addr` (zero if never written).
     pub fn read(&mut self, addr: u64) -> u64 {
         self.reads += 1;
-        let (page, offset) = split(addr);
-        self.pages.get(&page).map_or(0, |p| p[offset])
+        self.peek(addr)
     }
 
     /// Reads without counting as an access (for debugging / assertions).
     #[must_use]
     pub fn peek(&self, addr: u64) -> u64 {
         let (page, offset) = split(addr);
-        self.pages.get(&page).map_or(0, |p| p[offset])
+        let page = match usize::try_from(page) {
+            Ok(p) if p < DENSE_PAGES => self.low.get(p).and_then(Option::as_ref),
+            _ => self.high.get(&page),
+        };
+        page.map_or(0, |p| p[offset])
     }
 
     /// Writes the word at `addr`.
     pub fn write(&mut self, addr: u64, value: u64) {
         self.writes += 1;
         let (page, offset) = split(addr);
-        self.pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0; PAGE_WORDS]))[offset] = value;
+        let page = match usize::try_from(page) {
+            Ok(p) if p < DENSE_PAGES => {
+                if p >= self.low.len() {
+                    self.low.resize_with(p + 1, || None);
+                }
+                self.low[p].get_or_insert_with(zero_page)
+            }
+            _ => self.high.entry(page).or_insert_with(zero_page),
+        };
+        page[offset] = value;
     }
 
     /// Number of pages that have been materialised.
     #[must_use]
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.low.iter().flatten().count() + self.high.len()
     }
 
     /// Total counted read accesses.
@@ -90,6 +106,10 @@ impl Memory {
     pub fn writes(&self) -> u64 {
         self.writes
     }
+}
+
+fn zero_page() -> Box<[u64; PAGE_WORDS]> {
+    Box::new([0; PAGE_WORDS])
 }
 
 fn split(addr: u64) -> (u64, usize) {
@@ -153,5 +173,48 @@ mod tests {
         m.write(2, 2);
         m.read(1);
         assert_eq!((m.reads(), m.writes()), (1, 2));
+    }
+
+    #[test]
+    fn both_tiers_round_trip_at_their_edges() {
+        let boundary = (DENSE_PAGES * PAGE_WORDS) as u64;
+        let addrs = [
+            boundary - PAGE_WORDS as u64, // first word of the last dense page
+            boundary - 1,                 // last dense word
+            boundary,                     // first spilled word
+            boundary + PAGE_WORDS as u64 - 1,
+            u64::MAX - PAGE_WORDS as u64,
+            u64::MAX,
+        ];
+        let mut m = Memory::new();
+        for (i, &a) in addrs.iter().enumerate() {
+            m.write(a, i as u64 + 1);
+        }
+        for (i, &a) in addrs.iter().enumerate() {
+            assert_eq!(m.read(a), i as u64 + 1, "{a:#x}");
+            assert_eq!(m.peek(a), i as u64 + 1, "{a:#x}");
+        }
+        // Unwritten neighbours in resident pages of both tiers read zero.
+        assert_eq!(m.read(boundary - 2), 0);
+        assert_eq!(m.read(boundary + 1), 0);
+        assert_eq!(m.read(u64::MAX - 1), 0);
+        // One dense page, one spilled page at the boundary, two at the top.
+        assert_eq!(m.resident_pages(), 4);
+        assert_eq!((m.reads(), m.writes()), (9, 6));
+    }
+
+    #[test]
+    fn image_reaching_the_spill_tier_counts_no_accesses() {
+        let boundary = DENSE_PAGES * PAGE_WORDS;
+        let mut image = vec![0u64; boundary + 2];
+        image[3] = 1;
+        image[boundary - 1] = 2;
+        image[boundary + 1] = 3;
+        let m = Memory::with_image(&image);
+        assert_eq!((m.reads(), m.writes()), (0, 0));
+        assert_eq!(m.resident_pages(), 3);
+        assert_eq!(m.peek(boundary as u64 - 1), 2);
+        assert_eq!(m.peek(boundary as u64 + 1), 3);
+        assert_eq!(m.peek(boundary as u64), 0);
     }
 }

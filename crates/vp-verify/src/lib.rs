@@ -11,14 +11,15 @@
 //!    instruction set, biased toward the control/data shapes the paper
 //!    cares about: loops, stride address arithmetic, data-dependent loads
 //!    and directive-tagged value producers.
-//! 2. **Reference implementations** ([`refsim`], [`refpred`]) that are
-//!    deliberately simple — row-oriented, allocation-happy, map-based —
-//!    and therefore easy to audit against the instruction semantics in
-//!    `vp_sim::exec` and the predictor definitions in `vp_predictor`.
+//! 2. **Reference implementations** ([`refsim`], [`refpred`],
+//!    [`refprofile`]) that are deliberately simple — row-oriented,
+//!    allocation-happy, map-based — and therefore easy to audit against
+//!    the instruction semantics in `vp_sim::exec` and the predictor and
+//!    profiling rules in `vp_predictor` and `vp_profile`.
 //! 3. **A differential oracle** ([`oracle`]) that runs both stacks on the
 //!    same fuzzed program and demands bit-identical register files,
-//!    memories, retirement event streams, serialised traces and
-//!    [`vp_predictor::PredictorStats`] blocks.
+//!    memories, retirement event streams, profile images, serialised
+//!    traces and [`vp_predictor::PredictorStats`] blocks.
 //!
 //! On top sit [`coverage`]-guided case scheduling (the generator is steered
 //! toward opcodes the corpus has exercised least), automatic input
@@ -34,6 +35,7 @@ pub mod fuzz;
 pub mod generate;
 pub mod oracle;
 pub mod refpred;
+pub mod refprofile;
 pub mod refsim;
 pub mod shrink;
 
@@ -43,5 +45,6 @@ pub use fuzz::{run_fuzz, FuzzOptions, FuzzReport};
 pub use generate::{gen_program, GenConfig};
 pub use oracle::{run_case, Divergence};
 pub use refpred::ref_predict;
+pub use refprofile::RefProfileCollector;
 pub use refsim::{ref_run, RefOutcome};
 pub use shrink::shrink_program;

@@ -9,26 +9,29 @@
 //!    count, retirement event stream (both as the columns iterate it and
 //!    as [`Trace::replay`] rebuilds it), final register files and final
 //!    memory.
-//! 2. **Serialisation oracle** — the captured columnar trace must survive
+//! 2. **Profile differential** — the dense [`ProfileCollector`] against
+//!    the map-based [`RefProfileCollector`], both fed by the trace
+//!    replay: identical images in [`format::to_text`] form.
+//! 3. **Serialisation oracle** — the captured columnar trace must survive
 //!    a `write_to`/`read_from` round trip bit-identically (the `provptr3`
 //!    encoder and its checksum are on this path).
-//! 3. **Predictor differential** — for a panel of predictor
+//! 4. **Predictor differential** — for a panel of predictor
 //!    configurations, the naive [`ref_predict`] models against (a) the
 //!    real predictor fed directly, (b) a sequential [`ReplayRequest`]
 //!    replay, and (c) a PC-sharded parallel one: identical
 //!    [`PredictorStats`] and occupancy.
-//! 4. **Attribution oracle** — the attributed replay
+//! 5. **Attribution oracle** — the attributed replay
 //!    ([`ReplayRequest::attribution`]) must leave the stats untouched
 //!    (observation-only), produce a bit-identical per-PC
 //!    [`vp_predictor::AttributionTable`] at any shard/job count, and its
 //!    totals must reconcile *exactly* with the [`PredictorStats`]
 //!    (every access accounted, every raw miss charged to one cause).
-//! 5. **Matrix oracle** — the fused sweep ([`ReplayRequest`] over the
+//! 6. **Matrix oracle** — the fused sweep ([`ReplayRequest`] over the
 //!    whole plan) over every oracle configuration (with a duplicate cell
 //!    and a second, directive-stripped annotation table in the plan)
 //!    must return, at any shard count, exactly the grid that per-cell
 //!    replays produce.
-//! 6. **Streaming oracle** — the bounded-memory streaming engine
+//! 7. **Streaming oracle** — the bounded-memory streaming engine
 //!    ([`ReplayRequest::stream`]), which re-simulates the program and
 //!    predicts concurrently without a resident trace, must reproduce the
 //!    batch grid bit-identically at every tested shard × block-pool
@@ -43,10 +46,12 @@ use std::fmt;
 use provp_core::{ReplayRequest, SweepPlan};
 use vp_isa::{Directive, InstrAddr, Program, Reg, RegClass};
 use vp_predictor::{ClassifierKind, PredictorConfig, PredictorStats, TableGeometry};
+use vp_profile::{format, ProfileCollector};
 use vp_sim::record::{first_divergence, TraceDivergence, TraceEvent, TraceRecorder};
-use vp_sim::{runner, FnTracer, Machine, Retirement, RunLimits, Trace};
+use vp_sim::{runner, ChainTracer, FnTracer, Machine, Retirement, RunLimits, Trace};
 
 use crate::refpred::ref_predict;
+use crate::refprofile::RefProfileCollector;
 use crate::refsim::ref_run;
 
 /// A mismatch between the optimised stack and its reference model.
@@ -80,6 +85,12 @@ pub enum Divergence {
         optimized: u64,
         /// Reference value.
         reference: u64,
+    },
+    /// The dense profile collector's image differs from the reference
+    /// collector's.
+    Profile {
+        /// The first differing lines of the two images' text form.
+        detail: String,
     },
     /// The trace did not survive a serialisation round trip.
     Serialization {
@@ -161,6 +172,7 @@ impl fmt::Display for Divergence {
                 f,
                 "memory word {addr:#x} diverges: optimized {optimized:#x}, reference {reference:#x}"
             ),
+            Divergence::Profile { detail } => write!(f, "profile image diverges: {detail}"),
             Divergence::Serialization { detail, .. } => {
                 write!(f, "trace serialisation diverges: {detail}")
             }
@@ -318,7 +330,27 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
         }
     }
 
-    // --- 2. serialisation oracle ---
+    // --- 2. profile differential ---
+    let mut profiles = ChainTracer::new(
+        ProfileCollector::new(program.name()),
+        RefProfileCollector::new(program.name()),
+    );
+    let _ = cols.replay(program, &mut profiles);
+    let (dense, ref_profile) = profiles.into_inner();
+    let dense_text = format::to_text(&dense.into_image());
+    let ref_text = format::to_text(&ref_profile.into_image());
+    let first_diff = dense_text
+        .lines()
+        .chain(["<end>"])
+        .zip(ref_text.lines().chain(["<end>"]))
+        .find(|(d, r)| d != r);
+    if let Some((d, r)) = first_diff {
+        return Err(Divergence::Profile {
+            detail: format!("dense `{d}`, reference `{r}`"),
+        });
+    }
+
+    // --- 3. serialisation oracle ---
     let trace = Trace::from_columns(cols);
     let mut bytes = Vec::new();
     if let Err(e) = trace.write_to(&mut bytes) {
@@ -343,7 +375,7 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
         }
     }
 
-    // --- 3. predictor differential ---
+    // --- 4. predictor differential ---
     let directives: Vec<Directive> = program.text().iter().map(|i| i.directive).collect();
     let values: Vec<(InstrAddr, u64)> = trace.columns().value_events().collect();
     let expected_values = reference.events.iter().filter(|e| e.dest.is_some()).count();
@@ -398,7 +430,7 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
             )?;
         }
 
-        // --- 4. attribution oracle ---
+        // --- 5. attribution oracle ---
         let attr_err = |detail: String| Divergence::Attribution {
             label: config.label(),
             detail,
@@ -441,7 +473,7 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
         }
     }
 
-    // --- 5. matrix oracle ---
+    // --- 6. matrix oracle ---
     // One fused pass over every oracle configuration, with a duplicate
     // cell (exercising the dedup path) and a second annotation table
     // (the directive-stripped program), checked cell by cell against
@@ -527,7 +559,7 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
         }
     }
 
-    // --- 6. streaming oracle ---
+    // --- 7. streaming oracle ---
     // The bounded-memory streaming engine re-simulates the program and
     // feeds the same fused kernel through a bounded block channel; its
     // grid must be bit-identical to the batch grid at every tested shard
@@ -671,6 +703,12 @@ mod tests {
             // Calls and returns, and a write to r0 that retires no dest.
             "li r1, 0\nli r2, 3\ntop: addi r0, r1, 7\njal r31, sub\naddi r1, r1, 1\n\
              bne r1, r2, top\nhalt\nsub: addi r4, r4, 2\njalr r0, r31, 0\n",
+            // Loads and stores walking across the dense/spill page
+            // boundary of `vp_sim::Memory` (word 1 Mi), then at the top
+            // of the address space.
+            "li r1, 1048572\nli r2, 1048580\nli r3, 5\ntop: sd r3, 0(r1)\n\
+             ld r4, -1(r1)\nadd r3, r3, r4\naddi r1, r1, 1\nbne r1, r2, top\n\
+             li r5, -2\nsd r3, 1(r5)\nld r6, 1(r5)\nfld f1, -1(r1)\nhalt\n",
         ] {
             let p = vp_isa::asm::assemble(src).unwrap();
             if let Err(d) = run_case(&p, 5_000) {
