@@ -19,8 +19,8 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use provp::core::experiments::{
-    ablations, classification, fig_2_2, fig_2_3, fig_4, finite_table, table_2_1, table_5_1,
-    table_5_2,
+    ablations, classification, critical_path, fig_2_2, fig_2_3, fig_4, finite_table, table_2_1,
+    table_5_1, table_5_2,
 };
 use provp::core::Suite;
 use provp::workloads::WorkloadKind;
@@ -198,6 +198,36 @@ fn golden_ablation_counters() {
     check(
         "ablation_counters",
         &ablations::render_counters(kind, &rows),
+    );
+}
+
+// The three snapshots below run the §5.3 dataflow model outside
+// Table 5.2: the penalty and front-end ablations vary the machine around
+// the paper's predictors, and the critical-path report walks the same
+// schedule with producer tracking.
+
+#[test]
+fn golden_ablation_penalty() {
+    let mut out = String::new();
+    for kind in KINDS {
+        let rows = ablations::penalty(suite(), kind, &[0, 1, 2, 4, 8]);
+        out.push_str(&ablations::render_penalty(kind, &rows));
+        out.push('\n');
+    }
+    check("ablation_penalty", &out);
+}
+
+#[test]
+fn golden_ablation_front_end() {
+    let rows = ablations::front_end(suite(), &KINDS);
+    check("ablation_front_end", &ablations::render_front_end(&rows));
+}
+
+#[test]
+fn golden_critical_path() {
+    check(
+        "critical_path",
+        &critical_path::run_analysis(suite(), &KINDS).render(),
     );
 }
 
