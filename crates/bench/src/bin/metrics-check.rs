@@ -9,6 +9,7 @@
 //!               [--max-accuracy-drop=0.005] \
 //!               [--max-phase-share-regression=0.15] \
 //!               [--max-matrix-passes-per-trace=1] \
+//!               [--max-ilp-passes-per-trace=1] \
 //!               [--max-peak-rss-regression=0.25]
 //! ```
 //!
@@ -24,6 +25,7 @@
 //! | `--max-accuracy-drop` | effective prediction accuracy | floor: baseline − F |
 //! | `--max-peak-rss-regression` | peak RSS | ceiling: baseline × (1 + F) |
 //! | `--max-matrix-passes-per-trace` | fused-sweep passes per swept trace | ceiling: N (no baseline read) |
+//! | `--max-ilp-passes-per-trace` | ILP lane passes per traced workload | ceiling: N (no baseline read) |
 //! | `--max-phase-share-regression` (per profiled phase) | the phase's share of profile samples | ceiling: baseline + F |
 //!
 //! One missing-data policy covers every gate: data the *baseline* lacks
@@ -113,7 +115,7 @@ struct Gate {
 const MIB: f64 = 1024.0 * 1024.0;
 
 /// Every gate, in evaluation order.
-const GATES: [Gate; 6] = [
+const GATES: [Gate; 7] = [
     Gate {
         flag: "--max-regression",
         default: Some(0.30),
@@ -171,6 +173,21 @@ const GATES: [Gate; 6] = [
         },
         subjects: run_wide,
         current: matrix_passes_per_trace,
+        bound: Bound::Fixed,
+        worse: Worse::Higher,
+        show: |v| format!("{v:.2}"),
+        blame: None,
+    },
+    Gate {
+        flag: "--max-ilp-passes-per-trace",
+        default: None,
+        valid: |n| n >= 1.0 && n.fract() == 0.0,
+        want: ">= 1",
+        name: "ilp-pass",
+        title: "ILP lane passes per traced workload",
+        needs: |_| "ilp.lane_passes / ilp.traces counters (or ran no ILP model)".to_owned(),
+        subjects: run_wide,
+        current: ilp_passes_per_trace,
         bound: Bound::Fixed,
         worse: Worse::Higher,
         show: |v| format!("{v:.2}"),
@@ -257,8 +274,18 @@ fn peak_rss(m: &RunManifest, _: &str) -> Option<f64> {
 /// Fused-sweep passes per distinct swept trace (`None` when the counters
 /// are absent or the run swept no traces).
 fn matrix_passes_per_trace(m: &RunManifest, _: &str) -> Option<f64> {
-    let passes = *m.counters.get("replay.matrix_passes")?;
-    let traces = *m.counters.get("replay.matrix_traces")?;
+    per_trace(m, "replay.matrix_passes", "replay.matrix_traces")
+}
+
+/// ILP lane passes per distinct workload trace the lanes read (`None`
+/// when the counters are absent or the run modelled no ILP).
+fn ilp_passes_per_trace(m: &RunManifest, _: &str) -> Option<f64> {
+    per_trace(m, "ilp.lane_passes", "ilp.traces")
+}
+
+fn per_trace(m: &RunManifest, passes: &str, traces: &str) -> Option<f64> {
+    let passes = *m.counters.get(passes)?;
+    let traces = *m.counters.get(traces)?;
     (traces > 0).then(|| passes as f64 / traces as f64)
 }
 
@@ -679,6 +706,30 @@ mod tests {
         assert_eq!(matrix_passes_per_trace(&m, ""), None);
         m.counters.insert("replay.matrix_traces".to_owned(), 9);
         assert_eq!(matrix_passes_per_trace(&m, ""), Some(2.0));
+    }
+
+    #[test]
+    fn ilp_pass_gate_flag_and_counters() {
+        let a = args(&["--max-ilp-passes-per-trace", "1"]).unwrap();
+        assert_eq!(limit(&a, "--max-ilp-passes-per-trace"), Some(1.0));
+        assert_eq!(
+            limit(&args(&[]).unwrap(), "--max-ilp-passes-per-trace"),
+            None
+        );
+        assert!(args(&["--max-ilp-passes-per-trace=0"]).is_err());
+        assert!(args(&["--max-ilp-passes-per-trace=1.5"]).is_err());
+        assert!(args(&["--max-ilp-passes-per-trace=lots"]).is_err());
+
+        let mut m = manifest();
+        // Counters absent -> the gate cannot judge the run.
+        assert_eq!(ilp_passes_per_trace(&m, ""), None);
+        m.counters.insert("ilp.lane_passes".to_owned(), 63);
+        assert_eq!(ilp_passes_per_trace(&m, ""), None);
+        // Counters present but no trace modelled -> still unjudgeable.
+        m.counters.insert("ilp.traces".to_owned(), 0);
+        assert_eq!(ilp_passes_per_trace(&m, ""), None);
+        m.counters.insert("ilp.traces".to_owned(), 9);
+        assert_eq!(ilp_passes_per_trace(&m, ""), Some(7.0));
     }
 
     #[test]

@@ -16,8 +16,8 @@ use vp_obs::{
 const MIB: u64 = 1024 * 1024;
 
 /// A manifest carrying the data every gate reads: simulator throughput
-/// (1 M instr/s), predictor accuracy (90%), fused-sweep pass counters
-/// (one pass per trace), peak RSS (100 MiB), a `run/sweep` phase
+/// (1 M instr/s), predictor accuracy (90%), fused-sweep and ILP lane
+/// pass counters (one pass per trace each), peak RSS (100 MiB), a `run/sweep` phase
 /// (100 ms), a profile with `run/profile` at 12% of samples, and one
 /// attributed PC for accuracy blame.
 fn full() -> RunManifest {
@@ -34,6 +34,8 @@ fn full() -> RunManifest {
         ("predictor.speculated_correct", 900),
         ("replay.matrix_passes", 9),
         ("replay.matrix_traces", 9),
+        ("ilp.lane_passes", 9),
+        ("ilp.traces", 9),
     ] {
         m.counters.insert(key.to_owned(), value);
     }
@@ -146,12 +148,13 @@ fn cases() -> Vec<Case> {
     vec![
         // --- exit codes ---------------------------------------------------
         case(
-            "all seven flags pass",
+            "all eight flags pass",
             &[
                 "--max-regression=0.30",
                 "--phase=run/sweep",
                 "--max-phase-regression=0.50",
                 "--max-matrix-passes-per-trace=1",
+                "--max-ilp-passes-per-trace=1",
                 "--max-accuracy-drop=0.01",
                 "--max-phase-share-regression=0.15",
                 "--max-peak-rss-regression=0.25",
@@ -401,6 +404,47 @@ fn cases() -> Vec<Case> {
             })),
             2,
             "--max-matrix-passes-per-trace given but the current manifest",
+        ),
+        // --- ILP lane passes ---------------------------------------------
+        case(
+            "ILP passes pass",
+            &["--max-ilp-passes-per-trace=1"],
+            ok(full()),
+            ok(full()),
+            0,
+            "ILP lane passes",
+        ),
+        case(
+            "ILP passes fail",
+            &["--max-ilp-passes-per-trace=1"],
+            ok(full()),
+            ok(with(|m| {
+                m.counters.insert("ilp.lane_passes".to_owned(), 63);
+            })),
+            1,
+            "ILP lane passes",
+        ),
+        case(
+            // The limit is absolute: the gate never reads the baseline.
+            "ILP passes baseline lacks data",
+            &["--max-ilp-passes-per-trace=1"],
+            ok(with(|m| {
+                m.counters.remove("ilp.lane_passes");
+                m.counters.remove("ilp.traces");
+            })),
+            ok(full()),
+            0,
+            "ILP lane passes",
+        ),
+        case(
+            "ILP passes current lacks data",
+            &["--max-ilp-passes-per-trace=1"],
+            ok(full()),
+            ok(with(|m| {
+                m.counters.remove("ilp.traces");
+            })),
+            2,
+            "--max-ilp-passes-per-trace given but the current manifest",
         ),
         // --- profiled phase share ----------------------------------------
         case(

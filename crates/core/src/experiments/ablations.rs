@@ -112,22 +112,25 @@ pub struct PenaltyRow {
     pub profile_increase: f64,
 }
 
-/// Sweeps the value-misprediction penalty for one workload.
+/// Sweeps the value-misprediction penalty for one workload: every
+/// machine runs in one ILP lane pass over the reference trace.
 pub fn penalty(suite: &Suite, kind: WorkloadKind, penalties: &[u64]) -> Vec<PenaltyRow> {
-    let base = suite.ilp(kind, IlpConfig::paper_no_vp(), None);
-    suite.par_map(penalties, |&p| {
-        let fsm = suite.ilp(kind, IlpConfig::paper_vp_fsm().with_penalty(p), None);
-        let prof = suite.ilp(
-            kind,
-            IlpConfig::paper_vp_profile().with_penalty(p),
-            Some(0.9),
-        );
-        PenaltyRow {
+    let mut machines = vec![(IlpConfig::paper_no_vp(), None)];
+    for &p in penalties {
+        machines.push((IlpConfig::paper_vp_fsm().with_penalty(p), None));
+        machines.push((IlpConfig::paper_vp_profile().with_penalty(p), Some(0.9)));
+    }
+    let results = suite.ilp_machines(kind, &machines);
+    let base = &results[0];
+    penalties
+        .iter()
+        .zip(results[1..].chunks_exact(2))
+        .map(|(&p, pair)| PenaltyRow {
             penalty: p,
-            fsm_increase: fsm.ilp_increase_over(&base),
-            profile_increase: prof.ilp_increase_over(&base),
-        }
-    })
+            fsm_increase: pair[0].ilp_increase_over(base),
+            profile_increase: pair[1].ilp_increase_over(base),
+        })
+        .collect()
 }
 
 /// Renders the penalty sweep.
@@ -280,31 +283,39 @@ pub struct FrontEndRow {
 
 /// Relaxes the paper's perfect-branch-prediction assumption: measures the
 /// no-VP baseline and the VP gain under perfect, bimodal and gshare front
-/// ends (8-cycle redirect penalty).
+/// ends (8-cycle redirect penalty). Each workload's six machines run in
+/// one ILP lane pass.
 pub fn front_end(suite: &Suite, kinds: &[WorkloadKind]) -> Vec<FrontEndRow> {
     let fronts: [(&'static str, BranchConfig, u64); 3] = [
         ("perfect", BranchConfig::Perfect, 0),
         ("bimodal-4k", BranchConfig::bimodal_4k(), 8),
         ("gshare-4k", BranchConfig::gshare_4k(), 8),
     ];
-    let grid: Vec<(WorkloadKind, (&'static str, BranchConfig, u64))> = kinds
+    let machines: Vec<(IlpConfig, Option<f64>)> = fronts
         .iter()
-        .flat_map(|&kind| fronts.iter().map(move |&front| (kind, front)))
+        .flat_map(|&(_, branch, bp)| {
+            [
+                (IlpConfig::paper_no_vp().with_branch(branch, bp), None),
+                (
+                    IlpConfig::paper_vp_profile().with_branch(branch, bp),
+                    Some(0.9),
+                ),
+            ]
+        })
         .collect();
-    suite.par_map(&grid, |&(kind, (label, branch, bp))| {
-        let base = suite.ilp(kind, IlpConfig::paper_no_vp().with_branch(branch, bp), None);
-        let vp = suite.ilp(
-            kind,
-            IlpConfig::paper_vp_profile().with_branch(branch, bp),
-            Some(0.9),
-        );
-        FrontEndRow {
-            kind,
-            front_end: label,
-            base_ilp: base.ilp(),
-            vp_increase: vp.ilp_increase_over(&base),
+    let per_kind = suite.par_map(kinds, |&kind| suite.ilp_machines(kind, &machines));
+    let mut rows = Vec::with_capacity(kinds.len() * fronts.len());
+    for (&kind, results) in kinds.iter().zip(per_kind) {
+        for (&(label, _, _), pair) in fronts.iter().zip(results.chunks_exact(2)) {
+            rows.push(FrontEndRow {
+                kind,
+                front_end: label,
+                base_ilp: pair[0].ilp(),
+                vp_increase: pair[1].ilp_increase_over(&pair[0]),
+            });
         }
-    })
+    }
+    rows
 }
 
 /// Renders the front-end sweep.

@@ -6,11 +6,12 @@
 //! classification by saturating counters ("VP + SC") versus profiling at
 //! thresholds 90%…50% ("VP + Prof. X%").
 
-use vp_compiler::ThresholdPolicy;
 use vp_ilp::{IlpConfig, IlpResult};
+use vp_predictor::PredictorConfig;
 use vp_stats::{table::signed_percent, TextTable};
 use vp_workloads::WorkloadKind;
 
+use crate::experiments::finite_table;
 use crate::Suite;
 
 /// One workload's ILP measurements.
@@ -23,7 +24,7 @@ pub struct Row {
     /// Value prediction + saturating counters.
     pub vp_fsm: IlpResult,
     /// Value prediction + profiling, per threshold of
-    /// [`ThresholdPolicy::PAPER_SWEEP`].
+    /// [`vp_compiler::ThresholdPolicy::PAPER_SWEEP`].
     pub vp_profile: Vec<IlpResult>,
 }
 
@@ -56,15 +57,38 @@ pub struct Table52 {
     pub rows: Vec<Row>,
 }
 
-/// Runs the experiment over the given workloads.
+/// The §5.3 machine with `predictor`, or without value prediction.
+fn machine(predictor: Option<PredictorConfig>) -> IlpConfig {
+    IlpConfig {
+        predictor,
+        ..IlpConfig::paper_no_vp()
+    }
+}
+
+/// The seven machines per workload, in column order: no VP, then one
+/// machine per cell of [`finite_table::matrix_cells`] (VP + SC, then VP +
+/// profiling at each threshold of [`vp_compiler::ThresholdPolicy::PAPER_SWEEP`]), so
+/// the lanes read the outcome columns the finite-table sweep records.
+#[must_use]
+pub fn machines() -> Vec<(IlpConfig, Option<f64>)> {
+    let mut machines = vec![(machine(None), None)];
+    machines.extend(
+        finite_table::matrix_cells()
+            .into_iter()
+            .map(|(config, threshold)| (machine(Some(config)), threshold)),
+    );
+    machines
+}
+
+/// Runs the experiment over the given workloads: one ILP lane pass per
+/// workload's reference trace.
 pub fn run(suite: &Suite, kinds: &[WorkloadKind]) -> Table52 {
+    let machines = machines();
     let rows = suite.par_map(kinds, |&kind| {
-        let base = suite.ilp(kind, IlpConfig::paper_no_vp(), None);
-        let vp_fsm = suite.ilp(kind, IlpConfig::paper_vp_fsm(), None);
-        let vp_profile = ThresholdPolicy::PAPER_SWEEP
-            .iter()
-            .map(|&th| suite.ilp(kind, IlpConfig::paper_vp_profile(), Some(th)))
-            .collect();
+        let mut results = suite.ilp_machines(kind, &machines).into_iter();
+        let base = results.next().expect("no-VP machine");
+        let vp_fsm = results.next().expect("VP + SC machine");
+        let vp_profile = results.collect();
         Row {
             kind,
             base,

@@ -51,7 +51,9 @@ use std::time::Instant;
 
 use vp_isa::{Directive, InstrAddr, Program};
 use vp_predictor::config::shard_key;
-use vp_predictor::{AttributionTable, PredictorConfig, PredictorStats, ValuePredictor};
+use vp_predictor::{
+    AttributionTable, Outcome, OutcomeColumn, PredictorConfig, PredictorStats, ValuePredictor,
+};
 use vp_sim::{RunLimits, Trace};
 
 use crate::exec::{in_worker, parallel_map};
@@ -107,6 +109,10 @@ pub struct MatrixCell {
     /// share its resolved directive row — the sweep's "compute each
     /// threshold's annotation once" cache.
     pub directives: usize,
+    /// Whether the replay also records the cell's [`OutcomeColumn`]
+    /// (one outcome per value event, in trace order) for a dataflow
+    /// model to read.
+    pub outcomes: bool,
 }
 
 /// The full sweep matrix for one trace: a set of directive annotations
@@ -145,12 +151,31 @@ impl SweepPlan {
     /// Panics if `directives` was not returned by
     /// [`SweepPlan::add_directives`] on this plan.
     pub fn add_cell(&mut self, config: PredictorConfig, directives: usize) {
+        self.push_cell(config, directives, false);
+    }
+
+    /// [`SweepPlan::add_cell`] for a cell whose replay also records its
+    /// [`OutcomeColumn`] ([`ReplayCellOutcome::outcomes`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `directives` was not returned by
+    /// [`SweepPlan::add_directives`] on this plan.
+    pub fn add_outcome_cell(&mut self, config: PredictorConfig, directives: usize) {
+        self.push_cell(config, directives, true);
+    }
+
+    fn push_cell(&mut self, config: PredictorConfig, directives: usize, outcomes: bool) {
         assert!(
             directives < self.tables.len(),
             "directive table {directives} not registered (plan has {})",
             self.tables.len()
         );
-        self.cells.push(MatrixCell { config, directives });
+        self.cells.push(MatrixCell {
+            config,
+            directives,
+            outcomes,
+        });
     }
 
     /// The cells in request order.
@@ -173,16 +198,19 @@ impl SweepPlan {
 
 /// Dedupes the plan's cells into the predictor bank's slots and counts
 /// the fused pass: returns the distinct cells and, per request cell, the
-/// slot it maps to.
+/// slot it maps to. A slot records outcomes when any of its cells asks.
 fn fuse_cells(plan: &SweepPlan) -> (Vec<MatrixCell>, Vec<usize>) {
-    let mut slots = Vec::new();
+    let mut slots: Vec<MatrixCell> = Vec::new();
     let mut slot_of = Vec::with_capacity(plan.cells.len());
-    let mut index: HashMap<MatrixCell, usize> = HashMap::new();
+    let mut index: HashMap<(PredictorConfig, usize), usize> = HashMap::new();
     for &cell in &plan.cells {
-        let slot = *index.entry(cell).or_insert_with(|| {
-            slots.push(cell);
-            slots.len() - 1
-        });
+        let slot = *index
+            .entry((cell.config, cell.directives))
+            .or_insert_with(|| {
+                slots.push(cell);
+                slots.len() - 1
+            });
+        slots[slot].outcomes |= cell.outcomes;
         slot_of.push(slot);
     }
     vp_obs::counter("replay.matrix_passes").add(1);
@@ -198,9 +226,15 @@ fn used_tables(slots: &[MatrixCell]) -> Vec<usize> {
     used
 }
 
-/// One slot's result from one shard: stats, occupied table entries and,
-/// for an attributed replay, the slot's per-PC [`AttributionTable`].
-type SlotResult = (PredictorStats, usize, Option<AttributionTable>);
+/// One slot's result from one shard: stats, occupied table entries, for
+/// an attributed replay the slot's per-PC [`AttributionTable`], and for
+/// an outcome-recording slot its [`OutcomeColumn`] in shard order.
+type SlotResult = (
+    PredictorStats,
+    usize,
+    Option<AttributionTable>,
+    Option<OutcomeColumn>,
+);
 
 /// The push-based fused kernel: accumulates one shard's value events into
 /// [`MATRIX_BLOCK`]-sized scratch columns, resolves each full block's
@@ -212,8 +246,11 @@ type SlotResult = (PredictorStats, usize, Option<AttributionTable>);
 /// walks each block cell by cell instead, observing every
 /// [`ValuePredictor::access`] outcome. Cells have independent state, so
 /// visiting all of one cell's events before the next gives the same
-/// results as an event-major loop. The choice is made once per block, so
-/// the plain kernel's per-event loop is exactly the unattributed one.
+/// results as an event-major loop. A slot that records outcomes appends
+/// one [`Outcome`] per event to its [`OutcomeColumn`]
+/// ([`ValuePredictor::access_batch_outcomes`] when unattributed). Both
+/// choices are made once per block, so the plain kernel's per-event loop
+/// is exactly the one a sweep without attribution or outcomes runs.
 ///
 /// Both the batch scan (an iterator drained into `push`) and the
 /// streaming consumers ([`stream`]) drive this same kernel, so their
@@ -224,6 +261,8 @@ struct MatrixScanner<'p> {
     banks: Vec<Box<dyn ValuePredictor>>,
     /// One table per slot when the replay is attributed.
     attributions: Option<Vec<AttributionTable>>,
+    /// One column per outcome-recording slot.
+    outcomes: Vec<Option<OutcomeColumn>>,
     tables: &'p [Vec<Directive>],
     slots: &'p [MatrixCell],
     used: Vec<usize>,
@@ -238,6 +277,10 @@ impl<'p> MatrixScanner<'p> {
             banks: slots.iter().map(|c| c.config.build()).collect(),
             attributions: attribution
                 .then(|| slots.iter().map(|_| AttributionTable::new()).collect()),
+            outcomes: slots
+                .iter()
+                .map(|c| c.outcomes.then(OutcomeColumn::new))
+                .collect(),
             tables,
             slots,
             used: used_tables(slots),
@@ -275,21 +318,34 @@ impl<'p> MatrixScanner<'p> {
                 );
             }
         }
+        let banks = self
+            .banks
+            .iter_mut()
+            .zip(self.slots)
+            .zip(&mut self.outcomes);
         match &mut self.attributions {
             None => {
-                for (bank, cell) in self.banks.iter_mut().zip(self.slots) {
-                    bank.access_batch(&self.addrs, &self.rows[cell.directives], &self.values);
+                for ((bank, cell), column) in banks {
+                    let row = &self.rows[cell.directives];
+                    match column {
+                        None => bank.access_batch(&self.addrs, row, &self.values),
+                        Some(column) => {
+                            bank.access_batch_outcomes(&self.addrs, row, &self.values, column);
+                        }
+                    }
                 }
             }
             Some(attributions) => {
-                for ((bank, cell), table) in self.banks.iter_mut().zip(self.slots).zip(attributions)
-                {
+                for (((bank, cell), column), table) in banks.zip(attributions) {
                     let row = &self.rows[cell.directives];
                     for ((&addr, &directive), &value) in
                         self.addrs.iter().zip(row).zip(&self.values)
                     {
                         let access = bank.access(addr, directive, value);
                         table.observe(addr, directive, &access, value);
+                        if let Some(column) = column {
+                            column.push(Outcome::of(&access));
+                        }
                     }
                 }
             }
@@ -305,9 +361,10 @@ impl<'p> MatrixScanner<'p> {
         Ok(self
             .banks
             .iter()
-            .map(|b| {
+            .zip(self.outcomes)
+            .map(|(b, column)| {
                 let table = tables.as_mut().and_then(Iterator::next);
-                (*b.stats(), b.occupancy(), table)
+                (*b.stats(), b.occupancy(), table, column)
             })
             .collect())
     }
@@ -333,7 +390,9 @@ where
 /// Merges per-shard slot results (shard state partitions are disjoint,
 /// so stats, occupancy and attribution tables merge by addition) and fans
 /// the slots back out to plan order through `slot_of`. Duplicate cells
-/// receive copies of their shared slot's result.
+/// receive copies of their shared slot's result. Outcome columns are
+/// taken from the first shard: a sharded caller interleaves them there
+/// first ([`interleave_outcomes`]).
 fn merge_shards(
     parts: Vec<Vec<SlotResult>>,
     slot_of: &[usize],
@@ -342,7 +401,7 @@ fn merge_shards(
     let mut parts = parts.into_iter();
     let mut merged = parts.next().unwrap_or_default();
     for part in parts {
-        for (acc, (stats, occupancy, table)) in merged.iter_mut().zip(part) {
+        for (acc, (stats, occupancy, table, _)) in merged.iter_mut().zip(part) {
             acc.0.merge(&stats);
             acc.1 += occupancy;
             if let (Some(acc), Some(table)) = (&mut acc.2, table) {
@@ -353,7 +412,7 @@ fn merge_shards(
     slot_of
         .iter()
         .map(|&s| {
-            let (stats, occupancy, ref table) = merged[s];
+            let (stats, occupancy, ref table, ref column) = merged[s];
             ReplayCellOutcome {
                 outcome: ReplayOutcome {
                     stats,
@@ -361,9 +420,31 @@ fn merge_shards(
                     shards,
                 },
                 attribution: table.clone(),
+                outcomes: column.clone(),
             }
         })
         .collect()
+}
+
+/// Puts each outcome-recording slot's column back into trace order, in
+/// the first shard's result: `shard_of` yields, per value event of the
+/// trace, the shard the event was replayed in (its `shard_key`
+/// recomputed), and each shard's column holds its events in trace order.
+fn interleave_outcomes<I>(parts: &mut [Vec<SlotResult>], shard_of: I)
+where
+    I: Iterator<Item = usize> + Clone,
+{
+    let Some(first) = parts.first() else { return };
+    for slot in 0..first.len() {
+        if parts[0][slot].3.is_none() {
+            continue;
+        }
+        let columns: Vec<OutcomeColumn> = parts
+            .iter_mut()
+            .map(|part| part[slot].3.take().expect("every shard records the slot"))
+            .collect();
+        parts[0][slot].3 = Some(OutcomeColumn::interleave(&columns, shard_of.clone()));
+    }
 }
 
 /// The batch fused engine behind [`ReplayRequest::run`]: one pass over
@@ -382,6 +463,7 @@ fn batch_matrix(trace: &Trace, req: &ReplayRequest<'_>) -> io::Result<Vec<Replay
 
     let modulus = PredictorConfig::joint_shard_modulus(slots.iter().map(|c| &c.config));
     let views = cols.shard_by_pc(req.shards, move |addr| shard_key(modulus, addr));
+    let of = req.shards as u64;
     let timed = parallel_map(req.jobs, &views, |shard| -> io::Result<_> {
         let started = Instant::now();
         let per_slot = matrix_scan(shard.values(), tables, &slots, attribution)?;
@@ -395,6 +477,11 @@ fn batch_matrix(trace: &Trace, req: &ReplayRequest<'_>) -> io::Result<Vec<Replay
         fastest = fastest.min(micros);
         slowest = slowest.max(micros);
     }
+    interleave_outcomes(
+        &mut parts,
+        cols.value_events()
+            .map(|(addr, _)| (shard_key(modulus, addr) % of) as usize),
+    );
     let skew_us = slowest.saturating_sub(fastest);
     vp_obs::counter("replay.shards").add(req.shards as u64);
     vp_obs::gauge("replay.shard_skew_ms").set_max(skew_us.div_ceil(1000));
@@ -420,8 +507,9 @@ enum ReplaySource<'a> {
 }
 
 /// One cell's result from a [`ReplayRequest`]: the replay outcome plus,
-/// when attribution was requested, its per-PC [`AttributionTable`]
-/// (duplicate cells receive clones of the shared slot's table).
+/// when attribution was requested, its per-PC [`AttributionTable`], and
+/// when the cell records outcomes, its [`OutcomeColumn`] (duplicate cells
+/// receive clones of the shared slot's table and column).
 #[derive(Debug, Clone)]
 pub struct ReplayCellOutcome {
     /// Stats, occupancy and shard count — bit-identical to a sequential
@@ -430,6 +518,10 @@ pub struct ReplayCellOutcome {
     /// The per-PC attribution table, if [`ReplayRequest::attribution`]
     /// asked for one.
     pub attribution: Option<AttributionTable>,
+    /// One [`Outcome`] per value event of the trace, in trace order, if
+    /// the cell (or a duplicate of it) was added with
+    /// [`SweepPlan::add_outcome_cell`].
+    pub outcomes: Option<OutcomeColumn>,
 }
 
 /// The per-cell results of a [`ReplayRequest`], in plan order.

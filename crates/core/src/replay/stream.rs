@@ -399,15 +399,18 @@ pub(crate) fn stream_matrix(
     let _span = vp_obs::span("stream");
     let (slots, slot_of) = fuse_cells(&req.plan);
     let modulus = PredictorConfig::joint_shard_modulus(slots.iter().map(|c| &c.config));
-    let parts = run_streamed(
-        program,
-        limits,
-        req.shards,
-        req.block_pool,
-        modulus,
-        |events| matrix_scan(events, req.plan.tables(), &slots, req.attribution),
-    )?;
-    Ok(merge_shards(parts, &slot_of, req.shards))
+    // No trace is resident to put per-shard outcome columns back into
+    // stream order afterwards, so a plan that records them runs on one
+    // consumer.
+    let shards = if slots.iter().any(|c| c.outcomes) {
+        1
+    } else {
+        req.shards
+    };
+    let parts = run_streamed(program, limits, shards, req.block_pool, modulus, |events| {
+        matrix_scan(events, req.plan.tables(), &slots, req.attribution)
+    })?;
+    Ok(merge_shards(parts, &slot_of, shards))
 }
 
 #[cfg(test)]

@@ -21,9 +21,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use vp_compiler::{annotate, AnnotationSummary, ThresholdPolicy};
-use vp_ilp::{IlpAnalyzer, IlpConfig, IlpResult};
+use vp_ilp::{IlpConfig, IlpLanes, IlpResult, LaneOutcomes};
 use vp_isa::Program;
-use vp_predictor::{AttributionTable, PredictorConfig, PredictorStats};
+use vp_predictor::{AttributionTable, OutcomeColumn, PredictorConfig, PredictorStats};
 use vp_profile::{merge, ProfileCollector, ProfileImage};
 use vp_sim::{run, RunLimits, Trace, Tracer};
 use vp_workloads::{InputSet, Workload, WorkloadKind};
@@ -44,12 +44,14 @@ type CellKey = (WorkloadKind, PredictorConfig, Option<u32>);
 
 /// The memoised result of one sweep-matrix cell. Attribution is captured
 /// at compute time (when the process has it enabled) so later requests
-/// for the same cell can record their run without replaying.
+/// for the same cell can record their run without replaying. The outcome
+/// column is recorded for the cells an ILP machine reads.
 #[derive(Clone)]
 struct CellResult {
     stats: PredictorStats,
     occupancy: usize,
     attribution: Option<Arc<AttributionTable>>,
+    outcomes: Option<Arc<OutcomeColumn>>,
 }
 
 /// A memoising context for the whole evaluation.
@@ -92,6 +94,10 @@ pub struct Suite {
     /// once (drives the `replay.matrix_traces` counter, the denominator
     /// of the CI `matrix_passes per trace` gate).
     swept: Memo<WorkloadKind, ()>,
+    /// Kinds whose reference trace has run through the ILP lanes at
+    /// least once (drives `ilp.traces`, the denominator of the
+    /// `ilp.lane_passes` per trace gate).
+    ilp_traced: Memo<WorkloadKind, ()>,
 }
 
 impl Suite {
@@ -118,6 +124,7 @@ impl Suite {
             annotated: Memo::new(),
             sweep: Memo::new(),
             swept: Memo::new(),
+            ilp_traced: Memo::new(),
         }
     }
 
@@ -356,7 +363,7 @@ impl Suite {
         if cells.is_empty() {
             return Vec::new();
         }
-        let results = self.sweep_cells(kind, cells);
+        let results = self.sweep_cells(kind, cells, false);
         let mut grid = Vec::with_capacity(cells.len());
         for (&(config, threshold), result) in cells.iter().zip(&results) {
             if let Some(table) = &result.attribution {
@@ -394,17 +401,24 @@ impl Suite {
             return;
         }
         self.par_map(kinds, |&kind| {
-            let _ = self.sweep_cells(kind, cells);
+            let _ = self.sweep_cells(kind, cells, false);
         });
     }
 
     /// Batch get-or-compute over the sweep memo: the cells nobody has
     /// computed or claimed are computed together by one fused matrix
-    /// pass; cells claimed by other threads are waited for.
+    /// pass; cells claimed by other threads are waited for. A computed
+    /// cell records its outcome column when `outcomes` asks for it or
+    /// when it is one of the cells Table 5.2's machines read
+    /// ([`finite_table::matrix_cells`]), so a primed paper sweep already
+    /// holds every column the ILP lanes need.
+    ///
+    /// [`finite_table::matrix_cells`]: crate::experiments::finite_table::matrix_cells
     fn sweep_cells(
         &self,
         kind: WorkloadKind,
         cells: &[(PredictorConfig, Option<f64>)],
+        outcomes: bool,
     ) -> Vec<CellResult> {
         let keys: Vec<CellKey> = cells
             .iter()
@@ -417,20 +431,28 @@ impl Suite {
             .zip(cells.iter().copied())
             .rev()
             .collect();
+        let ilp_cells: Vec<CellKey> = crate::experiments::finite_table::matrix_cells()
+            .into_iter()
+            .map(|(config, th)| (kind, config, th.map(th_key)))
+            .collect();
         let Ok(results) = self.sweep.get_or_compute_many(&keys, |claimed| {
-            let plan_cells: Vec<_> = claimed.iter().map(|key| cell_of[key]).collect();
+            let plan_cells: Vec<_> = claimed
+                .iter()
+                .map(|key| (cell_of[key], outcomes || ilp_cells.contains(key)))
+                .collect();
             Ok::<_, Infallible>(self.compute_matrix(kind, &plan_cells))
         });
         results
     }
 
     /// One fused matrix pass over `kind`'s reference trace for `cells`
-    /// (assumed distinct). Quiet: publishes nothing per cell — callers
+    /// (assumed distinct), each flagged with whether it records its
+    /// outcome column. Quiet: publishes nothing per cell — callers
     /// account requests themselves.
     fn compute_matrix(
         &self,
         kind: WorkloadKind,
-        cells: &[(PredictorConfig, Option<f64>)],
+        cells: &[((PredictorConfig, Option<f64>), bool)],
     ) -> Vec<CellResult> {
         // Resolve each distinct threshold's annotated program into a
         // directive table of the plan (annotation/merge cost lands in
@@ -438,7 +460,7 @@ impl Suite {
         let mut plan = SweepPlan::new();
         let mut table_of: HashMap<Option<u32>, usize> = HashMap::new();
         let mut plan_tables = Vec::with_capacity(cells.len());
-        for &(_, threshold) in cells {
+        for &((_, threshold), _) in cells {
             let key = threshold.map(th_key);
             let table = match table_of.get(&key) {
                 Some(&t) => t,
@@ -451,8 +473,12 @@ impl Suite {
             };
             plan_tables.push(table);
         }
-        for (&(config, _), &table) in cells.iter().zip(&plan_tables) {
-            plan.add_cell(config, table);
+        for (&((config, _), outcomes), &table) in cells.iter().zip(&plan_tables) {
+            if outcomes {
+                plan.add_outcome_cell(config, table);
+            } else {
+                plan.add_cell(config, table);
+            }
         }
         self.swept
             .get_or_compute(kind, || vp_obs::counter("replay.matrix_traces").add(1));
@@ -501,17 +527,103 @@ impl Suite {
                 stats: cell.outcome.stats,
                 occupancy: cell.outcome.occupancy,
                 attribution: cell.attribution.map(Arc::new),
+                outcomes: cell.outcomes.map(Arc::new),
             })
             .collect()
     }
 
-    /// Replays the reference input through the abstract ILP machine.
+    /// Replays the reference input through the abstract ILP machine: a
+    /// one-machine [`Suite::ilp_machines`].
     pub fn ilp(&self, kind: WorkloadKind, config: IlpConfig, threshold: Option<f64>) -> IlpResult {
-        let program = self.reference_program(kind, threshold);
-        let mut analyzer = IlpAnalyzer::new(config);
+        self.ilp_machines(kind, &[(config, threshold)])
+            .pop()
+            .expect("one machine returns one result")
+    }
+
+    /// Runs every `(machine, threshold)` over `kind`'s reference input in
+    /// **one** pass ([`IlpLanes`]), returning results in request order.
+    /// `threshold` selects the annotated binary a value-predicting
+    /// machine's predictor reads directives from, as for
+    /// [`Suite::predictor_stats`].
+    ///
+    /// No predictor runs here: each predicting machine reads its cell's
+    /// outcome column from the sweep memo (computed by one fused matrix
+    /// pass if nobody has), and its [`IlpResult::predictor`] is that
+    /// cell's [`PredictorStats`]. Results equal per-machine
+    /// [`vp_ilp::IlpAnalyzer`] replays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machines do not share one window size.
+    pub fn ilp_machines(
+        &self,
+        kind: WorkloadKind,
+        machines: &[(IlpConfig, Option<f64>)],
+    ) -> Vec<IlpResult> {
+        let Some((first, _)) = machines.first() else {
+            return Vec::new();
+        };
+        let cells: Vec<(PredictorConfig, Option<f64>)> = machines
+            .iter()
+            .filter_map(|(config, threshold)| config.predictor.map(|p| (p, *threshold)))
+            .collect();
+        let columns = self.outcome_cells(kind, &cells);
+        let mut columns = columns.iter();
+        let mut lanes = IlpLanes::new(first.window);
+        for (config, _) in machines {
+            let outcomes = config.predictor.map(|_| {
+                let (column, stats) = columns.next().expect("one column per predicting machine");
+                LaneOutcomes {
+                    column,
+                    stats: *stats,
+                }
+            });
+            lanes.lane(config, outcomes);
+        }
+        // Directives only steer predictors, which ran in the sweep: the
+        // bare program replays the trace.
+        let program = self.reference_program(kind, None);
         let _span = vp_obs::span("ilp");
-        self.replay_trace(kind, InputSet::reference(), &program, &mut analyzer);
-        analyzer.finish()
+        self.replay_trace(kind, InputSet::reference(), &program, &mut lanes);
+        vp_obs::counter("ilp.lane_passes").add(1);
+        self.ilp_traced
+            .get_or_compute(kind, || vp_obs::counter("ilp.traces").add(1));
+        lanes.finish()
+    }
+
+    /// The outcome column and stats of each cell, in request order. A
+    /// cell an earlier sweep computed without its column (one outside
+    /// the paper's ILP cells) is replayed again, unmemoised, to record it.
+    fn outcome_cells(
+        &self,
+        kind: WorkloadKind,
+        cells: &[(PredictorConfig, Option<f64>)],
+    ) -> Vec<(Arc<OutcomeColumn>, PredictorStats)> {
+        let results = self.sweep_cells(kind, cells, true);
+        let missing: Vec<_> = cells
+            .iter()
+            .zip(&results)
+            .filter(|(_, r)| r.outcomes.is_none())
+            .map(|(&cell, _)| (cell, true))
+            .collect();
+        let mut recorded = if missing.is_empty() {
+            Vec::new()
+        } else {
+            self.compute_matrix(kind, &missing)
+        }
+        .into_iter();
+        results
+            .into_iter()
+            .map(|r| {
+                let r = match r.outcomes {
+                    Some(_) => r,
+                    None => recorded
+                        .next()
+                        .expect("one recorded cell per missing column"),
+                };
+                (r.outcomes.expect("recorded column"), r.stats)
+            })
+            .collect()
     }
 }
 

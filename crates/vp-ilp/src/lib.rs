@@ -47,6 +47,7 @@ pub mod analyzer;
 pub mod branch;
 pub mod config;
 pub mod critical;
+pub mod lanes;
 pub mod result;
 pub mod window;
 
@@ -54,5 +55,6 @@ pub use analyzer::IlpAnalyzer;
 pub use branch::{BranchConfig, BranchPredictor};
 pub use config::IlpConfig;
 pub use critical::{CriticalPathAnalyzer, CriticalityReport};
+pub use lanes::{IlpLanes, LaneOutcomes};
 pub use result::IlpResult;
 pub use window::SlidingWindow;

@@ -17,7 +17,9 @@
 //! - [`TablePredictor`] — the finite 512-entry 2-way configuration of §5.2;
 //! - [`HybridPredictor`] — the stride + last-value split table the paper's
 //!   conclusions propose, routed by opcode directive;
-//! - [`PcSlots`] — the dense per-static-instruction state store.
+//! - [`PcSlots`] — the dense per-static-instruction state store;
+//! - [`OutcomeColumn`] — one packed [`Outcome`] per value event, so one
+//!   predictor replay can drive many machine models.
 //!
 //! Every predictor exposes one uniform operation, [`ValuePredictor::access`]:
 //! present the dynamic instance of a value-producing instruction (static
@@ -50,6 +52,7 @@ pub mod entry;
 pub mod geometry;
 pub mod hybrid;
 pub mod infinite;
+pub mod outcome;
 pub mod slots;
 pub mod stats;
 pub mod table;
@@ -63,6 +66,7 @@ pub use entry::{LastValueEntry, PredEntry, StrideEntry, TwoDeltaStrideEntry};
 pub use geometry::TableGeometry;
 pub use hybrid::HybridPredictor;
 pub use infinite::InfinitePredictor;
+pub use outcome::{Outcome, OutcomeColumn};
 pub use slots::PcSlots;
 pub use stats::{Access, PredictorStats};
 pub use table::SetAssocTable;
@@ -96,6 +100,31 @@ pub trait ValuePredictor {
         assert_eq!(addrs.len(), values.len());
         for i in 0..addrs.len() {
             self.access(addrs[i], directives[i], values[i]);
+        }
+    }
+
+    /// [`ValuePredictor::access_batch`] that also appends each access's
+    /// [`Outcome`] to `outcomes`, in slice order. Dispatches statically
+    /// inside, like `access_batch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three slices have different lengths.
+    fn access_batch_outcomes(
+        &mut self,
+        addrs: &[InstrAddr],
+        directives: &[Directive],
+        values: &[u64],
+        outcomes: &mut OutcomeColumn,
+    ) {
+        assert_eq!(addrs.len(), directives.len());
+        assert_eq!(addrs.len(), values.len());
+        for i in 0..addrs.len() {
+            outcomes.push(Outcome::of(&self.access(
+                addrs[i],
+                directives[i],
+                values[i],
+            )));
         }
     }
 

@@ -31,7 +31,14 @@
 //!    and a second, directive-stripped annotation table in the plan)
 //!    must return, at any shard count, exactly the grid that per-cell
 //!    replays produce.
-//! 7. **Streaming oracle** — the bounded-memory streaming engine
+//! 7. **ILP lanes differential** — Table 5.2's seven machines plus one
+//!    with a bimodal branch front end run as one [`IlpLanes`] pass,
+//!    reading outcome columns the fused matrix kernel recorded (PC-sharded,
+//!    so the columns are interleaved back into trace order). Each lane
+//!    must equal an [`IlpAnalyzer`] that runs its own predictor: the same
+//!    instructions, cycles and [`PredictorStats`]. A streamed replay of
+//!    the same plan must record the same columns.
+//! 8. **Streaming oracle** — the bounded-memory streaming engine
 //!    ([`ReplayRequest::stream`]), which re-simulates the program and
 //!    predicts concurrently without a resident trace, must reproduce the
 //!    batch grid bit-identically at every tested shard × block-pool
@@ -43,7 +50,9 @@
 use std::error::Error;
 use std::fmt;
 
+use provp_core::experiments::table_5_2;
 use provp_core::{ReplayRequest, SweepPlan};
+use vp_ilp::{BranchConfig, IlpAnalyzer, IlpConfig, IlpLanes, LaneOutcomes};
 use vp_isa::{Directive, InstrAddr, Program, Reg, RegClass};
 use vp_predictor::{ClassifierKind, PredictorConfig, PredictorStats, TableGeometry};
 use vp_profile::{format, ProfileCollector};
@@ -130,6 +139,15 @@ pub enum Divergence {
         /// Human-readable detail.
         detail: String,
     },
+    /// An [`IlpLanes`] lane diverged from its per-machine
+    /// [`IlpAnalyzer`], or the outcome columns it read diverged between
+    /// batch and streamed replay.
+    Ilp {
+        /// The machine: its lane index and configuration.
+        label: String,
+        /// Human-readable detail.
+        detail: String,
+    },
     /// The streaming replay engine diverged from batch replay.
     Stream {
         /// `PredictorConfig::label()` of the diverging cell's
@@ -192,6 +210,9 @@ impl fmt::Display for Divergence {
                 f,
                 "fused matrix cell `{label}` ({shards} shards) diverges: {detail}"
             ),
+            Divergence::Ilp { label, detail } => {
+                write!(f, "ILP lane {label} diverges: {detail}")
+            }
             Divergence::Stream {
                 label,
                 shards,
@@ -559,7 +580,10 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
         }
     }
 
-    // --- 7. streaming oracle ---
+    // --- 7. ILP lanes differential ---
+    ilp_lanes_differential(program, &trace, limits, optimized.is_ok())?;
+
+    // --- 8. streaming oracle ---
     // The bounded-memory streaming engine re-simulates the program and
     // feeds the same fused kernel through a bounded block channel; its
     // grid must be bit-identical to the batch grid at every tested shard
@@ -659,6 +683,128 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
     }
 
     Ok(trace)
+}
+
+/// The machines of the ILP lanes stage, each with the program its
+/// predictor reads directives from: Table 5.2's seven (the bare program
+/// stands in for no threshold; the `k`-th threshold keeps the case's
+/// directives on every `addr % 5 <= k`, so stricter thresholds tag less),
+/// then VP + profiling behind a bimodal front end.
+fn ilp_machines(program: &Program) -> Vec<(IlpConfig, Program)> {
+    let mut machines: Vec<(IlpConfig, Program)> = table_5_2::machines()
+        .into_iter()
+        .scan(0u32, |k, (config, threshold)| {
+            let annotated = match threshold {
+                None => program.without_directives(),
+                Some(_) => {
+                    let keep = *k;
+                    *k += 1;
+                    program.with_directives(|addr, instr| {
+                        if addr.index() % 5 <= keep {
+                            instr.directive
+                        } else {
+                            Directive::None
+                        }
+                    })
+                }
+            };
+            Some((config, annotated))
+        })
+        .collect();
+    let (profile, annotated) = machines.last().expect("Table 5.2 machines").clone();
+    machines.push((
+        profile.with_branch(BranchConfig::bimodal_4k(), 8),
+        annotated,
+    ));
+    machines
+}
+
+fn ilp_lanes_differential(
+    program: &Program,
+    trace: &Trace,
+    limits: RunLimits,
+    streamable: bool,
+) -> Result<(), Divergence> {
+    let machines = ilp_machines(program);
+    let label = |i: usize| format!("{i} ({:?})", machines[i].0);
+    let whole = |detail: String| Divergence::Ilp {
+        label: "whole pass".into(),
+        detail,
+    };
+    let mut plan = SweepPlan::new();
+    for (config, annotated) in &machines {
+        if let Some(predictor) = config.predictor {
+            let table = plan.add_directives(annotated);
+            plan.add_outcome_cell(predictor, table);
+        }
+    }
+    let recorded = ReplayRequest::batch(trace)
+        .plan(plan.clone())
+        .shards(3)
+        .jobs(2)
+        .run()
+        .map_err(|e| whole(format!("outcome replay failed: {e}")))?
+        .cells;
+    let mut cells = recorded.iter();
+    let mut lanes = IlpLanes::new(IlpConfig::PAPER_WINDOW);
+    for (config, _) in &machines {
+        let outcomes = match config.predictor {
+            None => None,
+            Some(_) => {
+                let cell = cells.next().expect("one cell per predicting machine");
+                Some(LaneOutcomes {
+                    column: cell
+                        .outcomes
+                        .as_ref()
+                        .ok_or_else(|| whole("an outcome cell recorded no column".into()))?,
+                    stats: cell.outcome.stats,
+                })
+            }
+        };
+        lanes.lane(config, outcomes);
+    }
+    trace
+        .replay(program, &mut lanes)
+        .map_err(|e| whole(format!("lane replay failed: {e}")))?;
+    let results = lanes.finish();
+    for (i, ((config, annotated), got)) in machines.iter().zip(&results).enumerate() {
+        let mut alone = IlpAnalyzer::new(config.clone());
+        trace
+            .replay(annotated, &mut alone)
+            .map_err(|e| whole(format!("reference replay failed: {e}")))?;
+        let want = alone.finish();
+        if (got.instructions, got.cycles) != (want.instructions, want.cycles) {
+            return Err(Divergence::Ilp {
+                label: label(i),
+                detail: format!("lanes {got}, analyzer {want}"),
+            });
+        }
+        if got.predictor != want.predictor {
+            return Err(Divergence::Ilp {
+                label: label(i),
+                detail: format!(
+                    "predictor stats differ:\nlanes {:#?}\nanalyzer {:#?}",
+                    got.predictor, want.predictor
+                ),
+            });
+        }
+    }
+    if streamable {
+        let streamed = ReplayRequest::stream(program, limits)
+            .plan(plan)
+            .shards(3)
+            .run()
+            .map_err(|e| whole(format!("streamed outcome replay failed: {e}")))?
+            .cells;
+        for (s, b) in streamed.iter().zip(&recorded) {
+            if s.outcomes != b.outcomes {
+                return Err(whole(
+                    "streamed replay recorded different outcome columns".into(),
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 fn check_predictor(
