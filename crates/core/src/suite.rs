@@ -811,6 +811,46 @@ mod tests {
         assert!(stats.memory_hits >= 3, "{stats:?}");
     }
 
+    /// Lanes read memoised outcome columns; a cell first computed for its
+    /// stats alone (outside the paper's ILP cells) is replayed again to
+    /// record its column. Every machine equals its own reference replay.
+    #[test]
+    fn ilp_machines_match_the_reference_analyzer() {
+        use vp_ilp::IlpAnalyzer;
+        use vp_predictor::{ClassifierKind, TableGeometry};
+
+        let s = Suite::with_train_runs(1);
+        let kind = WorkloadKind::Compress;
+        let always = PredictorConfig::TableStride {
+            geometry: TableGeometry::new(64, 2),
+            classifier: ClassifierKind::Always,
+        };
+        let _ = s.predictor_stats(kind, always, None);
+        let machines = [
+            (IlpConfig::paper_no_vp(), None),
+            (
+                IlpConfig {
+                    predictor: Some(always),
+                    ..IlpConfig::paper_no_vp().with_penalty(2)
+                },
+                None,
+            ),
+            (IlpConfig::paper_vp_profile(), Some(0.7)),
+        ];
+        let lanes = s.ilp_machines(kind, &machines);
+        for ((config, threshold), got) in machines.iter().zip(&lanes) {
+            let mut alone = IlpAnalyzer::new(config.clone());
+            let program = s.reference_program(kind, *threshold);
+            s.replay_trace(kind, InputSet::reference(), &program, &mut alone);
+            let want = alone.finish();
+            assert_eq!(
+                (got.instructions, got.cycles, got.predictor),
+                (want.instructions, want.cycles, want.predictor),
+                "{config:?}"
+            );
+        }
+    }
+
     #[test]
     fn streaming_suite_matches_batch_suite() {
         let batch = Suite::with_train_runs(1);

@@ -62,7 +62,6 @@ struct FrontEnd {
     lane: usize,
     predictor: BranchPredictor,
     penalty: u64,
-    mispredictions: u64,
 }
 
 /// Runs N abstract machines that share one window size over one trace.
@@ -149,17 +148,16 @@ impl<'c> IlpLanes<'c> {
         }
     }
 
-    /// Adds a machine and returns its lane index (the position of its
-    /// result in [`IlpLanes::finish`]). `outcomes` must be given exactly
-    /// when `config` predicts values; `config.predictor` itself is not
-    /// run.
+    /// Adds a machine; its result comes back at this position in
+    /// [`IlpLanes::finish`]. `outcomes` must be given exactly when
+    /// `config` predicts values; `config.predictor` itself is not run.
     ///
     /// # Panics
     ///
     /// Panics if the pass has started, if `config.window` differs from
     /// the pass's window, or if `outcomes` is given for a machine without
     /// value prediction or missing for one with it.
-    pub fn lane(&mut self, config: &IlpConfig, outcomes: Option<LaneOutcomes<'c>>) -> usize {
+    pub fn lane(&mut self, config: &IlpConfig, outcomes: Option<LaneOutcomes<'c>>) {
         assert_eq!(self.instructions, 0, "lanes must be added before the pass");
         assert_eq!(
             config.window, self.window,
@@ -184,7 +182,6 @@ impl<'c> IlpLanes<'c> {
                 lane,
                 predictor: BranchPredictor::new(config.branch),
                 penalty: config.branch_penalty,
-                mispredictions: 0,
             });
         }
         self.lanes += 1;
@@ -196,39 +193,16 @@ impl<'c> IlpLanes<'c> {
         self.completion = rows(1);
         self.reg_ready = rows(REG_ROWS);
         self.ring = rows(self.window);
-        lane
-    }
-
-    /// Number of lanes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lanes
-    }
-
-    /// Whether the pass has no lanes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lanes == 0
-    }
-
-    /// Conditional branches each lane's front end mispredicted, in lane
-    /// order (always 0 for a perfect front end).
-    #[must_use]
-    pub fn branch_mispredictions(&self) -> Vec<u64> {
-        let mut missed = vec![0; self.lanes];
-        for front in &self.front_ends {
-            missed[front.lane] = front.mispredictions;
-        }
-        missed
     }
 
     /// Finishes the pass and returns one result per lane, in lane order.
     ///
     /// # Panics
     ///
-    /// Panics if a lane's outcome column does not hold exactly one
-    /// outcome per value event of the trace (a column recorded from
-    /// another trace).
+    /// Panics if a lane's outcome column holds more outcomes than the
+    /// trace had value events (a column recorded from another trace; one
+    /// with fewer panics during the pass, at the first value event it
+    /// lacks).
     #[must_use]
     pub fn finish(self) -> Vec<IlpResult> {
         let mut results: Vec<IlpResult> = (0..self.lanes)
@@ -355,7 +329,6 @@ impl Tracer for IlpLanes<'_> {
         if let Some(taken) = ev.taken {
             for front in &mut self.front_ends {
                 if !front.predictor.predict_and_update(ev.addr, taken) {
-                    front.mispredictions += 1;
                     let (b, l) = (front.lane / BLOCK, front.lane % BLOCK);
                     let stall = &mut self.fetch_stall[b][l];
                     *stall = (*stall).max(self.completion[b][l] + front.penalty);
@@ -424,12 +397,10 @@ andi r7, r6, 1\nbeq r7, r0, skip\naddi r0, r6, 1\nskip: addi r1, r1, 1\nbne r1, 
             lanes.lane(config, outcomes);
         }
         run(&p, &mut lanes, RunLimits::default()).unwrap();
-        let misses = lanes.branch_mispredictions();
         let results = lanes.finish();
-        for ((config, got), missed) in configs.iter().zip(&results).zip(misses) {
+        for (config, got) in configs.iter().zip(&results) {
             let mut alone = IlpAnalyzer::new(config.clone());
             run(&p, &mut alone, RunLimits::default()).unwrap();
-            assert_eq!(missed, alone.branch_mispredictions(), "{config:?}");
             let want = alone.finish();
             assert_eq!(
                 (got.instructions, got.cycles, got.predictor),

@@ -60,8 +60,8 @@ const PER_WORD: usize = 32;
 /// column.push(Outcome::None);
 /// column.push(Outcome::Incorrect);
 /// assert_eq!(column.len(), 3);
-/// assert_eq!(column.get(2), Outcome::Incorrect);
-/// assert_eq!(column.iter().filter(|&o| o == Outcome::Correct).count(), 1);
+/// let outcomes: Vec<Outcome> = column.iter().collect();
+/// assert_eq!(outcomes, [Outcome::Correct, Outcome::None, Outcome::Incorrect]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OutcomeColumn {
@@ -88,18 +88,6 @@ impl OutcomeColumn {
         self.len += 1;
     }
 
-    /// The outcome of event `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    #[must_use]
-    #[inline]
-    pub fn get(&self, index: usize) -> Outcome {
-        assert!(index < self.len, "outcome {index} of {}", self.len);
-        Outcome::from_bits((self.words[index / PER_WORD] >> (2 * (index % PER_WORD))) & 0b11)
-    }
-
     /// Number of events recorded.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -123,12 +111,6 @@ impl OutcomeColumn {
         }
     }
 
-    /// Heap bytes held by the packed words.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.words.capacity() * 8
-    }
-
     /// Interleaves per-shard columns back into one column: `shard_of`
     /// names, event by event in the original order, the shard that event
     /// went to; each shard's column holds its events in that same order.
@@ -139,11 +121,10 @@ impl OutcomeColumn {
     /// for more events than its column holds.
     #[must_use]
     pub fn interleave(parts: &[OutcomeColumn], shard_of: impl Iterator<Item = usize>) -> Self {
-        let mut next = vec![0usize; parts.len()];
+        let mut parts: Vec<Outcomes<'_>> = parts.iter().map(OutcomeColumn::iter).collect();
         let mut merged = OutcomeColumn::new();
         for shard in shard_of {
-            merged.push(parts[shard].get(next[shard]));
-            next[shard] += 1;
+            merged.push(parts[shard].next().expect("shard column holds the event"));
         }
         merged
     }
@@ -198,9 +179,6 @@ mod tests {
         }
         assert_eq!(column.len(), 100);
         assert_eq!(column.words.len(), 4);
-        for i in 0..100 {
-            assert_eq!(column.get(i), pattern[i % 3], "event {i}");
-        }
         let unpacked: Vec<Outcome> = column.iter().collect();
         assert_eq!(unpacked.len(), 100);
         assert!(unpacked
