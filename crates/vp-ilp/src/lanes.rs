@@ -346,69 +346,8 @@ impl Tracer for IlpLanes<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IlpAnalyzer;
     use vp_isa::asm::assemble;
-    use vp_predictor::PredictorConfig;
-    use vp_sim::{run, FnTracer, RunLimits};
-
-    /// Records `config`'s outcome column over `program`'s value events.
-    fn outcomes_of(
-        program: &vp_isa::Program,
-        config: PredictorConfig,
-    ) -> (OutcomeColumn, PredictorStats) {
-        let mut predictor = config.build();
-        let mut column = OutcomeColumn::new();
-        let mut tracer = FnTracer::new(|ev: &Retirement<'_>| {
-            if let Some((_, _, value)) = ev.dest {
-                column.push(Outcome::of(&predictor.access(
-                    ev.addr,
-                    ev.instr.directive,
-                    value,
-                )));
-            }
-        });
-        run(program, &mut tracer, RunLimits::default()).unwrap();
-        let stats = *predictor.stats();
-        (column, stats)
-    }
-
-    const KERNEL: &str = "li r1, 0\nli r2, 300\nli r3, 0\n\
-top: addi r3, r3, 3\nmul r4, r3, r3\nsd r4, 7(r1)\nld r5, 7(r1)\nadd r6, r5, r4\n\
-andi r7, r6, 1\nbeq r7, r0, skip\naddi r0, r6, 1\nskip: addi r1, r1, 1\nbne r1, r2, top\nhalt\n";
-
-    #[test]
-    fn lanes_match_the_reference_analyzer() {
-        let p = assemble(KERNEL).unwrap();
-        let fsm = IlpConfig::paper_vp_fsm();
-        let (column, stats) = outcomes_of(&p, fsm.predictor.unwrap());
-        let configs = [
-            IlpConfig::paper_no_vp(),
-            fsm.clone(),
-            fsm.clone().with_penalty(5),
-            fsm.with_branch(BranchConfig::bimodal_4k(), 8),
-            IlpConfig::paper_no_vp().with_branch(BranchConfig::gshare_4k(), 3),
-        ];
-        let mut lanes = IlpLanes::new(IlpConfig::PAPER_WINDOW);
-        for config in &configs {
-            let outcomes = config.predictor.map(|_| LaneOutcomes {
-                column: &column,
-                stats,
-            });
-            lanes.lane(config, outcomes);
-        }
-        run(&p, &mut lanes, RunLimits::default()).unwrap();
-        let results = lanes.finish();
-        for (config, got) in configs.iter().zip(&results) {
-            let mut alone = IlpAnalyzer::new(config.clone());
-            run(&p, &mut alone, RunLimits::default()).unwrap();
-            let want = alone.finish();
-            assert_eq!(
-                (got.instructions, got.cycles, got.predictor),
-                (want.instructions, want.cycles, want.predictor),
-                "{config:?}"
-            );
-        }
-    }
+    use vp_sim::{run, RunLimits};
 
     #[test]
     #[should_panic(expected = "one window size")]
