@@ -36,8 +36,8 @@
 //!    reading outcome columns the fused matrix kernel recorded (PC-sharded,
 //!    so the columns are interleaved back into trace order). Each lane
 //!    must equal an [`IlpAnalyzer`] that runs its own predictor: the same
-//!    instructions, cycles and [`PredictorStats`]. A streamed replay of
-//!    the same plan must record the same columns.
+//!    instructions, cycles and [`PredictorStats`]. An attributed and a
+//!    streamed replay of the same plan must record the same columns.
 //! 8. **Streaming oracle** — the bounded-memory streaming engine
 //!    ([`ReplayRequest::stream`]), which re-simulates the program and
 //!    predicts concurrently without a resident trace, must reproduce the
@@ -789,6 +789,15 @@ fn ilp_lanes_differential(
             });
         }
     }
+    // The attributed kernel records columns on its own per-event path;
+    // a streamed replay records them on one consumer.
+    let attributed = ReplayRequest::batch(trace)
+        .plan(plan.clone())
+        .attribution(true)
+        .run()
+        .map_err(|e| whole(format!("attributed outcome replay failed: {e}")))?
+        .cells;
+    let mut others = vec![("attributed", attributed)];
     if streamable {
         let streamed = ReplayRequest::stream(program, limits)
             .plan(plan)
@@ -796,12 +805,17 @@ fn ilp_lanes_differential(
             .run()
             .map_err(|e| whole(format!("streamed outcome replay failed: {e}")))?
             .cells;
-        for (s, b) in streamed.iter().zip(&recorded) {
-            if s.outcomes != b.outcomes {
-                return Err(whole(
-                    "streamed replay recorded different outcome columns".into(),
-                ));
-            }
+        others.push(("streamed", streamed));
+    }
+    for (mode, cells) in others {
+        if cells
+            .iter()
+            .zip(&recorded)
+            .any(|(o, b)| o.outcomes != b.outcomes)
+        {
+            return Err(whole(format!(
+                "{mode} replay recorded different outcome columns"
+            )));
         }
     }
     Ok(())
