@@ -1,13 +1,15 @@
 //! Critical-path predictability: the paper's future-work analysis.
 //!
-//! Joins `vp-ilp`'s criticality attribution with the phase-2 profile
-//! image: for each workload, how much of the dataflow-binding work is done
-//! by instructions the profiler would tag as value-predictable? This is
+//! Joins the critical path of `vp-ilp`'s no-VP machine (a tracked lane
+//! of [`vp_ilp::IlpLanes`]) with the profile image of the held-out
+//! reference run ([`Suite::reference_image`]): for each workload, how
+//! much of the dataflow-binding work is done by instructions the
+//! profiler would tag as value-predictable? This is
 //! the mechanistic explanation of Table 5.2 — workloads gain from value
 //! prediction in proportion to the predictable share of their critical
 //! path.
 
-use vp_ilp::{CriticalPathAnalyzer, IlpConfig};
+use vp_ilp::{IlpConfig, IlpLanes};
 use vp_stats::{table::percent, TextTable};
 use vp_workloads::{InputSet, WorkloadKind};
 
@@ -39,9 +41,11 @@ pub struct CriticalPath {
 pub fn run_analysis(suite: &Suite, kinds: &[WorkloadKind]) -> CriticalPath {
     let rows = suite.par_map(kinds, |&kind| {
         let program = suite.reference_program(kind, None);
-        let mut analyzer = CriticalPathAnalyzer::new(IlpConfig::PAPER_WINDOW);
-        suite.replay_trace(kind, InputSet::reference(), &program, &mut analyzer);
-        let report = analyzer.finish();
+        let mut lanes = IlpLanes::new(IlpConfig::PAPER_WINDOW);
+        lanes.lane(&IlpConfig::paper_no_vp(), None);
+        lanes.track_critical_path(0);
+        suite.replay_trace(kind, InputSet::reference(), &program, &mut lanes);
+        let report = lanes.finish().1.expect("lane 0 is tracked");
         let image = suite.reference_image(kind);
         let accuracy_of = |addr| image.get(addr).map_or(0.0, |r| r.stride_accuracy());
         let data = report.data_bound().max(1);

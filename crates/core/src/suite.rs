@@ -588,7 +588,7 @@ impl Suite {
         vp_obs::counter("ilp.lane_passes").add(1);
         self.ilp_traced
             .get_or_compute(kind, || vp_obs::counter("ilp.traces").add(1));
-        lanes.finish()
+        lanes.finish().0
     }
 
     /// The outcome column and stats of each cell, in request order. A

@@ -2,11 +2,15 @@
 //!
 //! The paper's conclusions name this as ongoing work: "the effect of the
 //! profiling information on the scheduling of instructions within a basic
-//! block and the analysis of the critical path". This module performs that
+//! block and the analysis of the critical path". This crate performs that
 //! analysis on the abstract machine: for every dynamic instruction it
 //! determines the *binding constraint* of its issue — the window, a
 //! register operand, or a memory dependence — and charges the constraint
 //! to the static instruction that produced it.
+//!
+//! The schedule is the §5.3 machine's own: a tracked lane of
+//! [`crate::IlpLanes`] ([`crate::IlpLanes::track_critical_path`]) does
+//! the attribution and returns this module's [`CriticalityReport`].
 //!
 //! Joining the result against a profile image answers the question Table
 //! 5.2 leaves implicit: a workload gains from value prediction exactly to
@@ -14,30 +18,34 @@
 
 use std::collections::HashMap;
 
-use vp_isa::{InstrAddr, Reg, RegClass};
-use vp_sim::{Retirement, Tracer};
+use vp_isa::InstrAddr;
 
-use crate::SlidingWindow;
-
-/// What bound an instruction's issue time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Constraint {
-    /// Nothing bound it (all operands ready at dispatch, empty window).
-    Free,
-    /// The finite instruction window (fetch could not run further ahead).
-    Window,
-    /// A register operand produced by the given static instruction.
-    Producer(InstrAddr),
-    /// A store-to-load memory dependence on the given static store.
-    Memory(InstrAddr),
-}
-
-/// Accumulated criticality statistics.
+/// Accumulated criticality statistics of one tracked lane.
+///
+/// # Examples
+///
+/// ```
+/// use vp_isa::asm::assemble;
+/// use vp_sim::{run, RunLimits};
+/// use vp_ilp::{IlpConfig, IlpLanes};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let p = assemble("li r1, 0\nli r2, 500\ntop: addi r1, r1, 1\nbne r1, r2, top\nhalt\n")?;
+/// let mut lanes = IlpLanes::new(IlpConfig::PAPER_WINDOW);
+/// lanes.lane(&IlpConfig::paper_no_vp(), None);
+/// lanes.track_critical_path(0);
+/// run(&p, &mut lanes, RunLimits::default())?;
+/// let report = lanes.finish().1.expect("lane 0 is tracked");
+/// // The loop-index increment at @2 binds almost every issue.
+/// assert_eq!(report.ranked()[0].0, vp_isa::InstrAddr::new(2));
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct CriticalityReport {
     /// Dynamic instructions analysed.
     pub instructions: u64,
-    /// Issues bound by the window (or free).
+    /// Issues bound by the window or fetch (or free).
     pub structural: u64,
     /// Issues bound per producing static instruction (register or memory).
     pub by_producer: HashMap<InstrAddr, u64>,
@@ -77,129 +85,20 @@ impl CriticalityReport {
     }
 }
 
-/// A tracer running the §5.3 dataflow schedule (no value prediction) while
-/// attributing every issue's binding constraint.
-///
-/// # Examples
-///
-/// ```
-/// use vp_isa::asm::assemble;
-/// use vp_sim::{run, RunLimits};
-/// use vp_ilp::critical::CriticalPathAnalyzer;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let p = assemble("li r1, 0\nli r2, 500\ntop: addi r1, r1, 1\nbne r1, r2, top\nhalt\n")?;
-/// let mut a = CriticalPathAnalyzer::new(40);
-/// run(&p, &mut a, RunLimits::default())?;
-/// let report = a.finish();
-/// // The loop-index increment at @2 binds almost every issue.
-/// assert_eq!(report.ranked()[0].0, vp_isa::InstrAddr::new(2));
-/// # Ok(())
-/// # }
-/// ```
-pub struct CriticalPathAnalyzer {
-    window: SlidingWindow,
-    int_ready: [(u64, Option<InstrAddr>); vp_isa::reg::NUM_REGS],
-    fp_ready: [(u64, Option<InstrAddr>); vp_isa::reg::NUM_REGS],
-    mem_ready: HashMap<u64, (u64, InstrAddr)>,
-    report: CriticalityReport,
-}
-
-impl CriticalPathAnalyzer {
-    /// Creates an analyzer with the given window size.
-    #[must_use]
-    pub fn new(window: usize) -> Self {
-        CriticalPathAnalyzer {
-            window: SlidingWindow::new(window),
-            int_ready: [(0, None); vp_isa::reg::NUM_REGS],
-            fp_ready: [(0, None); vp_isa::reg::NUM_REGS],
-            mem_ready: HashMap::new(),
-            report: CriticalityReport::default(),
-        }
-    }
-
-    /// Finishes, returning the criticality report.
-    #[must_use]
-    pub fn finish(self) -> CriticalityReport {
-        self.report
-    }
-
-    fn reg_state(&self, class: RegClass, reg: Reg) -> (u64, Option<InstrAddr>) {
-        match class {
-            RegClass::Int if reg.is_zero() => (0, None),
-            RegClass::Int => self.int_ready[usize::from(reg)],
-            RegClass::Fp => self.fp_ready[usize::from(reg)],
-        }
-    }
-}
-
-impl Tracer for CriticalPathAnalyzer {
-    fn retire(&mut self, ev: &Retirement<'_>) {
-        self.report.instructions += 1;
-        let dispatch = self.window.dispatch_bound();
-
-        // Find the binding constraint: the latest-ready input.
-        let mut bound_at = dispatch;
-        let mut constraint = if dispatch == 0 {
-            Constraint::Free
-        } else {
-            Constraint::Window
-        };
-        for src in ev.instr.sources().into_iter().flatten() {
-            let (ready, producer) = self.reg_state(src.0, src.1);
-            if ready > bound_at {
-                bound_at = ready;
-                constraint = match producer {
-                    Some(addr) => Constraint::Producer(addr),
-                    None => Constraint::Free,
-                };
-            }
-        }
-        if let Some(mem) = ev.mem {
-            if !mem.store {
-                if let Some(&(ready, store)) = self.mem_ready.get(&mem.addr) {
-                    if ready > bound_at {
-                        bound_at = ready;
-                        constraint = Constraint::Memory(store);
-                    }
-                }
-            }
-        }
-        match constraint {
-            Constraint::Producer(addr) | Constraint::Memory(addr) => {
-                *self.report.by_producer.entry(addr).or_insert(0) += 1;
-            }
-            Constraint::Window | Constraint::Free => self.report.structural += 1,
-        }
-
-        let completion = bound_at + 1;
-        if let Some((class, reg, _)) = ev.dest {
-            match class {
-                RegClass::Int if reg.is_zero() => {}
-                RegClass::Int => self.int_ready[usize::from(reg)] = (completion, Some(ev.addr)),
-                RegClass::Fp => self.fp_ready[usize::from(reg)] = (completion, Some(ev.addr)),
-            }
-        }
-        if let Some(mem) = ev.mem {
-            if mem.store {
-                self.mem_ready.insert(mem.addr, (completion, ev.addr));
-            }
-        }
-        self.window.push_completion(completion);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IlpConfig, IlpLanes};
     use vp_isa::asm::assemble;
     use vp_sim::{run, RunLimits};
 
     fn analyse(src: &str) -> CriticalityReport {
         let p = assemble(src).unwrap();
-        let mut a = CriticalPathAnalyzer::new(40);
-        run(&p, &mut a, RunLimits::default()).unwrap();
-        a.finish()
+        let mut lanes = IlpLanes::new(40);
+        lanes.lane(&IlpConfig::paper_no_vp(), None);
+        lanes.track_critical_path(0);
+        run(&p, &mut lanes, RunLimits::default()).unwrap();
+        lanes.finish().1.unwrap()
     }
 
     #[test]

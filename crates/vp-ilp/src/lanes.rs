@@ -16,12 +16,12 @@
 
 use std::collections::HashMap;
 
-use vp_isa::{reg::NUM_REGS, RegClass};
+use vp_isa::{reg::NUM_REGS, InstrAddr, RegClass};
 use vp_predictor::{outcome::Outcomes, Outcome, OutcomeColumn, PredictorStats};
 use vp_sim::{Retirement, Tracer};
 
 use crate::branch::{BranchConfig, BranchPredictor};
-use crate::{IlpConfig, IlpResult};
+use crate::{CriticalityReport, IlpConfig, IlpResult};
 
 const LATENCY: u64 = 1;
 
@@ -64,10 +64,23 @@ struct FrontEnd {
     penalty: u64,
 }
 
+/// The tracked lane's critical-path attribution. Who produced a value
+/// does not depend on the lane: it is the last static writer of the
+/// register row, or the last static store to the memory row.
+#[derive(Debug)]
+struct Tracked {
+    lane: usize,
+    reg_writer: [Option<InstrAddr>; REG_ROWS],
+    /// Indexed like `IlpLanes::mem_ready`'s rows.
+    store_writer: Vec<InstrAddr>,
+    report: CriticalityReport,
+}
+
 /// Runs N abstract machines that share one window size over one trace.
 ///
 /// Use as a `vp-sim` [`Tracer`]: add every lane with [`IlpLanes::lane`]
-/// first, replay the trace, then [`IlpLanes::finish`]. Each lane's
+/// (and mark at most one with [`IlpLanes::track_critical_path`]) first,
+/// replay the trace, then [`IlpLanes::finish`]. Each lane's
 /// [`IlpResult`] equals what an [`crate::IlpAnalyzer`] with the same
 /// configuration would report, given outcomes recorded by the same
 /// predictor over the same trace.
@@ -85,7 +98,7 @@ struct FrontEnd {
 /// lanes.lane(&IlpConfig::paper_no_vp(), None);
 /// lanes.lane(&IlpConfig::paper_no_vp().with_branch(BranchConfig::bimodal_4k(), 8), None);
 /// run(&p, &mut lanes, RunLimits::default())?;
-/// let results = lanes.finish();
+/// let (results, _) = lanes.finish();
 ///
 /// let mut alone = IlpAnalyzer::new(IlpConfig::paper_no_vp());
 /// run(&p, &mut alone, RunLimits::default())?;
@@ -102,6 +115,7 @@ pub struct IlpLanes<'c> {
     blocks: usize,
     predicting: Vec<Predicting<'c>>,
     front_ends: Vec<FrontEnd>,
+    tracked: Option<Tracked>,
     fetch_stall: Vec<Times>,
     last_completion: Vec<Times>,
     /// `REG_ROWS` rows of ready times.
@@ -135,6 +149,7 @@ impl<'c> IlpLanes<'c> {
             blocks: 0,
             predicting: Vec::new(),
             front_ends: Vec::new(),
+            tracked: None,
             fetch_stall: Vec::new(),
             last_completion: Vec::new(),
             reg_ready: Vec::new(),
@@ -195,7 +210,29 @@ impl<'c> IlpLanes<'c> {
         self.ring = rows(self.window);
     }
 
-    /// Finishes the pass and returns one result per lane, in lane order.
+    /// Tracks the critical path of `lane`, replacing any lane tracked
+    /// before. Each issue is charged to the input ready last, ties going
+    /// to the first of: window and fetch (structural), register sources,
+    /// a load's last same-word store; a data input to its static writer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pass has started or `lane` has not been added.
+    pub fn track_critical_path(&mut self, lane: usize) {
+        assert!(
+            self.instructions == 0 && lane < self.lanes,
+            "track an added lane before the pass"
+        );
+        self.tracked = Some(Tracked {
+            lane,
+            reg_writer: [None; REG_ROWS],
+            store_writer: Vec::new(),
+            report: CriticalityReport::default(),
+        });
+    }
+
+    /// Finishes the pass and returns one result per lane, in lane order,
+    /// with the tracked lane's report if a lane was tracked.
     ///
     /// # Panics
     ///
@@ -204,7 +241,7 @@ impl<'c> IlpLanes<'c> {
     /// with fewer panics during the pass, at the first value event it
     /// lacks).
     #[must_use]
-    pub fn finish(self) -> Vec<IlpResult> {
+    pub fn finish(self) -> (Vec<IlpResult>, Option<CriticalityReport>) {
         let mut results: Vec<IlpResult> = (0..self.lanes)
             .map(|lane| IlpResult {
                 instructions: self.instructions,
@@ -220,7 +257,11 @@ impl<'c> IlpLanes<'c> {
             );
             results[p.lane].predictor = Some(p.stats);
         }
-        results
+        let report = self.tracked.map(|t| CriticalityReport {
+            instructions: self.instructions,
+            ..t.report
+        });
+        (results, report)
     }
 }
 
@@ -259,6 +300,42 @@ impl Tracer for IlpLanes<'_> {
         };
         let dest = ev.dest.and_then(|(class, reg, _)| reg_row(class, reg));
         let oldest = self.head * blocks;
+
+        // 0. Critical path: attribute the tracked lane's issue before
+        //    this event's destination and store overwrite its inputs.
+        if let Some(t) = &mut self.tracked {
+            let (b, l) = (t.lane / BLOCK, t.lane % BLOCK);
+            let mut bound = self.fetch_stall[b][l];
+            if full {
+                bound = bound.max(self.ring[oldest + b][l]);
+            }
+            let mut producer = None;
+            for &row in sources.iter().flatten() {
+                let ready = self.reg_ready[row * blocks + b][l];
+                if ready > bound {
+                    bound = ready;
+                    producer = t.reg_writer[row];
+                }
+            }
+            if let Some(row) = load {
+                if self.mem_ready[row * blocks + b][l] > bound {
+                    producer = Some(t.store_writer[row]);
+                }
+            }
+            match producer {
+                Some(addr) => *t.report.by_producer.entry(addr).or_insert(0) += 1,
+                None => t.report.structural += 1,
+            }
+            if let Some(row) = dest {
+                t.reg_writer[row] = Some(ev.addr);
+            }
+            if let Some(mem) = ev.mem.filter(|mem| mem.store) {
+                match self.mem_row.get(&mem.addr) {
+                    Some(&row) => t.store_writer[row] = ev.addr,
+                    None => t.store_writer.push(ev.addr),
+                }
+            }
+        }
 
         for b in 0..blocks {
             // 1. Dispatch: window occupancy and fetch redirects.
@@ -381,5 +458,38 @@ mod tests {
         );
         run(&p, &mut lanes, RunLimits::default()).unwrap();
         let _ = lanes.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "an added lane")]
+    fn only_an_added_lane_is_tracked() {
+        let mut lanes = IlpLanes::new(40);
+        lanes.lane(&IlpConfig::paper_no_vp(), None);
+        lanes.track_critical_path(1);
+    }
+
+    #[test]
+    fn tracking_leaves_the_no_vp_cycles_alone() {
+        let p = assemble(
+            "li r1, 0\nli r2, 300\ntop: sd r1, 7(r0)\nld r3, 7(r0)\nadd r4, r3, r1\naddi r1, r1, 1\nbne r1, r2, top\nhalt\n",
+        )
+        .unwrap();
+        let no_vp = IlpConfig::paper_no_vp();
+        let mut tracked = IlpLanes::new(40);
+        tracked.lane(&no_vp, None);
+        tracked.track_critical_path(0);
+        let mut untracked = IlpLanes::new(40);
+        untracked.lane(&no_vp, None);
+        let mut reference = crate::IlpAnalyzer::new(no_vp);
+        let mut all = vp_sim::ChainTracer::new(
+            &mut tracked,
+            vp_sim::ChainTracer::new(&mut untracked, &mut reference),
+        );
+        run(&p, &mut all, RunLimits::default()).unwrap();
+        let (with, report) = tracked.finish();
+        let (without, none) = untracked.finish();
+        assert!(report.is_some() && none.is_none());
+        assert_eq!(with[0].cycles, without[0].cycles);
+        assert_eq!(with[0].cycles, reference.finish().cycles);
     }
 }

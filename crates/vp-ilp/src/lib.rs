@@ -25,6 +25,10 @@
 //! comparisons between no-VP, VP + saturating counters, and VP + profiling
 //! at each threshold.
 //!
+//! [`IlpLanes`] runs many machines in one pass, one of them perhaps
+//! tracking its critical path ([`CriticalityReport`]); [`IlpAnalyzer`],
+//! one machine per replay, is the reference it is checked against.
+//!
 //! ## Example
 //!
 //! ```
@@ -54,7 +58,7 @@ pub mod window;
 pub use analyzer::IlpAnalyzer;
 pub use branch::{BranchConfig, BranchPredictor};
 pub use config::IlpConfig;
-pub use critical::{CriticalPathAnalyzer, CriticalityReport};
+pub use critical::CriticalityReport;
 pub use lanes::{IlpLanes, LaneOutcomes};
 pub use result::IlpResult;
 pub use window::SlidingWindow;

@@ -40,12 +40,6 @@ impl SlidingWindow {
         }
     }
 
-    /// The window capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The earliest cycle at which the next instruction may dispatch, given
     /// window occupancy alone.
     #[must_use]
@@ -64,11 +58,6 @@ impl SlidingWindow {
             self.completions.pop_front();
         }
         self.completions.push_back(completion);
-    }
-
-    /// Empties the window.
-    pub fn clear(&mut self) {
-        self.completions.clear();
     }
 }
 

@@ -1,7 +1,9 @@
 //! Property tests for the abstract ILP machine: structural bounds that
 //! must hold for *any* program.
 
-use vp_ilp::{BranchConfig, IlpAnalyzer, IlpConfig, IlpLanes, IlpResult, LaneOutcomes};
+use vp_ilp::{
+    BranchConfig, CriticalityReport, IlpAnalyzer, IlpConfig, IlpLanes, IlpResult, LaneOutcomes,
+};
 use vp_isa::{Instr, Opcode, Program, Reg};
 use vp_predictor::{
     ClassifierKind, Outcome, OutcomeColumn, PredictorConfig, PredictorStats, TableGeometry,
@@ -184,13 +186,15 @@ fn record_outcomes(
     Some((column, stats))
 }
 
-/// Runs `machines` (indices into `pool`) as one lane pass.
+/// Runs `machines` (indices into `pool`) as one lane pass, tracking the
+/// critical path of lane `tracked` if given.
 fn run_lanes(
     program: &Program,
     pool: &[IlpConfig],
     recorded: &[Option<(OutcomeColumn, PredictorStats)>],
     machines: &[usize],
-) -> Vec<IlpResult> {
+    tracked: Option<usize>,
+) -> (Vec<IlpResult>, Option<CriticalityReport>) {
     let mut lanes = IlpLanes::new(IlpConfig::PAPER_WINDOW);
     for &m in machines {
         let outcomes = recorded[m].as_ref().map(|(column, stats)| LaneOutcomes {
@@ -199,13 +203,18 @@ fn run_lanes(
         });
         lanes.lane(&pool[m], outcomes);
     }
+    if let Some(lane) = tracked {
+        lanes.track_critical_path(lane);
+    }
     run(program, &mut lanes, RunLimits::default()).unwrap();
     lanes.finish()
 }
 
 /// Lanes do not interact: any subset of the machines, in any order, gives
 /// each machine the result it gets alone — and alone, the result of the
-/// reference analyzer that runs its own predictor.
+/// reference analyzer that runs its own predictor. Tracking the critical
+/// path of one lane changes no lane's result, and its report charges
+/// every instruction exactly once.
 #[test]
 fn prop_lanes_are_independent_of_their_neighbours() {
     prop::forall("ILP lanes are independent", |rng: &mut Rng| {
@@ -214,15 +223,34 @@ fn prop_lanes_are_independent_of_their_neighbours() {
             .filter(|_| rng.gen_bool(0.6))
             .collect();
         rng.shuffle(&mut machines);
-        (program, machines)
+        let tracked = (!machines.is_empty()).then(|| rng.gen_range(0..machines.len()));
+        (program, machines, tracked)
     })
-    .check(|(program, machines)| {
+    .check(|(program, machines, tracked)| {
         let pool = machine_pool();
         let recorded: Vec<_> = pool.iter().map(|c| record_outcomes(program, c)).collect();
-        let together = run_lanes(program, &pool, &recorded, machines);
+        let (together, none) = run_lanes(program, &pool, &recorded, machines, None);
         assert_eq!(together.len(), machines.len());
+        assert!(none.is_none());
+        if let Some(lane) = *tracked {
+            let (with, report) = run_lanes(program, &pool, &recorded, machines, Some(lane));
+            for (a, b) in with.iter().zip(&together) {
+                assert_eq!(
+                    (a.instructions, a.cycles, a.predictor),
+                    (b.instructions, b.cycles, b.predictor),
+                    "tracking lane {lane} of {machines:?}"
+                );
+            }
+            let report = report.expect("a tracked pass reports");
+            assert_eq!(report.instructions, together[lane].instructions);
+            assert_eq!(
+                report.structural + report.data_bound(),
+                report.instructions,
+                "tracking lane {lane} of {machines:?}"
+            );
+        }
         for (&m, got) in machines.iter().zip(&together) {
-            let alone = run_lanes(program, &pool, &recorded, &[m]).remove(0);
+            let alone = run_lanes(program, &pool, &recorded, &[m], None).0.remove(0);
             let mut reference = IlpAnalyzer::new(pool[m].clone());
             run(program, &mut reference, RunLimits::default()).unwrap();
             let reference = reference.finish();
@@ -250,7 +278,7 @@ fn empty_trace_finishes_every_lane_at_zero() {
         });
         lanes.lane(&config, outcomes);
     }
-    let results = lanes.finish();
+    let (results, _) = lanes.finish();
     assert_eq!(results.len(), machine_pool().len());
     for r in results {
         assert_eq!((r.instructions, r.cycles, r.ilp()), (0, 0, 0.0));

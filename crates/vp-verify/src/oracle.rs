@@ -36,8 +36,11 @@
 //!    reading outcome columns the fused matrix kernel recorded (PC-sharded,
 //!    so the columns are interleaved back into trace order). Each lane
 //!    must equal an [`IlpAnalyzer`] that runs its own predictor: the same
-//!    instructions, cycles and [`PredictorStats`]. An attributed and a
-//!    streamed replay of the same plan must record the same columns.
+//!    instructions, cycles and [`PredictorStats`]. The no-VP lane tracks
+//!    its critical path, and the report must charge every instruction
+//!    exactly once (structural + data-bound = instructions). An
+//!    attributed and a streamed replay of the same plan must record the
+//!    same columns.
 //! 8. **Streaming oracle** — the bounded-memory streaming engine
 //!    ([`ReplayRequest::stream`]), which re-simulates the program and
 //!    predicts concurrently without a resident trace, must reproduce the
@@ -140,8 +143,9 @@ pub enum Divergence {
         detail: String,
     },
     /// An [`IlpLanes`] lane diverged from its per-machine
-    /// [`IlpAnalyzer`], or the outcome columns it read diverged between
-    /// batch and streamed replay.
+    /// [`IlpAnalyzer`], its critical-path report does not partition the
+    /// trace, or the outcome columns it read diverged between batch and
+    /// streamed replay.
     Ilp {
         /// The machine: its lane index and configuration.
         label: String,
@@ -763,10 +767,22 @@ fn ilp_lanes_differential(
         };
         lanes.lane(config, outcomes);
     }
+    lanes.track_critical_path(0); // Table 5.2's no-VP machine
     trace
         .replay(program, &mut lanes)
         .map_err(|e| whole(format!("lane replay failed: {e}")))?;
-    let results = lanes.finish();
+    let (results, report) = lanes.finish();
+    let report = report.expect("lane 0 is tracked");
+    let (structural, data) = (report.structural, report.data_bound());
+    if structural + data != report.instructions {
+        return Err(Divergence::Ilp {
+            label: label(0),
+            detail: format!(
+                "critical path charges {structural} structural + {data} data-bound issues to {} instructions",
+                report.instructions
+            ),
+        });
+    }
     for (i, ((config, annotated), got)) in machines.iter().zip(&results).enumerate() {
         let mut alone = IlpAnalyzer::new(config.clone());
         trace

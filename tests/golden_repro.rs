@@ -203,8 +203,8 @@ fn golden_ablation_counters() {
 
 // The three snapshots below run the §5.3 dataflow model outside
 // Table 5.2: the penalty and front-end ablations vary the machine around
-// the paper's predictors, and the critical-path report walks the same
-// schedule with producer tracking.
+// the paper's predictors, and the critical-path report tracks the no-VP
+// lane of the same lane pass.
 
 #[test]
 fn golden_ablation_penalty() {
