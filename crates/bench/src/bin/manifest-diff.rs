@@ -5,24 +5,18 @@
 //! exit code.
 //!
 //! ```text
-//! manifest-diff --baseline=BENCH_baseline.json --manifest=/tmp/manifest.json \
-//!               [--format=table|json|markdown] [--top=N]
+//! manifest-diff --baseline=BENCH_baseline.json --manifest=/tmp/manifest.json
 //! ```
 //!
-//! - `--format=table` (default) prints an aligned text report;
-//! - `--format=markdown` prints a GitHub-flavoured table (pipe it into
-//!   `$GITHUB_STEP_SUMMARY`);
-//! - `--format=json` prints the full `provp-manifest-diff/v1` document.
-//! - `--top=N` limits table/markdown output to the N biggest movers per
-//!   section (default 15; 0 means unlimited; JSON is never truncated).
-//!
-//! Accepts both flag forms (`--flag=V` and `--flag V`). When both
-//! manifests carry `attribution` arrays the report includes a per-PC
-//! accuracy-blame section; when both carry a `profile` section it
-//! includes a sample-share blame section ("phase X went from 12% to 31%
-//! of samples"). An optional section present on only one side is
-//! skipped rather than reported as deltas. This is a reporting tool,
-//! not experiment instrumentation: it prints its result to stdout.
+//! The report is GitHub-flavoured Markdown (pipe it into
+//! `$GITHUB_STEP_SUMMARY`; it reads as plain text in a log) showing the
+//! 15 biggest movers per section. Accepts both flag forms (`--flag=V`
+//! and `--flag V`). Per-PC accuracy and sample-share movement are not
+//! diffed: `metrics-check` blames a failed accuracy gate on the
+//! guiltiest PCs and a failed share gate on the hottest stack, and
+//! `attribution-report` renders one run's per-PC drift. This is a
+//! reporting tool, not experiment instrumentation: it prints its result
+//! to stdout.
 //!
 //! Exit status: 0 on success (differences are *reported*, never an
 //! error), 2 on usage/read/parse errors.
@@ -32,55 +26,27 @@ use std::process::ExitCode;
 
 use vp_obs::{obs_error, ManifestDiff, RunManifest};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Table,
-    Json,
-    Markdown,
-}
-
 struct Args {
     baseline: PathBuf,
     manifest: PathBuf,
-    format: Format,
-    top: usize,
 }
 
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let (mut baseline, mut manifest) = (None, None);
-    let mut format = Format::Table;
-    let mut top = 15usize;
     for arg in provp_bench::args::normalize(args, &[])? {
         if let Some(p) = arg.strip_prefix("--baseline=") {
             baseline = Some(PathBuf::from(p));
         } else if let Some(p) = arg.strip_prefix("--manifest=") {
             manifest = Some(PathBuf::from(p));
-        } else if let Some(f) = arg.strip_prefix("--format=") {
-            format = match f {
-                "table" => Format::Table,
-                "json" => Format::Json,
-                "markdown" => Format::Markdown,
-                other => {
-                    return Err(format!(
-                        "bad --format value `{other}` (want table, json or markdown)"
-                    ))
-                }
-            };
-        } else if let Some(n) = arg.strip_prefix("--top=") {
-            top = n
-                .parse()
-                .map_err(|_| format!("bad --top value `{n}` (want an integer; 0 = unlimited)"))?;
         } else {
             return Err(format!(
-                "unknown argument `{arg}` (try --baseline=, --manifest=, --format=, --top=)"
+                "unknown argument `{arg}` (try --baseline=, --manifest=)"
             ));
         }
     }
     Ok(Args {
         baseline: baseline.ok_or("missing --baseline=FILE")?,
         manifest: manifest.ok_or("missing --manifest=FILE")?,
-        format,
-        top,
     })
 }
 
@@ -104,12 +70,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let diff = ManifestDiff::compute(&baseline, &current);
-    match args.format {
-        Format::Table => print!("{}", diff.render_table(args.top)),
-        Format::Markdown => print!("{}", diff.render_markdown(args.top)),
-        Format::Json => println!("{}", diff.to_json()),
-    }
+    print!(
+        "{}",
+        ManifestDiff::compute(&baseline, &current).render_markdown()
+    );
     ExitCode::SUCCESS
 }
 
@@ -122,15 +86,12 @@ mod tests {
         let a = parse_args([
             "--baseline=b.json".to_owned(),
             "--manifest=m.json".to_owned(),
-            "--format=markdown".to_owned(),
-            "--top=3".to_owned(),
         ])
         .unwrap();
         assert_eq!(a.baseline, PathBuf::from("b.json"));
-        assert_eq!(a.format, Format::Markdown);
-        assert_eq!(a.top, 3);
+        assert_eq!(a.manifest, PathBuf::from("m.json"));
 
-        // Defaults, and the space-separated flag form.
+        // The space-separated flag form.
         let a = parse_args([
             "--baseline".to_owned(),
             "b".to_owned(),
@@ -138,21 +99,15 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(a.baseline, PathBuf::from("b"));
-        assert_eq!(a.format, Format::Table);
-        assert_eq!(a.top, 15);
 
         assert!(parse_args(["--baseline=b".to_owned()]).is_err());
-        assert!(parse_args([
-            "--baseline=b".to_owned(),
-            "--manifest=m".to_owned(),
-            "--format=yaml".to_owned()
-        ])
-        .is_err());
-        assert!(parse_args([
-            "--baseline=b".to_owned(),
-            "--manifest=m".to_owned(),
-            "--top=half".to_owned()
-        ])
-        .is_err());
+        for gone in ["--format=markdown", "--top=3"] {
+            assert!(parse_args([
+                "--baseline=b".to_owned(),
+                "--manifest=m".to_owned(),
+                gone.to_owned()
+            ])
+            .is_err());
+        }
     }
 }

@@ -315,7 +315,7 @@ fn blame_accuracy(current: &RunManifest, _: &str) {
             .drift
             .map_or_else(|| "-".to_owned(), |d| format!("{:+.1}pp", d * 100.0));
         println!(
-            "metrics-check: blame {} @{:#x} [{}]  {} wrong speculations, cause {cause}, drift {drift}",
+            "metrics-check: blame {} @{} [{}]  {} wrong speculations, cause {cause}, drift {drift}",
             run.label(),
             pc.pc,
             pc.directive,

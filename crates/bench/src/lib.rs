@@ -27,9 +27,6 @@
 //!                            the trace is never materialised (peak RSS
 //!                            independent of trace length; results
 //!                            byte-identical to batch)
-//! --block-pool=N             block buffers circulating in the streaming
-//!                            channel (default 8, min 2); implies nothing
-//!                            without --stream
 //! --trace-cache=DIR          spill captured simulation traces to DIR and
 //!                            reuse them on later runs
 //! --metrics-out=FILE         write a JSON run manifest (phase wall times,
@@ -86,8 +83,6 @@ pub struct Options {
     pub jobs: usize,
     /// Whether predictor sweeps run in streaming (bounded-memory) mode.
     pub stream: bool,
-    /// Block-pool size for the streaming channel (min 2).
-    pub block_pool: usize,
     /// On-disk trace cache directory, if any.
     pub trace_cache: Option<PathBuf>,
     /// Where to write the JSON run manifest, if anywhere.
@@ -117,7 +112,6 @@ impl Default for Options {
             train_runs: 5,
             jobs: 1,
             stream: false,
-            block_pool: provp_core::replay::stream::DEFAULT_BLOCK_POOL,
             trace_cache: None,
             metrics_out: None,
             metrics_table: false,
@@ -163,17 +157,6 @@ impl Options {
                 };
             } else if arg == "--stream" {
                 opts.stream = true;
-            } else if let Some(n) = arg.strip_prefix("--block-pool=") {
-                opts.block_pool = n
-                    .parse()
-                    .ok()
-                    .filter(|&b| b >= provp_core::replay::stream::MIN_BLOCK_POOL)
-                    .ok_or_else(|| {
-                        format!(
-                            "bad --block-pool value `{n}` (want >= {})",
-                            provp_core::replay::stream::MIN_BLOCK_POOL
-                        )
-                    })?;
             } else if let Some(dir) = arg.strip_prefix("--trace-cache=") {
                 if dir.is_empty() {
                     return Err("empty --trace-cache path".to_owned());
@@ -214,7 +197,7 @@ impl Options {
             } else {
                 return Err(format!(
                     "unknown argument `{arg}` (try --workloads=, --train-runs=, \
-                     --jobs=, --stream, --block-pool=, --trace-cache=, \
+                     --jobs=, --stream, --trace-cache=, \
                      --metrics-out=, --metrics-table, --sample-ms=, --attribution, \
                      --attribution-top=, --profile-hz=, --profile-out=)"
                 ));
@@ -246,7 +229,7 @@ impl Options {
     pub fn suite(&self) -> Suite {
         let mut suite = Suite::with_train_runs(self.train_runs).with_jobs(self.jobs);
         if self.stream {
-            suite = suite.with_streaming(self.block_pool);
+            suite = suite.with_streaming();
         }
         match &self.trace_cache {
             Some(dir) => suite.with_trace_dir(dir.clone()),
@@ -451,17 +434,10 @@ mod tests {
 
     #[test]
     fn parses_streaming_flags() {
-        let o = Options::parse([]).unwrap();
-        assert!(!o.stream);
-        assert_eq!(o.block_pool, provp_core::replay::stream::DEFAULT_BLOCK_POOL);
-        let o = Options::parse(["--stream".into(), "--block-pool=4".into()]).unwrap();
-        assert!(o.stream);
-        assert_eq!(o.block_pool, 4);
-        // Space-separated value form works through the switch list.
-        let o = Options::parse(["--stream".into(), "--block-pool".into(), "16".into()]).unwrap();
-        assert_eq!(o.block_pool, 16);
-        assert!(Options::parse(["--block-pool=1".into()]).is_err());
-        assert!(Options::parse(["--block-pool=many".into()]).is_err());
+        assert!(!Options::parse([]).unwrap().stream);
+        assert!(Options::parse(["--stream".into()]).unwrap().stream);
+        // The pool size is the library default, not a flag.
+        assert!(Options::parse(["--stream".into(), "--block-pool=4".into()]).is_err());
     }
 
     #[test]

@@ -306,7 +306,7 @@ fn cases() -> Vec<Case> {
                     .insert("predictor.speculated_correct".to_owned(), 800);
             })),
             1,
-            "metrics-check: blame compress/stride @0x40",
+            "metrics-check: blame compress/stride @64",
         ),
         case(
             "accuracy baseline lacks data",

@@ -179,7 +179,7 @@ fn samples_leave_stdout_byte_identical() {
 /// array, produce attribution tables that are byte-identical between `--jobs=1`
 /// and `--jobs=2` (shard-merge determinism), reconcile exactly with the
 /// aggregate predictor counters, and render through `attribution-report`
-/// in all three formats.
+/// as markdown.
 #[test]
 fn attribution_is_deterministic_and_reconciles() {
     let pid = std::process::id();
@@ -254,7 +254,7 @@ fn attribution_is_deterministic_and_reconciles() {
             assert_eq!(
                 pc.causes.values().sum::<u64>(),
                 pc.accesses - pc.raw_correct,
-                "{} @{:#x}: per-PC causes must partition the misses",
+                "{} @{}: per-PC causes must partition the misses",
                 run.label(),
                 pc.pc
             );
@@ -279,23 +279,26 @@ fn attribution_is_deterministic_and_reconciles() {
         assert!(out.status.success(), "attribution-report failed");
         String::from_utf8(out.stdout).unwrap()
     };
-    let table = report(&[]);
-    assert!(
-        table.contains("== attribution:"),
-        "table report renders runs:\n{table}"
-    );
-    let md = report(&["--format=markdown", "--top=10"]);
-    assert!(
-        md.contains("### Attribution:"),
-        "markdown report renders runs:\n{md}"
-    );
-    let json = report(&["--format=json"]);
-    let doc = Json::parse(json.trim_end()).expect("report JSON parses");
+    let md = report(&["--top=10"]);
     assert_eq!(
-        doc.as_arr().map(<[Json]>::len),
-        Some(m2.attribution.len()),
-        "JSON report carries every run"
+        md.matches("### Attribution: `").count(),
+        m2.attribution.len(),
+        "markdown report renders every run:\n{md}"
     );
+    assert_eq!(
+        md.matches("\ncauses: ").count(),
+        m2.attribution.len(),
+        "every run carries its causes line:\n{md}"
+    );
+    // One format: the flag that chose between three is gone.
+    for format in ["--format=markdown", "--format=json"] {
+        let gone = Command::new(env!("CARGO_BIN_EXE_attribution-report"))
+            .arg(format!("--manifest={}", path_j2.display()))
+            .arg(format)
+            .output()
+            .expect("attribution-report runs");
+        assert_eq!(gone.status.code(), Some(2), "{format} exits 2");
+    }
     // Usage errors exit 2.
     let usage = Command::new(env!("CARGO_BIN_EXE_attribution-report"))
         .output()
@@ -396,7 +399,7 @@ fn profiler_leaves_stdout_byte_identical() {
 
 /// Golden test for the `manifest-diff` attribution tool: a synthesized
 /// regression (one slower phase, one counter swing) must be blamed in
-/// all three output formats, with exit code 0 (differences are reported,
+/// its markdown report, with exit code 0 (differences are reported,
 /// never an error) and usage errors exiting 2.
 #[test]
 fn manifest_diff_attributes_synthesized_regression() {
@@ -442,51 +445,32 @@ fn manifest_diff_attributes_synthesized_regression() {
             .expect("manifest-diff runs")
     };
 
-    // Table (default): the slow phase and moved counters are attributed.
-    let table = run(&[]);
-    assert!(table.status.success(), "diff reports, never errors");
-    let text = String::from_utf8(table.stdout).unwrap();
+    // Markdown, the one format: the slow phase, the moved counters and
+    // the derived throughput are attributed.
+    let md = run(&[]);
+    assert!(md.status.success(), "diff reports, never errors");
+    let text = String::from_utf8(md.stdout).unwrap();
     assert!(
-        text.contains("repro-all/fig_4"),
+        text.starts_with("### Manifest diff"),
+        "markdown heading:\n{text}"
+    );
+    assert!(
+        text.contains("| `repro-all/fig_4` | 100.00 | 450.00 | +350.00 |"),
         "blames the slow phase:\n{text}"
     );
     assert!(
-        text.contains("trace_store.requests"),
+        text.contains("| `trace_store.requests` | 24 | 48 | +24 |"),
         "counter swing listed:\n{text}"
     );
     assert!(
-        text.contains("sim_instr_per_sec"),
+        text.contains("| `sim_instr_per_sec` |"),
         "derived throughput shown:\n{text}"
     );
 
-    // Markdown: a GitHub table for $GITHUB_STEP_SUMMARY.
-    let md = run(&["--format=markdown"]);
-    assert!(md.status.success());
-    let md_text = String::from_utf8(md.stdout).unwrap();
-    assert!(
-        md_text.contains("### Manifest diff"),
-        "markdown heading:\n{md_text}"
-    );
-    assert!(
-        md_text.contains("| phase |"),
-        "markdown phase table:\n{md_text}"
-    );
-    assert!(md_text.contains("repro-all/fig_4"));
-
-    // JSON: parses, carries its own schema tag, and is never truncated.
-    let json = run(&["--format=json", "--top=1"]);
-    assert!(json.status.success());
-    let json_text = String::from_utf8(json.stdout).unwrap();
-    let doc = Json::parse(json_text.trim_end()).expect("diff JSON parses");
-    assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
-        Some("provp-manifest-diff/v1")
-    );
-    let counters = doc.get("counters").and_then(Json::as_arr).unwrap();
-    assert!(
-        counters.len() >= 2,
-        "--top must not truncate JSON output: {json_text}"
-    );
+    // The format and row-count knobs are gone.
+    for gone in ["--format=markdown", "--format=json", "--top=1"] {
+        assert_eq!(run(&[gone]).status.code(), Some(2), "{gone} exits 2");
+    }
 
     // Usage and read errors exit 2.
     let missing = Command::new(env!("CARGO_BIN_EXE_manifest-diff"))

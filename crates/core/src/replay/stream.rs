@@ -14,10 +14,11 @@
 //! ## Bounded channel, fixed block pool
 //!
 //! Blocks travel through a hand-rolled broadcast channel backed by a
-//! **fixed pool** of buffer pairs (`--block-pool=N`, default
-//! [`DEFAULT_BLOCK_POOL`]): each submitted block is reference-counted out
-//! to every attached consumer, and when the last consumer drops it the
-//! buffers return to the free list for the producer to refill. When the
+//! **fixed pool** of buffer pairs (default [`DEFAULT_BLOCK_POOL`], which
+//! `--stream` uses; [`ReplayRequest::block_pool`] sets another): each
+//! submitted block is reference-counted out to every attached consumer,
+//! and when the last consumer drops it the buffers return to the free
+//! list for the producer to refill. When the
 //! free list is empty the producer blocks inside [`Tracer::retire`] — the
 //! simulation itself stalls until the slowest consumer catches up. There
 //! is no unbounded queueing anywhere: live memory is `pool + 1` blocks

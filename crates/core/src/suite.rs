@@ -83,7 +83,7 @@ pub struct Suite {
     limits: RunLimits,
     train_runs: u32,
     jobs: usize,
-    streaming: Option<usize>,
+    streaming: bool,
     traces: Arc<TraceStore>,
     train_images: Memo<WorkloadKind, Vec<ProfileImage>>,
     merged_images: Memo<WorkloadKind, ProfileImage>,
@@ -116,7 +116,7 @@ impl Suite {
             limits: RunLimits::default(),
             train_runs,
             jobs: 1,
-            streaming: None,
+            streaming: false,
             traces: Arc::new(TraceStore::new()),
             train_images: Memo::new(),
             merged_images: Memo::new(),
@@ -144,8 +144,9 @@ impl Suite {
         self
     }
 
-    /// Runs predictor sweeps in **streaming** mode with a `blocks`-buffer
-    /// block pool: the reference simulation feeds the fused replay
+    /// Runs predictor sweeps in **streaming** mode with the default
+    /// block pool ([`crate::replay::stream::DEFAULT_BLOCK_POOL`]): the
+    /// reference simulation feeds the fused replay
     /// kernel through a bounded channel ([`crate::replay::stream`]) and
     /// the trace is never materialised, so peak RSS stays independent of
     /// trace length. Results are bit-identical to batch mode. Consumers
@@ -153,8 +154,8 @@ impl Suite {
     /// capture one through the [`TraceStore`] as before — full traces
     /// become an optional cache policy, not a requirement of the sweep.
     #[must_use]
-    pub fn with_streaming(mut self, blocks: usize) -> Self {
-        self.streaming = Some(blocks.max(crate::replay::stream::MIN_BLOCK_POOL));
+    pub fn with_streaming(mut self) -> Self {
+        self.streaming = true;
         self
     }
 
@@ -491,7 +492,7 @@ impl Suite {
         // the plain batched instruction stream (byte-identical stdout,
         // negligible wall-clock delta).
         let attribution = crate::attribution::enabled();
-        let response = expect_trace(if let Some(pool) = self.streaming {
+        let response = expect_trace(if self.streaming {
             // Streaming: simulate the bare reference program (directive
             // annotations never influence execution — the plan's tables
             // carry them) and predict concurrently; no resident trace.
@@ -502,7 +503,6 @@ impl Suite {
                 .plan(plan)
                 .attribution(attribution)
                 .shards(shards)
-                .block_pool(pool)
                 .run()
                 .map_err(replay_failed)
         } else {
@@ -854,7 +854,7 @@ mod tests {
     #[test]
     fn streaming_suite_matches_batch_suite() {
         let batch = Suite::with_train_runs(1);
-        let streamed = Suite::with_train_runs(1).with_jobs(2).with_streaming(4);
+        let streamed = Suite::with_train_runs(1).with_jobs(2).with_streaming();
         let kind = WorkloadKind::Compress;
         let cells = [
             (PredictorConfig::spec_table_stride_fsm(), None),

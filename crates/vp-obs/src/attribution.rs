@@ -3,7 +3,7 @@
 //! The live accounting (cause taxonomy, shard-mergeable tables) lives in
 //! `vp-predictor`; this module holds the *observed results* in plain
 //! string-keyed form so the manifest, `attribution-report` and
-//! `manifest-diff` can carry them without depending on predictor types.
+//! `metrics-check` can carry them without depending on predictor types.
 //! One [`AttributionRun`] describes one predictor replay (a workload ×
 //! config × threshold point): exact whole-table totals plus the top-K
 //! hottest mispredicting PCs, each with its cause breakdown and
@@ -310,75 +310,9 @@ fn fmt_drift(v: Option<f64>) -> String {
     }
 }
 
-/// Renders runs as aligned text (the `attribution-report` default),
-/// showing at most `top` PCs per run (0 means all carried PCs).
-#[must_use]
-pub fn render_report_table(runs: &[AttributionRun], top: usize) -> String {
-    let take = |n: usize| if top == 0 { n } else { n.min(top) };
-    let mut out = String::new();
-    for run in runs {
-        let t = &run.totals;
-        let _ = writeln!(out, "== attribution: {} ==", run.label());
-        let _ = writeln!(
-            out,
-            "{} pcs, {} accesses, raw accuracy {:.1}%, effective accuracy {:.1}%",
-            t.pcs,
-            t.accesses,
-            100.0 * t.raw_accuracy(),
-            100.0 * t.effective_accuracy(),
-        );
-        let causes: Vec<String> = CAUSE_ORDER
-            .iter()
-            .filter_map(|&c| {
-                let n = t.causes.get(c).copied().unwrap_or(0);
-                (n > 0).then(|| format!("{c} {n}"))
-            })
-            .collect();
-        let _ = writeln!(
-            out,
-            "causes: {}",
-            if causes.is_empty() {
-                "none".to_owned()
-            } else {
-                causes.join(", ")
-            }
-        );
-        if run.pcs.is_empty() {
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "{:>8}  {:>9}  {:>10}  {:>8}  {:>10}  {:16}  {:>8}  {:>8}",
-            "pc",
-            "directive",
-            "accesses",
-            "raw acc",
-            "spec wrong",
-            "dominant cause",
-            "profiled",
-            "drift"
-        );
-        for pc in run.pcs.iter().take(take(run.pcs.len())) {
-            let _ = writeln!(
-                out,
-                "{:>8}  {:>9}  {:>10}  {:>7.1}%  {:>10}  {:16}  {:>8}  {:>8}",
-                format!("@{}", pc.pc),
-                pc.directive,
-                pc.accesses,
-                100.0 * pc.raw_accuracy(),
-                pc.speculated_incorrect(),
-                pc.dominant_cause().unwrap_or("-"),
-                fmt_opt_pct(pc.profiled_accuracy),
-                fmt_drift(pc.drift),
-            );
-        }
-    }
-    out
-}
-
 /// Renders runs as GitHub-flavoured Markdown (for
-/// `$GITHUB_STEP_SUMMARY`), showing at most `top` PCs per run (0 means
-/// all carried PCs).
+/// `$GITHUB_STEP_SUMMARY`): per run, the totals, the cause counts in
+/// [`CAUSE_ORDER`] and at most `top` PCs (0 means all carried PCs).
 #[must_use]
 pub fn render_report_markdown(runs: &[AttributionRun], top: usize) -> String {
     let take = |n: usize| if top == 0 { n } else { n.min(top) };
@@ -394,6 +328,23 @@ pub fn render_report_markdown(runs: &[AttributionRun], top: usize) -> String {
             t.accesses,
             100.0 * t.raw_accuracy(),
             100.0 * t.effective_accuracy(),
+        );
+        let _ = writeln!(out);
+        let causes: Vec<String> = CAUSE_ORDER
+            .iter()
+            .filter_map(|&c| {
+                let n = t.causes.get(c).copied().unwrap_or(0);
+                (n > 0).then(|| format!("{c} {n}"))
+            })
+            .collect();
+        let _ = writeln!(
+            out,
+            "causes: {}",
+            if causes.is_empty() {
+                "none".to_owned()
+            } else {
+                causes.join(", ")
+            }
         );
         let _ = writeln!(out);
         if run.pcs.is_empty() {
@@ -504,18 +455,13 @@ mod tests {
     }
 
     #[test]
-    fn renders_table_and_markdown() {
-        let runs = [run()];
-        let table = render_report_table(&runs, 10);
-        assert!(table.contains("== attribution: compress/stride[512x2]/profile@0.90 =="));
-        assert!(table.contains("@42"));
-        assert!(table.contains("stride-break 30"));
-        assert!(table.contains("+43.0pp"));
-
-        let md = render_report_markdown(&runs, 10);
-        assert!(md.starts_with("### Attribution:"));
+    fn renders_markdown() {
+        let md = render_report_markdown(&[run()], 10);
+        assert!(md.starts_with("### Attribution: `compress/stride[512x2]/profile@0.90`"));
+        assert!(md.contains("\ncauses: cold 10, stride-break 30\n"));
         assert!(md.contains("| `@42` |"));
         assert!(md.contains("93.0%"));
+        assert!(md.contains("+43.0pp"));
     }
 
     #[test]
@@ -524,10 +470,10 @@ mod tests {
         let mut second = r.pcs[0].clone();
         second.pc = 99;
         r.pcs.push(second);
-        let table = render_report_table(&[r.clone()], 1);
-        assert!(table.contains("@42"));
-        assert!(!table.contains("@99"));
-        let all = render_report_table(&[r], 0);
+        let top = render_report_markdown(&[r.clone()], 1);
+        assert!(top.contains("@42"));
+        assert!(!top.contains("@99"));
+        let all = render_report_markdown(&[r], 0);
         assert!(all.contains("@99"));
     }
 

@@ -33,14 +33,13 @@
 //! - **Profiling** ([`profiler`]) — the span-stack samples, folded on
 //!   shutdown into collapsed stacks (`a;b;c <count>`, readable by
 //!   `flamegraph.pl` or speedscope) and the manifest's `profile`
-//!   section that `manifest-diff` can blame and `metrics-check` can
-//!   gate.
+//!   section that `metrics-check` can gate.
 //! - **Diffing** ([`diff`]) — attribution of wall-clock and counter
-//!   deltas between two manifests, powering the `manifest-diff` binary
-//!   and CI regression blame tables.
+//!   deltas between two manifests as a markdown blame table, powering
+//!   the `manifest-diff` binary.
 //! - **Prediction attribution** ([`attribution`]) — passive per-PC
 //!   misprediction-cause and profile-drift results, embedded as the
-//!   manifest's `attribution` array and rendered by the
+//!   manifest's `attribution` array and rendered as markdown by the
 //!   `attribution-report` binary.
 //!
 //! Instrumentation is observation-only by design: nothing in this crate

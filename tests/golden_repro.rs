@@ -239,7 +239,7 @@ fn golden_critical_path() {
 // Classification is the most replay-heavy experiment in the suite.
 #[test]
 fn golden_classification_streamed() {
-    let streamed = Suite::with_train_runs(TRAIN_RUNS).with_streaming(4);
+    let streamed = Suite::with_train_runs(TRAIN_RUNS).with_streaming();
     let render = |s: &Suite| {
         let cls = classification::run(s, &KINDS);
         let mut out = String::new();
