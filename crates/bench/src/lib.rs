@@ -1,15 +1,13 @@
 #![warn(missing_docs)]
 
-//! # provp-bench — reproduction binaries and micro-benchmarks
+//! # provp-bench — reproduction binaries
 //!
 //! One `repro-*` binary per table/figure of the paper (run with
 //! `cargo run --release -p provp-bench --bin repro-table-5-2`), a
 //! `repro-all` binary that regenerates the whole evaluation in one pass,
 //! `ablation-*` binaries for the extension studies, the `critical-path`
-//! and `store-values` analyses, the `workload-report` /
-//! `profile-workload` / `annotate-workload` utilities, and dependency-free
-//! micro-benchmarks (see [`micro`]) for the performance-critical
-//! components.
+//! and `store-values` analyses, and the `workload-report` /
+//! `profile-workload` / `annotate-workload` utilities.
 //!
 //! All experiment binaries accept:
 //!
@@ -63,7 +61,6 @@
 //! `PROVP_LOG=error|warn|info|debug` (default `warn`).
 
 pub mod args;
-pub mod micro;
 
 use std::path::PathBuf;
 use std::time::Instant;

@@ -665,9 +665,9 @@ impl<'a> ReplayRequest<'a> {
         self
     }
 
-    /// Block-pool size for a streaming replay: the fixed number of
-    /// [`vp_sim::VALUE_BLOCK`]-event buffers circulating between producer
-    /// and consumers (clamped to at least
+    /// Block-pool size for a streaming replay: how many
+    /// 1024-event blocks each consumer's queue holds before
+    /// the producer waits (clamped to at least
     /// [`stream::MIN_BLOCK_POOL`]). Ignored by batch replays.
     #[must_use]
     pub fn block_pool(mut self, blocks: usize) -> Self {

@@ -5,30 +5,28 @@
 //! though the paper's Phase-2 pass is conceptually a stream (the tracer
 //! feeds the predictor one retired instruction at a time). This module
 //! removes that coupling: a **producer** thread runs the simulation with
-//! a [`ValueBlockTracer`] that packs destination writes into
-//! [`vp_sim::VALUE_BLOCK`]-event columnar blocks, and `shards`
-//! **consumer** threads replay those blocks through the same push-based
-//! fused kernel (`MatrixScanner`) and per-shard merge the batch path
-//! uses.
+//! a tracer that packs destination writes into blocks of
+//! `MATRIX_BLOCK` (1024) value events, and `shards` **consumer** threads
+//! replay those blocks through the same push-based fused kernel
+//! (`MatrixScanner`) and per-shard merge the batch path uses.
 //!
-//! ## Bounded channel, fixed block pool
+//! ## Bounded queues
 //!
-//! Blocks travel through a hand-rolled broadcast channel backed by a
-//! **fixed pool** of buffer pairs (default [`DEFAULT_BLOCK_POOL`], which
-//! `--stream` uses; [`ReplayRequest::block_pool`] sets another): each
-//! submitted block is reference-counted out to every attached consumer,
-//! and when the last consumer drops it the buffers return to the free
-//! list for the producer to refill. When the
-//! free list is empty the producer blocks inside [`Tracer::retire`] — the
-//! simulation itself stalls until the slowest consumer catches up. There
-//! is no unbounded queueing anywhere: live memory is `pool + 1` blocks
-//! plus each consumer's `MATRIX_BLOCK`-event scratch, independent of
-//! trace length.
+//! Every consumer owns a [`sync_channel`] of
+//! [`ReplayRequest::block_pool`] blocks (default
+//! [`DEFAULT_BLOCK_POOL`], which `--stream` uses), and the producer sends
+//! each block, behind one shared [`Arc`], to every consumer still
+//! connected. When a consumer's queue is full the send blocks inside
+//! [`Tracer::retire`] — the simulation itself stalls until the slowest
+//! consumer catches up. There is no unbounded queueing anywhere: live
+//! memory is at most `pool` queued blocks per consumer plus the one
+//! each consumer reads and the one being filled, independent of trace
+//! length.
 //!
 //! ## Bit-identical results
 //!
-//! Each consumer filters the broadcast stream down to its PC shard with
-//! the same joint-modulus key the batch path uses, preserving per-shard
+//! Each consumer filters the block stream down to its PC shard with the
+//! same joint-modulus key the batch path uses, preserving per-shard
 //! event order; the kernel re-accumulates its own
 //! `MATRIX_BLOCK`-aligned chunks, so delivery block boundaries never
 //! influence results. Streaming output is therefore bit-identical to
@@ -38,279 +36,150 @@
 //!
 //! ## Failure safety
 //!
-//! Producer and consumers guard each other with RAII: a consumer that
-//! errors or panics detaches and drains its queue (so the producer can
-//! never stall forever on a dead consumer), and the producer closes the
-//! channel on exit — normal or panicked — so consumers always drain and
-//! terminate.
+//! The channels hang up by themselves: the producer's exit — normal,
+//! faulted or panicked — drops the senders, so consumers drain their
+//! queues and stop; a consumer's error or panic drops its receiver, so
+//! the producer skips it from then on and never stalls on it.
 //!
 //! ## Observability
 //!
 //! Runs under a `"stream"` span and publishes `stream.blocks` (blocks
-//! emitted), `stream.stalls` (submissions that found the pool empty) and
-//! `stream.producer_wait_ms` (total time the simulation spent blocked on
-//! backpressure), alongside the same `replay.*` counters the batch
-//! engine feeds.
+//! emitted), `stream.stalls` (blocks that found some consumer's queue
+//! full) and `stream.producer_wait_ms` (total time the simulation spent
+//! blocked on those full queues), alongside the same `replay.*`
+//! counters the batch engine feeds.
 //!
 //! [`Tracer::retire`]: vp_sim::Tracer::retire
 
-use std::collections::VecDeque;
 use std::io;
 use std::mem;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use vp_isa::{InstrAddr, Program};
 use vp_predictor::config::shard_key;
 use vp_predictor::PredictorConfig;
-use vp_sim::{RunLimits, ValueBlockSink, ValueBlockTracer};
+use vp_sim::{Retirement, RunLimits};
 
-use super::{fuse_cells, matrix_scan, merge_shards, ReplayCellOutcome, ReplayRequest};
+use super::{
+    fuse_cells, matrix_scan, merge_shards, ReplayCellOutcome, ReplayRequest, MATRIX_BLOCK,
+};
 
-/// Default number of block-buffer pairs circulating between the producer
-/// and the consumers. Eight blocks absorb ordinary consumer jitter
-/// without letting the producer run far ahead.
+/// Default per-consumer queue depth, in blocks. Eight blocks absorb
+/// ordinary consumer jitter without letting the producer run far ahead.
 pub const DEFAULT_BLOCK_POOL: usize = 8;
 
-/// Smallest usable pool: one block in flight plus one being refilled.
-/// Below this the producer and consumers would strictly alternate.
+/// Smallest usable queue depth. Below this the producer and consumers
+/// would strictly alternate.
 pub const MIN_BLOCK_POOL: usize = 2;
 
-/// One filled block in flight. Holds a weak back-pointer to its channel
-/// so that dropping the last reference returns the buffers to the pool.
-struct BlockMsg {
-    addrs: Vec<InstrAddr>,
-    values: Vec<u64>,
-    home: Weak<Channel>,
-}
+/// A block of `(addr, value)` events, shared by every consumer.
+type Block = Vec<(InstrAddr, u64)>;
 
-impl Drop for BlockMsg {
-    fn drop(&mut self) {
-        if let Some(channel) = self.home.upgrade() {
-            let mut addrs = mem::take(&mut self.addrs);
-            let mut values = mem::take(&mut self.values);
-            addrs.clear();
-            values.clear();
-            {
-                let mut state = channel.lock_state();
-                state.free.push((addrs, values));
-            }
-            channel.space.notify_all();
-        }
-    }
-}
-
-struct ChannelState {
-    /// Recycled empty buffer pairs the producer may refill.
-    free: Vec<(Vec<InstrAddr>, Vec<u64>)>,
-    /// Per-consumer queues of in-flight blocks (broadcast: every attached
-    /// consumer sees every block).
-    queues: Vec<VecDeque<Arc<BlockMsg>>>,
-    /// Consumers that have detached (finished early, errored, panicked);
-    /// the producer stops queueing to them.
-    detached: Vec<bool>,
-    /// Set once the producer is done (or died); consumers drain and stop.
-    closed: bool,
-}
-
-/// The bounded broadcast channel between one producer and `consumers`
-/// shard consumers, backed by a fixed pool of `pool` buffer pairs.
-struct Channel {
-    state: Mutex<ChannelState>,
-    /// Signalled when a buffer pair returns to the free list.
-    space: Condvar,
-    /// Signalled when a block is queued or the channel closes.
-    data: Condvar,
-}
-
-impl Channel {
-    fn new(consumers: usize, pool: usize) -> Arc<Channel> {
-        // The producer's tracer owns one pair from the start, so the free
-        // list begins with `pool - 1`: total circulating pairs == pool.
-        let free = (1..pool)
-            .map(|_| {
-                (
-                    Vec::with_capacity(vp_sim::VALUE_BLOCK),
-                    Vec::with_capacity(vp_sim::VALUE_BLOCK),
-                )
-            })
-            .collect();
-        Arc::new(Channel {
-            state: Mutex::new(ChannelState {
-                free,
-                queues: (0..consumers).map(|_| VecDeque::new()).collect(),
-                detached: vec![false; consumers],
-                closed: false,
-            }),
-            space: Condvar::new(),
-            data: Condvar::new(),
-        })
-    }
-
-    /// Locks the state; a poisoned lock is impossible by construction (no
-    /// code panics while holding it), but recover anyway so a consumer
-    /// panic can never wedge the producer behind a poisoned mutex.
-    fn lock_state(&self) -> MutexGuard<'_, ChannelState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Blocks until consumer `index` has a block or the channel closed.
-    fn recv(&self, index: usize) -> Option<Arc<BlockMsg>> {
-        let mut state = self.lock_state();
-        loop {
-            if let Some(msg) = state.queues[index].pop_front() {
-                return Some(msg);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .data
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-}
-
-/// The producer half: a [`ValueBlockSink`] that broadcasts each full
-/// block into the channel and blocks for a recycled pair when the pool
-/// runs dry (the backpressure stall).
-struct StreamSink {
-    channel: Arc<Channel>,
+/// The producer: a [`vp_sim::Tracer`] that packs each retired
+/// destination write into the current block and sends every full one
+/// to each consumer still connected.
+struct Producer {
+    block: Block,
+    consumers: Vec<SyncSender<Arc<Block>>>,
     blocks: u64,
     stalls: u64,
     waited: Duration,
 }
 
-impl StreamSink {
-    fn new(channel: Arc<Channel>) -> Self {
-        StreamSink {
-            channel,
+impl Producer {
+    fn new(consumers: Vec<SyncSender<Arc<Block>>>) -> Producer {
+        Producer {
+            block: Vec::with_capacity(MATRIX_BLOCK),
+            consumers,
             blocks: 0,
             stalls: 0,
             waited: Duration::ZERO,
         }
     }
-}
 
-impl ValueBlockSink for StreamSink {
-    fn submit(&mut self, addrs: Vec<InstrAddr>, values: Vec<u64>) -> (Vec<InstrAddr>, Vec<u64>) {
+    fn push(&mut self, addr: InstrAddr, value: u64) {
+        self.block.push((addr, value));
+        if self.block.len() == MATRIX_BLOCK {
+            self.send();
+        }
+    }
+
+    /// Sends the current block: without waiting where a queue has room,
+    /// else blocking (one stall per block, the wait timed). Consumers
+    /// that hung up are dropped.
+    fn send(&mut self) {
+        let block = Arc::new(mem::replace(
+            &mut self.block,
+            Vec::with_capacity(MATRIX_BLOCK),
+        ));
         self.blocks += 1;
-        let msg = Arc::new(BlockMsg {
-            addrs,
-            values,
-            home: Arc::downgrade(&self.channel),
-        });
-        {
-            let mut guard = self.channel.lock_state();
-            let state = &mut *guard;
-            for (queue, &detached) in state.queues.iter_mut().zip(&state.detached) {
-                if !detached {
-                    queue.push_back(Arc::clone(&msg));
+        let mut stalled = false;
+        let mut waited = Duration::ZERO;
+        self.consumers
+            .retain(|tx| match tx.try_send(Arc::clone(&block)) {
+                Ok(()) => true,
+                Err(TrySendError::Disconnected(_)) => false,
+                Err(TrySendError::Full(block)) => {
+                    stalled = true;
+                    let started = Instant::now();
+                    let sent = tx.send(block).is_ok();
+                    waited += started.elapsed();
+                    sent
                 }
-            }
-        }
-        self.channel.data.notify_all();
-        // Drop our reference *outside* the lock: if every consumer is
-        // already detached we are the last owner, and `BlockMsg::drop`
-        // re-locks the channel to recycle the buffers.
-        drop(msg);
+            });
+        self.stalls += u64::from(stalled);
+        self.waited += waited;
+    }
 
-        let mut state = self.channel.lock_state();
-        if state.free.is_empty() {
-            self.stalls += 1;
-            let started = Instant::now();
-            while state.free.is_empty() {
-                state = self
-                    .channel
-                    .space
-                    .wait(state)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            self.waited += started.elapsed();
+    /// Sends the trailing partial block, if any, and hangs up, so the
+    /// consumers drain their queues and stop.
+    fn finish(&mut self) {
+        if !self.block.is_empty() {
+            self.send();
         }
-        state.free.pop().expect("free pair after wait")
+        self.consumers.clear();
     }
 }
 
-/// Detaches consumer `index` on drop — normal exit, error, or panic —
-/// draining its queue so the producer can never stall on it again. The
-/// queued messages are dropped *outside* the lock (their `Drop` re-locks
-/// the channel to recycle buffers).
-struct DetachGuard<'c> {
-    channel: &'c Channel,
-    index: usize,
-}
-
-impl Drop for DetachGuard<'_> {
-    fn drop(&mut self) {
-        let drained = {
-            let mut state = self.channel.lock_state();
-            state.detached[self.index] = true;
-            mem::take(&mut state.queues[self.index])
-        };
-        drop(drained);
-    }
-}
-
-/// Closes the channel on drop so consumers drain and terminate even if
-/// the producer's simulation errored or panicked.
-struct CloseGuard<'c> {
-    channel: &'c Channel,
-}
-
-impl Drop for CloseGuard<'_> {
-    fn drop(&mut self) {
-        self.channel.lock_state().closed = true;
-        self.channel.data.notify_all();
+impl vp_sim::Tracer for Producer {
+    fn retire(&mut self, ev: &Retirement<'_>) {
+        if let Some((_, _, value)) = ev.dest {
+            self.push(ev.addr, value);
+        }
     }
 }
 
 /// Iterator over the value events belonging to one consumer's PC shard:
-/// pulls broadcast blocks from the channel and filters them by the joint
-/// shard key, preserving per-shard event order exactly as the batch
-/// path's [`vp_sim::TraceColumns::shard_by_pc`] view does.
-struct ShardEvents<'c> {
-    channel: &'c Channel,
-    index: usize,
+/// receives blocks and filters them by the joint shard key, preserving
+/// per-shard event order exactly as the batch path's
+/// [`vp_sim::TraceColumns::shard_by_pc`] view does.
+struct ShardEvents {
+    blocks: Receiver<Arc<Block>>,
+    index: u64,
     shards: u64,
     modulus: Option<u64>,
-    block: Option<(Arc<BlockMsg>, usize)>,
+    block: Option<(Arc<Block>, usize)>,
 }
 
-impl Iterator for ShardEvents<'_> {
+impl Iterator for ShardEvents {
     type Item = (InstrAddr, u64);
 
     fn next(&mut self) -> Option<(InstrAddr, u64)> {
         loop {
-            if let Some((msg, pos)) = &mut self.block {
-                while *pos < msg.addrs.len() {
-                    let addr = msg.addrs[*pos];
-                    let value = msg.values[*pos];
+            if let Some((block, pos)) = &mut self.block {
+                while let Some(&(addr, value)) = block.get(*pos) {
                     *pos += 1;
-                    if shard_key(self.modulus, addr) % self.shards == self.index as u64 {
+                    if shard_key(self.modulus, addr) % self.shards == self.index {
                         return Some((addr, value));
                     }
                 }
-                // Exhausted: release the block (may recycle its buffers).
-                self.block = None;
             }
-            match self.channel.recv(self.index) {
-                Some(msg) => self.block = Some((msg, 0)),
-                None => return None,
-            }
+            self.block = Some((self.blocks.recv().ok()?, 0));
         }
     }
-}
-
-/// What the producer reports back besides success/failure.
-struct ProducerStats {
-    blocks: u64,
-    stalls: u64,
-    waited: Duration,
 }
 
 /// Spawns the producer (simulation) and `shards` consumers, runs `scan`
@@ -326,26 +195,26 @@ fn run_streamed<T, F>(
 ) -> io::Result<Vec<T>>
 where
     T: Send,
-    F: Fn(ShardEvents<'_>) -> io::Result<T> + Sync,
+    F: Fn(ShardEvents) -> io::Result<T> + Sync,
 {
     let shards = shards.max(1);
     let pool = pool.max(MIN_BLOCK_POOL);
-    let channel = Channel::new(shards, pool);
     let parent_span = vp_obs::span::current_path();
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..shards).map(|_| sync_channel(pool)).unzip();
 
     let (producer, consumers) = thread::scope(|scope| {
-        let channel = &channel;
         let scan = &scan;
-        let consumer_handles: Vec<_> = (0..shards)
-            .map(|index| {
+        let consumer_handles: Vec<_> = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(index, blocks)| {
                 let parent_span = parent_span.clone();
                 scope.spawn(move || {
                     crate::exec::mark_worker_thread();
                     let _adopted = vp_obs::span::adopt(parent_span);
-                    let _detach = DetachGuard { channel, index };
                     scan(ShardEvents {
-                        channel,
-                        index,
+                        blocks,
+                        index: index as u64,
                         shards: shards as u64,
                         modulus,
                         block: None,
@@ -355,16 +224,11 @@ where
             .collect();
 
         let producer_handle = scope.spawn(move || {
-            let _adopted = vp_obs::span::adopt(parent_span.clone());
-            let _close = CloseGuard { channel };
-            let mut tracer = ValueBlockTracer::new(StreamSink::new(Arc::clone(channel)));
-            let outcome = vp_sim::run(program, &mut tracer, limits);
-            let sink = tracer.finish();
-            outcome.map(|_| ProducerStats {
-                blocks: sink.blocks,
-                stalls: sink.stalls,
-                waited: sink.waited,
-            })
+            let _adopted = vp_obs::span::adopt(parent_span);
+            let mut producer = Producer::new(senders);
+            let outcome = vp_sim::run(program, &mut producer, limits);
+            producer.finish();
+            outcome.map(|_| producer)
         });
 
         let producer = match producer_handle.join() {
@@ -460,100 +324,107 @@ mod tests {
         }
     }
 
+    #[test]
+    fn streamed_blocks_equal_captured_value_events() {
+        // ~3k value events: several full blocks plus a partial tail.
+        let p = assemble(
+            "li r1, 0\nli r2, 1500\n\
+             top: addi r1, r1, 1\nadd r3, r1, r2\nbne r1, r2, top\nhalt\n",
+        )
+        .unwrap();
+        let limits = RunLimits::default();
+        let trace = Trace::capture(&p, limits).unwrap();
+
+        let (tx, rx) = sync_channel(64);
+        let mut producer = Producer::new(vec![tx]);
+        vp_sim::run(&p, &mut producer, limits).unwrap();
+        producer.finish();
+        let blocks: Vec<Arc<Block>> = rx.iter().collect();
+
+        for (i, block) in blocks.iter().enumerate() {
+            assert!(block.len() <= MATRIX_BLOCK);
+            if i + 1 < blocks.len() {
+                assert_eq!(block.len(), MATRIX_BLOCK, "only the tail may be partial");
+            }
+        }
+        let streamed: Vec<(InstrAddr, u64)> =
+            blocks.iter().flat_map(|b| b.iter().copied()).collect();
+        let captured: Vec<(InstrAddr, u64)> = trace.columns().value_events().collect();
+        assert_eq!(streamed, captured);
+        assert!(blocks.len() >= 2, "test must exercise multiple blocks");
+        assert_eq!(producer.blocks, blocks.len() as u64);
+    }
+
+    #[test]
+    fn finish_without_events_submits_nothing() {
+        let p = assemble("halt\n").unwrap();
+        let (tx, rx) = sync_channel(MIN_BLOCK_POOL);
+        let mut producer = Producer::new(vec![tx]);
+        vp_sim::run(&p, &mut producer, RunLimits::default()).unwrap();
+        producer.finish();
+        assert_eq!(rx.iter().count(), 0);
+        assert_eq!(producer.blocks, 0);
+    }
+
     /// A deliberately slow consumer must stall the producer (bounded
-    /// pool, no unbounded queueing) and still observe every event in
+    /// queue, no unbounded queueing) and still observe every event in
     /// order — the starvation/backpressure stress test.
     #[test]
     fn slow_consumer_applies_backpressure_without_loss() {
-        let channel = Channel::new(1, MIN_BLOCK_POOL);
+        let (tx, rx) = sync_channel::<Arc<Block>>(MIN_BLOCK_POOL);
         let blocks = 16usize;
-        let per_block = 4usize;
-        let (stats, seen) = thread::scope(|scope| {
-            let consumer = {
-                let channel = Arc::clone(&channel);
-                scope.spawn(move || {
-                    let _detach = DetachGuard {
-                        channel: &channel,
-                        index: 0,
-                    };
-                    let mut seen: Vec<(InstrAddr, u64)> = Vec::new();
-                    while let Some(msg) = channel.recv(0) {
-                        // Slow consumer: hold the block while the
-                        // producer races ahead into the pool limit.
-                        thread::sleep(Duration::from_millis(2));
-                        seen.extend(msg.addrs.iter().copied().zip(msg.values.iter().copied()));
-                    }
-                    seen
-                })
-            };
-            let producer = {
-                let channel = Arc::clone(&channel);
-                scope.spawn(move || {
-                    let _close = CloseGuard { channel: &channel };
-                    let mut sink = StreamSink::new(Arc::clone(&channel));
-                    let (mut addrs, mut values) = (Vec::new(), Vec::new());
-                    for b in 0..blocks {
-                        addrs.clear();
-                        values.clear();
-                        for e in 0..per_block {
-                            addrs.push(InstrAddr::new((b * per_block + e) as u32));
-                            values.push((b * per_block + e) as u64);
-                        }
-                        (addrs, values) = sink.submit(addrs, values);
-                    }
-                    ProducerStats {
-                        blocks: sink.blocks,
-                        stalls: sink.stalls,
-                        waited: sink.waited,
-                    }
-                })
-            };
+        let events = blocks * MATRIX_BLOCK;
+        let (producer, seen) = thread::scope(|scope| {
+            let consumer = scope.spawn(move || {
+                let mut seen: Vec<(InstrAddr, u64)> = Vec::new();
+                for block in rx {
+                    // Slow consumer: hold the block while the producer
+                    // races ahead into the queue limit.
+                    thread::sleep(Duration::from_millis(2));
+                    seen.extend(block.iter().copied());
+                }
+                seen
+            });
+            let producer = scope.spawn(move || {
+                let mut producer = Producer::new(vec![tx]);
+                for i in 0..events {
+                    producer.push(InstrAddr::new(i as u32), i as u64);
+                }
+                producer.finish();
+                producer
+            });
             (producer.join().unwrap(), consumer.join().unwrap())
         });
-        assert_eq!(stats.blocks, blocks as u64);
+        assert_eq!(producer.blocks, blocks as u64);
         assert!(
-            stats.stalls > 0,
-            "a 2-block pool against a sleeping consumer must stall"
+            producer.stalls > 0,
+            "a 2-block queue against a sleeping consumer must stall"
         );
-        assert!(stats.waited > Duration::ZERO);
-        let expected: Vec<(InstrAddr, u64)> = (0..blocks * per_block)
+        assert!(producer.waited > Duration::ZERO);
+        let expected: Vec<(InstrAddr, u64)> = (0..events)
             .map(|i| (InstrAddr::new(i as u32), i as u64))
             .collect();
         assert_eq!(seen, expected, "every event delivered, in order");
     }
 
-    /// A consumer that dies early must not wedge the producer: the
-    /// detach guard drains its queue and hands the buffers back.
+    /// A consumer that dies early must not wedge the producer: its
+    /// dropped receiver hangs up, and the producer skips it.
     #[test]
     fn detached_consumer_never_blocks_the_producer() {
-        let channel = Channel::new(1, MIN_BLOCK_POOL);
+        let (tx, rx) = sync_channel(MIN_BLOCK_POOL);
         thread::scope(|scope| {
-            {
-                let channel = Arc::clone(&channel);
-                scope.spawn(move || {
-                    let _detach = DetachGuard {
-                        channel: &channel,
-                        index: 0,
-                    };
-                    // Take one block, then bail (simulates an error path).
-                    let _ = channel.recv(0);
-                });
-            }
-            let channel = Arc::clone(&channel);
+            scope.spawn(move || {
+                // Take one block, then bail (simulates an error path).
+                let _ = rx.recv();
+            });
             let producer = scope.spawn(move || {
-                let _close = CloseGuard { channel: &channel };
-                let mut sink = StreamSink::new(Arc::clone(&channel));
-                let (mut addrs, mut values) = (Vec::new(), Vec::new());
-                // Far more blocks than the pool holds: would deadlock if
-                // the dead consumer's queue pinned buffers.
-                for i in 0..64u32 {
-                    addrs.clear();
-                    values.clear();
-                    addrs.push(InstrAddr::new(i));
-                    values.push(u64::from(i));
-                    (addrs, values) = sink.submit(addrs, values);
+                let mut producer = Producer::new(vec![tx]);
+                // Far more blocks than the queue holds: would deadlock
+                // if the dead consumer still took sends.
+                for i in 0..64 * MATRIX_BLOCK {
+                    producer.push(InstrAddr::new(i as u32), i as u64);
                 }
-                sink.blocks
+                producer.blocks
             });
             assert_eq!(producer.join().unwrap(), 64);
         });

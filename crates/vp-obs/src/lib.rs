@@ -30,10 +30,12 @@
 //!   snapshots the counter/gauge registry mid-run (the manifest's
 //!   `samples` series) and samples every worker's open-span stack at
 //!   `--profile-hz` ([`profiler`]).
-//! - **Profiling** ([`profiler`]) — the span-stack samples, folded on
-//!   shutdown into collapsed stacks (`a;b;c <count>`, readable by
-//!   `flamegraph.pl` or speedscope) and the manifest's `profile`
-//!   section that `metrics-check` can gate.
+//! - **Profiling** ([`profiler`]) — copies of each thread's one
+//!   open-span stack (kept by [`span`](mod@span) under a per-thread
+//!   lock, so a sample cannot tear), folded on shutdown into collapsed
+//!   stacks (`a;b;c <count>`, readable by `flamegraph.pl` or
+//!   speedscope) and the manifest's `profile` section that
+//!   `metrics-check` can gate.
 //! - **Diffing** ([`diff`]) — attribution of wall-clock and counter
 //!   deltas between two manifests as a markdown blame table, powering
 //!   the `manifest-diff` binary.

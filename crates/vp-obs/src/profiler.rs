@@ -2,10 +2,11 @@
 //!
 //! Aggregate spans say how long each phase took *in total*; the sampling
 //! profiler says **where wall time concentrates** while costing nothing
-//! when it is off. Every thread that opens a [`crate::span()`] maintains a
-//! lock-free, seqlock-published mirror of its open-span stack
-//! (`ThreadStack`); the background [`crate::Ticker`] thread
-//! periodically snapshots every registered thread's stack into bounded
+//! when it is off. Every thread that opens a [`crate::span()`] or
+//! [`crate::span::adopt`]s a base path keeps its open-span stack under a
+//! per-thread lock in one process-wide list (see
+//! [`span`](mod@crate::span)); the background [`crate::Ticker`] thread
+//! periodically locks and copies every registered stack into bounded
 //! per-thread ring buffers (drop-oldest, accounted by the
 //! `profiler.dropped_samples` counter) and, on [`crate::Ticker::stop`],
 //! folds the samples into collapsed-stack form (`a;b;c <count>`), ready
@@ -14,284 +15,21 @@
 //!
 //! ## Cost contract
 //!
-//! - **Off (the default):** span guards pay one relaxed atomic load and
-//!   a branch per push/pop — stack publishing only arms when the first
-//!   profiling [`crate::Ticker`] starts, and stays armed for the process
-//!   lifetime so a mid-run stop/start can never tear stack prefixes.
-//! - **On:** push/pop additionally write the thread-owned seqlock'd
-//!   frame array (a handful of relaxed stores on the thread's own cache
-//!   line) and intern the (static) span name once per push. Nothing in
-//!   the hot path blocks on the ticker thread.
-//! - **Snapshots are observation-only:** a reader that races a writer
-//!   retries a few times and then *skips* the sample (counted by
-//!   `profiler.torn_snapshots`), so a published stack is always a
-//!   prefix-valid span path — never a torn mixture of two states.
+//! - **Off (the default):** span guards pay one uncontended lock of
+//!   their own thread's stack per open or close; nothing else.
+//! - **On:** the ticker holds each stack's lock only while it clones
+//!   it, so a span guard waits at most for that copy.
+//! - **Snapshots are consistent:** a sample is a copy taken under the
+//!   stack's lock, so it is always a real span path, never a mixture
+//!   of two states, at any depth.
 //!
 //! Worker threads spawned by `parallel_map` adopt their parent's span
-//! path ([`crate::span::adopt`]); the adopted base is published to the
-//! mirror too, so worker samples fold under the same hierarchical stack
-//! a serial run would produce.
-//!
-//! Arm the profiler (*start a profiling ticker*) before opening the spans
-//! it should see: spans already open when the first one starts are
-//! invisible to the mirror (their pops are ignored by saturation, so
-//! later samples stay prefix-valid, merely shallower). The bench harness
-//! starts its ticker before its root span, which satisfies this.
+//! path ([`crate::span::adopt`]); the adopted base is part of the
+//! stack, so worker samples fold under the same hierarchical stack a
+//! serial run would produce. Spans already open when a ticker starts
+//! are sampled like any other.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Maximum stack depth mirrored per thread; deeper nesting is recorded
-/// truncated (the true depth keeps counting, so pops stay balanced and
-/// samples of an over-deep stack are skipped rather than mis-attributed).
-pub const MAX_FRAMES: usize = 32;
-
-// ---------------------------------------------------------------------------
-// Static-name interning
-// ---------------------------------------------------------------------------
-//
-// Frames are mirrored as small integer ids instead of `&'static str`
-// fat pointers: a torn or stale id resolves to `None` (the sample is
-// skipped) instead of becoming an out-of-thin-air reference, so the
-// whole mirror stays safe Rust.
-
-struct Interner {
-    /// Keyed by the *address* of the static string (distinct literals
-    /// with equal text fold to the same name at fold time anyway).
-    ids: HashMap<(usize, usize), u32>,
-    names: Vec<&'static str>,
-}
-
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            ids: HashMap::new(),
-            names: Vec::new(),
-        })
-    })
-}
-
-fn intern(name: &'static str) -> u32 {
-    let mut i = interner().lock().expect("name interner poisoned");
-    let key = (name.as_ptr() as usize, name.len());
-    if let Some(&id) = i.ids.get(&key) {
-        return id;
-    }
-    let id = u32::try_from(i.names.len()).expect("interned name count fits u32");
-    i.names.push(name);
-    i.ids.insert(key, id);
-    id
-}
-
-fn resolve(id: u32) -> Option<&'static str> {
-    interner()
-        .lock()
-        .expect("name interner poisoned")
-        .names
-        .get(id as usize)
-        .copied()
-}
-
-// ---------------------------------------------------------------------------
-// Per-thread mirrored stack (single writer, seqlock-validated readers)
-// ---------------------------------------------------------------------------
-
-/// One thread's published span stack. Written only by the owning thread
-/// (push/pop/adopt), read by the ticker thread through the seqlock.
-pub(crate) struct ThreadStack {
-    /// Dense per-thread id keying this thread's sample ring.
-    tid: u64,
-    /// Seqlock version: odd while the owner is mid-update.
-    version: AtomicU64,
-    /// True stack depth (may exceed [`MAX_FRAMES`]).
-    depth: AtomicUsize,
-    /// Interned frame ids, valid up to `min(depth, MAX_FRAMES)`.
-    frames: [AtomicU32; MAX_FRAMES],
-    /// Adopted base path (slash-separated), for `parallel_map` workers.
-    base: Mutex<Option<String>>,
-    /// Set when the owning thread exits; the ticker prunes dead stacks.
-    dead: AtomicBool,
-}
-
-impl ThreadStack {
-    fn new(tid: u64) -> ThreadStack {
-        ThreadStack {
-            tid,
-            version: AtomicU64::new(0),
-            depth: AtomicUsize::new(0),
-            frames: std::array::from_fn(|_| AtomicU32::new(0)),
-            base: Mutex::new(None),
-            dead: AtomicBool::new(false),
-        }
-    }
-
-    /// Begin an owner-side update (version goes odd).
-    fn begin_write(&self) -> u64 {
-        let v = self.version.load(Ordering::Relaxed);
-        self.version.store(v.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        v
-    }
-
-    /// Finish an owner-side update (version returns even).
-    fn end_write(&self, v: u64) {
-        self.version.store(v.wrapping_add(2), Ordering::Release);
-    }
-
-    fn push(&self, id: u32) {
-        let v = self.begin_write();
-        let d = self.depth.load(Ordering::Relaxed);
-        if d < MAX_FRAMES {
-            self.frames[d].store(id, Ordering::Relaxed);
-        }
-        self.depth.store(d + 1, Ordering::Relaxed);
-        self.end_write(v);
-    }
-
-    fn pop(&self) {
-        let v = self.begin_write();
-        let d = self.depth.load(Ordering::Relaxed);
-        // Saturate: a pop of a span pushed before the profiler armed has
-        // no mirrored frame to remove.
-        self.depth.store(d.saturating_sub(1), Ordering::Relaxed);
-        self.end_write(v);
-    }
-
-    fn set_base(&self, base: Option<String>) {
-        let v = self.begin_write();
-        *self.base.lock().expect("thread-stack base poisoned") = base;
-        self.end_write(v);
-    }
-
-    /// Seqlock read: a consistent `(base, frame ids)` snapshot, or
-    /// `None` after a few racing retries (the caller skips the sample)
-    /// or when the stack was deeper than [`MAX_FRAMES`] at sample time.
-    fn sample(&self) -> Option<(Option<String>, Vec<u32>)> {
-        for _ in 0..4 {
-            let v1 = self.version.load(Ordering::Acquire);
-            if v1 % 2 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let base = self
-                .base
-                .lock()
-                .expect("thread-stack base poisoned")
-                .clone();
-            let depth = self.depth.load(Ordering::Relaxed);
-            let ids: Vec<u32> = self.frames[..depth.min(MAX_FRAMES)]
-                .iter()
-                .map(|f| f.load(Ordering::Relaxed))
-                .collect();
-            fence(Ordering::Acquire);
-            if self.version.load(Ordering::Relaxed) != v1 {
-                continue;
-            }
-            if depth > MAX_FRAMES {
-                crate::counter("profiler.truncated_snapshots").inc();
-                return None;
-            }
-            return Some((base, ids));
-        }
-        crate::counter("profiler.torn_snapshots").inc();
-        None
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Registry of live thread stacks + span-guard hooks
-// ---------------------------------------------------------------------------
-
-/// Armed once the first profiling ticker starts; never disarmed (see
-/// the module docs for why stickiness matters).
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-/// Arms span-stack mirroring process-wide (sticky).
-pub(crate) fn arm() {
-    ACTIVE.store(true, Ordering::Release);
-}
-
-fn threads() -> &'static Mutex<Vec<Arc<ThreadStack>>> {
-    static THREADS: OnceLock<Mutex<Vec<Arc<ThreadStack>>>> = OnceLock::new();
-    THREADS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Marks the stack dead when the owning thread's TLS is torn down.
-struct Registration {
-    stack: Arc<ThreadStack>,
-}
-
-impl Drop for Registration {
-    fn drop(&mut self) {
-        self.stack.dead.store(true, Ordering::Release);
-    }
-}
-
-/// Source of the dense per-thread ids that key the sample rings.
-static NEXT_TID: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static MY_STACK: std::cell::RefCell<Option<Registration>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-fn with_stack(f: impl FnOnce(&ThreadStack)) {
-    // `try_with` so span guards dropping during thread teardown (after
-    // TLS destruction) degrade to a no-op instead of aborting.
-    let _ = MY_STACK.try_with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let reg = slot.get_or_insert_with(|| {
-            let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-            let stack = Arc::new(ThreadStack::new(tid));
-            threads()
-                .lock()
-                .expect("thread-stack registry poisoned")
-                .push(Arc::clone(&stack));
-            Registration { stack }
-        });
-        f(&reg.stack);
-    });
-}
-
-/// Span-guard hook: mirrors a span push. One relaxed load when no
-/// profiler ever armed.
-pub(crate) fn stack_push(name: &'static str) {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
-    }
-    let id = intern(name);
-    with_stack(|s| s.push(id));
-}
-
-/// Span-guard hook: mirrors a span pop.
-pub(crate) fn stack_pop() {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
-    }
-    with_stack(ThreadStack::pop);
-}
-
-/// Adopt hook: publishes (or restores) a worker's base span path.
-pub(crate) fn stack_set_base(base: Option<&str>) {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
-    }
-    let owned = base.map(str::to_owned);
-    with_stack(|s| s.set_base(owned.clone()));
-}
-
-// ---------------------------------------------------------------------------
-// Stack samples and their folding
-// ---------------------------------------------------------------------------
-
-/// One recorded stack sample (interned base + frame ids).
-struct SampleRec {
-    /// Id into the run-local base-path interner.
-    base: Option<u32>,
-    frames: Vec<u32>,
-}
 
 /// The folded result of one profiling run.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -415,10 +153,11 @@ impl Profile {
 pub(crate) struct StackRings {
     hz: u32,
     capacity: usize,
-    rings: BTreeMap<u64, VecDeque<SampleRec>>,
-    /// Run-local interner of adopted base paths.
-    bases: Vec<String>,
-    base_ids: HashMap<String, u32>,
+    /// Per-thread rings of ids into `keys`.
+    rings: BTreeMap<u64, VecDeque<u32>>,
+    /// Run-local table of the distinct collapsed stacks sampled.
+    keys: Vec<String>,
+    key_ids: HashMap<String, u32>,
     dropped: u64,
 }
 
@@ -428,45 +167,44 @@ impl StackRings {
             hz,
             capacity: capacity.max(1),
             rings: BTreeMap::new(),
-            bases: Vec::new(),
-            base_ids: HashMap::new(),
+            keys: Vec::new(),
+            key_ids: HashMap::new(),
             dropped: 0,
         }
     }
 
-    /// One profile tick: snapshot every live stack, record non-empty
-    /// samples, track the loss counters and the sampled-RSS max gauge.
+    /// One profile tick: copy every live stack, record non-empty
+    /// samples, track the loss counter and the sampled-RSS max gauge.
     pub(crate) fn tick(&mut self) {
-        let stacks: Vec<Arc<ThreadStack>> = {
-            let mut list = threads().lock().expect("thread-stack registry poisoned");
-            // Dead threads can never publish again; their retained
-            // samples already live in these rings.
-            list.retain(|s| !s.dead.load(Ordering::Acquire));
-            list.clone()
-        };
-        for stack in stacks {
-            let Some((base, frames)) = stack.sample() else {
-                continue;
-            };
-            if base.is_none() && frames.is_empty() {
+        for (tid, stack) in crate::span::stacks() {
+            // Base paths are slash-separated span hierarchies; re-split
+            // so folded frames stay one span per frame.
+            let key = stack
+                .base
+                .iter()
+                .flat_map(|b| b.split('/'))
+                .chain(stack.frames.iter().copied())
+                .collect::<Vec<_>>()
+                .join(";");
+            if key.is_empty() {
                 continue; // outside all spans: nothing to attribute
             }
-            let base = base.map(|b| match self.base_ids.get(&b) {
+            let id = match self.key_ids.get(&key) {
                 Some(&id) => id,
                 None => {
-                    let id = u32::try_from(self.bases.len()).expect("base count fits u32");
-                    self.base_ids.insert(b.clone(), id);
-                    self.bases.push(b);
+                    let id = u32::try_from(self.keys.len()).expect("stack count fits u32");
+                    self.keys.push(key.clone());
+                    self.key_ids.insert(key, id);
                     id
                 }
-            });
-            let ring = self.rings.entry(stack.tid).or_default();
+            };
+            let ring = self.rings.entry(tid).or_default();
             if ring.len() >= self.capacity {
                 ring.pop_front();
                 self.dropped += 1;
                 crate::counter("profiler.dropped_samples").inc();
             }
-            ring.push_back(SampleRec { base, frames });
+            ring.push_back(id);
         }
         crate::counter("profiler.ticks").inc();
         // Satellite of the same tick: the true transient RSS peak, not
@@ -481,40 +219,9 @@ impl StackRings {
     pub(crate) fn fold(self) -> Profile {
         let mut folded: BTreeMap<String, u64> = BTreeMap::new();
         let mut samples = 0u64;
-        let mut threads_seen = 0u64;
-        for ring in self.rings.values() {
-            let mut contributed = false;
-            'rec: for rec in ring {
-                let mut key = String::new();
-                if let Some(b) = rec.base {
-                    // Base paths are slash-separated span hierarchies;
-                    // re-split so folded frames stay one span per frame.
-                    for frame in self.bases[b as usize].split('/') {
-                        if !key.is_empty() {
-                            key.push(';');
-                        }
-                        key.push_str(frame);
-                    }
-                }
-                for &id in &rec.frames {
-                    let Some(name) = resolve(id) else {
-                        continue 'rec; // torn id: skip, never mis-attribute
-                    };
-                    if !key.is_empty() {
-                        key.push(';');
-                    }
-                    key.push_str(name);
-                }
-                if key.is_empty() {
-                    continue;
-                }
-                *folded.entry(key).or_insert(0) += 1;
-                samples += 1;
-                contributed = true;
-            }
-            if contributed {
-                threads_seen += 1;
-            }
+        for &id in self.rings.values().flatten() {
+            *folded.entry(self.keys[id as usize].clone()).or_insert(0) += 1;
+            samples += 1;
         }
         // Publish the retained/dropped totals so the manifest and the
         // --metrics-table footer can report the loss channel even when
@@ -525,7 +232,7 @@ impl StackRings {
             hz: self.hz,
             samples,
             dropped: self.dropped,
-            threads: threads_seen,
+            threads: self.rings.len() as u64,
             folded,
         }
     }
@@ -536,58 +243,52 @@ mod tests {
     use super::*;
 
     #[test]
-    fn interner_is_stable_and_total() {
-        let a = intern("profiler-test-a");
-        let b = intern("profiler-test-b");
-        assert_ne!(a, b);
-        assert_eq!(intern("profiler-test-a"), a, "same static str, same id");
-        assert_eq!(resolve(a), Some("profiler-test-a"));
-        assert_eq!(resolve(u32::MAX), None, "unknown ids resolve to None");
-    }
-
-    #[test]
     fn thread_stack_push_pop_sample() {
-        let s = ThreadStack::new(7);
-        let a = intern("ts-a");
-        let b = intern("ts-b");
-        s.push(a);
-        s.push(b);
-        let (base, frames) = s.sample().expect("uncontended sample succeeds");
-        assert_eq!(base, None);
-        assert_eq!(frames, vec![a, b]);
-        s.pop();
-        let (_, frames) = s.sample().unwrap();
-        assert_eq!(frames, vec![a]);
-        s.pop();
-        s.pop(); // over-pop saturates
-        let (_, frames) = s.sample().unwrap();
-        assert!(frames.is_empty());
+        let mut rings = StackRings::new(99, 16);
+        {
+            let _a = crate::span("ts-a");
+            {
+                let _b = crate::span("ts-b");
+                rings.tick();
+            }
+            rings.tick();
+        }
+        rings.tick();
+        let folded = rings.fold().folded;
+        assert_eq!(folded.get("ts-a;ts-b"), Some(&1));
+        assert_eq!(
+            folded.get("ts-a"),
+            Some(&1),
+            "a closed span leaves the stack"
+        );
     }
 
     #[test]
     fn thread_stack_base_is_published() {
-        let s = ThreadStack::new(8);
-        s.set_base(Some("root/worker".to_owned()));
-        let (base, _) = s.sample().unwrap();
-        assert_eq!(base.as_deref(), Some("root/worker"));
-        s.set_base(None);
-        let (base, _) = s.sample().unwrap();
-        assert_eq!(base, None);
+        let mut rings = StackRings::new(99, 16);
+        {
+            let _g = crate::span::adopt(Some("ts-root/worker".to_owned()));
+            let _s = crate::span("ts-leaf");
+            rings.tick();
+        }
+        rings.tick();
+        let folded = rings.fold().folded;
+        assert_eq!(folded.get("ts-root;worker;ts-leaf"), Some(&1));
+        assert!(
+            !folded.contains_key("ts-root;worker"),
+            "a dropped adopt guard clears the base"
+        );
     }
 
     #[test]
-    fn overdeep_stacks_are_skipped_not_torn() {
-        let s = ThreadStack::new(9);
-        let id = intern("ts-deep");
-        for _ in 0..MAX_FRAMES + 3 {
-            s.push(id);
+    fn deep_stacks_are_sampled_whole() {
+        let mut rings = StackRings::new(99, 16);
+        {
+            let _guards: Vec<_> = (0..40).map(|_| crate::span("ts-deep")).collect();
+            rings.tick();
         }
-        assert!(s.sample().is_none(), "over-deep stacks yield no sample");
-        for _ in 0..3 {
-            s.pop();
-        }
-        let (_, frames) = s.sample().expect("back within bounds");
-        assert_eq!(frames.len(), MAX_FRAMES);
+        let folded = rings.fold().folded;
+        assert_eq!(folded.get(&vec!["ts-deep"; 40].join(";")), Some(&1));
     }
 
     #[test]

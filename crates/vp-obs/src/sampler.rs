@@ -93,10 +93,6 @@ impl Ticker {
     /// a series always holds at least two points. `hook` runs on the
     /// ticker thread right before every registry snapshot.
     ///
-    /// Profiling arms span-stack mirroring process-wide before the
-    /// thread starts: start the ticker *before* opening the spans it
-    /// should attribute.
-    ///
     /// # Errors
     ///
     /// The OS refused to spawn the thread.
@@ -105,9 +101,6 @@ impl Ticker {
         registry: &'static Registry,
         hook: impl Fn() + Send + 'static,
     ) -> io::Result<Ticker> {
-        if schedule.profile_hz.is_some() {
-            crate::profiler::arm();
-        }
         let (stop, stopped) = mpsc::channel();
         let handle = std::thread::Builder::new()
             .name("vp-obs-ticker".to_owned())

@@ -7,41 +7,95 @@
 //! with the spawning thread's [`current_path`], so their timings land
 //! under the same hierarchical path and aggregate with the parent's.
 //!
+//! Each thread's open-span stack lives behind its own mutex in one
+//! process-wide list, so the sampling profiler ([`crate::profiler`])
+//! reads the very stack the guards maintain: it locks and clones it,
+//! and a sample can never tear.
+//!
 //! Spans are intended for *phase* granularity (a whole profiling run, a
-//! whole experiment) — the cost per span is two monotonic clock reads
-//! and one short mutex hold, which is invisible at that granularity and
-//! must never be paid per simulated instruction.
+//! whole experiment) — the cost per span is two monotonic clock reads,
+//! two uncontended locks of the thread's own stack and one short
+//! registry mutex hold, which is invisible at that granularity and must
+//! never be paid per simulated instruction.
 
-use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::registry::global;
 
+/// One thread's open spans: the adopted base path (slash-separated) and
+/// the span names opened on the thread, outermost first.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Stack {
+    pub(crate) base: Option<String>,
+    pub(crate) frames: Vec<&'static str>,
+}
+
+impl Stack {
+    fn path(&self) -> Option<String> {
+        let frames = self.frames.join("/");
+        match (&self.base, frames.is_empty()) {
+            (None, true) => None,
+            (None, false) => Some(frames),
+            (Some(b), true) => Some(b.clone()),
+            (Some(b), false) => Some(format!("{b}/{frames}")),
+        }
+    }
+}
+
+type SharedStack = Arc<Mutex<Stack>>;
+
+/// Every thread's stack, keyed by a per-thread id (the profiler's ring
+/// key). An entry whose `Arc` is unique belongs to an exited thread.
+fn threads() -> &'static Mutex<Vec<(u64, SharedStack)>> {
+    static THREADS: OnceLock<Mutex<Vec<(u64, SharedStack)>>> = OnceLock::new();
+    THREADS.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn register() -> SharedStack {
+    static NEXT_TID: AtomicU64 = AtomicU64::new(0);
+    let stack = SharedStack::default();
+    let mut list = lock(threads());
+    list.retain(|(_, s)| Arc::strong_count(s) > 1);
+    list.push((NEXT_TID.fetch_add(1, Ordering::Relaxed), Arc::clone(&stack)));
+    stack
+}
+
 thread_local! {
-    static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-    static BASE: RefCell<Option<String>> = const { RefCell::new(None) };
+    static STACK: SharedStack = register();
+}
+
+/// Runs `f` on this thread's stack; `None` once the thread-local is
+/// torn down (guards dropped during thread exit are no-ops).
+fn with_stack<R>(f: impl FnOnce(&mut Stack) -> R) -> Option<R> {
+    STACK.try_with(|s| f(&mut lock(s))).ok()
+}
+
+/// A copy of every live thread's stack with its per-thread id.
+pub(crate) fn stacks() -> Vec<(u64, Stack)> {
+    lock(threads())
+        .iter()
+        .map(|(tid, s)| (*tid, lock(s).clone()))
+        .collect()
 }
 
 /// The hierarchical path of the innermost open span on this thread
 /// (including any adopted base path), or `None` outside all spans.
 #[must_use]
 pub fn current_path() -> Option<String> {
-    let stack = STACK.with(|s| s.borrow().join("/"));
-    let base = BASE.with(|b| b.borrow().clone());
-    match (base, stack.is_empty()) {
-        (None, true) => None,
-        (None, false) => Some(stack),
-        (Some(b), true) => Some(b),
-        (Some(b), false) => Some(format!("{b}/{stack}")),
-    }
+    with_stack(|s| s.path()).flatten()
 }
 
 /// Opens a span named `name` nested under the spans currently open on
 /// this thread. Recorded into the global registry when dropped.
 #[must_use]
 pub fn span(name: &'static str) -> SpanGuard {
-    STACK.with(|s| s.borrow_mut().push(name));
-    crate::profiler::stack_push(name);
+    with_stack(|s| s.frames.push(name));
     SpanGuard {
         started: Instant::now(),
     }
@@ -56,12 +110,12 @@ pub struct SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let ns = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let path = current_path().unwrap_or_default();
-        STACK.with(|s| {
-            s.borrow_mut().pop();
+        let path = with_stack(|s| {
+            let path = s.path();
+            s.frames.pop();
+            path
         });
-        crate::profiler::stack_pop();
-        if !path.is_empty() {
+        if let Some(Some(path)) = path {
             global().record_span(&path, ns);
         }
     }
@@ -74,8 +128,7 @@ impl Drop for SpanGuard {
 /// worker aggregate under the parent's hierarchy.
 #[must_use]
 pub fn adopt(path: Option<String>) -> AdoptGuard {
-    crate::profiler::stack_set_base(path.as_deref());
-    let previous = BASE.with(|b| b.replace(path));
+    let previous = with_stack(|s| std::mem::replace(&mut s.base, path)).flatten();
     AdoptGuard { previous }
 }
 
@@ -88,10 +141,7 @@ pub struct AdoptGuard {
 impl Drop for AdoptGuard {
     fn drop(&mut self) {
         let previous = self.previous.take();
-        crate::profiler::stack_set_base(previous.as_deref());
-        BASE.with(|b| {
-            *b.borrow_mut() = previous;
-        });
+        with_stack(|s| s.base = previous);
     }
 }
 
@@ -143,9 +193,8 @@ mod tests {
         assert_eq!(current_path().as_deref(), Some("span-test-base"));
         drop(g);
         // Back outside any span: no base, empty stack.
-        let stackless = STACK.with(|s| s.borrow().is_empty());
-        if stackless {
-            assert_eq!(BASE.with(|b| b.borrow().clone()), None);
-        }
+        let stack = with_stack(|s| s.clone()).unwrap();
+        assert_eq!(stack.base, None);
+        assert!(stack.frames.is_empty());
     }
 }

@@ -1,18 +1,18 @@
-//! Concurrency stress test for the profiler's span-stack mirrors.
+//! Concurrency stress test for the profiler's span-stack samples.
 //!
 //! N workers open and close nested spans in a tight loop (through the
 //! real `span()` guards, under an adopted base path, exactly like
 //! `parallel_map` workers) while the ticker snapshots at high
-//! frequency. The seqlock contract under test: **every sampled stack is
-//! a prefix of the nesting chain the workers actually execute** — a
-//! torn read (half of one update, half of another) would produce an
+//! frequency. The contract under test: **every sampled stack is a
+//! prefix of the nesting chain the workers actually execute** — a torn
+//! read (half of one update, half of another) would produce an
 //! out-of-order or gap-containing stack, which the assertions below
 //! would catch.
 //!
-//! Lives in its own integration-test binary because profiler arming is
-//! process-sticky and the sampled stacks are process-global: spans
-//! opened by unrelated tests in the same process would show up in the
-//! folded output and break the prefix-validity assertion.
+//! Lives in its own integration-test binary because the sampled stacks
+//! are process-global: spans opened by unrelated tests in the same
+//! process would show up in the folded output and break the
+//! prefix-validity assertion.
 
 use std::time::{Duration, Instant};
 
@@ -92,7 +92,8 @@ fn concurrent_nesting_never_tears_sampled_stacks() {
     assert_eq!(reparsed, profile.folded, "folded text round-trips");
 
     // A second profiling run over the same span topology still samples
-    // cleanly (arming is sticky; re-registration must not corrupt).
+    // cleanly (threads that exited after the first run leave no stale
+    // stacks behind).
     let second = profile_at(2_000, || {
         let deadline = Instant::now() + Duration::from_millis(100);
         std::thread::scope(|s| {

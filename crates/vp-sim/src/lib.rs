@@ -47,7 +47,6 @@ pub mod memory;
 pub mod mix;
 pub mod record;
 pub mod runner;
-pub mod stream;
 pub mod tracer;
 
 pub use columns::{PcShard, TraceColumns};
@@ -61,5 +60,4 @@ pub use record::{
     TraceRecorder, MAX_TRACE_EVENTS,
 };
 pub use runner::{run, RunLimits, RunStatus, RunSummary};
-pub use stream::{ValueBlockSink, ValueBlockTracer, VALUE_BLOCK};
 pub use tracer::{ChainTracer, FnTracer, NullTracer, Tracer};

@@ -8,8 +8,8 @@
 //! systematically reaches rare instructions instead of hoping for them.
 //!
 //! On a divergence the failing program is [shrunk](crate::shrink) (the
-//! predicate being "the oracle still reports a divergence") and the
-//! minimised repro is written to the corpus directory with its case seed
+//! predicate being "the oracle, run only through the stage that
+//! diverged, still diverges in that stage") and the minimised repro is written to the corpus directory with its case seed
 //! and divergence message in the header. Re-running a single case needs
 //! only its reported `case_seed`.
 //!
@@ -25,7 +25,7 @@ use vp_rng::Rng;
 use crate::corpus::write_repro;
 use crate::coverage::Coverage;
 use crate::generate::{gen_program, GenConfig};
-use crate::oracle::run_case;
+use crate::oracle::{run_case, run_case_through};
 use crate::shrink::shrink_program;
 
 /// Per-case instruction budget: far above what `GenConfig::default()` can
@@ -129,9 +129,12 @@ pub fn run_fuzz(opts: &FuzzOptions) -> io::Result<FuzzReport> {
             }
             Err(divergence) => {
                 let message = divergence.to_string();
+                let stage = divergence.stage();
                 let (shrunk, shrink_steps) = shrink_program(
                     &program,
-                    &mut |p| run_case(p, CASE_BUDGET).is_err(),
+                    &mut |p| {
+                        run_case_through(p, CASE_BUDGET, stage).is_err_and(|d| d.stage() == stage)
+                    },
                     opts.max_shrink_steps,
                 );
                 let repro_path = match &opts.corpus {

@@ -43,7 +43,7 @@ pub use corpus::{load_corpus, write_repro};
 pub use coverage::Coverage;
 pub use fuzz::{run_fuzz, FuzzOptions, FuzzReport};
 pub use generate::{gen_program, GenConfig};
-pub use oracle::{run_case, Divergence};
+pub use oracle::{run_case, run_case_through, Divergence, Stage};
 pub use refpred::ref_predict;
 pub use refprofile::RefProfileCollector;
 pub use refsim::{ref_run, RefOutcome};

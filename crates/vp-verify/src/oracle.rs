@@ -47,8 +47,11 @@
 //!    batch grid bit-identically at every tested shard × block-pool
 //!    combination, including attribution tables.
 //!
-//! Any mismatch is returned as a typed [`Divergence`]; `Ok` carries the
+//! Any mismatch is returned as a typed [`Divergence`], whose
+//! [`Divergence::stage`] names the stage that found it; `Ok` carries the
 //! captured trace so the fuzz loop can fold it into coverage.
+//! [`run_case_through`] stops after a given [`Stage`], so the shrinker
+//! never pays for the stages after the one that diverged.
 
 use std::error::Error;
 use std::fmt;
@@ -166,6 +169,53 @@ pub enum Divergence {
     },
 }
 
+/// One stage of [`run_case`], in the order the oracle runs them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Stage {
+    /// 1. Simulation differential.
+    Simulation,
+    /// 2. Profile differential.
+    Profile,
+    /// 3. Serialisation oracle.
+    Serialization,
+    /// 4. Predictor differential.
+    Predictor,
+    /// 5. Attribution oracle.
+    Attribution,
+    /// 6. Matrix oracle.
+    Matrix,
+    /// 7. ILP lanes differential.
+    Ilp,
+    /// 8. Streaming oracle.
+    Stream,
+}
+
+impl Divergence {
+    /// The stage of [`run_case`] that found this divergence.
+    #[must_use]
+    pub fn stage(&self) -> Stage {
+        match self {
+            Divergence::Status { .. }
+            | Divergence::Events(_)
+            | Divergence::Register { .. }
+            | Divergence::Memory { .. } => Stage::Simulation,
+            Divergence::Profile { .. } => Stage::Profile,
+            Divergence::Serialization { .. } => Stage::Serialization,
+            // The attribution stage re-checks the attributed replay's
+            // stats with the predictor comparison.
+            Divergence::Predictor {
+                mode: "attributed-replay",
+                ..
+            }
+            | Divergence::Attribution { .. } => Stage::Attribution,
+            Divergence::Predictor { .. } => Stage::Predictor,
+            Divergence::Matrix { .. } => Stage::Matrix,
+            Divergence::Ilp { .. } => Stage::Ilp,
+            Divergence::Stream { .. } => Stage::Stream,
+        }
+    }
+}
+
 impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -279,6 +329,21 @@ pub fn oracle_configs() -> Vec<PredictorConfig> {
 /// Returns the first [`Divergence`] found; `Ok` carries the captured
 /// trace.
 pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Divergence> {
+    run_case_through(program, max_instructions, Stage::Stream)
+}
+
+/// Runs the differential oracle on one program up to and including
+/// stage `last`, skipping every later stage.
+///
+/// # Errors
+///
+/// Returns the first [`Divergence`] found; `Ok` carries the captured
+/// trace.
+pub fn run_case_through(
+    program: &Program,
+    max_instructions: u64,
+    last: Stage,
+) -> Result<Trace, Divergence> {
     let limits = RunLimits::with_max(max_instructions);
 
     // --- 1. simulation differential ---
@@ -305,7 +370,8 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
         });
     }
 
-    let cols = recorder.into_columns();
+    let trace = Trace::from_columns(recorder.into_columns());
+    let cols = trace.columns();
     if let Some(d) = first_divergence(reference.events.iter().cloned(), cols.iter()) {
         return Err(Divergence::Events(Box::new(d)));
     }
@@ -355,6 +421,10 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
         }
     }
 
+    if last == Stage::Simulation {
+        return Ok(trace);
+    }
+
     // --- 2. profile differential ---
     let mut profiles = ChainTracer::new(
         ProfileCollector::new(program.name()),
@@ -375,8 +445,11 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
         });
     }
 
+    if last == Stage::Profile {
+        return Ok(trace);
+    }
+
     // --- 3. serialisation oracle ---
-    let trace = Trace::from_columns(cols);
     let mut bytes = Vec::new();
     if let Err(e) = trace.write_to(&mut bytes) {
         return Err(Divergence::Serialization {
@@ -400,8 +473,6 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
         }
     }
 
-    // --- 4. predictor differential ---
-    let directives: Vec<Directive> = program.text().iter().map(|i| i.directive).collect();
     let values: Vec<(InstrAddr, u64)> = trace.columns().value_events().collect();
     let expected_values = reference.events.iter().filter(|e| e.dest.is_some()).count();
     if values.len() != expected_values {
@@ -413,6 +484,12 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
             source: None,
         });
     }
+    if last == Stage::Serialization {
+        return Ok(trace);
+    }
+
+    // --- 4. predictor differential ---
+    let directives: Vec<Directive> = program.text().iter().map(|i| i.directive).collect();
 
     for config in oracle_configs() {
         let (ref_stats, ref_occ) = ref_predict(&directives, &values, &config);
@@ -456,6 +533,9 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
         }
 
         // --- 5. attribution oracle ---
+        if last == Stage::Predictor {
+            continue;
+        }
         let attr_err = |detail: String| Divergence::Attribution {
             label: config.label(),
             detail,
@@ -496,6 +576,10 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
                 "per-PC table differs between 1 and 3 shards".into(),
             ));
         }
+    }
+
+    if last <= Stage::Attribution {
+        return Ok(trace);
     }
 
     // --- 6. matrix oracle ---
@@ -584,8 +668,15 @@ pub fn run_case(program: &Program, max_instructions: u64) -> Result<Trace, Diver
         }
     }
 
+    if last == Stage::Matrix {
+        return Ok(trace);
+    }
+
     // --- 7. ILP lanes differential ---
     ilp_lanes_differential(program, &trace, limits, optimized.is_ok())?;
+    if last == Stage::Ilp {
+        return Ok(trace);
+    }
 
     // --- 8. streaming oracle ---
     // The bounded-memory streaming engine re-simulates the program and
@@ -890,6 +981,51 @@ mod tests {
             if let Err(d) = run_case(&p, 5_000) {
                 panic!("oracle diverged on hand-written kernel: {d}\n{p}");
             }
+        }
+    }
+
+    #[test]
+    fn divergences_name_their_stage() {
+        let predictor = |mode| Divergence::Predictor {
+            label: "p".into(),
+            mode,
+            detail: String::new(),
+        };
+        assert_eq!(predictor("replay").stage(), Stage::Predictor);
+        assert_eq!(predictor("attributed-replay").stage(), Stage::Attribution);
+        let profile = Divergence::Profile {
+            detail: String::new(),
+        };
+        assert_eq!(profile.stage(), Stage::Profile);
+        let stream = Divergence::Stream {
+            label: "whole plan".into(),
+            shards: 3,
+            pool: 2,
+            detail: String::new(),
+        };
+        assert_eq!(stream.stage(), Stage::Stream);
+        assert!(Stage::Simulation < Stage::Stream);
+    }
+
+    #[test]
+    fn every_stage_prefix_passes_a_healthy_program() {
+        let p = vp_isa::asm::assemble(
+            "li r1, 0\nli r2, 40\ntop: addi.st r1, r1, 1\nsd r1, 3(r1)\n\
+             bne r1, r2, top\nhalt\n",
+        )
+        .unwrap();
+        let full = run_case(&p, 5_000).unwrap();
+        for last in [
+            Stage::Simulation,
+            Stage::Profile,
+            Stage::Serialization,
+            Stage::Predictor,
+            Stage::Attribution,
+            Stage::Matrix,
+            Stage::Ilp,
+        ] {
+            let trace = run_case_through(&p, 5_000, last).unwrap();
+            assert_eq!(trace.columns(), full.columns(), "through {last:?}");
         }
     }
 

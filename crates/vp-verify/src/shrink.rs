@@ -9,10 +9,9 @@
 //! escapes the text segment would be reproducing a different bug.
 //!
 //! The predicate decides what "still fails" means; the fuzz harness passes
-//! "the oracle reports any divergence", which occasionally lets a shrink
-//! step slide from one divergence to another. For a repro corpus that is a
-//! feature: the minimal program exhibits *a* divergence, which is what a
-//! human debugs first.
+//! "the oracle, run only through the stage that diverged, still diverges
+//! in that stage", so a shrink step cannot slide to a divergence in an
+//! earlier stage, and no candidate pays for the stages after it.
 
 use vp_isa::{Directive, Opcode, Program};
 
