@@ -1,13 +1,20 @@
-//! Single-step instruction semantics.
+//! Instruction semantics and the run loop.
+//!
+//! [`crate::runner::run_on`] decodes the program's text once into a dense
+//! array, with register operands resolved to slots of the machine's one
+//! register file and branch targets made absolute, then runs one loop over
+//! that array. The loop keeps the PC in a local; its one bounds check on
+//! the array is the `PcOutOfRange` check.
 //!
 //! Arithmetic is trap-free by definition (like most simulators' functional
 //! mode): integer division by zero yields 0, remainder by zero yields the
 //! dividend, shift amounts are masked to 6 bits, and overflow wraps. This
 //! keeps every workload deterministic without fault handling.
 
-use vp_isa::{Instr, InstrAddr, Opcode, Program, Reg, RegClass};
+use vp_isa::{Instr, InstrAddr, OpCategory, Opcode, Program, Reg, RegClass};
 
-use crate::{Machine, SimError};
+use crate::machine::{read_slot, write_slot, DISCARD};
+use crate::{Machine, RunStatus, SimError, Tracer};
 
 /// A retired instruction delivered to a [`crate::Tracer`].
 ///
@@ -44,208 +51,251 @@ pub struct MemAccess {
     pub store: bool,
 }
 
-/// Result of one [`step`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// Execution continues at `machine.pc()`.
-    Continue,
-    /// A `halt` retired; the machine is stopped.
-    Halted,
+/// One instruction of the text, decoded for the run loop.
+#[derive(Debug, Clone, Copy)]
+struct Decoded<'p> {
+    op: Opcode,
+    /// Register-file slot the result goes to: [`DISCARD`] for integer `r0`
+    /// and for instructions that produce no value.
+    rd: u8,
+    /// Source slots; an operand the format lacks reads slot 0 (`r0`).
+    rs1: u8,
+    rs2: u8,
+    imm: i64,
+    /// Absolute branch/`jal` target; `None` when it leaves the 32-bit
+    /// address space, which faults only if the branch is taken.
+    target: Option<InstrAddr>,
+    /// The architectural destination a [`Retirement`] reports.
+    dest: Option<(RegClass, Reg)>,
+    instr: &'p Instr,
 }
 
-/// Executes the instruction at the machine's current PC and invokes
-/// `on_retire` with the retirement record.
-///
-/// # Errors
-///
-/// - [`SimError::PcOutOfRange`] when the PC does not name a text-segment
-///   instruction.
-/// - [`SimError::TargetOverflow`] when a branch target leaves the 32-bit
-///   instruction address space.
-pub fn step<'a>(
-    machine: &mut Machine,
-    program: &'a Program,
-    mut on_retire: impl FnMut(&Retirement<'a>),
-) -> Result<StepOutcome, SimError> {
-    let pc = machine.pc();
-    let instr = program.fetch(pc).ok_or(SimError::PcOutOfRange {
-        pc,
-        text_len: program.len(),
-    })?;
-
-    let ir = |r: Reg| machine.read_reg(RegClass::Int, r);
-    let fr = |r: Reg| machine.read_f64(r);
-    let i = |v: u64| v as i64;
-
-    let mut dest: Option<u64> = None;
-    let mut mem: Option<MemAccess> = None;
-    let mut stored: Option<u64> = None;
-    let mut taken: Option<bool> = None;
-    let mut next_pc = pc.next();
-    let mut halted = false;
-
-    use Opcode::*;
-    match instr.op {
-        // ----- integer register-register -----
-        Add => dest = Some(ir(instr.rs1).wrapping_add(ir(instr.rs2))),
-        Sub => dest = Some(ir(instr.rs1).wrapping_sub(ir(instr.rs2))),
-        Mul => dest = Some(ir(instr.rs1).wrapping_mul(ir(instr.rs2))),
-        Div => {
-            let (a, b) = (i(ir(instr.rs1)), i(ir(instr.rs2)));
-            dest = Some(if b == 0 { 0 } else { a.wrapping_div(b) } as u64);
+impl<'p> Decoded<'p> {
+    fn new(pc: InstrAddr, instr: &'p Instr) -> Self {
+        let op = instr.op;
+        let source = |class: Option<RegClass>, reg| class.map_or(0, |c| read_slot(c, reg));
+        let target = if op.category() == OpCategory::Branch || op == Opcode::Jal {
+            branch_target(pc, instr.imm)
+        } else {
+            None
+        };
+        Decoded {
+            op,
+            rd: op
+                .dest_class()
+                .map_or(DISCARD, |class| write_slot(class, instr.rd)),
+            rs1: source(op.src1_class(), instr.rs1),
+            rs2: source(op.src2_class(), instr.rs2),
+            imm: instr.imm,
+            target,
+            dest: instr.dest(),
+            instr,
         }
-        Rem => {
-            let (a, b) = (i(ir(instr.rs1)), i(ir(instr.rs2)));
-            dest = Some(if b == 0 { a } else { a.wrapping_rem(b) } as u64);
-        }
-        And => dest = Some(ir(instr.rs1) & ir(instr.rs2)),
-        Or => dest = Some(ir(instr.rs1) | ir(instr.rs2)),
-        Xor => dest = Some(ir(instr.rs1) ^ ir(instr.rs2)),
-        Sll => dest = Some(ir(instr.rs1) << (ir(instr.rs2) & 63)),
-        Srl => dest = Some(ir(instr.rs1) >> (ir(instr.rs2) & 63)),
-        Sra => dest = Some((i(ir(instr.rs1)) >> (ir(instr.rs2) & 63)) as u64),
-        Slt => dest = Some(u64::from(i(ir(instr.rs1)) < i(ir(instr.rs2)))),
-        Sltu => dest = Some(u64::from(ir(instr.rs1) < ir(instr.rs2))),
-
-        // ----- integer register-immediate -----
-        Addi => dest = Some(ir(instr.rs1).wrapping_add(instr.imm as u64)),
-        Andi => dest = Some(ir(instr.rs1) & instr.imm as u64),
-        Ori => dest = Some(ir(instr.rs1) | instr.imm as u64),
-        Xori => dest = Some(ir(instr.rs1) ^ instr.imm as u64),
-        Slli => dest = Some(ir(instr.rs1) << (instr.imm as u64 & 63)),
-        Srli => dest = Some(ir(instr.rs1) >> (instr.imm as u64 & 63)),
-        Srai => dest = Some((i(ir(instr.rs1)) >> (instr.imm as u64 & 63)) as u64),
-        Slti => dest = Some(u64::from(i(ir(instr.rs1)) < instr.imm)),
-        Muli => dest = Some(ir(instr.rs1).wrapping_mul(instr.imm as u64)),
-
-        // ----- constants & moves -----
-        Li => dest = Some(instr.imm as u64),
-        Mv => dest = Some(ir(instr.rs1)),
-
-        // ----- memory -----
-        Ld | Fld => {
-            let addr = ir(instr.rs1).wrapping_add(instr.imm as u64);
-            dest = Some(machine.memory_mut().read(addr));
-            mem = Some(MemAccess { addr, store: false });
-        }
-        Sd | Fsd => {
-            let addr = ir(instr.rs1).wrapping_add(instr.imm as u64);
-            let class = if instr.op == Fsd {
-                RegClass::Fp
-            } else {
-                RegClass::Int
-            };
-            let value = machine.read_reg(class, instr.rs2);
-            machine.memory_mut().write(addr, value);
-            mem = Some(MemAccess { addr, store: true });
-            stored = Some(value);
-        }
-
-        // ----- floating point -----
-        Fadd => dest = Some((fr(instr.rs1) + fr(instr.rs2)).to_bits()),
-        Fsub => dest = Some((fr(instr.rs1) - fr(instr.rs2)).to_bits()),
-        Fmul => dest = Some((fr(instr.rs1) * fr(instr.rs2)).to_bits()),
-        Fdiv => dest = Some((fr(instr.rs1) / fr(instr.rs2)).to_bits()),
-        Fmin => dest = Some(fr(instr.rs1).min(fr(instr.rs2)).to_bits()),
-        Fmax => dest = Some(fr(instr.rs1).max(fr(instr.rs2)).to_bits()),
-        Fneg => dest = Some((-fr(instr.rs1)).to_bits()),
-        Fmv => dest = Some(fr(instr.rs1).to_bits()),
-        CvtIf => dest = Some((i(ir(instr.rs1)) as f64).to_bits()),
-        CvtFi => {
-            let v = fr(instr.rs1);
-            let t = if v.is_nan() { 0 } else { v as i64 };
-            dest = Some(t as u64);
-        }
-        Feq => dest = Some(u64::from(fr(instr.rs1) == fr(instr.rs2))),
-        Flt => dest = Some(u64::from(fr(instr.rs1) < fr(instr.rs2))),
-        Fle => dest = Some(u64::from(fr(instr.rs1) <= fr(instr.rs2))),
-
-        // ----- control flow -----
-        Beq | Bne | Blt | Bge | Bltu | Bgeu => {
-            let (a, b) = (ir(instr.rs1), ir(instr.rs2));
-            let t = match instr.op {
-                Beq => a == b,
-                Bne => a != b,
-                Blt => i(a) < i(b),
-                Bge => i(a) >= i(b),
-                Bltu => a < b,
-                Bgeu => a >= b,
-                _ => unreachable!(),
-            };
-            taken = Some(t);
-            if t {
-                next_pc =
-                    branch_target(pc, instr.imm).ok_or(SimError::TargetOverflow { at: pc })?;
-            }
-        }
-        Jal => {
-            dest = Some(u64::from(pc.next().index()));
-            next_pc = branch_target(pc, instr.imm).ok_or(SimError::TargetOverflow { at: pc })?;
-        }
-        Jalr => {
-            dest = Some(u64::from(pc.next().index()));
-            let target = ir(instr.rs1).wrapping_add(instr.imm as u64);
-            next_pc = u32::try_from(target)
-                .map(InstrAddr::new)
-                .map_err(|_| SimError::TargetOverflow { at: pc })?;
-        }
-
-        // ----- system -----
-        Nop => {}
-        Halt => halted = true,
     }
-
-    // Commit the destination (honouring the hardwired integer zero register)
-    // and report the *architecturally visible* write only.
-    let dest = match (instr.dest(), dest) {
-        (Some((class, rd)), Some(value)) => {
-            machine.write_reg(class, rd, value);
-            Some((class, rd, value))
-        }
-        _ => None,
-    };
-
-    machine.set_pc(next_pc);
-    let retirement = Retirement {
-        addr: pc,
-        instr,
-        dest,
-        mem,
-        stored,
-        taken,
-        next_pc,
-    };
-    on_retire(&retirement);
-    Ok(if halted {
-        StepOutcome::Halted
-    } else {
-        StepOutcome::Continue
-    })
 }
 
 fn branch_target(pc: InstrAddr, imm: i64) -> Option<InstrAddr> {
     i32::try_from(imm).ok().and_then(|d| pc.offset(d))
 }
 
+/// Runs `machine` on `program` until `halt`, a fault, or
+/// `max_instructions` retirements, delivering each to `tracer`. Returns the
+/// number retired and why the run stopped.
+///
+/// On a fault the machine holds the registers, memory and PC from before
+/// the faulting instruction.
+pub(crate) fn execute(
+    machine: &mut Machine,
+    program: &Program,
+    tracer: &mut impl Tracer,
+    max_instructions: u64,
+) -> Result<(u64, RunStatus), SimError> {
+    let code: Vec<Decoded<'_>> = program
+        .iter()
+        .map(|(pc, instr)| Decoded::new(pc, instr))
+        .collect();
+    let Machine { regs, pc, mem } = machine;
+    let mut at = *pc;
+    let mut retired = 0u64;
+    let status = loop {
+        if retired >= max_instructions {
+            break Ok(RunStatus::BudgetExhausted);
+        }
+        let Some(d) = code.get(at.index() as usize) else {
+            break Err(SimError::PcOutOfRange {
+                pc: at,
+                text_len: code.len(),
+            });
+        };
+        let (a, b) = (regs[usize::from(d.rs1)], regs[usize::from(d.rs2)]);
+        let f = f64::from_bits;
+        let imm = d.imm as u64;
+        let mut ev = Retirement {
+            addr: at,
+            instr: d.instr,
+            dest: None,
+            mem: None,
+            stored: None,
+            taken: None,
+            next_pc: at.next(),
+        };
+        // A conditional branch: record the outcome and, when taken, go to
+        // the precomputed target, faulting if it was unrepresentable.
+        macro_rules! branch {
+            ($taken:expr) => {{
+                let taken = $taken;
+                ev.taken = Some(taken);
+                if taken {
+                    match d.target {
+                        Some(target) => ev.next_pc = target,
+                        None => break Err(SimError::TargetOverflow { at }),
+                    }
+                }
+                0
+            }};
+        }
+
+        // Arms follow the reference programs' dynamic opcode mix, most
+        // frequent first (results/perf_predecoded_interp.md). Every arm
+        // yields the value for slot `d.rd`; one that produces none yields 0
+        // into the discard slot.
+        use Opcode::*;
+        let value = match d.op {
+            Addi => a.wrapping_add(imm),
+            Ld | Fld => {
+                let addr = a.wrapping_add(imm);
+                ev.mem = Some(MemAccess { addr, store: false });
+                mem.read(addr)
+            }
+            Beq => branch!(a == b),
+            Li => imm,
+            Add => a.wrapping_add(b),
+            Sd | Fsd => {
+                let addr = a.wrapping_add(imm);
+                mem.write(addr, b);
+                ev.mem = Some(MemAccess { addr, store: true });
+                ev.stored = Some(b);
+                0
+            }
+            Andi => a & imm,
+            Blt => branch!((a as i64) < (b as i64)),
+            Slli => a << (imm & 63),
+            Fadd => (f(a) + f(b)).to_bits(),
+            Xor => a ^ b,
+            Jal => match d.target {
+                Some(target) => {
+                    ev.next_pc = target;
+                    u64::from(at.next().index())
+                }
+                None => break Err(SimError::TargetOverflow { at }),
+            },
+            Fmul => (f(a) * f(b)).to_bits(),
+            Srli => a >> (imm & 63),
+            Mul => a.wrapping_mul(b),
+            Muli => a.wrapping_mul(imm),
+            Bne => branch!(a != b),
+            Slt => u64::from((a as i64) < (b as i64)),
+            Mv => a,
+            Sub => a.wrapping_sub(b),
+            And => a & b,
+            Or => a | b,
+            Sll => a << (b & 63),
+            Srl => a >> (b & 63),
+            Sra => ((a as i64) >> (b & 63)) as u64,
+            Sltu => u64::from(a < b),
+            Ori => a | imm,
+            Xori => a ^ imm,
+            Srai => ((a as i64) >> (imm & 63)) as u64,
+            Slti => u64::from((a as i64) < d.imm),
+            Bge => branch!((a as i64) >= (b as i64)),
+            Bltu => branch!(a < b),
+            Bgeu => branch!(a >= b),
+            Fsub => (f(a) - f(b)).to_bits(),
+            Fdiv => (f(a) / f(b)).to_bits(),
+            Fmin => f(a).min(f(b)).to_bits(),
+            Fmax => f(a).max(f(b)).to_bits(),
+            Fneg => (-f(a)).to_bits(),
+            Fmv => a,
+            Feq => u64::from(f(a) == f(b)),
+            Flt => u64::from(f(a) < f(b)),
+            Fle => u64::from(f(a) <= f(b)),
+            Div => div(a, b),
+            Rem => rem(a, b),
+            CvtIf => ((a as i64) as f64).to_bits(),
+            CvtFi => cvt_fi(a),
+            Jalr => match jalr_target(a, imm) {
+                Some(target) => {
+                    ev.next_pc = target;
+                    u64::from(at.next().index())
+                }
+                None => break Err(SimError::TargetOverflow { at }),
+            },
+            Nop | Halt => 0,
+        };
+        regs[usize::from(d.rd)] = value;
+        ev.dest = d.dest.map(|(class, reg)| (class, reg, value));
+        tracer.retire(&ev);
+        retired += 1;
+        at = ev.next_pc;
+        if d.op == Halt {
+            break Ok(RunStatus::Halted);
+        }
+    };
+    *pc = at;
+    status.map(|status| (retired, status))
+}
+
+#[cold]
+fn div(a: u64, b: u64) -> u64 {
+    let (a, b) = (a as i64, b as i64);
+    (if b == 0 { 0 } else { a.wrapping_div(b) }) as u64
+}
+
+#[cold]
+fn rem(a: u64, b: u64) -> u64 {
+    let (a, b) = (a as i64, b as i64);
+    (if b == 0 { a } else { a.wrapping_rem(b) }) as u64
+}
+
+#[cold]
+fn cvt_fi(a: u64) -> u64 {
+    let v = f64::from_bits(a);
+    (if v.is_nan() { 0 } else { v as i64 }) as u64
+}
+
+#[cold]
+fn jalr_target(base: u64, imm: u64) -> Option<InstrAddr> {
+    u32::try_from(base.wrapping_add(imm))
+        .ok()
+        .map(InstrAddr::new)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_on;
+    use crate::{FnTracer, RunLimits, RunSummary};
     use vp_isa::asm::assemble;
 
-    fn exec(src: &str) -> (Machine, Vec<(u32, Option<u64>)>) {
+    type Log = Vec<(u32, Option<u64>)>;
+
+    /// Runs from a fresh machine until the run ends, returning the machine,
+    /// each retirement's address and destination value, and the outcome.
+    fn run_to_end(src: &str) -> (Machine, Log, Result<RunSummary, SimError>) {
         let p = assemble(src).unwrap();
         let mut m = Machine::for_program(&p);
         let mut log = Vec::new();
-        for _ in 0..10_000 {
-            let out = step(&mut m, &p, |ev| {
-                log.push((ev.addr.index(), ev.dest.map(|(_, _, v)| v)));
-            })
-            .unwrap();
-            if out == StepOutcome::Halted {
-                return (m, log);
-            }
-        }
-        panic!("program did not halt");
+        let mut record = FnTracer::new(|ev: &Retirement<'_>| {
+            log.push((ev.addr.index(), ev.dest.map(|(_, _, v)| v)));
+        });
+        let outcome = run_on(&mut m, &p, &mut record, RunLimits::with_max(10_000));
+        (m, log, outcome)
+    }
+
+    fn exec(src: &str) -> (Machine, Log) {
+        let (m, log, outcome) = run_to_end(src);
+        assert!(outcome.unwrap().halted(), "program did not halt");
+        (m, log)
     }
 
     #[test]
@@ -280,10 +330,10 @@ mod tests {
 
     #[test]
     fn loads_and_stores_round_trip() {
-        let (mut m, log) =
+        let (m, log) =
             exec(".data 100 200\nld r1, 1(r0)\naddi r2, r1, 1\nsd r2, 5(r0)\nld r3, 5(r0)\nhalt\n");
         assert_eq!(m.read_reg(RegClass::Int, Reg::new(3)), 201);
-        assert_eq!(m.memory_mut().read(5), 201);
+        assert_eq!(m.memory().read(5), 201);
         // The store produces no dest value.
         assert_eq!(log[2].1, None);
     }
@@ -323,11 +373,12 @@ mod tests {
 
     #[test]
     fn pc_out_of_range_faults() {
-        let p = assemble("nop\n").unwrap(); // no halt: falls off the end
-        let mut m = Machine::for_program(&p);
-        assert!(step(&mut m, &p, |_| {}).is_ok());
-        let e = step(&mut m, &p, |_| {}).unwrap_err();
+        // No halt: the nop retires, then the PC falls off the end.
+        let (m, log, outcome) = run_to_end("nop\n");
+        assert_eq!(log.len(), 1);
+        let e = outcome.unwrap_err();
         assert!(matches!(e, SimError::PcOutOfRange { .. }));
+        assert_eq!(m.pc(), InstrAddr::new(1));
     }
 
     #[test]
@@ -352,21 +403,19 @@ mod tests {
 
     #[test]
     fn jalr_faults_on_unrepresentable_target() {
-        let p = assemble("li r1, -5\njalr r0, r1, 0\nhalt\n").unwrap();
-        let mut m = Machine::for_program(&p);
-        step(&mut m, &p, |_| {}).unwrap();
-        let e = step(&mut m, &p, |_| {}).unwrap_err();
+        let (m, log, outcome) = run_to_end("li r1, -5\njalr r0, r1, 0\nhalt\n");
+        assert_eq!(log.len(), 1);
+        let e = outcome.unwrap_err();
         assert!(matches!(e, SimError::TargetOverflow { .. }), "{e:?}");
+        assert_eq!(m.pc(), InstrAddr::new(1));
     }
 
     #[test]
     fn branch_retirement_reports_taken_flag() {
         let p = assemble("li r1, 1\nbne r1, r0, t\nt: beq r1, r0, t\nhalt\n").unwrap();
-        let mut m = Machine::for_program(&p);
         let mut taken_flags = Vec::new();
-        for _ in 0..4 {
-            let _ = step(&mut m, &p, |ev| taken_flags.push(ev.taken)).unwrap();
-        }
+        let mut flags = FnTracer::new(|ev: &Retirement<'_>| taken_flags.push(ev.taken));
+        crate::run(&p, &mut flags, RunLimits::default()).unwrap();
         assert_eq!(taken_flags, vec![None, Some(true), Some(false), None]);
     }
 

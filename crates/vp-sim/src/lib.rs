@@ -51,7 +51,7 @@ pub mod tracer;
 
 pub use columns::{PcShard, TraceColumns};
 pub use error::SimError;
-pub use exec::{MemAccess, Retirement, StepOutcome};
+pub use exec::{MemAccess, Retirement};
 pub use machine::Machine;
 pub use memory::Memory;
 pub use mix::InstrMix;

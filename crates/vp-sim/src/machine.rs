@@ -4,6 +4,33 @@ use vp_isa::{InstrAddr, Program, Reg, RegClass};
 
 use crate::Memory;
 
+/// Slots of the register file: integer `r0`–`r31` at 0–31, FP `f0`–`f31`
+/// at 32–63, and [`DISCARD`] for writes that leave no architectural trace.
+/// Slots are `u8`s and the file has one entry for each, so indexing it
+/// needs no bounds check; slots 65–255 are never used.
+pub(crate) const REG_SLOTS: usize = 1 << u8::BITS;
+
+/// The slot that takes writes to the hardwired integer `r0`, so slot 0
+/// always reads zero.
+pub(crate) const DISCARD: u8 = 2 * vp_isa::reg::NUM_REGS as u8;
+
+/// The register-file slot a read of `reg` uses.
+pub(crate) fn read_slot(class: RegClass, reg: Reg) -> u8 {
+    match class {
+        RegClass::Int => reg.index(),
+        RegClass::Fp => vp_isa::reg::NUM_REGS as u8 + reg.index(),
+    }
+}
+
+/// The register-file slot a write to `reg` uses.
+pub(crate) fn write_slot(class: RegClass, reg: Reg) -> u8 {
+    if class == RegClass::Int && reg.is_zero() {
+        DISCARD
+    } else {
+        read_slot(class, reg)
+    }
+}
+
 /// Architectural state: both register files, the program counter and memory.
 ///
 /// The integer register `r0` is hardwired to zero: writes are discarded and
@@ -24,10 +51,10 @@ use crate::Memory;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Machine {
-    int_regs: [u64; vp_isa::reg::NUM_REGS],
-    fp_regs: [u64; vp_isa::reg::NUM_REGS],
-    pc: InstrAddr,
-    mem: Memory,
+    /// One file for both classes, indexed by `read_slot`/`write_slot`.
+    pub(crate) regs: [u64; REG_SLOTS],
+    pub(crate) pc: InstrAddr,
+    pub(crate) mem: Memory,
 }
 
 impl Machine {
@@ -36,8 +63,7 @@ impl Machine {
     #[must_use]
     pub fn for_program(program: &Program) -> Self {
         Machine {
-            int_regs: [0; vp_isa::reg::NUM_REGS],
-            fp_regs: [0; vp_isa::reg::NUM_REGS],
+            regs: [0; REG_SLOTS],
             pc: InstrAddr::new(0),
             mem: Memory::with_image(program.data()),
         }
@@ -49,59 +75,33 @@ impl Machine {
         self.pc
     }
 
-    /// Sets the program counter.
-    pub fn set_pc(&mut self, pc: InstrAddr) {
-        self.pc = pc;
-    }
-
     /// Reads a register from the given file.
     #[must_use]
     pub fn read_reg(&self, class: RegClass, reg: Reg) -> u64 {
-        match class {
-            RegClass::Int => {
-                if reg.is_zero() {
-                    0
-                } else {
-                    self.int_regs[usize::from(reg)]
-                }
-            }
-            RegClass::Fp => self.fp_regs[usize::from(reg)],
-        }
+        self.regs[usize::from(read_slot(class, reg))]
     }
 
     /// Reads an FP register as a double.
     #[must_use]
     pub fn read_f64(&self, reg: Reg) -> f64 {
-        f64::from_bits(self.fp_regs[usize::from(reg)])
+        f64::from_bits(self.read_reg(RegClass::Fp, reg))
     }
 
     /// Writes a register in the given file. Writes to integer `r0` are
     /// discarded.
     pub fn write_reg(&mut self, class: RegClass, reg: Reg, value: u64) {
-        match class {
-            RegClass::Int => {
-                if !reg.is_zero() {
-                    self.int_regs[usize::from(reg)] = value;
-                }
-            }
-            RegClass::Fp => self.fp_regs[usize::from(reg)] = value,
-        }
+        self.regs[usize::from(write_slot(class, reg))] = value;
     }
 
     /// Writes an FP register from a double.
     pub fn write_f64(&mut self, reg: Reg, value: f64) {
-        self.fp_regs[usize::from(reg)] = value.to_bits();
+        self.write_reg(RegClass::Fp, reg, value.to_bits());
     }
 
     /// The machine's memory.
     #[must_use]
     pub fn memory(&self) -> &Memory {
         &self.mem
-    }
-
-    /// Mutable access to the machine's memory.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
     }
 }
 
@@ -116,9 +116,9 @@ mod tests {
 
     #[test]
     fn data_image_is_loaded() {
-        let mut m = machine();
-        assert_eq!(m.memory_mut().read(0), 11);
-        assert_eq!(m.memory_mut().read(1), 22);
+        let m = machine();
+        assert_eq!(m.memory().read(0), 11);
+        assert_eq!(m.memory().read(1), 22);
     }
 
     #[test]

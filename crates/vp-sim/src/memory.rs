@@ -30,8 +30,6 @@ const DENSE_PAGES: usize = 256;
 pub struct Memory {
     low: Vec<Option<Box<[u64; PAGE_WORDS]>>>,
     high: HashMap<u64, Box<[u64; PAGE_WORDS]>>,
-    reads: u64,
-    writes: u64,
 }
 
 impl Memory {
@@ -51,20 +49,12 @@ impl Memory {
                 m.write(i as u64, w);
             }
         }
-        m.reads = 0;
-        m.writes = 0;
         m
     }
 
     /// Reads the word at `addr` (zero if never written).
-    pub fn read(&mut self, addr: u64) -> u64 {
-        self.reads += 1;
-        self.peek(addr)
-    }
-
-    /// Reads without counting as an access (for debugging / assertions).
     #[must_use]
-    pub fn peek(&self, addr: u64) -> u64 {
+    pub fn read(&self, addr: u64) -> u64 {
         let (page, offset) = split(addr);
         let page = match usize::try_from(page) {
             Ok(p) if p < DENSE_PAGES => self.low.get(p).and_then(Option::as_ref),
@@ -75,7 +65,6 @@ impl Memory {
 
     /// Writes the word at `addr`.
     pub fn write(&mut self, addr: u64, value: u64) {
-        self.writes += 1;
         let (page, offset) = split(addr);
         let page = match usize::try_from(page) {
             Ok(p) if p < DENSE_PAGES => {
@@ -93,18 +82,6 @@ impl Memory {
     #[must_use]
     pub fn resident_pages(&self) -> usize {
         self.low.iter().flatten().count() + self.high.len()
-    }
-
-    /// Total counted read accesses.
-    #[must_use]
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total counted write accesses.
-    #[must_use]
-    pub fn writes(&self) -> u64 {
-        self.writes
     }
 }
 
@@ -125,7 +102,7 @@ mod tests {
 
     #[test]
     fn zero_fill_semantics() {
-        let mut m = Memory::new();
+        let m = Memory::new();
         assert_eq!(m.read(0), 0);
         assert_eq!(m.read(u64::MAX), 0);
     }
@@ -150,29 +127,13 @@ mod tests {
     }
 
     #[test]
-    fn image_loads_at_zero_and_resets_counters() {
-        let mut m = Memory::with_image(&[5, 0, 7]);
+    fn image_loads_at_zero() {
+        let m = Memory::with_image(&[5, 0, 7]);
         assert_eq!(m.read(0), 5);
         assert_eq!(m.read(1), 0);
         assert_eq!(m.read(2), 7);
-        assert_eq!(m.writes(), 0);
-        assert_eq!(m.reads(), 3);
-    }
-
-    #[test]
-    fn peek_does_not_count() {
-        let m = Memory::with_image(&[9]);
-        assert_eq!(m.peek(0), 9);
-        assert_eq!(m.reads(), 0);
-    }
-
-    #[test]
-    fn access_counters_track() {
-        let mut m = Memory::new();
-        m.write(1, 1);
-        m.write(2, 2);
-        m.read(1);
-        assert_eq!((m.reads(), m.writes()), (1, 2));
+        // A zero word of the image materialises nothing.
+        assert_eq!(m.resident_pages(), 1);
     }
 
     #[test]
@@ -192,7 +153,6 @@ mod tests {
         }
         for (i, &a) in addrs.iter().enumerate() {
             assert_eq!(m.read(a), i as u64 + 1, "{a:#x}");
-            assert_eq!(m.peek(a), i as u64 + 1, "{a:#x}");
         }
         // Unwritten neighbours in resident pages of both tiers read zero.
         assert_eq!(m.read(boundary - 2), 0);
@@ -200,21 +160,19 @@ mod tests {
         assert_eq!(m.read(u64::MAX - 1), 0);
         // One dense page, one spilled page at the boundary, two at the top.
         assert_eq!(m.resident_pages(), 4);
-        assert_eq!((m.reads(), m.writes()), (9, 6));
     }
 
     #[test]
-    fn image_reaching_the_spill_tier_counts_no_accesses() {
+    fn image_reaching_the_spill_tier_fills_both_tiers() {
         let boundary = DENSE_PAGES * PAGE_WORDS;
         let mut image = vec![0u64; boundary + 2];
         image[3] = 1;
         image[boundary - 1] = 2;
         image[boundary + 1] = 3;
         let m = Memory::with_image(&image);
-        assert_eq!((m.reads(), m.writes()), (0, 0));
         assert_eq!(m.resident_pages(), 3);
-        assert_eq!(m.peek(boundary as u64 - 1), 2);
-        assert_eq!(m.peek(boundary as u64 + 1), 3);
-        assert_eq!(m.peek(boundary as u64), 0);
+        assert_eq!(m.read(boundary as u64 - 1), 2);
+        assert_eq!(m.read(boundary as u64 + 1), 3);
+        assert_eq!(m.read(boundary as u64), 0);
     }
 }

@@ -4,7 +4,6 @@ use std::fmt;
 
 use vp_isa::Program;
 
-use crate::exec::{step, StepOutcome};
 use crate::{Machine, SimError, Tracer};
 
 /// Execution limits for a run.
@@ -103,9 +102,13 @@ pub fn run(
 /// Like [`run`], but continues an existing machine (useful for phase-split
 /// measurements such as the paper's FP init vs. computation phases).
 ///
+/// Each call decodes the program's text once (O(text)) and runs the
+/// decoded form; the decoded array is dropped when the call returns.
+///
 /// # Errors
 ///
-/// Propagates [`SimError`] faults.
+/// Propagates [`SimError`] faults. The machine then holds the registers,
+/// memory and PC from before the faulting instruction.
 pub fn run_on(
     machine: &mut Machine,
     program: &Program,
@@ -113,17 +116,8 @@ pub fn run_on(
     limits: RunLimits,
 ) -> Result<RunSummary, SimError> {
     let started = std::time::Instant::now();
-    let mut retired = 0u64;
-    let status = loop {
-        if retired >= limits.max_instructions {
-            break RunStatus::BudgetExhausted;
-        }
-        let outcome = step(machine, program, |ev| tracer.retire(ev))?;
-        retired += 1;
-        if outcome == StepOutcome::Halted {
-            break RunStatus::Halted;
-        }
-    };
+    let (retired, status) =
+        crate::exec::execute(machine, program, tracer, limits.max_instructions)?;
     // Throughput accounting for the observability layer: one bump per
     // completed run, outside the retire loop, so per-instruction cost is
     // untouched.

@@ -6,9 +6,9 @@
 //! 1. **Simulation differential** — the optimised [`vp_sim`] machine (with
 //!    the columnar [`TraceRecorder`] attached) against the row-oriented
 //!    [`ref_run`] interpreter: identical run status, retired-instruction
-//!    count, retirement event stream (both as the columns iterate it and
-//!    as [`Trace::replay`] rebuilds it), final register files and final
-//!    memory.
+//!    count, final program counter, retirement event stream (both as the
+//!    columns iterate it and as [`Trace::replay`] rebuilds it), final
+//!    register files and final memory.
 //! 2. **Profile differential** — the dense [`ProfileCollector`] against
 //!    the map-based [`RefProfileCollector`], both fed by the trace
 //!    replay: identical images in [`format::to_text`] form.
@@ -72,7 +72,7 @@ use crate::refsim::ref_run;
 /// A mismatch between the optimised stack and its reference model.
 #[derive(Debug)]
 pub enum Divergence {
-    /// Run status / fault / retired-count mismatch.
+    /// Run status / fault / retired-count / final PC mismatch.
     Status {
         /// Optimised outcome rendered for humans.
         optimized: String,
@@ -357,15 +357,23 @@ pub fn run_case_through(
         (Err(a), Err(b)) => a == b,
         _ => false,
     };
-    if !status_matches {
+    if !status_matches || machine.pc() != reference.pc {
         return Err(Divergence::Status {
             optimized: match &optimized {
-                Ok(s) => format!("{:?} after {} instructions", s.status(), s.instructions()),
-                Err(e) => format!("fault: {e}"),
+                Ok(s) => format!(
+                    "{:?} after {} instructions at {}",
+                    s.status(),
+                    s.instructions(),
+                    machine.pc()
+                ),
+                Err(e) => format!("fault: {e}, machine at {}", machine.pc()),
             },
             reference: match &reference.status {
-                Ok(r) => format!("{:?} after {} instructions", r, reference.retired),
-                Err(e) => format!("fault: {e}"),
+                Ok(r) => format!(
+                    "{:?} after {} instructions at {}",
+                    r, reference.retired, reference.pc
+                ),
+                Err(e) => format!("fault: {e}, machine at {}", reference.pc),
             },
         });
     }
@@ -411,7 +419,7 @@ pub fn run_case_through(
     }
 
     for (&addr, &value) in &reference.memory {
-        let opt = machine.memory().peek(addr);
+        let opt = machine.memory().read(addr);
         if opt != value {
             return Err(Divergence::Memory {
                 addr,
@@ -981,6 +989,69 @@ mod tests {
             if let Err(d) = run_case(&p, 5_000) {
                 panic!("oracle diverged on hand-written kernel: {d}\n{p}");
             }
+        }
+
+        // Control transfers the assembler cannot express: targets outside
+        // the text or the address space. Each program first leaves state in
+        // an integer register, an FP register and memory, which the oracle
+        // compares with the final PC after the fault.
+        use vp_isa::{Instr, Opcode};
+        use vp_sim::SimError;
+        let (r1, r2, r31) = (Reg::new(1), Reg::new(2), Reg::new(31));
+        let prologue = [
+            Instr::rd_imm(Opcode::Li, r1, 7),
+            Instr::store(Opcode::Sd, r1, Reg::ZERO, 3),
+            Instr::unary(Opcode::CvtIf, Reg::new(4), r1),
+        ];
+        let overflow = |at| {
+            Some(SimError::TargetOverflow {
+                at: InstrAddr::new(at),
+            })
+        };
+        for (tail, fault) in [
+            // Untaken branches whose targets are unrepresentable: no fault.
+            (
+                vec![
+                    Instr::branch(Opcode::Beq, r1, Reg::ZERO, i64::MAX),
+                    Instr::branch(Opcode::Bltu, r1, r2, -100),
+                    Instr::halt(),
+                ],
+                None,
+            ),
+            // The same branches taken fault at their own PC.
+            (
+                vec![
+                    Instr::branch(Opcode::Bne, r1, Reg::ZERO, i64::MAX),
+                    Instr::halt(),
+                ],
+                overflow(3),
+            ),
+            (
+                vec![Instr::branch(Opcode::Bgeu, r1, r2, -100), Instr::halt()],
+                overflow(3),
+            ),
+            // A `jal` that cannot be represented faults before linking.
+            (
+                vec![Instr::rd_imm(Opcode::Jal, r31, -4), Instr::halt()],
+                overflow(3),
+            ),
+            // A `jal` past the end of the text links, then the next fetch
+            // faults.
+            (
+                vec![Instr::rd_imm(Opcode::Jal, r31, 10), Instr::halt()],
+                Some(SimError::PcOutOfRange {
+                    pc: InstrAddr::new(13),
+                    text_len: 5,
+                }),
+            ),
+        ] {
+            let text = prologue.iter().copied().chain(tail).collect();
+            let p = Program::new("fault-paths", text, vec![0; 4]);
+            if let Err(d) = run_case(&p, 5_000) {
+                panic!("oracle diverged on a fault path: {d}\n{p}");
+            }
+            let outcome = vp_sim::run(&p, &mut vp_sim::NullTracer, RunLimits::with_max(5_000));
+            assert_eq!(outcome.err(), fault, "{p}");
         }
     }
 

@@ -35,6 +35,9 @@ pub struct RefOutcome {
     pub status: Result<RunStatus, SimError>,
     /// Number of retired instructions.
     pub retired: u64,
+    /// Final program counter: past the `halt`, at the next instruction when
+    /// the budget ran out, and at the faulting instruction after a fault.
+    pub pc: InstrAddr,
 }
 
 struct RefMachine {
@@ -162,6 +165,7 @@ pub fn ref_run(program: &Program, max_instructions: u64) -> RefOutcome {
         events,
         status,
         retired,
+        pc: InstrAddr::new(m.pc),
     }
 }
 

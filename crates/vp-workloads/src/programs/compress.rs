@@ -116,8 +116,8 @@ mod tests {
         let n = p.data()[0];
         let mut m = Machine::for_program(&p);
         vp_sim::runner::run_on(&mut m, &p, &mut NullTracer, RunLimits::default()).unwrap();
-        let hits = m.memory_mut().read(DONE as u64);
-        let misses = m.memory_mut().read(DONE as u64 + 1);
+        let hits = m.memory().read(DONE as u64);
+        let misses = m.memory().read(DONE as u64 + 1);
         assert_eq!(hits + misses, n);
         assert!(misses > 0, "some dictionary misses expected");
         assert!(hits > 0, "skewed text must produce dictionary hits");
@@ -144,8 +144,8 @@ mod tests {
         }
         let mut m = Machine::for_program(&p);
         vp_sim::runner::run_on(&mut m, &p, &mut NullTracer, RunLimits::default()).unwrap();
-        assert_eq!(m.memory_mut().read(DONE as u64), hits);
-        assert_eq!(m.memory_mut().read(DONE as u64 + 1), misses);
+        assert_eq!(m.memory().read(DONE as u64), hits);
+        assert_eq!(m.memory().read(DONE as u64 + 1), misses);
     }
 
     #[test]

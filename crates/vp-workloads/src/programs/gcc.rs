@@ -119,7 +119,7 @@ mod tests {
         let mut m = Machine::for_program(&p);
         vp_sim::runner::run_on(&mut m, &p, &mut NullTracer, RunLimits::default()).unwrap();
         let total: u64 = (0..CLASSES as u64)
-            .map(|k| m.memory_mut().read(CNT as u64 + k))
+            .map(|k| m.memory().read(CNT as u64 + k))
             .sum();
         assert_eq!(total, n, "every token must be classified exactly once");
     }
@@ -129,10 +129,8 @@ mod tests {
         let p = build(&InputSet::train(1));
         let mut m = Machine::for_program(&p);
         vp_sim::runner::run_on(&mut m, &p, &mut NullTracer, RunLimits::default()).unwrap();
-        let lo: u64 = (0..8u64).map(|k| m.memory_mut().read(CNT as u64 + k)).sum();
-        let hi: u64 = (40..48u64)
-            .map(|k| m.memory_mut().read(CNT as u64 + k))
-            .sum();
+        let lo: u64 = (0..8u64).map(|k| m.memory().read(CNT as u64 + k)).sum();
+        let hi: u64 = (40..48u64).map(|k| m.memory().read(CNT as u64 + k)).sum();
         assert!(lo > hi, "low classes should dominate ({lo} vs {hi})");
     }
 

@@ -137,8 +137,8 @@ mod tests {
         let p = build(&InputSet::train(0));
         let mut m = Machine::for_program(&p);
         vp_sim::runner::run_on(&mut m, &p, &mut NullTracer, RunLimits::default()).unwrap();
-        let best = m.memory_mut().read(2) as i64;
-        let bestpos = m.memory_mut().read(3) as i64;
+        let best = m.memory().read(2) as i64;
+        let bestpos = m.memory().read(3) as i64;
         // 8 neighbours x weight < 64 + seed < 32.
         assert!(best > 0 && best < 8 * 64 + 32, "best = {best}");
         assert!((0..512).contains(&bestpos), "bestpos = {bestpos}");

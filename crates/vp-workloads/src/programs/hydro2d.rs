@@ -166,7 +166,7 @@ mod tests {
         vp_sim::runner::run_on(&mut m, &p, &mut NullTracer, RunLimits::default()).unwrap();
         for base in [RHO, MOM] {
             for k in [0u64, 100, 1023] {
-                let v = f64::from_bits(m.memory_mut().read(base as u64 + k));
+                let v = f64::from_bits(m.memory().read(base as u64 + k));
                 // Each update scales by <= 0.3 * 0.995 * (2 + lambda-ish),
                 // keeping the fields well inside +-2.
                 assert!(v.is_finite() && v.abs() < 2.0, "field@{base}+{k} = {v}");
@@ -181,7 +181,7 @@ mod tests {
         let mut m = Machine::for_program(&p);
         vp_sim::runner::run_on(&mut m, &p, &mut NullTracer, RunLimits::default()).unwrap();
         // 4 chained increments of +1..+4 = +10 per density-pass point.
-        assert_eq!(m.memory_mut().read(OUT as u64), steps * 1024 * 10);
+        assert_eq!(m.memory().read(OUT as u64), steps * 1024 * 10);
     }
 
     #[test]

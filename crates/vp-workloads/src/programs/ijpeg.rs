@@ -131,7 +131,7 @@ mod tests {
         let data = p.data();
         for (blk, k) in [(0u64, 0u64), (0, 5), (3, 7), (100, 2)] {
             assert_eq!(
-                m.memory_mut().read(OUT as u64 + blk * 8 + k),
+                m.memory().read(OUT as u64 + blk * 8 + k),
                 expected_row(data, blk, k),
                 "block {blk} row {k}"
             );
@@ -146,9 +146,9 @@ mod tests {
         let mut m = Machine::for_program(&p);
         vp_sim::runner::run_on(&mut m, &p, &mut NullTracer, RunLimits::default()).unwrap();
         // Outputs end exactly at the last processed block.
-        assert_eq!(m.memory_mut().read(OUT as u64 + n * 8), 0);
+        assert_eq!(m.memory().read(OUT as u64 + n * 8), 0);
         // Cursor advanced once per row.
-        let cursor = m.memory_mut().read(CURSOR as u64);
+        let cursor = m.memory().read(CURSOR as u64);
         assert_eq!(cursor % (n * 8), 0, "cursor {cursor} rows {}", n * 8);
     }
 

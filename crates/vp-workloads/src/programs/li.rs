@@ -207,7 +207,7 @@ mod tests {
             }
             ptr = data[HEAP as usize + ptr as usize + 1];
         }
-        assert_eq!(m.memory_mut().read(RESULTS as u64 + listid) as i64, acc);
+        assert_eq!(m.memory().read(RESULTS as u64 + listid) as i64, acc);
     }
 
     #[test]

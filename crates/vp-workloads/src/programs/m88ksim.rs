@@ -131,20 +131,20 @@ mod tests {
     #[test]
     fn guest_loop_executes_n_iterations() {
         let input = InputSet::train(0);
-        let (p, mut m) = finish(&input);
+        let (p, m) = finish(&input);
         let n = p.data()[GMEM as usize + 1];
         // One SUBC and one BNZ per guest iteration, one LOAD at startup.
-        assert_eq!(m.memory_mut().read(STATS as u64 + 2), n);
-        assert_eq!(m.memory_mut().read(STATS as u64 + 3), n);
-        assert_eq!(m.memory_mut().read(STATS as u64 + 4), 1);
+        assert_eq!(m.memory().read(STATS as u64 + 2), n);
+        assert_eq!(m.memory().read(STATS as u64 + 3), n);
+        assert_eq!(m.memory().read(STATS as u64 + 4), 1);
     }
 
     #[test]
     fn simulated_clock_counts_dispatches() {
-        let (p, mut m) = finish(&InputSet::train(1));
+        let (p, m) = finish(&InputSet::train(1));
         let n = p.data()[GMEM as usize + 1];
         // Dispatches: 1 LOAD + n SUBC + n BNZ + 1 HALTG.
-        assert_eq!(m.memory_mut().read(STATS as u64 + 1), 2 * n + 2);
+        assert_eq!(m.memory().read(STATS as u64 + 1), 2 * n + 2);
     }
 
     #[test]

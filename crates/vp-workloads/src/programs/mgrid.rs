@@ -179,26 +179,26 @@ mod tests {
 
     #[test]
     fn grid_is_initialised_to_unit_interval() {
-        let (_, mut m) = finish(&InputSet::train(0));
+        let (_, m) = finish(&InputSet::train(0));
         for k in [0u64, 17, 555, 1023] {
-            let v = f64::from_bits(m.memory_mut().read(GRID as u64 + k));
+            let v = f64::from_bits(m.memory().read(GRID as u64 + k));
             assert!(v > 0.0 && v <= 1.0, "grid[{k}] = {v}");
         }
     }
 
     #[test]
     fn relaxation_smooths_and_damps_the_interior() {
-        let (_, mut m) = finish(&InputSet::train(1));
+        let (_, m) = finish(&InputSet::train(1));
         // Interior cells hold damped neighbour averages: all finite, within
         // the unit interval scaled by the damping factors.
         for idx in [33u64, 500, 990] {
-            let v = f64::from_bits(m.memory_mut().read(GRID as u64 + idx));
+            let v = f64::from_bits(m.memory().read(GRID as u64 + idx));
             assert!(
                 v.is_finite() && (0.0..1.0).contains(&v),
                 "grid[{idx}] = {v}"
             );
         }
-        let acc = f64::from_bits(m.memory_mut().read(OUT as u64));
+        let acc = f64::from_bits(m.memory().read(OUT as u64));
         assert!(acc.is_finite() && acc > 0.0);
     }
 

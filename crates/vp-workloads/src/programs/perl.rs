@@ -141,9 +141,7 @@ mod tests {
         let n = p.data()[0];
         let mut m = Machine::for_program(&p);
         vp_sim::runner::run_on(&mut m, &p, &mut NullTracer, RunLimits::default()).unwrap();
-        let total: u64 = (0..512u64)
-            .map(|k| m.memory_mut().read(HTAB as u64 + k))
-            .sum();
+        let total: u64 = (0..512u64).map(|k| m.memory().read(HTAB as u64 + k)).sum();
         assert_eq!(total, n, "each script op lands in exactly one bucket");
     }
 
@@ -164,7 +162,7 @@ mod tests {
         let bucket = acc.wrapping_mul(37) & 511;
         let mut m = Machine::for_program(&p);
         vp_sim::runner::run_on(&mut m, &p, &mut NullTracer, RunLimits::default()).unwrap();
-        assert!(m.memory_mut().read(HTAB as u64 + bucket) >= 1);
+        assert!(m.memory().read(HTAB as u64 + bucket) >= 1);
     }
 
     #[test]

@@ -211,7 +211,7 @@ mod tests {
         // of site 0 is overwritten identically every sweep (links never
         // change), so the final value equals the first-sweep value.
         vp_sim::runner::run_on(&mut m, &p, &mut NullTracer, RunLimits::default()).unwrap();
-        let got = f64::from_bits(m.memory_mut().read(TR as u64));
+        let got = f64::from_bits(m.memory().read(TR as u64));
         assert!((got - q[0]).abs() < 1e-12, "trace {got} vs model {}", q[0]);
     }
 
@@ -221,7 +221,7 @@ mod tests {
         let mut m = Machine::for_program(&p);
         vp_sim::runner::run_on(&mut m, &p, &mut NullTracer, RunLimits::default()).unwrap();
         for k in 0..SITES as u64 {
-            let v = f64::from_bits(m.memory_mut().read(TR as u64 + k));
+            let v = f64::from_bits(m.memory().read(TR as u64 + k));
             // Each link has quaternion norm <= 1 (four components <= 0.5),
             // and the norm is multiplicative, so any product trace is <= 1.
             assert!(v.is_finite() && v.abs() <= 1.0 + 1e-9, "tr[{k}] = {v}");

@@ -168,10 +168,10 @@ mod tests {
 
     #[test]
     fn fields_stay_finite_through_the_timesteps() {
-        let (_, mut m) = finish(&InputSet::train(0));
+        let (_, m) = finish(&InputSet::train(0));
         for base in [U, V, P] {
             for k in [33u64, 512, 990] {
-                let v = f64::from_bits(m.memory_mut().read(base as u64 + k));
+                let v = f64::from_bits(m.memory().read(base as u64 + k));
                 assert!(v.is_finite(), "field@{base}+{k} = {v}");
             }
         }
@@ -179,14 +179,14 @@ mod tests {
 
     #[test]
     fn pressure_changes_from_its_initial_value() {
-        let (p, mut m) = finish(&InputSet::train(1));
+        let (p, m) = finish(&InputSet::train(1));
         let seeds = p.data();
         let init_p = f64::from_bits(seeds[P as usize + 33]);
         // The init phase wrote u+v into p; timesteps must have moved it.
         let _ = init_p; // initial image stores zero (filled at runtime)
-        let after = f64::from_bits(m.memory_mut().read(P as u64 + 33));
-        let u = f64::from_bits(m.memory_mut().read(U as u64 + 33));
-        let v = f64::from_bits(m.memory_mut().read(V as u64 + 33));
+        let after = f64::from_bits(m.memory().read(P as u64 + 33));
+        let u = f64::from_bits(m.memory().read(U as u64 + 33));
+        let v = f64::from_bits(m.memory().read(V as u64 + 33));
         assert_ne!(after, u + v, "p must have advanced past its initial value");
     }
 

@@ -174,21 +174,21 @@ mod tests {
 
     #[test]
     fn residual_is_the_grid_maximum() {
-        let (_, mut m) = finish(&InputSet::train(0));
-        let resid = f64::from_bits(m.memory_mut().read(OUT as u64 + 2));
+        let (_, m) = finish(&InputSet::train(0));
+        let resid = f64::from_bits(m.memory().read(OUT as u64 + 2));
         assert!(resid.is_finite() && resid >= 0.0);
         for k in 0..1024u64 {
-            let v = f64::from_bits(m.memory_mut().read(X as u64 + k));
+            let v = f64::from_bits(m.memory().read(X as u64 + k));
             assert!(v <= resid + 1e-12, "x[{k}] = {v} exceeds residual {resid}");
         }
     }
 
     #[test]
     fn mesh_coordinates_stay_finite() {
-        let (_, mut m) = finish(&InputSet::train(1));
+        let (_, m) = finish(&InputSet::train(1));
         for base in [X, Y] {
             for k in [40u64, 500, 1000] {
-                let v = f64::from_bits(m.memory_mut().read(base as u64 + k));
+                let v = f64::from_bits(m.memory().read(base as u64 + k));
                 assert!(v.is_finite(), "coord@{base}+{k} = {v}");
             }
         }

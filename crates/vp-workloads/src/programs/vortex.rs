@@ -121,9 +121,9 @@ mod tests {
         let n = p.data()[0];
         let mut m = Machine::for_program(&p);
         vp_sim::runner::run_on(&mut m, &p, &mut NullTracer, RunLimits::default()).unwrap();
-        assert_eq!(m.memory_mut().read(LOG as u64 + 1), n);
+        assert_eq!(m.memory().read(LOG as u64 + 1), n);
         // LSN advances by a fixed stride per transaction.
-        let lsn = m.memory_mut().read(LOG as u64);
+        let lsn = m.memory().read(LOG as u64);
         assert_eq!(lsn % n, 0, "lsn {lsn} must be a multiple of the txn count");
     }
 
@@ -133,9 +133,7 @@ mod tests {
         let before: u64 = p.data()[RECS as usize..RECS as usize + 2048].iter().sum();
         let mut m = Machine::for_program(&p);
         vp_sim::runner::run_on(&mut m, &p, &mut NullTracer, RunLimits::default()).unwrap();
-        let after: u64 = (0..2048u64)
-            .map(|k| m.memory_mut().read(RECS as u64 + k))
-            .sum();
+        let after: u64 = (0..2048u64).map(|k| m.memory().read(RECS as u64 + k)).sum();
         assert!(after > before, "transactions must mutate record fields");
     }
 
