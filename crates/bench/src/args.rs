@@ -60,7 +60,7 @@ mod tests {
                 "--jobs",
                 "4",
                 "--metrics-table",
-                "--trace-cache=/tmp/t",
+                "--metrics-out=/tmp/m.json",
                 "pos",
             ],
             &["--metrics-table"],
@@ -68,7 +68,12 @@ mod tests {
         .unwrap();
         assert_eq!(
             out,
-            ["--jobs=4", "--metrics-table", "--trace-cache=/tmp/t", "pos"]
+            [
+                "--jobs=4",
+                "--metrics-table",
+                "--metrics-out=/tmp/m.json",
+                "pos"
+            ]
         );
     }
 

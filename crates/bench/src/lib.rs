@@ -25,8 +25,6 @@
 //!                            the trace is never materialised (peak RSS
 //!                            independent of trace length; results
 //!                            byte-identical to batch)
-//! --trace-cache=DIR          spill captured simulation traces to DIR and
-//!                            reuse them on later runs
 //! --metrics-out=FILE         write a JSON run manifest (phase wall times,
 //!                            cache and predictor counters, throughput,
 //!                            peak RSS) to FILE after the run
@@ -80,8 +78,6 @@ pub struct Options {
     pub jobs: usize,
     /// Whether predictor sweeps run in streaming (bounded-memory) mode.
     pub stream: bool,
-    /// On-disk trace cache directory, if any.
-    pub trace_cache: Option<PathBuf>,
     /// Where to write the JSON run manifest, if anywhere.
     pub metrics_out: Option<PathBuf>,
     /// Whether to print the human-readable metrics report to stderr.
@@ -109,7 +105,6 @@ impl Default for Options {
             train_runs: 5,
             jobs: 1,
             stream: false,
-            trace_cache: None,
             metrics_out: None,
             metrics_table: false,
             sample_ms: None,
@@ -154,11 +149,6 @@ impl Options {
                 };
             } else if arg == "--stream" {
                 opts.stream = true;
-            } else if let Some(dir) = arg.strip_prefix("--trace-cache=") {
-                if dir.is_empty() {
-                    return Err("empty --trace-cache path".to_owned());
-                }
-                opts.trace_cache = Some(PathBuf::from(dir));
             } else if let Some(path) = arg.strip_prefix("--metrics-out=") {
                 if path.is_empty() {
                     return Err("empty --metrics-out path".to_owned());
@@ -194,7 +184,7 @@ impl Options {
             } else {
                 return Err(format!(
                     "unknown argument `{arg}` (try --workloads=, --train-runs=, \
-                     --jobs=, --stream, --trace-cache=, \
+                     --jobs=, --stream, \
                      --metrics-out=, --metrics-table, --sample-ms=, --attribution, \
                      --attribution-top=, --profile-hz=, --profile-out=)"
                 ));
@@ -224,13 +214,11 @@ impl Options {
     /// Builds the experiment suite for these options.
     #[must_use]
     pub fn suite(&self) -> Suite {
-        let mut suite = Suite::with_train_runs(self.train_runs).with_jobs(self.jobs);
+        let suite = Suite::with_train_runs(self.train_runs).with_jobs(self.jobs);
         if self.stream {
-            suite = suite.with_streaming();
-        }
-        match &self.trace_cache {
-            Some(dir) => suite.with_trace_dir(dir.clone()),
-            None => suite,
+            suite.with_streaming()
+        } else {
+            suite
         }
     }
 }
@@ -375,10 +363,7 @@ fn publish_trace_store_stats(stats: &provp_core::TraceStoreStats) {
     c("trace_store.requests", stats.requests);
     c("trace_store.memory_hits", stats.memory_hits);
     c("trace_store.misses", stats.misses);
-    c("trace_store.disk_hits", stats.disk_hits);
     c("trace_store.captures", stats.captures);
-    c("trace_store.spills", stats.spills);
-    c("trace_store.spill_failures", stats.spill_failures);
     c("trace_store.dedup_waits", stats.dedup_waits);
     vp_obs::gauge("trace_store.resident").set_max(stats.resident);
     vp_obs::gauge("trace_store.resident_bytes").set_max(stats.resident_bytes);
@@ -401,13 +386,24 @@ mod tests {
             "--workloads=gcc,mgrid".into(),
             "--train-runs=2".into(),
             "--jobs=4".into(),
-            "--trace-cache=results/traces".into(),
         ])
         .unwrap();
         assert_eq!(o.kinds, vec![WorkloadKind::Gcc, WorkloadKind::Mgrid]);
         assert_eq!(o.train_runs, 2);
         assert_eq!(o.jobs, 4);
-        assert_eq!(o.trace_cache.as_deref(), Some("results/traces".as_ref()));
+    }
+
+    /// There is no on-disk trace cache: its flag is an unknown argument,
+    /// in either form, not a silently ignored one.
+    #[test]
+    fn trace_cache_flag_is_rejected() {
+        for args in [
+            vec!["--trace-cache=results/traces".to_owned()],
+            vec!["--trace-cache".to_owned(), "results/traces".to_owned()],
+        ] {
+            let err = Options::parse(args).unwrap_err();
+            assert!(err.starts_with("unknown argument `--trace-cache="), "{err}");
+        }
     }
 
     #[test]
@@ -423,7 +419,6 @@ mod tests {
         assert!(Options::parse(["--train-runs=x".into()]).is_err());
         assert!(Options::parse(["--jobs=0".into()]).is_err());
         assert!(Options::parse(["--jobs=lots".into()]).is_err());
-        assert!(Options::parse(["--trace-cache=".into()]).is_err());
         assert!(Options::parse(["--metrics-out=".into()]).is_err());
         assert!(Options::parse(["--sample-ms=0".into()]).is_err());
         assert!(Options::parse(["--sample-ms=soon".into()]).is_err());

@@ -29,14 +29,12 @@
 pub mod attribution;
 pub mod exec;
 pub mod experiments;
-pub mod harness;
 mod memo;
 pub mod replay;
 pub mod suite;
 pub mod trace_store;
 
 pub use exec::parallel_map;
-pub use harness::PredictorTracer;
 pub use replay::{
     auto_shards, MatrixCell, ReplayCellOutcome, ReplayOutcome, ReplayRequest, ReplayResponse,
     SweepPlan,

@@ -746,6 +746,27 @@ mod tests {
     }
 
     #[test]
+    fn only_value_producers_reach_the_predictor() {
+        let p = assemble("li r1, 1\nsd r1, (r0)\nbeq r0, r0, e\ne: halt\n").unwrap();
+        let trace = Trace::capture(&p, RunLimits::default()).unwrap();
+        let config = PredictorConfig::spec_table_stride_fsm();
+        let outcome = single_outcome(&trace, &p, &config, 1, 1);
+        assert_eq!(outcome.stats.accesses, 1, "only the li produces a value");
+    }
+
+    #[test]
+    fn directive_annotated_program_steers_the_profile_predictor() {
+        let src = "li r1, 0\nli r2, 50\ntop: addi.st r1, r1, 1\nbne r1, r2, top\nhalt\n";
+        let p = assemble(src).unwrap();
+        let trace = Trace::capture(&p, RunLimits::default()).unwrap();
+        let config = PredictorConfig::spec_table_stride_profile();
+        let s = single_outcome(&trace, &p, &config, 1, 1).stats;
+        // Only the tagged addi is admitted; the li's are untagged.
+        assert_eq!(s.allocations, 1);
+        assert!(s.speculated_correct >= 47);
+    }
+
+    #[test]
     fn sharded_replay_matches_sequential() {
         let (p, trace) = sample();
         for config in [

@@ -17,7 +17,6 @@
 
 use std::collections::HashMap;
 use std::convert::Infallible;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use vp_compiler::{annotate, AnnotationSummary, ThresholdPolicy};
@@ -136,21 +135,13 @@ impl Suite {
         self
     }
 
-    /// Spills captured traces under `dir` and reloads them from there in
-    /// later processes, skipping the functional simulation entirely.
-    #[must_use]
-    pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.traces = Arc::new(TraceStore::new().with_spill_dir(dir));
-        self
-    }
-
     /// Runs predictor sweeps in **streaming** mode with the default
     /// block pool ([`crate::replay::stream::DEFAULT_BLOCK_POOL`]): the
     /// reference simulation feeds the fused replay
     /// kernel through a bounded channel ([`crate::replay::stream`]) and
     /// the trace is never materialised, so peak RSS stays independent of
     /// trace length. Results are bit-identical to batch mode. Consumers
-    /// that need a full trace (profiling, ILP, trace export) still
+    /// that need a full trace (profiling, ILP) still
     /// capture one through the [`TraceStore`] as before — full traces
     /// become an optional cache policy, not a requirement of the sweep.
     #[must_use]
@@ -230,11 +221,9 @@ impl Suite {
         let workload = Workload::new(kind);
         let program = workload.program(input);
         let mut collector = ProfileCollector::new(format!("{}/{input}", workload.name()));
-        if input.is_reference() || self.traces.spill_dir().is_some() {
+        if input.is_reference() {
             // Reference traces have many consumers (profilers, predictor
-            // configurations, ILP models) and training traces become
-            // reusable across processes once a spill directory exists —
-            // worth memoising either way.
+            // configurations, ILP models): worth memoising.
             self.replay_trace(kind, *input, &program, &mut collector);
         } else {
             // A training trace is consumed exactly once (its profile image
@@ -672,8 +661,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 2);
         // Training profiles are simulated straight into the collector
-        // (their single consumer): nothing is recorded without a spill
-        // directory asking for cross-process reuse.
+        // (their single consumer): nothing is recorded.
         assert_eq!(s.trace_stats().requests, 0);
     }
 
@@ -729,35 +717,6 @@ mod tests {
             .map(|(_, r)| r.execs)
             .sum();
         assert_eq!(merged.total_execs() + omitted, total);
-    }
-
-    /// With a spill directory, training runs are captured and spilled
-    /// instead of simulated straight into the collector; the profiles
-    /// must not change, and a later suite reloads them from disk.
-    #[test]
-    fn spilled_training_traces_match_direct_profiles() {
-        let dir =
-            std::env::temp_dir().join(format!("provp-suite-train-spill-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let kind = WorkloadKind::Compress;
-        let direct = Suite::with_train_runs(2);
-
-        let spilled = Suite::with_train_runs(2).with_trace_dir(&dir);
-        assert_eq!(direct.train_images(kind), spilled.train_images(kind));
-        assert_eq!(direct.merged_image(kind), spilled.merged_image(kind));
-        assert_eq!(
-            direct.annotated(kind, 0.9).0.text(),
-            spilled.annotated(kind, 0.9).0.text()
-        );
-        let stats = spilled.trace_stats();
-        assert_eq!((stats.captures, stats.spills), (2, 2), "{stats:?}");
-
-        let reloaded = Suite::with_train_runs(2).with_trace_dir(&dir);
-        assert_eq!(direct.train_images(kind), reloaded.train_images(kind));
-        let stats = reloaded.trace_stats();
-        assert_eq!((stats.disk_hits, stats.captures), (2, 0), "{stats:?}");
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! `(workload, input set, limits)` runs — the reference input alone is
 //! consumed by the characterisation tables, every predictor configuration
 //! and every ILP machine. A [`TraceStore`] runs the functional simulation
-//! **once** per key, keeps the retirement trace ([`vp_sim::Trace`]) in
-//! memory keyed by [`TraceKey`], and optionally spills traces to disk in
-//! the compact `vp_sim::record` binary format so later processes can skip
-//! the simulation entirely.
+//! **once** per key and keeps the retirement trace ([`vp_sim::Trace`]) in
+//! memory keyed by [`TraceKey`]. Traces are never written to disk: a
+//! simulation costs a few nanoseconds per instruction, less than reading
+//! a stored trace back.
 //!
 //! Correctness rests on one ISA property: prediction *directives* never
 //! change architectural semantics. A trace captured from the bare program
@@ -16,8 +16,8 @@
 //! evaluation needs — simulate once, then replay into profilers,
 //! predictors and the ILP machine under any annotation threshold.
 //!
-//! The store is the crate's claim/wait memo keyed by [`TraceKey`] plus
-//! the spill directory. Concurrent requests for the *same* key
+//! The store is the crate's claim/wait memo keyed by [`TraceKey`].
+//! Concurrent requests for the *same* key
 //! deduplicate in flight (one thread produces, the rest wait), and
 //! requests for different keys proceed in parallel because no lock is
 //! held across a simulation. A failed production memoises nothing.
@@ -29,13 +29,10 @@
 //! `requests == memory_hits + misses` exactly, even while worker threads
 //! are mid-request. Captures are additionally wrapped in a `vp_obs` span
 //! (`capture`) so manifest phase timings show where simulation
-//! wall-clock goes, and spill traffic is counted in the production block
-//! (`trace_store.spills` / `trace_store.disk_hits`).
+//! wall-clock goes.
 
 use std::fmt;
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use vp_isa::Program;
@@ -65,17 +62,6 @@ impl TraceKey {
             input,
             max_instructions: limits.max_instructions,
         }
-    }
-
-    /// The spill file name for this key (stable across processes).
-    #[must_use]
-    pub fn file_name(&self) -> String {
-        format!(
-            "{}-{}-{}.trace",
-            self.kind.name(),
-            self.input,
-            self.max_instructions
-        )
     }
 }
 
@@ -161,16 +147,10 @@ pub struct TraceStoreStats {
     pub requests: u64,
     /// Requests served from memory.
     pub memory_hits: u64,
-    /// Requests that missed memory (and went to disk or simulation).
+    /// Requests that missed memory (and went to simulation).
     pub misses: u64,
-    /// Misses served by deserialising a spilled trace from disk.
-    pub disk_hits: u64,
-    /// Misses that ran the functional simulation.
+    /// Misses that ran the functional simulation to completion.
     pub captures: u64,
-    /// Traces written to the spill directory.
-    pub spills: u64,
-    /// Spill attempts that failed (IO errors; memory-only fallback).
-    pub spill_failures: u64,
     /// Requests that slept waiting for another thread's in-flight
     /// production of the same key.
     pub dedup_waits: u64,
@@ -180,8 +160,7 @@ pub struct TraceStoreStats {
     pub resident_bytes: u64,
 }
 
-/// A thread-safe in-memory cache of simulation traces with optional disk
-/// spill.
+/// A thread-safe in-memory cache of simulation traces.
 ///
 /// # Examples
 ///
@@ -208,38 +187,20 @@ pub struct TraceStoreStats {
 /// # }
 /// ```
 pub struct TraceStore {
-    spill_dir: Option<PathBuf>,
     traces: Memo<TraceKey, Arc<Trace>>,
-    /// The production counters (`disk_hits`, `captures`, `spills`,
-    /// `spill_failures`, `resident_bytes`); [`TraceStore::stats`] fills
-    /// in the request counters from the memo.
+    /// The production counters (`captures`, `resident_bytes`);
+    /// [`TraceStore::stats`] fills in the request counters from the memo.
     produced: Mutex<TraceStoreStats>,
 }
 
 impl TraceStore {
-    /// An in-memory store with no disk spill.
+    /// An empty store.
     #[must_use]
     pub fn new() -> Self {
         TraceStore {
-            spill_dir: None,
             traces: Memo::new(),
             produced: Mutex::new(TraceStoreStats::default()),
         }
-    }
-
-    /// Enables disk spill under `dir` (created on first write). Spilled
-    /// traces survive process restarts; a miss checks the directory
-    /// before falling back to simulation.
-    #[must_use]
-    pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.spill_dir = Some(dir.into());
-        self
-    }
-
-    /// The spill directory, if any.
-    #[must_use]
-    pub fn spill_dir(&self) -> Option<&Path> {
-        self.spill_dir.as_deref()
     }
 
     fn produced(&self) -> MutexGuard<'_, TraceStoreStats> {
@@ -262,8 +223,7 @@ impl TraceStore {
     }
 
     /// The retirement trace of `kind` under `input` and `limits`,
-    /// simulating at most once per key per process (and, with a spill
-    /// directory, at most once ever).
+    /// simulating at most once per key.
     ///
     /// # Errors
     ///
@@ -288,7 +248,7 @@ impl TraceStore {
     /// On a cache miss this runs the functional simulation **once**,
     /// feeding `tracer` while recording, so the first consumer of a trace
     /// pays a single pass (not capture *plus* replay). Subsequent
-    /// consumers replay from memory or disk.
+    /// consumers replay from memory.
     ///
     /// # Errors
     ///
@@ -327,86 +287,32 @@ impl TraceStore {
         Ok(trace)
     }
 
-    /// Loads `key` from the spill directory or captures it by simulation
-    /// (spilling the capture), feeding a consumer `program`'s `tracer`.
+    /// Captures `key` by simulation, feeding a consumer `program`'s
+    /// `tracer`.
     fn produce(
         &self,
         key: TraceKey,
         program: Option<&Program>,
         tracer: &mut impl Tracer,
     ) -> Result<Arc<Trace>, TraceError> {
-        let trace = match self.try_disk_load(&key) {
-            Some(trace) => {
-                if let Some(program) = program {
-                    replay(key, &trace, program, tracer)?;
-                }
-                self.produced().disk_hits += 1;
-                trace
-            }
+        let built;
+        let program = match program {
+            Some(program) => program,
             None => {
-                let built;
-                let program = match program {
-                    Some(program) => program,
-                    None => {
-                        built = Workload::new(key.kind).program(&key.input);
-                        &built
-                    }
-                };
-                let limits = RunLimits::with_max(key.max_instructions);
-                let trace = {
-                    let _span = vp_obs::span("capture");
-                    Trace::capture_with(program, limits, tracer)
-                        .map_err(|source| TraceError::Capture { key, source })?
-                };
-                self.produced().captures += 1;
-                self.try_disk_store(&key, &trace);
-                trace
+                built = Workload::new(key.kind).program(&key.input);
+                &built
             }
         };
-        self.produced().resident_bytes += trace.approx_bytes() as u64;
+        let limits = RunLimits::with_max(key.max_instructions);
+        let trace = {
+            let _span = vp_obs::span("capture");
+            Trace::capture_with(program, limits, tracer)
+                .map_err(|source| TraceError::Capture { key, source })?
+        };
+        let mut produced = self.produced();
+        produced.captures += 1;
+        produced.resident_bytes += trace.approx_bytes() as u64;
         Ok(Arc::new(trace))
-    }
-
-    fn try_disk_load(&self, key: &TraceKey) -> Option<Trace> {
-        let dir = self.spill_dir.as_ref()?;
-        let path = dir.join(key.file_name());
-        // One read syscall, then parse from the in-memory slice — much
-        // faster than pulling the file through a buffered reader.
-        let bytes = fs::read(&path).ok()?;
-        match Trace::read_from(bytes.as_slice()) {
-            Ok(trace) => Some(trace),
-            Err(e) => {
-                // Corrupt, truncated or retired-format spill file: drop it
-                // and re-simulate.
-                vp_obs::obs_warn!("dropping unreadable trace spill file {path:?}: {e}");
-                let _ = fs::remove_file(&path);
-                None
-            }
-        }
-    }
-
-    /// Best-effort spill; IO failures are counted and fall back to
-    /// memory-only.
-    fn try_disk_store(&self, key: &TraceKey, trace: &Trace) {
-        let Some(dir) = self.spill_dir.as_ref() else {
-            return;
-        };
-        let tmp = dir.join(format!("{}.tmp", key.file_name()));
-        let finished = dir.join(key.file_name());
-        let write = || -> io::Result<()> {
-            fs::create_dir_all(dir)?;
-            let mut out = io::BufWriter::new(fs::File::create(&tmp)?);
-            trace.write_to(&mut out)?;
-            io::Write::flush(&mut out)?;
-            drop(out);
-            fs::rename(&tmp, &finished)
-        };
-        if write().is_ok() {
-            self.produced().spills += 1;
-        } else {
-            let _ = fs::remove_file(&tmp);
-            self.produced().spill_failures += 1;
-        }
     }
 }
 
@@ -431,7 +337,6 @@ impl Default for TraceStore {
 impl fmt::Debug for TraceStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceStore")
-            .field("spill_dir", &self.spill_dir)
             .field("stats", &self.stats())
             .finish()
     }

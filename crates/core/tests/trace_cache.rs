@@ -1,6 +1,6 @@
 //! Unit tests for the trace store: cache hits must be indistinguishable
-//! from fresh simulation, every consumer of `replay_into` must be fed
-//! exactly once, and disk spill must round-trip across store instances.
+//! from fresh simulation, and every consumer of `replay_into` must be fed
+//! exactly once.
 
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -49,7 +49,6 @@ fn cache_hit_replay_equals_fresh_simulation() {
     let stats = store.stats();
     assert_eq!(stats.captures, 1);
     assert_eq!(stats.memory_hits, 1);
-    assert_eq!(stats.disk_hits, 0);
 }
 
 #[test]
@@ -64,77 +63,6 @@ fn lru_keeps_recently_used_entries_under_budget() {
     }
     assert_eq!(store.stats().resident, 3);
     assert!(store.stats().resident_bytes > 0);
-}
-
-#[test]
-fn disk_spill_round_trips_across_stores() {
-    let dir = std::env::temp_dir().join(format!("provp-trace-spill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let kind = WorkloadKind::Ijpeg;
-    let input = InputSet::reference();
-    let limits = RunLimits::default();
-
-    let first = TraceStore::new().with_spill_dir(&dir);
-    let captured = first.get(kind, input, limits).unwrap();
-    assert_eq!(first.stats().captures, 1);
-    let spilled = dir.join(provp_core::TraceKey::new(kind, input, limits).file_name());
-    assert!(spilled.is_file(), "trace must be spilled to {spilled:?}");
-
-    // A brand-new store (fresh process, conceptually) loads from disk.
-    let second = TraceStore::new().with_spill_dir(&dir);
-    let loaded = second.get(kind, input, limits).unwrap();
-    assert_eq!(*captured, *loaded, "disk round-trip must be lossless");
-    let stats = second.stats();
-    assert_eq!(stats.captures, 0, "no re-simulation with a warm disk cache");
-    assert_eq!(stats.disk_hits, 1);
-
-    // A corrupt spill file falls back to simulation instead of failing.
-    std::fs::write(&spilled, b"garbage").unwrap();
-    let third = TraceStore::new().with_spill_dir(&dir);
-    let recaptured = third.get(kind, input, limits).unwrap();
-    assert_eq!(*captured, *recaptured);
-    assert_eq!(third.stats().captures, 1);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Spill files are a cache: one in a retired format (`provptr2`, the
-/// checksum-less predecessor of `provptr3`) is dropped and re-captured,
-/// and the fresh capture is bit-identical and re-spilled as `provptr3`.
-#[test]
-fn retired_spill_format_is_dropped_and_recaptured() {
-    let dir = std::env::temp_dir().join(format!("provp-trace-legacy-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let kind = WorkloadKind::Compress;
-    let input = InputSet::reference();
-    let limits = RunLimits::default();
-
-    let first = TraceStore::new().with_spill_dir(&dir);
-    let captured = first.get(kind, input, limits).unwrap();
-    let spilled = dir.join(provp_core::TraceKey::new(kind, input, limits).file_name());
-    let current = std::fs::read(&spilled).unwrap();
-    assert_eq!(&current[..8], b"provptr3");
-
-    // A `provptr2` file is the same columnar body without the trailer.
-    let mut legacy = b"provptr2".to_vec();
-    legacy.extend_from_slice(&current[8..current.len() - 8]);
-    std::fs::write(&spilled, &legacy).unwrap();
-
-    let second = TraceStore::new().with_spill_dir(&dir);
-    let recaptured = second.get(kind, input, limits).unwrap();
-    assert_eq!(*captured, *recaptured, "re-capture must be bit-identical");
-    let stats = second.stats();
-    assert_eq!(stats.captures, 1, "the retired file is not read");
-    assert_eq!(stats.disk_hits, 0);
-    assert_eq!(
-        std::fs::read(&spilled).unwrap(),
-        current,
-        "re-spilled as provptr3"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -194,36 +122,18 @@ fn concurrent_replay_into_feeds_every_consumer_once() {
 
 /// The resident layout keeps program counters as control-flow exceptions,
 /// not two dense `u32` columns: every reference trace stays under 12.5
-/// bytes per event (the dense columns alone cost 8), and a trace loaded
-/// from a spill file is sized and iterates exactly like the captured one.
+/// bytes per event (the dense columns alone cost 8).
 #[test]
 fn reference_traces_stay_under_the_layout_bound() {
-    let dir = std::env::temp_dir().join(format!("provp-trace-layout-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let input = InputSet::reference();
-    let limits = RunLimits::default();
-
-    let first = TraceStore::new().with_spill_dir(&dir);
+    let store = TraceStore::new();
     for kind in WorkloadKind::ALL {
-        let trace = first.get(kind, input, limits).unwrap();
+        let trace = store
+            .get(kind, InputSet::reference(), RunLimits::default())
+            .unwrap();
         let per_event = trace.approx_bytes() as f64 / trace.len() as f64;
         assert!(
             trace.approx_bytes() * 2 <= trace.len() * 25,
             "{kind:?}: {per_event:.2} bytes per event exceeds 12.5"
         );
     }
-
-    let kind = WorkloadKind::ALL[0];
-    let captured = first.get(kind, input, limits).unwrap();
-    let second = TraceStore::new().with_spill_dir(&dir);
-    let loaded = second.get(kind, input, limits).unwrap();
-    assert_eq!(
-        second.stats().disk_hits,
-        1,
-        "the second store reads the spill"
-    );
-    assert_eq!(loaded.approx_bytes(), captured.approx_bytes());
-    assert!(loaded.iter().eq(captured.iter()), "loaded events differ");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -256,8 +256,8 @@ impl RunManifest {
         }
     }
 
-    /// TraceStore hit rate over all requests (memory + disk hits), in
-    /// `[0, 1]`; 0 when the store was never used.
+    /// TraceStore hit rate over all requests (`memory_hits / requests`),
+    /// in `[0, 1]`; 0 when the store was never used.
     #[must_use]
     pub fn trace_hit_rate(&self) -> f64 {
         let get = |k: &str| self.counters.get(k).copied().unwrap_or(0);
@@ -265,7 +265,7 @@ impl RunManifest {
         if requests == 0 {
             0.0
         } else {
-            (get("trace_store.memory_hits") + get("trace_store.disk_hits")) as f64 / requests as f64
+            get("trace_store.memory_hits") as f64 / requests as f64
         }
     }
 
@@ -582,8 +582,7 @@ mod tests {
         counters.insert("sim.instructions".to_owned(), 2_000_000u64);
         counters.insert("sim.wall_ns".to_owned(), 500_000_000u64);
         counters.insert("trace_store.requests".to_owned(), 10u64);
-        counters.insert("trace_store.memory_hits".to_owned(), 7u64);
-        counters.insert("trace_store.disk_hits".to_owned(), 1u64);
+        counters.insert("trace_store.memory_hits".to_owned(), 8u64);
         let mut gauges = BTreeMap::new();
         gauges.insert("predictor.occupancy.max".to_owned(), 512u64);
         let mut histograms = BTreeMap::new();

@@ -38,16 +38,14 @@ use crate::exec::{MemAccess, Retirement};
 use crate::record::TraceEvent;
 use crate::Tracer;
 
-// Flag bits of the per-event flag byte. The spill format stores the
-// `F_ALL` bits verbatim; `F_JUMP` and `F_SEEK` describe the in-memory
-// control-flow columns and never reach disk.
-pub(crate) const F_DEST: u8 = 1 << 0;
-pub(crate) const F_DEST_FP: u8 = 1 << 1;
-pub(crate) const F_MEM: u8 = 1 << 2;
-pub(crate) const F_MEM_STORE: u8 = 1 << 3;
-pub(crate) const F_BRANCH: u8 = 1 << 4;
-pub(crate) const F_TAKEN: u8 = 1 << 5;
-pub(crate) const F_ALL: u8 = F_DEST | F_DEST_FP | F_MEM | F_MEM_STORE | F_BRANCH | F_TAKEN;
+// Flag bits of the per-event flag byte. `F_JUMP` and `F_SEEK` describe
+// the control-flow columns.
+const F_DEST: u8 = 1 << 0;
+const F_DEST_FP: u8 = 1 << 1;
+const F_MEM: u8 = 1 << 2;
+const F_MEM_STORE: u8 = 1 << 3;
+const F_BRANCH: u8 = 1 << 4;
+const F_TAKEN: u8 = 1 << 5;
 /// The next pc is not `addr + 1`; it is the event's `jump_pc` entry.
 const F_JUMP: u8 = 1 << 6;
 /// The address is not the previous event's next pc; it is the event's
@@ -161,8 +159,7 @@ impl TraceColumns {
 
     /// Appends one owned event.
     ///
-    /// `stored` is kept only for store events (`mem.store == true`), the
-    /// same canonicalisation the spill format applies.
+    /// `stored` is kept only for store events (`mem.store == true`).
     pub fn push_event(&mut self, ev: &TraceEvent) {
         self.push_parts(ev.addr, ev.dest, ev.mem, ev.stored, ev.taken, ev.next_pc);
     }
@@ -323,57 +320,6 @@ impl TraceColumns {
             pc: 0,
         }
     }
-
-    // Column accessors for the spill codec (kept crate-private so the
-    // invariants — sparse lengths matching flag population counts,
-    // register indices in range — stay local).
-    pub(crate) fn raw_parts(&self) -> RawColumns<'_> {
-        RawColumns {
-            flags: &self.flags,
-            dest_reg: &self.dest_reg,
-            mem_addr: &self.mem_addr,
-            stored: &self.stored,
-        }
-    }
-
-    /// Assembles columns from decoded spill sections: `flags` holds only
-    /// `F_ALL` bits, and `addr`/`next_pc` are dense (one per event). Every
-    /// column is sized exactly, like a captured trace's.
-    pub(crate) fn from_raw_parts(
-        mut flags: Vec<u8>,
-        addr: &[u32],
-        next_pc: &[u32],
-        dest_reg: Vec<u8>,
-        dest_val: Vec<u64>,
-        mem_addr: Vec<u64>,
-        stored: Vec<u64>,
-    ) -> Self {
-        debug_assert_eq!(flags.len(), addr.len());
-        debug_assert_eq!(flags.len(), next_pc.len());
-        debug_assert_eq!(dest_reg.len(), dest_val.len());
-        let mut cols = TraceColumns {
-            dest_reg,
-            dest_val,
-            mem_addr,
-            stored,
-            ..TraceColumns::default()
-        };
-        for ((f, &a), &np) in flags.iter_mut().zip(addr).zip(next_pc) {
-            *f |= cols.push_control_flow(a, np);
-        }
-        cols.flags = flags;
-        cols.shrink_to_fit();
-        cols
-    }
-}
-
-/// Borrowed view of the columns the spill codec writes verbatim or
-/// delta-encodes on their own.
-pub(crate) struct RawColumns<'a> {
-    pub flags: &'a [u8],
-    pub dest_reg: &'a [u8],
-    pub mem_addr: &'a [u64],
-    pub stored: &'a [u64],
 }
 
 /// The one decoder of the control-flow encoding: fed each event's flag

@@ -55,9 +55,6 @@ pub use exec::{MemAccess, Retirement};
 pub use machine::Machine;
 pub use memory::Memory;
 pub use mix::InstrMix;
-pub use record::{
-    first_divergence, read_columns, write_columns, Trace, TraceDivergence, TraceError, TraceEvent,
-    TraceRecorder, MAX_TRACE_EVENTS,
-};
+pub use record::{first_divergence, Trace, TraceDivergence, TraceEvent, TraceRecorder};
 pub use runner::{run, RunLimits, RunStatus, RunSummary};
 pub use tracer::{ChainTracer, FnTracer, NullTracer, Tracer};

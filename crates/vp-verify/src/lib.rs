@@ -3,7 +3,7 @@
 //!
 //! Every layer of the simulator/predictor pipeline is an *optimised*
 //! implementation: columnar traces, sharded predictor replay, packed
-//! set-associative tables, delta-encoded spill files. Each optimisation is
+//! set-associative tables, streamed replay. Each optimisation is
 //! an opportunity for a silent semantic drift that no hand-written unit
 //! test would catch. This crate closes that gap with three ingredients:
 //!
@@ -18,8 +18,8 @@
 //!    profiling rules in `vp_predictor` and `vp_profile`.
 //! 3. **A differential oracle** ([`oracle`]) that runs both stacks on the
 //!    same fuzzed program and demands bit-identical register files,
-//!    memories, retirement event streams, profile images, serialised
-//!    traces and [`vp_predictor::PredictorStats`] blocks.
+//!    memories, retirement event streams, profile images and
+//!    [`vp_predictor::PredictorStats`] blocks.
 //!
 //! On top sit [`coverage`]-guided case scheduling (the generator is steered
 //! toward opcodes the corpus has exercised least), automatic input

@@ -12,26 +12,24 @@
 //! 2. **Profile differential** — the dense [`ProfileCollector`] against
 //!    the map-based [`RefProfileCollector`], both fed by the trace
 //!    replay: identical images in [`format::to_text`] form.
-//! 3. **Serialisation oracle** — the captured columnar trace must survive
-//!    a `write_to`/`read_from` round trip bit-identically (the `provptr3`
-//!    encoder and its checksum are on this path).
-//! 4. **Predictor differential** — for a panel of predictor
-//!    configurations, the naive [`ref_predict`] models against (a) the
-//!    real predictor fed directly, (b) a sequential [`ReplayRequest`]
-//!    replay, and (c) a PC-sharded parallel one: identical
-//!    [`PredictorStats`] and occupancy.
-//! 5. **Attribution oracle** — the attributed replay
+//! 3. **Predictor differential** — for a panel of predictor
+//!    configurations, the naive [`ref_predict`] models, fed the reference
+//!    interpreter's value stream, against (a) the real predictor fed the
+//!    same stream directly, (b) a sequential [`ReplayRequest`] replay of
+//!    the trace's value-event columns, and (c) a PC-sharded parallel one:
+//!    identical [`PredictorStats`] and occupancy.
+//! 4. **Attribution oracle** — the attributed replay
 //!    ([`ReplayRequest::attribution`]) must leave the stats untouched
 //!    (observation-only), produce a bit-identical per-PC
 //!    [`vp_predictor::AttributionTable`] at any shard/job count, and its
 //!    totals must reconcile *exactly* with the [`PredictorStats`]
 //!    (every access accounted, every raw miss charged to one cause).
-//! 6. **Matrix oracle** — the fused sweep ([`ReplayRequest`] over the
+//! 5. **Matrix oracle** — the fused sweep ([`ReplayRequest`] over the
 //!    whole plan) over every oracle configuration (with a duplicate cell
 //!    and a second, directive-stripped annotation table in the plan)
 //!    must return, at any shard count, exactly the grid that per-cell
 //!    replays produce.
-//! 7. **ILP lanes differential** — Table 5.2's seven machines plus one
+//! 6. **ILP lanes differential** — Table 5.2's seven machines plus one
 //!    with a bimodal branch front end run as one [`IlpLanes`] pass,
 //!    reading outcome columns the fused matrix kernel recorded (PC-sharded,
 //!    so the columns are interleaved back into trace order). Each lane
@@ -41,7 +39,7 @@
 //!    exactly once (structural + data-bound = instructions). An
 //!    attributed and a streamed replay of the same plan must record the
 //!    same columns.
-//! 8. **Streaming oracle** — the bounded-memory streaming engine
+//! 7. **Streaming oracle** — the bounded-memory streaming engine
 //!    ([`ReplayRequest::stream`]), which re-simulates the program and
 //!    predicts concurrently without a resident trace, must reproduce the
 //!    batch grid bit-identically at every tested shard × block-pool
@@ -107,15 +105,6 @@ pub enum Divergence {
         /// The first differing lines of the two images' text form.
         detail: String,
     },
-    /// The trace did not survive a serialisation round trip.
-    Serialization {
-        /// What went wrong, rendered for humans.
-        detail: String,
-        /// The underlying codec error, when one exists (pure value
-        /// mismatches have none); exposed through
-        /// [`std::error::Error::source`].
-        source: Option<Box<dyn Error + Send + Sync>>,
-    },
     /// A predictor's statistics or occupancy differ from the reference
     /// model.
     Predictor {
@@ -176,17 +165,15 @@ pub enum Stage {
     Simulation,
     /// 2. Profile differential.
     Profile,
-    /// 3. Serialisation oracle.
-    Serialization,
-    /// 4. Predictor differential.
+    /// 3. Predictor differential.
     Predictor,
-    /// 5. Attribution oracle.
+    /// 4. Attribution oracle.
     Attribution,
-    /// 6. Matrix oracle.
+    /// 5. Matrix oracle.
     Matrix,
-    /// 7. ILP lanes differential.
+    /// 6. ILP lanes differential.
     Ilp,
-    /// 8. Streaming oracle.
+    /// 7. Streaming oracle.
     Stream,
 }
 
@@ -200,7 +187,6 @@ impl Divergence {
             | Divergence::Register { .. }
             | Divergence::Memory { .. } => Stage::Simulation,
             Divergence::Profile { .. } => Stage::Profile,
-            Divergence::Serialization { .. } => Stage::Serialization,
             // The attribution stage re-checks the attributed replay's
             // stats with the predictor comparison.
             Divergence::Predictor {
@@ -245,9 +231,6 @@ impl fmt::Display for Divergence {
                 "memory word {addr:#x} diverges: optimized {optimized:#x}, reference {reference:#x}"
             ),
             Divergence::Profile { detail } => write!(f, "profile image diverges: {detail}"),
-            Divergence::Serialization { detail, .. } => {
-                write!(f, "trace serialisation diverges: {detail}")
-            }
             Divergence::Predictor {
                 label,
                 mode,
@@ -284,9 +267,6 @@ impl Error for Divergence {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             Divergence::Events(d) => Some(&**d),
-            Divergence::Serialization {
-                source: Some(e), ..
-            } => Some(&**e as &(dyn Error + 'static)),
             _ => None,
         }
     }
@@ -457,46 +437,14 @@ pub fn run_case_through(
         return Ok(trace);
     }
 
-    // --- 3. serialisation oracle ---
-    let mut bytes = Vec::new();
-    if let Err(e) = trace.write_to(&mut bytes) {
-        return Err(Divergence::Serialization {
-            detail: format!("write failed: {e}"),
-            source: Some(Box::new(e)),
-        });
-    }
-    match Trace::read_from(bytes.as_slice()) {
-        Ok(back) if back.columns() == trace.columns() => {}
-        Ok(_) => {
-            return Err(Divergence::Serialization {
-                detail: "round trip decoded different columns".into(),
-                source: None,
-            })
-        }
-        Err(e) => {
-            return Err(Divergence::Serialization {
-                detail: format!("read failed: {e}"),
-                source: Some(Box::new(e)),
-            })
-        }
-    }
-
-    let values: Vec<(InstrAddr, u64)> = trace.columns().value_events().collect();
-    let expected_values = reference.events.iter().filter(|e| e.dest.is_some()).count();
-    if values.len() != expected_values {
-        return Err(Divergence::Serialization {
-            detail: format!(
-                "value_events yields {} events, reference saw {expected_values} dest writes",
-                values.len()
-            ),
-            source: None,
-        });
-    }
-    if last == Stage::Serialization {
-        return Ok(trace);
-    }
-
-    // --- 4. predictor differential ---
+    // --- 3. predictor differential ---
+    // The reference models read the reference interpreter's value stream;
+    // the replays read the trace's value-event columns.
+    let values: Vec<(InstrAddr, u64)> = reference
+        .events
+        .iter()
+        .filter_map(|e| e.dest.map(|(_, _, value)| (e.addr, value)))
+        .collect();
     let directives: Vec<Directive> = program.text().iter().map(|i| i.directive).collect();
 
     for config in oracle_configs() {
@@ -540,7 +488,7 @@ pub fn run_case_through(
             )?;
         }
 
-        // --- 5. attribution oracle ---
+        // --- 4. attribution oracle ---
         if last == Stage::Predictor {
             continue;
         }
@@ -590,7 +538,7 @@ pub fn run_case_through(
         return Ok(trace);
     }
 
-    // --- 6. matrix oracle ---
+    // --- 5. matrix oracle ---
     // One fused pass over every oracle configuration, with a duplicate
     // cell (exercising the dedup path) and a second annotation table
     // (the directive-stripped program), checked cell by cell against
@@ -680,13 +628,13 @@ pub fn run_case_through(
         return Ok(trace);
     }
 
-    // --- 7. ILP lanes differential ---
+    // --- 6. ILP lanes differential ---
     ilp_lanes_differential(program, &trace, limits, optimized.is_ok())?;
     if last == Stage::Ilp {
         return Ok(trace);
     }
 
-    // --- 8. streaming oracle ---
+    // --- 7. streaming oracle ---
     // The bounded-memory streaming engine re-simulates the program and
     // feeds the same fused kernel through a bounded block channel; its
     // grid must be bit-identical to the batch grid at every tested shard
@@ -1089,7 +1037,6 @@ mod tests {
         for last in [
             Stage::Simulation,
             Stage::Profile,
-            Stage::Serialization,
             Stage::Predictor,
             Stage::Attribution,
             Stage::Matrix,
@@ -1124,23 +1071,6 @@ mod tests {
         assert!(s.contains("3 shards"), "{s}");
         assert!(s.contains("pool 2"), "{s}");
         assert!(s.contains("stats differ"), "{s}");
-    }
-
-    #[test]
-    fn serialization_divergence_chains_its_source() {
-        let inner = std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "short read");
-        let d = Divergence::Serialization {
-            detail: format!("read failed: {inner}"),
-            source: Some(Box::new(inner)),
-        };
-        let source = d.source().expect("typed source must be exposed");
-        assert!(source.to_string().contains("short read"));
-        // Pure value mismatches have no cause.
-        let bare = Divergence::Serialization {
-            detail: "round trip decoded different columns".into(),
-            source: None,
-        };
-        assert!(bare.source().is_none());
     }
 
     #[test]

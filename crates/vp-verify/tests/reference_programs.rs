@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Two `#[ignore]`d tests print the measurements behind
-//! `results/perf_predecoded_interp.md`:
+//! `results/perf_predecoded_interp.md` and `results/trace_cache_removal.md`:
 //!
 //! ```text
 //! cargo test --release --offline -p vp-verify --test reference_programs \
@@ -21,12 +21,13 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use vp_ilp::{IlpConfig, IlpLanes};
 use vp_isa::{Opcode, Program, Reg, RegClass};
 use vp_profile::ProfileCollector;
 use vp_sim::record::{first_divergence, TraceEvent};
 use vp_sim::runner::run_on;
 use vp_sim::{
-    FnTracer, Machine, NullTracer, Retirement, RunLimits, RunStatus, TraceRecorder, Tracer,
+    FnTracer, Machine, NullTracer, Retirement, RunLimits, RunStatus, Trace, TraceRecorder, Tracer,
 };
 use vp_verify::ref_run;
 use vp_workloads::{InputSet, Workload, WorkloadKind};
@@ -190,54 +191,103 @@ fn print_opcode_and_pair_mix() {
 }
 
 /// Prints the best-of-7 nanoseconds per instruction of each reference
-/// run, bare (`NullTracer`) and with a `ProfileCollector` attached. Machine
-/// set-up is outside the timed region; everything `run_on` does is inside.
+/// run, bare (`NullTracer`), with a `ProfileCollector` attached and with
+/// one no-VP `IlpLanes` lane attached, each both simulated (`run_on`) and
+/// replayed from a resident `Trace`; plus the cost of `Trace::capture`.
+/// Machine set-up is outside the timed region; the consumer's set-up and
+/// everything `run_on` (or the replay, or the capture) does is inside.
 #[test]
 #[ignore = "prints a measurement; run with --ignored --nocapture"]
 fn time_the_interpreter() {
     const REPS: usize = 7;
-    fn best_ns<T>(program: &Program, mut run: impl FnMut(&mut Machine) -> (u64, T)) -> (u64, f64) {
+    /// Best wall time of `run` over `REPS` runs; `setup` and dropping
+    /// the output stay outside the timed region.
+    fn best_ns<S, T>(mut setup: impl FnMut() -> S, mut run: impl FnMut(S) -> T) -> f64 {
         let mut best = f64::INFINITY;
-        let mut instructions = 0;
         for _ in 0..REPS {
-            let mut machine = Machine::for_program(program);
+            let state = setup();
             let start = Instant::now();
-            let (n, output) = run(&mut machine);
+            let output = run(state);
             best = best.min(start.elapsed().as_nanos() as f64);
             drop(std::hint::black_box(output));
-            instructions = n;
         }
-        (instructions, best)
+        best
+    }
+    fn lane() -> IlpLanes<'static> {
+        let config = IlpConfig::paper_no_vp();
+        let mut lanes = IlpLanes::new(config.window);
+        lanes.lane(&config, None);
+        lanes
     }
 
+    const COLUMNS: [&str; 7] = [
+        "bare run",
+        "bare replay",
+        "profiled run",
+        "profiled replay",
+        "ILP lane run",
+        "ILP lane replay",
+        "capture",
+    ];
+    println!("ns per instruction, best of {REPS}:\n");
     println!(
-        "| workload | instructions | bare ns/instr | profiled ns/instr |\n|---|---:|---:|---:|"
+        "| workload | instructions | {} |\n|---|---:|{}",
+        COLUMNS.join(" | "),
+        "---:|".repeat(COLUMNS.len())
     );
-    let (mut total, mut bare_ns, mut profiled_ns) = (0u64, 0.0, 0.0);
+    let (mut total, mut sums) = (0u64, [0.0f64; COLUMNS.len()]);
     for kind in WorkloadKind::ALL {
         let program = reference_program(kind);
         let limits = RunLimits::default();
-        let (n, bare) = best_ns(&program, |m| {
-            let summary = run_on(m, &program, &mut NullTracer, limits).unwrap();
-            (summary.instructions(), ())
-        });
-        let (_, profiled) = best_ns(&program, |m| {
-            let mut collector = ProfileCollector::new(program.name());
-            let summary = run_on(m, &program, &mut collector, limits).unwrap();
-            (summary.instructions(), collector)
-        });
-        println!(
-            "| {kind} | {n} | {:.2} | {:.2} |",
-            bare / n as f64,
-            profiled / n as f64
-        );
+        let trace = Trace::capture(&program, limits).unwrap();
+        let n = trace.len() as u64;
+        let machine = || Machine::for_program(&program);
+        let row = [
+            best_ns(machine, |mut m| {
+                run_on(&mut m, &program, &mut NullTracer, limits)
+            }),
+            best_ns(|| (), |()| trace.replay(&program, &mut NullTracer)),
+            best_ns(machine, |mut m| {
+                let mut collector = ProfileCollector::new(program.name());
+                run_on(&mut m, &program, &mut collector, limits).unwrap();
+                collector
+            }),
+            best_ns(
+                || (),
+                |()| {
+                    let mut collector = ProfileCollector::new(program.name());
+                    trace.replay(&program, &mut collector).unwrap();
+                    collector
+                },
+            ),
+            best_ns(machine, |mut m| {
+                let mut lanes = lane();
+                run_on(&mut m, &program, &mut lanes, limits).unwrap();
+                lanes
+            }),
+            best_ns(
+                || (),
+                |()| {
+                    let mut lanes = lane();
+                    trace.replay(&program, &mut lanes).unwrap();
+                    lanes
+                },
+            ),
+            best_ns(|| (), |()| Trace::capture(&program, limits).unwrap()),
+        ];
+        let cells: Vec<String> = row
+            .iter()
+            .map(|ns| format!("{:.2}", ns / n as f64))
+            .collect();
+        println!("| {kind} | {n} | {} |", cells.join(" | "));
         total += n;
-        bare_ns += bare;
-        profiled_ns += profiled;
+        for (sum, ns) in sums.iter_mut().zip(row) {
+            *sum += ns;
+        }
     }
-    println!(
-        "| all nine | {total} | {:.2} | {:.2} |",
-        bare_ns / total as f64,
-        profiled_ns / total as f64
-    );
+    let cells: Vec<String> = sums
+        .iter()
+        .map(|ns| format!("{:.2}", ns / total as f64))
+        .collect();
+    println!("| all nine | {total} | {} |", cells.join(" | "));
 }

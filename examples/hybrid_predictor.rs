@@ -43,10 +43,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ];
 
+    let trace = Trace::capture(&tagged, RunLimits::default())?;
     for (name, config) in designs {
-        let mut tracer = PredictorTracer::new(config.build());
-        run(&tagged, &mut tracer, RunLimits::default())?;
-        let stats = tracer.into_stats();
+        let stats = ReplayRequest::batch(&trace)
+            .single(&tagged, config)
+            .run()?
+            .into_single()
+            .outcome
+            .stats;
         println!(
             "{name:<28} correct {:>8}  wrong {:>6}  effective accuracy {:>5.1}%",
             stats.speculated_correct,
@@ -65,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             hybrid.access(ev.addr, ev.instr.directive, value);
         }
     });
-    run(&tagged, &mut feed, RunLimits::default())?;
+    trace.replay(&tagged, &mut feed)?;
     let _ = feed; // release the closure's borrow of `hybrid`
     println!(
         "\nhybrid routing: stride side holds {} entries ({} correct), \

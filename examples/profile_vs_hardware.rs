@@ -23,16 +23,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let suite = Suite::new();
 
     // Hardware-only: every producer competes for the table.
-    let bare = suite.reference_program(kind, None);
-    let mut fsm = PredictorTracer::new(PredictorConfig::spec_table_stride_fsm().build());
-    run(&bare, &mut fsm, RunLimits::default())?;
-    let fsm = fsm.into_stats();
+    let fsm = suite.predictor_stats(kind, PredictorConfig::spec_table_stride_fsm(), None);
 
     // Profile-guided at a 90% threshold: only tagged producers enter.
-    let tagged = suite.reference_program(kind, Some(0.9));
-    let mut prof = PredictorTracer::new(PredictorConfig::spec_table_stride_profile().build());
-    run(&tagged, &mut prof, RunLimits::default())?;
-    let prof = prof.into_stats();
+    let prof = suite.predictor_stats(
+        kind,
+        PredictorConfig::spec_table_stride_profile(),
+        Some(0.9),
+    );
 
     println!("workload: {kind} (512-entry 2-way stride table)\n");
     println!("saturating counters : {fsm}");

@@ -5,16 +5,15 @@
 //! ```
 //!
 //! Simulates one workload a single time while recording its retirement
-//! trace (columnar), serialises the trace to bytes in the varint + delta
-//! spill format, then replays it into three different consumers — the
-//! profiler, a predictor, and the ILP machine — without touching the
-//! simulator again.
+//! trace (columnar, in memory), then replays it into three different
+//! consumers — the profiler, a predictor, and the ILP machine — without
+//! touching the simulator again.
 
-use provp::core::PredictorTracer;
+use provp::core::ReplayRequest;
 use provp::ilp::{IlpAnalyzer, IlpConfig};
 use provp::predictor::PredictorConfig;
 use provp::profile::ProfileCollector;
-use provp::sim::{read_columns, run, write_columns, RunLimits, TraceRecorder};
+use provp::sim::{run, RunLimits, Trace, TraceRecorder};
 use provp::workloads::{InputSet, Workload, WorkloadKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,41 +28,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut recorder = TraceRecorder::new();
     let summary = run(&program, &mut recorder, RunLimits::default())?;
     println!("recorded {kind}: {summary}");
-
-    // Ship it through a byte stream (a file, a pipe, ...).
-    let mut bytes = Vec::new();
-    write_columns(&mut bytes, recorder.columns())?;
-    println!(
-        "trace size: {} bytes ({:.1} B/instr)",
-        bytes.len(),
-        bytes.len() as f64 / summary.instructions() as f64
-    );
-    let columns = read_columns(bytes.as_slice())?;
+    let trace = Trace::from_columns(recorder.into_columns());
 
     // Consumer 1: the phase-2 profiler.
     let mut profiler = ProfileCollector::new(kind.name());
-    columns.replay(&program, &mut profiler)?;
+    trace.replay(&program, &mut profiler)?;
     let image = profiler.into_image();
     println!("profiler:  {} static value producers", image.len());
 
     // Consumer 2: the finite-table predictor — fed from the value-event
     // columns alone, the same fast path the experiment suite replays.
     let mut predictor = PredictorConfig::spec_table_stride_fsm().build();
-    for (addr, value) in columns.value_events() {
+    for (addr, value) in trace.columns().value_events() {
         let directive = program.text()[addr.index() as usize].directive;
         predictor.access(addr, directive, value);
     }
     println!("predictor: {}", predictor.stats());
 
-    // A full-retirement replay through the tracer glue gives the same
-    // statistics as the columnar value-event scan.
-    let mut tracer = PredictorTracer::new(PredictorConfig::spec_table_stride_fsm().build());
-    columns.replay(&program, &mut tracer)?;
-    assert_eq!(tracer.stats(), predictor.stats());
+    // The replay builder the experiment suite uses gives the same
+    // statistics as the hand-written value-event scan.
+    let replayed = ReplayRequest::batch(&trace)
+        .single(&program, PredictorConfig::spec_table_stride_fsm())
+        .run()?
+        .into_single();
+    assert_eq!(&replayed.outcome.stats, predictor.stats());
 
     // Consumer 3: the abstract ILP machine.
     let mut ilp = IlpAnalyzer::new(IlpConfig::paper_no_vp());
-    columns.replay(&program, &mut ilp)?;
+    trace.replay(&program, &mut ilp)?;
     println!("ilp:       {}", ilp.finish());
     Ok(())
 }

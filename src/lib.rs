@@ -67,8 +67,8 @@ pub use vp_workloads as workloads;
 pub mod prelude {
     pub use provp_core::replay::stream::{DEFAULT_BLOCK_POOL, MIN_BLOCK_POOL};
     pub use provp_core::{
-        PredictorTracer, ReplayCellOutcome, ReplayOutcome, ReplayRequest, ReplayResponse, Suite,
-        SweepPlan, TraceStore,
+        ReplayCellOutcome, ReplayOutcome, ReplayRequest, ReplayResponse, Suite, SweepPlan,
+        TraceStore,
     };
     pub use vp_obs::{HotStack, PhaseShare, ProfileSection, RunManifest};
     pub use vp_predictor::{
