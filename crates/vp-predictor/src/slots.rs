@@ -76,6 +76,22 @@ impl<T> PcSlots<T> {
         (slot, fresh)
     }
 
+    /// The slot of `addr`, if occupied.
+    #[inline]
+    pub fn get_mut(&mut self, addr: InstrAddr) -> Option<&mut T> {
+        let index = addr.index() as usize;
+        if index < DENSE_LIMIT {
+            self.dense.get_mut(index)?.as_mut()
+        } else {
+            self.spilled_mut(addr)
+        }
+    }
+
+    #[cold]
+    fn spilled_mut(&mut self, addr: InstrAddr) -> Option<&mut T> {
+        self.spill.get_mut(&addr)
+    }
+
     /// Number of occupied slots.
     #[must_use]
     pub fn len(&self) -> usize {

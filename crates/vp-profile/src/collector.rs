@@ -1,16 +1,15 @@
 //! The profiling tracer: emulates both value predictors during a run.
 
 use vp_isa::InstrAddr;
-use vp_predictor::{LastValueEntry, PcSlots, PredEntry, StrideEntry};
+use vp_predictor::{PcSlots, PredEntry, StrideEntry};
 use vp_sim::{Retirement, Tracer};
 
 use crate::{InstrProfile, ProfileImage, VpCategory};
 
-/// Everything kept about one static instruction.
+/// Everything kept about one static instruction: its stride cell and counts.
 #[derive(Debug, Clone)]
 struct Slot {
     stride: StrideEntry,
-    last_value: LastValueEntry,
     profile: InstrProfile,
 }
 
@@ -31,26 +30,37 @@ impl Cells {
     }
 
     /// Counts one value produced at `addr`, evaluating both predictors
-    /// before training them; the first occurrence allocates and counts as
-    /// an (unavoidably) incorrect prediction.
+    /// before training them. A first occurrence allocates a slot of
+    /// `category()` (or is ignored if that is `None`) and counts as a miss.
     #[inline]
-    pub(crate) fn observe(&mut self, addr: InstrAddr, category: VpCategory, value: u64) {
-        let (slot, fresh) = self.slots.get_or_insert_with(addr, || Slot {
-            stride: StrideEntry::allocate(value),
-            last_value: LastValueEntry::allocate(value),
-            profile: InstrProfile::new(category),
-        });
-        let rec = &mut slot.profile;
-        rec.execs += 1;
-        if !fresh {
+    pub(crate) fn observe(
+        &mut self,
+        addr: InstrAddr,
+        value: u64,
+        category: impl FnOnce() -> Option<VpCategory>,
+    ) {
+        if let Some(slot) = self.slots.get_mut(addr) {
+            let rec = &mut slot.profile;
             let stride_ok = slot.stride.predict() == value;
-            let lv_ok = slot.last_value.predict() == value;
+            rec.execs += 1;
             rec.stride_correct += u64::from(stride_ok);
             rec.nonzero_stride_correct += u64::from(stride_ok && slot.stride.nonzero_stride());
-            rec.last_value_correct += u64::from(lv_ok);
+            rec.last_value_correct += u64::from(slot.stride.last() == value);
             slot.stride.train(value);
-            slot.last_value.train(value);
+        } else if let Some(category) = category() {
+            self.allocate(addr, category, value);
         }
+    }
+
+    #[cold]
+    fn allocate(&mut self, addr: InstrAddr, category: VpCategory, value: u64) {
+        let mut profile = InstrProfile::new(category);
+        profile.execs = 1;
+        let slot = Slot {
+            stride: StrideEntry::allocate(value),
+            profile,
+        };
+        self.slots.get_or_insert_with(addr, || slot);
     }
 
     /// The image, built once in address order.
@@ -65,17 +75,20 @@ impl Cells {
 
 /// A `vp-sim` [`Tracer`] that builds a [`ProfileImage`].
 ///
-/// For every value-producing static instruction it maintains an unbounded
-/// stride-predictor cell and an unbounded last-value cell (the paper's
+/// For every value-producing static instruction it emulates an unbounded
+/// stride predictor and an unbounded last-value predictor (the paper's
 /// phase-2 simulator "can emulate the operation of the value predictor and
 /// measure for each instruction its prediction accuracy" — emulating both
 /// costs nothing and yields Table 2.1 for free).
 ///
-/// Both cells and the instruction's counts share one [`PcSlots`] slot, so
-/// a value event costs one direct-indexed lookup; the image is built once,
-/// in address order, by [`ProfileCollector::into_image`]. Phase images
-/// (the paper's FP init/computation split) are cut from the finished
-/// image with [`ProfileImage::split_at`].
+/// The two predictors share one cell: both are allocated with the first
+/// value and trained with every value, so the stride cell's last value is
+/// the last-value prediction. That cell and the instruction's counts share
+/// one [`PcSlots`] slot, so a value event costs one direct-indexed lookup;
+/// the category is looked up only when the slot is allocated. The image is
+/// built once, in address order, by [`ProfileCollector::into_image`].
+/// Phase images (the paper's FP init/computation split) are cut from the
+/// finished image with [`ProfileImage::split_at`].
 #[derive(Debug, Clone)]
 pub struct ProfileCollector(Cells);
 
@@ -94,10 +107,13 @@ impl ProfileCollector {
 }
 
 impl Tracer for ProfileCollector {
+    // `always`: with a plain `#[inline]`, provp-core's training runs
+    // (`Suite::profile_once`) still call this out of line.
+    #[inline(always)]
     fn retire(&mut self, ev: &Retirement<'_>) {
-        let Some((_, _, value)) = ev.dest else { return };
-        if let Some(category) = VpCategory::from_op_category(ev.instr.op.category()) {
-            self.0.observe(ev.addr, category, value);
+        if let Some((_, _, value)) = ev.dest {
+            let category = || VpCategory::from_op_category(ev.instr.op.category());
+            self.0.observe(ev.addr, value, category);
         }
     }
 }

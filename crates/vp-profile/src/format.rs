@@ -71,34 +71,25 @@ pub fn from_text(text: &str) -> Result<ProfileImage, ProfileError> {
             }
             continue;
         }
+        let bad = |message: String| ProfileError::Parse {
+            line: lineno,
+            message,
+        };
         let mut parts = line.split_whitespace();
         let mut next_u64 = |what: &str| -> Result<u64, ProfileError> {
-            parts
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| ProfileError::Parse {
-                    line: lineno,
-                    message: format!("bad {what}"),
-                })
+            let token = parts.next().and_then(|t| t.parse().ok());
+            token.ok_or_else(|| bad(format!("bad {what}")))
         };
         let addr = next_u64("addr")?;
         let execs = next_u64("execs")?;
         let stride_correct = next_u64("stride_correct")?;
         let nonzero_stride_correct = next_u64("nonzero_stride_correct")?;
         let last_value_correct = next_u64("lv_correct")?;
-        let cat_tok = parts.next().ok_or_else(|| ProfileError::Parse {
-            line: lineno,
-            message: "missing category".into(),
-        })?;
-        let category = VpCategory::from_str_name(cat_tok).ok_or_else(|| ProfileError::Parse {
-            line: lineno,
-            message: format!("unknown category `{cat_tok}`"),
-        })?;
+        let cat_tok = parts.next().ok_or_else(|| bad("missing category".into()))?;
+        let category = VpCategory::from_str_name(cat_tok)
+            .ok_or_else(|| bad(format!("unknown category `{cat_tok}`")))?;
         if parts.next().is_some() {
-            return Err(ProfileError::Parse {
-                line: lineno,
-                message: "trailing fields".into(),
-            });
+            return Err(bad("trailing fields".into()));
         }
         if stride_correct > execs || last_value_correct > execs {
             return Err(ProfileError::Inconsistent {
@@ -112,10 +103,7 @@ pub fn from_text(text: &str) -> Result<ProfileImage, ProfileError> {
                 message: "more non-zero-stride corrects than stride corrects".into(),
             });
         }
-        let addr = u32::try_from(addr).map_err(|_| ProfileError::Parse {
-            line: lineno,
-            message: "address exceeds 32 bits".into(),
-        })?;
+        let addr = u32::try_from(addr).map_err(|_| bad("address exceeds 32 bits".into()))?;
         image.insert(
             InstrAddr::new(addr),
             InstrProfile {

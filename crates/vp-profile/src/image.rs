@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 
 use vp_isa::InstrAddr;
 
+use crate::record::ratio;
 use crate::{InstrProfile, VpCategory};
 
 /// A profile image: one [`InstrProfile`] per value-producing static
@@ -128,11 +129,7 @@ impl ProfileImage {
     #[must_use]
     pub fn category_stride_accuracy(&self, category: VpCategory) -> f64 {
         let (e, s, _) = self.category_totals(category);
-        if e == 0 {
-            0.0
-        } else {
-            s as f64 / e as f64
-        }
+        ratio(s, e)
     }
 
     /// Dynamic last-value-predictor accuracy for one category, in `[0, 1]`
@@ -140,11 +137,7 @@ impl ProfileImage {
     #[must_use]
     pub fn category_last_value_accuracy(&self, category: VpCategory) -> f64 {
         let (e, _, l) = self.category_totals(category);
-        if e == 0 {
-            0.0
-        } else {
-            l as f64 / e as f64
-        }
+        ratio(l, e)
     }
 
     /// Dynamic (execution-weighted) stride efficiency ratio over the whole
@@ -154,11 +147,7 @@ impl ProfileImage {
         let (nz, c) = self.records.values().fold((0u64, 0u64), |(nz, c), r| {
             (nz + r.nonzero_stride_correct, c + r.stride_correct)
         });
-        if c == 0 {
-            0.0
-        } else {
-            nz as f64 / c as f64
-        }
+        ratio(nz, c)
     }
 }
 

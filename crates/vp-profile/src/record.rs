@@ -100,7 +100,7 @@ pub struct InstrProfile {
 }
 
 impl InstrProfile {
-    /// A fresh record (one execution observed, nothing predicted yet).
+    /// An empty record: no executions observed, nothing predicted.
     #[must_use]
     pub fn new(category: VpCategory) -> Self {
         InstrProfile {
@@ -169,7 +169,8 @@ impl InstrProfile {
     }
 }
 
-fn ratio(num: u64, den: u64) -> f64 {
+/// `num / den`, or 0 when `den` is 0.
+pub(crate) fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
         0.0
     } else {

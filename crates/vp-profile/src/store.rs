@@ -55,9 +55,10 @@ impl StoreValueCollector {
 }
 
 impl Tracer for StoreValueCollector {
+    #[inline]
     fn retire(&mut self, ev: &Retirement<'_>) {
         if let Some(value) = ev.stored {
-            self.0.observe(ev.addr, VpCategory::Store, value);
+            self.0.observe(ev.addr, value, || Some(VpCategory::Store));
         }
     }
 }

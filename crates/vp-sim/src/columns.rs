@@ -153,6 +153,7 @@ impl TraceColumns {
     }
 
     /// Appends one retirement.
+    #[inline]
     pub fn push_retirement(&mut self, ev: &Retirement<'_>) {
         self.push_parts(ev.addr, ev.dest, ev.mem, ev.stored, ev.taken, ev.next_pc);
     }
@@ -164,6 +165,7 @@ impl TraceColumns {
         self.push_parts(ev.addr, ev.dest, ev.mem, ev.stored, ev.taken, ev.next_pc);
     }
 
+    #[inline]
     fn push_parts(
         &mut self,
         addr: InstrAddr,
@@ -201,6 +203,7 @@ impl TraceColumns {
 
     /// Records one event's program counters as control-flow exceptions
     /// and returns the `F_SEEK`/`F_JUMP` bits its flag byte needs.
+    #[inline]
     fn push_control_flow(&mut self, addr: u32, next_pc: u32) -> u8 {
         let mut flags = 0;
         if addr != self.tail_pc {

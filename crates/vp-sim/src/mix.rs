@@ -93,6 +93,7 @@ impl InstrMix {
 }
 
 impl Tracer for InstrMix {
+    #[inline]
     fn retire(&mut self, ev: &Retirement<'_>) {
         self.record(ev.instr.op.category());
     }

@@ -108,6 +108,7 @@ impl TraceRecorder {
 }
 
 impl Tracer for TraceRecorder {
+    #[inline]
     fn retire(&mut self, ev: &Retirement<'_>) {
         self.columns.push_retirement(ev);
     }

@@ -9,7 +9,9 @@ use crate::Retirement;
 /// Observes retired instructions.
 ///
 /// Implementations should be cheap: the simulator calls
-/// [`Tracer::retire`] once per dynamic instruction.
+/// [`Tracer::retire`] once per dynamic instruction. A `retire` defined in
+/// a crate other than its caller's must be `#[inline]`, or the run loop
+/// calls it out of line for every instruction.
 pub trait Tracer {
     /// Called after each instruction retires, with its full effect.
     fn retire(&mut self, ev: &Retirement<'_>);
@@ -53,6 +55,7 @@ impl<F: FnMut(&Retirement<'_>)> Tracer for FnTracer<F> {
 }
 
 impl<T: Tracer + ?Sized> Tracer for &mut T {
+    #[inline]
     fn retire(&mut self, ev: &Retirement<'_>) {
         (**self).retire(ev);
     }
@@ -80,6 +83,7 @@ impl<A: Tracer, B: Tracer> ChainTracer<A, B> {
 }
 
 impl<A: Tracer, B: Tracer> Tracer for ChainTracer<A, B> {
+    #[inline]
     fn retire(&mut self, ev: &Retirement<'_>) {
         self.first.retire(ev);
         self.second.retire(ev);

@@ -121,3 +121,93 @@ impl Tracer for RefProfileCollector {
         rec.last_value_correct += u64::from(lv_ok);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use vp_isa::{Instr, Opcode, Reg, RegClass};
+    use vp_predictor::slots::DENSE_LIMIT;
+    use vp_profile::format::to_text;
+    use vp_profile::{InstrProfile, ProfileCollector};
+
+    use super::*;
+
+    /// A fabricated retirement of `instr` at `addr` writing `value` to `r1`.
+    fn event(addr: u32, instr: &Instr, value: u64) -> Retirement<'_> {
+        Retirement {
+            addr: InstrAddr::new(addr),
+            instr,
+            dest: Some((RegClass::Int, Reg::new(1), value)),
+            mem: None,
+            stored: None,
+            taken: None,
+            next_pc: InstrAddr::new(addr.wrapping_add(1)),
+        }
+    }
+
+    /// The dense collector's image and the reference's, after both see
+    /// `events`; they must agree byte for byte.
+    fn both(events: &[Retirement<'_>]) -> ProfileImage {
+        let mut dense = ProfileCollector::new("t");
+        let mut reference = RefProfileCollector::new("t");
+        for ev in events {
+            dense.retire(ev);
+            reference.retire(ev);
+        }
+        let (dense, reference) = (dense.into_image(), reference.into_image());
+        assert_eq!(to_text(&dense), to_text(&reference));
+        dense
+    }
+
+    #[test]
+    fn spilled_addresses_are_recorded_in_address_order() {
+        let addi = Instr::alu_ri(Opcode::Addi, Reg::new(1), Reg::new(1), 3);
+        let limit = DENSE_LIMIT as u32;
+        let addrs = [u32::MAX, limit + 7, 5, limit, limit - 1];
+        let mut events = Vec::new();
+        for i in 0..4 {
+            for (k, &addr) in addrs.iter().enumerate() {
+                // Address k strides by k: 0 is constant, the rest move.
+                events.push(event(addr, &addi, 100 + i * k as u64));
+            }
+        }
+        let image = both(&events);
+        let order: Vec<u32> = image.addrs().map(InstrAddr::index).collect();
+        assert_eq!(order, vec![5, limit - 1, limit, limit + 7, u32::MAX]);
+        let constant = image.get(InstrAddr::new(u32::MAX)).unwrap();
+        assert_eq!((constant.execs, constant.stride_correct), (4, 3));
+        assert_eq!(constant.nonzero_stride_correct, 0);
+        assert_eq!(constant.last_value_correct, 3);
+        for addr in [limit + 7, 5, limit, limit - 1] {
+            let rec = image.get(InstrAddr::new(addr)).unwrap();
+            // Misses the allocation and the stride warm-up.
+            assert_eq!((rec.execs, rec.stride_correct), (4, 2), "{addr}");
+            assert_eq!(rec.nonzero_stride_correct, 2, "{addr}");
+            assert_eq!(rec.last_value_correct, 0, "{addr}");
+        }
+    }
+
+    #[test]
+    fn a_first_occurrence_counts_one_execution_and_no_hits() {
+        let li = Instr::rd_imm(Opcode::Li, Reg::new(1), 9);
+        let image = both(&[event(3, &li, 9)]);
+        let expected = InstrProfile {
+            execs: 1,
+            ..InstrProfile::new(VpCategory::IntAlu)
+        };
+        assert_eq!(image.get(InstrAddr::new(3)), Some(&expected));
+        assert_eq!(image.len(), 1);
+    }
+
+    #[test]
+    fn a_store_carrying_a_dest_is_not_recorded() {
+        let sd = Instr::store(Opcode::Sd, Reg::new(1), Reg::ZERO, 0);
+        let beq = Instr::branch(Opcode::Beq, Reg::ZERO, Reg::ZERO, 1);
+        let image = both(&[
+            event(4, &sd, 1),
+            event(4, &sd, 1),
+            event(6, &beq, 2),
+            event(DENSE_LIMIT as u32 + 1, &sd, 3),
+        ]);
+        assert!(image.is_empty());
+    }
+}

@@ -4,14 +4,17 @@
 //! The fuzzer's generated programs are short; these are the programs every
 //! experiment runs. Each one must retire the same event stream and end with
 //! the same registers and memory under `vp_sim::run_on` as under
-//! `vp_verify::ref_run`. CI runs this file in release:
+//! `vp_verify::ref_run`, and `vp_profile::ProfileCollector` must build the
+//! same profile image as `vp_verify::RefProfileCollector`. CI runs this
+//! file in release:
 //!
 //! ```text
 //! cargo test --release --offline -p vp-verify --test reference_programs
 //! ```
 //!
 //! Two `#[ignore]`d tests print the measurements behind
-//! `results/perf_predecoded_interp.md` and `results/trace_cache_removal.md`:
+//! `results/perf_predecoded_interp.md`, `results/trace_cache_removal.md`
+//! and `results/perf_inline_collector.md`:
 //!
 //! ```text
 //! cargo test --release --offline -p vp-verify --test reference_programs \
@@ -23,13 +26,14 @@ use std::time::Instant;
 
 use vp_ilp::{IlpConfig, IlpLanes};
 use vp_isa::{Opcode, Program, Reg, RegClass};
+use vp_profile::format::to_text;
 use vp_profile::ProfileCollector;
 use vp_sim::record::{first_divergence, TraceEvent};
 use vp_sim::runner::run_on;
 use vp_sim::{
     FnTracer, Machine, NullTracer, Retirement, RunLimits, RunStatus, Trace, TraceRecorder, Tracer,
 };
-use vp_verify::ref_run;
+use vp_verify::{ref_run, RefProfileCollector};
 use vp_workloads::{InputSet, Workload, WorkloadKind};
 
 /// Dynamic instructions of the nine reference runs together.
@@ -85,6 +89,34 @@ fn reference_programs_match_the_reference_interpreter() {
         total += summary.instructions();
     }
     assert_eq!(total, REFERENCE_INSTRUCTIONS);
+}
+
+/// The dense `ProfileCollector` must build the map-based
+/// `RefProfileCollector`'s image on every reference program, simulated
+/// straight into it and fed through `Trace::capture_with` (the path of
+/// Table 2.1's reference capture).
+#[test]
+fn the_profile_collector_matches_the_reference_collector() {
+    let limits = RunLimits::default();
+    for kind in WorkloadKind::ALL {
+        let program = reference_program(kind);
+        let mut reference = RefProfileCollector::new(program.name());
+        vp_sim::run(&program, &mut reference, limits).unwrap();
+        let expected = to_text(&reference.into_image());
+        assert!(expected.lines().count() > 10, "{kind}: {expected}");
+
+        let mut run = ProfileCollector::new(program.name());
+        vp_sim::run(&program, &mut run, limits).unwrap();
+        let mut captured = ProfileCollector::new(program.name());
+        Trace::capture_with(&program, limits, &mut captured).unwrap();
+        for (path, collector) in [("run", run), ("capture_with", captured)] {
+            let text = to_text(&collector.into_image());
+            if let Some((got, want)) = text.lines().zip(expected.lines()).find(|(a, b)| a != b) {
+                panic!("{kind} ({path}): {got:?}, reference {want:?}");
+            }
+            assert_eq!(text, expected, "{kind} ({path})");
+        }
+    }
 }
 
 fn record(events: &mut Vec<TraceEvent>) -> impl Tracer + '_ {
@@ -193,7 +225,9 @@ fn print_opcode_and_pair_mix() {
 /// Prints the best-of-7 nanoseconds per instruction of each reference
 /// run, bare (`NullTracer`), with a `ProfileCollector` attached and with
 /// one no-VP `IlpLanes` lane attached, each both simulated (`run_on`) and
-/// replayed from a resident `Trace`; plus the cost of `Trace::capture`.
+/// replayed from a resident `Trace`; plus the cost of `Trace::capture`,
+/// bare and feeding a `ProfileCollector` (`Trace::capture_with`, the path
+/// of Table 2.1's reference capture).
 /// Machine set-up is outside the timed region; the consumer's set-up and
 /// everything `run_on` (or the replay, or the capture) does is inside.
 #[test]
@@ -220,7 +254,7 @@ fn time_the_interpreter() {
         lanes
     }
 
-    const COLUMNS: [&str; 7] = [
+    const COLUMNS: [&str; 8] = [
         "bare run",
         "bare replay",
         "profiled run",
@@ -228,6 +262,7 @@ fn time_the_interpreter() {
         "ILP lane run",
         "ILP lane replay",
         "capture",
+        "capture + profile",
     ];
     println!("ns per instruction, best of {REPS}:\n");
     println!(
@@ -274,6 +309,14 @@ fn time_the_interpreter() {
                 },
             ),
             best_ns(|| (), |()| Trace::capture(&program, limits).unwrap()),
+            best_ns(
+                || (),
+                |()| {
+                    let mut collector = ProfileCollector::new(program.name());
+                    let trace = Trace::capture_with(&program, limits, &mut collector).unwrap();
+                    (trace, collector)
+                },
+            ),
         ];
         let cells: Vec<String> = row
             .iter()
