@@ -26,11 +26,13 @@
 //! configurations × several profiling thresholds over the *same* trace —
 //! and replaying per cell scans the identical value stream `cells` times.
 //! The fused engine streams the trace once, resolves each distinct
-//! directive annotation's per-PC row once per block, and feeds the block
-//! to a bank of predictors ([`vp_predictor::ValuePredictor::access_batch`]),
-//! sharding by the *joint* state-partition key (gcd of the cells' moduli)
-//! so every cell's grid entry stays bit-identical to its sequential
-//! per-cell replay.
+//! directive annotation's per-PC row once per block, walks each distinct
+//! predictor *state* over the block once ([`vp_predictor::StateWalk`]:
+//! cells that differ only in classifier or directive table share one
+//! walk) and lets every cell tally the walk's raw codes into its
+//! [`vp_predictor::CodeHistogram`], sharding by the *joint*
+//! state-partition key (gcd of the cells' moduli) so every cell's grid
+//! entry stays bit-identical to its sequential per-cell replay.
 //!
 //! ## Entry point
 //!
@@ -52,7 +54,8 @@ use std::time::Instant;
 use vp_isa::{Directive, InstrAddr, Program};
 use vp_predictor::config::shard_key;
 use vp_predictor::{
-    AttributionTable, Outcome, OutcomeColumn, PredictorConfig, PredictorStats, ValuePredictor,
+    AttributionTable, CodeHistogram, Outcome, OutcomeColumn, PredictorConfig, PredictorStats,
+    StateWalk, ValuePredictor,
 };
 use vp_sim::{RunLimits, Trace};
 
@@ -93,9 +96,10 @@ pub fn auto_shards(jobs: usize, events: usize) -> usize {
 }
 
 /// Events per fused-kernel block: long enough to amortise the one virtual
-/// `access_batch` call per (block, cell) and keep each predictor's tables
+/// `walk` call per (block, state walk) and keep each predictor's tables
 /// hot across the block, short enough that the scratch columns (addresses,
-/// values, one directive row per distinct annotation) stay cache-resident.
+/// values, one directive row per distinct annotation, one code column per
+/// walk) stay cache-resident.
 pub(crate) const MATRIX_BLOCK: usize = 1024;
 
 /// One cell of a [`SweepPlan`]: a predictor configuration replayed under
@@ -196,10 +200,27 @@ impl SweepPlan {
     }
 }
 
-/// Dedupes the plan's cells into the predictor bank's slots and counts
-/// the fused pass: returns the distinct cells and, per request cell, the
-/// slot it maps to. A slot records outcomes when any of its cells asks.
-fn fuse_cells(plan: &SweepPlan) -> (Vec<MatrixCell>, Vec<usize>) {
+/// A plan's cells fused for one pass: the distinct cells (slots), the
+/// state walks that serve them, and the maps between the three.
+pub(crate) struct Fused {
+    /// The distinct cells; a slot records outcomes when any of its
+    /// cells asks.
+    slots: Vec<MatrixCell>,
+    /// Per request cell, its slot.
+    slot_of: Vec<usize>,
+    /// Per state walk, the configuration that builds it and the
+    /// directive table it reads (any of its slots' tables when the walk
+    /// reads none).
+    walks: Vec<(PredictorConfig, usize)>,
+    /// Per slot, the walk that serves it.
+    walk_of: Vec<usize>,
+}
+
+/// Dedupes the plan's cells into slots, groups the slots by the state
+/// their predictors evolve ([`PredictorConfig::shared_state`], plus the
+/// directive table when the walk reads one) and counts the fused pass.
+/// An attributed pass runs every slot's own predictor, one walk each.
+pub(crate) fn fuse_cells(plan: &SweepPlan, attribution: bool) -> Fused {
     let mut slots: Vec<MatrixCell> = Vec::new();
     let mut slot_of = Vec::with_capacity(plan.cells.len());
     let mut index: HashMap<(PredictorConfig, usize), usize> = HashMap::new();
@@ -213,9 +234,33 @@ fn fuse_cells(plan: &SweepPlan) -> (Vec<MatrixCell>, Vec<usize>) {
         slots[slot].outcomes |= cell.outcomes;
         slot_of.push(slot);
     }
+    let mut walks = Vec::new();
+    let mut walk_index: HashMap<(PredictorConfig, Option<usize>), usize> = HashMap::new();
+    let walk_of = slots
+        .iter()
+        .map(|cell| {
+            let (state, reads) = cell.config.shared_state();
+            let key = (state, reads.then_some(cell.directives));
+            *walk_index.entry(key).or_insert_with(|| {
+                walks.push((state, cell.directives));
+                walks.len() - 1
+            })
+        })
+        .collect();
     vp_obs::counter("replay.matrix_passes").add(1);
     vp_obs::counter("replay.fused_cells").add(slots.len() as u64);
-    (slots, slot_of)
+    let walked = if attribution {
+        slots.len()
+    } else {
+        walks.len()
+    };
+    vp_obs::counter("replay.state_walks").add(walked as u64);
+    Fused {
+        slots,
+        slot_of,
+        walks,
+        walk_of,
+    }
 }
 
 /// The distinct directive tables the slots actually read, ascending.
@@ -236,21 +281,37 @@ type SlotResult = (
     Option<OutcomeColumn>,
 );
 
+/// How a [`MatrixScanner`] evaluates its slots.
+enum Kernel {
+    /// One [`StateWalk`] per shared state, emitting one raw code per
+    /// event into its code column; each slot tallies its walk's codes
+    /// under its own directive row.
+    Walks {
+        walks: Vec<Box<dyn StateWalk>>,
+        codes: Vec<Vec<u8>>,
+        tallies: Vec<CodeHistogram>,
+    },
+    /// Each slot's own predictor, observed access by access
+    /// ([`ValuePredictor::access`], the reference the walks must equal)
+    /// into one [`AttributionTable`] per slot.
+    Attributed {
+        banks: Vec<Box<dyn ValuePredictor>>,
+        attributions: Vec<AttributionTable>,
+    },
+}
+
 /// The push-based fused kernel: accumulates one shard's value events into
 /// [`MATRIX_BLOCK`]-sized scratch columns, resolves each full block's
-/// directive row once per distinct annotation and feeds the block to
-/// every predictor in the bank via [`ValuePredictor::access_batch`] (one
-/// virtual call per block per cell, statically dispatched inside).
+/// directive row once per distinct annotation, walks each shared
+/// predictor state over the block once ([`StateWalk::walk`], one virtual
+/// call per block per walk, statically dispatched inside), and lets every
+/// slot tally its walk's codes into its [`CodeHistogram`]. A slot that
+/// records outcomes derives one [`Outcome`] per event from the same codes.
 ///
-/// An attributed scanner also owns one [`AttributionTable`] per slot and
-/// walks each block cell by cell instead, observing every
-/// [`ValuePredictor::access`] outcome. Cells have independent state, so
-/// visiting all of one cell's events before the next gives the same
-/// results as an event-major loop. A slot that records outcomes appends
-/// one [`Outcome`] per event to its [`OutcomeColumn`]
-/// ([`ValuePredictor::access_batch_outcomes`] when unattributed). Both
-/// choices are made once per block, so the plain kernel's per-event loop
-/// is exactly the one a sweep without attribution or outcomes runs.
+/// An attributed scanner instead walks each block cell by cell through
+/// each slot's own predictor, observing every [`ValuePredictor::access`]
+/// outcome. Cells have independent state, so visiting all of one cell's
+/// events before the next gives the same results as an event-major loop.
 ///
 /// Both the batch scan (an iterator drained into `push`) and the
 /// streaming consumers ([`stream`]) drive this same kernel, so their
@@ -258,13 +319,11 @@ type SlotResult = (
 /// drift apart: the block boundaries a consumer happens to deliver never
 /// matter, only the accumulated [`MATRIX_BLOCK`] chunking here does.
 struct MatrixScanner<'p> {
-    banks: Vec<Box<dyn ValuePredictor>>,
-    /// One table per slot when the replay is attributed.
-    attributions: Option<Vec<AttributionTable>>,
+    kernel: Kernel,
     /// One column per outcome-recording slot.
     outcomes: Vec<Option<OutcomeColumn>>,
     tables: &'p [Vec<Directive>],
-    slots: &'p [MatrixCell],
+    fused: &'p Fused,
     used: Vec<usize>,
     addrs: Vec<InstrAddr>,
     values: Vec<u64>,
@@ -272,17 +331,32 @@ struct MatrixScanner<'p> {
 }
 
 impl<'p> MatrixScanner<'p> {
-    fn new(tables: &'p [Vec<Directive>], slots: &'p [MatrixCell], attribution: bool) -> Self {
+    fn new(tables: &'p [Vec<Directive>], fused: &'p Fused, attribution: bool) -> Self {
+        let slots = &fused.slots;
+        let kernel = if attribution {
+            Kernel::Attributed {
+                banks: slots.iter().map(|c| c.config.build()).collect(),
+                attributions: slots.iter().map(|_| AttributionTable::new()).collect(),
+            }
+        } else {
+            Kernel::Walks {
+                walks: fused.walks.iter().map(|(c, _)| c.walker()).collect(),
+                codes: fused
+                    .walks
+                    .iter()
+                    .map(|_| Vec::with_capacity(MATRIX_BLOCK))
+                    .collect(),
+                tallies: slots.iter().map(|_| CodeHistogram::new()).collect(),
+            }
+        };
         MatrixScanner {
-            banks: slots.iter().map(|c| c.config.build()).collect(),
-            attributions: attribution
-                .then(|| slots.iter().map(|_| AttributionTable::new()).collect()),
+            kernel,
             outcomes: slots
                 .iter()
                 .map(|c| c.outcomes.then(OutcomeColumn::new))
                 .collect(),
             tables,
-            slots,
+            fused,
             used: used_tables(slots),
             addrs: Vec::with_capacity(MATRIX_BLOCK),
             values: Vec::with_capacity(MATRIX_BLOCK),
@@ -318,25 +392,46 @@ impl<'p> MatrixScanner<'p> {
                 );
             }
         }
-        let banks = self
-            .banks
-            .iter_mut()
-            .zip(self.slots)
-            .zip(&mut self.outcomes);
-        match &mut self.attributions {
-            None => {
-                for ((bank, cell), column) in banks {
-                    let row = &self.rows[cell.directives];
-                    match column {
-                        None => bank.access_batch(&self.addrs, row, &self.values),
-                        Some(column) => {
-                            bank.access_batch_outcomes(&self.addrs, row, &self.values, column);
+        let slots = &self.fused.slots;
+        match &mut self.kernel {
+            Kernel::Walks {
+                walks,
+                codes,
+                tallies,
+            } => {
+                for ((walk, codes), &(_, table)) in walks
+                    .iter_mut()
+                    .zip(codes.iter_mut())
+                    .zip(&self.fused.walks)
+                {
+                    walk.walk(&self.addrs, &self.rows[table], &self.values, codes);
+                }
+                for (((cell, tally), column), &w) in slots
+                    .iter()
+                    .zip(tallies)
+                    .zip(&mut self.outcomes)
+                    .zip(&self.fused.walk_of)
+                {
+                    let (row, codes) = (&self.rows[cell.directives], &codes[w]);
+                    tally.tally(row, codes);
+                    if let Some(column) = column {
+                        let classifier = cell.config.classifier();
+                        for (&directive, &code) in row.iter().zip(codes) {
+                            column.push(classifier.outcome(directive, code));
                         }
                     }
                 }
             }
-            Some(attributions) => {
-                for (((bank, cell), column), table) in banks.zip(attributions) {
+            Kernel::Attributed {
+                banks,
+                attributions,
+            } => {
+                for (((bank, cell), column), table) in banks
+                    .iter_mut()
+                    .zip(slots)
+                    .zip(&mut self.outcomes)
+                    .zip(attributions)
+                {
                     let row = &self.rows[cell.directives];
                     for ((&addr, &directive), &value) in
                         self.addrs.iter().zip(row).zip(&self.values)
@@ -357,16 +452,35 @@ impl<'p> MatrixScanner<'p> {
 
     fn finish(mut self) -> io::Result<Vec<SlotResult>> {
         self.flush()?;
-        let mut tables = self.attributions.map(Vec::into_iter);
-        Ok(self
-            .banks
-            .iter()
-            .zip(self.outcomes)
-            .map(|(b, column)| {
-                let table = tables.as_mut().and_then(Iterator::next);
-                (*b.stats(), b.occupancy(), table, column)
-            })
-            .collect())
+        let outcomes = self.outcomes.into_iter();
+        Ok(match self.kernel {
+            Kernel::Walks { walks, tallies, .. } => self
+                .fused
+                .slots
+                .iter()
+                .zip(tallies)
+                .zip(&self.fused.walk_of)
+                .zip(outcomes)
+                .map(|(((cell, tally), &w), column)| {
+                    let walk = &walks[w];
+                    let mut stats = tally.stats(cell.config.classifier());
+                    stats.evictions = walk.evictions();
+                    stats.set_conflicts = walk.conflicts();
+                    (stats, walk.occupancy(), None, column)
+                })
+                .collect(),
+            Kernel::Attributed {
+                banks,
+                attributions,
+            } => banks
+                .iter()
+                .zip(attributions)
+                .zip(outcomes)
+                .map(|((bank, table), column)| {
+                    (*bank.stats(), bank.occupancy(), Some(table), column)
+                })
+                .collect(),
+        })
     }
 }
 
@@ -374,13 +488,13 @@ impl<'p> MatrixScanner<'p> {
 fn matrix_scan<I>(
     events: I,
     tables: &[Vec<Directive>],
-    slots: &[MatrixCell],
+    fused: &Fused,
     attribution: bool,
 ) -> io::Result<Vec<SlotResult>>
 where
     I: Iterator<Item = (InstrAddr, u64)>,
 {
-    let mut scanner = MatrixScanner::new(tables, slots, attribution);
+    let mut scanner = MatrixScanner::new(tables, fused, attribution);
     for (addr, value) in events {
         scanner.push(addr, value)?;
     }
@@ -451,22 +565,22 @@ where
 /// the resident `trace`, PC-sharded over up to `jobs` workers.
 fn batch_matrix(trace: &Trace, req: &ReplayRequest<'_>) -> io::Result<Vec<ReplayCellOutcome>> {
     let _span = vp_obs::span("matrix");
-    let (slots, slot_of) = fuse_cells(&req.plan);
     let (tables, attribution) = (req.plan.tables(), req.attribution);
+    let fused = fuse_cells(&req.plan, attribution);
     let cols = trace.columns();
 
     if req.shards == 1 {
-        let per_slot = matrix_scan(cols.value_events(), tables, &slots, attribution)?;
+        let per_slot = matrix_scan(cols.value_events(), tables, &fused, attribution)?;
         vp_obs::counter("replay.shards").add(1);
-        return Ok(merge_shards(vec![per_slot], &slot_of, 1));
+        return Ok(merge_shards(vec![per_slot], &fused.slot_of, 1));
     }
 
-    let modulus = PredictorConfig::joint_shard_modulus(slots.iter().map(|c| &c.config));
+    let modulus = PredictorConfig::joint_shard_modulus(fused.slots.iter().map(|c| &c.config));
     let views = cols.shard_by_pc(req.shards, move |addr| shard_key(modulus, addr));
     let of = req.shards as u64;
     let timed = parallel_map(req.jobs, &views, |shard| -> io::Result<_> {
         let started = Instant::now();
-        let per_slot = matrix_scan(shard.values(), tables, &slots, attribution)?;
+        let per_slot = matrix_scan(shard.values(), tables, &fused, attribution)?;
         Ok((per_slot, started.elapsed().as_micros() as u64))
     });
     let mut parts = Vec::with_capacity(req.shards);
@@ -485,7 +599,7 @@ fn batch_matrix(trace: &Trace, req: &ReplayRequest<'_>) -> io::Result<Vec<Replay
     let skew_us = slowest.saturating_sub(fastest);
     vp_obs::counter("replay.shards").add(req.shards as u64);
     vp_obs::gauge("replay.shard_skew_ms").set_max(skew_us.div_ceil(1000));
-    Ok(merge_shards(parts, &slot_of, req.shards))
+    Ok(merge_shards(parts, &fused.slot_of, req.shards))
 }
 
 /// Where a [`ReplayRequest`] reads its value events from.

@@ -262,20 +262,20 @@ pub(crate) fn stream_matrix(
     req: &ReplayRequest<'_>,
 ) -> io::Result<Vec<ReplayCellOutcome>> {
     let _span = vp_obs::span("stream");
-    let (slots, slot_of) = fuse_cells(&req.plan);
-    let modulus = PredictorConfig::joint_shard_modulus(slots.iter().map(|c| &c.config));
+    let fused = fuse_cells(&req.plan, req.attribution);
+    let modulus = PredictorConfig::joint_shard_modulus(fused.slots.iter().map(|c| &c.config));
     // No trace is resident to put per-shard outcome columns back into
     // stream order afterwards, so a plan that records them runs on one
     // consumer.
-    let shards = if slots.iter().any(|c| c.outcomes) {
+    let shards = if fused.slots.iter().any(|c| c.outcomes) {
         1
     } else {
         req.shards
     };
     let parts = run_streamed(program, limits, shards, req.block_pool, modulus, |events| {
-        matrix_scan(events, req.plan.tables(), &slots, req.attribution)
+        matrix_scan(events, req.plan.tables(), &fused, req.attribution)
     })?;
-    Ok(merge_shards(parts, &slot_of, shards))
+    Ok(merge_shards(parts, &fused.slot_of, shards))
 }
 
 #[cfg(test)]

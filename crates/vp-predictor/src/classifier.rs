@@ -39,6 +39,17 @@ impl ClassifierKind {
         }
     }
 
+    /// The counter cloned into each new table entry: the
+    /// [`ClassifierKind::SatCounter`] template, or the 2-bit counter that
+    /// the other classifiers keep (and never read).
+    #[must_use]
+    pub fn counter_template(self) -> SatCounter {
+        match self {
+            ClassifierKind::SatCounter { template } => template,
+            ClassifierKind::Directive | ClassifierKind::Always => SatCounter::two_bit(),
+        }
+    }
+
     /// Whether an instruction carrying `directive` may be *allocated* into
     /// the prediction table at all.
     ///

@@ -4,12 +4,15 @@
 //! builds it with [`PredictorConfig::build`]; this keeps sweep harnesses
 //! (threshold sweeps, geometry ablations) free of generics.
 
-use vp_isa::InstrAddr;
+use vp_isa::{Directive, InstrAddr};
 
 use crate::entry::TwoDeltaStrideEntry;
+use crate::hybrid::HybridState;
+use crate::infinite::InfiniteState;
+use crate::table_predictor::TableState;
 use crate::{
-    ClassifierKind, HybridPredictor, InfinitePredictor, LastValueEntry, StrideEntry, TableGeometry,
-    TablePredictor, ValuePredictor,
+    ClassifierKind, HybridPredictor, InfinitePredictor, LastValueEntry, StateWalk, StrideEntry,
+    TableGeometry, TablePredictor, ValuePredictor,
 };
 
 /// A predictor + classifier configuration, as data.
@@ -105,6 +108,88 @@ impl PredictorConfig {
             PredictorConfig::Hybrid { stride, last_value } => {
                 Box::new(HybridPredictor::new(stride, last_value))
             }
+        }
+    }
+
+    /// This configuration's predictor state alone, without its
+    /// statistics, for a fused sweep to walk
+    /// ([`StateWalk::walk`]).
+    #[must_use]
+    pub fn walker(&self) -> Box<dyn StateWalk> {
+        match *self {
+            PredictorConfig::InfiniteStride { classifier } => {
+                Box::new(InfiniteState::<StrideEntry>::new(classifier))
+            }
+            PredictorConfig::InfiniteLastValue { classifier } => {
+                Box::new(InfiniteState::<LastValueEntry>::new(classifier))
+            }
+            PredictorConfig::TableStride {
+                geometry,
+                classifier,
+            } => Box::new(TableState::<StrideEntry>::new(geometry, classifier)),
+            PredictorConfig::TableLastValue {
+                geometry,
+                classifier,
+            } => Box::new(TableState::<LastValueEntry>::new(geometry, classifier)),
+            PredictorConfig::TableTwoDelta {
+                geometry,
+                classifier,
+            } => Box::new(TableState::<TwoDeltaStrideEntry>::new(geometry, classifier)),
+            PredictorConfig::Hybrid { stride, last_value } => {
+                Box::new(HybridState::new(stride, last_value))
+            }
+        }
+    }
+
+    /// The state a walk of this configuration evolves, as a key, and
+    /// whether that walk reads directives. Two configurations with equal
+    /// keys, walked over the same events (and, when the walk reads them,
+    /// the same directives), evolve identical state and emit identical
+    /// codes; they differ only in [`PredictorConfig::classifier`].
+    ///
+    /// Infinite tables admit every producer, and so do finite tables
+    /// under [`ClassifierKind::SatCounter`] or [`ClassifierKind::Always`]:
+    /// their key keeps the structure and the counter template
+    /// ([`ClassifierKind::counter_template`]) and drops the classifier. A
+    /// [`ClassifierKind::Directive`] table admits by directive and the
+    /// hybrid routes by it, so both are their own key and read
+    /// directives.
+    #[must_use]
+    pub fn shared_state(&self) -> (PredictorConfig, bool) {
+        let counted = |classifier: ClassifierKind| ClassifierKind::SatCounter {
+            template: classifier.counter_template(),
+        };
+        let mut key = *self;
+        match &mut key {
+            PredictorConfig::InfiniteStride { classifier }
+            | PredictorConfig::InfiniteLastValue { classifier } => {
+                *classifier = counted(*classifier)
+            }
+            PredictorConfig::TableStride { classifier, .. }
+            | PredictorConfig::TableLastValue { classifier, .. }
+            | PredictorConfig::TableTwoDelta { classifier, .. } => {
+                if !classifier.admits(Directive::None) {
+                    return (key, true);
+                }
+                *classifier = counted(*classifier);
+            }
+            PredictorConfig::Hybrid { .. } => return (key, true),
+        }
+        (key, false)
+    }
+
+    /// The classifier that decides which predictions are used: the
+    /// configured one, or [`ClassifierKind::Directive`] for the hybrid,
+    /// whose tables admit and trust only tagged instructions.
+    #[must_use]
+    pub fn classifier(&self) -> ClassifierKind {
+        match *self {
+            PredictorConfig::InfiniteStride { classifier }
+            | PredictorConfig::InfiniteLastValue { classifier }
+            | PredictorConfig::TableStride { classifier, .. }
+            | PredictorConfig::TableLastValue { classifier, .. }
+            | PredictorConfig::TableTwoDelta { classifier, .. } => classifier,
+            PredictorConfig::Hybrid { .. } => ClassifierKind::Directive,
         }
     }
 

@@ -10,6 +10,8 @@
 
 use vp_isa::{Directive, InstrAddr};
 
+use crate::table_predictor::TableState;
+use crate::walk::StateWalk;
 use crate::{
     Access, ClassifierKind, LastValueEntry, PredictorStats, StrideEntry, TableGeometry,
     TablePredictor, ValuePredictor,
@@ -105,6 +107,44 @@ impl ValuePredictor for HybridPredictor {
 
     fn occupancy(&self) -> usize {
         self.stride_occupancy() + self.last_value_occupancy()
+    }
+}
+
+/// The state of a hybrid: its two directive-admitted tables, routed by
+/// tag as [`HybridPredictor::access`] routes. Like the hybrid's combined
+/// statistics, it reports the two sides' set conflicts but no evictions
+/// (only the per-side statistics count those).
+#[derive(Debug, Clone)]
+pub(crate) struct HybridState {
+    stride: TableState<StrideEntry>,
+    last_value: TableState<LastValueEntry>,
+}
+
+impl HybridState {
+    pub(crate) fn new(stride: TableGeometry, last_value: TableGeometry) -> Self {
+        HybridState {
+            stride: TableState::new(stride, ClassifierKind::Directive),
+            last_value: TableState::new(last_value, ClassifierKind::Directive),
+        }
+    }
+}
+
+impl StateWalk for HybridState {
+    #[inline]
+    fn update(&mut self, addr: InstrAddr, directive: Directive, actual: u64) -> (u8, u64) {
+        match directive {
+            Directive::Stride => self.stride.update(addr, directive, actual),
+            Directive::LastValue => self.last_value.update(addr, directive, actual),
+            Directive::None => (0, 0),
+        }
+    }
+
+    fn conflicts(&self) -> u64 {
+        self.stride.conflicts() + self.last_value.conflicts()
+    }
+
+    fn occupancy(&self) -> usize {
+        self.stride.occupancy() + self.last_value.occupancy()
     }
 }
 

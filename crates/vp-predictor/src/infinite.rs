@@ -8,6 +8,7 @@
 
 use vp_isa::{Directive, InstrAddr};
 
+use crate::walk::{self, StateWalk};
 use crate::{
     Access, ClassifierKind, PcSlots, PredEntry, PredictorStats, SatCounter, ValuePredictor,
 };
@@ -36,7 +37,7 @@ use crate::{
 #[derive(Debug, Clone)]
 pub struct InfinitePredictor<E> {
     classifier: ClassifierKind,
-    slots: PcSlots<(E, SatCounter)>,
+    state: InfiniteState<E>,
     stats: PredictorStats,
 }
 
@@ -46,7 +47,7 @@ impl<E: PredEntry> InfinitePredictor<E> {
     pub fn new(classifier: ClassifierKind) -> Self {
         InfinitePredictor {
             classifier,
-            slots: PcSlots::new(),
+            state: InfiniteState::new(classifier),
             stats: PredictorStats::new(),
         }
     }
@@ -54,37 +55,8 @@ impl<E: PredEntry> InfinitePredictor<E> {
 
 impl<E: PredEntry> ValuePredictor for InfinitePredictor<E> {
     fn access(&mut self, addr: InstrAddr, directive: Directive, actual: u64) -> Access {
-        let mut a = Access::default();
-        let template = match self.classifier {
-            ClassifierKind::SatCounter { template } => template,
-            _ => SatCounter::two_bit(),
-        };
-        let ((entry, counter), allocated) = self
-            .slots
-            .get_or_insert_with(addr, || (E::allocate(actual), template));
-        if allocated {
-            // First dynamic occurrence: nothing to predict. The infinite
-            // table tracks *every* producer regardless of classification
-            // so both mechanisms see identical raw predictions.
-            a.recommended = match self.classifier {
-                ClassifierKind::SatCounter { .. } | ClassifierKind::Always => false,
-                ClassifierKind::Directive => directive.is_predictable(),
-            };
-            a.allocated = true;
-        } else {
-            a.hit = true;
-            let predicted = entry.predict();
-            a.predicted = Some(predicted);
-            a.correct = predicted == actual;
-            a.nonzero_stride = entry.nonzero_stride();
-            a.recommended = match self.classifier {
-                ClassifierKind::SatCounter { .. } => counter.predicts(),
-                ClassifierKind::Directive => directive.is_predictable(),
-                ClassifierKind::Always => true,
-            };
-            counter.record(a.correct);
-            entry.train(actual);
-        }
+        let (code, predicted) = self.state.update(addr, directive, actual);
+        let a = Access::from_code(code, predicted, self.classifier.recommends(directive, code));
         self.stats.record_classified(directive, &a);
         a
     }
@@ -94,8 +66,46 @@ impl<E: PredEntry> ValuePredictor for InfinitePredictor<E> {
     }
 
     fn reset(&mut self) {
-        self.slots.clear();
+        self.state.slots.clear();
         self.stats = PredictorStats::new();
+    }
+
+    fn occupancy(&self) -> usize {
+        self.state.occupancy()
+    }
+}
+
+/// The state of an infinite table: one entry and counter per static
+/// instruction. It tracks *every* producer regardless of classification,
+/// so all classifiers over one counter template evolve the same state.
+#[derive(Debug, Clone)]
+pub(crate) struct InfiniteState<E> {
+    template: SatCounter,
+    slots: PcSlots<(E, SatCounter)>,
+}
+
+impl<E: PredEntry> InfiniteState<E> {
+    pub(crate) fn new(classifier: ClassifierKind) -> Self {
+        InfiniteState {
+            template: classifier.counter_template(),
+            slots: PcSlots::new(),
+        }
+    }
+}
+
+impl<E: PredEntry> StateWalk for InfiniteState<E> {
+    #[inline]
+    fn update(&mut self, addr: InstrAddr, _: Directive, actual: u64) -> (u8, u64) {
+        let template = self.template;
+        let ((entry, counter), allocated) = self
+            .slots
+            .get_or_insert_with(addr, || (E::allocate(actual), template));
+        if allocated {
+            // First dynamic occurrence: nothing to predict.
+            (walk::ALLOCATED, 0)
+        } else {
+            walk::hit(entry, counter, actual)
+        }
     }
 
     fn occupancy(&self) -> usize {

@@ -19,7 +19,10 @@
 //!   conclusions propose, routed by opcode directive;
 //! - [`PcSlots`] — the dense per-static-instruction state store;
 //! - [`OutcomeColumn`] — one packed [`Outcome`] per value event, so one
-//!   predictor replay can drive many machine models.
+//!   predictor replay can drive many machine models;
+//! - [`StateWalk`] and [`CodeHistogram`] — one predictor state walked
+//!   once for every sweep cell that shares it, each cell tallying the
+//!   walk's raw codes ([`walk`]).
 //!
 //! Every predictor exposes one uniform operation, [`ValuePredictor::access`]:
 //! present the dynamic instance of a value-producing instruction (static
@@ -57,6 +60,7 @@ pub mod slots;
 pub mod stats;
 pub mod table;
 pub mod table_predictor;
+pub mod walk;
 
 pub use attribution::{AttributionCause, AttributionTable, AttributionTotals, PcAttribution};
 pub use classifier::ClassifierKind;
@@ -71,6 +75,7 @@ pub use slots::PcSlots;
 pub use stats::{Access, PredictorStats};
 pub use table::SetAssocTable;
 pub use table_predictor::TablePredictor;
+pub use walk::{CodeHistogram, StateWalk};
 
 use vp_isa::{Directive, InstrAddr};
 
@@ -81,52 +86,6 @@ pub trait ValuePredictor {
     /// `directive` in its opcode) produced `actual`. Returns what the
     /// hardware did, and trains the predictor.
     fn access(&mut self, addr: InstrAddr, directive: Directive, actual: u64) -> Access;
-
-    /// Presents a block of dynamic instances at once, discarding the
-    /// per-access outcomes (cumulative [`ValuePredictor::stats`] still
-    /// advance). Semantically identical to calling
-    /// [`ValuePredictor::access`] in slice order.
-    ///
-    /// The default body is monomorphised per implementing type, so the
-    /// inner `access` calls dispatch statically: fused sweep kernels pay
-    /// one virtual call per *block* per predictor instead of one per
-    /// event (see the fused sweep in `provp_core::replay::ReplayRequest`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three slices have different lengths.
-    fn access_batch(&mut self, addrs: &[InstrAddr], directives: &[Directive], values: &[u64]) {
-        assert_eq!(addrs.len(), directives.len());
-        assert_eq!(addrs.len(), values.len());
-        for i in 0..addrs.len() {
-            self.access(addrs[i], directives[i], values[i]);
-        }
-    }
-
-    /// [`ValuePredictor::access_batch`] that also appends each access's
-    /// [`Outcome`] to `outcomes`, in slice order. Dispatches statically
-    /// inside, like `access_batch`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three slices have different lengths.
-    fn access_batch_outcomes(
-        &mut self,
-        addrs: &[InstrAddr],
-        directives: &[Directive],
-        values: &[u64],
-        outcomes: &mut OutcomeColumn,
-    ) {
-        assert_eq!(addrs.len(), directives.len());
-        assert_eq!(addrs.len(), values.len());
-        for i in 0..addrs.len() {
-            outcomes.push(Outcome::of(&self.access(
-                addrs[i],
-                directives[i],
-                values[i],
-            )));
-        }
-    }
 
     /// Cumulative statistics over every access so far.
     fn stats(&self) -> &PredictorStats;

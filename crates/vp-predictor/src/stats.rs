@@ -102,34 +102,45 @@ impl PredictorStats {
 
     /// Folds one access outcome into the totals.
     pub fn record(&mut self, a: &Access) {
-        self.accesses += 1;
-        self.hits += u64::from(a.hit);
-        self.allocations += u64::from(a.allocated);
-        self.raw_correct += u64::from(a.correct);
-        self.raw_correct_recommended += u64::from(a.correct && a.recommended);
-        self.raw_incorrect_suppressed += u64::from(!a.correct && !a.recommended);
-        self.speculated += u64::from(a.speculated());
-        self.speculated_correct += u64::from(a.speculated_correct());
-        self.nonzero_stride_correct += u64::from(a.correct && a.nonzero_stride);
+        self.record_n(a, 1);
+    }
+
+    /// Folds `n` accesses with outcome `a` into the totals.
+    fn record_n(&mut self, a: &Access, n: u64) {
+        let times = |flag: bool| if flag { n } else { 0 };
+        self.accesses += n;
+        self.hits += times(a.hit);
+        self.allocations += times(a.allocated);
+        self.raw_correct += times(a.correct);
+        self.raw_correct_recommended += times(a.correct && a.recommended);
+        self.raw_incorrect_suppressed += times(!a.correct && !a.recommended);
+        self.speculated += times(a.speculated());
+        self.speculated_correct += times(a.speculated_correct());
+        self.nonzero_stride_correct += times(a.correct && a.nonzero_stride);
     }
 
     /// Folds one access outcome into the totals, additionally attributing
     /// it to its profile-classification bucket (stride / last-value /
     /// unclassified) so per-class hit rates can be exported.
     pub fn record_classified(&mut self, directive: Directive, a: &Access) {
-        self.record(a);
-        let correct = u64::from(a.correct);
+        self.record_classified_n(directive, a, 1);
+    }
+
+    /// [`PredictorStats::record_classified`] for `n` identical accesses.
+    pub(crate) fn record_classified_n(&mut self, directive: Directive, a: &Access, n: u64) {
+        self.record_n(a, n);
+        let correct = if a.correct { n } else { 0 };
         match directive {
             Directive::Stride => {
-                self.stride_accesses += 1;
+                self.stride_accesses += n;
                 self.stride_correct += correct;
             }
             Directive::LastValue => {
-                self.last_value_accesses += 1;
+                self.last_value_accesses += n;
                 self.last_value_correct += correct;
             }
             Directive::None => {
-                self.unclassified_accesses += 1;
+                self.unclassified_accesses += n;
                 self.unclassified_correct += correct;
             }
         }

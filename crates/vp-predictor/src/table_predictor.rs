@@ -2,6 +2,7 @@
 
 use vp_isa::{Directive, InstrAddr};
 
+use crate::walk::{self, StateWalk};
 use crate::{
     Access, ClassifierKind, PredEntry, PredictorStats, SatCounter, SetAssocTable, TableGeometry,
     ValuePredictor,
@@ -33,7 +34,7 @@ use crate::{
 #[derive(Debug, Clone)]
 pub struct TablePredictor<E> {
     classifier: ClassifierKind,
-    table: SetAssocTable<(E, SatCounter)>,
+    state: TableState<E>,
     stats: PredictorStats,
 }
 
@@ -43,7 +44,7 @@ impl<E: PredEntry> TablePredictor<E> {
     pub fn new(geometry: TableGeometry, classifier: ClassifierKind) -> Self {
         TablePredictor {
             classifier,
-            table: SetAssocTable::new(geometry),
+            state: TableState::new(geometry, classifier),
             stats: PredictorStats::new(),
         }
     }
@@ -51,61 +52,23 @@ impl<E: PredEntry> TablePredictor<E> {
     /// The table geometry.
     #[must_use]
     pub fn geometry(&self) -> TableGeometry {
-        self.table.geometry()
+        self.state.table.geometry()
     }
 
     /// Current number of occupied entries.
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.table.occupancy()
-    }
-
-    fn counter_template(&self) -> SatCounter {
-        match self.classifier {
-            ClassifierKind::SatCounter { template } => template,
-            _ => SatCounter::two_bit(),
-        }
+        self.state.table.occupancy()
     }
 }
 
 impl<E: PredEntry> ValuePredictor for TablePredictor<E> {
     fn access(&mut self, addr: InstrAddr, directive: Directive, actual: u64) -> Access {
-        let mut a = Access::default();
-        if !self.classifier.admits(directive) {
-            // Untagged under directive classification: invisible to the
-            // table. This is the better-utilisation effect of Table 5.1.
-            self.stats.record_classified(directive, &a);
-            return a;
-        }
-        let key = u64::from(addr.index());
-        match self.table.lookup(key) {
-            Some((entry, counter)) => {
-                a.hit = true;
-                let predicted = entry.predict();
-                a.predicted = Some(predicted);
-                a.correct = predicted == actual;
-                a.nonzero_stride = entry.nonzero_stride();
-                a.recommended = match self.classifier {
-                    ClassifierKind::SatCounter { .. } => counter.predicts(),
-                    ClassifierKind::Directive | ClassifierKind::Always => true,
-                };
-                counter.record(a.correct);
-                entry.train(actual);
-            }
-            None => {
-                a.allocated = true;
-                a.recommended = matches!(self.classifier, ClassifierKind::Directive);
-                if self
-                    .table
-                    .insert(key, (E::allocate(actual), self.counter_template()))
-                    .is_some()
-                {
-                    self.stats.evictions += 1;
-                }
-            }
-        }
+        let (code, predicted) = self.state.update(addr, directive, actual);
+        let a = Access::from_code(code, predicted, self.classifier.recommends(directive, code));
         self.stats.record_classified(directive, &a);
-        self.stats.set_conflicts = self.table.conflicts();
+        self.stats.evictions = self.state.evictions();
+        self.stats.set_conflicts = self.state.conflicts();
         a
     }
 
@@ -114,12 +77,63 @@ impl<E: PredEntry> ValuePredictor for TablePredictor<E> {
     }
 
     fn reset(&mut self) {
-        self.table.clear();
+        self.state.table.clear();
         self.stats = PredictorStats::new();
     }
 
     fn occupancy(&self) -> usize {
         TablePredictor::occupancy(self)
+    }
+}
+
+/// The state of a finite table: entries with their counters, and whether
+/// the table admits every producer (hardware classifiers) or only
+/// directive-tagged ones ([`ClassifierKind::Directive`]).
+#[derive(Debug, Clone)]
+pub(crate) struct TableState<E> {
+    table: SetAssocTable<(E, SatCounter)>,
+    template: SatCounter,
+    tagged_only: bool,
+}
+
+impl<E: PredEntry> TableState<E> {
+    pub(crate) fn new(geometry: TableGeometry, classifier: ClassifierKind) -> Self {
+        TableState {
+            table: SetAssocTable::new(geometry),
+            template: classifier.counter_template(),
+            tagged_only: !classifier.admits(Directive::None),
+        }
+    }
+}
+
+impl<E: PredEntry> StateWalk for TableState<E> {
+    #[inline]
+    fn update(&mut self, addr: InstrAddr, directive: Directive, actual: u64) -> (u8, u64) {
+        if self.tagged_only && !directive.is_predictable() {
+            // Untagged under directive classification: invisible to the
+            // table. This is the better-utilisation effect of Table 5.1.
+            return (0, 0);
+        }
+        let key = u64::from(addr.index());
+        match self.table.lookup(key) {
+            Some((entry, counter)) => walk::hit(entry, counter, actual),
+            None => {
+                self.table.insert(key, (E::allocate(actual), self.template));
+                (walk::ALLOCATED, 0)
+            }
+        }
+    }
+
+    fn evictions(&self) -> u64 {
+        self.table.evictions()
+    }
+
+    fn conflicts(&self) -> u64 {
+        self.table.conflicts()
+    }
+
+    fn occupancy(&self) -> usize {
+        self.table.occupancy()
     }
 }
 

@@ -25,10 +25,11 @@
 //!    totals must reconcile *exactly* with the [`PredictorStats`]
 //!    (every access accounted, every raw miss charged to one cause).
 //! 5. **Matrix oracle** — the fused sweep ([`ReplayRequest`] over the
-//!    whole plan) over every oracle configuration (with a duplicate cell
-//!    and a second, directive-stripped annotation table in the plan)
-//!    must return, at any shard count, exactly the grid that per-cell
-//!    replays produce.
+//!    whole plan) over every oracle configuration (with a duplicate cell,
+//!    a second, directive-stripped annotation table, and cells of one
+//!    predictor state under several classifiers, which share one state
+//!    walk) must return, at any shard count, exactly the grid that
+//!    per-cell, per-access replays produce.
 //! 6. **ILP lanes differential** — Table 5.2's seven machines plus one
 //!    with a bimodal branch front end run as one [`IlpLanes`] pass,
 //!    reading outcome columns the fused matrix kernel recorded (PC-sharded,
@@ -58,7 +59,7 @@ use provp_core::experiments::table_5_2;
 use provp_core::{ReplayRequest, SweepPlan};
 use vp_ilp::{BranchConfig, IlpAnalyzer, IlpConfig, IlpLanes, LaneOutcomes};
 use vp_isa::{Directive, InstrAddr, Program, Reg, RegClass};
-use vp_predictor::{ClassifierKind, PredictorConfig, PredictorStats, TableGeometry};
+use vp_predictor::{ClassifierKind, PredictorConfig, PredictorStats, SatCounter, TableGeometry};
 use vp_profile::{format, ProfileCollector};
 use vp_sim::record::{first_divergence, TraceDivergence, TraceEvent, TraceRecorder};
 use vp_sim::{runner, ChainTracer, FnTracer, Machine, Retirement, RunLimits, Trace};
@@ -540,9 +541,14 @@ pub fn run_case_through(
 
     // --- 5. matrix oracle ---
     // One fused pass over every oracle configuration, with a duplicate
-    // cell (exercising the dedup path) and a second annotation table
-    // (the directive-stripped program), checked cell by cell against
-    // independent per-cell replays at each shard count.
+    // cell (exercising the dedup path), a second annotation table (the
+    // directive-stripped program), and cells that share one predictor
+    // state walk across classifiers: infinite stride under all three
+    // classifiers and the §5.2 table under counters and `Always`, each
+    // under both tables, plus an infinite-stride cell whose counter
+    // template differs, which must not share their walk. Each cell is
+    // checked against its own per-access replay (the attributed path runs
+    // `ValuePredictor::access`) at each shard count.
     let stripped = program.without_directives();
     let mut plan = SweepPlan::new();
     let tagged_table = plan.add_directives(program);
@@ -556,6 +562,31 @@ pub fn run_case_through(
     matrix_cells.push((configs[0], tagged_table, program));
     matrix_cells.push((configs[0], stripped_table, &stripped));
     matrix_cells.push((configs[1], stripped_table, &stripped));
+    let shared = [
+        PredictorConfig::InfiniteStride {
+            classifier: ClassifierKind::Directive,
+        },
+        PredictorConfig::InfiniteStride {
+            classifier: ClassifierKind::Always,
+        },
+        PredictorConfig::TableStride {
+            geometry: TableGeometry::SPEC_512_2WAY,
+            classifier: ClassifierKind::Always,
+        },
+    ];
+    for config in shared {
+        matrix_cells.push((config, tagged_table, program));
+        matrix_cells.push((config, stripped_table, &stripped));
+    }
+    matrix_cells.push((
+        PredictorConfig::InfiniteStride {
+            classifier: ClassifierKind::SatCounter {
+                template: SatCounter::new(1, 3, 3),
+            },
+        },
+        tagged_table,
+        program,
+    ));
     for &(config, table, _) in &matrix_cells {
         plan.add_cell(config, table);
     }
@@ -564,6 +595,7 @@ pub fn run_case_through(
         .map(|(config, _, cell_program)| {
             ReplayRequest::batch(&trace)
                 .single(cell_program, *config)
+                .attribution(true)
                 .run()
                 .map(|r| r.into_single().outcome)
         })
