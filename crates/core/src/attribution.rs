@@ -1,13 +1,12 @@
 //! Process-global sink for per-PC prediction-attribution results.
 //!
-//! Attribution is observation-only and off by default: the experiment
-//! binaries run their exact seed instruction stream unless a caller
-//! [`enable`]s the sink, at which point [`crate::Suite::predictor_stats`]
-//! switches to the attributed replay
-//! (a [`crate::replay::ReplayRequest`] with attribution on) and [`record`]s one
-//! [`AttributionRun`] per `(workload, config, threshold)` replay. At exit
-//! the bench harness [`drain`]s the sink into the run manifest's
-//! `attribution` array.
+//! Attribution is observation-only and off by default. Once a caller
+//! [`enable`]s the sink, [`crate::Suite::predictor_stats`] asks its sweep
+//! replay for attribution (a [`crate::replay::ReplayRequest`] with
+//! attribution on: the same state walks, whose codes each cell also folds
+//! into a per-PC table) and [`record`]s one [`AttributionRun`] per
+//! `(workload, config, threshold)` replay. At exit the bench harness
+//! [`drain`]s the sink into the run manifest's `attribution` array.
 //!
 //! Runs may be recorded from [`crate::Suite::par_map`] worker threads in
 //! any interleaving; [`drain`] sorts them under a deterministic total

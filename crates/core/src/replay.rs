@@ -32,7 +32,9 @@
 //! walk) and lets every cell tally the walk's raw codes into its
 //! [`vp_predictor::CodeHistogram`], sharding by the *joint*
 //! state-partition key (gcd of the cells' moduli) so every cell's grid
-//! entry stays bit-identical to its sequential per-cell replay.
+//! entry stays bit-identical to its sequential per-cell replay. An
+//! attributed replay runs the same walks and also folds each cell's view
+//! of the codes into its per-PC [`AttributionTable`].
 //!
 //! ## Entry point
 //!
@@ -41,9 +43,9 @@
 //! [`ReplayRequest::stream`] to simulate and predict concurrently without
 //! ever materialising the trace — see [`stream`]), describe the cells
 //! ([`ReplayRequest::plan`] / [`ReplayRequest::single`]), and [`run`]
-//! it. Either source runs the same fused kernel (with or without
-//! attribution) and the same per-shard merge, so the four combinations
-//! of source × attribution share one code path.
+//! it. Either source runs the same fused kernel and the same per-shard
+//! merge, and attribution only adds an observer to that kernel, so the
+//! four combinations of source × attribution share one code path.
 //!
 //! [`run`]: ReplayRequest::run
 
@@ -54,8 +56,7 @@ use std::time::Instant;
 use vp_isa::{Directive, InstrAddr, Program};
 use vp_predictor::config::shard_key;
 use vp_predictor::{
-    AttributionTable, CodeHistogram, Outcome, OutcomeColumn, PredictorConfig, PredictorStats,
-    StateWalk, ValuePredictor,
+    AttributionTable, CodeHistogram, OutcomeColumn, PredictorConfig, PredictorStats, StateWalk,
 };
 use vp_sim::{RunLimits, Trace};
 
@@ -219,8 +220,7 @@ pub(crate) struct Fused {
 /// Dedupes the plan's cells into slots, groups the slots by the state
 /// their predictors evolve ([`PredictorConfig::shared_state`], plus the
 /// directive table when the walk reads one) and counts the fused pass.
-/// An attributed pass runs every slot's own predictor, one walk each.
-pub(crate) fn fuse_cells(plan: &SweepPlan, attribution: bool) -> Fused {
+pub(crate) fn fuse_cells(plan: &SweepPlan) -> Fused {
     let mut slots: Vec<MatrixCell> = Vec::new();
     let mut slot_of = Vec::with_capacity(plan.cells.len());
     let mut index: HashMap<(PredictorConfig, usize), usize> = HashMap::new();
@@ -249,12 +249,7 @@ pub(crate) fn fuse_cells(plan: &SweepPlan, attribution: bool) -> Fused {
         .collect();
     vp_obs::counter("replay.matrix_passes").add(1);
     vp_obs::counter("replay.fused_cells").add(slots.len() as u64);
-    let walked = if attribution {
-        slots.len()
-    } else {
-        walks.len()
-    };
-    vp_obs::counter("replay.state_walks").add(walked as u64);
+    vp_obs::counter("replay.state_walks").add(walks.len() as u64);
     Fused {
         slots,
         slot_of,
@@ -281,37 +276,17 @@ type SlotResult = (
     Option<OutcomeColumn>,
 );
 
-/// How a [`MatrixScanner`] evaluates its slots.
-enum Kernel {
-    /// One [`StateWalk`] per shared state, emitting one raw code per
-    /// event into its code column; each slot tallies its walk's codes
-    /// under its own directive row.
-    Walks {
-        walks: Vec<Box<dyn StateWalk>>,
-        codes: Vec<Vec<u8>>,
-        tallies: Vec<CodeHistogram>,
-    },
-    /// Each slot's own predictor, observed access by access
-    /// ([`ValuePredictor::access`], the reference the walks must equal)
-    /// into one [`AttributionTable`] per slot.
-    Attributed {
-        banks: Vec<Box<dyn ValuePredictor>>,
-        attributions: Vec<AttributionTable>,
-    },
-}
-
 /// The push-based fused kernel: accumulates one shard's value events into
 /// [`MATRIX_BLOCK`]-sized scratch columns, resolves each full block's
 /// directive row once per distinct annotation, walks each shared
 /// predictor state over the block once ([`StateWalk::walk`], one virtual
 /// call per block per walk, statically dispatched inside), and lets every
 /// slot tally its walk's codes into its [`CodeHistogram`]. A slot that
-/// records outcomes derives one [`Outcome`] per event from the same codes.
-///
-/// An attributed scanner instead walks each block cell by cell through
-/// each slot's own predictor, observing every [`ValuePredictor::access`]
-/// outcome. Cells have independent state, so visiting all of one cell's
-/// events before the next gives the same results as an event-major loop.
+/// records outcomes derives one [`vp_predictor::Outcome`] per event from
+/// the same codes, and an attributed scanner folds them into each slot's
+/// [`AttributionTable`] under the slot's classifier
+/// ([`AttributionTable::observe_codes`]); whether it attributes is decided
+/// once per block.
 ///
 /// Both the batch scan (an iterator drained into `push`) and the
 /// streaming consumers ([`stream`]) drive this same kernel, so their
@@ -319,7 +294,14 @@ enum Kernel {
 /// drift apart: the block boundaries a consumer happens to deliver never
 /// matter, only the accumulated [`MATRIX_BLOCK`] chunking here does.
 struct MatrixScanner<'p> {
-    kernel: Kernel,
+    /// One state per walk.
+    walks: Vec<Box<dyn StateWalk>>,
+    /// One code column per walk, for the current block.
+    codes: Vec<Vec<u8>>,
+    /// One histogram per slot.
+    tallies: Vec<CodeHistogram>,
+    /// One table per slot, when the replay attributes.
+    attributions: Option<Vec<AttributionTable>>,
     /// One column per outcome-recording slot.
     outcomes: Vec<Option<OutcomeColumn>>,
     tables: &'p [Vec<Directive>],
@@ -331,26 +313,20 @@ struct MatrixScanner<'p> {
 }
 
 impl<'p> MatrixScanner<'p> {
-    fn new(tables: &'p [Vec<Directive>], fused: &'p Fused, attribution: bool) -> Self {
+    fn new(req: &'p ReplayRequest<'_>, fused: &'p Fused) -> Self {
         let slots = &fused.slots;
-        let kernel = if attribution {
-            Kernel::Attributed {
-                banks: slots.iter().map(|c| c.config.build()).collect(),
-                attributions: slots.iter().map(|_| AttributionTable::new()).collect(),
-            }
-        } else {
-            Kernel::Walks {
-                walks: fused.walks.iter().map(|(c, _)| c.walker()).collect(),
-                codes: fused
-                    .walks
-                    .iter()
-                    .map(|_| Vec::with_capacity(MATRIX_BLOCK))
-                    .collect(),
-                tallies: slots.iter().map(|_| CodeHistogram::new()).collect(),
-            }
-        };
+        let tables = req.plan.tables();
         MatrixScanner {
-            kernel,
+            walks: fused.walks.iter().map(|(c, _)| c.walker()).collect(),
+            codes: fused
+                .walks
+                .iter()
+                .map(|_| Vec::with_capacity(MATRIX_BLOCK))
+                .collect(),
+            tallies: slots.iter().map(|_| CodeHistogram::new()).collect(),
+            attributions: req
+                .attribution
+                .then(|| slots.iter().map(|_| AttributionTable::new()).collect()),
             outcomes: slots
                 .iter()
                 .map(|c| c.outcomes.then(OutcomeColumn::new))
@@ -392,57 +368,39 @@ impl<'p> MatrixScanner<'p> {
                 );
             }
         }
-        let slots = &self.fused.slots;
-        match &mut self.kernel {
-            Kernel::Walks {
-                walks,
-                codes,
-                tallies,
-            } => {
-                for ((walk, codes), &(_, table)) in walks
-                    .iter_mut()
-                    .zip(codes.iter_mut())
-                    .zip(&self.fused.walks)
-                {
-                    walk.walk(&self.addrs, &self.rows[table], &self.values, codes);
-                }
-                for (((cell, tally), column), &w) in slots
-                    .iter()
-                    .zip(tallies)
-                    .zip(&mut self.outcomes)
-                    .zip(&self.fused.walk_of)
-                {
-                    let (row, codes) = (&self.rows[cell.directives], &codes[w]);
-                    tally.tally(row, codes);
-                    if let Some(column) = column {
-                        let classifier = cell.config.classifier();
-                        for (&directive, &code) in row.iter().zip(codes) {
-                            column.push(classifier.outcome(directive, code));
-                        }
-                    }
+        let (slots, walk_of) = (&self.fused.slots, &self.fused.walk_of);
+        for ((walk, codes), &(_, table)) in self
+            .walks
+            .iter_mut()
+            .zip(self.codes.iter_mut())
+            .zip(&self.fused.walks)
+        {
+            walk.walk(&self.addrs, &self.rows[table], &self.values, codes);
+        }
+        for (((cell, tally), column), &w) in slots
+            .iter()
+            .zip(&mut self.tallies)
+            .zip(&mut self.outcomes)
+            .zip(walk_of)
+        {
+            let (row, codes) = (&self.rows[cell.directives], &self.codes[w]);
+            tally.tally(row, codes);
+            if let Some(column) = column {
+                let classifier = cell.config.classifier();
+                for (&directive, &code) in row.iter().zip(codes) {
+                    column.push(classifier.outcome(directive, code));
                 }
             }
-            Kernel::Attributed {
-                banks,
-                attributions,
-            } => {
-                for (((bank, cell), column), table) in banks
-                    .iter_mut()
-                    .zip(slots)
-                    .zip(&mut self.outcomes)
-                    .zip(attributions)
-                {
-                    let row = &self.rows[cell.directives];
-                    for ((&addr, &directive), &value) in
-                        self.addrs.iter().zip(row).zip(&self.values)
-                    {
-                        let access = bank.access(addr, directive, value);
-                        table.observe(addr, directive, &access, value);
-                        if let Some(column) = column {
-                            column.push(Outcome::of(&access));
-                        }
-                    }
-                }
+        }
+        if let Some(attributions) = &mut self.attributions {
+            for ((cell, table), &w) in slots.iter().zip(attributions).zip(walk_of) {
+                table.observe_codes(
+                    cell.config.classifier(),
+                    &self.addrs,
+                    &self.rows[cell.directives],
+                    &self.codes[w],
+                    &self.values,
+                );
             }
         }
         self.addrs.clear();
@@ -452,49 +410,32 @@ impl<'p> MatrixScanner<'p> {
 
     fn finish(mut self) -> io::Result<Vec<SlotResult>> {
         self.flush()?;
-        let outcomes = self.outcomes.into_iter();
-        Ok(match self.kernel {
-            Kernel::Walks { walks, tallies, .. } => self
-                .fused
-                .slots
-                .iter()
-                .zip(tallies)
-                .zip(&self.fused.walk_of)
-                .zip(outcomes)
-                .map(|(((cell, tally), &w), column)| {
-                    let walk = &walks[w];
-                    let mut stats = tally.stats(cell.config.classifier());
-                    stats.evictions = walk.evictions();
-                    stats.set_conflicts = walk.conflicts();
-                    (stats, walk.occupancy(), None, column)
-                })
-                .collect(),
-            Kernel::Attributed {
-                banks,
-                attributions,
-            } => banks
-                .iter()
-                .zip(attributions)
-                .zip(outcomes)
-                .map(|((bank, table), column)| {
-                    (*bank.stats(), bank.occupancy(), Some(table), column)
-                })
-                .collect(),
-        })
+        let mut attributions = self.attributions.map(Vec::into_iter);
+        Ok(self
+            .fused
+            .slots
+            .iter()
+            .zip(self.tallies)
+            .zip(&self.fused.walk_of)
+            .zip(self.outcomes)
+            .map(|(((cell, tally), &w), column)| {
+                let walk = &self.walks[w];
+                let mut stats = tally.stats(cell.config.classifier());
+                stats.evictions = walk.evictions();
+                stats.set_conflicts = walk.conflicts();
+                let table = attributions.as_mut().and_then(Iterator::next);
+                (stats, walk.occupancy(), table, column)
+            })
+            .collect())
     }
 }
 
 /// Drains `events` through a [`MatrixScanner`].
-fn matrix_scan<I>(
-    events: I,
-    tables: &[Vec<Directive>],
-    fused: &Fused,
-    attribution: bool,
-) -> io::Result<Vec<SlotResult>>
+fn matrix_scan<I>(events: I, req: &ReplayRequest<'_>, fused: &Fused) -> io::Result<Vec<SlotResult>>
 where
     I: Iterator<Item = (InstrAddr, u64)>,
 {
-    let mut scanner = MatrixScanner::new(tables, fused, attribution);
+    let mut scanner = MatrixScanner::new(req, fused);
     for (addr, value) in events {
         scanner.push(addr, value)?;
     }
@@ -565,12 +506,11 @@ where
 /// the resident `trace`, PC-sharded over up to `jobs` workers.
 fn batch_matrix(trace: &Trace, req: &ReplayRequest<'_>) -> io::Result<Vec<ReplayCellOutcome>> {
     let _span = vp_obs::span("matrix");
-    let (tables, attribution) = (req.plan.tables(), req.attribution);
-    let fused = fuse_cells(&req.plan, attribution);
+    let fused = fuse_cells(&req.plan);
     let cols = trace.columns();
 
     if req.shards == 1 {
-        let per_slot = matrix_scan(cols.value_events(), tables, &fused, attribution)?;
+        let per_slot = matrix_scan(cols.value_events(), req, &fused)?;
         vp_obs::counter("replay.shards").add(1);
         return Ok(merge_shards(vec![per_slot], &fused.slot_of, 1));
     }
@@ -580,7 +520,7 @@ fn batch_matrix(trace: &Trace, req: &ReplayRequest<'_>) -> io::Result<Vec<Replay
     let of = req.shards as u64;
     let timed = parallel_map(req.jobs, &views, |shard| -> io::Result<_> {
         let started = Instant::now();
-        let per_slot = matrix_scan(shard.values(), tables, &fused, attribution)?;
+        let per_slot = matrix_scan(shard.values(), req, &fused)?;
         Ok((per_slot, started.elapsed().as_micros() as u64))
     });
     let mut parts = Vec::with_capacity(req.shards);
@@ -632,8 +572,8 @@ pub struct ReplayCellOutcome {
     /// The per-PC attribution table, if [`ReplayRequest::attribution`]
     /// asked for one.
     pub attribution: Option<AttributionTable>,
-    /// One [`Outcome`] per value event of the trace, in trace order, if
-    /// the cell (or a duplicate of it) was added with
+    /// One [`vp_predictor::Outcome`] per value event of the trace, in
+    /// trace order, if the cell (or a duplicate of it) was added with
     /// [`SweepPlan::add_outcome_cell`].
     pub outcomes: Option<OutcomeColumn>,
 }

@@ -262,7 +262,7 @@ pub(crate) fn stream_matrix(
     req: &ReplayRequest<'_>,
 ) -> io::Result<Vec<ReplayCellOutcome>> {
     let _span = vp_obs::span("stream");
-    let fused = fuse_cells(&req.plan, req.attribution);
+    let fused = fuse_cells(&req.plan);
     let modulus = PredictorConfig::joint_shard_modulus(fused.slots.iter().map(|c| &c.config));
     // No trace is resident to put per-shard outcome columns back into
     // stream order afterwards, so a plan that records them runs on one
@@ -273,7 +273,7 @@ pub(crate) fn stream_matrix(
         req.shards
     };
     let parts = run_streamed(program, limits, shards, req.block_pool, modulus, |events| {
-        matrix_scan(events, req.plan.tables(), &fused, req.attribution)
+        matrix_scan(events, req, &fused)
     })?;
     Ok(merge_shards(parts, &fused.slot_of, shards))
 }

@@ -476,10 +476,9 @@ impl Suite {
             key: TraceKey::new(kind, InputSet::reference(), self.limits),
             source,
         };
-        // Attribution is observation-only: the fused kernel decides once
-        // per block whether to observe, so with it off the hot loop runs
-        // the plain batched instruction stream (byte-identical stdout,
-        // negligible wall-clock delta).
+        // Attribution is observation-only: the same state walks run
+        // either way, and the kernel decides once per block whether to
+        // fold their codes into per-PC tables (byte-identical stdout).
         let attribution = crate::attribution::enabled();
         let response = expect_trace(if self.streaming {
             // Streaming: simulate the bare reference program (directive

@@ -170,6 +170,21 @@ fn attributed_matrix_matches_attributed_per_cell_replay() {
             bare,
             &stripped,
         ),
+        // Two classifiers over one infinite-stride walk.
+        (
+            PredictorConfig::InfiniteStride {
+                classifier: ClassifierKind::two_bit_counter(),
+            },
+            tagged,
+            &program,
+        ),
+        (
+            PredictorConfig::InfiniteStride {
+                classifier: ClassifierKind::Directive,
+            },
+            tagged,
+            &program,
+        ),
     ];
     for &(config, table, _) in &cells {
         plan.add_cell(config, table);
@@ -178,17 +193,14 @@ fn attributed_matrix_matches_attributed_per_cell_replay() {
         let fused = replay_plan(&trace, &plan, shards, 2, true);
         assert_eq!(fused.len(), cells.len());
         for (i, (cell, &(config, _, p))) in fused.iter().zip(&cells).enumerate() {
-            let exp = replay_cell(&trace, p, config, 1, 1, true);
+            let (stats, occupancy, expected) = reference_replay(&trace, p, config);
             let (out, table) = (
                 &cell.outcome,
                 cell.attribution.as_ref().expect("attributed"),
             );
-            assert_eq!(out.stats, exp.outcome.stats, "cell {i} at {shards} shards");
-            assert_eq!(out.occupancy, exp.outcome.occupancy, "cell {i}");
-            assert_eq!(
-                cell.attribution, exp.attribution,
-                "cell {i} attribution table"
-            );
+            assert_eq!(out.stats, stats, "cell {i} at {shards} shards");
+            assert_eq!(out.occupancy, occupancy, "cell {i}");
+            assert_eq!(*table, expected, "cell {i} attribution table");
             table
                 .reconcile(&out.stats)
                 .expect("attribution totals reconcile with the fused stats");

@@ -6,6 +6,9 @@
 //! per-PC record, and every raw-incorrect access is charged to exactly
 //! one [`AttributionCause`] decided from a small per-PC shadow of the
 //! value history (previous value, previous delta, allocation warm-up).
+//! A replay that walks shared predictor state instead folds the walk's
+//! raw codes a block at a time ([`AttributionTable::observe_codes`]),
+//! into the records per-access observation would build.
 //!
 //! The accounting obeys the same merge contract as
 //! [`PredictorStats::merge`]: a PC-sharded replay partitions static
@@ -26,7 +29,7 @@ use std::fmt;
 
 use vp_isa::{Directive, InstrAddr};
 
-use crate::{Access, PcSlots, PredictorStats};
+use crate::{Access, ClassifierKind, PcSlots, PredictorStats};
 
 /// Why one raw-incorrect predictor access missed.
 ///
@@ -282,6 +285,39 @@ impl AttributionTable {
         shadow.allocated_before |= a.allocated;
     }
 
+    /// Folds one block of a state walk's raw `codes` (see
+    /// [`crate::StateWalk::walk`]) made under `classifier`: the same
+    /// records as calling [`AttributionTable::observe`] with each
+    /// access's [`crate::ValuePredictor::access`] outcome, which the code
+    /// and the classifier's [`ClassifierKind::recommends`] determine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the four slices have different lengths.
+    pub fn observe_codes(
+        &mut self,
+        classifier: ClassifierKind,
+        addrs: &[InstrAddr],
+        directives: &[Directive],
+        codes: &[u8],
+        values: &[u64],
+    ) {
+        assert_eq!(addrs.len(), directives.len());
+        assert_eq!(addrs.len(), codes.len());
+        assert_eq!(addrs.len(), values.len());
+        for (((&addr, &directive), &code), &value) in
+            addrs.iter().zip(directives).zip(codes).zip(values)
+        {
+            let recommended = classifier.recommends(directive, code);
+            self.observe(
+                addr,
+                directive,
+                &Access::from_code(code, 0, recommended),
+                value,
+            );
+        }
+    }
+
     /// Iterates every tracked PC in ascending address order (the
     /// deterministic export order).
     pub fn entries(&self) -> impl Iterator<Item = (InstrAddr, &PcAttribution)> + '_ {
@@ -443,7 +479,7 @@ fn decide_cause(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClassifierKind, PredictorConfig, TableGeometry};
+    use crate::{PredictorConfig, TableGeometry};
 
     /// Replays `values` at one PC through `config`, observing every
     /// access into a fresh table.

@@ -90,8 +90,9 @@ impl ValuePredictor for HybridPredictor {
             Directive::None => Access::default(),
         };
         self.stats.record_classified(directive, &a);
-        self.stats.set_conflicts =
-            self.stride.stats().set_conflicts + self.last_value.stats().set_conflicts;
+        let (stride, last_value) = (self.stride.stats(), self.last_value.stats());
+        self.stats.evictions = stride.evictions + last_value.evictions;
+        self.stats.set_conflicts = stride.set_conflicts + last_value.set_conflicts;
         a
     }
 
@@ -112,8 +113,8 @@ impl ValuePredictor for HybridPredictor {
 
 /// The state of a hybrid: its two directive-admitted tables, routed by
 /// tag as [`HybridPredictor::access`] routes. Like the hybrid's combined
-/// statistics, it reports the two sides' set conflicts but no evictions
-/// (only the per-side statistics count those).
+/// statistics, it reports the sum of the two sides' evictions and set
+/// conflicts.
 #[derive(Debug, Clone)]
 pub(crate) struct HybridState {
     stride: TableState<StrideEntry>,
@@ -137,6 +138,10 @@ impl StateWalk for HybridState {
             Directive::LastValue => self.last_value.update(addr, directive, actual),
             Directive::None => (0, 0),
         }
+    }
+
+    fn evictions(&self) -> u64 {
+        self.stride.evictions() + self.last_value.evictions()
     }
 
     fn conflicts(&self) -> u64 {

@@ -11,7 +11,8 @@
 //! and differ only in how they read its codes: each adds one to a
 //! `(directive, code)` bin, and [`CodeHistogram::stats`] applies the
 //! cell's classifier through the one rule [`ClassifierKind::recommends`]
-//! that [`crate::ValuePredictor::access`] uses too.
+//! that [`crate::ValuePredictor::access`] uses too. Per-PC attribution
+//! reads the same codes ([`crate::AttributionTable::observe_codes`]).
 
 use vp_isa::{Directive, InstrAddr};
 
@@ -242,7 +243,7 @@ fn bin(directive: Directive, code: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PredictorConfig, TableGeometry};
+    use crate::{AttributionTable, PredictorConfig, TableGeometry};
     use vp_rng::prop;
 
     fn classifiers() -> [ClassifierKind; 4] {
@@ -357,8 +358,8 @@ mod tests {
     }
 
     /// Walking blocks of any size and tallying the codes gives every
-    /// configuration's predictor the statistics, occupancy and per-event
-    /// outcomes of calling `access` once per event.
+    /// configuration's predictor the statistics, occupancy, per-event
+    /// outcomes and attribution table of calling `access` once per event.
     #[test]
     fn prop_block_walk_equals_sequential_access() {
         prop::forall("block walk equals sequential access", |rng| {
@@ -371,14 +372,20 @@ mod tests {
                 .collect();
             for config in configs() {
                 let mut predictor = config.build();
+                let mut expected_table = AttributionTable::new();
                 let expected: Vec<Outcome> = events
                     .iter()
                     .zip(&row)
-                    .map(|(&(addr, value), &d)| Outcome::of(&predictor.access(addr, d, value)))
+                    .map(|(&(addr, value), &d)| {
+                        let access = predictor.access(addr, d, value);
+                        expected_table.observe(addr, d, &access, value);
+                        Outcome::of(&access)
+                    })
                     .collect();
 
                 let mut walk = config.walker();
                 let mut histogram = CodeHistogram::new();
+                let mut table = AttributionTable::new();
                 let mut outcomes = Vec::new();
                 let mut codes = Vec::new();
                 for (chunk, dirs) in events.chunks(*block).zip(row.chunks(*block)) {
@@ -386,6 +393,7 @@ mod tests {
                     let values: Vec<u64> = chunk.iter().map(|e| e.1).collect();
                     walk.walk(&addrs, dirs, &values, &mut codes);
                     histogram.tally(dirs, &codes);
+                    table.observe_codes(config.classifier(), &addrs, dirs, &codes, &values);
                     outcomes.extend(
                         dirs.iter()
                             .zip(&codes)
@@ -403,6 +411,7 @@ mod tests {
                     config.label()
                 );
                 assert_eq!(outcomes, expected, "{}", config.label());
+                assert_eq!(table, expected_table, "{}", config.label());
             }
         });
     }

@@ -15,21 +15,25 @@
 //! 3. **Predictor differential** — for a panel of predictor
 //!    configurations, the naive [`ref_predict`] models, fed the reference
 //!    interpreter's value stream, against (a) the real predictor fed the
-//!    same stream directly, (b) a sequential [`ReplayRequest`] replay of
-//!    the trace's value-event columns, and (c) a PC-sharded parallel one:
-//!    identical [`PredictorStats`] and occupancy.
+//!    same stream directly, one [`vp_predictor::ValuePredictor::access`]
+//!    per event, (b) a sequential [`ReplayRequest`] replay of the
+//!    trace's value-event columns, and (c) a PC-sharded parallel one:
+//!    identical [`PredictorStats`] and occupancy. The direct loop (a)
+//!    also observes every access into an [`AttributionTable`] and
+//!    records its [`Outcome`]: it is the per-access reference stages 4
+//!    to 7 compare the fused kernel against.
 //! 4. **Attribution oracle** — the attributed replay
 //!    ([`ReplayRequest::attribution`]) must leave the stats untouched
-//!    (observation-only), produce a bit-identical per-PC
-//!    [`vp_predictor::AttributionTable`] at any shard/job count, and its
-//!    totals must reconcile *exactly* with the [`PredictorStats`]
-//!    (every access accounted, every raw miss charged to one cause).
+//!    (observation-only), produce at 1 and 3 shards exactly the per-PC
+//!    table the direct loop observed, and its totals must reconcile
+//!    *exactly* with the [`PredictorStats`] (every access accounted,
+//!    every raw miss charged to one cause).
 //! 5. **Matrix oracle** — the fused sweep ([`ReplayRequest`] over the
 //!    whole plan) over every oracle configuration (with a duplicate cell,
 //!    a second, directive-stripped annotation table, and cells of one
 //!    predictor state under several classifiers, which share one state
-//!    walk) must return, at any shard count, exactly the grid that
-//!    per-cell, per-access replays produce.
+//!    walk) must return, at any shard count, exactly the grid — and,
+//!    attributed, the per-PC tables — that per-cell direct loops produce.
 //! 6. **ILP lanes differential** — Table 5.2's seven machines plus one
 //!    with a bimodal branch front end run as one [`IlpLanes`] pass,
 //!    reading outcome columns the fused matrix kernel recorded (PC-sharded,
@@ -37,13 +41,13 @@
 //!    must equal an [`IlpAnalyzer`] that runs its own predictor: the same
 //!    instructions, cycles and [`PredictorStats`]. The no-VP lane tracks
 //!    its critical path, and the report must charge every instruction
-//!    exactly once (structural + data-bound = instructions). An
-//!    attributed and a streamed replay of the same plan must record the
-//!    same columns.
+//!    exactly once (structural + data-bound = instructions). The
+//!    recorded columns, and those of an attributed and a streamed replay
+//!    of the same plan, must equal the direct loops' outcome columns.
 //! 7. **Streaming oracle** — the bounded-memory streaming engine
 //!    ([`ReplayRequest::stream`]), which re-simulates the program and
 //!    predicts concurrently without a resident trace, must reproduce the
-//!    batch grid bit-identically at every tested shard × block-pool
+//!    per-cell grid bit-identically at every tested shard × block-pool
 //!    combination, including attribution tables.
 //!
 //! Any mismatch is returned as a typed [`Divergence`], whose
@@ -59,7 +63,10 @@ use provp_core::experiments::table_5_2;
 use provp_core::{ReplayRequest, SweepPlan};
 use vp_ilp::{BranchConfig, IlpAnalyzer, IlpConfig, IlpLanes, LaneOutcomes};
 use vp_isa::{Directive, InstrAddr, Program, Reg, RegClass};
-use vp_predictor::{ClassifierKind, PredictorConfig, PredictorStats, SatCounter, TableGeometry};
+use vp_predictor::{
+    AttributionTable, ClassifierKind, Outcome, OutcomeColumn, PredictorConfig, PredictorStats,
+    SatCounter, TableGeometry,
+};
 use vp_profile::{format, ProfileCollector};
 use vp_sim::record::{first_divergence, TraceDivergence, TraceEvent, TraceRecorder};
 use vp_sim::{runner, ChainTracer, FnTracer, Machine, Retirement, RunLimits, Trace};
@@ -446,24 +453,17 @@ pub fn run_case_through(
         .iter()
         .filter_map(|e| e.dest.map(|(_, _, value)| (e.addr, value)))
         .collect();
-    let directives: Vec<Directive> = program.text().iter().map(|i| i.directive).collect();
+    let directives = directives_of(program);
 
     for config in oracle_configs() {
         let (ref_stats, ref_occ) = ref_predict(&directives, &values, &config);
 
         // (a) the real predictor, fed directly.
-        let mut direct = config.build();
-        for &(addr, value) in &values {
-            let d = directives
-                .get(addr.index() as usize)
-                .copied()
-                .unwrap_or(Directive::None);
-            direct.access(addr, d, value);
-        }
+        let direct = Direct::replay(&config, &directives, &values);
         check_predictor(
             &config,
             "direct",
-            (*direct.stats(), direct.occupancy()),
+            (direct.stats, direct.occupancy),
             (ref_stats, ref_occ),
         )?;
 
@@ -521,6 +521,11 @@ pub fn run_case_through(
         seq_table
             .reconcile(&seq_out.stats)
             .map_err(|e| attr_err(format!("totals fail to reconcile with stats: {e}")))?;
+        if seq_table != direct.attribution {
+            return Err(attr_err(
+                "per-PC table differs from the per-access table at 1 shard".into(),
+            ));
+        }
         let (par_out, par_table) = attributed(3, 2)
             .map_err(|e| attr_err(format!("sharded attributed replay failed: {e}")))?;
         if par_out.stats != seq_out.stats {
@@ -528,9 +533,9 @@ pub fn run_case_through(
                 "sharded attributed replay changed the stats".into(),
             ));
         }
-        if par_table != seq_table {
+        if par_table != direct.attribution {
             return Err(attr_err(
-                "per-PC table differs between 1 and 3 shards".into(),
+                "per-PC table differs from the per-access table at 3 shards".into(),
             ));
         }
     }
@@ -547,8 +552,9 @@ pub fn run_case_through(
     // classifiers and the §5.2 table under counters and `Always`, each
     // under both tables, plus an infinite-stride cell whose counter
     // template differs, which must not share their walk. Each cell is
-    // checked against its own per-access replay (the attributed path runs
-    // `ValuePredictor::access`) at each shard count.
+    // checked against its own direct loop at each shard count; the
+    // sharded pass also attributes, and its per-PC tables must equal the
+    // loops' tables.
     let stripped = program.without_directives();
     let mut plan = SweepPlan::new();
     let tagged_table = plan.add_directives(program);
@@ -590,21 +596,12 @@ pub fn run_case_through(
     for &(config, table, _) in &matrix_cells {
         plan.add_cell(config, table);
     }
-    let expected: Vec<_> = matrix_cells
+    let expected: Vec<Direct> = matrix_cells
         .iter()
         .map(|(config, _, cell_program)| {
-            ReplayRequest::batch(&trace)
-                .single(cell_program, *config)
-                .attribution(true)
-                .run()
-                .map(|r| r.into_single().outcome)
+            Direct::replay(config, &directives_of(cell_program), &values)
         })
-        .collect::<Result<_, _>>()
-        .map_err(|e| Divergence::Matrix {
-            label: "per-cell reference".into(),
-            shards: 1,
-            detail: format!("replay failed: {e}"),
-        })?;
+        .collect();
     let cell_label = |i: usize| {
         let (config, table, _) = &matrix_cells[i];
         format!("{} (cell {i}, table {table})", config.label())
@@ -612,10 +609,11 @@ pub fn run_case_through(
     for shards in [1usize, 3] {
         let fused = ReplayRequest::batch(&trace)
             .plan(plan.clone())
+            .attribution(shards > 1)
             .shards(shards)
             .jobs(2)
             .run()
-            .map(|r| r.outcomes())
+            .map(|r| r.cells)
             .map_err(|e| Divergence::Matrix {
                 label: "whole plan".into(),
                 shards,
@@ -632,7 +630,8 @@ pub fn run_case_through(
                 ),
             });
         }
-        for (i, (f, e)) in fused.iter().zip(&expected).enumerate() {
+        for (i, (cell, e)) in fused.iter().zip(&expected).enumerate() {
+            let f = &cell.outcome;
             if f.stats != e.stats {
                 return Err(Divergence::Matrix {
                     label: cell_label(i),
@@ -653,6 +652,13 @@ pub fn run_case_through(
                     ),
                 });
             }
+            if shards > 1 && cell.attribution.as_ref() != Some(&e.attribution) {
+                return Err(Divergence::Matrix {
+                    label: cell_label(i),
+                    shards,
+                    detail: "attribution table differs from the per-access table".into(),
+                });
+            }
         }
     }
 
@@ -661,7 +667,7 @@ pub fn run_case_through(
     }
 
     // --- 6. ILP lanes differential ---
-    ilp_lanes_differential(program, &trace, limits, optimized.is_ok())?;
+    ilp_lanes_differential(program, &trace, &values, limits, optimized.is_ok())?;
     if last == Stage::Ilp {
         return Ok(trace);
     }
@@ -722,45 +728,34 @@ pub fn run_case_through(
             }
         }
     }
-    // Attributed streaming: tables must match batch attribution exactly.
-    let attributed_of = |request: ReplayRequest<'_>| {
-        request
-            .plan(plan.clone())
-            .attribution(true)
-            .shards(3)
-            .jobs(2)
-            .block_pool(2)
-            .run()
-    };
-    let batch_attr =
-        attributed_of(ReplayRequest::batch(&trace)).map_err(|e| Divergence::Stream {
-            label: "whole plan (attributed batch)".into(),
-            shards: 3,
-            pool: 2,
-            detail: format!("attributed batch replay failed: {e}"),
-        })?;
-    let stream_attr =
-        attributed_of(ReplayRequest::stream(program, limits)).map_err(|e| Divergence::Stream {
+    // Attributed streaming: tables must match the direct loops' exactly.
+    let stream_attr = ReplayRequest::stream(program, limits)
+        .plan(plan.clone())
+        .attribution(true)
+        .shards(3)
+        .block_pool(2)
+        .run()
+        .map_err(|e| Divergence::Stream {
             label: "whole plan (attributed)".into(),
             shards: 3,
             pool: 2,
             detail: format!("attributed streamed replay failed: {e}"),
         })?;
-    for (i, (s, b)) in stream_attr.cells.iter().zip(&batch_attr.cells).enumerate() {
+    for (i, (s, e)) in stream_attr.cells.iter().zip(&expected).enumerate() {
         let stream_err = |detail: String| Divergence::Stream {
             label: cell_label(i),
             shards: 3,
             pool: 2,
             detail,
         };
-        if s.outcome.stats != b.outcome.stats {
+        if s.outcome.stats != e.stats {
             return Err(stream_err(
-                "attributed streamed stats differ from batch".into(),
+                "attributed streamed stats differ from per-cell".into(),
             ));
         }
-        if s.attribution != b.attribution {
+        if s.attribution.as_ref() != Some(&e.attribution) {
             return Err(stream_err(
-                "attribution table differs between streamed and batch replay".into(),
+                "attribution table differs from the per-access table".into(),
             ));
         }
     }
@@ -805,6 +800,7 @@ fn ilp_machines(program: &Program) -> Vec<(IlpConfig, Program)> {
 fn ilp_lanes_differential(
     program: &Program,
     trace: &Trace,
+    values: &[(InstrAddr, u64)],
     limits: RunLimits,
     streamable: bool,
 ) -> Result<(), Divergence> {
@@ -815,10 +811,12 @@ fn ilp_lanes_differential(
         detail,
     };
     let mut plan = SweepPlan::new();
+    let mut direct = Vec::new();
     for (config, annotated) in &machines {
         if let Some(predictor) = config.predictor {
             let table = plan.add_directives(annotated);
             plan.add_outcome_cell(predictor, table);
+            direct.push(Direct::replay(&predictor, &directives_of(annotated), values).outcomes);
         }
     }
     let recorded = ReplayRequest::batch(trace)
@@ -884,15 +882,16 @@ fn ilp_lanes_differential(
             });
         }
     }
-    // The attributed kernel records columns on its own per-event path;
-    // a streamed replay records them on one consumer.
+    // Every recorded column must equal its direct loop's: the sharded
+    // pass the lanes read, an attributed pass, and a streamed replay,
+    // which records them on one consumer.
     let attributed = ReplayRequest::batch(trace)
         .plan(plan.clone())
         .attribution(true)
         .run()
         .map_err(|e| whole(format!("attributed outcome replay failed: {e}")))?
         .cells;
-    let mut others = vec![("attributed", attributed)];
+    let mut others = vec![("sharded", recorded), ("attributed", attributed)];
     if streamable {
         let streamed = ReplayRequest::stream(program, limits)
             .plan(plan)
@@ -905,8 +904,8 @@ fn ilp_lanes_differential(
     for (mode, cells) in others {
         if cells
             .iter()
-            .zip(&recorded)
-            .any(|(o, b)| o.outcomes != b.outcomes)
+            .zip(&direct)
+            .any(|(o, d)| o.outcomes.as_ref() != Some(d))
         {
             return Err(whole(format!(
                 "{mode} replay recorded different outcome columns"
@@ -914,6 +913,49 @@ fn ilp_lanes_differential(
         }
     }
     Ok(())
+}
+
+/// One cell's per-access reference: the configuration's own predictor
+/// fed the reference interpreter's value stream one
+/// [`vp_predictor::ValuePredictor::access`] at a time, each access
+/// observed into an [`AttributionTable`] and its [`Outcome`] recorded.
+struct Direct {
+    stats: PredictorStats,
+    occupancy: usize,
+    attribution: AttributionTable,
+    outcomes: OutcomeColumn,
+}
+
+impl Direct {
+    fn replay(
+        config: &PredictorConfig,
+        directives: &[Directive],
+        values: &[(InstrAddr, u64)],
+    ) -> Direct {
+        let mut predictor = config.build();
+        let mut attribution = AttributionTable::new();
+        let mut outcomes = OutcomeColumn::new();
+        for &(addr, value) in values {
+            let d = directives
+                .get(addr.index() as usize)
+                .copied()
+                .unwrap_or(Directive::None);
+            let access = predictor.access(addr, d, value);
+            attribution.observe(addr, d, &access, value);
+            outcomes.push(Outcome::of(&access));
+        }
+        Direct {
+            stats: *predictor.stats(),
+            occupancy: predictor.occupancy(),
+            attribution,
+            outcomes,
+        }
+    }
+}
+
+/// `program`'s per-instruction directive table.
+fn directives_of(program: &Program) -> Vec<Directive> {
+    program.text().iter().map(|i| i.directive).collect()
 }
 
 fn check_predictor(

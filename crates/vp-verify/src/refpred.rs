@@ -347,8 +347,9 @@ impl RefModel {
                     Directive::None => Access::default(),
                 };
                 stats.record_classified(directive, &a);
-                // The outer block mirrors the real hybrid: set conflicts
-                // are summed from the sides, evictions are *not*.
+                // The outer block mirrors the real hybrid: evictions and
+                // set conflicts are summed from the sides.
+                stats.evictions = stride.stats.evictions + last_value.stats.evictions;
                 stats.set_conflicts = stride.stats.set_conflicts + last_value.stats.set_conflicts;
             }
         }
@@ -501,5 +502,54 @@ mod tests {
         assert!(ref_stats.evictions > 0, "test must exercise eviction");
         assert_eq!(ref_stats, opt_stats);
         assert_eq!(ref_occ, opt_occ);
+    }
+
+    /// Both sides of a tiny hybrid thrash: its combined evictions are the
+    /// two sides' sum, in the reference model, the predictor and its
+    /// state walk alike.
+    #[test]
+    fn tiny_hybrid_counts_both_sides_evictions() {
+        use vp_predictor::walk::CodeHistogram;
+        use vp_predictor::{HybridPredictor, ValuePredictor};
+
+        let (stride, last_value) = (TableGeometry::new(2, 1), TableGeometry::new(2, 1));
+        let config = PredictorConfig::Hybrid { stride, last_value };
+        let directives: Vec<Directive> = (0..8)
+            .map(|i| [Directive::Stride, Directive::LastValue][i % 2])
+            .collect();
+        let values: Vec<(InstrAddr, u64)> = (0..50u64)
+            .flat_map(|round| (0..8u32).map(move |a| (InstrAddr::new(a), round + u64::from(a))))
+            .collect();
+        let row: Vec<Directive> = values
+            .iter()
+            .map(|(a, _)| directives[a.index() as usize])
+            .collect();
+
+        let mut hybrid = HybridPredictor::new(stride, last_value);
+        for (&(addr, value), &d) in values.iter().zip(&row) {
+            hybrid.access(addr, d, value);
+        }
+        let (stride_side, lv_side) = (hybrid.stride_stats(), hybrid.last_value_stats());
+        assert!(stride_side.evictions > 0 && lv_side.evictions > 0);
+        assert_eq!(
+            hybrid.stats().evictions,
+            stride_side.evictions + lv_side.evictions
+        );
+
+        let mut walk = config.walker();
+        let mut codes = Vec::new();
+        let (addrs, vals): (Vec<InstrAddr>, Vec<u64>) = values.iter().copied().unzip();
+        walk.walk(&addrs, &row, &vals, &mut codes);
+        let mut histogram = CodeHistogram::new();
+        histogram.tally(&row, &codes);
+        let mut walked = histogram.stats(config.classifier());
+        walked.evictions = walk.evictions();
+        walked.set_conflicts = walk.conflicts();
+
+        let (ref_stats, ref_occ) = ref_predict(&directives, &values, &config);
+        assert_eq!(walked, *hybrid.stats());
+        assert_eq!(ref_stats, *hybrid.stats());
+        assert_eq!(walk.occupancy(), hybrid.occupancy());
+        assert_eq!(ref_occ, hybrid.occupancy());
     }
 }
