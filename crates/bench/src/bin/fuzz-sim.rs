@@ -2,9 +2,10 @@
 //!
 //! Generates random well-formed programs, runs each through the
 //! `vp-verify` oracle (reference interpreter vs the optimized machine,
-//! trace serialization round-trip, reference predictors vs the table /
-//! sharded-replay implementations) and reports any divergence with a
-//! minimised repro.
+//! reference profile collector vs the dense one, reference predictors vs
+//! the table predictors and the fused batch and streamed replays, the ILP
+//! lanes vs `IlpAnalyzer`) and reports any divergence with a minimised
+//! repro.
 //!
 //! ```text
 //! fuzz-sim [--cases=N] [--seed=S] [--max-shrink-steps=K] \

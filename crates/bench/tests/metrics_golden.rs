@@ -177,7 +177,7 @@ fn samples_leave_stdout_byte_identical() {
 /// The per-PC attribution layer end to end: `--attribution` must leave
 /// experiment stdout byte-identical, add the manifest's `attribution`
 /// array, produce attribution tables that are byte-identical between `--jobs=1`
-/// and `--jobs=2` (shard-merge determinism), reconcile exactly with the
+/// and `--jobs=2` (worker-order determinism), reconcile exactly with the
 /// aggregate predictor counters, and render through `attribution-report`
 /// as markdown.
 #[test]
@@ -216,7 +216,7 @@ fn attribution_is_deterministic_and_reconciles() {
 
     assert!(!m2.attribution.is_empty(), "attribution collected");
 
-    // Shard-merge determinism: the attribution arrays at jobs=1 and
+    // Worker-order determinism: the attribution arrays at jobs=1 and
     // jobs=2 must be byte-identical (same runs, same order, same
     // counts, same drift), even though wall times differ.
     let render = |m: &RunManifest| {

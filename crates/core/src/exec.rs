@@ -18,34 +18,8 @@
 //! layer sees one `suite/profile` phase no matter how many threads
 //! executed it.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
-
-thread_local! {
-    /// Set for the lifetime of a [`parallel_map`] worker thread.
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the current thread is a [`parallel_map`] worker.
-///
-/// Nested fan-out (e.g. sharded predictor replay inside a per-workload
-/// grid) consults this to degrade to a single shard instead of
-/// oversubscribing the machine with `jobs²` threads; results are
-/// unaffected because sharded replay is bit-identical at any shard count.
-#[must_use]
-pub fn in_worker() -> bool {
-    IN_WORKER.with(Cell::get)
-}
-
-/// Marks the current thread as a worker for [`in_worker`]. The streaming
-/// replay consumers (`crate::replay::stream`) call this on their threads
-/// so code running inside them degrades nested fan-out exactly as it
-/// would inside a [`parallel_map`] worker. The flag dies with the thread,
-/// so it needs no reset.
-pub(crate) fn mark_worker_thread() {
-    IN_WORKER.with(|w| w.set(true));
-}
 
 /// Maps `f` over `items` on up to `jobs` threads, returning results in
 /// input order.
@@ -88,10 +62,6 @@ where
                 let cursor = &cursor;
                 let f = &f;
                 scope.spawn(move || {
-                    // Mark the thread so nested parallelism can detect it
-                    // and stay serial (the thread dies with the scope, so
-                    // the flag needs no reset).
-                    IN_WORKER.with(|w| w.set(true));
                     // Timing recorded by this worker lands under the
                     // spawning thread's span hierarchy.
                     let _adopted = vp_obs::span::adopt(parent_span);
@@ -171,16 +141,6 @@ mod tests {
             assert!(x < 3, "boom");
             x
         });
-    }
-
-    #[test]
-    fn worker_threads_are_marked() {
-        assert!(!in_worker(), "caller thread is not a worker");
-        let flags = parallel_map(4, &[0u8; 16], |_| in_worker());
-        assert!(flags.iter().all(|&f| f), "all items ran on worker threads");
-        // Serial degradation runs on the caller: no worker mark.
-        let serial = parallel_map(1, &[0u8; 4], |_| in_worker());
-        assert!(serial.iter().all(|&f| !f));
     }
 
     #[test]

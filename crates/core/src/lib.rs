@@ -36,8 +36,7 @@ pub mod trace_store;
 
 pub use exec::parallel_map;
 pub use replay::{
-    auto_shards, MatrixCell, ReplayCellOutcome, ReplayOutcome, ReplayRequest, ReplayResponse,
-    SweepPlan,
+    MatrixCell, ReplayCellOutcome, ReplayOutcome, ReplayRequest, ReplayResponse, SweepPlan,
 };
 pub use suite::Suite;
 pub use trace_store::{TraceError, TraceKey, TraceStore, TraceStoreStats};

@@ -1,28 +1,6 @@
-//! PC-sharded parallel predictor replay.
+//! Fused predictor replay: one pass over a trace for a whole sweep.
 //!
-//! Both predictor families of the paper key their dynamic state purely by
-//! **static instruction address** — the infinite predictors keep one cell
-//! per address, the finite tables one set per `addr mod sets` (tags, LRU
-//! stamps and conflict counts all live inside a set). Replaying a trace
-//! through a predictor is therefore embarrassingly parallel once the
-//! trace's value events are partitioned by that key: every shard replays
-//! against an independent predictor instance, observes exactly the
-//! accesses a sequential run would have routed to its state partition *in
-//! the same order*, and the per-shard [`PredictorStats`] merge by field
-//! addition ([`PredictorStats::merge`]) into totals **bit-identical** to
-//! a sequential replay, at any shard count.
-//!
-//! The shard key is supplied by [`shard_key`] over the configuration's
-//! [`PredictorConfig::shard_modulus`]; the partition itself is a
-//! zero-copy view over the columnar trace
-//! ([`vp_sim::TraceColumns::shard_by_pc`]). Shards run on the same
-//! deterministic worker pool as the experiment grids
-//! ([`crate::exec::parallel_map`]), and [`auto_shards`] degrades to a
-//! single shard inside an already-parallel grid worker so nested fan-out
-//! never oversubscribes the machine.
-//!
-//! On top of the per-cell replay sits the **fused sweep matrix**: every
-//! headline figure of the paper is a sweep — several predictor
+//! Every headline figure of the paper is a sweep — several predictor
 //! configurations × several profiling thresholds over the *same* trace —
 //! and replaying per cell scans the identical value stream `cells` times.
 //! The fused engine streams the trace once, resolves each distinct
@@ -30,11 +8,14 @@
 //! predictor *state* over the block once ([`vp_predictor::StateWalk`]:
 //! cells that differ only in classifier or directive table share one
 //! walk) and lets every cell tally the walk's raw codes into its
-//! [`vp_predictor::CodeHistogram`], sharding by the *joint*
-//! state-partition key (gcd of the cells' moduli) so every cell's grid
-//! entry stays bit-identical to its sequential per-cell replay. An
-//! attributed replay runs the same walks and also folds each cell's view
-//! of the codes into its per-PC [`AttributionTable`].
+//! [`vp_predictor::CodeHistogram`], so every cell's grid entry is
+//! bit-identical to its own per-access replay. An attributed replay runs
+//! the same walks and also folds each cell's view of the codes into its
+//! per-PC [`AttributionTable`].
+//!
+//! A replay runs on the calling thread; a streamed one adds one thread,
+//! the simulation that feeds it. The experiments' parallelism is one
+//! level up, in the per-workload grids ([`crate::exec::parallel_map`]).
 //!
 //! ## Entry point
 //!
@@ -43,57 +24,31 @@
 //! [`ReplayRequest::stream`] to simulate and predict concurrently without
 //! ever materialising the trace — see [`stream`]), describe the cells
 //! ([`ReplayRequest::plan`] / [`ReplayRequest::single`]), and [`run`]
-//! it. Either source runs the same fused kernel and the same per-shard
-//! merge, and attribution only adds an observer to that kernel, so the
-//! four combinations of source × attribution share one code path.
+//! it. Either source runs the same fused kernel and fans its slots out to
+//! the plan's cells the same way, and attribution only adds an observer
+//! to that kernel, so the four combinations of source × attribution
+//! share one code path.
 //!
 //! [`run`]: ReplayRequest::run
 
 use std::collections::HashMap;
 use std::io;
-use std::time::Instant;
 
 use vp_isa::{Directive, InstrAddr, Program};
-use vp_predictor::config::shard_key;
 use vp_predictor::{
     AttributionTable, CodeHistogram, OutcomeColumn, PredictorConfig, PredictorStats, StateWalk,
 };
 use vp_sim::{RunLimits, Trace};
 
-use crate::exec::{in_worker, parallel_map};
-
 pub mod stream;
 
-/// Traces below this many events are replayed unsharded: the per-shard
-/// flag-column rescan and thread hand-off would cost more than they save.
-pub const MIN_SHARD_EVENTS: usize = 1 << 16;
-
-/// The result of a (possibly sharded) predictor replay.
+/// The result of a predictor replay.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplayOutcome {
-    /// Merged predictor statistics, bit-identical to a sequential replay.
+    /// Predictor statistics, bit-identical to a per-access replay.
     pub stats: PredictorStats,
-    /// Total occupied table entries across shards (state partitions are
-    /// disjoint, so the sum equals a single predictor's occupancy).
+    /// Occupied table entries at the end of the replay.
     pub occupancy: usize,
-    /// How many shards actually ran.
-    pub shards: usize,
-}
-
-/// Picks a shard count for a replay: `jobs` shards when sharding can help,
-/// 1 when it cannot (serial run, tiny trace) or must not (already inside a
-/// [`parallel_map`] worker, where nested fan-out would oversubscribe the
-/// pool). Output never depends on the choice — only wall-clock does.
-///
-/// For a streaming replay the event count is unknown up front; pass
-/// [`usize::MAX`] to let `jobs` and worker-nesting decide alone.
-#[must_use]
-pub fn auto_shards(jobs: usize, events: usize) -> usize {
-    if jobs <= 1 || events < MIN_SHARD_EVENTS || in_worker() {
-        1
-    } else {
-        jobs
-    }
 }
 
 /// Events per fused-kernel block: long enough to amortise the one virtual
@@ -266,9 +221,9 @@ fn used_tables(slots: &[MatrixCell]) -> Vec<usize> {
     used
 }
 
-/// One slot's result from one shard: stats, occupied table entries, for
-/// an attributed replay the slot's per-PC [`AttributionTable`], and for
-/// an outcome-recording slot its [`OutcomeColumn`] in shard order.
+/// One slot's result: stats, occupied table entries, for an attributed
+/// replay the slot's per-PC [`AttributionTable`], and for an
+/// outcome-recording slot its [`OutcomeColumn`].
 type SlotResult = (
     PredictorStats,
     usize,
@@ -276,7 +231,7 @@ type SlotResult = (
     Option<OutcomeColumn>,
 );
 
-/// The push-based fused kernel: accumulates one shard's value events into
+/// The push-based fused kernel: accumulates the value events into
 /// [`MATRIX_BLOCK`]-sized scratch columns, resolves each full block's
 /// directive row once per distinct annotation, walks each shared
 /// predictor state over the block once ([`StateWalk::walk`], one virtual
@@ -288,11 +243,11 @@ type SlotResult = (
 /// ([`AttributionTable::observe_codes`]); whether it attributes is decided
 /// once per block.
 ///
-/// Both the batch scan (an iterator drained into `push`) and the
-/// streaming consumers ([`stream`]) drive this same kernel, so their
+/// The batch scan and the streaming consumer ([`stream`]) both drain
+/// their events into this same kernel ([`matrix_scan`]), so their
 /// per-event instruction streams — and therefore their results — cannot
-/// drift apart: the block boundaries a consumer happens to deliver never
-/// matter, only the accumulated [`MATRIX_BLOCK`] chunking here does.
+/// drift apart: the block boundaries the stream delivers never matter,
+/// only the accumulated [`MATRIX_BLOCK`] chunking here does.
 struct MatrixScanner<'p> {
     /// One state per walk.
     walks: Vec<Box<dyn StateWalk>>,
@@ -442,104 +397,20 @@ where
     scanner.finish()
 }
 
-/// Merges per-shard slot results (shard state partitions are disjoint,
-/// so stats, occupancy and attribution tables merge by addition) and fans
-/// the slots back out to plan order through `slot_of`. Duplicate cells
-/// receive copies of their shared slot's result. Outcome columns are
-/// taken from the first shard: a sharded caller interleaves them there
-/// first ([`interleave_outcomes`]).
-fn merge_shards(
-    parts: Vec<Vec<SlotResult>>,
-    slot_of: &[usize],
-    shards: usize,
-) -> Vec<ReplayCellOutcome> {
-    let mut parts = parts.into_iter();
-    let mut merged = parts.next().unwrap_or_default();
-    for part in parts {
-        for (acc, (stats, occupancy, table, _)) in merged.iter_mut().zip(part) {
-            acc.0.merge(&stats);
-            acc.1 += occupancy;
-            if let (Some(acc), Some(table)) = (&mut acc.2, table) {
-                acc.merge(&table);
-            }
-        }
-    }
+/// Fans the slot results out to plan order through `slot_of`: duplicate
+/// cells receive copies of their shared slot's result.
+fn fan_out(per_slot: &[SlotResult], slot_of: &[usize]) -> Vec<ReplayCellOutcome> {
     slot_of
         .iter()
         .map(|&s| {
-            let (stats, occupancy, ref table, ref column) = merged[s];
+            let (stats, occupancy, ref table, ref column) = per_slot[s];
             ReplayCellOutcome {
-                outcome: ReplayOutcome {
-                    stats,
-                    occupancy,
-                    shards,
-                },
+                outcome: ReplayOutcome { stats, occupancy },
                 attribution: table.clone(),
                 outcomes: column.clone(),
             }
         })
         .collect()
-}
-
-/// Puts each outcome-recording slot's column back into trace order, in
-/// the first shard's result: `shard_of` yields, per value event of the
-/// trace, the shard the event was replayed in (its `shard_key`
-/// recomputed), and each shard's column holds its events in trace order.
-fn interleave_outcomes<I>(parts: &mut [Vec<SlotResult>], shard_of: I)
-where
-    I: Iterator<Item = usize> + Clone,
-{
-    let Some(first) = parts.first() else { return };
-    for slot in 0..first.len() {
-        if parts[0][slot].3.is_none() {
-            continue;
-        }
-        let columns: Vec<OutcomeColumn> = parts
-            .iter_mut()
-            .map(|part| part[slot].3.take().expect("every shard records the slot"))
-            .collect();
-        parts[0][slot].3 = Some(OutcomeColumn::interleave(&columns, shard_of.clone()));
-    }
-}
-
-/// The batch fused engine behind [`ReplayRequest::run`]: one pass over
-/// the resident `trace`, PC-sharded over up to `jobs` workers.
-fn batch_matrix(trace: &Trace, req: &ReplayRequest<'_>) -> io::Result<Vec<ReplayCellOutcome>> {
-    let _span = vp_obs::span("matrix");
-    let fused = fuse_cells(&req.plan);
-    let cols = trace.columns();
-
-    if req.shards == 1 {
-        let per_slot = matrix_scan(cols.value_events(), req, &fused)?;
-        vp_obs::counter("replay.shards").add(1);
-        return Ok(merge_shards(vec![per_slot], &fused.slot_of, 1));
-    }
-
-    let modulus = PredictorConfig::joint_shard_modulus(fused.slots.iter().map(|c| &c.config));
-    let views = cols.shard_by_pc(req.shards, move |addr| shard_key(modulus, addr));
-    let of = req.shards as u64;
-    let timed = parallel_map(req.jobs, &views, |shard| -> io::Result<_> {
-        let started = Instant::now();
-        let per_slot = matrix_scan(shard.values(), req, &fused)?;
-        Ok((per_slot, started.elapsed().as_micros() as u64))
-    });
-    let mut parts = Vec::with_capacity(req.shards);
-    let (mut fastest, mut slowest) = (u64::MAX, 0u64);
-    for part in timed {
-        let (per_slot, micros) = part?;
-        parts.push(per_slot);
-        fastest = fastest.min(micros);
-        slowest = slowest.max(micros);
-    }
-    interleave_outcomes(
-        &mut parts,
-        cols.value_events()
-            .map(|(addr, _)| (shard_key(modulus, addr) % of) as usize),
-    );
-    let skew_us = slowest.saturating_sub(fastest);
-    vp_obs::counter("replay.shards").add(req.shards as u64);
-    vp_obs::gauge("replay.shard_skew_ms").set_max(skew_us.div_ceil(1000));
-    Ok(merge_shards(parts, &fused.slot_of, req.shards))
 }
 
 /// Where a [`ReplayRequest`] reads its value events from.
@@ -549,8 +420,8 @@ enum ReplaySource<'a> {
     /// path: capture once via [`crate::TraceStore`], replay many times).
     Batch(&'a Trace),
     /// Simulate `program` under `limits` and feed its value events
-    /// straight into the predictor workers through a bounded block
-    /// channel — the trace is never resident. See [`stream`].
+    /// straight into the fused kernel through a bounded block channel —
+    /// the trace is never resident. See [`stream`].
     Stream {
         /// The program to simulate (directive annotations are irrelevant
         /// to execution; the plan's tables supply the directives).
@@ -566,8 +437,8 @@ enum ReplaySource<'a> {
 /// receive clones of the shared slot's table and column).
 #[derive(Debug, Clone)]
 pub struct ReplayCellOutcome {
-    /// Stats, occupancy and shard count — bit-identical to a sequential
-    /// per-cell replay at any shard/job/block-pool count.
+    /// Stats and occupancy — bit-identical to a per-access replay of the
+    /// cell at any block-pool size.
     pub outcome: ReplayOutcome,
     /// The per-PC attribution table, if [`ReplayRequest::attribution`]
     /// asked for one.
@@ -611,9 +482,8 @@ impl ReplayResponse {
 }
 
 /// A builder describing one replay: which cells to evaluate
-/// ([`SweepPlan`]), whether to attribute mispredictions, how to shard and
-/// fan out, and where the value events come from (a resident trace or a
-/// live simulation).
+/// ([`SweepPlan`]), whether to attribute mispredictions, and where the
+/// value events come from (a resident trace or a live simulation).
 ///
 /// It is the only replay entry point:
 ///
@@ -647,8 +517,6 @@ pub struct ReplayRequest<'a> {
     plan: SweepPlan,
     source: ReplaySource<'a>,
     attribution: bool,
-    shards: usize,
-    jobs: usize,
     block_pool: usize,
 }
 
@@ -659,8 +527,6 @@ impl<'a> ReplayRequest<'a> {
             plan: SweepPlan::new(),
             source,
             attribution: false,
-            shards: 1,
-            jobs: 1,
             block_pool: stream::DEFAULT_BLOCK_POOL,
         }
     }
@@ -702,25 +568,26 @@ impl<'a> ReplayRequest<'a> {
         self
     }
 
-    /// Shard count for the state-partitioned replay (see [`auto_shards`]).
-    /// Results are bit-identical at any value; only wall-clock changes.
+    /// Does nothing. A replay always runs as one pass on the calling
+    /// thread; the method is kept only so callers written against the
+    /// former PC-sharded replay still build.
+    #[deprecated(note = "replays are not sharded; this is a no-op")]
     #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
-    /// Worker-thread cap for a batch replay's shard fan-out. A streaming
-    /// replay always runs one thread per shard plus the producer (its
-    /// shards *are* its workers), so pick `shards` from `jobs` there.
+    /// Does nothing. A replay always runs as one pass on the calling
+    /// thread; the method is kept only so callers written against the
+    /// former PC-sharded replay still build.
+    #[deprecated(note = "replays are not sharded; this is a no-op")]
     #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
+    pub fn jobs(self, _jobs: usize) -> Self {
         self
     }
 
     /// Block-pool size for a streaming replay: how many
-    /// 1024-event blocks each consumer's queue holds before
+    /// 1024-event blocks the consumer's queue holds before
     /// the producer waits (clamped to at least
     /// [`stream::MIN_BLOCK_POOL`]). Ignored by batch replays.
     #[must_use]
@@ -733,9 +600,9 @@ impl<'a> ReplayRequest<'a> {
     ///
     /// Duplicate cells are deduped into one predictor-bank slot and share
     /// one replay; the results are **bit-identical** to per-cell
-    /// sequential replays at any shard/job/block-pool count
-    /// (property-tested and fuzzed via the vp-verify oracle, including a
-    /// streaming ≡ batch stage).
+    /// per-access replays at any block-pool size (property-tested and
+    /// fuzzed via the vp-verify oracle, including a streaming ≡ batch
+    /// stage).
     ///
     /// # Errors
     ///
@@ -749,13 +616,24 @@ impl<'a> ReplayRequest<'a> {
         if self.plan.is_empty() {
             return Ok(ReplayResponse::default());
         }
-        let cells = match self.source {
-            ReplaySource::Batch(trace) => batch_matrix(trace, &self)?,
+        let _span = vp_obs::span(match self.source {
+            ReplaySource::Batch(_) => "matrix",
+            ReplaySource::Stream { .. } => "stream",
+        });
+        let fused = fuse_cells(&self.plan);
+        let per_slot = match self.source {
+            ReplaySource::Batch(trace) => {
+                matrix_scan(trace.columns().value_events(), &self, &fused)?
+            }
             ReplaySource::Stream { program, limits } => {
-                stream::stream_matrix(program, limits, &self)?
+                stream::run_streamed(program, limits, self.block_pool, |events| {
+                    matrix_scan(events, &self, &fused)
+                })?
             }
         };
-        Ok(ReplayResponse { cells })
+        Ok(ReplayResponse {
+            cells: fan_out(&per_slot, &fused.slot_of),
+        })
     }
 }
 
@@ -770,7 +648,7 @@ pub(crate) fn outside_text(addr: vp_isa::InstrAddr) -> io::Error {
 mod tests {
     use super::*;
     use vp_isa::asm::assemble;
-    use vp_predictor::{ClassifierKind, TableGeometry};
+    use vp_predictor::TableGeometry;
 
     fn sample() -> (Program, Trace) {
         let p = assemble(
@@ -782,17 +660,9 @@ mod tests {
         (p, trace)
     }
 
-    fn single_outcome(
-        trace: &Trace,
-        p: &Program,
-        config: &PredictorConfig,
-        shards: usize,
-        jobs: usize,
-    ) -> ReplayOutcome {
+    fn single_outcome(trace: &Trace, p: &Program, config: &PredictorConfig) -> ReplayOutcome {
         ReplayRequest::batch(trace)
             .single(p, *config)
-            .shards(shards)
-            .jobs(jobs)
             .run()
             .unwrap()
             .into_single()
@@ -804,7 +674,7 @@ mod tests {
         let p = assemble("li r1, 1\nsd r1, (r0)\nbeq r0, r0, e\ne: halt\n").unwrap();
         let trace = Trace::capture(&p, RunLimits::default()).unwrap();
         let config = PredictorConfig::spec_table_stride_fsm();
-        let outcome = single_outcome(&trace, &p, &config, 1, 1);
+        let outcome = single_outcome(&trace, &p, &config);
         assert_eq!(outcome.stats.accesses, 1, "only the li produces a value");
     }
 
@@ -814,41 +684,10 @@ mod tests {
         let p = assemble(src).unwrap();
         let trace = Trace::capture(&p, RunLimits::default()).unwrap();
         let config = PredictorConfig::spec_table_stride_profile();
-        let s = single_outcome(&trace, &p, &config, 1, 1).stats;
+        let s = single_outcome(&trace, &p, &config).stats;
         // Only the tagged addi is admitted; the li's are untagged.
         assert_eq!(s.allocations, 1);
         assert!(s.speculated_correct >= 47);
-    }
-
-    #[test]
-    fn sharded_replay_matches_sequential() {
-        let (p, trace) = sample();
-        for config in [
-            PredictorConfig::spec_table_stride_fsm(),
-            PredictorConfig::spec_table_stride_profile(),
-            PredictorConfig::InfiniteStride {
-                classifier: ClassifierKind::two_bit_counter(),
-            },
-            PredictorConfig::Hybrid {
-                stride: TableGeometry::new(8, 2),
-                last_value: TableGeometry::new(12, 2),
-            },
-        ] {
-            let seq = single_outcome(&trace, &p, &config, 1, 1);
-            for shards in [2usize, 3, 4, 8] {
-                for jobs in [1usize, 4] {
-                    let par = single_outcome(&trace, &p, &config, shards, jobs);
-                    assert_eq!(
-                        par.stats,
-                        seq.stats,
-                        "{} diverged at {shards} shards / {jobs} jobs",
-                        config.label()
-                    );
-                    assert_eq!(par.occupancy, seq.occupancy, "{}", config.label());
-                    assert_eq!(par.shards, shards);
-                }
-            }
-        }
     }
 
     #[test]
@@ -862,37 +701,20 @@ mod tests {
                 last_value: TableGeometry::new(12, 2),
             },
         ] {
-            let plain = single_outcome(&trace, &p, &config, 1, 1);
-            let seq = ReplayRequest::batch(&trace)
+            let plain = single_outcome(&trace, &p, &config);
+            let attributed = ReplayRequest::batch(&trace)
                 .single(&p, config)
                 .attribution(true)
                 .run()
                 .unwrap()
                 .into_single();
-            let seq_table = seq.attribution.expect("attribution requested");
+            let table = attributed.attribution.expect("attribution requested");
             // Observation-only: attribution never perturbs the stats.
-            assert_eq!(seq.outcome.stats, plain.stats, "{}", config.label());
-            assert_eq!(seq.outcome.occupancy, plain.occupancy);
-            seq_table
-                .reconcile(&seq.outcome.stats)
+            assert_eq!(attributed.outcome.stats, plain.stats, "{}", config.label());
+            assert_eq!(attributed.outcome.occupancy, plain.occupancy);
+            table
+                .reconcile(&attributed.outcome.stats)
                 .unwrap_or_else(|e| panic!("{}: {e}", config.label()));
-            for shards in [2usize, 3, 8] {
-                let par = ReplayRequest::batch(&trace)
-                    .single(&p, config)
-                    .attribution(true)
-                    .shards(shards)
-                    .jobs(4)
-                    .run()
-                    .unwrap()
-                    .into_single();
-                assert_eq!(par.outcome.stats, seq.outcome.stats, "{}", config.label());
-                assert_eq!(
-                    par.attribution.expect("attribution requested"),
-                    seq_table,
-                    "{} attribution diverged at {shards} shards",
-                    config.label()
-                );
-            }
         }
     }
 
@@ -901,29 +723,11 @@ mod tests {
         let (_, trace) = sample();
         let other = assemble("halt\n").unwrap();
         let cfg = PredictorConfig::spec_table_stride_fsm();
-        for shards in [1usize, 4] {
-            let e = ReplayRequest::batch(&trace)
-                .single(&other, cfg)
-                .shards(shards)
-                .jobs(2)
-                .run()
-                .unwrap_err();
-            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
-        }
-    }
-
-    #[test]
-    fn auto_shards_policy() {
-        // Serial runs and tiny traces stay unsharded.
-        assert_eq!(auto_shards(1, MIN_SHARD_EVENTS * 2), 1);
-        assert_eq!(auto_shards(8, MIN_SHARD_EVENTS - 1), 1);
-        // Parallel runs over big traces shard by jobs.
-        assert_eq!(auto_shards(4, MIN_SHARD_EVENTS), 4);
-        // Streaming replays (unknown event count) shard by jobs alone.
-        assert_eq!(auto_shards(4, usize::MAX), 4);
-        // Inside a grid worker: degrade to one shard.
-        let nested = parallel_map(2, &[0u8; 4], |_| auto_shards(4, MIN_SHARD_EVENTS));
-        assert!(nested.iter().all(|&n| n == 1));
+        let e = ReplayRequest::batch(&trace)
+            .single(&other, cfg)
+            .run()
+            .unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -6,94 +6,90 @@
 //! feeds the predictor one retired instruction at a time). This module
 //! removes that coupling: a **producer** thread runs the simulation with
 //! a tracer that packs destination writes into blocks of
-//! `MATRIX_BLOCK` (1024) value events, and `shards` **consumer** threads
-//! replay those blocks through the same push-based fused kernel
-//! (`MatrixScanner`) and per-shard merge the batch path uses.
+//! `MATRIX_BLOCK` (1024) value events, and the calling thread, the one
+//! **consumer**, replays those blocks through the same push-based fused
+//! kernel (`MatrixScanner`) the batch path uses.
 //!
-//! ## Bounded queues
+//! ## Bounded queue
 //!
-//! Every consumer owns a [`sync_channel`] of
-//! [`ReplayRequest::block_pool`] blocks (default
-//! [`DEFAULT_BLOCK_POOL`], which `--stream` uses), and the producer sends
-//! each block, behind one shared [`Arc`], to every consumer still
-//! connected. When a consumer's queue is full the send blocks inside
-//! [`Tracer::retire`] — the simulation itself stalls until the slowest
-//! consumer catches up. There is no unbounded queueing anywhere: live
-//! memory is at most `pool` queued blocks per consumer plus the one
-//! each consumer reads and the one being filled, independent of trace
+//! The producer sends each block through a [`sync_channel`] of
+//! [`ReplayRequest::block_pool`] blocks (default [`DEFAULT_BLOCK_POOL`],
+//! which `--stream` uses). When the queue is full the send blocks inside
+//! [`Tracer::retire`] — the simulation itself stalls until the consumer
+//! catches up. Live memory is at most `pool` queued blocks plus the one
+//! the consumer reads and the one being filled, independent of trace
 //! length.
 //!
 //! ## Bit-identical results
 //!
-//! Each consumer filters the block stream down to its PC shard with the
-//! same joint-modulus key the batch path uses, preserving per-shard
-//! event order; the kernel re-accumulates its own
-//! `MATRIX_BLOCK`-aligned chunks, so delivery block boundaries never
-//! influence results. Streaming output is therefore bit-identical to
-//! batch replay at any shard / block-pool combination — property-tested
-//! here and in `tests/stream_replay.rs`, and fuzzed continuously by the
-//! vp-verify oracle's streaming ≡ batch stage.
+//! The consumer sees every value event in simulation order, and the
+//! kernel re-accumulates its own `MATRIX_BLOCK`-aligned chunks, so
+//! delivery block boundaries never influence results. Streaming output is
+//! therefore bit-identical to batch replay at any block-pool size —
+//! property-tested here and in `tests/stream_replay.rs`, and fuzzed
+//! continuously by the vp-verify oracle's streaming ≡ batch stage.
 //!
 //! ## Failure safety
 //!
-//! The channels hang up by themselves: the producer's exit — normal,
-//! faulted or panicked — drops the senders, so consumers drain their
-//! queues and stop; a consumer's error or panic drops its receiver, so
-//! the producer skips it from then on and never stalls on it.
+//! The channel hangs up by itself: the producer's exit — normal, faulted
+//! or panicked — drops the sender, so the consumer drains the queue and
+//! stops; the consumer's error or panic drops the receiver, so the
+//! producer stops sending and never stalls on it.
 //!
 //! ## Observability
 //!
 //! Runs under a `"stream"` span and publishes `stream.blocks` (blocks
-//! emitted), `stream.stalls` (blocks that found some consumer's queue
-//! full) and `stream.producer_wait_ms` (total time the simulation spent
-//! blocked on those full queues), alongside the same `replay.*`
-//! counters the batch engine feeds.
+//! emitted), `stream.stalls` (blocks that found the queue full) and
+//! `stream.producer_wait_ms` (total time the simulation spent blocked on
+//! the full queue), alongside the same `replay.*` counters the batch
+//! engine feeds.
 //!
 //! [`Tracer::retire`]: vp_sim::Tracer::retire
+//! [`ReplayRequest::block_pool`]: super::ReplayRequest::block_pool
 
 use std::io;
+use std::iter::Flatten;
 use std::mem;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::mpsc::{self, sync_channel, SyncSender, TrySendError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use vp_isa::{InstrAddr, Program};
-use vp_predictor::config::shard_key;
-use vp_predictor::PredictorConfig;
 use vp_sim::{Retirement, RunLimits};
 
-use super::{
-    fuse_cells, matrix_scan, merge_shards, ReplayCellOutcome, ReplayRequest, MATRIX_BLOCK,
-};
+use super::MATRIX_BLOCK;
 
-/// Default per-consumer queue depth, in blocks. Eight blocks absorb
-/// ordinary consumer jitter without letting the producer run far ahead.
+/// Default queue depth, in blocks. Eight blocks absorb ordinary consumer
+/// jitter without letting the producer run far ahead.
 pub const DEFAULT_BLOCK_POOL: usize = 8;
 
-/// Smallest usable queue depth. Below this the producer and consumers
+/// Smallest usable queue depth. Below this the producer and the consumer
 /// would strictly alternate.
 pub const MIN_BLOCK_POOL: usize = 2;
 
-/// A block of `(addr, value)` events, shared by every consumer.
+/// A block of `(addr, value)` events.
 type Block = Vec<(InstrAddr, u64)>;
 
+/// The consumer's view of the channel: every received block's events, in
+/// simulation order, until the producer hangs up.
+type Events = Flatten<mpsc::IntoIter<Block>>;
+
 /// The producer: a [`vp_sim::Tracer`] that packs each retired
-/// destination write into the current block and sends every full one
-/// to each consumer still connected.
+/// destination write into the current block and sends every full one to
+/// the consumer while it is connected.
 struct Producer {
     block: Block,
-    consumers: Vec<SyncSender<Arc<Block>>>,
+    consumer: Option<SyncSender<Block>>,
     blocks: u64,
     stalls: u64,
     waited: Duration,
 }
 
 impl Producer {
-    fn new(consumers: Vec<SyncSender<Arc<Block>>>) -> Producer {
+    fn new(consumer: SyncSender<Block>) -> Producer {
         Producer {
             block: Vec::with_capacity(MATRIX_BLOCK),
-            consumers,
+            consumer: Some(consumer),
             blocks: 0,
             stalls: 0,
             waited: Duration::ZERO,
@@ -107,40 +103,36 @@ impl Producer {
         }
     }
 
-    /// Sends the current block: without waiting where a queue has room,
-    /// else blocking (one stall per block, the wait timed). Consumers
-    /// that hung up are dropped.
+    /// Sends the current block: without waiting where the queue has room,
+    /// else blocking (one stall, the wait timed). A consumer that hung up
+    /// is dropped.
     fn send(&mut self) {
-        let block = Arc::new(mem::replace(
-            &mut self.block,
-            Vec::with_capacity(MATRIX_BLOCK),
-        ));
+        let block = mem::replace(&mut self.block, Vec::with_capacity(MATRIX_BLOCK));
         self.blocks += 1;
-        let mut stalled = false;
-        let mut waited = Duration::ZERO;
-        self.consumers
-            .retain(|tx| match tx.try_send(Arc::clone(&block)) {
-                Ok(()) => true,
-                Err(TrySendError::Disconnected(_)) => false,
-                Err(TrySendError::Full(block)) => {
-                    stalled = true;
-                    let started = Instant::now();
-                    let sent = tx.send(block).is_ok();
-                    waited += started.elapsed();
-                    sent
-                }
-            });
-        self.stalls += u64::from(stalled);
-        self.waited += waited;
+        let Some(tx) = &self.consumer else { return };
+        let sent = match tx.try_send(block) {
+            Ok(()) => true,
+            Err(TrySendError::Disconnected(_)) => false,
+            Err(TrySendError::Full(block)) => {
+                self.stalls += 1;
+                let started = Instant::now();
+                let sent = tx.send(block).is_ok();
+                self.waited += started.elapsed();
+                sent
+            }
+        };
+        if !sent {
+            self.consumer = None;
+        }
     }
 
     /// Sends the trailing partial block, if any, and hangs up, so the
-    /// consumers drain their queues and stop.
+    /// consumer drains the queue and stops.
     fn finish(&mut self) {
         if !self.block.is_empty() {
             self.send();
         }
-        self.consumers.clear();
+        self.consumer = None;
     }
 }
 
@@ -152,130 +144,39 @@ impl vp_sim::Tracer for Producer {
     }
 }
 
-/// Iterator over the value events belonging to one consumer's PC shard:
-/// receives blocks and filters them by the joint shard key, preserving
-/// per-shard event order exactly as the batch path's
-/// [`vp_sim::TraceColumns::shard_by_pc`] view does.
-struct ShardEvents {
-    blocks: Receiver<Arc<Block>>,
-    index: u64,
-    shards: u64,
-    modulus: Option<u64>,
-    block: Option<(Arc<Block>, usize)>,
-}
-
-impl Iterator for ShardEvents {
-    type Item = (InstrAddr, u64);
-
-    fn next(&mut self) -> Option<(InstrAddr, u64)> {
-        loop {
-            if let Some((block, pos)) = &mut self.block {
-                while let Some(&(addr, value)) = block.get(*pos) {
-                    *pos += 1;
-                    if shard_key(self.modulus, addr) % self.shards == self.index {
-                        return Some((addr, value));
-                    }
-                }
-            }
-            self.block = Some((self.blocks.recv().ok()?, 0));
-        }
-    }
-}
-
-/// Spawns the producer (simulation) and `shards` consumers, runs `scan`
-/// over each consumer's filtered event stream, and returns the per-shard
-/// results in shard order.
-fn run_streamed<T, F>(
+/// Spawns the producer (simulation), runs `scan` over its event stream on
+/// the calling thread, and returns the scan's result. A simulator fault
+/// wins over the scan's own result; a panic on either side resumes on the
+/// caller once the producer has stopped.
+pub(super) fn run_streamed<T>(
     program: &Program,
     limits: RunLimits,
-    shards: usize,
     pool: usize,
-    modulus: Option<u64>,
-    scan: F,
-) -> io::Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(ShardEvents) -> io::Result<T> + Sync,
-{
-    let shards = shards.max(1);
-    let pool = pool.max(MIN_BLOCK_POOL);
+    scan: impl FnOnce(Events) -> io::Result<T>,
+) -> io::Result<T> {
+    let (tx, rx) = sync_channel(pool.max(MIN_BLOCK_POOL));
     let parent_span = vp_obs::span::current_path();
-    let (senders, receivers): (Vec<_>, Vec<_>) = (0..shards).map(|_| sync_channel(pool)).unzip();
-
-    let (producer, consumers) = thread::scope(|scope| {
-        let scan = &scan;
-        let consumer_handles: Vec<_> = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(index, blocks)| {
-                let parent_span = parent_span.clone();
-                scope.spawn(move || {
-                    crate::exec::mark_worker_thread();
-                    let _adopted = vp_obs::span::adopt(parent_span);
-                    scan(ShardEvents {
-                        blocks,
-                        index: index as u64,
-                        shards: shards as u64,
-                        modulus,
-                        block: None,
-                    })
-                })
-            })
-            .collect();
-
-        let producer_handle = scope.spawn(move || {
+    let (producer, scanned) = thread::scope(|scope| {
+        let producer = scope.spawn(move || {
             let _adopted = vp_obs::span::adopt(parent_span);
-            let mut producer = Producer::new(senders);
+            let mut producer = Producer::new(tx);
             let outcome = vp_sim::run(program, &mut producer, limits);
             producer.finish();
             outcome.map(|_| producer)
         });
-
-        let producer = match producer_handle.join() {
-            Ok(result) => result,
+        // `scan` owns the receiver, so returning (or unwinding) hangs up.
+        let scanned = scan(rx.into_iter().flatten());
+        match producer.join() {
+            Ok(producer) => (producer, scanned),
             Err(payload) => std::panic::resume_unwind(payload),
-        };
-        let consumers: Vec<io::Result<T>> = consumer_handles
-            .into_iter()
-            .map(|handle| match handle.join() {
-                Ok(result) => result,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect();
-        (producer, consumers)
+        }
     });
 
     let stats = producer.map_err(io::Error::other)?;
     vp_obs::counter("stream.blocks").add(stats.blocks);
     vp_obs::counter("stream.stalls").add(stats.stalls);
     vp_obs::counter("stream.producer_wait_ms").add(stats.waited.as_millis() as u64);
-    vp_obs::counter("replay.shards").add(shards as u64);
-    consumers.into_iter().collect()
-}
-
-/// The streaming fused engine behind [`ReplayRequest::run`]: simulate
-/// `program` once, replay every plan cell concurrently, never
-/// materialise the trace.
-pub(crate) fn stream_matrix(
-    program: &Program,
-    limits: RunLimits,
-    req: &ReplayRequest<'_>,
-) -> io::Result<Vec<ReplayCellOutcome>> {
-    let _span = vp_obs::span("stream");
-    let fused = fuse_cells(&req.plan);
-    let modulus = PredictorConfig::joint_shard_modulus(fused.slots.iter().map(|c| &c.config));
-    // No trace is resident to put per-shard outcome columns back into
-    // stream order afterwards, so a plan that records them runs on one
-    // consumer.
-    let shards = if fused.slots.iter().any(|c| c.outcomes) {
-        1
-    } else {
-        req.shards
-    };
-    let parts = run_streamed(program, limits, shards, req.block_pool, modulus, |events| {
-        matrix_scan(events, req, &fused)
-    })?;
-    Ok(merge_shards(parts, &fused.slot_of, shards))
+    scanned
 }
 
 #[cfg(test)]
@@ -295,7 +196,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_batch_across_pools_and_shards() {
+    fn streaming_matches_batch_across_pools() {
         let p = sample();
         let limits = RunLimits::default();
         let trace = Trace::capture(&p, limits).unwrap();
@@ -305,22 +206,18 @@ mod tests {
             .run()
             .unwrap()
             .into_single();
-        for shards in [1usize, 3, 4] {
-            for pool in [MIN_BLOCK_POOL, DEFAULT_BLOCK_POOL] {
-                let streamed = ReplayRequest::stream(&p, limits)
-                    .single(&p, cfg)
-                    .shards(shards)
-                    .block_pool(pool)
-                    .run()
-                    .unwrap()
-                    .into_single();
-                assert_eq!(
-                    streamed.outcome.stats, batch.outcome.stats,
-                    "diverged at {shards} shards / pool {pool}"
-                );
-                assert_eq!(streamed.outcome.occupancy, batch.outcome.occupancy);
-                assert_eq!(streamed.outcome.shards, shards);
-            }
+        for pool in [MIN_BLOCK_POOL, DEFAULT_BLOCK_POOL] {
+            let streamed = ReplayRequest::stream(&p, limits)
+                .single(&p, cfg)
+                .block_pool(pool)
+                .run()
+                .unwrap()
+                .into_single();
+            assert_eq!(
+                streamed.outcome.stats, batch.outcome.stats,
+                "diverged at pool {pool}"
+            );
+            assert_eq!(streamed.outcome.occupancy, batch.outcome.occupancy);
         }
     }
 
@@ -336,10 +233,10 @@ mod tests {
         let trace = Trace::capture(&p, limits).unwrap();
 
         let (tx, rx) = sync_channel(64);
-        let mut producer = Producer::new(vec![tx]);
+        let mut producer = Producer::new(tx);
         vp_sim::run(&p, &mut producer, limits).unwrap();
         producer.finish();
-        let blocks: Vec<Arc<Block>> = rx.iter().collect();
+        let blocks: Vec<Block> = rx.iter().collect();
 
         for (i, block) in blocks.iter().enumerate() {
             assert!(block.len() <= MATRIX_BLOCK);
@@ -359,7 +256,7 @@ mod tests {
     fn finish_without_events_submits_nothing() {
         let p = assemble("halt\n").unwrap();
         let (tx, rx) = sync_channel(MIN_BLOCK_POOL);
-        let mut producer = Producer::new(vec![tx]);
+        let mut producer = Producer::new(tx);
         vp_sim::run(&p, &mut producer, RunLimits::default()).unwrap();
         producer.finish();
         assert_eq!(rx.iter().count(), 0);
@@ -371,7 +268,7 @@ mod tests {
     /// order — the starvation/backpressure stress test.
     #[test]
     fn slow_consumer_applies_backpressure_without_loss() {
-        let (tx, rx) = sync_channel::<Arc<Block>>(MIN_BLOCK_POOL);
+        let (tx, rx) = sync_channel::<Block>(MIN_BLOCK_POOL);
         let blocks = 16usize;
         let events = blocks * MATRIX_BLOCK;
         let (producer, seen) = thread::scope(|scope| {
@@ -381,12 +278,12 @@ mod tests {
                     // Slow consumer: hold the block while the producer
                     // races ahead into the queue limit.
                     thread::sleep(Duration::from_millis(2));
-                    seen.extend(block.iter().copied());
+                    seen.extend(block);
                 }
                 seen
             });
             let producer = scope.spawn(move || {
-                let mut producer = Producer::new(vec![tx]);
+                let mut producer = Producer::new(tx);
                 for i in 0..events {
                     producer.push(InstrAddr::new(i as u32), i as u64);
                 }
@@ -418,7 +315,7 @@ mod tests {
                 let _ = rx.recv();
             });
             let producer = scope.spawn(move || {
-                let mut producer = Producer::new(vec![tx]);
+                let mut producer = Producer::new(tx);
                 // Far more blocks than the queue holds: would deadlock
                 // if the dead consumer still took sends.
                 for i in 0..64 * MATRIX_BLOCK {
@@ -431,39 +328,37 @@ mod tests {
     }
 
     /// A consumer that panics mid-block must not wedge the stream: its
-    /// detach guard hands the buffers back, the producer runs to the end,
-    /// and the panic resumes on the caller.
+    /// receiver hangs up as it unwinds, the producer runs to the end, and
+    /// the panic resumes on the caller.
     #[test]
     fn panicking_consumer_resumes_on_the_caller() {
         let p = assemble("li r1, 0\nli r2, 50000\ntop: addi r1, r1, 1\nbne r1, r2, top\nhalt\n")
             .unwrap();
-        for shards in [1usize, 2, 4] {
-            // A 1-block pool is clamped to `MIN_BLOCK_POOL`.
-            for pool in [1, DEFAULT_BLOCK_POOL] {
-                let p = p.clone();
-                let (done, outcome) = std::sync::mpsc::channel();
-                thread::spawn(move || {
-                    let streamed = std::panic::catch_unwind(|| {
-                        run_streamed(&p, RunLimits::default(), shards, pool, None, |events| {
-                            // Event 1500 lies inside the second block.
-                            for (seen, _) in events.enumerate() {
-                                if seen == 1500 {
-                                    panic!("consumer panics mid-block");
-                                }
+        // A 1-block pool is clamped to `MIN_BLOCK_POOL`.
+        for pool in [1, DEFAULT_BLOCK_POOL] {
+            let p = p.clone();
+            let (done, outcome) = std::sync::mpsc::channel();
+            thread::spawn(move || {
+                let streamed = std::panic::catch_unwind(|| {
+                    run_streamed(&p, RunLimits::default(), pool, |events| {
+                        // Event 1500 lies inside the second block.
+                        for (seen, _) in events.enumerate() {
+                            if seen == 1500 {
+                                panic!("consumer panics mid-block");
                             }
-                            Ok(())
-                        })
-                    });
-                    let _ = done.send(streamed.is_err());
+                        }
+                        Ok(())
+                    })
                 });
-                let panicked = outcome
-                    .recv_timeout(Duration::from_secs(30))
-                    .unwrap_or_else(|_| panic!("stream hung at {shards} shards / pool {pool}"));
-                assert!(
-                    panicked,
-                    "the panic must resume on the caller at {shards} shards / pool {pool}"
-                );
-            }
+                let _ = done.send(streamed.is_err());
+            });
+            let panicked = outcome
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("stream hung at pool {pool}"));
+            assert!(
+                panicked,
+                "the panic must resume on the caller at pool {pool}"
+            );
         }
     }
 
@@ -491,14 +386,13 @@ mod tests {
     #[test]
     fn foreign_program_errors_do_not_hang_the_stream() {
         // The plan's directive table comes from a one-instruction
-        // program, but the simulated program touches more PCs: every
+        // program, but the simulated program touches more PCs: the
         // consumer errors on the first out-of-range event. The stream
         // must surface the error, not deadlock.
         let p = sample();
         let other = assemble("halt\n").unwrap();
         let err = ReplayRequest::stream(&p, RunLimits::default())
             .single(&other, PredictorConfig::spec_table_stride_fsm())
-            .shards(2)
             .block_pool(MIN_BLOCK_POOL)
             .run()
             .unwrap_err();

@@ -486,11 +486,9 @@ impl Suite {
             // carry them) and predict concurrently; no resident trace.
             let program = self.reference_program(kind, None);
             let _span = vp_obs::span("predict");
-            let shards = crate::replay::auto_shards(self.jobs, usize::MAX);
             ReplayRequest::stream(&program, self.limits)
                 .plan(plan)
                 .attribution(attribution)
-                .shards(shards)
                 .run()
                 .map_err(replay_failed)
         } else {
@@ -499,12 +497,9 @@ impl Suite {
             // `capture` span.
             let trace = self.trace(kind);
             let _span = vp_obs::span("predict");
-            let shards = crate::replay::auto_shards(self.jobs, trace.len());
             ReplayRequest::batch(&trace)
                 .plan(plan)
                 .attribution(attribution)
-                .shards(shards)
-                .jobs(self.jobs)
                 .run()
                 .map_err(replay_failed)
         });

@@ -1,11 +1,10 @@
 //! Property tests for the attributed predictor replay: for arbitrary
-//! traces, predictor configurations and shard/job counts, the per-PC
-//! [`vp_predictor::AttributionTable`] must be **bit-identical** between
-//! `jobs=1` and `jobs=8` (and any shard refinement in between), the
-//! attributed replay must leave [`vp_predictor::PredictorStats`]
-//! untouched (observation-only), and the table's totals must reconcile
-//! *exactly* with the stats — every access accounted, every raw miss
-//! charged to exactly one cause.
+//! traces and predictor configurations, the per-PC
+//! [`vp_predictor::AttributionTable`] must be **bit-identical** to the
+//! event-at-a-time reference's, the attributed replay must leave
+//! [`vp_predictor::PredictorStats`] untouched (observation-only), and the
+//! table's totals must reconcile *exactly* with the stats — every access
+//! accounted, every raw miss charged to exactly one cause.
 //!
 //! The generators (shared in `common/mod.rs`) mix repeats, constant
 //! strides and noise across all six predictor configuration families,
@@ -15,7 +14,9 @@
 
 mod common;
 
-use common::{arb_classifier, arb_events, arb_geometry, program_with, replay_cell};
+use common::{
+    arb_classifier, arb_events, arb_geometry, program_with, reference_replay, replay_cell,
+};
 use vp_predictor::PredictorConfig;
 use vp_rng::{prop, Rng};
 use vp_sim::Trace;
@@ -47,8 +48,8 @@ fn config_families(rng: &mut Rng) -> Vec<PredictorConfig> {
 }
 
 #[test]
-fn prop_attribution_is_job_count_invariant_and_reconciles() {
-    prop::forall("attribution jobs=1 == jobs=8, totals reconcile", |rng| {
+fn prop_attribution_matches_the_reference_and_reconciles() {
+    prop::forall("attribution == reference, totals reconcile", |rng| {
         let n_static = rng.gen_range(4..120u32);
         let len = rng.gen_range(50..1000usize);
         let events = arb_events(rng, n_static, len);
@@ -60,32 +61,20 @@ fn prop_attribution_is_job_count_invariant_and_reconciles() {
         let program = program_with(*n_static);
         let trace = Trace::from_events(events.clone());
         for config in configs {
-            // Baseline: unattributed sequential replay.
-            let plain = replay_cell(&trace, &program, *config, 1, 1, false).outcome;
-            // jobs=1: one shard, one worker.
-            let cell = replay_cell(&trace, &program, *config, 1, 1, true);
-            let (seq, seq_table) = (cell.outcome, cell.attribution.expect("attributed"));
+            let plain = replay_cell(&trace, &program, *config, false).outcome;
+            let cell = replay_cell(&trace, &program, *config, true);
+            let (out, table) = (cell.outcome, cell.attribution.expect("attributed"));
             assert_eq!(
-                seq.stats,
+                out.stats,
                 plain.stats,
                 "{}: attribution perturbed the replay",
                 config.label()
             );
-            seq_table
-                .reconcile(&seq.stats)
+            table
+                .reconcile(&out.stats)
                 .unwrap_or_else(|e| panic!("{}: {e}", config.label()));
-            // jobs=8 over every shard refinement: bit-identical tables.
-            for shards in [2usize, 3, 5, 8] {
-                let cell = replay_cell(&trace, &program, *config, shards, 8, true);
-                let (par, par_table) = (cell.outcome, cell.attribution.expect("attributed"));
-                assert_eq!(par.stats, seq.stats, "{}", config.label());
-                assert_eq!(
-                    par_table,
-                    seq_table,
-                    "{}: table diverged at {shards} shards / 8 jobs",
-                    config.label()
-                );
-            }
+            let (_, _, expected) = reference_replay(&trace, &program, *config);
+            assert_eq!(table, expected, "{}: table != reference", config.label());
         }
     });
 }
@@ -107,7 +96,7 @@ fn prop_per_pc_causes_partition_the_misses() {
         let program = program_with(*n_static);
         let trace = Trace::from_events(events.clone());
         for config in configs {
-            let table = replay_cell(&trace, &program, *config, 1, 1, true)
+            let table = replay_cell(&trace, &program, *config, true)
                 .attribution
                 .expect("attributed");
             for (addr, pc) in table.entries() {

@@ -1,5 +1,5 @@
 //! Generators and reference replays shared by the replay property suites
-//! (`sharded_replay.rs`, `matrix_replay.rs`, `attribution_replay.rs`).
+//! (`matrix_replay.rs`, `attribution_replay.rs`).
 //!
 //! The value streams mix repeats, constant strides and noise so every
 //! classifier state machine (2-bit counters, directives, always-predict)
@@ -104,15 +104,11 @@ pub fn replay_cell(
     trace: &Trace,
     program: &Program,
     config: PredictorConfig,
-    shards: usize,
-    jobs: usize,
     attribution: bool,
 ) -> ReplayCellOutcome {
     ReplayRequest::batch(trace)
         .single(program, config)
         .attribution(attribution)
-        .shards(shards)
-        .jobs(jobs)
         .run()
         .expect("replay")
         .into_single()
@@ -120,8 +116,8 @@ pub fn replay_cell(
 
 /// The independent reference: `trace`'s value events fed one at a time
 /// through a fresh predictor, each access observed by an attribution
-/// table. No blocks, no shards, no dedup — what any replay of the cell
-/// must reproduce.
+/// table. No blocks, no shared walks, no dedup — what any replay of
+/// the cell must reproduce.
 pub fn reference_replay(
     trace: &Trace,
     program: &Program,

@@ -1,11 +1,11 @@
 //! Property tests for the fused sweep-matrix replay: for arbitrary
-//! traces, cell sets, shard counts and job counts, every cell of a
-//! multi-cell [`provp_core::ReplayRequest`] plan must be
-//! **bit-identical** to an independent per-cell replay — including plans
-//! with duplicate cells and multiple directive-annotation tables.
+//! traces and cell sets, every cell of a multi-cell
+//! [`provp_core::ReplayRequest`] plan must be **bit-identical** to an
+//! independent per-cell replay — including plans with duplicate cells and
+//! multiple directive-annotation tables.
 //!
-//! "Per-cell replay" is a single-cell request at one shard, which
-//! `singleton_plan_matches_the_reference` pins to the event-at-a-time
+//! "Per-cell replay" is a single-cell request, which the property and
+//! `singleton_plan_matches_the_reference` pin to the event-at-a-time
 //! [`common::reference_replay`]. Generators live in `common/mod.rs`.
 
 mod common;
@@ -19,18 +19,10 @@ use vp_sim::Trace;
 use vp_workloads::WorkloadKind;
 
 /// The fused replay of a whole plan.
-fn replay_plan(
-    trace: &Trace,
-    plan: &SweepPlan,
-    shards: usize,
-    jobs: usize,
-    attribution: bool,
-) -> Vec<ReplayCellOutcome> {
+fn replay_plan(trace: &Trace, plan: &SweepPlan, attribution: bool) -> Vec<ReplayCellOutcome> {
     ReplayRequest::batch(trace)
         .plan(plan.clone())
         .attribution(attribution)
-        .shards(shards)
-        .jobs(jobs)
         .run()
         .expect("matrix")
         .cells
@@ -74,7 +66,7 @@ fn empty_plan_yields_an_empty_grid() {
     plan.add_directives(&program);
     assert!(plan.is_empty());
     for attribution in [false, true] {
-        assert!(replay_plan(&trace, &plan, 4, 2, attribution).is_empty());
+        assert!(replay_plan(&trace, &plan, attribution).is_empty());
     }
 }
 
@@ -82,7 +74,7 @@ fn empty_plan_yields_an_empty_grid() {
 fn singleton_plan_matches_the_reference() {
     let (trace, program, _) = fixture();
     for config in panel() {
-        let cell = replay_cell(&trace, &program, config, 1, 1, true);
+        let cell = replay_cell(&trace, &program, config, true);
         let (stats, occupancy, table) = reference_replay(&trace, &program, config);
         assert_eq!(cell.outcome.stats, stats, "{}", config.label());
         assert_eq!(cell.outcome.occupancy, occupancy, "{}", config.label());
@@ -104,8 +96,8 @@ fn duplicate_cells_all_receive_the_shared_outcome() {
     let again = plan.add_directives(&program);
     assert_eq!(again, table, "identical annotation tables must collapse");
     plan.add_cell(config, again);
-    let expected = replay_cell(&trace, &program, config, 1, 1, true);
-    let fused = replay_plan(&trace, &plan, 2, 2, true);
+    let expected = replay_cell(&trace, &program, config, true);
+    let fused = replay_plan(&trace, &plan, true);
     assert_eq!(fused.len(), 4, "every requested cell gets an outcome");
     for cell in &fused {
         assert_eq!(cell.outcome.stats, expected.outcome.stats);
@@ -115,7 +107,7 @@ fn duplicate_cells_all_receive_the_shared_outcome() {
 }
 
 #[test]
-fn mixed_plan_is_shard_and_job_invariant() {
+fn mixed_plan_matches_per_cell_replays() {
     let (trace, program, stripped) = fixture();
     let mut plan = SweepPlan::new();
     let tagged = plan.add_directives(&program);
@@ -130,25 +122,13 @@ fn mixed_plan_is_shard_and_job_invariant() {
     for &(config, table, _) in &cells {
         plan.add_cell(config, table);
     }
-    let expected: Vec<_> = cells
-        .iter()
-        .map(|&(config, _, p)| replay_cell(&trace, p, config, 1, 1, false).outcome)
-        .collect();
-    for shards in [1usize, 2, 4, 8] {
-        for jobs in [1usize, 4] {
-            let fused = replay_plan(&trace, &plan, shards, jobs, false);
-            assert_eq!(fused.len(), cells.len());
-            for (i, (cell, exp)) in fused.iter().zip(&expected).enumerate() {
-                let out = &cell.outcome;
-                assert_eq!(
-                    out.stats,
-                    exp.stats,
-                    "cell {i} ({}) diverged at {shards} shards / {jobs} jobs",
-                    cells[i].0.label()
-                );
-                assert_eq!(out.occupancy, exp.occupancy, "cell {i}");
-            }
-        }
+    let fused = replay_plan(&trace, &plan, false);
+    assert_eq!(fused.len(), cells.len());
+    for (i, (cell, &(config, _, p))) in fused.iter().zip(&cells).enumerate() {
+        let exp = replay_cell(&trace, p, config, false).outcome;
+        let out = &cell.outcome;
+        assert_eq!(out.stats, exp.stats, "cell {i} ({})", config.label());
+        assert_eq!(out.occupancy, exp.occupancy, "cell {i}");
     }
 }
 
@@ -189,41 +169,37 @@ fn attributed_matrix_matches_attributed_per_cell_replay() {
     for &(config, table, _) in &cells {
         plan.add_cell(config, table);
     }
-    for shards in [1usize, 3] {
-        let fused = replay_plan(&trace, &plan, shards, 2, true);
-        assert_eq!(fused.len(), cells.len());
-        for (i, (cell, &(config, _, p))) in fused.iter().zip(&cells).enumerate() {
-            let (stats, occupancy, expected) = reference_replay(&trace, p, config);
-            let (out, table) = (
-                &cell.outcome,
-                cell.attribution.as_ref().expect("attributed"),
-            );
-            assert_eq!(out.stats, stats, "cell {i} at {shards} shards");
-            assert_eq!(out.occupancy, occupancy, "cell {i}");
-            assert_eq!(*table, expected, "cell {i} attribution table");
-            table
-                .reconcile(&out.stats)
-                .expect("attribution totals reconcile with the fused stats");
-        }
+    let fused = replay_plan(&trace, &plan, true);
+    assert_eq!(fused.len(), cells.len());
+    for (i, (cell, &(config, _, p))) in fused.iter().zip(&cells).enumerate() {
+        let (stats, occupancy, expected) = reference_replay(&trace, p, config);
+        let (out, table) = (
+            &cell.outcome,
+            cell.attribution.as_ref().expect("attributed"),
+        );
+        assert_eq!(out.stats, stats, "cell {i}");
+        assert_eq!(out.occupancy, occupancy, "cell {i}");
+        assert_eq!(*table, expected, "cell {i} attribution table");
+        table
+            .reconcile(&out.stats)
+            .expect("attribution totals reconcile with the fused stats");
     }
 }
 
 #[test]
 fn prop_fused_matrix_is_bit_identical_to_per_cell_replay() {
-    prop::forall("fused matrix == per-cell replays", |rng| {
-        let n_static = rng.gen_range(4..120u32);
-        let len = rng.gen_range(50..1200usize);
+    prop::forall("fused matrix == per-cell replays == reference", |rng| {
+        let n_static = rng.gen_range(4..160u32);
+        let len = rng.gen_range(50..1500usize);
         let events = arb_events(rng, n_static, len);
         let n_cells = rng.gen_range(1..7usize);
         let configs: Vec<PredictorConfig> = (0..n_cells).map(|_| arb_config(rng)).collect();
         // Duplicate a random cell half the time to keep dedup honest.
         let dup = (rng.gen_range(0..2u32) == 0).then(|| rng.gen_range(0..n_cells));
-        let shards = rng.gen_range(1..9usize);
-        let jobs = rng.gen_range(1..5usize);
-        (n_static, events, configs, dup, shards, jobs)
+        (n_static, events, configs, dup)
     })
     .cases(32)
-    .check(|(n_static, events, configs, dup, shards, jobs)| {
+    .check(|(n_static, events, configs, dup)| {
         let program = program_with(*n_static);
         let stripped = program.without_directives();
         let trace = Trace::from_events(events.clone());
@@ -248,19 +224,16 @@ fn prop_fused_matrix_is_bit_identical_to_per_cell_replay() {
         for &(config, table, _) in &cells {
             plan.add_cell(config, table);
         }
-        let fused = replay_plan(&trace, &plan, *shards, *jobs, false);
+        let fused = replay_plan(&trace, &plan, false);
         assert_eq!(fused.len(), cells.len());
         for (i, (cell, &(config, _, p))) in fused.iter().zip(&cells).enumerate() {
-            let (out, exp) = (
-                &cell.outcome,
-                replay_cell(&trace, p, config, 1, 1, false).outcome,
-            );
-            assert_eq!(
-                out.stats,
-                exp.stats,
-                "cell {i} ({}) diverged at {shards} shards / {jobs} jobs",
-                config.label()
-            );
+            let (out, exp) = (&cell.outcome, replay_cell(&trace, p, config, false).outcome);
+            // The per-cell replay itself must equal the event-at-a-time
+            // reference.
+            let (stats, occupancy, _) = reference_replay(&trace, p, config);
+            assert_eq!(exp.stats, stats, "{} != reference", config.label());
+            assert_eq!(exp.occupancy, occupancy, "{} != reference", config.label());
+            assert_eq!(out.stats, exp.stats, "cell {i} ({})", config.label());
             assert_eq!(out.occupancy, exp.occupancy, "cell {i}");
         }
     });

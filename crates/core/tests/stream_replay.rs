@@ -2,10 +2,10 @@
 //! arbitrary loop-kernel programs, the streamed
 //! [`provp_core::ReplayRequest`] grid (stats, occupancy, attribution
 //! tables) must be **bit-identical** to the batch grid over the captured
-//! trace, across worker counts {1, 4} × block pools {2, 8} × all six
-//! predictor configuration families — the delivery block boundaries, the
-//! producer/consumer interleaving and the pool size may change the
-//! schedule, never the result. A simulator fault mid-stream must end the
+//! trace, across block pools {2, 8} × all six predictor configuration
+//! families — the delivery block boundaries, the producer/consumer
+//! interleaving and the pool size may change the schedule, never the
+//! result. A simulator fault mid-stream must end the
 //! replay in the same typed error a capture reports, never a hang.
 
 use std::sync::mpsc;
@@ -21,7 +21,7 @@ use vp_rng::{prop, Rng};
 use vp_sim::{RunLimits, SimError, Trace};
 
 /// The six predictor configuration families under both paper baselines:
-/// the fixed panel every jobs × pool combination is checked against.
+/// the fixed panel every pool size is checked against.
 fn six_configs() -> Vec<PredictorConfig> {
     vec![
         PredictorConfig::spec_table_stride_fsm(),
@@ -92,26 +92,23 @@ fn prop_streaming_is_bit_identical_to_batch() {
                 .run()
                 .expect("batch replay")
                 .outcomes();
-            for jobs in [1usize, 4] {
-                for pool in [2usize, 8] {
-                    let streamed = ReplayRequest::stream(program, limits)
-                        .plan(plan.clone())
-                        .shards(jobs)
-                        .block_pool(pool)
-                        .run()
-                        .expect("streamed replay")
-                        .outcomes();
-                    assert_eq!(streamed.len(), batch.len());
-                    for (cell, (s, b)) in streamed.iter().zip(&batch).enumerate() {
-                        assert_eq!(
-                            s.stats, b.stats,
-                            "cell {cell} stats diverged at {jobs} jobs / pool {pool}"
-                        );
-                        assert_eq!(
-                            s.occupancy, b.occupancy,
-                            "cell {cell} occupancy diverged at {jobs} jobs / pool {pool}"
-                        );
-                    }
+            for pool in [2usize, 8] {
+                let streamed = ReplayRequest::stream(program, limits)
+                    .plan(plan.clone())
+                    .block_pool(pool)
+                    .run()
+                    .expect("streamed replay")
+                    .outcomes();
+                assert_eq!(streamed.len(), batch.len());
+                for (cell, (s, b)) in streamed.iter().zip(&batch).enumerate() {
+                    assert_eq!(
+                        s.stats, b.stats,
+                        "cell {cell} stats diverged at pool {pool}"
+                    );
+                    assert_eq!(
+                        s.occupancy, b.occupancy,
+                        "cell {cell} occupancy diverged at pool {pool}"
+                    );
                 }
             }
         });
@@ -132,15 +129,12 @@ fn prop_streamed_attribution_tables_match_batch() {
             let batch = ReplayRequest::batch(&trace)
                 .plan(plan.clone())
                 .attribution(true)
-                .shards(4)
-                .jobs(4)
                 .run()
                 .expect("batch attributed replay");
             for pool in [2usize, 8] {
                 let streamed = ReplayRequest::stream(program, limits)
                     .plan(plan.clone())
                     .attribution(true)
-                    .shards(4)
                     .block_pool(pool)
                     .run()
                     .expect("streamed attributed replay");
@@ -185,7 +179,6 @@ fn streamed_duplicate_cells_share_one_slot() {
     plan.add_cell(PredictorConfig::spec_table_stride_profile(), table);
     let streamed = ReplayRequest::stream(&program, limits)
         .plan(plan)
-        .shards(3)
         .run()
         .expect("streamed replay")
         .outcomes();
@@ -196,8 +189,8 @@ fn streamed_duplicate_cells_share_one_slot() {
 
 /// A simulator fault mid-stream ends the replay in a typed error, never
 /// a hang: the program falls off its text segment (no `halt`) after
-/// about 15k value events — several pool-fulls — at every shard count,
-/// with the smallest pool and the default one. The error carries the
+/// about 15k value events — several pool-fulls — with the smallest pool
+/// and the default one. The error carries the
 /// same [`SimError`] a plain capture reports.
 #[test]
 fn simulator_fault_mid_stream_is_a_typed_error() {
@@ -212,29 +205,22 @@ fn simulator_fault_mid_stream_is_a_typed_error() {
     let mut plan = SweepPlan::new();
     let table = plan.add_directives(&program);
     plan.add_cell(PredictorConfig::spec_table_stride_fsm(), table);
-    for shards in [1usize, 2, 4] {
-        for pool in [1, DEFAULT_BLOCK_POOL] {
-            let (tx, rx) = mpsc::channel();
-            let (program, plan) = (program.clone(), plan.clone());
-            thread::spawn(move || {
-                let result = ReplayRequest::stream(&program, limits)
-                    .plan(plan)
-                    .shards(shards)
-                    .block_pool(pool)
-                    .run()
-                    .map(|_| ());
-                let _ = tx.send(result);
-            });
-            let err = rx
-                .recv_timeout(Duration::from_secs(30))
-                .unwrap_or_else(|_| panic!("stream hung at {shards} shards / pool {pool}"))
-                .expect_err("a faulting simulation cannot stream to completion");
-            let fault = err.get_ref().and_then(|e| e.downcast_ref::<SimError>());
-            assert_eq!(
-                fault,
-                Some(&expected),
-                "{shards} shards / pool {pool}: {err}"
-            );
-        }
+    for pool in [1, DEFAULT_BLOCK_POOL] {
+        let (tx, rx) = mpsc::channel();
+        let (program, plan) = (program.clone(), plan.clone());
+        thread::spawn(move || {
+            let result = ReplayRequest::stream(&program, limits)
+                .plan(plan)
+                .block_pool(pool)
+                .run()
+                .map(|_| ());
+            let _ = tx.send(result);
+        });
+        let err = rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("stream hung at pool {pool}"))
+            .expect_err("a faulting simulation cannot stream to completion");
+        let fault = err.get_ref().and_then(|e| e.downcast_ref::<SimError>());
+        assert_eq!(fault, Some(&expected), "pool {pool}: {err}");
     }
 }

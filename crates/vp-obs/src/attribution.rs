@@ -1,6 +1,6 @@
 //! Passive, serialisable per-PC attribution results.
 //!
-//! The live accounting (cause taxonomy, shard-mergeable tables) lives in
+//! The live accounting (cause taxonomy, per-PC tables) lives in
 //! `vp-predictor`; this module holds the *observed results* in plain
 //! string-keyed form so the manifest, `attribution-report` and
 //! `metrics-check` can carry them without depending on predictor types.
@@ -10,8 +10,8 @@
 //! profile-drift (profiled accuracy minus observed replay accuracy — the
 //! paper's central assumption, measured per instruction).
 //!
-//! Everything here is derived from exactly-merged integer counters, so
-//! runs are bit-identical at any `--jobs`/shard count and totals
+//! Everything here is derived from exact integer counters, so runs are
+//! bit-identical at any `--jobs` count and totals
 //! reconcile exactly with `PredictorStats` (checked by `vp-verify`).
 
 use std::collections::BTreeMap;

@@ -10,12 +10,7 @@
 //! raw codes a block at a time ([`AttributionTable::observe_codes`]),
 //! into the records per-access observation would build.
 //!
-//! The accounting obeys the same merge contract as
-//! [`PredictorStats::merge`]: a PC-sharded replay partitions static
-//! addresses across shards, each shard's table covers exactly its own
-//! PCs, and [`AttributionTable::merge`] unions them into a table
-//! **bit-identical** to a sequential replay's, at any shard count. The
-//! table is exact (never sampled or pruned) during replay — top-K
+//! The table is exact (never sampled or pruned) during replay — top-K
 //! selection happens only at report time ([`AttributionTable::top`]),
 //! with a deterministic ordering — and its totals reconcile *exactly*
 //! against the predictor's own statistics
@@ -110,13 +105,9 @@ impl fmt::Display for AttributionCause {
 }
 
 /// Accumulated prediction outcomes of one static instruction.
-///
-/// All fields are additive counters over disjoint accesses, so records
-/// merge exactly ([`PcAttribution::merge`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PcAttribution {
-    /// The directive the PC carried (stable across a replay; merges
-    /// assert it never changes).
+    /// The directive the PC carried (stable across a replay).
     pub directive: Directive,
     /// Dynamic accesses observed at this PC.
     pub accesses: u64,
@@ -172,28 +163,6 @@ impl PcAttribution {
         }
         best
     }
-
-    /// Folds another record for the same PC (from another shard or run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the directives disagree — directives are static per
-    /// replay, so a mismatch means records from different programs were
-    /// mixed.
-    pub fn merge(&mut self, other: &PcAttribution) {
-        assert_eq!(
-            self.directive, other.directive,
-            "directive mismatch in attribution merge"
-        );
-        self.accesses += other.accesses;
-        self.hits += other.hits;
-        self.raw_correct += other.raw_correct;
-        self.speculated += other.speculated;
-        self.speculated_correct += other.speculated_correct;
-        for (slot, n) in self.causes.iter_mut().zip(other.causes) {
-            *slot += n;
-        }
-    }
 }
 
 /// Per-PC shadow of the value history, used only to decide causes.
@@ -241,7 +210,7 @@ impl AttributionTotals {
 
 /// A per-PC attribution table observed alongside one predictor replay.
 ///
-/// See the module docs for the merge and reconciliation contracts.
+/// See the module docs for the reconciliation contract.
 #[derive(Debug, Clone, Default)]
 pub struct AttributionTable {
     slots: PcSlots<(PcAttribution, Shadow)>,
@@ -344,7 +313,7 @@ impl AttributionTable {
 
     /// The `k` hottest mispredicting PCs, ranked by speculated-incorrect
     /// count, then raw-incorrect count, then ascending address (a total
-    /// order, so the selection is deterministic at any shard count).
+    /// order, so the selection is deterministic).
     #[must_use]
     pub fn top(&self, k: usize) -> Vec<(InstrAddr, PcAttribution)> {
         let mut rows: Vec<(InstrAddr, PcAttribution)> =
@@ -357,21 +326,6 @@ impl AttributionTable {
         });
         rows.truncate(k);
         rows
-    }
-
-    /// Unions another shard's table into this one. PC-sharded replay
-    /// partitions addresses across shards, so a PC appears in at most
-    /// one input; records for a PC present in both (merged tables,
-    /// repeated runs) add field-wise.
-    pub fn merge(&mut self, other: &AttributionTable) {
-        for (addr, record) in other.entries() {
-            let (slot, _) = self.slot(addr);
-            if slot.accesses == 0 {
-                *slot = *record;
-            } else {
-                slot.merge(record);
-            }
-        }
     }
 
     /// Checks that the table's totals reproduce `stats` exactly — every
@@ -413,7 +367,7 @@ impl AttributionTable {
 impl PartialEq for AttributionTable {
     /// Tables are equal when they track the same PCs with the same
     /// records (shadow history is replay scaffolding, not a result, and
-    /// is excluded — merged tables carry no meaningful shadow).
+    /// is excluded).
     fn eq(&self, other: &AttributionTable) -> bool {
         self.entries().eq(other.entries())
     }
@@ -635,37 +589,6 @@ mod tests {
         assert_eq!(top[0].0, InstrAddr::new(3));
         assert_eq!(top[1].0, InstrAddr::new(8));
         assert_eq!(table.top(10).len(), 3);
-    }
-
-    #[test]
-    fn merge_of_disjoint_tables_matches_sequential() {
-        let values: Vec<u64> = (0..40).map(|i| i * i % 23).collect();
-        let config = infinite_stride();
-        // Sequential: both PCs through one predictor + one table.
-        let mut p = config.build();
-        let mut seq = AttributionTable::new();
-        for (i, &v) in values.iter().enumerate() {
-            let addr = InstrAddr::new((i % 2) as u32);
-            let a = p.access(addr, Directive::None, v);
-            seq.observe(addr, Directive::None, &a, v);
-        }
-        // Sharded: one predictor + table per PC (the infinite predictor
-        // keys state by address, so this is a legal partition).
-        let mut merged = AttributionTable::new();
-        for pc in 0..2u32 {
-            let mut sp = config.build();
-            let mut shard = AttributionTable::new();
-            for (i, &v) in values.iter().enumerate() {
-                if i % 2 == pc as usize {
-                    let addr = InstrAddr::new(pc);
-                    let a = sp.access(addr, Directive::None, v);
-                    shard.observe(addr, Directive::None, &a, v);
-                }
-            }
-            merged.merge(&shard);
-        }
-        assert_eq!(merged, seq);
-        assert_eq!(merged.totals(), seq.totals());
     }
 
     #[test]

@@ -110,24 +110,6 @@ impl OutcomeColumn {
             len: self.len,
         }
     }
-
-    /// Interleaves per-shard columns back into one column: `shard_of`
-    /// names, event by event in the original order, the shard that event
-    /// went to; each shard's column holds its events in that same order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_of` names a shard out of range or asks a shard
-    /// for more events than its column holds.
-    #[must_use]
-    pub fn interleave(parts: &[OutcomeColumn], shard_of: impl Iterator<Item = usize>) -> Self {
-        let mut parts: Vec<Outcomes<'_>> = parts.iter().map(OutcomeColumn::iter).collect();
-        let mut merged = OutcomeColumn::new();
-        for shard in shard_of {
-            merged.push(parts[shard].next().expect("shard column holds the event"));
-        }
-        merged
-    }
 }
 
 /// Iterator over an [`OutcomeColumn`], unpacking one word per 32
@@ -185,24 +167,6 @@ mod tests {
             .iter()
             .enumerate()
             .all(|(i, &o)| o == pattern[i % 3]));
-    }
-
-    #[test]
-    fn interleave_restores_the_original_order() {
-        let events: Vec<(usize, Outcome)> = (0..70)
-            .map(|i| {
-                let o = [Outcome::Correct, Outcome::Incorrect, Outcome::None][i % 3];
-                ((i * 7) % 3, o)
-            })
-            .collect();
-        let mut parts = vec![OutcomeColumn::new(); 3];
-        let mut whole = OutcomeColumn::new();
-        for &(shard, o) in &events {
-            parts[shard].push(o);
-            whole.push(o);
-        }
-        let merged = OutcomeColumn::interleave(&parts, events.iter().map(|&(s, _)| s));
-        assert_eq!(merged, whole);
     }
 
     #[test]

@@ -146,36 +146,6 @@ impl PredictorStats {
         }
     }
 
-    /// Folds another statistics block into this one (commutative and
-    /// associative: every field is an additive counter over a disjoint
-    /// set of accesses).
-    ///
-    /// This is the merge step of PC-sharded parallel replay: because
-    /// predictor state is keyed purely by static instruction address (or
-    /// by table set), a trace partitioned by that key replays each shard
-    /// against an independent predictor whose counters cover exactly that
-    /// shard's accesses — summing the per-shard blocks reproduces the
-    /// sequential totals bit for bit, in any merge order.
-    pub fn merge(&mut self, other: &PredictorStats) {
-        self.accesses += other.accesses;
-        self.hits += other.hits;
-        self.allocations += other.allocations;
-        self.evictions += other.evictions;
-        self.raw_correct += other.raw_correct;
-        self.raw_correct_recommended += other.raw_correct_recommended;
-        self.raw_incorrect_suppressed += other.raw_incorrect_suppressed;
-        self.speculated += other.speculated;
-        self.speculated_correct += other.speculated_correct;
-        self.nonzero_stride_correct += other.nonzero_stride_correct;
-        self.stride_accesses += other.stride_accesses;
-        self.stride_correct += other.stride_correct;
-        self.last_value_accesses += other.last_value_accesses;
-        self.last_value_correct += other.last_value_correct;
-        self.unclassified_accesses += other.unclassified_accesses;
-        self.unclassified_correct += other.unclassified_correct;
-        self.set_conflicts += other.set_conflicts;
-    }
-
     /// Raw predictions that missed the actual value (including accesses with
     /// no entry, which cannot supply a value).
     #[must_use]
@@ -300,39 +270,6 @@ mod tests {
         assert_eq!(s.last_value_correct, 1);
         assert_eq!(s.unclassified_accesses, 1);
         assert_eq!(s.unclassified_correct, 0);
-    }
-
-    #[test]
-    fn merge_sums_every_field_and_commutes() {
-        let mut a = PredictorStats::new();
-        a.record_classified(Directive::Stride, &access(true, true, true));
-        a.record_classified(Directive::None, &access(false, false, false));
-        a.evictions = 3;
-        a.set_conflicts = 2;
-        let mut b = PredictorStats::new();
-        b.record_classified(Directive::LastValue, &access(true, false, true));
-        b.evictions = 1;
-        b.set_conflicts = 5;
-
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge must commute");
-        assert_eq!(ab.accesses, 3);
-        assert_eq!(ab.hits, 2);
-        assert_eq!(ab.raw_correct, 2);
-        assert_eq!(ab.speculated, 1);
-        assert_eq!(ab.evictions, 4);
-        assert_eq!(ab.set_conflicts, 7);
-        assert_eq!(ab.stride_accesses, 1);
-        assert_eq!(ab.last_value_accesses, 1);
-        assert_eq!(ab.unclassified_accesses, 1);
-
-        // Identity: merging a zero block changes nothing.
-        let mut id = ab;
-        id.merge(&PredictorStats::new());
-        assert_eq!(id, ab);
     }
 
     #[test]

@@ -22,11 +22,6 @@
 //! - [`TraceColumns::value_events`] yields only `(addr, value)` pairs of
 //!   value-producing instructions — the only thing a value predictor
 //!   consumes — without touching the memory columns at all.
-//!
-//! [`TraceColumns::shard_by_pc`] partitions the value events by a
-//! caller-supplied static-address key so per-PC (or per-table-set)
-//! predictor state can be replayed shard-parallel; see
-//! `provp_core::replay` for the invariant that makes this exact.
 
 use std::io;
 use std::mem;
@@ -259,35 +254,6 @@ impl TraceColumns {
         }
     }
 
-    /// Partitions the value events into `n` shard views by a static-address
-    /// key: shard `k` yields exactly the value events whose
-    /// `key_of(addr) % n == k`, in trace order.
-    ///
-    /// Because the key function is applied to the *static* address, all
-    /// dynamic instances of one instruction land in one shard; choosing
-    /// `key_of` to match the predictor's state-partitioning function (the
-    /// identity for per-PC state, the table's set index for set-associative
-    /// state) makes shard-parallel replay exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn shard_by_pc<F>(&self, n: usize, key_of: F) -> Vec<PcShard<'_, F>>
-    where
-        F: Fn(InstrAddr) -> u64 + Clone,
-    {
-        assert!(n > 0, "shard count must be positive");
-        (0..n)
-            .map(|index| PcShard {
-                cols: self,
-                index: index as u64,
-                of: n as u64,
-                key_of: key_of.clone(),
-            })
-            .collect()
-    }
-
     /// Replays the trace into `tracer`, reconstructing full
     /// [`Retirement`] records against `program` (which must be the program
     /// the trace was recorded from, or at least one with the same text
@@ -433,63 +399,6 @@ impl Iterator for ValueEvents<'_> {
     }
 }
 
-/// One shard of a PC-partitioned trace: the value events whose
-/// static-address key maps to this shard, in trace order.
-#[derive(Debug, Clone)]
-pub struct PcShard<'a, F> {
-    cols: &'a TraceColumns,
-    index: u64,
-    of: u64,
-    key_of: F,
-}
-
-impl<'a, F: Fn(InstrAddr) -> u64> PcShard<'a, F> {
-    /// This shard's index in `0..shard_count`.
-    #[must_use]
-    pub fn index(&self) -> usize {
-        self.index as usize
-    }
-
-    /// Total shard count of the partition this shard belongs to.
-    #[must_use]
-    pub fn of(&self) -> usize {
-        self.of as usize
-    }
-
-    /// Iterates this shard's `(addr, value)` pairs.
-    #[must_use]
-    pub fn values(&self) -> ShardValues<'a, &F> {
-        ShardValues {
-            inner: self.cols.value_events(),
-            index: self.index,
-            of: self.of,
-            key_of: &self.key_of,
-        }
-    }
-}
-
-/// Iterator over one shard's `(addr, value)` pairs.
-#[derive(Debug, Clone)]
-pub struct ShardValues<'a, F> {
-    inner: ValueEvents<'a>,
-    index: u64,
-    of: u64,
-    key_of: F,
-}
-
-impl<F: Fn(InstrAddr) -> u64> Iterator for ShardValues<'_, F> {
-    type Item = (InstrAddr, u64);
-
-    fn next(&mut self) -> Option<(InstrAddr, u64)> {
-        for (addr, value) in self.inner.by_ref() {
-            if (self.key_of)(addr) % self.of == self.index {
-                return Some((addr, value));
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,34 +454,6 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
         assert_eq!(via_values, via_iter);
         assert_eq!(via_values.len(), cols.dest_count());
         assert!(!via_values.is_empty());
-    }
-
-    #[test]
-    fn shards_partition_the_value_events() {
-        let (_, cols) = sample_columns();
-        let all: Vec<(InstrAddr, u64)> = cols.value_events().collect();
-        for n in [1usize, 2, 3, 8] {
-            let shards = cols.shard_by_pc(n, |a| u64::from(a.index()));
-            assert_eq!(shards.len(), n);
-            let mut merged: Vec<(InstrAddr, u64)> = Vec::new();
-            let mut total = 0;
-            for shard in &shards {
-                let part: Vec<(InstrAddr, u64)> = shard.values().collect();
-                // Every element belongs to this shard.
-                for &(addr, _) in &part {
-                    assert_eq!(u64::from(addr.index()) % n as u64, shard.index() as u64);
-                }
-                total += part.len();
-                merged.extend(part);
-            }
-            assert_eq!(total, all.len(), "{n} shards lost/duplicated events");
-            merged.sort_by_key(|&(a, _)| u64::from(a.index()));
-            let mut sorted = all.clone();
-            sorted.sort_by_key(|&(a, _)| u64::from(a.index()));
-            // Multisets must agree (order within a shard is trace order,
-            // which the sort normalises for comparison).
-            assert_eq!(merged.len(), sorted.len());
-        }
     }
 
     #[test]

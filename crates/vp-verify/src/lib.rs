@@ -2,7 +2,7 @@
 //! provp stack.
 //!
 //! Every layer of the simulator/predictor pipeline is an *optimised*
-//! implementation: columnar traces, sharded predictor replay, packed
+//! implementation: columnar traces, the fused sweep replay, packed
 //! set-associative tables, streamed replay. Each optimisation is
 //! an opportunity for a silent semantic drift that no hand-written unit
 //! test would catch. This crate closes that gap with three ingredients:

@@ -16,28 +16,27 @@
 //!    configurations, the naive [`ref_predict`] models, fed the reference
 //!    interpreter's value stream, against (a) the real predictor fed the
 //!    same stream directly, one [`vp_predictor::ValuePredictor::access`]
-//!    per event, (b) a sequential [`ReplayRequest`] replay of the
-//!    trace's value-event columns, and (c) a PC-sharded parallel one:
-//!    identical [`PredictorStats`] and occupancy. The direct loop (a)
+//!    per event, and (b) a [`ReplayRequest`] replay of the trace's
+//!    value-event columns: identical [`PredictorStats`] and occupancy.
+//!    The direct loop (a)
 //!    also observes every access into an [`AttributionTable`] and
 //!    records its [`Outcome`]: it is the per-access reference stages 4
 //!    to 7 compare the fused kernel against.
 //! 4. **Attribution oracle** — the attributed replay
 //!    ([`ReplayRequest::attribution`]) must leave the stats untouched
-//!    (observation-only), produce at 1 and 3 shards exactly the per-PC
-//!    table the direct loop observed, and its totals must reconcile
+//!    (observation-only), produce exactly the per-PC table the direct
+//!    loop observed, and its totals must reconcile
 //!    *exactly* with the [`PredictorStats`] (every access accounted,
 //!    every raw miss charged to one cause).
 //! 5. **Matrix oracle** — the fused sweep ([`ReplayRequest`] over the
 //!    whole plan) over every oracle configuration (with a duplicate cell,
 //!    a second, directive-stripped annotation table, and cells of one
 //!    predictor state under several classifiers, which share one state
-//!    walk) must return, at any shard count, exactly the grid — and,
-//!    attributed, the per-PC tables — that per-cell direct loops produce.
+//!    walk) must return exactly the grid — and, attributed, the per-PC
+//!    tables — that per-cell direct loops produce.
 //! 6. **ILP lanes differential** — Table 5.2's seven machines plus one
 //!    with a bimodal branch front end run as one [`IlpLanes`] pass,
-//!    reading outcome columns the fused matrix kernel recorded (PC-sharded,
-//!    so the columns are interleaved back into trace order). Each lane
+//!    reading outcome columns the fused matrix kernel recorded. Each lane
 //!    must equal an [`IlpAnalyzer`] that runs its own predictor: the same
 //!    instructions, cycles and [`PredictorStats`]. The no-VP lane tracks
 //!    its critical path, and the report must charge every instruction
@@ -47,8 +46,8 @@
 //! 7. **Streaming oracle** — the bounded-memory streaming engine
 //!    ([`ReplayRequest::stream`]), which re-simulates the program and
 //!    predicts concurrently without a resident trace, must reproduce the
-//!    per-cell grid bit-identically at every tested shard × block-pool
-//!    combination, including attribution tables.
+//!    per-cell grid bit-identically at block pools of 2 and 8, including
+//!    attribution tables.
 //!
 //! Any mismatch is returned as a typed [`Divergence`], whose
 //! [`Divergence::stage`] names the stage that found it; `Ok` carries the
@@ -118,14 +117,14 @@ pub enum Divergence {
     Predictor {
         /// `PredictorConfig::label()` of the diverging configuration.
         label: String,
-        /// Which path diverged: "direct", "replay" or "sharded-replay".
+        /// Which path diverged: "direct", "replay" or "attributed-replay".
         mode: &'static str,
         /// Human-readable field-level detail.
         detail: String,
     },
     /// The per-PC attribution layer broke its contract: the attributed
-    /// replay perturbed the stats, the table differs across shard
-    /// counts, or its totals fail to reconcile with [`PredictorStats`].
+    /// replay's table differs from the per-access one, or its totals fail
+    /// to reconcile with [`PredictorStats`].
     Attribution {
         /// `PredictorConfig::label()` of the diverging configuration.
         label: String,
@@ -137,8 +136,6 @@ pub enum Divergence {
         /// `PredictorConfig::label()` of the diverging cell's
         /// configuration, with its plan position and annotation table.
         label: String,
-        /// Shard count the fused replay ran at.
-        shards: usize,
         /// Human-readable detail.
         detail: String,
     },
@@ -157,8 +154,6 @@ pub enum Divergence {
         /// `PredictorConfig::label()` of the diverging cell's
         /// configuration, with its plan position — or "whole plan".
         label: String,
-        /// Shard (consumer) count the streamed replay ran at.
-        shards: usize,
         /// Block-pool size the streamed replay ran with.
         pool: usize,
         /// Human-readable detail.
@@ -247,25 +242,19 @@ impl fmt::Display for Divergence {
             Divergence::Attribution { label, detail } => {
                 write!(f, "attribution for `{label}` diverges: {detail}")
             }
-            Divergence::Matrix {
-                label,
-                shards,
-                detail,
-            } => write!(
-                f,
-                "fused matrix cell `{label}` ({shards} shards) diverges: {detail}"
-            ),
+            Divergence::Matrix { label, detail } => {
+                write!(f, "fused matrix cell `{label}` diverges: {detail}")
+            }
             Divergence::Ilp { label, detail } => {
                 write!(f, "ILP lane {label} diverges: {detail}")
             }
             Divergence::Stream {
                 label,
-                shards,
                 pool,
                 detail,
             } => write!(
                 f,
-                "streamed replay of `{label}` ({shards} shards, pool {pool}) diverges: {detail}"
+                "streamed replay of `{label}` (pool {pool}) diverges: {detail}"
             ),
         }
     }
@@ -467,27 +456,23 @@ pub fn run_case_through(
             (ref_stats, ref_occ),
         )?;
 
-        // (b) sequential replay, (c) PC-sharded parallel replay.
-        for (mode, shards, jobs) in [("replay", 1usize, 1usize), ("sharded-replay", 3, 2)] {
-            let outcome = ReplayRequest::batch(&trace)
-                .single(program, config)
-                .shards(shards)
-                .jobs(jobs)
-                .run()
-                .map_err(|e| Divergence::Predictor {
-                    label: config.label(),
-                    mode,
-                    detail: format!("replay failed: {e}"),
-                })?
-                .into_single()
-                .outcome;
-            check_predictor(
-                &config,
-                mode,
-                (outcome.stats, outcome.occupancy),
-                (ref_stats, ref_occ),
-            )?;
-        }
+        // (b) the fused replay of the trace.
+        let outcome = ReplayRequest::batch(&trace)
+            .single(program, config)
+            .run()
+            .map_err(|e| Divergence::Predictor {
+                label: config.label(),
+                mode: "replay",
+                detail: format!("replay failed: {e}"),
+            })?
+            .into_single()
+            .outcome;
+        check_predictor(
+            &config,
+            "replay",
+            (outcome.stats, outcome.occupancy),
+            (ref_stats, ref_occ),
+        )?;
 
         // --- 4. attribution oracle ---
         if last == Stage::Predictor {
@@ -497,45 +482,26 @@ pub fn run_case_through(
             label: config.label(),
             detail,
         };
-        let attributed = |shards: usize, jobs: usize| {
-            ReplayRequest::batch(&trace)
-                .single(program, config)
-                .attribution(true)
-                .shards(shards)
-                .jobs(jobs)
-                .run()
-                .map(|r| {
-                    let cell = r.into_single();
-                    (cell.outcome, cell.attribution.expect("attribution on"))
-                })
-        };
-        let (seq_out, seq_table) =
-            attributed(1, 1).map_err(|e| attr_err(format!("attributed replay failed: {e}")))?;
+        let cell = ReplayRequest::batch(&trace)
+            .single(program, config)
+            .attribution(true)
+            .run()
+            .map_err(|e| attr_err(format!("attributed replay failed: {e}")))?
+            .into_single();
         // Observation-only: attribution must not perturb the replay.
         check_predictor(
             &config,
             "attributed-replay",
-            (seq_out.stats, seq_out.occupancy),
+            (cell.outcome.stats, cell.outcome.occupancy),
             (ref_stats, ref_occ),
         )?;
-        seq_table
-            .reconcile(&seq_out.stats)
+        let table = cell.attribution.expect("attribution on");
+        table
+            .reconcile(&cell.outcome.stats)
             .map_err(|e| attr_err(format!("totals fail to reconcile with stats: {e}")))?;
-        if seq_table != direct.attribution {
+        if table != direct.attribution {
             return Err(attr_err(
-                "per-PC table differs from the per-access table at 1 shard".into(),
-            ));
-        }
-        let (par_out, par_table) = attributed(3, 2)
-            .map_err(|e| attr_err(format!("sharded attributed replay failed: {e}")))?;
-        if par_out.stats != seq_out.stats {
-            return Err(attr_err(
-                "sharded attributed replay changed the stats".into(),
-            ));
-        }
-        if par_table != direct.attribution {
-            return Err(attr_err(
-                "per-PC table differs from the per-access table at 3 shards".into(),
+                "per-PC table differs from the per-access table".into(),
             ));
         }
     }
@@ -552,8 +518,8 @@ pub fn run_case_through(
     // classifiers and the §5.2 table under counters and `Always`, each
     // under both tables, plus an infinite-stride cell whose counter
     // template differs, which must not share their walk. Each cell is
-    // checked against its own direct loop at each shard count; the
-    // sharded pass also attributes, and its per-PC tables must equal the
+    // checked against its own direct loop, once plain and once
+    // attributed; the attributed pass's per-PC tables must equal the
     // loops' tables.
     let stripped = program.without_directives();
     let mut plan = SweepPlan::new();
@@ -606,58 +572,56 @@ pub fn run_case_through(
         let (config, table, _) = &matrix_cells[i];
         format!("{} (cell {i}, table {table})", config.label())
     };
-    for shards in [1usize, 3] {
+    for attribution in [false, true] {
+        let matrix_err = |label: String, detail: String| Divergence::Matrix {
+            label: if attribution {
+                format!("{label}, attributed")
+            } else {
+                label
+            },
+            detail,
+        };
         let fused = ReplayRequest::batch(&trace)
             .plan(plan.clone())
-            .attribution(shards > 1)
-            .shards(shards)
-            .jobs(2)
+            .attribution(attribution)
             .run()
             .map(|r| r.cells)
-            .map_err(|e| Divergence::Matrix {
-                label: "whole plan".into(),
-                shards,
-                detail: format!("fused replay failed: {e}"),
-            })?;
+            .map_err(|e| matrix_err("whole plan".into(), format!("fused replay failed: {e}")))?;
         if fused.len() != matrix_cells.len() {
-            return Err(Divergence::Matrix {
-                label: "whole plan".into(),
-                shards,
-                detail: format!(
+            return Err(matrix_err(
+                "whole plan".into(),
+                format!(
                     "fused replay returned {} outcomes for {} cells",
                     fused.len(),
                     matrix_cells.len()
                 ),
-            });
+            ));
         }
         for (i, (cell, e)) in fused.iter().zip(&expected).enumerate() {
             let f = &cell.outcome;
             if f.stats != e.stats {
-                return Err(Divergence::Matrix {
-                    label: cell_label(i),
-                    shards,
-                    detail: format!(
+                return Err(matrix_err(
+                    cell_label(i),
+                    format!(
                         "stats differ:\nfused {:#?}\nper-cell {:#?}",
                         f.stats, e.stats
                     ),
-                });
+                ));
             }
             if f.occupancy != e.occupancy {
-                return Err(Divergence::Matrix {
-                    label: cell_label(i),
-                    shards,
-                    detail: format!(
+                return Err(matrix_err(
+                    cell_label(i),
+                    format!(
                         "occupancy differs: fused {}, per-cell {}",
                         f.occupancy, e.occupancy
                     ),
-                });
+                ));
             }
-            if shards > 1 && cell.attribution.as_ref() != Some(&e.attribution) {
-                return Err(Divergence::Matrix {
-                    label: cell_label(i),
-                    shards,
-                    detail: "attribution table differs from the per-access table".into(),
-                });
+            if attribution && cell.attribution.as_ref() != Some(&e.attribution) {
+                return Err(matrix_err(
+                    cell_label(i),
+                    "attribution table differs from the per-access table".into(),
+                ));
             }
         }
     }
@@ -675,25 +639,23 @@ pub fn run_case_through(
     // --- 7. streaming oracle ---
     // The bounded-memory streaming engine re-simulates the program and
     // feeds the same fused kernel through a bounded block channel; its
-    // grid must be bit-identical to the batch grid at every tested shard
-    // (consumer) count × block-pool size — including a pool of 2, where
-    // the producer stalls on every other block. Faulting programs are
+    // grid must be bit-identical to the batch grid at both tested
+    // block-pool sizes — including a pool of 2, where the producer stalls
+    // on every other block. Faulting programs are
     // excluded: a streamed replay surfaces the simulator fault as an
     // error (there is no well-defined full stream), while the batch path
     // above replays the pre-fault prefix that the recorder captured.
     if optimized.is_err() {
         return Ok(trace);
     }
-    for (shards, pool) in [(1usize, 2usize), (3, 2), (3, 8)] {
+    for pool in [2usize, 8] {
         let stream_err = |label: String, detail: String| Divergence::Stream {
             label,
-            shards,
             pool,
             detail,
         };
         let streamed = ReplayRequest::stream(program, limits)
             .plan(plan.clone())
-            .shards(shards)
             .block_pool(pool)
             .run()
             .map_err(|e| stream_err("whole plan".into(), format!("streamed replay failed: {e}")))?;
@@ -732,19 +694,16 @@ pub fn run_case_through(
     let stream_attr = ReplayRequest::stream(program, limits)
         .plan(plan.clone())
         .attribution(true)
-        .shards(3)
         .block_pool(2)
         .run()
         .map_err(|e| Divergence::Stream {
             label: "whole plan (attributed)".into(),
-            shards: 3,
             pool: 2,
             detail: format!("attributed streamed replay failed: {e}"),
         })?;
     for (i, (s, e)) in stream_attr.cells.iter().zip(&expected).enumerate() {
         let stream_err = |detail: String| Divergence::Stream {
             label: cell_label(i),
-            shards: 3,
             pool: 2,
             detail,
         };
@@ -821,8 +780,6 @@ fn ilp_lanes_differential(
     }
     let recorded = ReplayRequest::batch(trace)
         .plan(plan.clone())
-        .shards(3)
-        .jobs(2)
         .run()
         .map_err(|e| whole(format!("outcome replay failed: {e}")))?
         .cells;
@@ -882,20 +839,18 @@ fn ilp_lanes_differential(
             });
         }
     }
-    // Every recorded column must equal its direct loop's: the sharded
-    // pass the lanes read, an attributed pass, and a streamed replay,
-    // which records them on one consumer.
+    // Every recorded column must equal its direct loop's: the pass the
+    // lanes read, an attributed pass, and a streamed replay.
     let attributed = ReplayRequest::batch(trace)
         .plan(plan.clone())
         .attribution(true)
         .run()
         .map_err(|e| whole(format!("attributed outcome replay failed: {e}")))?
         .cells;
-    let mut others = vec![("sharded", recorded), ("attributed", attributed)];
+    let mut others = vec![("batch", recorded), ("attributed", attributed)];
     if streamable {
         let streamed = ReplayRequest::stream(program, limits)
             .plan(plan)
-            .shards(3)
             .run()
             .map_err(|e| whole(format!("streamed outcome replay failed: {e}")))?
             .cells;
@@ -1092,7 +1047,6 @@ mod tests {
         assert_eq!(profile.stage(), Stage::Profile);
         let stream = Divergence::Stream {
             label: "whole plan".into(),
-            shards: 3,
             pool: 2,
             detail: String::new(),
         };
@@ -1134,29 +1088,26 @@ mod tests {
     }
 
     #[test]
-    fn stream_divergence_renders_with_shards_and_pool() {
+    fn stream_divergence_renders_with_pool() {
         let d = Divergence::Stream {
             label: "stride (cell 1, table 0)".into(),
-            shards: 3,
             pool: 2,
             detail: "stats differ".into(),
         };
         let s = d.to_string();
-        assert!(s.contains("3 shards"), "{s}");
+        assert!(s.contains("cell 1"), "{s}");
         assert!(s.contains("pool 2"), "{s}");
         assert!(s.contains("stats differ"), "{s}");
     }
 
     #[test]
-    fn matrix_divergence_renders_with_cell_and_shards() {
+    fn matrix_divergence_renders_with_cell() {
         let d = Divergence::Matrix {
             label: "stride (cell 2, table 0)".into(),
-            shards: 3,
             detail: "stats differ".into(),
         };
         let s = d.to_string();
         assert!(s.contains("cell 2"), "{s}");
-        assert!(s.contains("3 shards"), "{s}");
         assert!(s.contains("stats differ"), "{s}");
     }
 

@@ -378,7 +378,7 @@ impl RefModel {
 /// `config` and returns the final statistics and table occupancy.
 ///
 /// `directives` is the program's per-instruction directive table (indexed
-/// by static instruction address), exactly as the sharded replay consumes
+/// by static instruction address), exactly as the fused replay consumes
 /// it.
 pub fn ref_predict(
     directives: &[Directive],

@@ -7,9 +7,8 @@
 //!
 //! The batch path captures the full retirement trace once and replays it
 //! through the fused sweep kernel; the streaming path re-simulates the
-//! program while 1024-event blocks flow through a fixed pool of buffers
-//! into PC-sharded predictor workers, so peak memory no longer scales
-//! with trace length. Both paths answer through the same
+//! program while 1024-event blocks flow through a bounded queue into the
+//! fused kernel, so peak memory no longer scales with trace length. Both paths answer through the same
 //! [`ReplayRequest`] builder and are bit-identical — this example runs
 //! them side by side and asserts it.
 
@@ -50,10 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let batch = ReplayRequest::batch(&trace).plan(plan.clone()).run()?;
 
     // Streaming: no trace — the producer re-simulates into a bounded
-    // pool of DEFAULT_BLOCK_POOL blocks while four shard workers consume.
+    // queue of DEFAULT_BLOCK_POOL blocks while the caller consumes.
     let streamed = ReplayRequest::stream(&program, limits)
         .plan(plan)
-        .shards(4)
         .block_pool(DEFAULT_BLOCK_POOL)
         .run()?;
 
