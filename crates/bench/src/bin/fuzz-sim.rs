@@ -4,8 +4,8 @@
 //! `vp-verify` oracle (reference interpreter vs the optimized machine,
 //! reference profile collector vs the dense one, reference predictors vs
 //! the table predictors and the fused batch and streamed replays, the ILP
-//! lanes vs `IlpAnalyzer`) and reports any divergence with a minimised
-//! repro.
+//! lanes vs `vp_verify::refilp::IlpAnalyzer`) and reports any divergence
+//! with a minimised repro.
 //!
 //! ```text
 //! fuzz-sim [--cases=N] [--seed=S] [--max-shrink-steps=K] \

@@ -26,39 +26,37 @@
 //! at each threshold.
 //!
 //! [`IlpLanes`] runs many machines in one pass, one of them perhaps
-//! tracking its critical path ([`CriticalityReport`]); [`IlpAnalyzer`],
-//! one machine per replay, is the reference it is checked against.
+//! tracking its critical path ([`CriticalityReport`]). It is the crate's
+//! one model; `vp_verify::refilp::IlpAnalyzer`, one machine per replay
+//! with its own predictor, is the reference it is checked against.
 //!
 //! ## Example
 //!
 //! ```
 //! use vp_isa::asm::assemble;
 //! use vp_sim::{run, RunLimits};
-//! use vp_ilp::{IlpAnalyzer, IlpConfig};
+//! use vp_ilp::{IlpConfig, IlpLanes};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // A serial dependence chain: ILP is 1 without value prediction.
 //! let p = assemble("li r1, 0\nli r2, 1000\ntop: addi r1, r1, 1\nbne r1, r2, top\nhalt\n")?;
-//! let mut ilp = IlpAnalyzer::new(IlpConfig::paper_no_vp());
-//! run(&p, &mut ilp, RunLimits::default())?;
-//! let r = ilp.finish();
+//! let mut lanes = IlpLanes::new(IlpConfig::PAPER_WINDOW);
+//! lanes.lane(&IlpConfig::paper_no_vp(), None);
+//! run(&p, &mut lanes, RunLimits::default())?;
+//! let r = &lanes.finish().0[0];
 //! assert!(r.ilp() < 2.5);
 //! # Ok(())
 //! # }
 //! ```
 
-pub mod analyzer;
 pub mod branch;
 pub mod config;
 pub mod critical;
 pub mod lanes;
 pub mod result;
-pub mod window;
 
-pub use analyzer::IlpAnalyzer;
 pub use branch::{BranchConfig, BranchPredictor};
 pub use config::IlpConfig;
 pub use critical::CriticalityReport;
 pub use lanes::{IlpLanes, LaneOutcomes};
 pub use result::IlpResult;
-pub use window::SlidingWindow;

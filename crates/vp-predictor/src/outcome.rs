@@ -34,15 +34,6 @@ impl Outcome {
             Outcome::Incorrect
         }
     }
-
-    #[inline]
-    fn from_bits(bits: u64) -> Self {
-        match bits {
-            0 => Outcome::None,
-            1 => Outcome::Correct,
-            _ => Outcome::Incorrect,
-        }
-    }
 }
 
 /// Outcomes per packed word.
@@ -60,8 +51,8 @@ const PER_WORD: usize = 32;
 /// column.push(Outcome::None);
 /// column.push(Outcome::Incorrect);
 /// assert_eq!(column.len(), 3);
-/// let outcomes: Vec<Outcome> = column.iter().collect();
-/// assert_eq!(outcomes, [Outcome::Correct, Outcome::None, Outcome::Incorrect]);
+/// // Two bits per outcome, the first in the low bits.
+/// assert_eq!(column.words(), [0b10_00_01]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OutcomeColumn {
@@ -100,53 +91,13 @@ impl OutcomeColumn {
         self.len == 0
     }
 
-    /// The outcomes in push order.
+    /// The packed outcomes: 32 per word, the first in the low two bits,
+    /// each as its `Outcome as u64`; bits past the last outcome are 0.
     #[must_use]
-    pub fn iter(&self) -> Outcomes<'_> {
-        Outcomes {
-            words: self.words.iter(),
-            word: 0,
-            index: 0,
-            len: self.len,
-        }
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 }
-
-/// Iterator over an [`OutcomeColumn`], unpacking one word per 32
-/// outcomes.
-#[derive(Debug, Clone)]
-pub struct Outcomes<'a> {
-    words: std::slice::Iter<'a, u64>,
-    /// The current word, shifted so the next outcome is its low bits.
-    word: u64,
-    index: usize,
-    len: usize,
-}
-
-impl Iterator for Outcomes<'_> {
-    type Item = Outcome;
-
-    #[inline]
-    fn next(&mut self) -> Option<Outcome> {
-        if self.index == self.len {
-            return None;
-        }
-        if self.index.is_multiple_of(PER_WORD) {
-            self.word = *self.words.next()?;
-        }
-        self.index += 1;
-        let outcome = Outcome::from_bits(self.word & 0b11);
-        self.word >>= 2;
-        Some(outcome)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.len - self.index;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for Outcomes<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -161,12 +112,14 @@ mod tests {
         }
         assert_eq!(column.len(), 100);
         assert_eq!(column.words.len(), 4);
-        let unpacked: Vec<Outcome> = column.iter().collect();
-        assert_eq!(unpacked.len(), 100);
-        assert!(unpacked
-            .iter()
-            .enumerate()
-            .all(|(i, &o)| o == pattern[i % 3]));
+        let words = column.words();
+        assert!(
+            (0..100)
+                .all(|i| (words[i / PER_WORD] >> (2 * (i % PER_WORD))) & 0b11
+                    == pattern[i % 3] as u64)
+        );
+        // Bits past the last outcome stay clear.
+        assert_eq!(words[3] >> (2 * (100 % PER_WORD)), 0);
     }
 
     #[test]

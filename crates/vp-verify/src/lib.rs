@@ -12,10 +12,11 @@
 //!    cares about: loops, stride address arithmetic, data-dependent loads
 //!    and directive-tagged value producers.
 //! 2. **Reference implementations** ([`refsim`], [`refpred`],
-//!    [`refprofile`]) that are deliberately simple — row-oriented,
+//!    [`refprofile`], [`refilp`]) that are deliberately simple — row-oriented,
 //!    allocation-happy, map-based — and therefore easy to audit against
-//!    the instruction semantics in `vp_sim::exec` and the predictor and
-//!    profiling rules in `vp_predictor` and `vp_profile`.
+//!    the instruction semantics in `vp_sim::exec`, the predictor and
+//!    profiling rules in `vp_predictor` and `vp_profile`, and the §5.3
+//!    abstract machine `vp_ilp::IlpLanes` packs into lanes.
 //! 3. **A differential oracle** ([`oracle`]) that runs both stacks on the
 //!    same fuzzed program and demands bit-identical register files,
 //!    memories, retirement event streams, profile images and
@@ -34,6 +35,7 @@ pub mod coverage;
 pub mod fuzz;
 pub mod generate;
 pub mod oracle;
+pub mod refilp;
 pub mod refpred;
 pub mod refprofile;
 pub mod refsim;
@@ -44,6 +46,7 @@ pub use coverage::Coverage;
 pub use fuzz::{run_fuzz, FuzzOptions, FuzzReport};
 pub use generate::{gen_program, GenConfig};
 pub use oracle::{run_case, run_case_through, Divergence, Stage};
+pub use refilp::IlpAnalyzer;
 pub use refpred::ref_predict;
 pub use refprofile::RefProfileCollector;
 pub use refsim::{ref_run, RefOutcome};

@@ -60,7 +60,7 @@ use std::fmt;
 
 use provp_core::experiments::table_5_2;
 use provp_core::{ReplayRequest, SweepPlan};
-use vp_ilp::{BranchConfig, IlpAnalyzer, IlpConfig, IlpLanes, LaneOutcomes};
+use vp_ilp::{BranchConfig, IlpConfig, IlpLanes, LaneOutcomes};
 use vp_isa::{Directive, InstrAddr, Program, Reg, RegClass};
 use vp_predictor::{
     AttributionTable, ClassifierKind, Outcome, OutcomeColumn, PredictorConfig, PredictorStats,
@@ -70,6 +70,7 @@ use vp_profile::{format, ProfileCollector};
 use vp_sim::record::{first_divergence, TraceDivergence, TraceEvent, TraceRecorder};
 use vp_sim::{runner, ChainTracer, FnTracer, Machine, Retirement, RunLimits, Trace};
 
+use crate::refilp::IlpAnalyzer;
 use crate::refpred::ref_predict;
 use crate::refprofile::RefProfileCollector;
 use crate::refsim::ref_run;

@@ -1,12 +1,81 @@
-//! The trace-driven dataflow analysis.
+//! The reference ILP model: one §5.3 abstract machine per replay, with its
+//! own value predictor.
+//!
+//! [`vp_ilp::IlpLanes`] runs many machines in one pass, reads speculation
+//! outcomes recorded by the fused sweep, and packs its state for speed:
+//! per-PC operand records, memory rows in pages, 32-bit ready times in
+//! lane-minor blocks. [`IlpAnalyzer`] keeps the model as the paper states
+//! it — `u64` times, a `HashMap` of memory ready times, a [`SlidingWindow`]
+//! of completions — and runs the predictor itself, so every lane must
+//! report exactly its [`IlpResult`] (oracle stage 6, `tests/ilp_props.rs`).
+//! Only the configuration and result types and the branch front end are
+//! shared with `vp-ilp`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
+use vp_ilp::{BranchPredictor, IlpConfig, IlpResult};
 use vp_isa::{Reg, RegClass};
 use vp_predictor::ValuePredictor;
 use vp_sim::{Retirement, Tracer};
 
-use crate::{IlpConfig, IlpResult, SlidingWindow};
+/// A sliding window over instruction completion times.
+///
+/// Models a `capacity`-entry instruction window in a limit study:
+/// instruction *i* cannot dispatch until instruction *i − capacity* has
+/// completed, i.e. the dispatch lower bound is the completion cycle of the
+/// instruction whose slot is being reused.
+///
+/// # Examples
+///
+/// ```
+/// use vp_verify::refilp::SlidingWindow;
+/// let mut w = SlidingWindow::new(2);
+/// assert_eq!(w.dispatch_bound(), 0); // empty window: no constraint
+/// w.push_completion(10);
+/// w.push_completion(20);
+/// assert_eq!(w.dispatch_bound(), 10); // next instr reuses slot of the 1st
+/// ```
+#[derive(Debug, Clone)]
+pub struct SlidingWindow {
+    capacity: usize,
+    completions: VecDeque<u64>,
+}
+
+impl SlidingWindow {
+    /// A window with `capacity` slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    #[must_use]
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "window capacity must be positive");
+        SlidingWindow {
+            capacity,
+            completions: VecDeque::with_capacity(capacity),
+        }
+    }
+
+    /// The earliest cycle at which the next instruction may dispatch, given
+    /// window occupancy alone.
+    #[must_use]
+    pub fn dispatch_bound(&self) -> u64 {
+        if self.completions.len() < self.capacity {
+            0
+        } else {
+            *self.completions.front().expect("window is full")
+        }
+    }
+
+    /// Records the completion cycle of the instruction just dispatched,
+    /// sliding the window forward.
+    pub fn push_completion(&mut self, completion: u64) {
+        if self.completions.len() == self.capacity {
+            self.completions.pop_front();
+        }
+        self.completions.push_back(completion);
+    }
+}
 
 const LATENCY: u64 = 1;
 
@@ -22,7 +91,8 @@ const LATENCY: u64 = 1;
 /// ```
 /// use vp_isa::asm::assemble;
 /// use vp_sim::{run, RunLimits};
-/// use vp_ilp::{IlpAnalyzer, IlpConfig};
+/// use vp_ilp::IlpConfig;
+/// use vp_verify::refilp::IlpAnalyzer;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let p = assemble("li r1, 1\nli r2, 2\nli r3, 3\nli r4, 4\nhalt\n")?;
@@ -35,7 +105,7 @@ const LATENCY: u64 = 1;
 pub struct IlpAnalyzer {
     config: IlpConfig,
     predictor: Option<Box<dyn ValuePredictor>>,
-    branch: crate::branch::BranchPredictor,
+    branch: BranchPredictor,
     window: SlidingWindow,
     int_ready: [u64; vp_isa::reg::NUM_REGS],
     fp_ready: [u64; vp_isa::reg::NUM_REGS],
@@ -52,7 +122,7 @@ impl IlpAnalyzer {
     pub fn new(config: IlpConfig) -> Self {
         let predictor = config.predictor.as_ref().map(|c| c.build());
         let window = SlidingWindow::new(config.window);
-        let branch = crate::branch::BranchPredictor::new(config.branch);
+        let branch = BranchPredictor::new(config.branch);
         IlpAnalyzer {
             config,
             predictor,
@@ -174,6 +244,7 @@ impl Tracer for IlpAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vp_ilp::BranchConfig;
     use vp_isa::asm::assemble;
     use vp_sim::{run, RunLimits};
 
@@ -284,7 +355,6 @@ top: addi r3, r3, 2\nadd r4, r4, r3\nmul r5, r4, r4\nadd r6, r5, r4\naddi r1, r1
 
     #[test]
     fn real_branch_prediction_costs_cycles_on_irregular_branches() {
-        use crate::BranchConfig;
         // Data-dependent branches on pseudo-random values: a real predictor
         // must miss some of them.
         let irregular = "li r1, 0\nli r2, 2000\nli r3, 12345\n\
@@ -314,7 +384,6 @@ beq r4, r0, even\naddi r5, r5, 1\neven: addi r1, r1, 1\nbne r1, r2, top\nhalt\n"
 
     #[test]
     fn biased_branches_are_nearly_free_even_with_a_real_predictor() {
-        use crate::BranchConfig;
         let loopy = "li r1, 0\nli r2, 2000\ntop: addi r1, r1, 1\nbne r1, r2, top\nhalt\n";
         let perfect = ilp_of(loopy, IlpConfig::paper_no_vp());
         let p = assemble(loopy).unwrap();
@@ -342,5 +411,38 @@ beq r4, r0, even\naddi r5, r5, 1\neven: addi r1, r1, 1\nbne r1, r2, top\nhalt\n"
         let r = a.finish();
         assert_eq!(r.instructions, 0);
         assert_eq!(r.ilp(), 0.0);
+    }
+
+    #[test]
+    fn no_constraint_until_full() {
+        let mut w = SlidingWindow::new(3);
+        w.push_completion(5);
+        w.push_completion(6);
+        assert_eq!(w.dispatch_bound(), 0);
+        w.push_completion(7);
+        assert_eq!(w.dispatch_bound(), 5);
+    }
+
+    #[test]
+    fn window_slides_in_order() {
+        let mut w = SlidingWindow::new(2);
+        w.push_completion(10);
+        w.push_completion(4); // out-of-order completion is fine
+        assert_eq!(w.dispatch_bound(), 10);
+        w.push_completion(12);
+        assert_eq!(w.dispatch_bound(), 4);
+    }
+
+    #[test]
+    fn size_one_window_serialises() {
+        let mut w = SlidingWindow::new(1);
+        w.push_completion(3);
+        assert_eq!(w.dispatch_bound(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_capacity_panics() {
+        let _ = SlidingWindow::new(0);
     }
 }

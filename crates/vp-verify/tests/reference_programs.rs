@@ -12,9 +12,9 @@
 //! cargo test --release --offline -p vp-verify --test reference_programs
 //! ```
 //!
-//! Two `#[ignore]`d tests print the measurements behind
-//! `results/perf_predecoded_interp.md`, `results/trace_cache_removal.md`
-//! and `results/perf_inline_collector.md`:
+//! Three `#[ignore]`d tests print the measurements behind
+//! `results/perf_predecoded_interp.md`, `results/trace_cache_removal.md`,
+//! `results/perf_inline_collector.md` and `results/perf_ilp_fast_path.md`:
 //!
 //! ```text
 //! cargo test --release --offline -p vp-verify --test reference_programs \
@@ -24,8 +24,11 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use vp_ilp::{IlpConfig, IlpLanes};
+use provp_core::experiments::table_5_2;
+use provp_core::Suite;
+use vp_ilp::{IlpConfig, IlpLanes, LaneOutcomes};
 use vp_isa::{Opcode, Program, Reg, RegClass};
+use vp_predictor::{Outcome, OutcomeColumn, PredictorStats};
 use vp_profile::format::to_text;
 use vp_profile::ProfileCollector;
 use vp_sim::record::{first_divergence, TraceEvent};
@@ -222,6 +225,23 @@ fn print_opcode_and_pair_mix() {
     }
 }
 
+/// Timing repetitions of the `#[ignore]`d measurements.
+const REPS: usize = 7;
+
+/// Best wall time of `run` over `REPS` runs; `setup` and dropping the
+/// output stay outside the timed region.
+fn best_ns<S, T>(mut setup: impl FnMut() -> S, mut run: impl FnMut(S) -> T) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS {
+        let state = setup();
+        let start = Instant::now();
+        let output = run(state);
+        best = best.min(start.elapsed().as_nanos() as f64);
+        drop(std::hint::black_box(output));
+    }
+    best
+}
+
 /// Prints the best-of-7 nanoseconds per instruction of each reference
 /// run, bare (`NullTracer`), with a `ProfileCollector` attached and with
 /// one no-VP `IlpLanes` lane attached, each both simulated (`run_on`) and
@@ -233,20 +253,6 @@ fn print_opcode_and_pair_mix() {
 #[test]
 #[ignore = "prints a measurement; run with --ignored --nocapture"]
 fn time_the_interpreter() {
-    const REPS: usize = 7;
-    /// Best wall time of `run` over `REPS` runs; `setup` and dropping
-    /// the output stay outside the timed region.
-    fn best_ns<S, T>(mut setup: impl FnMut() -> S, mut run: impl FnMut(S) -> T) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..REPS {
-            let state = setup();
-            let start = Instant::now();
-            let output = run(state);
-            best = best.min(start.elapsed().as_nanos() as f64);
-            drop(std::hint::black_box(output));
-        }
-        best
-    }
     fn lane() -> IlpLanes<'static> {
         let config = IlpConfig::paper_no_vp();
         let mut lanes = IlpLanes::new(config.window);
@@ -333,4 +339,74 @@ fn time_the_interpreter() {
         .map(|ns| format!("{:.2}", ns / total as f64))
         .collect();
     println!("| all nine | {total} | {} |", cells.join(" | "));
+}
+
+/// Prints the best-of-7 nanoseconds per event of Table 5.2's seven
+/// machines (`provp_core::experiments::table_5_2::machines`) as one
+/// `IlpLanes` pass over each resident reference trace, next to a bare
+/// replay of the same trace: the `table_5_2/ilp` layer of `repro-all`.
+/// The lanes read real outcome columns, recorded before the timed region
+/// by each machine's predictor over the trace replayed against the
+/// annotated program it predicts on.
+#[test]
+#[ignore = "prints a measurement; run with --ignored --nocapture"]
+fn time_the_table_5_2_lanes() {
+    let suite = Suite::new();
+    let machines = table_5_2::machines();
+    println!("ns per event, best of {REPS}, {} lanes:\n", machines.len());
+    println!("| workload | events | bare replay | Table 5.2 lanes |\n|---|---:|---:|---:|");
+    let (mut total, mut sums) = (0u64, [0.0f64; 2]);
+    for kind in WorkloadKind::ALL {
+        let program = suite.reference_program(kind, None);
+        let trace = Trace::capture(&program, RunLimits::default()).unwrap();
+        let recorded: Vec<Option<(OutcomeColumn, PredictorStats)>> = machines
+            .iter()
+            .map(|(config, threshold)| {
+                let mut predictor = config.predictor?.build();
+                let annotated = suite.reference_program(kind, *threshold);
+                let mut column = OutcomeColumn::new();
+                let mut tracer = FnTracer::new(|ev: &Retirement<'_>| {
+                    if let Some((_, _, value)) = ev.dest {
+                        let access = predictor.access(ev.addr, ev.instr.directive, value);
+                        column.push(Outcome::of(&access));
+                    }
+                });
+                trace.replay(&annotated, &mut tracer).unwrap();
+                Some((column, *predictor.stats()))
+            })
+            .collect();
+        let n = trace.len() as u64;
+        let row = [
+            best_ns(|| (), |()| trace.replay(&program, &mut NullTracer)),
+            best_ns(
+                || (),
+                |()| {
+                    let mut lanes = IlpLanes::new(IlpConfig::PAPER_WINDOW);
+                    for ((config, _), outcomes) in machines.iter().zip(&recorded) {
+                        let outcomes = outcomes.as_ref().map(|(column, stats)| LaneOutcomes {
+                            column,
+                            stats: *stats,
+                        });
+                        lanes.lane(config, outcomes);
+                    }
+                    trace.replay(&program, &mut lanes).unwrap();
+                    lanes.finish()
+                },
+            ),
+        ];
+        println!(
+            "| {kind} | {n} | {:.2} | {:.2} |",
+            row[0] / n as f64,
+            row[1] / n as f64
+        );
+        total += n;
+        for (sum, ns) in sums.iter_mut().zip(row) {
+            *sum += ns;
+        }
+    }
+    println!(
+        "| all nine | {total} | {:.2} | {:.2} |",
+        sums[0] / total as f64,
+        sums[1] / total as f64
+    );
 }

@@ -10,7 +10,7 @@
 //! touching the simulator again.
 
 use provp::core::ReplayRequest;
-use provp::ilp::{IlpAnalyzer, IlpConfig};
+use provp::ilp::{IlpConfig, IlpLanes};
 use provp::predictor::PredictorConfig;
 use provp::profile::ProfileCollector;
 use provp::sim::{run, RunLimits, Trace, TraceRecorder};
@@ -53,9 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into_single();
     assert_eq!(&replayed.outcome.stats, predictor.stats());
 
-    // Consumer 3: the abstract ILP machine.
-    let mut ilp = IlpAnalyzer::new(IlpConfig::paper_no_vp());
+    // Consumer 3: the abstract ILP machine, as a one-lane pass.
+    let mut ilp = IlpLanes::new(IlpConfig::PAPER_WINDOW);
+    ilp.lane(&IlpConfig::paper_no_vp(), None);
     trace.replay(&program, &mut ilp)?;
-    println!("ilp:       {}", ilp.finish());
+    println!("ilp:       {}", ilp.finish().0[0]);
     Ok(())
 }
