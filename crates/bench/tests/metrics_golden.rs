@@ -94,6 +94,10 @@ fn metrics_out_leaves_stdout_byte_identical() {
     assert!(counter("sim.instructions") > 0);
     assert!(counter("sim.wall_ns") > 0);
     assert!(manifest.sim_instr_per_sec() > 0.0);
+    // Trace captures: every recorded event was a simulated instruction.
+    assert!(counter("record.events") > 0);
+    assert!(counter("record.events") <= counter("sim.instructions"));
+    assert!(manifest.record_ns_per_event() > 0.0);
     assert!(counter("trace_store.requests") > 0);
     assert_eq!(
         counter("trace_store.memory_hits") + counter("trace_store.misses"),

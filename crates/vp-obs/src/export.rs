@@ -74,6 +74,11 @@ pub fn render_table(manifest: &RunManifest) -> String {
     );
     let _ = writeln!(
         out,
+        "record cost         {:.1} ns/event",
+        manifest.record_ns_per_event()
+    );
+    let _ = writeln!(
+        out,
         "trace-store hit rate {:.1}%",
         100.0 * manifest.trace_hit_rate()
     );
@@ -168,6 +173,8 @@ mod tests {
         });
         m.counters.insert("sim.instructions".to_owned(), 100);
         m.counters.insert("sim.wall_ns".to_owned(), 1_000_000_000);
+        m.counters.insert("record.events".to_owned(), 40);
+        m.counters.insert("record.ns".to_owned(), 500);
         m
     }
 
@@ -178,6 +185,7 @@ mod tests {
         assert!(table.contains("demo/work"));
         assert!(table.contains("sim.instructions"));
         assert!(table.contains("100 instr/s"));
+        assert!(table.contains("record cost         12.5 ns/event\n"));
         // No sampler/profiler counters recorded: no data-loss footer.
         assert!(!table.contains("-- data loss --"));
     }

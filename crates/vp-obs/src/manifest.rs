@@ -256,6 +256,20 @@ impl RunManifest {
         }
     }
 
+    /// Trace capture cost in nanoseconds per recorded event, derived from
+    /// the `record.ns` / `record.events` counters: the whole capture, its
+    /// simulation included (0 when the run captured nothing).
+    #[must_use]
+    pub fn record_ns_per_event(&self) -> f64 {
+        let events = self.counters.get("record.events").copied().unwrap_or(0);
+        let ns = self.counters.get("record.ns").copied().unwrap_or(0);
+        if events == 0 {
+            0.0
+        } else {
+            ns as f64 / events as f64
+        }
+    }
+
     /// TraceStore hit rate over all requests (`memory_hits / requests`),
     /// in `[0, 1]`; 0 when the store was never used.
     #[must_use]

@@ -47,6 +47,14 @@ const F_JUMP: u8 = 1 << 6;
 /// `seek_addr` entry.
 const F_SEEK: u8 = 1 << 7;
 
+/// Appends to a column that few events reach (a capture seeks only where
+/// it resumes a run), out of the recording loop's way.
+#[cold]
+#[inline(never)]
+fn push_cold(column: &mut Vec<u32>, value: u32) {
+    column.push(value);
+}
+
 const SHORT: &str = "sparse trace column shorter than its flag population";
 
 // Kept out of line so the replay loop stays as tight as the iterator.
@@ -148,7 +156,7 @@ impl TraceColumns {
     }
 
     /// Appends one retirement.
-    #[inline]
+    #[inline(always)]
     pub fn push_retirement(&mut self, ev: &Retirement<'_>) {
         self.push_parts(ev.addr, ev.dest, ev.mem, ev.stored, ev.taken, ev.next_pc);
     }
@@ -160,7 +168,11 @@ impl TraceColumns {
         self.push_parts(ev.addr, ev.dest, ev.mem, ev.stored, ev.taken, ev.next_pc);
     }
 
-    #[inline]
+    // Forced inline, so that a capture's run loop records an event with a
+    // few stores instead of a call. Branches on the event's shape are
+    // cheaper here than branch-free appends: they follow the opcode, which
+    // the run loop's dispatch has just predicted.
+    #[inline(always)]
     fn push_parts(
         &mut self,
         addr: InstrAddr,
@@ -198,12 +210,12 @@ impl TraceColumns {
 
     /// Records one event's program counters as control-flow exceptions
     /// and returns the `F_SEEK`/`F_JUMP` bits its flag byte needs.
-    #[inline]
+    #[inline(always)]
     fn push_control_flow(&mut self, addr: u32, next_pc: u32) -> u8 {
         let mut flags = 0;
         if addr != self.tail_pc {
             flags |= F_SEEK;
-            self.seek_addr.push(addr);
+            push_cold(&mut self.seek_addr, addr);
         }
         if next_pc != addr.wrapping_add(1) {
             flags |= F_JUMP;

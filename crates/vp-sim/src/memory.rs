@@ -54,19 +54,38 @@ impl Memory {
 
     /// Reads the word at `addr` (zero if never written).
     #[must_use]
+    #[inline]
     pub fn read(&self, addr: u64) -> u64 {
         let (page, offset) = split(addr);
-        let page = match usize::try_from(page) {
-            Ok(p) if p < DENSE_PAGES => self.low.get(p).and_then(Option::as_ref),
-            _ => self.high.get(&page),
-        };
-        page.map_or(0, |p| p[offset])
+        match self.low.get(dense_index(page)) {
+            Some(Some(words)) => words[offset],
+            Some(None) => 0,
+            None => self.read_cold(page, offset),
+        }
     }
 
     /// Writes the word at `addr`.
+    #[inline]
     pub fn write(&mut self, addr: u64, value: u64) {
         let (page, offset) = split(addr);
-        let page = match usize::try_from(page) {
+        match self.low.get_mut(dense_index(page)) {
+            Some(Some(words)) => words[offset] = value,
+            _ => self.write_cold(page, offset, value),
+        }
+    }
+
+    // The run loop inlines `read` and `write`; what they reach rarely
+    // (high pages, dense pages not yet allocated) stays out of line.
+    #[cold]
+    #[inline(never)]
+    fn read_cold(&self, page: u64, offset: usize) -> u64 {
+        self.high.get(&page).map_or(0, |words| words[offset])
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn write_cold(&mut self, page: u64, offset: usize, value: u64) {
+        let words = match usize::try_from(page) {
             Ok(p) if p < DENSE_PAGES => {
                 if p >= self.low.len() {
                     self.low.resize_with(p + 1, || None);
@@ -75,7 +94,7 @@ impl Memory {
             }
             _ => self.high.entry(page).or_insert_with(zero_page),
         };
-        page[offset] = value;
+        words[offset] = value;
     }
 
     /// Number of pages that have been materialised.
@@ -89,6 +108,14 @@ fn zero_page() -> Box<[u64; PAGE_WORDS]> {
     Box::new([0; PAGE_WORDS])
 }
 
+/// The index of `page` in the dense tier, or one that no dense page has:
+/// `low` never grows past `DENSE_PAGES`, so a high page misses it.
+#[inline]
+fn dense_index(page: u64) -> usize {
+    usize::try_from(page).unwrap_or(usize::MAX)
+}
+
+#[inline]
 fn split(addr: u64) -> (u64, usize) {
     (
         addr / PAGE_WORDS as u64,
@@ -105,6 +132,9 @@ mod tests {
         let m = Memory::new();
         assert_eq!(m.read(0), 0);
         assert_eq!(m.read(u64::MAX), 0);
+        // A dense page past the allocated ones reads zero too.
+        assert_eq!(m.read(5 * PAGE_WORDS as u64 + 3), 0);
+        assert_eq!(m.resident_pages(), 0);
     }
 
     #[test]

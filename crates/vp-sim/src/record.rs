@@ -9,6 +9,7 @@
 
 use std::fmt;
 use std::io;
+use std::time::Instant;
 
 use vp_isa::{InstrAddr, Program, Reg, RegClass};
 
@@ -108,7 +109,10 @@ impl TraceRecorder {
 }
 
 impl Tracer for TraceRecorder {
-    #[inline]
+    // Forced inline: the run loop's other tracers (a profile collector
+    // beside it in `Trace::capture_with`) otherwise leave LLVM too little
+    // inlining budget, and recording becomes a call per instruction.
+    #[inline(always)]
     fn retire(&mut self, ev: &Retirement<'_>) {
         self.columns.push_retirement(ev);
     }
@@ -157,11 +161,10 @@ impl Trace {
     ///
     /// Propagates the simulator's [`SimError`] (fault, limit overrun, …).
     pub fn capture(program: &Program, limits: RunLimits) -> Result<Trace, SimError> {
+        let started = Instant::now();
         let mut rec = TraceRecorder::new();
         run(program, &mut rec, limits)?;
-        let mut columns = rec.into_columns();
-        columns.shrink_to_fit();
-        Ok(Trace { columns })
+        Ok(Trace::recorded(rec, started))
     }
 
     /// Captures a trace while simultaneously feeding every retirement to
@@ -177,15 +180,26 @@ impl Trace {
         limits: RunLimits,
         tracer: &mut impl Tracer,
     ) -> Result<Trace, SimError> {
+        let started = Instant::now();
         let mut rec = TraceRecorder::new();
         run(
             program,
             &mut crate::ChainTracer::new(&mut rec, tracer),
             limits,
         )?;
+        Ok(Trace::recorded(rec, started))
+    }
+
+    /// Seals a finished capture that began at `started`.
+    fn recorded(rec: TraceRecorder, started: Instant) -> Trace {
         let mut columns = rec.into_columns();
         columns.shrink_to_fit();
-        Ok(Trace { columns })
+        // Capture accounting for the observability layer: one bump per
+        // capture, outside the retire loop, like `sim.*` in `run_on`.
+        vp_obs::counter("record.events").add(columns.len() as u64);
+        vp_obs::counter("record.ns")
+            .add(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+        Trace { columns }
     }
 
     /// Wraps an already-recorded event list (converted to columnar form).

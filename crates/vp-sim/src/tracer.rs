@@ -11,7 +11,11 @@ use crate::Retirement;
 /// Implementations should be cheap: the simulator calls
 /// [`Tracer::retire`] once per dynamic instruction. A `retire` defined in
 /// a crate other than its caller's must be `#[inline]`, or the run loop
-/// calls it out of line for every instruction.
+/// calls it out of line for every instruction. `#[inline]` is a hint: a
+/// `retire` that must never be a call even beside another tracer in the
+/// same loop (the recorder in [`Trace::capture_with`](crate::Trace::capture_with))
+/// is `#[inline(always)]`, and should be small enough for that to pay,
+/// with its rare work in a `#[cold]` function.
 pub trait Tracer {
     /// Called after each instruction retires, with its full effect.
     fn retire(&mut self, ev: &Retirement<'_>);
@@ -54,8 +58,11 @@ impl<F: FnMut(&Retirement<'_>)> Tracer for FnTracer<F> {
     }
 }
 
+// The forwarding impls are forced inline: each is one call, and left to
+// the inliner's budget inside a large run loop it stays a call per
+// instruction in front of a tracer that would have inlined.
 impl<T: Tracer + ?Sized> Tracer for &mut T {
-    #[inline]
+    #[inline(always)]
     fn retire(&mut self, ev: &Retirement<'_>) {
         (**self).retire(ev);
     }
@@ -83,7 +90,7 @@ impl<A: Tracer, B: Tracer> ChainTracer<A, B> {
 }
 
 impl<A: Tracer, B: Tracer> Tracer for ChainTracer<A, B> {
-    #[inline]
+    #[inline(always)]
     fn retire(&mut self, ev: &Retirement<'_>) {
         self.first.retire(ev);
         self.second.retire(ev);

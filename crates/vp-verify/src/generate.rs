@@ -18,8 +18,8 @@
 //!   write them;
 //! - forward skip branches and `jal`s land only on *atom* boundaries, so
 //!   they can never jump into the middle of a multi-instruction idiom
-//!   (the `li`/`jalr` pair, the masked data-dependent load) nor skip a
-//!   loop-counter decrement;
+//!   (the `li`/`jalr` pair, the masked data-dependent load, the
+//!   store→load pair) nor skip a loop-counter decrement;
 //! - `jalr` targets are materialised as absolute addresses of the very
 //!   next atom, so indirect jumps are exercised without ever leaving text.
 //!
@@ -233,7 +233,8 @@ fn random_atom(rng: &mut Rng, cfg: &GenConfig, i: usize, n: usize) -> Atom {
     match rng.gen_range(0..100u32) {
         0..=29 => Atom::Plain(vec![int_alu(rng)]),
         30..=44 => Atom::Plain(vec![fp_op(rng)]),
-        45..=59 => Atom::Plain(vec![mem_op(rng, cfg)]),
+        45..=52 => Atom::Plain(vec![mem_op(rng, cfg)]),
+        53..=59 => Atom::Plain(store_then_load(rng, cfg)),
         60..=69 => Atom::Plain(vec![pointer_advance(rng)]),
         70..=79 => Atom::Plain(data_dependent_load(rng, cfg)),
         80..=89 if i + 1 < n || n > 0 => forward_branch(rng, i, n),
@@ -404,6 +405,32 @@ fn data_dependent_load(rng: &mut Rng, cfg: &GenConfig) -> Vec<Instr> {
     vec![
         Instr::alu_ri(Opcode::Andi, temp, int_scratch(rng), mask),
         Instr::load(Opcode::Ld, int_scratch(rng), temp, 0),
+    ]
+}
+
+/// `sd rS, off(rP); ld rD, off(rP)`, in integer or FP forms: a load of
+/// the word a store has just written, so the load's issue waits on the
+/// store in the ILP model and the simulator reads back a fresh write.
+/// Half the time the load refills the stored register, which chains the
+/// dependence through memory from one loop iteration to the next.
+fn store_then_load(rng: &mut Rng, cfg: &GenConfig) -> Vec<Instr> {
+    let base = pointer(rng);
+    let off = rng.gen_range(0..cfg.data_words as i64);
+    let (store, value, reload) = if rng.gen_bool(0.5) {
+        (Opcode::Sd, int_scratch(rng), Opcode::Ld)
+    } else {
+        (Opcode::Fsd, fp_scratch(rng), Opcode::Fld)
+    };
+    let (load, dest) = if rng.gen_bool(0.5) {
+        (reload, value)
+    } else if rng.gen_bool(0.5) {
+        (Opcode::Ld, int_scratch(rng))
+    } else {
+        (Opcode::Fld, fp_scratch(rng))
+    };
+    vec![
+        Instr::store(store, value, base, off),
+        Instr::load(load, dest, base, off),
     ]
 }
 

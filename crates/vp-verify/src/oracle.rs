@@ -8,7 +8,10 @@
 //!    [`ref_run`] interpreter: identical run status, retired-instruction
 //!    count, final program counter, retirement event stream (both as the
 //!    columns iterate it and as [`Trace::replay`] rebuilds it), final
-//!    register files and final memory.
+//!    register files and final memory. [`Trace::capture`] and
+//!    [`Trace::capture_with`] must record the recorder's columns (or fault
+//!    alike), and the tracer `capture_with` feeds must see the reference
+//!    stream.
 //! 2. **Profile differential** — the dense [`ProfileCollector`] against
 //!    the map-based [`RefProfileCollector`], both fed by the trace
 //!    replay: identical images in [`format::to_text`] form.
@@ -68,7 +71,10 @@ use vp_predictor::{
 };
 use vp_profile::{format, ProfileCollector};
 use vp_sim::record::{first_divergence, TraceDivergence, TraceEvent, TraceRecorder};
-use vp_sim::{runner, ChainTracer, FnTracer, Machine, Retirement, RunLimits, Trace};
+use vp_sim::{
+    runner, ChainTracer, FnTracer, Machine, Retirement, RunLimits, RunSummary, SimError, Trace,
+    TraceColumns,
+};
 
 use crate::refilp::IlpAnalyzer;
 use crate::refpred::ref_predict;
@@ -372,6 +378,7 @@ pub fn run_case_through(
     if let Some(d) = first_divergence(reference.events.iter().cloned(), replayed) {
         return Err(Divergence::Events(Box::new(d)));
     }
+    check_captures(program, limits, &optimized, cols, &reference.events)?;
 
     for r in 0..32u8 {
         let opt = machine.read_reg(RegClass::Int, Reg::new(r));
@@ -728,6 +735,62 @@ pub fn run_case_through(
 /// stands in for no threshold; the `k`-th threshold keeps the case's
 /// directives on every `addr % 5 <= k`, so stricter thresholds tag less),
 /// then VP + profiling behind a bimodal front end.
+/// Checks both capture entry points against a [`TraceRecorder`] run:
+/// [`Trace::capture`] and [`Trace::capture_with`] must record the columns
+/// `recorded` holds, or fail with the error `run` ended in, and the tracer
+/// `capture_with` feeds must see the `reference` interpreter's stream.
+fn check_captures(
+    program: &Program,
+    limits: RunLimits,
+    run: &Result<RunSummary, SimError>,
+    recorded: &TraceColumns,
+    reference: &[TraceEvent],
+) -> Result<(), Divergence> {
+    let captured = Trace::capture(program, limits);
+    let mut seen = Vec::with_capacity(reference.len());
+    let captured_with = Trace::capture_with(
+        program,
+        limits,
+        &mut FnTracer::new(|r: &Retirement<'_>| seen.push(TraceEvent::from_retirement(r))),
+    );
+    if let Some(d) = first_divergence(reference.iter().copied(), seen) {
+        return Err(Divergence::Events(Box::new(d)));
+    }
+    for (entry, captured) in [
+        ("Trace::capture", captured),
+        ("Trace::capture_with", captured_with),
+    ] {
+        match (captured, run) {
+            (Ok(trace), Ok(_)) if trace.columns() == recorded => {}
+            (Ok(trace), Ok(_)) => {
+                // Equal event streams in unequal columns differ only in
+                // their encoding; the divergence then points past the end.
+                let d =
+                    first_divergence(recorded.iter(), trace.iter()).unwrap_or(TraceDivergence {
+                        index: recorded.len(),
+                        left: None,
+                        right: None,
+                    });
+                return Err(Divergence::Events(Box::new(d)));
+            }
+            (Err(a), Err(b)) if a == *b => {}
+            (captured, run) => {
+                return Err(Divergence::Status {
+                    optimized: match captured {
+                        Ok(trace) => format!("{entry} recorded {} events", trace.len()),
+                        Err(e) => format!("{entry} fault: {e}"),
+                    },
+                    reference: match run {
+                        Ok(s) => format!("a TraceRecorder run retired {s}"),
+                        Err(e) => format!("a TraceRecorder run faulted: {e}"),
+                    },
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 fn ilp_machines(program: &Program) -> Vec<(IlpConfig, Program)> {
     let mut machines: Vec<(IlpConfig, Program)> = table_5_2::machines()
         .into_iter()
@@ -942,6 +1005,34 @@ mod tests {
     use super::*;
     use crate::{gen_program, GenConfig};
     use vp_rng::Rng;
+
+    #[test]
+    fn capture_checks_report_foreign_columns_streams_and_faults() {
+        let limits = RunLimits::default();
+        let p = vp_isa::asm::assemble(
+            "li r1, 3\ntop: sd r1, 4(r1)\nld r2, 4(r1)\naddi r1, r1, -1\nbne r1, r0, top\nhalt\n",
+        )
+        .unwrap();
+        let reference = ref_run(&p, limits.max_instructions).events;
+        let run = vp_sim::run(&p, &mut vp_sim::NullTracer, limits);
+        let ours = Trace::capture(&p, limits).unwrap();
+        assert!(check_captures(&p, limits, &run, ours.columns(), &reference).is_ok());
+
+        let other = vp_isa::asm::assemble("li r1, 1\nhalt\n").unwrap();
+        let foreign = Trace::capture(&other, limits).unwrap();
+        let d = check_captures(&p, limits, &run, foreign.columns(), &reference).unwrap_err();
+        assert!(matches!(d, Divergence::Events(_)), "{d}");
+        let d = check_captures(&p, limits, &run, ours.columns(), &reference[1..]).unwrap_err();
+        assert!(matches!(d, Divergence::Events(_)), "{d}");
+
+        let fault = Err(SimError::PcOutOfRange {
+            pc: InstrAddr::new(9),
+            text_len: 6,
+        });
+        let d = check_captures(&p, limits, &fault, ours.columns(), &reference).unwrap_err();
+        assert!(matches!(d, Divergence::Status { .. }), "{d}");
+        assert_eq!(d.stage(), Stage::Simulation);
+    }
 
     #[test]
     fn hand_written_kernels_pass_the_oracle() {
