@@ -26,7 +26,7 @@
 //! | `--max-peak-rss-regression` | peak RSS | ceiling: baseline × (1 + F) |
 //! | `--max-matrix-passes-per-trace` | fused-sweep passes per swept trace | ceiling: N (no baseline read) |
 //! | `--max-ilp-passes-per-trace` | ILP lane passes per traced workload | ceiling: N (no baseline read) |
-//! | `--max-phase-share-regression` (per profiled phase) | the phase's share of profile samples | ceiling: baseline + F |
+//! | `--max-phase-share-regression` (per profiled phase) | the phase's share of the profile's self time | ceiling: baseline + F |
 //!
 //! One missing-data policy covers every gate: data the *baseline* lacks
 //! skips that check with a warning (refresh the baseline to re-arm it);
@@ -36,13 +36,13 @@
 //! baseline profile reads as share 0 (brand-new hot phases are what the
 //! share gate exists to catch), a zero baseline never bounds a relative
 //! gate, and a run that simulated nothing reads as 0 instr/s (a 100%
-//! throughput regression, not missing data). Peak RSS prefers the
-//! `rss.sampled_peak_bytes` max-gauge (sampled on every profile tick, so
-//! it sees transient peaks) over the end-of-run `peak_rss_bytes`.
+//! throughput regression, not missing data). Peak RSS is
+//! `peak_rss_bytes`, the kernel's lifetime high-water mark (`VmHWM`),
+//! which includes transient peaks freed before the end of the run.
 //!
 //! A failing accuracy gate names the guiltiest PCs from the current
 //! manifest's `attribution` array; a failing phase-share gate names the
-//! hottest sampled stack under the phase.
+//! stack under the phase with the most self time.
 //!
 //! Exit status:
 //!
@@ -153,7 +153,7 @@ const GATES: [Gate; 7] = [
         want: ">= 0.0",
         name: "peak-RSS",
         title: "peak RSS",
-        needs: |_| "peak RSS (neither rss.sampled_peak_bytes nor peak_rss_bytes)".to_owned(),
+        needs: |_| "peak RSS (peak_rss_bytes)".to_owned(),
         subjects: run_wide,
         current: peak_rss,
         bound: Bound::Relative(peak_rss),
@@ -260,15 +260,9 @@ fn effective_accuracy(m: &RunManifest, _: &str) -> Option<f64> {
     (speculated > 0).then(|| correct as f64 / speculated as f64)
 }
 
-/// The best available peak-RSS reading: the sampled max-gauge when the
-/// run was profiled, else the end-of-run `VmHWM` snapshot.
+/// The run's peak RSS (`None` when the platform could not read it).
 fn peak_rss(m: &RunManifest, _: &str) -> Option<f64> {
-    m.gauges
-        .get("rss.sampled_peak_bytes")
-        .copied()
-        .filter(|&b| b > 0)
-        .or_else(|| (m.peak_rss_bytes > 0).then_some(m.peak_rss_bytes))
-        .map(|b| b as f64)
+    (m.peak_rss_bytes > 0).then_some(m.peak_rss_bytes as f64)
 }
 
 /// Fused-sweep passes per distinct swept trace (`None` when the counters
@@ -324,8 +318,8 @@ fn blame_accuracy(current: &RunManifest, _: &str) {
     }
 }
 
-/// The highest-count hot stack whose frames start with the phase path
-/// (stacks are `;`-joined, phase paths `/`-joined).
+/// The hot stack with the most self time whose frames start with the
+/// phase path (stacks are `;`-joined, phase paths `/`-joined).
 fn hottest_stack_under(m: &RunManifest, phase_path: &str) -> Option<String> {
     let prefix: Vec<&str> = phase_path.split('/').collect();
     m.profile
@@ -336,7 +330,7 @@ fn hottest_stack_under(m: &RunManifest, phase_path: &str) -> Option<String> {
             let frames: Vec<&str> = h.stack.split(';').collect();
             frames.len() >= prefix.len() && frames[..prefix.len()] == prefix[..]
         })
-        .max_by(|a, b| a.count.cmp(&b.count).then_with(|| b.stack.cmp(&a.stack)))
+        .max_by(|a, b| a.us.cmp(&b.us).then_with(|| b.stack.cmp(&a.stack)))
         .map(|h| h.stack.clone())
 }
 
@@ -605,15 +599,13 @@ mod tests {
     fn profiled(phases: &[(&str, f64)], stacks: &[(&str, u64)]) -> RunManifest {
         let mut m = manifest();
         m.profile = Some(vp_obs::ProfileSection {
-            hz: 99,
-            samples: stacks.iter().map(|(_, c)| c).sum(),
-            dropped: 0,
+            total_us: stacks.iter().map(|(_, us)| us).sum(),
             threads: 1,
             hot_stacks: stacks
                 .iter()
-                .map(|(s, c)| vp_obs::HotStack {
+                .map(|(s, us)| vp_obs::HotStack {
                     stack: (*s).to_owned(),
-                    count: *c,
+                    us: *us,
                     share: 0.0,
                 })
                 .collect(),
@@ -631,8 +623,8 @@ mod tests {
 
     #[test]
     fn phase_share_gate_blames_the_phase_that_grew() {
-        // `run/profile` went from 12% to 31% of samples while everything
-        // else shrank.
+        // `run/profile` went from 12% to 31% of the profile while
+        // everything else shrank.
         let base = profiled(&[("run", 1.0), ("run/profile", 0.12)], &[]);
         let cur = profiled(
             &[("run", 1.0), ("run/profile", 0.31)],
@@ -664,7 +656,7 @@ mod tests {
         let cur = profiled(&[("run", 1.0), ("run/surprise", 0.2)], &[("other", 1)]);
         let a = args(&["--max-phase-share-regression=0.1"]).unwrap();
         assert_eq!(run_gates(&a, &base, &cur), 1);
-        // No sampled stack lives under the new phase: blame stays honest.
+        // No hot stack lives under the new phase: blame stays honest.
         assert_eq!(hottest_stack_under(&cur, "run/surprise"), None);
         // A baseline without any profile skips the gate instead.
         assert_eq!(run_gates(&a, &manifest(), &cur), 0);
@@ -744,18 +736,9 @@ mod tests {
         assert!(args(&["--max-peak-rss-regression=-0.1"]).is_err());
 
         let mut m = manifest();
-        // Neither reading recorded -> the gate cannot judge the run.
+        // Not recorded (0) -> the gate cannot judge the run.
         assert_eq!(peak_rss(&m, ""), None);
-        // End-of-run VmHWM alone is enough...
         m.peak_rss_bytes = 64 << 20;
-        assert_eq!(peak_rss(&m, ""), Some(f64::from(64u32 << 20)));
-        // ...but the sampled max-gauge wins when present (it sees
-        // transient peaks the exit snapshot can miss across processes).
-        m.gauges
-            .insert("rss.sampled_peak_bytes".to_owned(), 48 << 20);
-        assert_eq!(peak_rss(&m, ""), Some(f64::from(48u32 << 20)));
-        // A zero gauge (never sampled) falls back again.
-        m.gauges.insert("rss.sampled_peak_bytes".to_owned(), 0);
         assert_eq!(peak_rss(&m, ""), Some(f64::from(64u32 << 20)));
     }
 

@@ -39,15 +39,14 @@
 //!                            OBSERVABILITY.md)
 //! --attribution-top=N        PCs exported per attributed run, hottest
 //!                            mispredictors first (default 20; 0 = all)
-//! --profile-hz=N             sample every thread's open-span stack N
-//!                            times per second on the background ticker
-//!                            thread and embed the folded result as the
-//!                            manifest's `profile` section
-//! --profile-out=FILE         write the collapsed-stack samples to FILE
-//!                            (`a;b;c <count>` lines, readable by
-//!                            `flamegraph.pl` or speedscope); requires
-//!                            --profile-hz=
+//! --profile-out=FILE         write the run's span self times to FILE
+//!                            as collapsed stacks (`a;b;c <µs>` lines,
+//!                            readable by `flamegraph.pl` or speedscope)
 //! ```
+//!
+//! Every manifest carries a `profile` section built from the same
+//! self times: each span close records its wall time minus the spans
+//! closed inside it, so the profile is exact and costs no thread.
 //!
 //! Every flag also accepts the space-separated form (`--jobs 4`); see
 //! [`args::normalize`].
@@ -90,11 +89,8 @@ pub struct Options {
     pub attribution: bool,
     /// PCs exported per attributed run (0 = all).
     pub attribution_top: usize,
-    /// Span-stack sampling cadence in Hz, if profiling was requested.
-    /// Observation-only: stdout stays byte-identical either way.
-    pub profile_hz: Option<u32>,
     /// Where to write the collapsed-stack profile, if anywhere.
-    /// Requires `profile_hz`.
+    /// Observation-only: stdout stays byte-identical either way.
     pub profile_out: Option<PathBuf>,
 }
 
@@ -110,7 +106,6 @@ impl Default for Options {
             sample_ms: None,
             attribution: false,
             attribution_top: 20,
-            profile_hz: None,
             profile_out: None,
         }
     }
@@ -169,13 +164,6 @@ impl Options {
                 opts.attribution_top = n.parse().map_err(|_| {
                     format!("bad --attribution-top value `{n}` (want an integer; 0 = all)")
                 })?;
-            } else if let Some(n) = arg.strip_prefix("--profile-hz=") {
-                opts.profile_hz = Some(
-                    n.parse()
-                        .ok()
-                        .filter(|&hz| hz >= 1)
-                        .ok_or_else(|| format!("bad --profile-hz value `{n}` (want >= 1)"))?,
-                );
             } else if let Some(path) = arg.strip_prefix("--profile-out=") {
                 if path.is_empty() {
                     return Err("empty --profile-out path".to_owned());
@@ -186,14 +174,9 @@ impl Options {
                     "unknown argument `{arg}` (try --workloads=, --train-runs=, \
                      --jobs=, --stream, \
                      --metrics-out=, --metrics-table, --sample-ms=, --attribution, \
-                     --attribution-top=, --profile-hz=, --profile-out=)"
+                     --attribution-top=, --profile-out=)"
                 ));
             }
-        }
-        if opts.profile_out.is_some() && opts.profile_hz.is_none() {
-            return Err(
-                "--profile-out requires --profile-hz= (nothing would be sampled)".to_owned(),
-            );
         }
         Ok(opts)
     }
@@ -227,8 +210,7 @@ impl Options {
 /// builds the suite, executes `body` under a root span named after the
 /// binary, and — when the observability flags ask for it — folds the
 /// suite's trace-store statistics into the metric registry, samples the
-/// registry and span stacks mid-run and emits the run manifest and the
-/// folded profile.
+/// registry mid-run and emits the run manifest and the folded profile.
 ///
 /// With no observability flags set this adds nothing observable: no
 /// files, no stderr, and stdout exactly as `body` printed it.
@@ -245,48 +227,36 @@ pub fn run_experiment_with(bin: &'static str, opts: &Options, body: impl FnOnce(
         provp_core::attribution::enable(opts.attribution_top);
     }
     let suite = opts.suite();
-    // The ticker must start before the root span opens: span-stack
-    // mirroring only covers spans pushed after arming, so starting it
-    // here makes every stack sample a full `bin/...` path. Its hook
-    // republishes the trace store's lock-consistent counter block right
-    // before every registry snapshot, so invariants like `memory_hits +
-    // misses == requests` hold in every sample, not just at end of run.
-    // Publishing is idempotent (`record_absolute`), so the hook and the
-    // end-of-run publish never double count.
-    let ticker = (opts.sample_ms.is_some() || opts.profile_hz.is_some()).then(|| {
-        let schedule = vp_obs::Schedule {
-            sample_every: opts.sample_ms.map(std::time::Duration::from_millis),
-            profile_hz: opts.profile_hz,
-            ..vp_obs::Schedule::default()
-        };
+    // The ticker's hook republishes the trace store's lock-consistent
+    // counter block right before every registry snapshot, so invariants
+    // like `memory_hits + misses == requests` hold in every sample, not
+    // just at end of run. Publishing is idempotent (`record_absolute`),
+    // so the hook and the end-of-run publish never double count.
+    let ticker = opts.sample_ms.map(|ms| {
         let store = suite.trace_store();
         let hook = move || publish_trace_store_stats(&store.stats());
-        vp_obs::Ticker::start(schedule, vp_obs::global(), hook).unwrap_or_else(|e| {
-            obs_error!("failed to start the sampling thread: {e}");
-            std::process::exit(1);
-        })
+        vp_obs::Ticker::start(std::time::Duration::from_millis(ms), vp_obs::global(), hook)
+            .unwrap_or_else(|e| {
+                obs_error!("failed to start the sampling thread: {e}");
+                std::process::exit(1);
+            })
     });
     {
         let _root = vp_obs::span(bin);
         body(opts, &suite);
     }
-    // Stopping the ticker publishes `profiler.samples` /
-    // `profiler.dropped_samples`, so they land in the manifest's counters.
-    let vp_obs::Harvest { samples, profile } = ticker.map(vp_obs::Ticker::stop).unwrap_or_default();
-    emit_profile(opts, profile.as_ref());
-    emit_metrics(bin, opts, &suite, started, samples, profile);
+    let samples = ticker.map(vp_obs::Ticker::stop).unwrap_or_default();
+    emit_profile(opts);
+    emit_metrics(bin, opts, &suite, started, samples);
 }
-
-/// Hot stacks exported into the manifest's `profile` section.
-const PROFILE_TOP_K: usize = 20;
 
 /// Writes the collapsed-stack profile when `--profile-out=` asked for
 /// it. A no-op otherwise.
-fn emit_profile(opts: &Options, profile: Option<&vp_obs::Profile>) {
+fn emit_profile(opts: &Options) {
     let Some(path) = &opts.profile_out else {
         return;
     };
-    let Some(profile) = profile else { return };
+    let profile = vp_obs::Profile::from_spans(&vp_obs::global().snapshot().spans);
     if let Err(e) = vp_obs::export::write_atomically(path, &profile.folded_text()) {
         obs_error!("failed to write folded profile to {}: {e}", path.display());
         std::process::exit(1);
@@ -301,7 +271,6 @@ fn emit_metrics(
     suite: &Suite,
     started: Instant,
     samples: Vec<vp_obs::Sample>,
-    profile: Option<vp_obs::Profile>,
 ) {
     let attribution = provp_core::attribution::drain();
     if opts.metrics_out.is_none() && !opts.metrics_table {
@@ -319,13 +288,6 @@ fn emit_metrics(
                 attribution.len()
             );
         }
-        if profile.is_some() && opts.profile_out.is_none() {
-            vp_obs::obs_warn!(
-                "--profile-hz sampled the run but none of --profile-out=, \
-                 --metrics-out= or --metrics-table was given; the profile is \
-                 discarded"
-            );
-        }
         return;
     }
     publish_trace_store_stats(&suite.trace_stats());
@@ -337,8 +299,7 @@ fn emit_metrics(
         &vp_obs::global().snapshot(),
     )
     .with_samples(samples)
-    .with_attribution(attribution)
-    .with_profile(profile.map(|p| p.to_section(PROFILE_TOP_K)));
+    .with_attribution(attribution);
     if opts.metrics_table {
         vp_obs::print_table(&manifest);
     }
@@ -451,23 +412,11 @@ mod tests {
 
     #[test]
     fn parses_profiler_flags() {
-        let o =
-            Options::parse(["--profile-hz=99".into(), "--profile-out=p.folded".into()]).unwrap();
-        assert_eq!(o.profile_hz, Some(99));
+        // The profile is exact and always on: --profile-out works alone.
+        let o = Options::parse(["--profile-out=p.folded".into()]).unwrap();
         assert_eq!(o.profile_out.as_deref(), Some("p.folded".as_ref()));
-        let o = Options::parse([]).unwrap();
-        assert_eq!(o.profile_hz, None);
-        assert_eq!(o.profile_out, None);
-        // Sampling without exporting is fine: the profile still lands in
-        // the manifest when metrics flags are present.
-        let o = Options::parse(["--profile-hz=50".into()]).unwrap();
-        assert_eq!(o.profile_hz, Some(50));
-
-        assert!(Options::parse(["--profile-hz=0".into()]).is_err());
-        assert!(Options::parse(["--profile-hz=fast".into()]).is_err());
+        assert_eq!(Options::parse([]).unwrap().profile_out, None);
         assert!(Options::parse(["--profile-out=".into()]).is_err());
-        // --profile-out without a rate would silently sample nothing.
-        assert!(Options::parse(["--profile-out=p.folded".into()]).is_err());
     }
 
     #[test]

@@ -18,7 +18,7 @@ const MIB: u64 = 1024 * 1024;
 /// A manifest carrying the data every gate reads: simulator throughput
 /// (1 M instr/s), predictor accuracy (90%), fused-sweep and ILP lane
 /// pass counters (one pass per trace each), peak RSS (100 MiB), a `run/sweep` phase
-/// (100 ms), a profile with `run/profile` at 12% of samples, and one
+/// (100 ms), a profile with `run/profile` at 12% of its time, and one
 /// attributed PC for accuracy blame.
 fn full() -> RunManifest {
     let mut m = RunManifest {
@@ -70,19 +70,17 @@ fn full() -> RunManifest {
 
 fn profile(profile_share: f64) -> ProfileSection {
     ProfileSection {
-        hz: 99,
-        samples: 100,
-        dropped: 0,
+        total_us: 100,
         threads: 1,
         hot_stacks: vec![
             HotStack {
                 stack: "run;sweep".to_owned(),
-                count: 60,
+                us: 60,
                 share: 0.6,
             },
             HotStack {
                 stack: "run;profile;merge".to_owned(),
-                count: 30,
+                us: 30,
                 share: 0.3,
             },
         ],
@@ -341,10 +339,7 @@ fn cases() -> Vec<Case> {
             "peak RSS fail",
             &["--max-peak-rss-regression=0.25"],
             ok(full()),
-            ok(with(|m| {
-                m.gauges
-                    .insert("rss.sampled_peak_bytes".to_owned(), 150 * MIB);
-            })),
+            ok(with(|m| m.peak_rss_bytes = 150 * MIB)),
             1,
             "peak RSS regressed 50.0%",
         ),

@@ -1,12 +1,12 @@
 //! Guards the observability layer's central contract: requesting a run
 //! manifest must not perturb experiment output. Runs the real `repro-all`
 //! binary with and without observability flags (`--metrics-out`,
-//! `--sample-ms`, `--attribution`, `--profile-hz`, `--profile-out`) and
-//! asserts stdout is byte-identical, then sanity-checks the emitted
-//! manifest, the time-series samples, the per-PC attribution layer
-//! (deterministic across `--jobs`, totals reconciling exactly with the
-//! predictor counters), the sampling profiler's folded/manifest
-//! exports, and the
+//! `--sample-ms`, `--attribution`, `--profile-out`) and asserts stdout
+//! is byte-identical, then sanity-checks the emitted manifest, the
+//! time-series samples, the per-PC attribution layer (deterministic
+//! across `--jobs`, totals reconciling exactly with the predictor
+//! counters), the span self-time profile's folded/manifest exports, and
+//! the
 //! `manifest-diff` / `attribution-report` reporting tools.
 
 use std::collections::BTreeMap;
@@ -14,7 +14,7 @@ use std::path::Path;
 use std::process::Command;
 
 use vp_obs::json::Json;
-use vp_obs::{RunManifest, SCHEMA_V4};
+use vp_obs::{RunManifest, SCHEMA_V5};
 
 const ARGS: &[&str] = &["--workloads=compress,ijpeg", "--train-runs=2", "--jobs=2"];
 
@@ -119,8 +119,8 @@ fn parse_manifest(path: &Path) -> RunManifest {
     assert!(text.ends_with('\n'), "manifest ends with newline");
     // Every manifest is written under the one schema, flags or not.
     assert!(
-        text.contains(&format!(r#""schema":"{SCHEMA_V4}""#)),
-        "manifest is written as {SCHEMA_V4}"
+        text.contains(&format!(r#""schema":"{SCHEMA_V5}""#)),
+        "manifest is written as {SCHEMA_V5}"
     );
     RunManifest::parse(text.trim_end()).expect("manifest parses")
 }
@@ -312,11 +312,10 @@ fn attribution_is_deterministic_and_reconciles() {
     std::fs::remove_file(&path_j2).unwrap();
 }
 
-/// The sampling profiler end to end: `--profile-hz`/`--profile-out` must
-/// leave experiment stdout byte-identical, add an internally consistent
-/// `profile` section to the manifest, write a collapsed-stack file that
-/// parses back to the sampled total and nothing next to it, and publish
-/// the `profiler.*` loss counters.
+/// The span self-time profile end to end: `--profile-out`/`--metrics-out`
+/// must leave experiment stdout byte-identical, the manifest must carry
+/// an internally consistent `profile` section, and the collapsed-stack
+/// file must parse back to the section's total and nothing next to it.
 #[test]
 fn profiler_leaves_stdout_byte_identical() {
     let pid = std::process::id();
@@ -329,7 +328,6 @@ fn profiler_leaves_stdout_byte_identical() {
 
     let plain = run_repro_all(&[]);
     let profiled = run_repro_all(&[
-        "--profile-hz=199".to_owned(),
         format!("--profile-out={}", folded_path.display()),
         format!("--metrics-out={}", manifest_path.display()),
     ]);
@@ -338,20 +336,19 @@ fn profiler_leaves_stdout_byte_identical() {
     assert!(profiled.status.success(), "profiled run failed");
     assert_eq!(
         plain.stdout, profiled.stdout,
-        "--profile-hz/--profile-out must not change experiment stdout"
+        "--profile-out/--metrics-out must not change experiment stdout"
     );
 
     // -- manifest with a consistent profile section --
     let manifest = parse_manifest(&manifest_path);
     std::fs::remove_file(&manifest_path).unwrap();
     let profile = manifest.profile.as_ref().expect("profile section present");
-    assert_eq!(profile.hz, 199);
-    assert!(profile.samples > 0, "a multi-second run must be sampled");
+    assert!(profile.total_us > 0, "the run's spans recorded self time");
     assert!(profile.threads >= 1);
     assert!(!profile.hot_stacks.is_empty());
     assert!(!profile.phases.is_empty());
-    // Every sample opens under the root span, so the root phase carries
-    // (almost) the whole run; small slack for pre/post-span samples.
+    // Every span nests under the root span, and the workers adopt paths
+    // below it, so the root phase carries the whole profile.
     let root = profile
         .phases
         .iter()
@@ -359,7 +356,7 @@ fn profiler_leaves_stdout_byte_identical() {
         .expect("root phase profiled");
     assert!(
         root.total_share > 0.9,
-        "root span must dominate the samples, got {}",
+        "root span must dominate the profile, got {}",
         root.total_share
     );
     for p in &profile.phases {
@@ -369,26 +366,15 @@ fn profiler_leaves_stdout_byte_identical() {
             p.path
         );
     }
-    // Loss counters are published even when nothing was dropped, so the
-    // metrics-table footer (and dashboards) can rely on the keys.
-    assert!(
-        manifest.counters.contains_key("profiler.dropped_samples"),
-        "profiled runs must report profiler.dropped_samples (even when 0)"
-    );
-    assert_eq!(
-        manifest.counters.get("profiler.samples").copied(),
-        Some(profile.samples),
-        "manifest counter must agree with the profile section"
-    );
 
-    // -- folded output parses back to the sampled total --
+    // -- folded output parses back to the section's total --
     let folded_text = std::fs::read_to_string(&folded_path).expect("folded file written");
     std::fs::remove_file(&folded_path).unwrap();
     let folded = vp_obs::Profile::parse_folded(&folded_text).expect("folded file parses");
     assert_eq!(
         folded.values().sum::<u64>(),
-        profile.samples,
-        "folded counts must sum to the sampled total"
+        profile.total_us,
+        "folded µs must sum to the section's total_us"
     );
     assert!(
         folded.keys().all(|k| k.starts_with("repro-all")),

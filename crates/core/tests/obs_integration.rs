@@ -8,7 +8,7 @@ use std::thread;
 use std::time::Duration;
 
 use provp_core::{parallel_map, TraceStore};
-use vp_obs::{Registry, Schedule, Ticker};
+use vp_obs::{Registry, Ticker};
 use vp_sim::RunLimits;
 use vp_workloads::{InputSet, WorkloadKind};
 
@@ -151,11 +151,7 @@ fn sampler_hook_keeps_trace_store_invariant_in_every_sample() {
         let requests = registry.counter_cell("trace_store.requests");
         let hits = registry.counter_cell("trace_store.memory_hits");
         let misses = registry.counter_cell("trace_store.misses");
-        let schedule = Schedule {
-            sample_every: Some(Duration::from_millis(1)),
-            ..Schedule::default()
-        };
-        Ticker::start(schedule, registry, move || {
+        Ticker::start(Duration::from_millis(1), registry, move || {
             // One consistent snapshot, published idempotently: stats are
             // monotone, so fetch_max republishes without double counting.
             let s = store.stats();
@@ -187,7 +183,7 @@ fn sampler_hook_keeps_trace_store_invariant_in_every_sample() {
         }
     });
 
-    let samples = sampler.stop().samples;
+    let samples = sampler.stop();
     assert!(samples.len() >= 2, "series must hold >= 2 points");
     let counter = |s: &vp_obs::Sample, k: &str| s.counters.get(k).copied().unwrap_or(0);
     for s in &samples {

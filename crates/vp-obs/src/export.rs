@@ -86,32 +86,17 @@ pub fn render_table(manifest: &RunManifest) -> String {
     // Data-loss footer: any recorded sample loss must be visible without
     // opening the manifest (a zero is printed too, so "sampling was on
     // and nothing was lost" is distinguishable from "not sampled").
-    let discarded = manifest.counters.get("sampler.discarded_samples");
-    let prof_dropped = manifest.counters.get("profiler.dropped_samples");
-    if discarded.is_some() || prof_dropped.is_some() {
+    if let Some(n) = manifest.counters.get("sampler.discarded_samples") {
         let _ = writeln!(out, "-- data loss --");
-        if let Some(n) = discarded {
-            let _ = writeln!(
-                out,
-                "samples discarded     {n}{}",
-                if *n > 0 {
-                    " (sampler at capacity; raise --sample-ms)"
-                } else {
-                    ""
-                }
-            );
-        }
-        if let Some(n) = prof_dropped {
-            let _ = writeln!(
-                out,
-                "profile samples lost  {n}{}",
-                if *n > 0 {
-                    " (profiler ring overflowed; oldest samples were lost)"
-                } else {
-                    ""
-                }
-            );
-        }
+        let _ = writeln!(
+            out,
+            "samples discarded     {n}{}",
+            if *n > 0 {
+                " (sampler at capacity; raise --sample-ms)"
+            } else {
+                ""
+            }
+        );
     }
     out
 }
@@ -186,7 +171,7 @@ mod tests {
         assert!(table.contains("sim.instructions"));
         assert!(table.contains("100 instr/s"));
         assert!(table.contains("record cost         12.5 ns/event\n"));
-        // No sampler/profiler counters recorded: no data-loss footer.
+        // No sampler counter recorded: no data-loss footer.
         assert!(!table.contains("-- data loss --"));
     }
 
@@ -202,20 +187,6 @@ mod tests {
         m.counters.insert("sampler.discarded_samples".to_owned(), 0);
         // A recorded zero is shown plainly, without the loss hint.
         assert!(render_table(&m).contains("samples discarded     0\n"));
-        // No profiler counter recorded: that loss channel is absent.
-        assert!(!table.contains("profile samples lost"));
-    }
-
-    #[test]
-    fn table_footer_surfaces_profiler_loss() {
-        let mut m = manifest();
-        m.counters.insert("profiler.dropped_samples".to_owned(), 7);
-        let table = render_table(&m);
-        assert!(table.contains("-- data loss --"));
-        assert!(table.contains("profile samples lost  7 (profiler ring overflowed"));
-        let mut m = manifest();
-        m.counters.insert("profiler.dropped_samples".to_owned(), 0);
-        assert!(render_table(&m).contains("profile samples lost  0\n"));
     }
 
     #[test]

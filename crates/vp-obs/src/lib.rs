@@ -23,19 +23,18 @@
 //!    predictor table health and peak RSS. The JSON round-trips through
 //!    the in-tree hand-rolled parser in [`json`] — no serde.
 //!
-//! On top of the aggregates sit opt-in layers; the two time-resolved
-//! ones are bounded:
+//! On top of the aggregates sit further layers; the time-resolved one
+//! is opt-in and bounded:
 //!
 //! - **Sampling** ([`sampler`]) — one background [`Ticker`] thread that
 //!   snapshots the counter/gauge registry mid-run (the manifest's
-//!   `samples` series) and samples every worker's open-span stack at
-//!   `--profile-hz` ([`profiler`]).
-//! - **Profiling** ([`profiler`]) — copies of each thread's one
-//!   open-span stack (kept by [`span`](mod@span) under a per-thread
-//!   lock, so a sample cannot tear), folded on shutdown into collapsed
-//!   stacks (`a;b;c <count>`, readable by `flamegraph.pl` or
-//!   speedscope) and the manifest's `profile` section that
-//!   `metrics-check` can gate.
+//!   `samples` series) every `--sample-ms`.
+//! - **Profiling** ([`profiler`]) — every span close records its self
+//!   time (its wall time minus the spans closed inside it), so the
+//!   registry's self times partition each thread's time exactly; they
+//!   fold into collapsed stacks (`a;b;c <µs>`, readable by
+//!   `flamegraph.pl` or speedscope) and the manifest's `profile` section
+//!   that `metrics-check` can gate.
 //! - **Diffing** ([`diff`]) — attribution of wall-clock and counter
 //!   deltas between two manifests as a markdown blame table, powering
 //!   the `manifest-diff` binary.
@@ -80,9 +79,9 @@ pub use attribution::{AttributionPc, AttributionRun, AttributionTotals};
 pub use diff::ManifestDiff;
 pub use export::{print_table, render_table, write_manifest};
 pub use log::Level;
-pub use manifest::{HotStack, PhaseShare, ProfileSection, RunManifest, SCHEMA_V4};
+pub use manifest::{HotStack, PhaseShare, ProfileSection, RunManifest, SCHEMA_V5};
 pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram};
 pub use profiler::Profile;
 pub use registry::{global, Registry, Snapshot, SpanStat};
-pub use sampler::{Harvest, Sample, Schedule, Ticker};
+pub use sampler::{Sample, Ticker};
 pub use span::{span, SpanGuard};

@@ -13,13 +13,14 @@
 //!
 //! ## Schema
 //!
-//! Every manifest is written as [`SCHEMA_V4`] and the parser accepts no
-//! other identifier. Three sections are optional and left out when
-//! empty: `samples` (the mid-run registry series, see
-//! [`crate::sampler`]), `attribution` (per-PC misprediction attribution,
-//! see [`crate::attribution`]) and `profile` (folded span-stack samples,
-//! see [`crate::profiler`]). A document without them parses with the
-//! sections empty.
+//! Every manifest is written as [`SCHEMA_V5`] and the parser accepts no
+//! other identifier. Three sections are optional: `samples` (the
+//! mid-run registry series, see [`crate::sampler`]) and `attribution`
+//! (per-PC misprediction attribution, see [`crate::attribution`]) are
+//! left out when empty, and `profile` (the span self-time profile, see
+//! [`crate::profiler`]) when absent; [`RunManifest::from_snapshot`]
+//! always builds it. A document without them parses with the sections
+//! empty.
 
 use std::collections::BTreeMap;
 
@@ -27,11 +28,16 @@ use vp_stats::DecileHistogram;
 
 use crate::attribution::AttributionRun;
 use crate::json::{Json, ParseError};
+use crate::profiler::Profile;
 use crate::registry::Snapshot;
 use crate::sampler::Sample;
 
 /// The manifest schema identifier, the only one written or read.
-pub const SCHEMA_V4: &str = "provp-run-manifest/v4";
+pub const SCHEMA_V5: &str = "provp-run-manifest/v5";
+
+/// Hot stacks [`RunManifest::from_snapshot`] exports into the `profile`
+/// section.
+const PROFILE_TOP_K: usize = 20;
 
 /// Wall-time aggregate of one span path.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,38 +59,35 @@ pub struct PhaseEntry {
 pub struct HotStack {
     /// Collapsed stack (`a;b;c`), one span name per frame.
     pub stack: String,
-    /// Samples whose stack was exactly this.
-    pub count: u64,
-    /// `count` over all retained samples, in `[0, 1]`.
+    /// Self time of exactly this stack, microseconds.
+    pub us: u64,
+    /// `us` over the profile's total, in `[0, 1]`.
     pub share: f64,
 }
 
-/// One span path's sample shares in the `profile` section.
+/// One span path's shares of the profiled time in the `profile`
+/// section.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseShare {
     /// Slash-separated span path (same namespace as [`PhaseEntry`]).
     pub path: String,
-    /// Share of samples whose stack ends exactly at this path.
+    /// Share of self time spent exactly at this path.
     pub self_share: f64,
-    /// Share of samples whose stack passes through this path (a
-    /// prefix's total share is >= the sum of its children's).
+    /// Share of self time spent at this path or below it (a prefix's
+    /// total share is >= the sum of its children's).
     pub total_share: f64,
 }
 
-/// The folded sampling-profiler results embedded in a manifest.
+/// The span self-time profile embedded in a manifest.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProfileSection {
-    /// Sampling cadence, Hz.
-    pub hz: u64,
-    /// Samples retained across all threads.
-    pub samples: u64,
-    /// Samples lost to ring overflow (drop-oldest).
-    pub dropped: u64,
-    /// Threads that contributed at least one sample.
+    /// Self time summed over every stack, microseconds.
+    pub total_us: u64,
+    /// Threads that opened a span or adopted a base path.
     pub threads: u64,
-    /// Hottest collapsed stacks, descending by count (top-K truncated).
+    /// Stacks with the most self time, descending (top-K truncated).
     pub hot_stacks: Vec<HotStack>,
-    /// Per-phase self/total sample shares, sorted by path.
+    /// Per-phase self/total shares, sorted by path.
     pub phases: Vec<PhaseShare>,
 }
 
@@ -98,7 +101,7 @@ impl ProfileSection {
             .map(|h| {
                 Json::obj()
                     .with("stack", h.stack.as_str())
-                    .with("count", h.count)
+                    .with("us", h.us)
                     .with("share", h.share)
             })
             .collect();
@@ -113,9 +116,7 @@ impl ProfileSection {
             })
             .collect();
         Json::obj()
-            .with("hz", self.hz)
-            .with("samples", self.samples)
-            .with("dropped", self.dropped)
+            .with("total_us", self.total_us)
             .with("threads", self.threads)
             .with("hot_stacks", Json::Arr(hot_stacks))
             .with("phases", Json::Arr(phases))
@@ -142,9 +143,7 @@ impl ProfileSection {
             .map(parse_phase_share)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ProfileSection {
-            hz: num("hz")?,
-            samples: num("samples")?,
-            dropped: num("dropped")?,
+            total_us: num("total_us")?,
             threads: num("threads")?,
             hot_stacks,
             phases,
@@ -163,7 +162,8 @@ pub struct RunManifest {
     pub wall_ms: f64,
     /// Peak resident set size in bytes (0 when unavailable).
     pub peak_rss_bytes: u64,
-    /// Per-phase wall time, from the span registry.
+    /// Per-phase wall time, from the span registry (paths with at
+    /// least one completed span).
     pub phases: Vec<PhaseEntry>,
     /// All counters.
     pub counters: BTreeMap<String, u64>,
@@ -177,14 +177,15 @@ pub struct RunManifest {
     /// Per-PC attribution of one or more predictor replays (left out of
     /// the document when empty).
     pub attribution: Vec<AttributionRun>,
-    /// Folded sampling-profiler results (left out when absent).
+    /// The span self-time profile (left out when absent).
     pub profile: Option<ProfileSection>,
 }
 
 const NS_PER_MS: f64 = 1_000_000.0;
 
 impl RunManifest {
-    /// Builds a manifest from a registry snapshot.
+    /// Builds a manifest from a registry snapshot, its `profile` section
+    /// included.
     #[must_use]
     pub fn from_snapshot(
         bin: impl Into<String>,
@@ -200,6 +201,7 @@ impl RunManifest {
             phases: snapshot
                 .spans
                 .iter()
+                .filter(|(_, stat)| stat.count > 0)
                 .map(|(path, stat)| PhaseEntry {
                     path: path.clone(),
                     count: stat.count,
@@ -217,7 +219,7 @@ impl RunManifest {
                 .collect(),
             samples: Vec::new(),
             attribution: Vec::new(),
-            profile: None,
+            profile: Some(Profile::from_spans(&snapshot.spans).to_section(PROFILE_TOP_K)),
         }
     }
 
@@ -235,7 +237,7 @@ impl RunManifest {
         self
     }
 
-    /// Attaches (or removes) the profiler section.
+    /// Attaches (or removes) the profile section.
     #[must_use]
     pub fn with_profile(mut self, profile: Option<ProfileSection>) -> RunManifest {
         self.profile = profile;
@@ -316,7 +318,7 @@ impl RunManifest {
             .with("sim_instr_per_sec", self.sim_instr_per_sec())
             .with("trace_hit_rate", self.trace_hit_rate());
         let mut doc = Json::obj()
-            .with("schema", SCHEMA_V4)
+            .with("schema", SCHEMA_V5)
             .with("bin", self.bin.as_str())
             .with(
                 "args",
@@ -363,7 +365,7 @@ impl RunManifest {
     ///
     /// # Errors
     ///
-    /// Rejects malformed JSON, any `schema` but [`SCHEMA_V4`], or
+    /// Rejects malformed JSON, any `schema` but [`SCHEMA_V5`], or
     /// structurally wrong fields (with a field-naming message).
     pub fn parse(text: &str) -> Result<RunManifest, ManifestError> {
         let doc = Json::parse(text)?;
@@ -371,7 +373,7 @@ impl RunManifest {
             .get("schema")
             .and_then(Json::as_str)
             .ok_or_else(|| ManifestError::field("schema"))?;
-        if schema != SCHEMA_V4 {
+        if schema != SCHEMA_V5 {
             return Err(ManifestError::Schema(schema.to_owned()));
         }
         let field = |k: &'static str| doc.get(k).ok_or(ManifestError::Field(k));
@@ -489,9 +491,9 @@ fn parse_hot_stack(v: &Json) -> Result<HotStack, ManifestError> {
             .as_str()
             .ok_or_else(|| ManifestError::field("stack"))?
             .to_owned(),
-        count: field("count")?
+        us: field("us")?
             .as_u64()
-            .ok_or_else(|| ManifestError::field("hot-stack count"))?,
+            .ok_or_else(|| ManifestError::field("us"))?,
         share: field("share")?
             .as_f64()
             .ok_or_else(|| ManifestError::field("share"))?,
@@ -550,7 +552,7 @@ fn parse_bins(v: &Json) -> Result<[u64; 10], ManifestError> {
 pub enum ManifestError {
     /// The JSON itself was malformed.
     Json(ParseError),
-    /// The `schema` field named anything but [`SCHEMA_V4`].
+    /// The `schema` field named anything but [`SCHEMA_V5`].
     Schema(String),
     /// A required field was missing or had the wrong type.
     Field(&'static str),
@@ -575,7 +577,7 @@ impl std::fmt::Display for ManifestError {
         match self {
             ManifestError::Json(e) => write!(f, "{e}"),
             ManifestError::Schema(s) => {
-                write!(f, "unsupported manifest schema `{s}` (want `{SCHEMA_V4}`)")
+                write!(f, "unsupported manifest schema `{s}` (want `{SCHEMA_V5}`)")
             }
             ManifestError::Field(name) => write!(f, "missing or mistyped manifest field `{name}`"),
             ManifestError::FieldNamed(name) => {
@@ -676,13 +678,11 @@ mod tests {
             }],
         }])
         .with_profile(Some(ProfileSection {
-            hz: 99,
-            samples: 100,
-            dropped: 3,
+            total_us: 100,
             threads: 2,
             hot_stacks: vec![HotStack {
                 stack: "repro-all;predict".to_owned(),
-                count: 60,
+                us: 60,
                 share: 0.6,
             }],
             phases: vec![
@@ -724,7 +724,7 @@ mod tests {
             full.clone(),
         ] {
             let text = m.to_json();
-            assert!(text.contains(r#""schema":"provp-run-manifest/v4""#));
+            assert!(text.contains(r#""schema":"provp-run-manifest/v5""#));
             // Empty optional sections are left out of the document.
             assert_eq!(text.contains(r#""samples":["#), !m.samples.is_empty());
             assert_eq!(
@@ -741,12 +741,12 @@ mod tests {
 
     #[test]
     fn v2_round_trips_with_samples() {
-        // Samples alone, which older writers marked v2, are written as v4.
+        // Samples alone, which older writers marked v2, are written as v5.
         let m = sample_full()
             .with_attribution(Vec::new())
             .with_profile(None);
         let text = m.to_json();
-        assert!(text.contains(r#""schema":"provp-run-manifest/v4""#));
+        assert!(text.contains(r#""schema":"provp-run-manifest/v5""#));
         let back = RunManifest::parse(&text).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.samples.len(), 2);
@@ -756,10 +756,10 @@ mod tests {
 
     #[test]
     fn v3_round_trips_with_attribution() {
-        // Attribution, which older writers marked v3, is written as v4.
+        // Attribution, which older writers marked v3, is written as v5.
         let m = sample_full().with_profile(None);
         let text = m.to_json();
-        assert!(text.contains(r#""schema":"provp-run-manifest/v4""#));
+        assert!(text.contains(r#""schema":"provp-run-manifest/v5""#));
         let back = RunManifest::parse(&text).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.attribution.len(), 1);
@@ -773,6 +773,8 @@ mod tests {
 
     #[test]
     fn v4_round_trips_with_profile() {
+        // The profile, which older writers marked v4 (as stack samples),
+        // is written as v5 (as self times).
         let m = sample_full();
         let back = RunManifest::parse(&m.to_json()).unwrap();
         assert_eq!(back.profile, m.profile);
@@ -786,9 +788,10 @@ mod tests {
             "provp-run-manifest/v1",
             "provp-run-manifest/v2",
             "provp-run-manifest/v3",
+            "provp-run-manifest/v4",
             "other/v9",
         ] {
-            let doc = text.replace("provp-run-manifest/v4", schema);
+            let doc = text.replace("provp-run-manifest/v5", schema);
             assert_eq!(
                 RunManifest::parse(&doc).unwrap_err(),
                 ManifestError::Schema(schema.to_owned()),
@@ -801,10 +804,10 @@ mod tests {
     fn profile_section_rejects_mistyped_fields() {
         let good = sample_full();
         let text = good.to_json();
-        let broken = text.replace(r#""hz":99"#, r#""hz":"fast""#);
+        let broken = text.replace(r#""total_us":100"#, r#""total_us":"long""#);
         assert!(matches!(
             RunManifest::parse(&broken).unwrap_err(),
-            ManifestError::Field("hz")
+            ManifestError::Field("total_us")
         ));
         let broken = text.replace(r#""hot_stacks""#, r#""hot_snacks""#);
         assert!(matches!(
@@ -826,7 +829,7 @@ mod tests {
     fn rejects_wrong_schema_and_missing_fields() {
         let err = RunManifest::parse(r#"{"schema":"other/v9"}"#).unwrap_err();
         assert!(matches!(err, ManifestError::Schema(_)));
-        let err = RunManifest::parse(r#"{"schema":"provp-run-manifest/v4"}"#).unwrap_err();
+        let err = RunManifest::parse(r#"{"schema":"provp-run-manifest/v5"}"#).unwrap_err();
         assert!(matches!(err, ManifestError::Field("bin")));
         assert!(RunManifest::parse("not json").is_err());
     }
@@ -834,11 +837,22 @@ mod tests {
     #[test]
     fn from_snapshot_converts_units() {
         let r = crate::Registry::new();
-        r.record_span("x", 2_000_000); // 2 ms
+        r.record_span("x", 2_000_000, 1_500_000); // 2 ms, 1.5 ms self
+        r.record_span("x/y", 500_000, 500_000);
+        // A path only adopted as a base has no phase row.
+        r.record_adopted("z", 1_000_000);
         let snap = r.snapshot();
         let m = RunManifest::from_snapshot("b", vec![], 9.0, &snap);
-        assert_eq!(m.phases.len(), 1);
+        assert_eq!(m.phases.len(), 2);
         assert_eq!(m.phases[0].path, "x");
         assert!((m.phases[0].total_ms - 2.0).abs() < 1e-9);
+        let profile = m.profile.expect("every snapshot manifest is profiled");
+        assert_eq!(profile.total_us, 3_000);
+        let share = |path: &str| {
+            let phase = profile.phases.iter().find(|p| p.path == path).unwrap();
+            (phase.self_share, phase.total_share)
+        };
+        assert_eq!(share("x"), (0.5, 2.0 / 3.0));
+        assert_eq!(share("z"), (1.0 / 3.0, 1.0 / 3.0));
     }
 }

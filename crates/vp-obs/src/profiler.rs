@@ -1,62 +1,70 @@
-//! In-process sampling profiler over the span stack.
+//! The run's phase profile, built from exact span self times.
 //!
-//! Aggregate spans say how long each phase took *in total*; the sampling
-//! profiler says **where wall time concentrates** while costing nothing
-//! when it is off. Every thread that opens a [`crate::span()`] or
-//! [`crate::span::adopt`]s a base path keeps its open-span stack under a
-//! per-thread lock in one process-wide list (see
-//! [`span`](mod@crate::span)); the background [`crate::Ticker`] thread
-//! periodically locks and copies every registered stack into bounded
-//! per-thread ring buffers (drop-oldest, accounted by the
-//! `profiler.dropped_samples` counter) and, on [`crate::Ticker::stop`],
-//! folds the samples into collapsed-stack form (`a;b;c <count>`), ready
-//! for `flamegraph.pl` or speedscope and the manifest's `profile`
-//! section.
+//! Aggregate spans say how long each phase took *in total*; the profile
+//! says **where thread time concentrates**. Every span close and every
+//! dropped [`crate::span::adopt`] guard records its *self* time (see
+//! [`span`](mod@crate::span)), so summed over span paths the self times
+//! partition the time each thread spent inside spans exactly. A
+//! [`Profile`] renders those self times, in microseconds, as collapsed
+//! stacks (`a;b;c <µs>`, ready for `flamegraph.pl` or speedscope) and
+//! as the manifest's `profile` section.
 //!
-//! ## Cost contract
-//!
-//! - **Off (the default):** span guards pay one uncontended lock of
-//!   their own thread's stack per open or close; nothing else.
-//! - **On:** the ticker holds each stack's lock only while it clones
-//!   it, so a span guard waits at most for that copy.
-//! - **Snapshots are consistent:** a sample is a copy taken under the
-//!   stack's lock, so it is always a real span path, never a mixture
-//!   of two states, at any depth.
-//!
-//! Worker threads spawned by `parallel_map` adopt their parent's span
-//! path ([`crate::span::adopt`]); the adopted base is part of the
-//! stack, so worker samples fold under the same hierarchical stack a
-//! serial run would produce. Spans already open when a ticker starts
-//! are sampled like any other.
+//! Nothing samples: the profile costs no thread and no tick, and two
+//! runs' profiles compare without sampling error. A span still open
+//! when the profile is built contributes nothing. Worker threads
+//! spawned by `parallel_map` adopt their parent's span path, so their
+//! time, in spans or not, folds under the same stack a serial run
+//! would produce; a parent blocked while its workers run counts too,
+//! so a phase's share is a share of thread time.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 
-/// The folded result of one profiling run.
+use crate::registry::SpanStat;
+
+/// The folded self times of one run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Profile {
-    /// Sampling cadence the run was started with, Hz.
-    pub hz: u32,
-    /// Samples retained (the folded counts sum to this).
-    pub samples: u64,
-    /// Samples discarded because a per-thread ring overflowed
-    /// (drop-oldest; also published as `profiler.dropped_samples`).
-    pub dropped: u64,
-    /// Threads that contributed at least one sample.
+    /// Threads that opened a span or adopted a base path.
     pub threads: u64,
-    /// Collapsed stacks: `a;b;c` → sample count.
+    /// Collapsed stacks: `a;b;c` → self time in whole microseconds
+    /// (stacks under 1 µs are left out).
     pub folded: BTreeMap<String, u64>,
 }
 
 impl Profile {
+    /// Folds the self times of a registry snapshot's spans
+    /// ([`crate::Snapshot::spans`]); `threads` is
+    /// [`crate::span::thread_count`].
+    #[must_use]
+    pub fn from_spans(spans: &BTreeMap<String, SpanStat>) -> Profile {
+        let mut folded = BTreeMap::new();
+        for (path, stat) in spans {
+            let us = stat.self_ns / 1_000;
+            if us > 0 {
+                *folded.entry(path.replace('/', ";")).or_insert(0) += us;
+            }
+        }
+        Profile {
+            threads: crate::span::thread_count(),
+            folded,
+        }
+    }
+
+    /// The summed self time, microseconds.
+    #[must_use]
+    pub fn total_us(&self) -> u64 {
+        self.folded.values().sum()
+    }
+
     /// Renders the canonical collapsed-stack text form, one
-    /// `stack count` line per distinct stack, sorted by stack.
+    /// `stack µs` line per distinct stack, sorted by stack.
     #[must_use]
     pub fn folded_text(&self) -> String {
         let mut out = String::new();
-        for (stack, count) in &self.folded {
+        for (stack, us) in &self.folded {
             out.push_str(stack);
             out.push(' ');
-            out.push_str(&count.to_string());
+            out.push_str(&us.to_string());
             out.push('\n');
         }
         out
@@ -67,7 +75,7 @@ impl Profile {
     ///
     /// # Errors
     ///
-    /// Rejects lines without a trailing integer count, naming the line.
+    /// Rejects lines without a trailing integer weight, naming the line.
     pub fn parse_folded(text: &str) -> Result<BTreeMap<String, u64>, String> {
         let mut folded = BTreeMap::new();
         for (i, line) in text.lines().enumerate() {
@@ -75,30 +83,30 @@ impl Profile {
             if line.is_empty() {
                 continue;
             }
-            let (stack, count) = line
+            let (stack, weight) = line
                 .rsplit_once(' ')
-                .ok_or_else(|| format!("line {}: no sample count in `{line}`", i + 1))?;
-            let count: u64 = count
+                .ok_or_else(|| format!("line {}: no weight in `{line}`", i + 1))?;
+            let weight: u64 = weight
                 .parse()
-                .map_err(|_| format!("line {}: bad sample count `{count}`", i + 1))?;
-            *folded.entry(stack.to_owned()).or_insert(0) += count;
+                .map_err(|_| format!("line {}: bad weight `{weight}`", i + 1))?;
+            *folded.entry(stack.to_owned()).or_insert(0) += weight;
         }
         Ok(folded)
     }
 
-    /// Builds the manifest's `profile` section: the `top_k` hottest
-    /// stacks (0 = all) plus per-phase self/total sample shares derived
-    /// from the folded stacks (a phase's *total* share counts every
-    /// sample whose stack passes through it; its *self* share counts
-    /// samples whose stack ends exactly there).
+    /// Builds the manifest's `profile` section: the `top_k` stacks with
+    /// the most self time (0 = all) plus per-phase self/total shares (a
+    /// phase's *total* share counts the self time of every stack that
+    /// passes through it; its *self* share only the stack that ends
+    /// exactly there).
     #[must_use]
     pub fn to_section(&self, top_k: usize) -> crate::manifest::ProfileSection {
-        let total: u64 = self.folded.values().sum();
-        let share = |count: u64| {
-            if total == 0 {
+        let total_us = self.total_us();
+        let share = |us: u64| {
+            if total_us == 0 {
                 0.0
             } else {
-                count as f64 / total as f64
+                us as f64 / total_us as f64
             }
         };
         let mut hot: Vec<(&String, &u64)> = self.folded.iter().collect();
@@ -107,39 +115,37 @@ impl Profile {
         let hot_stacks = hot
             .into_iter()
             .take(take)
-            .map(|(stack, &count)| crate::manifest::HotStack {
+            .map(|(stack, &us)| crate::manifest::HotStack {
                 stack: stack.clone(),
-                count,
-                share: share(count),
+                us,
+                share: share(us),
             })
             .collect();
 
-        let mut self_counts: BTreeMap<String, u64> = BTreeMap::new();
-        let mut total_counts: BTreeMap<String, u64> = BTreeMap::new();
-        for (stack, &count) in &self.folded {
+        let mut self_us: BTreeMap<String, u64> = BTreeMap::new();
+        let mut subtree_us: BTreeMap<String, u64> = BTreeMap::new();
+        for (stack, &us) in &self.folded {
             let mut path = String::new();
             for frame in stack.split(';') {
                 if !path.is_empty() {
                     path.push('/');
                 }
                 path.push_str(frame);
-                *total_counts.entry(path.clone()).or_insert(0) += count;
+                *subtree_us.entry(path.clone()).or_insert(0) += us;
             }
-            *self_counts.entry(path).or_insert(0) += count;
+            *self_us.entry(path).or_insert(0) += us;
         }
-        let phases = total_counts
+        let phases = subtree_us
             .iter()
-            .map(|(path, &tc)| crate::manifest::PhaseShare {
+            .map(|(path, &us)| crate::manifest::PhaseShare {
                 path: path.clone(),
-                self_share: share(self_counts.get(path).copied().unwrap_or(0)),
-                total_share: share(tc),
+                self_share: share(self_us.get(path).copied().unwrap_or(0)),
+                total_share: share(us),
             })
             .collect();
 
         crate::manifest::ProfileSection {
-            hz: u64::from(self.hz),
-            samples: self.samples,
-            dropped: self.dropped,
+            total_us,
             threads: self.threads,
             hot_stacks,
             phases,
@@ -147,148 +153,62 @@ impl Profile {
     }
 }
 
-/// The span-stack half of a [`crate::Ticker`]: bounded drop-oldest
-/// rings of stack samples, one per thread, folded into a [`Profile`]
-/// when the ticker stops.
-pub(crate) struct StackRings {
-    hz: u32,
-    capacity: usize,
-    /// Per-thread rings of ids into `keys`.
-    rings: BTreeMap<u64, VecDeque<u32>>,
-    /// Run-local table of the distinct collapsed stacks sampled.
-    keys: Vec<String>,
-    key_ids: HashMap<String, u32>,
-    dropped: u64,
-}
-
-impl StackRings {
-    pub(crate) fn new(hz: u32, capacity: usize) -> StackRings {
-        StackRings {
-            hz,
-            capacity: capacity.max(1),
-            rings: BTreeMap::new(),
-            keys: Vec::new(),
-            key_ids: HashMap::new(),
-            dropped: 0,
-        }
-    }
-
-    /// One profile tick: copy every live stack, record non-empty
-    /// samples, track the loss counter and the sampled-RSS max gauge.
-    pub(crate) fn tick(&mut self) {
-        for (tid, stack) in crate::span::stacks() {
-            // Base paths are slash-separated span hierarchies; re-split
-            // so folded frames stay one span per frame.
-            let key = stack
-                .base
-                .iter()
-                .flat_map(|b| b.split('/'))
-                .chain(stack.frames.iter().copied())
-                .collect::<Vec<_>>()
-                .join(";");
-            if key.is_empty() {
-                continue; // outside all spans: nothing to attribute
-            }
-            let id = match self.key_ids.get(&key) {
-                Some(&id) => id,
-                None => {
-                    let id = u32::try_from(self.keys.len()).expect("stack count fits u32");
-                    self.keys.push(key.clone());
-                    self.key_ids.insert(key, id);
-                    id
-                }
-            };
-            let ring = self.rings.entry(tid).or_default();
-            if ring.len() >= self.capacity {
-                ring.pop_front();
-                self.dropped += 1;
-                crate::counter("profiler.dropped_samples").inc();
-            }
-            ring.push_back(id);
-        }
-        crate::counter("profiler.ticks").inc();
-        // Satellite of the same tick: the true transient RSS peak, not
-        // just the end-of-run procfs high-water mark.
-        let rss = crate::rss::current_rss_bytes();
-        if rss > 0 {
-            crate::gauge("rss.sampled_peak_bytes").set_max(rss);
-        }
-    }
-
-    /// Folds the retained samples into collapsed stacks.
-    pub(crate) fn fold(self) -> Profile {
-        let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-        let mut samples = 0u64;
-        for &id in self.rings.values().flatten() {
-            *folded.entry(self.keys[id as usize].clone()).or_insert(0) += 1;
-            samples += 1;
-        }
-        // Publish the retained/dropped totals so the manifest and the
-        // --metrics-table footer can report the loss channel even when
-        // the folded output goes unexported.
-        crate::counter("profiler.samples").record_absolute(samples);
-        crate::counter("profiler.dropped_samples").record_absolute(self.dropped);
-        Profile {
-            hz: self.hz,
-            samples,
-            dropped: self.dropped,
-            threads: self.rings.len() as u64,
-            folded,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    /// The profile of this process's spans whose path starts with
+    /// `prefix` (tests share the global registry).
+    fn profile_under(prefix: &str) -> Profile {
+        let mut spans = crate::global().snapshot().spans;
+        spans.retain(|path, _| path.starts_with(prefix));
+        Profile::from_spans(&spans)
+    }
 
     #[test]
     fn thread_stack_push_pop_sample() {
-        let mut rings = StackRings::new(99, 16);
         {
             let _a = crate::span("ts-a");
             {
                 let _b = crate::span("ts-b");
-                rings.tick();
+                std::thread::sleep(Duration::from_millis(2));
             }
-            rings.tick();
+            std::thread::sleep(Duration::from_millis(2));
         }
-        rings.tick();
-        let folded = rings.fold().folded;
-        assert_eq!(folded.get("ts-a;ts-b"), Some(&1));
-        assert_eq!(
-            folded.get("ts-a"),
-            Some(&1),
-            "a closed span leaves the stack"
+        let folded = profile_under("ts-a").folded;
+        assert!(folded["ts-a;ts-b"] >= 2_000, "{folded:?}");
+        assert!(
+            folded["ts-a"] >= 2_000,
+            "a closed span's time leaves its parent's self time: {folded:?}"
         );
     }
 
     #[test]
     fn thread_stack_base_is_published() {
-        let mut rings = StackRings::new(99, 16);
         {
             let _g = crate::span::adopt(Some("ts-root/worker".to_owned()));
+            std::thread::sleep(Duration::from_millis(2));
             let _s = crate::span("ts-leaf");
-            rings.tick();
+            std::thread::sleep(Duration::from_millis(2));
         }
-        rings.tick();
-        let folded = rings.fold().folded;
-        assert_eq!(folded.get("ts-root;worker;ts-leaf"), Some(&1));
+        let folded = profile_under("ts-root").folded;
+        assert!(folded["ts-root;worker;ts-leaf"] >= 2_000, "{folded:?}");
         assert!(
-            !folded.contains_key("ts-root;worker"),
-            "a dropped adopt guard clears the base"
+            folded["ts-root;worker"] >= 2_000,
+            "time under the base outside spans is the base's: {folded:?}"
         );
+        assert_eq!(folded.len(), 2);
     }
 
     #[test]
     fn deep_stacks_are_sampled_whole() {
-        let mut rings = StackRings::new(99, 16);
         {
             let _guards: Vec<_> = (0..40).map(|_| crate::span("ts-deep")).collect();
-            rings.tick();
+            std::thread::sleep(Duration::from_millis(2));
         }
-        let folded = rings.fold().folded;
-        assert_eq!(folded.get(&vec!["ts-deep"; 40].join(";")), Some(&1));
+        let folded = profile_under("ts-deep").folded;
+        assert!(folded[&vec!["ts-deep"; 40].join(";")] >= 2_000);
     }
 
     #[test]
@@ -296,17 +216,11 @@ mod tests {
         let mut folded = BTreeMap::new();
         folded.insert("a;b;c".to_owned(), 41u64);
         folded.insert("a;b".to_owned(), 7u64);
-        let p = Profile {
-            hz: 99,
-            samples: 48,
-            dropped: 0,
-            threads: 1,
-            folded: folded.clone(),
-        };
+        let p = Profile { threads: 1, folded };
         let text = p.folded_text();
         assert_eq!(text, "a;b 7\na;b;c 41\n");
-        assert_eq!(Profile::parse_folded(&text).unwrap(), folded);
-        assert!(Profile::parse_folded("no-count-line").is_err());
+        assert_eq!(Profile::parse_folded(&text).unwrap(), p.folded);
+        assert!(Profile::parse_folded("no-weight-line").is_err());
         assert!(Profile::parse_folded("a;b x").is_err());
         // Blank lines are tolerated; duplicates accumulate.
         let dup = Profile::parse_folded("a 1\n\na 2\n").unwrap();
@@ -319,20 +233,13 @@ mod tests {
         folded.insert("run;predict".to_owned(), 30u64);
         folded.insert("run;profile".to_owned(), 60u64);
         folded.insert("run".to_owned(), 10u64);
-        let p = Profile {
-            hz: 99,
-            samples: 100,
-            dropped: 2,
-            threads: 3,
-            folded,
-        };
+        let p = Profile { threads: 3, folded };
         let s = p.to_section(2);
-        assert_eq!(s.hz, 99);
-        assert_eq!(s.samples, 100);
-        assert_eq!(s.dropped, 2);
+        assert_eq!(s.total_us, 100);
         assert_eq!(s.threads, 3);
         assert_eq!(s.hot_stacks.len(), 2, "top-k truncates");
         assert_eq!(s.hot_stacks[0].stack, "run;profile");
+        assert_eq!(s.hot_stacks[0].us, 60);
         assert!((s.hot_stacks[0].share - 0.6).abs() < 1e-12);
 
         let phase = |path: &str| s.phases.iter().find(|p| p.path == path).unwrap();
@@ -346,51 +253,23 @@ mod tests {
     #[test]
     fn empty_profile_has_empty_section() {
         let s = Profile::default().to_section(10);
-        assert_eq!(s.samples, 0);
+        assert_eq!(s.total_us, 0);
         assert!(s.hot_stacks.is_empty());
         assert!(s.phases.is_empty());
     }
 
-    fn profile_with(hz: u32, ring_capacity: Option<usize>, body: impl FnOnce()) -> Profile {
-        let schedule = crate::sampler::Schedule {
-            profile_hz: Some(hz),
-            ring_capacity,
-            ..crate::sampler::Schedule::default()
-        };
-        let ticker = crate::Ticker::start(schedule, crate::global(), || {}).unwrap();
-        body();
-        ticker.stop().profile.expect("profiling was scheduled")
-    }
-
     #[test]
     fn profiler_samples_spans_end_to_end() {
-        let profile = profile_with(500, None, || {
-            let _g = crate::span("profiler-e2e-root");
-            std::thread::sleep(std::time::Duration::from_millis(40));
-        });
-        assert!(profile.samples > 0, "a 40 ms span at 500 Hz must be seen");
-        assert!(
-            profile
-                .folded
-                .keys()
-                .any(|k| k.split(';').next_back() == Some("profiler-e2e-root")),
-            "the open span is attributed: {:?}",
-            profile.folded
-        );
-    }
-
-    #[test]
-    fn tiny_rings_drop_oldest_and_count() {
-        let profile = profile_with(1000, Some(2), || {
-            let _g = crate::span("profiler-drop-test");
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        });
-        assert!(
-            profile.dropped > 0,
-            "a 2-slot ring at 1 kHz over 50 ms must drop"
-        );
-        // Retained samples are bounded by the ring, per thread.
-        assert!(profile.samples <= 2 * profile.threads.max(1));
-        assert!(crate::counter("profiler.dropped_samples").get() >= profile.dropped);
+        let r = crate::Registry::new();
+        r.record_span("e2e", 5_000_000, 1_000_000);
+        r.record_span("e2e/leaf", 4_000_000, 4_000_000);
+        r.record_adopted("e2e", 500_000);
+        // Sub-microsecond self time is left out.
+        r.record_span("e2e/blink", 999, 999);
+        let profile = Profile::from_spans(&r.snapshot().spans);
+        assert_eq!(profile.folded.len(), 2);
+        assert_eq!(profile.folded["e2e"], 1_500);
+        assert_eq!(profile.folded["e2e;leaf"], 4_000);
+        assert_eq!(profile.total_us(), 5_500);
     }
 }

@@ -17,10 +17,15 @@ pub struct SpanStat {
     pub min_ns: u64,
     /// Longest instance, nanoseconds.
     pub max_ns: u64,
+    /// Time on this path's thread with no span nested under it open,
+    /// nanoseconds (saturating): each instance's wall time minus the
+    /// spans that closed inside it, plus the self time of every thread
+    /// that adopted this path as its base.
+    pub self_ns: u64,
 }
 
 impl SpanStat {
-    fn record(&mut self, ns: u64) {
+    fn record(&mut self, ns: u64, self_ns: u64) {
         if self.count == 0 {
             self.min_ns = ns;
             self.max_ns = ns;
@@ -30,6 +35,7 @@ impl SpanStat {
         }
         self.count = self.count.saturating_add(1);
         self.total_ns = self.total_ns.saturating_add(ns);
+        self.self_ns = self.self_ns.saturating_add(self_ns);
     }
 
     /// Mean duration in nanoseconds (0 when empty).
@@ -44,7 +50,8 @@ impl SpanStat {
 /// Maps are ordered (`BTreeMap`) so exports are deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    /// Aggregated spans, keyed by hierarchical path (`a/b/c`).
+    /// Aggregated spans, keyed by hierarchical path (`a/b/c`); a path
+    /// only ever adopted as a base has `count` 0.
     pub spans: BTreeMap<String, SpanStat>,
     /// Monotonic counters.
     pub counters: BTreeMap<String, u64>,
@@ -73,14 +80,27 @@ impl Registry {
         Registry::default()
     }
 
-    /// Records one completed span instance under `path`.
-    pub fn record_span(&self, path: &str, ns: u64) {
+    /// Records one completed span instance under `path`: `ns` of wall
+    /// time, `self_ns` of it outside the spans nested inside it.
+    pub fn record_span(&self, path: &str, ns: u64, self_ns: u64) {
+        self.with_span(path, |stat| stat.record(ns, self_ns));
+    }
+
+    /// Adds `self_ns` to `path`'s self time only, leaving its instance
+    /// statistics alone (a thread's time under an adopted base path).
+    pub fn record_adopted(&self, path: &str, self_ns: u64) {
+        self.with_span(path, |stat| {
+            stat.self_ns = stat.self_ns.saturating_add(self_ns);
+        });
+    }
+
+    fn with_span(&self, path: &str, f: impl FnOnce(&mut SpanStat)) {
         let mut spans = self.spans.lock().expect("span registry poisoned");
         if let Some(stat) = spans.get_mut(path) {
-            stat.record(ns);
+            f(stat);
         } else {
             let mut stat = SpanStat::default();
-            stat.record(ns);
+            f(&mut stat);
             spans.insert(path.to_owned(), stat);
         }
     }
@@ -152,11 +172,12 @@ mod tests {
     #[test]
     fn span_stat_tracks_min_max_mean() {
         let mut s = SpanStat::default();
-        s.record(10);
-        s.record(30);
-        s.record(20);
+        s.record(10, 4);
+        s.record(30, 30);
+        s.record(20, 0);
         assert_eq!(s.count, 3);
         assert_eq!(s.total_ns, 60);
+        assert_eq!(s.self_ns, 34);
         assert_eq!(s.min_ns, 10);
         assert_eq!(s.max_ns, 30);
         assert_eq!(s.mean_ns(), 20);
@@ -165,23 +186,41 @@ mod tests {
     #[test]
     fn span_stat_saturates_instead_of_overflowing() {
         let mut s = SpanStat::default();
-        s.record(u64::MAX);
-        s.record(u64::MAX);
+        s.record(u64::MAX, u64::MAX);
+        s.record(u64::MAX, u64::MAX);
         assert_eq!(s.total_ns, u64::MAX);
+        assert_eq!(s.self_ns, u64::MAX);
         assert_eq!(s.count, 2);
     }
 
     #[test]
     fn snapshot_is_a_consistent_copy() {
         let r = Registry::new();
-        r.record_span("a/b", 5);
+        r.record_span("a/b", 5, 5);
         r.counter_cell("c").fetch_add(7, Ordering::Relaxed);
         let snap = r.snapshot();
         assert_eq!(snap.spans["a/b"].count, 1);
         assert_eq!(snap.counters["c"], 7);
         // Mutating after the snapshot does not change the copy.
-        r.record_span("a/b", 5);
+        r.record_span("a/b", 5, 5);
         assert_eq!(snap.spans["a/b"].count, 1);
+    }
+
+    #[test]
+    fn adopted_time_adds_self_time_only() {
+        let r = Registry::new();
+        r.record_adopted("base", 7);
+        assert_eq!(
+            r.snapshot().spans["base"],
+            SpanStat {
+                self_ns: 7,
+                ..SpanStat::default()
+            }
+        );
+        r.record_span("base", 10, 4);
+        let stat = r.snapshot().spans["base"];
+        assert_eq!((stat.count, stat.total_ns, stat.min_ns), (1, 10, 10));
+        assert_eq!(stat.self_ns, 11);
     }
 
     #[test]

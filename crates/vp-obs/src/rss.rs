@@ -1,25 +1,15 @@
-//! Resident-set-size introspection (end-of-run peak and live value).
+//! Resident-set-size introspection.
 
 /// Peak resident set size of this process in bytes, read from
-/// `/proc/self/status` (`VmHWM`). Returns 0 on platforms without procfs
-/// — callers treat 0 as "unavailable".
+/// `/proc/self/status` (`VmHWM`, the kernel's high-water mark over the
+/// whole process lifetime, so it includes peaks freed before the read).
+/// Returns 0 on platforms without procfs — callers treat 0 as
+/// "unavailable".
 #[must_use]
 pub fn peak_rss_bytes() -> u64 {
     read_status_field(
         &std::fs::read_to_string("/proc/self/status").unwrap_or_default(),
         "VmHWM:",
-    )
-}
-
-/// Current resident set size of this process in bytes (`VmRSS`).
-/// Sampled on every profiler tick into the `rss.sampled_peak_bytes`
-/// max-gauge, so transient allocation peaks freed before process exit
-/// are still observable. Returns 0 without procfs.
-#[must_use]
-pub fn current_rss_bytes() -> u64 {
-    read_status_field(
-        &std::fs::read_to_string("/proc/self/status").unwrap_or_default(),
-        "VmRSS:",
     )
 }
 
@@ -65,15 +55,6 @@ mod tests {
         let status = "VmHWM:\t  1234 kB\nVmRSS:\t 1000 kB\n";
         assert_eq!(read_status_field(status, "VmRSS:"), 1000 * 1024);
         assert_eq!(read_status_field(status, "VmSwap:"), 0);
-    }
-
-    #[test]
-    fn live_current_rss_is_sane_on_linux() {
-        let rss = current_rss_bytes();
-        if cfg!(target_os = "linux") {
-            assert!(rss > 0, "a running process has a nonzero current RSS");
-            assert!(rss <= peak_rss_bytes(), "current RSS cannot exceed peak");
-        }
     }
 
     #[test]

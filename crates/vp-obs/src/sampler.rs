@@ -1,22 +1,17 @@
-//! The one background observation thread: mid-run registry snapshots
-//! and span-stack samples.
+//! The one background observation thread: mid-run registry snapshots.
 //!
 //! End-of-run aggregates say *that* throughput regressed; a time series
-//! says *when*, and a profile says *where*. A [`Ticker`] owns one
-//! background thread that, on its [`Schedule`], copies every counter and
-//! gauge out of a [`Registry`] into a [`Sample`] (the manifest's
-//! `samples` array) and snapshots every thread's open-span stack (the
-//! manifest's `profile` section, see [`crate::profiler`]). Either half
-//! may be off; the harness starts a ticker when `--sample-ms` or
-//! `--profile-hz` asks for one.
+//! says *when*. A [`Ticker`] owns one background thread that, every
+//! `--sample-ms`, copies every counter and gauge out of a [`Registry`]
+//! into a [`Sample`] (the manifest's `samples` array). Where time goes
+//! needs no thread: the profile is built from span self times (see
+//! [`crate::profiler`]).
 //!
 //! Sampling follows the same rules as the rest of the layer: it never
 //! writes to stdout, never feeds back into experiment results, and is
 //! bounded — at most [`Ticker::MAX_SAMPLES`] registry snapshots are
 //! retained (later ones are discarded, counted by
-//! `sampler.discarded_samples` and warned about once), and stack samples
-//! live in drop-oldest per-thread rings of
-//! [`Schedule::ring_capacity`] samples.
+//! `sampler.discarded_samples` and warned about once).
 //!
 //! A *pre-sample hook* runs before every registry snapshot on the ticker
 //! thread. The bench harness uses it to publish the trace store's
@@ -32,7 +27,6 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::profiler::{Profile, StackRings};
 use crate::registry::Registry;
 
 /// One point-in-time copy of the counter/gauge registry.
@@ -46,37 +40,13 @@ pub struct Sample {
     pub gauges: BTreeMap<String, u64>,
 }
 
-/// What a [`Ticker`] samples, and how often.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Schedule {
-    /// Registry snapshot interval (clamped to >= 1 ms); `None` takes no
-    /// time series.
-    pub sample_every: Option<Duration>,
-    /// Span-stack samples per second (clamped to >= 1); `None` takes no
-    /// profile.
-    pub profile_hz: Option<u32>,
-    /// Per-thread ring capacity for stack samples; `None` is
-    /// [`Ticker::DEFAULT_RING_CAPACITY`] (tests use tiny rings to
-    /// exercise drop-oldest).
-    pub ring_capacity: Option<usize>,
-}
-
-/// What a stopped [`Ticker`] collected.
-#[derive(Debug, Default)]
-pub struct Harvest {
-    /// The registry time series (empty when not scheduled).
-    pub samples: Vec<Sample>,
-    /// The folded span-stack profile (`None` when not scheduled).
-    pub profile: Option<Profile>,
-}
-
 /// The background sampling thread; collect what it gathered with
 /// [`Ticker::stop`].
 pub struct Ticker {
     /// Dropping the sender wakes the thread from its inter-tick sleep
     /// and stops it.
     stop: Option<mpsc::Sender<()>>,
-    handle: Option<JoinHandle<Harvest>>,
+    handle: Option<JoinHandle<Vec<Sample>>>,
 }
 
 impl Ticker {
@@ -84,27 +54,23 @@ impl Ticker {
     /// cadence); later samples are discarded so manifests stay bounded.
     pub const MAX_SAMPLES: usize = 7_200;
 
-    /// Default per-thread ring capacity (samples, not bytes): ~11 minutes
-    /// of stack samples per thread at 99 Hz before drop-oldest.
-    pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
-
-    /// Starts the thread. A registry sample and a stack sample are taken
-    /// immediately, and one more registry sample at [`Ticker::stop`], so
-    /// a series always holds at least two points. `hook` runs on the
+    /// Starts the thread, sampling every `every` (clamped to >= 1 ms).
+    /// A sample is taken immediately and one more at [`Ticker::stop`],
+    /// so a series always holds at least two points. `hook` runs on the
     /// ticker thread right before every registry snapshot.
     ///
     /// # Errors
     ///
     /// The OS refused to spawn the thread.
     pub fn start(
-        schedule: Schedule,
+        every: Duration,
         registry: &'static Registry,
         hook: impl Fn() + Send + 'static,
     ) -> io::Result<Ticker> {
         let (stop, stopped) = mpsc::channel();
         let handle = std::thread::Builder::new()
             .name("vp-obs-ticker".to_owned())
-            .spawn(move || run(&stopped, schedule, registry, &hook))?;
+            .spawn(move || run(&stopped, every, registry, &hook))?;
         Ok(Ticker {
             stop: Some(stop),
             handle: Some(handle),
@@ -112,13 +78,13 @@ impl Ticker {
     }
 
     /// Stops the thread, takes the final registry sample and returns
-    /// everything collected.
+    /// the series.
     #[must_use]
-    pub fn stop(mut self) -> Harvest {
+    pub fn stop(mut self) -> Vec<Sample> {
         self.join().unwrap_or_default()
     }
 
-    fn join(&mut self) -> Option<Harvest> {
+    fn join(&mut self) -> Option<Vec<Sample>> {
         self.stop = None;
         self.handle.take()?.join().ok()
     }
@@ -132,89 +98,45 @@ impl Drop for Ticker {
     }
 }
 
-/// One periodic duty of the ticker thread.
-struct Cadence {
-    every: Duration,
-    next: Instant,
-}
-
-impl Cadence {
-    /// Whether the duty is due at `now`; if so, schedules the next one.
-    fn due(&mut self, now: Instant) -> bool {
-        let due = now >= self.next;
-        if due {
-            self.next = now + self.every;
-        }
-        due
-    }
-}
-
 fn run(
     stopped: &mpsc::Receiver<()>,
-    schedule: Schedule,
+    every: Duration,
     registry: &Registry,
     hook: &dyn Fn(),
-) -> Harvest {
+) -> Vec<Sample> {
     let start = Instant::now();
-    let cadence = |every| Cadence { every, next: start };
-    let mut sampling = schedule
-        .sample_every
-        .map(|every| cadence(every.max(Duration::from_millis(1))));
-    let mut profiling = schedule.profile_hz.map(|hz| {
-        let hz = hz.max(1);
-        let every = Duration::from_secs_f64(1.0 / f64::from(hz));
-        let capacity = schedule
-            .ring_capacity
-            .unwrap_or(Ticker::DEFAULT_RING_CAPACITY);
-        (cadence(every), StackRings::new(hz, capacity))
-    });
+    let every = every.max(Duration::from_millis(1));
     let mut samples = Vec::new();
     let mut warned = false;
     loop {
         let now = Instant::now();
-        if sampling.as_mut().is_some_and(|c| c.due(now)) {
-            if samples.len() < Ticker::MAX_SAMPLES {
-                samples.push(take_sample(start, registry, hook));
-            } else {
-                // Count every discard so the loss is visible in the
-                // manifest and the --metrics-table footer, not only in
-                // the log.
-                registry
-                    .counter_cell("sampler.discarded_samples")
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if !warned {
-                    warned = true;
-                    crate::obs_warn!(
-                        "sampler reached {} samples; later samples are discarded \
-                         (raise --sample-ms to cover longer runs)",
-                        Ticker::MAX_SAMPLES
-                    );
-                }
+        if samples.len() < Ticker::MAX_SAMPLES {
+            samples.push(take_sample(start, registry, hook));
+        } else {
+            // Count every discard so the loss is visible in the
+            // manifest and the --metrics-table footer, not only in the
+            // log.
+            registry
+                .counter_cell("sampler.discarded_samples")
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if !warned {
+                warned = true;
+                crate::obs_warn!(
+                    "sampler reached {} samples; later samples are discarded \
+                     (raise --sample-ms to cover longer runs)",
+                    Ticker::MAX_SAMPLES
+                );
             }
         }
-        if let Some((c, rings)) = profiling.as_mut() {
-            if c.due(now) {
-                rings.tick();
-            }
-        }
-        let next = [sampling.as_ref(), profiling.as_ref().map(|(c, _)| c)]
-            .into_iter()
-            .flatten()
-            .map(|c| c.next)
-            .min()
-            .unwrap_or(now + Duration::from_secs(1));
-        let sleep = next.saturating_duration_since(Instant::now());
+        let sleep = (now + every).saturating_duration_since(Instant::now());
         if !matches!(stopped.recv_timeout(sleep), Err(RecvTimeoutError::Timeout)) {
             break;
         }
     }
-    let profile = profiling.map(|(_, rings)| rings.fold());
     // Final sample so the series always covers the end of the run (and
     // a short run still yields >= 2 points).
-    if sampling.is_some() {
-        samples.push(take_sample(start, registry, hook));
-    }
-    Harvest { samples, profile }
+    samples.push(take_sample(start, registry, hook));
+    samples
 }
 
 fn take_sample(start: Instant, registry: &Registry, hook: &dyn Fn()) -> Sample {
@@ -242,11 +164,7 @@ mod tests {
         registry: &'static Registry,
         hook: impl Fn() + Send + 'static,
     ) -> Ticker {
-        let schedule = Schedule {
-            sample_every: Some(every),
-            ..Schedule::default()
-        };
-        Ticker::start(schedule, registry, hook).unwrap()
+        Ticker::start(every, registry, hook).unwrap()
     }
 
     #[test]
@@ -255,7 +173,7 @@ mod tests {
         registry.counter_cell("s.work").store(3, Ordering::Relaxed);
         let ticker = start(Duration::from_millis(5), registry, || {});
         std::thread::sleep(Duration::from_millis(20));
-        let samples = ticker.stop().samples;
+        let samples = ticker.stop();
         assert!(samples.len() >= 2, "got {}", samples.len());
         for s in &samples {
             assert_eq!(s.counters.get("s.work"), Some(&3));
@@ -268,9 +186,7 @@ mod tests {
     #[test]
     fn immediate_stop_still_yields_two_points() {
         let registry = leaked_registry();
-        let samples = start(Duration::from_millis(500), registry, || {})
-            .stop()
-            .samples;
+        let samples = start(Duration::from_millis(500), registry, || {}).stop();
         assert!(samples.len() >= 2);
     }
 
@@ -285,7 +201,7 @@ mod tests {
             cell.store(n, Ordering::Relaxed);
         });
         std::thread::sleep(Duration::from_millis(25));
-        let samples = ticker.stop().samples;
+        let samples = ticker.stop();
         assert_eq!(calls.load(Ordering::Relaxed), samples.len() as u64);
         // Each sample observes the value its own hook published: the
         // hook happens-before the snapshot on the sampler thread.
@@ -297,38 +213,7 @@ mod tests {
     #[test]
     fn dropped_sampler_shuts_down_cleanly() {
         let registry = leaked_registry();
-        let schedule = Schedule {
-            sample_every: Some(Duration::from_millis(1)),
-            profile_hz: Some(1000),
-            ..Schedule::default()
-        };
-        let ticker = Ticker::start(schedule, registry, || {}).unwrap();
+        let ticker = start(Duration::from_millis(1), registry, || {});
         drop(ticker); // must join, not detach or hang
-    }
-
-    #[test]
-    fn one_thread_serves_both_schedules() {
-        let registry = leaked_registry();
-        let schedule = Schedule {
-            sample_every: Some(Duration::from_millis(5)),
-            profile_hz: Some(500),
-            ..Schedule::default()
-        };
-        let ticker = Ticker::start(schedule, registry, || {}).unwrap();
-        {
-            let _g = crate::span("ticker-both-root");
-            std::thread::sleep(Duration::from_millis(40));
-        }
-        let harvest = ticker.stop();
-        assert!(harvest.samples.len() >= 2);
-        let profile = harvest.profile.expect("profiling was scheduled");
-        assert!(profile
-            .folded
-            .keys()
-            .any(|k| k.ends_with("ticker-both-root")));
-
-        // Sampling alone yields no profile.
-        let alone = start(Duration::from_millis(5), registry, || {}).stop();
-        assert!(alone.profile.is_none());
     }
 }

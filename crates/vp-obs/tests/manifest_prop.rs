@@ -1,7 +1,7 @@
 //! Property tests for the run-manifest schema: arbitrary manifests must
 //! survive `to_json` → `parse` → `to_json` byte-identically (the format
 //! is canonical and the float formatting shortest-roundtrip), always
-//! under the v4 schema, with empty optional sections left out.
+//! under the v5 schema, with empty optional sections left out.
 //!
 //! Generated integers stay below 2^53: JSON numbers are f64 (in the
 //! in-tree parser and in every JavaScript consumer alike), so the
@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use vp_obs::attribution::{AttributionPc, AttributionRun, AttributionTotals, CAUSE_ORDER};
 use vp_obs::manifest::{HotStack, PhaseEntry, PhaseShare, ProfileSection};
 use vp_obs::sampler::Sample;
-use vp_obs::{RunManifest, SCHEMA_V4};
+use vp_obs::{RunManifest, SCHEMA_V5};
 use vp_rng::{prop, Rng};
 
 const KEYS: &[&str] = &[
@@ -96,7 +96,7 @@ fn arb_profile(rng: &mut Rng) -> ProfileSection {
     let hot_stacks = (0..rng.below(4))
         .map(|i| HotStack {
             stack: stacks[i as usize].to_owned(),
-            count: rng.below(1 << 30),
+            us: rng.below(1 << 30),
             share: rng.gen_f64(),
         })
         .collect();
@@ -108,9 +108,7 @@ fn arb_profile(rng: &mut Rng) -> ProfileSection {
         })
         .collect();
     ProfileSection {
-        hz: 1 + rng.below(1_000),
-        samples: rng.below(1 << 40),
-        dropped: rng.below(1 << 20),
+        total_us: rng.below(1 << 40),
         threads: rng.below(64),
         hot_stacks,
         phases,
@@ -173,14 +171,14 @@ fn serialisation_is_canonical_for_arbitrary_manifests() {
     });
 }
 
-/// The schema line is v4 whatever the content; only which optional
+/// The schema line is v5 whatever the content; only which optional
 /// sections appear follows the content, and stripping a section yields a
 /// document that parses back with that section empty.
 #[test]
 fn schema_version_is_derived_from_content() {
     prop::forall("manifest versioning", arb_manifest).check(|m| {
         let text = m.to_json();
-        assert!(text.contains(&format!(r#""schema":"{SCHEMA_V4}""#)));
+        assert!(text.contains(&format!(r#""schema":"{SCHEMA_V5}""#)));
         assert_eq!(text.contains(r#""samples":["#), !m.samples.is_empty());
         assert_eq!(
             text.contains(r#""attribution":["#),
@@ -200,7 +198,7 @@ fn schema_version_is_derived_from_content() {
 
         let bare = no_attribution.with_samples(Vec::new());
         let bare_text = bare.to_json();
-        assert!(bare_text.contains(SCHEMA_V4));
+        assert!(bare_text.contains(SCHEMA_V5));
         assert!(!bare_text.contains("\"samples\""));
         let back = RunManifest::parse(&bare_text).expect("parses");
         assert!(back.samples.is_empty());

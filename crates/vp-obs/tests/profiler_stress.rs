@@ -1,37 +1,23 @@
-//! Concurrency stress test for the profiler's span-stack samples.
+//! Concurrency stress test for the span self-time accounting.
 //!
 //! N workers open and close nested spans in a tight loop (through the
 //! real `span()` guards, under an adopted base path, exactly like
-//! `parallel_map` workers) while the ticker snapshots at high
-//! frequency. The contract under test: **every sampled stack is a
-//! prefix of the nesting chain the workers actually execute** — a torn
-//! read (half of one update, half of another) would produce an
-//! out-of-order or gap-containing stack, which the assertions below
-//! would catch.
+//! `parallel_map` workers). The contract under test: **every recorded
+//! path is a prefix of the nesting chain the workers actually execute**,
+//! no span's self time exceeds its wall time, and the adopted base
+//! accounts for all of the workers' time.
 //!
-//! Lives in its own integration-test binary because the sampled stacks
-//! are process-global: spans opened by unrelated tests in the same
-//! process would show up in the folded output and break the
-//! prefix-validity assertion.
+//! Lives in its own integration-test binary because the registry is
+//! process-global: spans opened by unrelated tests in the same process
+//! would show up in the profile and break the prefix assertion.
 
 use std::time::{Duration, Instant};
 
-use vp_obs::{Profile, Schedule, Ticker};
+use vp_obs::Profile;
 
 /// The exact nesting chain every worker executes, outermost first. The
 /// base path ("stress") is adopted, the rest are real spans.
 const CHAIN: [&str; 5] = ["stress", "level-a", "level-b", "level-c", "level-d"];
-
-/// Profiles `body` at `hz` on a ticker thread.
-fn profile_at(hz: u32, body: impl FnOnce()) -> Profile {
-    let schedule = Schedule {
-        profile_hz: Some(hz),
-        ..Schedule::default()
-    };
-    let ticker = Ticker::start(schedule, vp_obs::global(), || {}).unwrap();
-    body();
-    ticker.stop().profile.expect("profiling was scheduled")
-}
 
 fn worker(deadline: Instant) {
     let _base = vp_obs::span::adopt(Some(CHAIN[0].to_owned()));
@@ -49,41 +35,45 @@ fn worker(deadline: Instant) {
     }
 }
 
+/// Runs `workers` threads of [`worker`] for `ms` and profiles the
+/// registry afterwards.
+fn run_workers(workers: usize, ms: u64) -> Profile {
+    let deadline = Instant::now() + Duration::from_millis(ms);
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(move || worker(deadline));
+        }
+    });
+    Profile::from_spans(&vp_obs::global().snapshot().spans)
+}
+
 fn assert_prefix_valid(profile: &Profile) {
     for stack in profile.folded.keys() {
         let frames: Vec<&str> = stack.split(';').collect();
         assert!(
             frames.len() <= CHAIN.len() && frames[..] == CHAIN[..frames.len()],
-            "sampled stack `{stack}` is not a prefix of the executed chain {CHAIN:?} — torn snapshot"
+            "stack `{stack}` is not a prefix of the executed chain {CHAIN:?}"
         );
     }
 }
 
 #[test]
 fn concurrent_nesting_never_tears_sampled_stacks() {
-    let profile = profile_at(2_000, || {
-        let deadline = Instant::now() + Duration::from_millis(300);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(move || worker(deadline));
-            }
-        });
-    });
-
-    assert!(
-        profile.samples > 50,
-        "8 workers over 300 ms at 2 kHz must yield samples, got {}",
-        profile.samples
-    );
-    assert!(profile.threads >= 2, "multiple workers must contribute");
+    let profile = run_workers(8, 300);
+    assert!(profile.threads >= 8, "every worker touched its stack");
     assert_prefix_valid(&profile);
-    // The innermost frame is where the loop spends its time; it must
-    // have been observed at least once.
+    // The innermost frame is where the loop opens most spans; it must
+    // have accrued time.
     assert!(
         profile.folded.keys().any(|k| k.ends_with("level-d")),
-        "the hot innermost span was never sampled: {:?}",
+        "the hot innermost span recorded no time: {:?}",
         profile.folded.keys().collect::<Vec<_>>()
     );
+    for (path, stat) in vp_obs::global().snapshot().spans {
+        if stat.count > 0 {
+            assert!(stat.self_ns <= stat.total_ns, "{path}: {stat:?}");
+        }
+    }
 
     // The folded form round-trips — the export path on real concurrent
     // data.
@@ -91,18 +81,10 @@ fn concurrent_nesting_never_tears_sampled_stacks() {
     let reparsed = Profile::parse_folded(&text).expect("folded text parses");
     assert_eq!(reparsed, profile.folded, "folded text round-trips");
 
-    // A second profiling run over the same span topology still samples
-    // cleanly (threads that exited after the first run leave no stale
-    // stacks behind).
-    let second = profile_at(2_000, || {
-        let deadline = Instant::now() + Duration::from_millis(100);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(move || worker(deadline));
-            }
-        });
-    });
-    assert!(second.samples > 0);
+    // A second run over the same span topology still records cleanly
+    // (threads that exited after the first run leave nothing behind).
+    let second = run_workers(4, 100);
+    assert!(second.total_us() > profile.total_us());
     assert_prefix_valid(&second);
 }
 
@@ -110,18 +92,11 @@ fn concurrent_nesting_never_tears_sampled_stacks() {
 fn manifest_section_from_concurrent_profile_is_consistent() {
     // Runs in the same process as the stress test (fine: both only open
     // CHAIN spans), producing a section whose shares must partition.
-    let profile = profile_at(1_000, || {
-        let deadline = Instant::now() + Duration::from_millis(150);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(move || worker(deadline));
-            }
-        });
-    });
+    let profile = run_workers(4, 150);
     let section = profile.to_section(10);
-    assert_eq!(section.samples, profile.samples);
-    let total: u64 = section.hot_stacks.iter().map(|h| h.count).sum();
-    assert!(total <= profile.samples);
+    assert_eq!(section.total_us, profile.total_us());
+    let hot: u64 = section.hot_stacks.iter().map(|h| h.us).sum();
+    assert!(hot <= section.total_us);
     for phase in &section.phases {
         assert!(phase.path.starts_with("stress"));
         assert!(
@@ -130,7 +105,7 @@ fn manifest_section_from_concurrent_profile_is_consistent() {
             phase.path
         );
     }
-    // The root phase's total share covers every sample.
+    // The adopted base's total share covers every worker's time.
     let root = section
         .phases
         .iter()
