@@ -1,11 +1,11 @@
 //! A dependency-free parallel map over experiment grids.
 //!
 //! The evaluation fans out over a `workload x input x threshold` grid of
-//! independent simulations. [`parallel_map`] runs such a grid on a small
-//! pool of scoped threads (`std::thread::scope`; no external crates) while
-//! keeping the output **deterministic**: results are re-ordered by input
-//! index before they are returned, so a run with `jobs = 4` produces output
-//! byte-identical to a serial run.
+//! independent simulations. [`parallel_map`] runs such a grid on the
+//! calling thread plus a few scoped workers (`std::thread::scope`; no
+//! external crates) while keeping the output **deterministic**: results
+//! are re-ordered by input index before they are returned, so a run with
+//! `jobs = 4` produces output byte-identical to a serial run.
 //!
 //! Work distribution is a single shared atomic cursor (work stealing by
 //! index), which keeps the schedule balanced regardless of how uneven the
@@ -16,13 +16,15 @@
 //! so wall-clock recorded inside workers aggregates under the same
 //! hierarchical phase as a serial run would produce — the observability
 //! layer sees one `suite/profile` phase no matter how many threads
-//! executed it.
+//! executed it. The calling thread works through its own share under
+//! that path instead of blocking in the join, so the profile books
+//! items, not a parent's idle wait.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-/// Maps `f` over `items` on up to `jobs` threads, returning results in
-/// input order.
+/// Maps `f` over `items` on up to `jobs` threads — the calling thread
+/// and `jobs - 1` workers — returning results in input order.
 ///
 /// `jobs <= 1` (or a single-item slice) degrades to a plain serial map on
 /// the calling thread with no pool at all, so the serial path stays free
@@ -54,34 +56,36 @@ where
     }
 
     let cursor = AtomicUsize::new(0);
+    // Takes items off the shared cursor until none is left. It borrows
+    // only shared references, so every thread can run its own copy.
+    let drain = || {
+        let mut out = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            out.push((i, f(item)));
+        }
+        out
+    };
     let parent_span = vp_obs::span::current_path();
     let parts: Vec<Vec<(usize, R)>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
+        let handles: Vec<_> = (1..jobs)
             .map(|_| {
                 let parent_span = parent_span.clone();
-                let cursor = &cursor;
-                let f = &f;
                 scope.spawn(move || {
                     // Timing recorded by this worker lands under the
                     // spawning thread's span hierarchy.
                     let _adopted = vp_obs::span::adopt(parent_span);
-                    let mut out = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        out.push((i, f(item)));
-                    }
-                    out
+                    drain()
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(part) => part,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+        let mut parts = vec![drain()];
+        parts.extend(handles.into_iter().map(|h| match h.join() {
+            Ok(part) => part,
+            Err(payload) => std::panic::resume_unwind(payload),
+        }));
+        parts
     });
 
     let mut indexed: Vec<(usize, R)> = parts.into_iter().flatten().collect();
@@ -141,6 +145,19 @@ mod tests {
             assert!(x < 3, "boom");
             x
         });
+    }
+
+    #[test]
+    fn the_calling_thread_takes_a_share() {
+        // Both items wait for each other, so they run on two threads at
+        // once: the caller and the one worker `jobs = 2` spawns.
+        let barrier = std::sync::Barrier::new(2);
+        let caller = thread::current().id();
+        let on_caller = parallel_map(2, &[0, 1], |_| {
+            barrier.wait();
+            thread::current().id() == caller
+        });
+        assert_eq!(on_caller.iter().filter(|&&c| c).count(), 1, "{on_caller:?}");
     }
 
     #[test]

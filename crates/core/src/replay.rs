@@ -3,8 +3,9 @@
 //! Every headline figure of the paper is a sweep — several predictor
 //! configurations × several profiling thresholds over the *same* trace —
 //! and replaying per cell scans the identical value stream `cells` times.
-//! The fused engine streams the trace once, resolves each distinct
-//! directive annotation's per-PC row once per block, walks each distinct
+//! The fused engine reads the trace's value events once, as
+//! [`ValueBlock`]s, resolves each distinct directive annotation's per-PC
+//! row once per block, walks each distinct
 //! predictor *state* over the block once ([`vp_predictor::StateWalk`]:
 //! cells that differ only in classifier or directive table share one
 //! walk) and lets every cell tally the walk's raw codes into its
@@ -24,21 +25,24 @@
 //! [`ReplayRequest::stream`] to simulate and predict concurrently without
 //! ever materialising the trace — see [`stream`]), describe the cells
 //! ([`ReplayRequest::plan`] / [`ReplayRequest::single`]), and [`run`]
-//! it. Either source runs the same fused kernel and fans its slots out to
-//! the plan's cells the same way, and attribution only adds an observer
-//! to that kernel, so the four combinations of source × attribution
-//! share one code path.
+//! it. Both sources deliver the same blocks — the resident trace's
+//! decoder ([`vp_sim::TraceColumns::value_events`]) and the stream's
+//! producer cut the value events into the same [`VALUE_BLOCK`]-event
+//! [`ValueBlock`]s — and the kernel scans each block as it arrives. It
+//! fans its slots out to the plan's cells the same way for either
+//! source, and attribution only adds an observer to that kernel, so the
+//! four combinations of source × attribution share one code path.
 //!
 //! [`run`]: ReplayRequest::run
 
 use std::collections::HashMap;
 use std::io;
 
-use vp_isa::{Directive, InstrAddr, Program};
+use vp_isa::{Directive, Program};
 use vp_predictor::{
     AttributionTable, CodeHistogram, OutcomeColumn, PredictorConfig, PredictorStats, StateWalk,
 };
-use vp_sim::{RunLimits, Trace};
+use vp_sim::{RunLimits, Trace, ValueBlock, VALUE_BLOCK};
 
 pub mod stream;
 
@@ -50,13 +54,6 @@ pub struct ReplayOutcome {
     /// Occupied table entries at the end of the replay.
     pub occupancy: usize,
 }
-
-/// Events per fused-kernel block: long enough to amortise the one virtual
-/// `walk` call per (block, state walk) and keep each predictor's tables
-/// hot across the block, short enough that the scratch columns (addresses,
-/// values, one directive row per distinct annotation, one code column per
-/// walk) stay cache-resident.
-pub(crate) const MATRIX_BLOCK: usize = 1024;
 
 /// One cell of a [`SweepPlan`]: a predictor configuration replayed under
 /// one of the plan's directive annotations.
@@ -231,9 +228,8 @@ type SlotResult = (
     Option<OutcomeColumn>,
 );
 
-/// The push-based fused kernel: accumulates the value events into
-/// [`MATRIX_BLOCK`]-sized scratch columns, resolves each full block's
-/// directive row once per distinct annotation, walks each shared
+/// The fused kernel, fed one [`ValueBlock`] at a time: resolves each
+/// block's directive row once per distinct annotation, walks each shared
 /// predictor state over the block once ([`StateWalk::walk`], one virtual
 /// call per block per walk, statically dispatched inside), and lets every
 /// slot tally its walk's codes into its [`CodeHistogram`]. A slot that
@@ -243,11 +239,11 @@ type SlotResult = (
 /// ([`AttributionTable::observe_codes`]); whether it attributes is decided
 /// once per block.
 ///
-/// The batch scan and the streaming consumer ([`stream`]) both drain
-/// their events into this same kernel ([`matrix_scan`]), so their
+/// The batch scan and the streaming consumer ([`stream`]) hand their
+/// blocks to this same kernel ([`MatrixScanner::scan`]), so their
 /// per-event instruction streams — and therefore their results — cannot
-/// drift apart: the block boundaries the stream delivers never matter,
-/// only the accumulated [`MATRIX_BLOCK`] chunking here does.
+/// drift apart. Every state a block leaves behind carries into the next,
+/// so where the blocks are cut never changes a result either.
 struct MatrixScanner<'p> {
     /// One state per walk.
     walks: Vec<Box<dyn StateWalk>>,
@@ -262,8 +258,6 @@ struct MatrixScanner<'p> {
     tables: &'p [Vec<Directive>],
     fused: &'p Fused,
     used: Vec<usize>,
-    addrs: Vec<InstrAddr>,
-    values: Vec<u64>,
     rows: Vec<Vec<Directive>>,
 }
 
@@ -276,7 +270,7 @@ impl<'p> MatrixScanner<'p> {
             codes: fused
                 .walks
                 .iter()
-                .map(|_| Vec::with_capacity(MATRIX_BLOCK))
+                .map(|_| Vec::with_capacity(VALUE_BLOCK))
                 .collect(),
             tallies: slots.iter().map(|_| CodeHistogram::new()).collect(),
             attributions: req
@@ -289,33 +283,21 @@ impl<'p> MatrixScanner<'p> {
             tables,
             fused,
             used: used_tables(slots),
-            addrs: Vec::with_capacity(MATRIX_BLOCK),
-            values: Vec::with_capacity(MATRIX_BLOCK),
             rows: tables
                 .iter()
-                .map(|_| Vec::with_capacity(MATRIX_BLOCK))
+                .map(|_| Vec::with_capacity(VALUE_BLOCK))
                 .collect(),
         }
     }
 
-    fn push(&mut self, addr: InstrAddr, value: u64) -> io::Result<()> {
-        self.addrs.push(addr);
-        self.values.push(value);
-        if self.addrs.len() == MATRIX_BLOCK {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if self.addrs.is_empty() {
-            return Ok(());
-        }
+    /// Runs one block of value events through every walk and slot.
+    fn scan(&mut self, block: &ValueBlock) -> io::Result<()> {
+        let (addrs, values) = (block.addrs(), block.values());
         for &t in &self.used {
             let table = &self.tables[t];
             let row = &mut self.rows[t];
             row.clear();
-            for &addr in &self.addrs {
+            for &addr in addrs {
                 row.push(
                     *table
                         .get(addr.index() as usize)
@@ -330,7 +312,7 @@ impl<'p> MatrixScanner<'p> {
             .zip(self.codes.iter_mut())
             .zip(&self.fused.walks)
         {
-            walk.walk(&self.addrs, &self.rows[table], &self.values, codes);
+            walk.walk(addrs, &self.rows[table], values, codes);
         }
         for (((cell, tally), column), &w) in slots
             .iter()
@@ -351,23 +333,19 @@ impl<'p> MatrixScanner<'p> {
             for ((cell, table), &w) in slots.iter().zip(attributions).zip(walk_of) {
                 table.observe_codes(
                     cell.config.classifier(),
-                    &self.addrs,
+                    addrs,
                     &self.rows[cell.directives],
                     &self.codes[w],
-                    &self.values,
+                    values,
                 );
             }
         }
-        self.addrs.clear();
-        self.values.clear();
         Ok(())
     }
 
-    fn finish(mut self) -> io::Result<Vec<SlotResult>> {
-        self.flush()?;
+    fn finish(self) -> Vec<SlotResult> {
         let mut attributions = self.attributions.map(Vec::into_iter);
-        Ok(self
-            .fused
+        self.fused
             .slots
             .iter()
             .zip(self.tallies)
@@ -381,20 +359,8 @@ impl<'p> MatrixScanner<'p> {
                 let table = attributions.as_mut().and_then(Iterator::next);
                 (stats, walk.occupancy(), table, column)
             })
-            .collect())
+            .collect()
     }
-}
-
-/// Drains `events` through a [`MatrixScanner`].
-fn matrix_scan<I>(events: I, req: &ReplayRequest<'_>, fused: &Fused) -> io::Result<Vec<SlotResult>>
-where
-    I: Iterator<Item = (InstrAddr, u64)>,
-{
-    let mut scanner = MatrixScanner::new(req, fused);
-    for (addr, value) in events {
-        scanner.push(addr, value)?;
-    }
-    scanner.finish()
 }
 
 /// Fans the slot results out to plan order through `slot_of`: duplicate
@@ -438,7 +404,7 @@ enum ReplaySource<'a> {
 #[derive(Debug, Clone)]
 pub struct ReplayCellOutcome {
     /// Stats and occupancy — bit-identical to a per-access replay of the
-    /// cell at any block-pool size.
+    /// cell.
     pub outcome: ReplayOutcome,
     /// The per-PC attribution table, if [`ReplayRequest::attribution`]
     /// asked for one.
@@ -517,7 +483,6 @@ pub struct ReplayRequest<'a> {
     plan: SweepPlan,
     source: ReplaySource<'a>,
     attribution: bool,
-    block_pool: usize,
 }
 
 impl<'a> ReplayRequest<'a> {
@@ -527,7 +492,6 @@ impl<'a> ReplayRequest<'a> {
             plan: SweepPlan::new(),
             source,
             attribution: false,
-            block_pool: stream::DEFAULT_BLOCK_POOL,
         }
     }
 
@@ -586,22 +550,11 @@ impl<'a> ReplayRequest<'a> {
         self
     }
 
-    /// Block-pool size for a streaming replay: how many
-    /// 1024-event blocks the consumer's queue holds before
-    /// the producer waits (clamped to at least
-    /// [`stream::MIN_BLOCK_POOL`]). Ignored by batch replays.
-    #[must_use]
-    pub fn block_pool(mut self, blocks: usize) -> Self {
-        self.block_pool = blocks.max(stream::MIN_BLOCK_POOL);
-        self
-    }
-
     /// Runs the replay and returns per-cell results in plan order.
     ///
     /// Duplicate cells are deduped into one predictor-bank slot and share
     /// one replay; the results are **bit-identical** to per-cell
-    /// per-access replays at any block-pool size (property-tested and
-    /// fuzzed via the vp-verify oracle, including a streaming ≡ batch
+    /// per-access replays (property-tested and fuzzed via the vp-verify oracle, including a streaming ≡ batch
     /// stage).
     ///
     /// # Errors
@@ -621,18 +574,19 @@ impl<'a> ReplayRequest<'a> {
             ReplaySource::Stream { .. } => "stream",
         });
         let fused = fuse_cells(&self.plan);
-        let per_slot = match self.source {
+        let mut scanner = MatrixScanner::new(&self, &fused);
+        match self.source {
             ReplaySource::Batch(trace) => {
-                matrix_scan(trace.columns().value_events(), &self, &fused)?
+                for block in trace.columns().value_events() {
+                    scanner.scan(&block)?;
+                }
             }
             ReplaySource::Stream { program, limits } => {
-                stream::run_streamed(program, limits, self.block_pool, |events| {
-                    matrix_scan(events, &self, &fused)
-                })?
+                stream::run_streamed(program, limits, |block| scanner.scan(block))?;
             }
-        };
+        }
         Ok(ReplayResponse {
-            cells: fan_out(&per_slot, &fused.slot_of),
+            cells: fan_out(&scanner.finish(), &fused.slot_of),
         })
     }
 }
@@ -648,7 +602,8 @@ pub(crate) fn outside_text(addr: vp_isa::InstrAddr) -> io::Error {
 mod tests {
     use super::*;
     use vp_isa::asm::assemble;
-    use vp_predictor::TableGeometry;
+    use vp_isa::InstrAddr;
+    use vp_predictor::{ClassifierKind, TableGeometry};
 
     fn sample() -> (Program, Trace) {
         let p = assemble(
@@ -735,5 +690,121 @@ mod tests {
         let (_, trace) = sample();
         let response = ReplayRequest::batch(&trace).run().unwrap();
         assert!(response.cells.is_empty());
+    }
+
+    /// Value producers mixing strides, repeats and loop-carried noise
+    /// under both directives, with tables small enough to evict: 5,002
+    /// value events, several blocks' worth.
+    fn mixed_sample() -> (Program, SweepPlan) {
+        let p = assemble(
+            "li r1, 0\nli r2, 1000\n\
+             top: addi.st r3, r3, 7\nadd.lv r4, r2, r0\nadd r5, r5, r1\n\
+             xor.st r6, r5, r3\naddi r1, r1, 1\nbne r1, r2, top\nhalt\n",
+        )
+        .unwrap();
+        let mut plan = SweepPlan::new();
+        let annotated = plan.add_directives(&p);
+        let bare = plan.add_directives(&p.without_directives());
+        for config in [
+            PredictorConfig::spec_table_stride_fsm(),
+            PredictorConfig::spec_table_stride_profile(),
+            PredictorConfig::InfiniteLastValue {
+                classifier: ClassifierKind::two_bit_counter(),
+            },
+            PredictorConfig::TableTwoDelta {
+                geometry: TableGeometry::new(2, 1),
+                classifier: ClassifierKind::Directive,
+            },
+            PredictorConfig::Hybrid {
+                stride: TableGeometry::new(2, 2),
+                last_value: TableGeometry::new(4, 2),
+            },
+        ] {
+            plan.add_outcome_cell(config, annotated);
+            plan.add_cell(config, bare);
+        }
+        (p, plan)
+    }
+
+    fn assert_same_cells(got: &[ReplayCellOutcome], want: &[ReplayCellOutcome], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (cell, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.outcome.stats, w.outcome.stats,
+                "{what}: cell {cell} stats"
+            );
+            assert_eq!(
+                g.outcome.occupancy, w.outcome.occupancy,
+                "{what}: cell {cell} occupancy"
+            );
+            assert_eq!(g.outcomes, w.outcomes, "{what}: cell {cell} outcome column");
+            assert_eq!(
+                g.attribution, w.attribution,
+                "{what}: cell {cell} attribution"
+            );
+        }
+    }
+
+    /// Where the value events are cut into blocks never changes a result:
+    /// the kernel fed blocks of random lengths (decoded from the trace's
+    /// full events, not its value blocks) answers exactly what the batch
+    /// and the streamed replay answer from their 1024-event blocks.
+    #[test]
+    fn prop_block_boundaries_never_matter() {
+        let (p, plan) = mixed_sample();
+        let limits = RunLimits::default();
+        let trace = Trace::capture(&p, limits).unwrap();
+        let events: Vec<(InstrAddr, u64)> = trace
+            .iter()
+            .filter_map(|ev| ev.dest.map(|(_, _, value)| (ev.addr, value)))
+            .collect();
+        assert!(events.len() > 4 * VALUE_BLOCK, "{} events", events.len());
+        let batch = ReplayRequest::batch(&trace)
+            .plan(plan.clone())
+            .attribution(true)
+            .run()
+            .unwrap();
+        let streamed = ReplayRequest::stream(&p, limits)
+            .plan(plan.clone())
+            .attribution(true)
+            .run()
+            .unwrap();
+        assert_same_cells(&streamed.cells, &batch.cells, "streamed");
+
+        vp_rng::prop::forall("block boundaries never matter", |rng| {
+            let mut cuts = Vec::new();
+            let mut covered = 0;
+            while covered < events.len() {
+                // Half the cuts short, so boundaries crowd some stretches.
+                let len = if rng.gen_bool(0.5) {
+                    rng.gen_range(1..=16usize)
+                } else {
+                    rng.gen_range(1..=VALUE_BLOCK)
+                };
+                cuts.push(len);
+                covered += len;
+            }
+            cuts
+        })
+        .cases(24)
+        .check(|cuts: &Vec<usize>| {
+            let req = ReplayRequest::batch(&trace)
+                .plan(plan.clone())
+                .attribution(true);
+            let fused = fuse_cells(&req.plan);
+            let mut scanner = MatrixScanner::new(&req, &fused);
+            let mut rest = &events[..];
+            for &len in cuts {
+                let (head, tail) = rest.split_at(len.min(rest.len()));
+                let mut block = ValueBlock::new();
+                for &(addr, value) in head {
+                    block.push(addr, value);
+                }
+                scanner.scan(&block).unwrap();
+                rest = tail;
+            }
+            let cells = fan_out(&scanner.finish(), &fused.slot_of);
+            assert_same_cells(&cells, &batch.cells, "random cut");
+        });
     }
 }

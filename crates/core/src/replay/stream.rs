@@ -5,27 +5,27 @@
 //! though the paper's Phase-2 pass is conceptually a stream (the tracer
 //! feeds the predictor one retired instruction at a time). This module
 //! removes that coupling: a **producer** thread runs the simulation with
-//! a tracer that packs destination writes into blocks of
-//! `MATRIX_BLOCK` (1024) value events, and the calling thread, the one
-//! **consumer**, replays those blocks through the same push-based fused
-//! kernel (`MatrixScanner`) the batch path uses.
+//! a tracer that packs destination writes into [`ValueBlock`]s of
+//! [`VALUE_BLOCK`] (1024) value events, and the calling thread, the one
+//! **consumer**, hands each received block unchanged to the same fused
+//! kernel (`MatrixScanner`) the batch path feeds.
 //!
 //! ## Bounded queue
 //!
-//! The producer sends each block through a [`sync_channel`] of
-//! [`ReplayRequest::block_pool`] blocks (default [`DEFAULT_BLOCK_POOL`],
-//! which `--stream` uses). When the queue is full the send blocks inside
+//! The producer sends each full block through a [`sync_channel`] of
+//! [`BLOCK_POOL`] blocks. When the queue is full the send blocks inside
 //! [`Tracer::retire`] — the simulation itself stalls until the consumer
-//! catches up. Live memory is at most `pool` queued blocks plus the one
-//! the consumer reads and the one being filled, independent of trace
-//! length.
+//! catches up. Live memory is at most [`BLOCK_POOL`] queued blocks plus
+//! the one the consumer reads and the one being filled, independent of
+//! trace length.
 //!
 //! ## Bit-identical results
 //!
-//! The consumer sees every value event in simulation order, and the
-//! kernel re-accumulates its own `MATRIX_BLOCK`-aligned chunks, so
-//! delivery block boundaries never influence results. Streaming output is
-//! therefore bit-identical to batch replay at any block-pool size —
+//! Both sources deliver the same blocks: the producer cuts the value
+//! events where the resident trace's decoder
+//! ([`vp_sim::TraceColumns::value_events`]) cuts them, every
+//! [`VALUE_BLOCK`] events, and the consumer scans them in simulation
+//! order. Streaming output is therefore bit-identical to batch replay —
 //! property-tested here and in `tests/stream_replay.rs`, and fuzzed
 //! continuously by the vp-verify oracle's streaming ≡ batch stage.
 //!
@@ -45,50 +45,36 @@
 //! engine feeds.
 //!
 //! [`Tracer::retire`]: vp_sim::Tracer::retire
-//! [`ReplayRequest::block_pool`]: super::ReplayRequest::block_pool
+//! [`VALUE_BLOCK`]: vp_sim::VALUE_BLOCK
 
 use std::io;
-use std::iter::Flatten;
 use std::mem;
-use std::sync::mpsc::{self, sync_channel, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use vp_isa::{InstrAddr, Program};
-use vp_sim::{Retirement, RunLimits};
+use vp_sim::{Retirement, RunLimits, ValueBlock};
 
-use super::MATRIX_BLOCK;
-
-/// Default queue depth, in blocks. Eight blocks absorb ordinary consumer
-/// jitter without letting the producer run far ahead.
-pub const DEFAULT_BLOCK_POOL: usize = 8;
-
-/// Smallest usable queue depth. Below this the producer and the consumer
-/// would strictly alternate.
-pub const MIN_BLOCK_POOL: usize = 2;
-
-/// A block of `(addr, value)` events.
-type Block = Vec<(InstrAddr, u64)>;
-
-/// The consumer's view of the channel: every received block's events, in
-/// simulation order, until the producer hangs up.
-type Events = Flatten<mpsc::IntoIter<Block>>;
+/// Queue depth, in blocks. Eight blocks absorb ordinary consumer jitter
+/// without letting the producer run far ahead.
+pub const BLOCK_POOL: usize = 8;
 
 /// The producer: a [`vp_sim::Tracer`] that packs each retired
 /// destination write into the current block and sends every full one to
 /// the consumer while it is connected.
 struct Producer {
-    block: Block,
-    consumer: Option<SyncSender<Block>>,
+    block: ValueBlock,
+    consumer: Option<SyncSender<ValueBlock>>,
     blocks: u64,
     stalls: u64,
     waited: Duration,
 }
 
 impl Producer {
-    fn new(consumer: SyncSender<Block>) -> Producer {
+    fn new(consumer: SyncSender<ValueBlock>) -> Producer {
         Producer {
-            block: Vec::with_capacity(MATRIX_BLOCK),
+            block: ValueBlock::new(),
             consumer: Some(consumer),
             blocks: 0,
             stalls: 0,
@@ -97,8 +83,8 @@ impl Producer {
     }
 
     fn push(&mut self, addr: InstrAddr, value: u64) {
-        self.block.push((addr, value));
-        if self.block.len() == MATRIX_BLOCK {
+        self.block.push(addr, value);
+        if self.block.is_full() {
             self.send();
         }
     }
@@ -107,7 +93,7 @@ impl Producer {
     /// else blocking (one stall, the wait timed). A consumer that hung up
     /// is dropped.
     fn send(&mut self) {
-        let block = mem::replace(&mut self.block, Vec::with_capacity(MATRIX_BLOCK));
+        let block = mem::replace(&mut self.block, ValueBlock::new());
         self.blocks += 1;
         let Some(tx) = &self.consumer else { return };
         let sent = match tx.try_send(block) {
@@ -144,17 +130,16 @@ impl vp_sim::Tracer for Producer {
     }
 }
 
-/// Spawns the producer (simulation), runs `scan` over its event stream on
-/// the calling thread, and returns the scan's result. A simulator fault
-/// wins over the scan's own result; a panic on either side resumes on the
+/// Spawns the producer (simulation) and hands each block it sends to
+/// `scan` on the calling thread, in simulation order. A simulator fault
+/// wins over the scan's own error; a panic on either side resumes on the
 /// caller once the producer has stopped.
-pub(super) fn run_streamed<T>(
+pub(super) fn run_streamed(
     program: &Program,
     limits: RunLimits,
-    pool: usize,
-    scan: impl FnOnce(Events) -> io::Result<T>,
-) -> io::Result<T> {
-    let (tx, rx) = sync_channel(pool.max(MIN_BLOCK_POOL));
+    mut scan: impl FnMut(&ValueBlock) -> io::Result<()>,
+) -> io::Result<()> {
+    let (tx, rx) = sync_channel(BLOCK_POOL);
     let parent_span = vp_obs::span::current_path();
     let (producer, scanned) = thread::scope(|scope| {
         let producer = scope.spawn(move || {
@@ -164,8 +149,9 @@ pub(super) fn run_streamed<T>(
             producer.finish();
             outcome.map(|_| producer)
         });
-        // `scan` owns the receiver, so returning (or unwinding) hangs up.
-        let scanned = scan(rx.into_iter().flatten());
+        // The loop owns the receiver, so leaving it (or unwinding) hangs
+        // up.
+        let scanned = rx.into_iter().try_for_each(|block| scan(&block));
         match producer.join() {
             Ok(producer) => (producer, scanned),
             Err(payload) => std::panic::resume_unwind(payload),
@@ -185,7 +171,7 @@ mod tests {
     use crate::replay::ReplayRequest;
     use vp_isa::asm::assemble;
     use vp_predictor::PredictorConfig;
-    use vp_sim::Trace;
+    use vp_sim::{Trace, VALUE_BLOCK};
 
     fn sample() -> Program {
         assemble(
@@ -196,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_batch_across_pools() {
+    fn streaming_matches_batch() {
         let p = sample();
         let limits = RunLimits::default();
         let trace = Trace::capture(&p, limits).unwrap();
@@ -206,23 +192,17 @@ mod tests {
             .run()
             .unwrap()
             .into_single();
-        for pool in [MIN_BLOCK_POOL, DEFAULT_BLOCK_POOL] {
-            let streamed = ReplayRequest::stream(&p, limits)
-                .single(&p, cfg)
-                .block_pool(pool)
-                .run()
-                .unwrap()
-                .into_single();
-            assert_eq!(
-                streamed.outcome.stats, batch.outcome.stats,
-                "diverged at pool {pool}"
-            );
-            assert_eq!(streamed.outcome.occupancy, batch.outcome.occupancy);
-        }
+        let streamed = ReplayRequest::stream(&p, limits)
+            .single(&p, cfg)
+            .run()
+            .unwrap()
+            .into_single();
+        assert_eq!(streamed.outcome.stats, batch.outcome.stats);
+        assert_eq!(streamed.outcome.occupancy, batch.outcome.occupancy);
     }
 
     #[test]
-    fn streamed_blocks_equal_captured_value_events() {
+    fn producer_sends_the_blocks_the_trace_decoder_yields() {
         // ~3k value events: several full blocks plus a partial tail.
         let p = assemble(
             "li r1, 0\nli r2, 1500\n\
@@ -236,26 +216,24 @@ mod tests {
         let mut producer = Producer::new(tx);
         vp_sim::run(&p, &mut producer, limits).unwrap();
         producer.finish();
-        let blocks: Vec<Block> = rx.iter().collect();
+        let streamed: Vec<ValueBlock> = rx.iter().collect();
+        let decoded: Vec<ValueBlock> = trace.columns().value_events().collect();
 
-        for (i, block) in blocks.iter().enumerate() {
-            assert!(block.len() <= MATRIX_BLOCK);
-            if i + 1 < blocks.len() {
-                assert_eq!(block.len(), MATRIX_BLOCK, "only the tail may be partial");
-            }
-        }
-        let streamed: Vec<(InstrAddr, u64)> =
-            blocks.iter().flat_map(|b| b.iter().copied()).collect();
-        let captured: Vec<(InstrAddr, u64)> = trace.columns().value_events().collect();
-        assert_eq!(streamed, captured);
-        assert!(blocks.len() >= 2, "test must exercise multiple blocks");
-        assert_eq!(producer.blocks, blocks.len() as u64);
+        assert_eq!(streamed, decoded, "same events, cut at the same places");
+        let (last, full) = streamed.split_last().expect("the trace has value events");
+        assert!(
+            full.iter().all(ValueBlock::is_full),
+            "only the last block may be partial"
+        );
+        assert!(!last.is_full() && !last.is_empty(), "the tail is partial");
+        assert!(full.len() >= 2, "test must exercise multiple full blocks");
+        assert_eq!(producer.blocks, streamed.len() as u64);
     }
 
     #[test]
     fn finish_without_events_submits_nothing() {
         let p = assemble("halt\n").unwrap();
-        let (tx, rx) = sync_channel(MIN_BLOCK_POOL);
+        let (tx, rx) = sync_channel(BLOCK_POOL);
         let mut producer = Producer::new(tx);
         vp_sim::run(&p, &mut producer, RunLimits::default()).unwrap();
         producer.finish();
@@ -268,9 +246,9 @@ mod tests {
     /// order — the starvation/backpressure stress test.
     #[test]
     fn slow_consumer_applies_backpressure_without_loss() {
-        let (tx, rx) = sync_channel::<Block>(MIN_BLOCK_POOL);
-        let blocks = 16usize;
-        let events = blocks * MATRIX_BLOCK;
+        let (tx, rx) = sync_channel::<ValueBlock>(BLOCK_POOL);
+        let blocks = 32usize;
+        let events = blocks * VALUE_BLOCK;
         let (producer, seen) = thread::scope(|scope| {
             let consumer = scope.spawn(move || {
                 let mut seen: Vec<(InstrAddr, u64)> = Vec::new();
@@ -278,7 +256,7 @@ mod tests {
                     // Slow consumer: hold the block while the producer
                     // races ahead into the queue limit.
                     thread::sleep(Duration::from_millis(2));
-                    seen.extend(block);
+                    seen.extend(block.iter());
                 }
                 seen
             });
@@ -295,7 +273,7 @@ mod tests {
         assert_eq!(producer.blocks, blocks as u64);
         assert!(
             producer.stalls > 0,
-            "a 2-block queue against a sleeping consumer must stall"
+            "a bounded queue against a sleeping consumer must stall"
         );
         assert!(producer.waited > Duration::ZERO);
         let expected: Vec<(InstrAddr, u64)> = (0..events)
@@ -308,7 +286,7 @@ mod tests {
     /// dropped receiver hangs up, and the producer skips it.
     #[test]
     fn detached_consumer_never_blocks_the_producer() {
-        let (tx, rx) = sync_channel(MIN_BLOCK_POOL);
+        let (tx, rx) = sync_channel(BLOCK_POOL);
         thread::scope(|scope| {
             scope.spawn(move || {
                 // Take one block, then bail (simulates an error path).
@@ -318,7 +296,7 @@ mod tests {
                 let mut producer = Producer::new(tx);
                 // Far more blocks than the queue holds: would deadlock
                 // if the dead consumer still took sends.
-                for i in 0..64 * MATRIX_BLOCK {
+                for i in 0..64 * VALUE_BLOCK {
                     producer.push(InstrAddr::new(i as u32), i as u64);
                 }
                 producer.blocks
@@ -327,39 +305,29 @@ mod tests {
         });
     }
 
-    /// A consumer that panics mid-block must not wedge the stream: its
+    /// A consumer that panics mid-stream must not wedge the stream: its
     /// receiver hangs up as it unwinds, the producer runs to the end, and
     /// the panic resumes on the caller.
     #[test]
     fn panicking_consumer_resumes_on_the_caller() {
         let p = assemble("li r1, 0\nli r2, 50000\ntop: addi r1, r1, 1\nbne r1, r2, top\nhalt\n")
             .unwrap();
-        // A 1-block pool is clamped to `MIN_BLOCK_POOL`.
-        for pool in [1, DEFAULT_BLOCK_POOL] {
-            let p = p.clone();
-            let (done, outcome) = std::sync::mpsc::channel();
-            thread::spawn(move || {
-                let streamed = std::panic::catch_unwind(|| {
-                    run_streamed(&p, RunLimits::default(), pool, |events| {
-                        // Event 1500 lies inside the second block.
-                        for (seen, _) in events.enumerate() {
-                            if seen == 1500 {
-                                panic!("consumer panics mid-block");
-                            }
-                        }
-                        Ok(())
-                    })
-                });
-                let _ = done.send(streamed.is_err());
+        let (done, outcome) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let streamed = std::panic::catch_unwind(|| {
+                let mut blocks = 0;
+                run_streamed(&p, RunLimits::default(), |_| {
+                    blocks += 1;
+                    assert!(blocks < 2, "consumer panics at the second block");
+                    Ok(())
+                })
             });
-            let panicked = outcome
-                .recv_timeout(Duration::from_secs(30))
-                .unwrap_or_else(|_| panic!("stream hung at pool {pool}"));
-            assert!(
-                panicked,
-                "the panic must resume on the caller at pool {pool}"
-            );
-        }
+            let _ = done.send(streamed.is_err());
+        });
+        let panicked = outcome
+            .recv_timeout(Duration::from_secs(30))
+            .expect("stream hung");
+        assert!(panicked, "the panic must resume on the caller");
     }
 
     #[test]
@@ -393,7 +361,6 @@ mod tests {
         let other = assemble("halt\n").unwrap();
         let err = ReplayRequest::stream(&p, RunLimits::default())
             .single(&other, PredictorConfig::spec_table_stride_fsm())
-            .block_pool(MIN_BLOCK_POOL)
             .run()
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);

@@ -135,8 +135,7 @@ impl Suite {
         self
     }
 
-    /// Runs predictor sweeps in **streaming** mode with the default
-    /// block pool ([`crate::replay::stream::DEFAULT_BLOCK_POOL`]): the
+    /// Runs predictor sweeps in **streaming** mode: the
     /// reference simulation feeds the fused replay
     /// kernel through a bounded channel ([`crate::replay::stream`]) and
     /// the trace is never materialised, so peak RSS stays independent of

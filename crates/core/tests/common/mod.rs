@@ -114,10 +114,11 @@ pub fn replay_cell(
         .into_single()
 }
 
-/// The independent reference: `trace`'s value events fed one at a time
-/// through a fresh predictor, each access observed by an attribution
-/// table. No blocks, no shared walks, no dedup — what any replay of
-/// the cell must reproduce.
+/// The independent reference: `trace`'s value events, decoded from its
+/// full events rather than its value blocks, fed one at a time through a
+/// fresh predictor, each access observed by an attribution table. No
+/// blocks, no shared walks, no dedup — what any replay of the cell must
+/// reproduce.
 pub fn reference_replay(
     trace: &Trace,
     program: &Program,
@@ -125,7 +126,10 @@ pub fn reference_replay(
 ) -> (PredictorStats, usize, AttributionTable) {
     let mut predictor = config.build();
     let mut table = AttributionTable::new();
-    for (addr, value) in trace.columns().value_events() {
+    for (addr, value) in trace
+        .iter()
+        .filter_map(|ev| ev.dest.map(|(_, _, value)| (ev.addr, value)))
+    {
         let directive = program.text()[addr.index() as usize].directive;
         let access = predictor.access(addr, directive, value);
         table.observe(addr, directive, &access, value);

@@ -2,9 +2,8 @@
 //! arbitrary loop-kernel programs, the streamed
 //! [`provp_core::ReplayRequest`] grid (stats, occupancy, attribution
 //! tables) must be **bit-identical** to the batch grid over the captured
-//! trace, across block pools {2, 8} × all six predictor configuration
-//! families — the delivery block boundaries, the producer/consumer
-//! interleaving and the pool size may change the schedule, never the
+//! trace, across all six predictor configuration families — the
+//! producer/consumer interleaving may change the schedule, never the
 //! result. A simulator fault mid-stream must end the
 //! replay in the same typed error a capture reports, never a hang.
 
@@ -12,7 +11,6 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-use provp_core::replay::stream::DEFAULT_BLOCK_POOL;
 use provp_core::{ReplayRequest, SweepPlan};
 use vp_isa::asm::assemble;
 use vp_isa::Program;
@@ -21,7 +19,7 @@ use vp_rng::{prop, Rng};
 use vp_sim::{RunLimits, SimError, Trace};
 
 /// The six predictor configuration families under both paper baselines:
-/// the fixed panel every pool size is checked against.
+/// the fixed panel every streamed replay is checked against.
 fn six_configs() -> Vec<PredictorConfig> {
     vec![
         PredictorConfig::spec_table_stride_fsm(),
@@ -92,24 +90,15 @@ fn prop_streaming_is_bit_identical_to_batch() {
                 .run()
                 .expect("batch replay")
                 .outcomes();
-            for pool in [2usize, 8] {
-                let streamed = ReplayRequest::stream(program, limits)
-                    .plan(plan.clone())
-                    .block_pool(pool)
-                    .run()
-                    .expect("streamed replay")
-                    .outcomes();
-                assert_eq!(streamed.len(), batch.len());
-                for (cell, (s, b)) in streamed.iter().zip(&batch).enumerate() {
-                    assert_eq!(
-                        s.stats, b.stats,
-                        "cell {cell} stats diverged at pool {pool}"
-                    );
-                    assert_eq!(
-                        s.occupancy, b.occupancy,
-                        "cell {cell} occupancy diverged at pool {pool}"
-                    );
-                }
+            let streamed = ReplayRequest::stream(program, limits)
+                .plan(plan.clone())
+                .run()
+                .expect("streamed replay")
+                .outcomes();
+            assert_eq!(streamed.len(), batch.len());
+            for (cell, (s, b)) in streamed.iter().zip(&batch).enumerate() {
+                assert_eq!(s.stats, b.stats, "cell {cell} stats diverged");
+                assert_eq!(s.occupancy, b.occupancy, "cell {cell} occupancy diverged");
             }
         });
 }
@@ -131,30 +120,27 @@ fn prop_streamed_attribution_tables_match_batch() {
                 .attribution(true)
                 .run()
                 .expect("batch attributed replay");
-            for pool in [2usize, 8] {
-                let streamed = ReplayRequest::stream(program, limits)
-                    .plan(plan.clone())
-                    .attribution(true)
-                    .block_pool(pool)
-                    .run()
-                    .expect("streamed attributed replay");
-                for (cell, (s, b)) in streamed.cells.iter().zip(&batch.cells).enumerate() {
-                    assert_eq!(
-                        s.outcome.stats, b.outcome.stats,
-                        "cell {cell} stats diverged at pool {pool}"
-                    );
-                    assert_eq!(
-                        s.attribution, b.attribution,
-                        "cell {cell} attribution table diverged at pool {pool}"
-                    );
-                    // Attribution totals reconcile with the stats in
-                    // streaming mode too (every access accounted).
-                    s.attribution
-                        .as_ref()
-                        .expect("attribution requested")
-                        .reconcile(&s.outcome.stats)
-                        .unwrap_or_else(|e| panic!("cell {cell} fails to reconcile: {e}"));
-                }
+            let streamed = ReplayRequest::stream(program, limits)
+                .plan(plan.clone())
+                .attribution(true)
+                .run()
+                .expect("streamed attributed replay");
+            for (cell, (s, b)) in streamed.cells.iter().zip(&batch.cells).enumerate() {
+                assert_eq!(
+                    s.outcome.stats, b.outcome.stats,
+                    "cell {cell} stats diverged"
+                );
+                assert_eq!(
+                    s.attribution, b.attribution,
+                    "cell {cell} attribution table diverged"
+                );
+                // Attribution totals reconcile with the stats in
+                // streaming mode too (every access accounted).
+                s.attribution
+                    .as_ref()
+                    .expect("attribution requested")
+                    .reconcile(&s.outcome.stats)
+                    .unwrap_or_else(|e| panic!("cell {cell} fails to reconcile: {e}"));
             }
         });
 }
@@ -189,9 +175,8 @@ fn streamed_duplicate_cells_share_one_slot() {
 
 /// A simulator fault mid-stream ends the replay in a typed error, never
 /// a hang: the program falls off its text segment (no `halt`) after
-/// about 15k value events — several pool-fulls — with the smallest pool
-/// and the default one. The error carries the
-/// same [`SimError`] a plain capture reports.
+/// about 15k value events — more blocks than the queue holds. The error
+/// carries the same [`SimError`] a plain capture reports.
 #[test]
 fn simulator_fault_mid_stream_is_a_typed_error() {
     let program = assemble("li r1, 0\nli r2, 15000\ntop: addi r1, r1, 1\nbne r1, r2, top\n")
@@ -205,22 +190,18 @@ fn simulator_fault_mid_stream_is_a_typed_error() {
     let mut plan = SweepPlan::new();
     let table = plan.add_directives(&program);
     plan.add_cell(PredictorConfig::spec_table_stride_fsm(), table);
-    for pool in [1, DEFAULT_BLOCK_POOL] {
-        let (tx, rx) = mpsc::channel();
-        let (program, plan) = (program.clone(), plan.clone());
-        thread::spawn(move || {
-            let result = ReplayRequest::stream(&program, limits)
-                .plan(plan)
-                .block_pool(pool)
-                .run()
-                .map(|_| ());
-            let _ = tx.send(result);
-        });
-        let err = rx
-            .recv_timeout(Duration::from_secs(30))
-            .unwrap_or_else(|_| panic!("stream hung at pool {pool}"))
-            .expect_err("a faulting simulation cannot stream to completion");
-        let fault = err.get_ref().and_then(|e| e.downcast_ref::<SimError>());
-        assert_eq!(fault, Some(&expected), "pool {pool}: {err}");
-    }
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let result = ReplayRequest::stream(&program, limits)
+            .plan(plan)
+            .run()
+            .map(|_| ());
+        let _ = tx.send(result);
+    });
+    let err = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("stream hung")
+        .expect_err("a faulting simulation cannot stream to completion");
+    let fault = err.get_ref().and_then(|e| e.downcast_ref::<SimError>());
+    assert_eq!(fault, Some(&expected), "{err}");
 }

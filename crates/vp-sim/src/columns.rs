@@ -19,9 +19,12 @@
 //!
 //! - [`TraceColumns::replay`] reconstructs full [`Retirement`] records for
 //!   generic tracers (profilers, the ILP machine, instruction mixes);
-//! - [`TraceColumns::value_events`] yields only `(addr, value)` pairs of
+//! - [`TraceColumns::value_events`] yields the `(addr, value)` pairs of
 //!   value-producing instructions — the only thing a value predictor
-//!   consumes — without touching the memory columns at all.
+//!   consumes — as [`ValueBlock`]s of at most [`VALUE_BLOCK`] events,
+//!   without touching the memory columns at all. A streamed replay packs
+//!   a live simulation's destination writes into the same blocks, so the
+//!   fused predictor kernel reads one shape from either source.
 
 use std::io;
 use std::mem;
@@ -56,6 +59,75 @@ fn push_cold(column: &mut Vec<u32>, value: u32) {
 }
 
 const SHORT: &str = "sparse trace column shorter than its flag population";
+
+/// Events per [`ValueBlock`]: enough for the fused predictor kernel to
+/// amortise its per-block work, few enough that its per-block scratch
+/// (a directive row per annotation, a code column per walk) stays in
+/// cache.
+pub const VALUE_BLOCK: usize = 1024;
+
+/// At most [`VALUE_BLOCK`] value events in trace order, as two columns:
+/// each event's instruction address and the value it wrote. The fused
+/// predictor kernel's one input, from a resident trace
+/// ([`TraceColumns::value_events`]) and a live simulation alike.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ValueBlock {
+    addrs: Vec<InstrAddr>,
+    values: Vec<u64>,
+}
+
+impl ValueBlock {
+    /// An empty block with room for [`VALUE_BLOCK`] events.
+    #[must_use]
+    pub fn new() -> Self {
+        ValueBlock {
+            addrs: Vec::with_capacity(VALUE_BLOCK),
+            values: Vec::with_capacity(VALUE_BLOCK),
+        }
+    }
+
+    /// Appends one event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is full.
+    #[inline]
+    pub fn push(&mut self, addr: InstrAddr, value: u64) {
+        assert!(!self.is_full(), "a value block holds {VALUE_BLOCK} events");
+        self.addrs.push(addr);
+        self.values.push(value);
+    }
+
+    /// Whether the block holds no event.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.addrs.is_empty()
+    }
+
+    /// Whether the block holds [`VALUE_BLOCK`] events.
+    #[must_use]
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.addrs.len() == VALUE_BLOCK
+    }
+
+    /// Each event's instruction address.
+    #[must_use]
+    pub fn addrs(&self) -> &[InstrAddr] {
+        &self.addrs
+    }
+
+    /// Each event's written value.
+    #[must_use]
+    pub fn values(&self) -> &[u64] {
+        &self.values
+    }
+
+    /// The events as `(addr, value)` pairs.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (InstrAddr, u64)> + '_ {
+        self.addrs.iter().copied().zip(self.values.iter().copied())
+    }
+}
 
 // Kept out of line so the replay loop stays as tight as the iterator.
 #[cold]
@@ -253,10 +325,11 @@ impl TraceColumns {
         }
     }
 
-    /// Iterates `(addr, value)` pairs of the value-producing events —
-    /// everything a value predictor consumes — touching only the flag
-    /// column, the sparse control-flow columns and the sparse destination
-    /// values.
+    /// Iterates the value-producing events — everything a value
+    /// predictor consumes — as [`ValueBlock`]s: every block but the last
+    /// holds exactly [`VALUE_BLOCK`] events, and a trace without value
+    /// events yields none. Touches only the flag column, the sparse
+    /// control-flow columns and the sparse destination values.
     #[must_use]
     pub fn value_events(&self) -> ValueEvents<'_> {
         ValueEvents {
@@ -383,7 +456,8 @@ impl Iterator for Events<'_> {
 
 impl ExactSizeIterator for Events<'_> {}
 
-/// Iterator over the `(addr, value)` pairs of value-producing events.
+/// Iterator over a trace's value-producing events, one full
+/// [`ValueBlock`] at a time.
 #[derive(Debug, Clone)]
 pub struct ValueEvents<'a> {
     flags: slice::Iter<'a, u8>,
@@ -392,22 +466,21 @@ pub struct ValueEvents<'a> {
 }
 
 impl Iterator for ValueEvents<'_> {
-    type Item = (InstrAddr, u64);
+    type Item = ValueBlock;
 
-    #[inline]
-    fn next(&mut self) -> Option<(InstrAddr, u64)> {
+    fn next(&mut self) -> Option<ValueBlock> {
+        let mut block = ValueBlock::new();
         for &flags in self.flags.by_ref() {
             let (addr, _) = self.pcs.step(flags);
             if flags & F_DEST != 0 {
                 let value = *self.dest_val.next().expect(SHORT);
-                return Some((InstrAddr::new(addr), value));
+                block.push(InstrAddr::new(addr), value);
+                if block.is_full() {
+                    break;
+                }
             }
         }
-        None
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, self.flags.size_hint().1)
+        (!block.is_empty()).then_some(block)
     }
 }
 
@@ -462,7 +535,10 @@ top: fld f1, (r0)\nfadd f2, f2, f1\nsd r1, 5(r1)\naddi r1, r1, 1\nbne r1, r2, to
             .iter()
             .filter_map(|ev| ev.dest.map(|(_, _, v)| (ev.addr, v)))
             .collect();
-        let via_values: Vec<(InstrAddr, u64)> = cols.value_events().collect();
+        let mut via_values: Vec<(InstrAddr, u64)> = Vec::new();
+        for block in cols.value_events() {
+            via_values.extend(block.iter());
+        }
         assert_eq!(via_values, via_iter);
         assert_eq!(via_values.len(), cols.dest_count());
         assert!(!via_values.is_empty());

@@ -49,7 +49,7 @@ pub mod record;
 pub mod runner;
 pub mod tracer;
 
-pub use columns::TraceColumns;
+pub use columns::{TraceColumns, ValueBlock, VALUE_BLOCK};
 pub use error::SimError;
 pub use exec::{MemAccess, Retirement};
 pub use machine::Machine;

@@ -129,8 +129,8 @@ impl Tracer for TraceRecorder {
 /// directive-annotated variant of the same program.
 ///
 /// Internally the trace is columnar ([`TraceColumns`]); value-prediction
-/// replay walks [`TraceColumns::value_events`] directly instead of
-/// reconstructing retirements.
+/// replay reads [`TraceColumns::value_events`]' blocks directly instead
+/// of reconstructing retirements.
 ///
 /// # Examples
 ///

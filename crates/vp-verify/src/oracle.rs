@@ -49,8 +49,7 @@
 //! 7. **Streaming oracle** — the bounded-memory streaming engine
 //!    ([`ReplayRequest::stream`]), which re-simulates the program and
 //!    predicts concurrently without a resident trace, must reproduce the
-//!    per-cell grid bit-identically at block pools of 2 and 8, including
-//!    attribution tables.
+//!    per-cell grid bit-identically, including attribution tables.
 //!
 //! Any mismatch is returned as a typed [`Divergence`], whose
 //! [`Divergence::stage`] names the stage that found it; `Ok` carries the
@@ -161,8 +160,6 @@ pub enum Divergence {
         /// `PredictorConfig::label()` of the diverging cell's
         /// configuration, with its plan position — or "whole plan".
         label: String,
-        /// Block-pool size the streamed replay ran with.
-        pool: usize,
         /// Human-readable detail.
         detail: String,
     },
@@ -255,14 +252,9 @@ impl fmt::Display for Divergence {
             Divergence::Ilp { label, detail } => {
                 write!(f, "ILP lane {label} diverges: {detail}")
             }
-            Divergence::Stream {
-                label,
-                pool,
-                detail,
-            } => write!(
-                f,
-                "streamed replay of `{label}` (pool {pool}) diverges: {detail}"
-            ),
+            Divergence::Stream { label, detail } => {
+                write!(f, "streamed replay of `{label}` diverges: {detail}")
+            }
         }
     }
 }
@@ -647,74 +639,61 @@ pub fn run_case_through(
     // --- 7. streaming oracle ---
     // The bounded-memory streaming engine re-simulates the program and
     // feeds the same fused kernel through a bounded block channel; its
-    // grid must be bit-identical to the batch grid at both tested
-    // block-pool sizes — including a pool of 2, where the producer stalls
-    // on every other block. Faulting programs are
+    // grid must be bit-identical to the batch grid. Faulting programs are
     // excluded: a streamed replay surfaces the simulator fault as an
     // error (there is no well-defined full stream), while the batch path
     // above replays the pre-fault prefix that the recorder captured.
     if optimized.is_err() {
         return Ok(trace);
     }
-    for pool in [2usize, 8] {
-        let stream_err = |label: String, detail: String| Divergence::Stream {
-            label,
-            pool,
-            detail,
-        };
-        let streamed = ReplayRequest::stream(program, limits)
-            .plan(plan.clone())
-            .block_pool(pool)
-            .run()
-            .map_err(|e| stream_err("whole plan".into(), format!("streamed replay failed: {e}")))?;
-        if streamed.cells.len() != matrix_cells.len() {
+    let stream_err = |label: String, detail: String| Divergence::Stream { label, detail };
+    let streamed = ReplayRequest::stream(program, limits)
+        .plan(plan.clone())
+        .run()
+        .map_err(|e| stream_err("whole plan".into(), format!("streamed replay failed: {e}")))?;
+    if streamed.cells.len() != matrix_cells.len() {
+        return Err(stream_err(
+            "whole plan".into(),
+            format!(
+                "streamed replay returned {} outcomes for {} cells",
+                streamed.cells.len(),
+                matrix_cells.len()
+            ),
+        ));
+    }
+    for (i, (s, e)) in streamed.cells.iter().zip(&expected).enumerate() {
+        if s.outcome.stats != e.stats {
             return Err(stream_err(
-                "whole plan".into(),
+                cell_label(i),
                 format!(
-                    "streamed replay returned {} outcomes for {} cells",
-                    streamed.cells.len(),
-                    matrix_cells.len()
+                    "stats differ:\nstreamed {:#?}\nbatch {:#?}",
+                    s.outcome.stats, e.stats
                 ),
             ));
         }
-        for (i, (s, e)) in streamed.cells.iter().zip(&expected).enumerate() {
-            if s.outcome.stats != e.stats {
-                return Err(stream_err(
-                    cell_label(i),
-                    format!(
-                        "stats differ:\nstreamed {:#?}\nbatch {:#?}",
-                        s.outcome.stats, e.stats
-                    ),
-                ));
-            }
-            if s.outcome.occupancy != e.occupancy {
-                return Err(stream_err(
-                    cell_label(i),
-                    format!(
-                        "occupancy differs: streamed {}, batch {}",
-                        s.outcome.occupancy, e.occupancy
-                    ),
-                ));
-            }
+        if s.outcome.occupancy != e.occupancy {
+            return Err(stream_err(
+                cell_label(i),
+                format!(
+                    "occupancy differs: streamed {}, batch {}",
+                    s.outcome.occupancy, e.occupancy
+                ),
+            ));
         }
     }
     // Attributed streaming: tables must match the direct loops' exactly.
     let stream_attr = ReplayRequest::stream(program, limits)
         .plan(plan.clone())
         .attribution(true)
-        .block_pool(2)
         .run()
-        .map_err(|e| Divergence::Stream {
-            label: "whole plan (attributed)".into(),
-            pool: 2,
-            detail: format!("attributed streamed replay failed: {e}"),
+        .map_err(|e| {
+            stream_err(
+                "whole plan (attributed)".into(),
+                format!("attributed streamed replay failed: {e}"),
+            )
         })?;
     for (i, (s, e)) in stream_attr.cells.iter().zip(&expected).enumerate() {
-        let stream_err = |detail: String| Divergence::Stream {
-            label: cell_label(i),
-            pool: 2,
-            detail,
-        };
+        let stream_err = |detail: String| stream_err(cell_label(i), detail);
         if s.outcome.stats != e.stats {
             return Err(stream_err(
                 "attributed streamed stats differ from per-cell".into(),
@@ -1139,7 +1118,6 @@ mod tests {
         assert_eq!(profile.stage(), Stage::Profile);
         let stream = Divergence::Stream {
             label: "whole plan".into(),
-            pool: 2,
             detail: String::new(),
         };
         assert_eq!(stream.stage(), Stage::Stream);
@@ -1180,15 +1158,13 @@ mod tests {
     }
 
     #[test]
-    fn stream_divergence_renders_with_pool() {
+    fn stream_divergence_renders_with_cell() {
         let d = Divergence::Stream {
             label: "stride (cell 1, table 0)".into(),
-            pool: 2,
             detail: "stats differ".into(),
         };
         let s = d.to_string();
         assert!(s.contains("cell 1"), "{s}");
-        assert!(s.contains("pool 2"), "{s}");
         assert!(s.contains("stats differ"), "{s}");
     }
 

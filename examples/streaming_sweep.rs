@@ -49,11 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let batch = ReplayRequest::batch(&trace).plan(plan.clone()).run()?;
 
     // Streaming: no trace — the producer re-simulates into a bounded
-    // queue of DEFAULT_BLOCK_POOL blocks while the caller consumes.
-    let streamed = ReplayRequest::stream(&program, limits)
-        .plan(plan)
-        .block_pool(DEFAULT_BLOCK_POOL)
-        .run()?;
+    // queue of BLOCK_POOL blocks while the caller consumes.
+    let streamed = ReplayRequest::stream(&program, limits).plan(plan).run()?;
 
     for (cell, (s, b)) in streamed.outcomes().iter().zip(batch.outcomes()).enumerate() {
         assert_eq!(s.stats, b.stats, "cell {cell} diverged");

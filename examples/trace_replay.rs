@@ -39,9 +39,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Consumer 2: the finite-table predictor — fed from the value-event
     // columns alone, the same fast path the experiment suite replays.
     let mut predictor = PredictorConfig::spec_table_stride_fsm().build();
-    for (addr, value) in trace.columns().value_events() {
-        let directive = program.text()[addr.index() as usize].directive;
-        predictor.access(addr, directive, value);
+    for block in trace.columns().value_events() {
+        for (addr, value) in block.iter() {
+            let directive = program.text()[addr.index() as usize].directive;
+            predictor.access(addr, directive, value);
+        }
     }
     println!("predictor: {}", predictor.stats());
 

@@ -65,7 +65,6 @@ pub use vp_workloads as workloads;
 /// internals — reach through the per-subsystem modules (`provp::sim`,
 /// `provp::predictor`, ...) when you need those.
 pub mod prelude {
-    pub use provp_core::replay::stream::{DEFAULT_BLOCK_POOL, MIN_BLOCK_POOL};
     pub use provp_core::{
         ReplayCellOutcome, ReplayOutcome, ReplayRequest, ReplayResponse, Suite, SweepPlan,
         TraceStore,
